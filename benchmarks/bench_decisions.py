@@ -1,25 +1,29 @@
 """Shard-local decisions: the coordinator's serial-bottleneck claim.
 
-Before the decision refactor, every superstep's migration decisions —
-one neighbour-histogram + heuristic evaluation per active vertex — ran in
-the coordinator between barriers, a serial section that grows with graph
-size and defeats the point of sharding.  With ``decisions="shard"`` the
-shards evaluate their own residents (vectorised over each shard block) and
-the coordinator's decision work shrinks to slicing the active set and
-arbitrating quota over the returned proposals: O(active + proposals),
-independent of edge count.
+Generated centrally, every superstep's migration decisions — one
+neighbour-histogram + heuristic evaluation per active vertex — run between
+barriers, a serial section that grows with graph size and defeats the
+point of sharding.  The sharded :class:`~repro.cluster.Coordinator` has its
+shards evaluate their own residents (vectorised over each shard block), so
+its decision work shrinks to slicing the active set and arbitrating quota
+over the returned proposals: O(active + proposals), independent of edge
+count.
 
 This bench runs the identical 100k-vertex adaptation workload (a 3-D FEM
 mesh settling from a hash partitioning, a light vertex program so the
-decision phase is the signal) in both modes and compares the *coordinator's
-measured decision wall-time* (``SuperstepReport.decision_seconds``).
+decision phase is the signal) through both and compares the *measured
+serial decision wall-time* (``SuperstepReport.decision_seconds``).  The
+central number comes from the single-process
+:class:`~repro.pregel.system.PregelSystem` — the only place central
+generation (``_generate_proposals``) still runs, and the oracle the
+sharded timelines are pinned to.
 
 Asserted, including at smoke scale (the bar is the ISSUE acceptance
 criterion, relaxed for the CI smoke artifact exactly like
 ``bench_scale.py``):
 
-* both modes replay **bit-identical** superstep timelines — the knob moves
-  work, never results;
+* both systems replay **bit-identical** superstep timelines — where
+  proposals are generated moves work, never results;
 * coordinator-side decision time drops **≥5×** at full scale (**≥2.5×**
   at smoke scale).
 
@@ -27,10 +31,11 @@ The host graph uses the adjacency backend — the pregel engine's default —
 where centralised decisions run the portable per-vertex path; the shards
 vectorise over their blocks regardless of the host backend, which is
 exactly the decentralisation dividend the paper's worker-local design
-buys.  A compact-backend pair (where the coordinator path is itself
+buys.  A compact-backend pair (where the central path is itself
 vectorised) is recorded in the artifact for reference.
 """
 
+import contextlib
 import time
 
 from repro.analysis import format_table
@@ -38,7 +43,7 @@ from repro.cluster import Coordinator, InlineExecutor
 from repro.generators import mesh_3d
 from repro.graph.backend import to_backend
 from repro.obs import MetricsRegistry
-from repro.pregel.system import PregelConfig
+from repro.pregel.system import PregelConfig, PregelSystem
 from repro.pregel.vertex import VertexProgram
 
 from benchmarks import _harness
@@ -67,17 +72,24 @@ class _Sensor(VertexProgram):
 
 
 def _timed_run(decisions, backend):
+    """One run; ``decisions`` is "shard" (Coordinator) or "central" (serial)."""
     graph = mesh_3d(MESH_SIDE)
     if backend == "compact":
         graph = to_backend(graph, "compact")
-    config = PregelConfig(
-        num_workers=PARTITIONS, seed=0, quiet_window=10, decisions=decisions
-    )
+    config = PregelConfig(num_workers=PARTITIONS, seed=0, quiet_window=10)
     registry = MetricsRegistry()
-    with Coordinator(
-        graph, _Sensor(), config, executor=InlineExecutor(),
-        metrics_registry=registry,
-    ) as system:
+    with contextlib.ExitStack() as stack:
+        if decisions == "shard":
+            system = stack.enter_context(
+                Coordinator(
+                    graph, _Sensor(), config, executor=InlineExecutor(),
+                    metrics_registry=registry,
+                )
+            )
+        else:
+            system = PregelSystem(
+                graph, _Sensor(), config, metrics_registry=registry
+            )
         start = time.perf_counter()
         reports = system.run(SUPERSTEPS)
         elapsed = time.perf_counter() - start
@@ -108,21 +120,21 @@ def _experiment():
     phases = None
     for backend in ("adjacency", "compact"):
         shard = _timed_run("shard", backend)
-        coordinator = _timed_run("coordinator", backend)
-        assert shard["timeline"] == coordinator["timeline"], (
-            f"decision modes diverged on the {backend} backend"
+        central = _timed_run("central", backend)
+        assert shard["timeline"] == central["timeline"], (
+            f"serial and sharded systems diverged on the {backend} backend"
         )
         assert shard["migrations"] > 0, "no adaptation measured"
         if backend == "adjacency":
             phases = shard["phases"]  # the headline run's breakdown
-        for row in (shard, coordinator):
+        for row in (shard, central):
             del row["timeline"]  # asserted above; too bulky for the artifact
             del row["phases"]
         pairs[backend] = {
             "shard": shard,
-            "coordinator": coordinator,
+            "central": central,
             "decision_speedup": (
-                coordinator["decision_seconds"] / shard["decision_seconds"]
+                central["decision_seconds"] / shard["decision_seconds"]
             ),
         }
     return {
@@ -142,7 +154,7 @@ def test_decision_phase_decentralisation(run_once, capsys):
         print()
         rows = []
         for backend, pair in results["pairs"].items():
-            for mode in ("coordinator", "shard"):
+            for mode in ("central", "shard"):
                 row = pair[mode]
                 rows.append(
                     [
@@ -171,6 +183,6 @@ def test_decision_phase_decentralisation(run_once, capsys):
     target = SMOKE_SPEEDUP_TARGET if _harness.SMOKE else SPEEDUP_TARGET
     speedup = results["pairs"]["adjacency"]["decision_speedup"]
     assert speedup >= target, (
-        f"coordinator decision time dropped only {speedup:.1f}x "
+        f"serial decision time dropped only {speedup:.1f}x "
         f"(target {target}x)"
     )

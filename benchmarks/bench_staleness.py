@@ -23,7 +23,7 @@ Asserted, including at smoke scale:
 * adaptation still works at every window: migrations happen and the final
   cut ratio is no worse than the initial one.
 
-The second experiment measures the :class:`PipelinedExecutor`: the
+The second experiment measures the pipelining :class:`ThreadExecutor`: the
 coordinator merges each shard's delta while later shards still compute.
 On a single CI core the threads time-share, so the artifact records the
 measured merge/overlap seconds as an *honest 1-core projection* (the
@@ -35,7 +35,7 @@ multi-core coordinator would take off the barrier's critical path.
 import time
 
 from repro.analysis import format_table
-from repro.cluster import Coordinator, InlineExecutor, PipelinedExecutor
+from repro.cluster import Coordinator, InlineExecutor, ThreadExecutor
 from repro.generators import mesh_3d
 from repro.pregel.system import PregelConfig
 from repro.pregel.vertex import VertexProgram
@@ -100,7 +100,7 @@ def _staleness_run(staleness):
 
 
 def _pipelined_run():
-    executor = PipelinedExecutor(4)
+    executor = ThreadExecutor(4)
     with Coordinator(
         mesh_3d(MESH_SIDE), _Sensor(), _config(0), executor=executor
     ) as system:
@@ -162,7 +162,7 @@ def test_staleness_sweep(run_once, capsys):
         )
         pipelined = results["pipelined"]
         print(
-            f"pipelined executor: {pipelined['steps_streamed']} supersteps "
+            f"thread executor: {pipelined['steps_streamed']} supersteps "
             f"streamed, merge {1000 * pipelined['merge_seconds']:.1f} ms, "
             f"overlapped {1000 * pipelined['overlap_seconds']:.1f} ms "
             f"({100 * pipelined['projected_barrier_saving']:.1f}% of the "

@@ -9,12 +9,9 @@ Gives downstream users the paper's workflow without writing code:
 * ``scenario`` — replay a named dynamic scenario (churning graph) and print
   its per-round timeline; ``--static`` runs the paired static-hash cluster,
   ``--engine pregel`` replays through the sharded cluster simulation (with
-  ``--executor inline|thread|pipelined|process|socket`` selecting the
-  backend,
-  ``--decisions shard|coordinator`` selecting where migration proposals
-  are generated — timelines are identical either way — and ``--staleness
-  N`` relaxing the capacity-resync cadence), ``--spec file`` loads a user
-  JSON/TOML scenario instead of a catalog name;
+  ``--executor inline|thread|process|socket`` selecting the backend and
+  ``--staleness N`` relaxing the capacity-resync cadence), ``--spec file``
+  loads a user JSON/TOML scenario instead of a catalog name;
 * ``datasets`` — print the Table-1 catalog;
 * ``generate`` — write a synthetic dataset to an edge-list file;
 * ``worker`` — serve shards over TCP to a ``--executor socket`` run on
@@ -26,6 +23,7 @@ Gives downstream users the paper's workflow without writing code:
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from repro.analysis import format_table
@@ -99,12 +97,7 @@ def build_parser():
                     "REPRO_SOCKET_WORKERS)")
     sc.add_argument("--workers", type=int, default=None,
                     help="worker count for --executor "
-                    "thread/pipelined/process/socket")
-    sc.add_argument("--decisions", default=None,
-                    choices=["shard", "coordinator"],
-                    help="pregel engine only: where migration proposals are "
-                    "generated (default shard; timelines are identical "
-                    "either way, only wall-clock moves)")
+                    "thread/process/socket (>= 1)")
     sc.add_argument("--staleness", type=int, default=None,
                     help="pregel engine only: relaxed synchrony — reuse "
                     "each decision snapshot for up to N extra supersteps "
@@ -220,14 +213,13 @@ def _cmd_scenario(args, out):
     if args.engine != "pregel" and (
         args.executor is not None
         or args.workers is not None
-        or args.decisions is not None
         or args.staleness is not None
         or args.trace is not None
         or args.show_metrics
         or args.metrics_json is not None
     ):
         out.write(
-            "--executor/--workers/--decisions/--staleness/--trace/"
+            "--executor/--workers/--staleness/--trace/"
             "--show-metrics/--metrics-json only apply to --engine pregel "
             "(the adaptive engine has no shard executors or phase "
             "instrumentation)\n"
@@ -240,6 +232,18 @@ def _cmd_scenario(args, out):
         out.write(
             "--workers needs a parallel executor: add "
             "--executor thread, process or socket\n"
+        )
+        return 2
+    if args.workers is not None and args.workers < 1:
+        out.write("--workers must be >= 1\n")
+        return 2
+    if args.executor == "socket" and not os.environ.get(
+        "REPRO_SOCKET_WORKERS"
+    ):
+        out.write(
+            "--executor socket needs worker addresses: set "
+            "REPRO_SOCKET_WORKERS=host:port,... (start workers with "
+            "`repro worker --listen host:port`)\n"
         )
         return 2
     if args.spec is not None:
@@ -271,7 +275,6 @@ def _cmd_scenario(args, out):
             max_rounds=args.max_rounds,
             engine=args.engine,
             executor=executor,
-            decisions=args.decisions or "shard",
             staleness=args.staleness or 0,
             trace=args.trace,
         )

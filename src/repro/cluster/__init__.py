@@ -5,21 +5,16 @@ supersteps advance through compute → message exchange → barrier.  This
 package gives the reproduction that execution shape for real:
 
 * :mod:`shard` — :class:`Shard`: one worker's resident vertex state, its
-  compute pass and (by default) its share of the migration *decision
+  compute pass and its share of the migration *decision
   phase* — heuristic + willingness evaluated shard-locally against a
   placement mirror, proposals returned for central quota arbitration —
   exchanged with the coordinator as plain picklable task/delta/patch
   records;
-* :mod:`executor` — where shard compute runs: :class:`InlineExecutor`
-  (serial reference), :class:`ThreadExecutor`, :class:`ProcessExecutor`
-  (persistent worker processes with shard affinity),
-  :class:`PipelinedExecutor` (thread-backed, declares the
-  ``supports_pipelining`` capability so the coordinator merges each
-  shard's delta while later shards still compute), and
-  :class:`SocketExecutor` (the same persistent-worker protocol over TCP
-  to ``repro worker`` processes on other hosts).  Each backend declares
-  an :class:`ExecutorCapabilities` record that
-  :func:`make_executor` validates;
+* :mod:`executor` — where shard compute runs: inline, thread, process
+  and socket backends (see the module for what each buys) behind one
+  :class:`Executor` protocol, each declaring an
+  :class:`ExecutorCapabilities` record that :func:`make_executor`
+  validates;
 * :mod:`wire` — the framed binary wire format those worker protocols
   speak, plus pre-wire inbox combining;
 * :mod:`worker` — the TCP worker side (``repro worker --listen``) and
@@ -39,7 +34,6 @@ from repro.cluster.executor import (
     Executor,
     ExecutorCapabilities,
     InlineExecutor,
-    PipelinedExecutor,
     ProcessExecutor,
     SocketExecutor,
     ThreadExecutor,
@@ -56,7 +50,6 @@ __all__ = [
     "ExecutorCapabilities",
     "InlineExecutor",
     "LocalWorkerPool",
-    "PipelinedExecutor",
     "ProcessExecutor",
     "Shard",
     "ShardDelta",

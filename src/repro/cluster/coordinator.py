@@ -8,7 +8,7 @@ pluggable :class:`~repro.cluster.executor.Executor`:
 
 1. **compute + decide** — the inbox splits by resident shard, every shard
    runs the shared compute loop (possibly in other threads/processes) and —
-   with ``decisions="shard"``, the default — the decision phase over its
+   when the run is adaptive — the decision phase over its
    active residents: heuristic evaluation against its local placement
    mirror plus the keyed willingness coin, vectorised over the shard block
    when numpy is present.  Each shard returns a :class:`ShardDelta`
@@ -17,14 +17,14 @@ pluggable :class:`~repro.cluster.executor.Executor`:
    shard-id order*: values, halt votes, the message outbox (pre-combined
    per worker, so keys never collide), aggregator contributions, per-worker
    compute cost.  The merge order is what makes results a pure function of
-   the configuration — bit-identical across executors.  With a
-   pipelining-capable executor the deltas arrive as a stream (same order)
-   while later shards still compute, so the fold overlaps the fan-out.  The coordinator's
-   only remaining decision work is quota arbitration over the proposals in
-   a keyed round permutation (the capacity protocol's serialised step,
-   unbiased across rounds) — its
-   per-superstep decision cost is O(active + proposals), independent of
-   edge count;
+   the configuration — bit-identical across executors.  Deltas arrive as
+   a stream (:meth:`~repro.cluster.executor.Executor.step_stream`, same
+   order); the thread executor yields each while later shards still
+   compute, so the fold overlaps the fan-out.  The coordinator's only
+   decision work is quota arbitration over the proposals in a keyed round
+   permutation (the capacity protocol's serialised step, unbiased across
+   rounds) — its per-superstep decision cost is O(active + proposals),
+   independent of edge count;
 3. **barrier** — exactly the base class's barrier.  Everything it changes
    (announced migrations, stream mutations, fault recoveries) lands in a
    dirty set, and :meth:`_after_barrier` turns that into per-shard
@@ -37,10 +37,10 @@ Sharding follows the paper's worker model: **one shard per worker
 (partition)**, so a migration between partitions is a migration between
 shards and the executor's worker count is purely a throughput knob.
 
-``decisions="coordinator"`` preserves the centralised decision phase
-(heuristic evaluation between barriers); both modes run the identical rule
-against the identical snapshot with the identical counter-split RNG, so
-timelines are byte-identical across modes — only wall-clock moves.
+The single-process :class:`PregelSystem` keeps the centralised decision
+phase (heuristic evaluation between barriers) and is the oracle: it runs
+the identical rule against the identical snapshot with the identical
+counter-split RNG, so serial and sharded timelines are byte-identical.
 """
 
 from itertools import compress as _compress
@@ -60,8 +60,8 @@ class Coordinator(PregelSystem):
     """A simulated Pregel cluster whose supersteps run on sharded executors.
 
     Drop-in for :class:`PregelSystem`: same constructor plus ``executor``
-    (None, an executor name — ``"inline"`` / ``"thread"`` / ``"pipelined"``
-    / ``"process"`` / ``"socket"`` — or an
+    (None, an executor name — ``"inline"`` / ``"thread"`` / ``"process"``
+    / ``"socket"`` — or an
     :class:`~repro.cluster.executor.Executor` instance; capability records
     are validated by :func:`~repro.cluster.executor.make_executor` on the
     way in).  Call :meth:`close` (or use ``with``) to release executor
@@ -75,15 +75,12 @@ class Coordinator(PregelSystem):
         self._pending_patches = {}
         self._placement_log = []
         self._shard_proposals = []
-        self._shard_decisions = False
         super().__init__(graph, program, config, fault_plan,
                          tracer=tracer, metrics_registry=metrics_registry)
-        self._shard_decisions = (
-            self.config.adaptive and self.config.decisions == "shard"
-        )
+        adaptive = self.config.adaptive
         combiner = program.combiner()
         continuous = self.config.continuous
-        heuristic = self.config.heuristic if self._shard_decisions else None
+        heuristic = self.config.heuristic if adaptive else None
         # Every shard owns a tracer of its own (lane "shard-<id>") even
         # when it runs in this process: run_superstep drains the shard's
         # tracer into its delta, and a shared tracer would let that drain
@@ -103,7 +100,7 @@ class Coordinator(PregelSystem):
                 v, self.values[v], tuple(graph.neighbors(v)), False
             )
             self._vertex_shard[v] = pid
-        if self._shard_decisions:
+        if adaptive:
             # Every shard mirrors the full start-of-run placement; barrier
             # placement deltas keep the mirrors exact from here on.
             assignment = list(self.state.assignment_items())
@@ -162,7 +159,7 @@ class Coordinator(PregelSystem):
             name: self.aggregators.previous(name)
             for name in self.aggregators.names()
         }
-        decision_ctx = self._decision_ctx if self._shard_decisions else None
+        decision_ctx = self._decision_ctx  # None on a non-adaptive run
         # Relaxed synchrony: on stale rounds every shard already caches the
         # snapshot (it was shipped on the resync round), so the task carries
         # only the bare round index to re-key the cached context with.
@@ -171,7 +168,7 @@ class Coordinator(PregelSystem):
             shipped_decision = decision_ctx.round_index
         candidate_slices = None
         if decision_ctx is not None:
-            # The coordinator's decision-phase work in shard mode is just
+            # The coordinator's pre-arbitration decision work is just
             # this: slice the active set by resident shard (a full sweep
             # ships no ids at all — candidates=None means "all residents").
             started = perf_counter()
@@ -203,15 +200,9 @@ class Coordinator(PregelSystem):
         }
         patches = self._pending_patches
         self._pending_patches = {}
-        stream = None
-        if self.executor.capabilities.supports_pipelining:
-            # Pipelined merge: deltas arrive (still in shard-id order) while
-            # later shards compute, so the fold below overlaps the fan-out.
-            stream = self.executor.step_stream(tasks, patches)
-            delta_stream = stream
-        else:
-            deltas = self.executor.step(tasks, patches)
-            delta_stream = ((sid, deltas[sid]) for sid in sorted(deltas))
+        # Deltas arrive in shard-id order: all computed already, or (thread
+        # executor) as shards finish, so the fold overlaps the fan-out.
+        stream = self.executor.step_stream(tasks, patches)
 
         per_worker = [0.0] * num_workers
         computed = 0
@@ -220,13 +211,13 @@ class Coordinator(PregelSystem):
         tracer = self.tracer
         traced = tracer.enabled
         if traced:
-            # One span over the whole delta fold; with a pipelined executor
+            # One span over the whole delta fold; with the thread executor
             # it also covers the waits on still-computing shards (the
             # overlap the executor's counters quantify).
             merge_wall = time()
             merge_tick = perf_counter()
         try:
-            for sid, delta in delta_stream:
+            for sid, delta in stream:
                 computed += delta.computed
                 self.values.update(delta.values)
                 self.halted.difference_update(delta.halted_removed)
@@ -247,12 +238,11 @@ class Coordinator(PregelSystem):
                     # them here is what builds the one shared timeline.
                     tracer.absorb(delta.spans)
         finally:
-            if stream is not None:
-                # A merge failure must not abandon the stream mid-flight:
-                # closing it runs the executor's drain (step_stream's
-                # finally), so no shard future is still mutating state when
-                # the caller regains control.
-                stream.close()
+            # A merge failure must not abandon the stream mid-flight:
+            # closing it runs the executor's drain (step_stream's
+            # finally), so no shard future is still mutating state when
+            # the caller regains control.
+            stream.close()
         if traced:
             tracer.record(
                 "barrier-merge", merge_wall, perf_counter() - merge_tick,
@@ -261,9 +251,7 @@ class Coordinator(PregelSystem):
         return computed, per_worker
 
     def _generate_proposals(self, context):
-        """Shard mode: the proposals came back with the compute deltas."""
-        if not self._shard_decisions:
-            return super()._generate_proposals(context)
+        """The proposals came back with the shards' compute deltas."""
         proposals = self._shard_proposals
         self._shard_proposals = []
         return proposals
@@ -275,13 +263,13 @@ class Coordinator(PregelSystem):
     def _placement_update(self, vertex_id, new_worker):
         super()._placement_update(vertex_id, new_worker)
         self._dirty.add(vertex_id)
-        if self._shard_decisions:
+        if self.config.adaptive:
             self._placement_log.append((vertex_id, new_worker))
 
     def _place_new_vertex(self, vertex):
         super()._place_new_vertex(vertex)
         self._dirty.add(vertex)
-        if self._shard_decisions:
+        if self.config.adaptive:
             pid = self.state.partition_of_or_none(vertex)
             if pid is not None:
                 self._placement_log.append((vertex, pid))
@@ -295,7 +283,7 @@ class Coordinator(PregelSystem):
             if isinstance(event, (AddVertex, RemoveVertex)):
                 self._dirty.add(event.vertex)
                 self._dirty.update(pre_neighbours)
-                if self._shard_decisions and isinstance(event, RemoveVertex):
+                if self.config.adaptive and isinstance(event, RemoveVertex):
                     self._placement_log.append((event.vertex, None))
             else:  # edge events: both endpoints' adjacency changed
                 self._dirty.add(event.u)
@@ -305,7 +293,7 @@ class Coordinator(PregelSystem):
     def _note_bulk_placements(self, placements):
         super()._note_bulk_placements(placements)  # program-value init
         self._dirty.update(vertex for vertex, _ in placements)
-        if self._shard_decisions:
+        if self.config.adaptive:
             self._placement_log.extend(placements)
 
     def _note_bulk_edge_changes(self, us, vs, changed):
@@ -333,8 +321,8 @@ class Coordinator(PregelSystem):
 
         Processing the dirty set in canonical vertex order makes every
         shard's insertion (and therefore compute) order a pure function of
-        the run's history — the executor-independence invariant.  With
-        shard decisions on, the barrier's placement log is attached to
+        the run's history — the executor-independence invariant.  On an
+        adaptive run the barrier's placement log is attached to
         *every* shard's patch (the same list — a broadcast, like the
         paper's migration announcements), so every placement mirror folds
         in the identical delta before the next decision phase.
@@ -423,7 +411,7 @@ class Coordinator(PregelSystem):
         # process executor's mirrors are covered by cross-executor
         # identity of the decision timelines).
         shards = getattr(self.executor, "_shards", None)
-        if shards and self._shard_decisions:
+        if shards and self.config.adaptive:
             expected = dict(self.state.assignment_items())
             for sid, shard in shards.items():
                 if shard.placement != expected:

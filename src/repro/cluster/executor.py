@@ -1,52 +1,41 @@
 """Pluggable shard executors: where the compute phase actually runs.
 
 The coordinator hands every executor the same work each superstep — a
-:class:`~repro.cluster.shard.ShardTask` per shard (compute inbox plus,
-with ``decisions="shard"``, the round's decision snapshot and candidate
-slice), plus the previous barrier's
-:class:`~repro.cluster.shard.ShardPatch` records — and gets back one
-:class:`~repro.cluster.shard.ShardDelta` per shard (compute results plus
-migration proposals).  Because shard compute *and* shard decisions are
-pure functions of (shard state, task) — willingness draws are keyed, not
-streamed — and the coordinator merges deltas in shard-id order and
-arbitrates proposals in a keyed round permutation, **the choice of executor
-cannot change any result**; it only changes wall-clock.  Five backends
-ship:
+:class:`~repro.cluster.shard.ShardTask` per shard (compute inbox plus, on
+an adaptive run, the round's decision snapshot and candidate slice), plus
+the previous barrier's :class:`~repro.cluster.shard.ShardPatch` records —
+and gets back one :class:`~repro.cluster.shard.ShardDelta` per shard
+(compute results plus migration proposals).  Because shard compute *and*
+shard decisions are pure functions of (shard state, task) — willingness
+draws are keyed, not streamed — and the coordinator merges deltas in
+shard-id order and arbitrates proposals in a keyed round permutation,
+**the choice of executor cannot change any result**; it only changes
+wall-clock.  Four backends ship:
 
 * :class:`InlineExecutor` — runs shards sequentially in the calling thread.
   The deterministic reference; zero overhead, no parallelism.
-* :class:`ThreadExecutor` — a thread pool.  Python's GIL serialises pure-
-  Python compute, so this wins only when programs release the GIL (numpy,
-  I/O); it mainly exercises the concurrency contract cheaply.
-* :class:`PipelinedExecutor` — the thread pool plus **barrier pipelining**:
-  it declares ``supports_pipelining`` and streams each shard's delta to the
-  coordinator *in shard-id order, as it completes*, so the coordinator's
-  barrier-side merge of shard ``s`` overlaps the still-running compute of
-  shards ``> s`` instead of waiting for the whole fan-out.  Merge order is
-  unchanged, so results stay bit-identical; only the hard
-  compute-then-merge sequencing is relaxed.
+* :class:`ThreadExecutor` — a thread pool that streams each shard's delta
+  *in shard-id order, as it completes*, so the coordinator's merge
+  overlaps the compute of later shards.  Python's GIL serialises
+  pure-Python compute, so this wins only when programs release the GIL
+  (numpy, I/O); it mainly exercises the concurrency contract cheaply.
 * :class:`ProcessExecutor` — long-lived worker processes, each owning a
   fixed subset of shards (shard ``i`` lives on worker ``i % workers``).
   Shards ship once at start; per superstep only tasks, patches and deltas
   cross the pipe — as compact :mod:`~repro.cluster.wire` frames, inboxes
   pre-folded by the program's combiner.  Requires picklable programs,
-  values and messages.  This is the backend that actually scales
-  superstep-heavy workloads on one host
-  (``benchmarks/bench_cluster.py`` pins ≥2× with four workers).
-* :class:`SocketExecutor` — the same persistent-worker protocol over TCP
-  to ``repro worker`` processes on *any* host: the step from multi-core to
-  multi-machine.  Shard subsets ship at start; per-superstep traffic is
-  the wire codec's framed tasks/deltas with shard-side inbox combining
-  (``benchmarks/bench_wire.py`` pins the bytes-on-wire win), and bounded
-  connect/read timeouts surface dead workers as the same clear
-  ``RuntimeError`` the pipe path raises.
+  values and messages.  The backend that scales superstep-heavy workloads
+  on one host (``benchmarks/bench_cluster.py`` pins ≥2× with four workers).
+* :class:`SocketExecutor` — the same persistent-worker protocol and wire
+  frames over TCP to ``repro worker`` processes on *any* host: the step
+  from multi-core to multi-machine (``benchmarks/bench_wire.py`` pins the
+  bytes-on-wire win).  Bounded connect/read timeouts surface dead workers
+  as the same clear ``RuntimeError`` the pipe path raises.
 
-Executors advertise what they can do through a declared
-:class:`ExecutorCapabilities` record (the ``RunnerCapabilities`` pattern):
-:func:`make_executor` validates the declaration — a backend claiming
-``supports_pipelining`` must actually implement :meth:`Executor.step_stream`
-and vice versa — and the coordinator consults it, falling back to the
-strict :meth:`Executor.step` protocol when a capability is absent.
+The coordinator drives all of them through :meth:`Executor.step_stream`
+(by default: :meth:`Executor.step` to completion, deltas replayed in
+order).  Each declares an :class:`ExecutorCapabilities` record (the
+``RunnerCapabilities`` pattern) that :func:`make_executor` validates.
 
 Executors are context managers; :meth:`Executor.stop` is idempotent.
 """
@@ -56,7 +45,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import socket
-import traceback
 import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -79,7 +67,6 @@ __all__ = [
     "Executor",
     "ExecutorCapabilities",
     "InlineExecutor",
-    "PipelinedExecutor",
     "ProcessExecutor",
     "SocketExecutor",
     "ThreadExecutor",
@@ -92,11 +79,6 @@ __all__ = [
 class ExecutorCapabilities:
     """What one executor backend can honestly promise the coordinator.
 
-    * ``supports_pipelining`` — :meth:`Executor.step_stream` is implemented
-      and the coordinator may merge deltas while later shards still
-      compute.  The declaration is the contract: :func:`validate_executor`
-      rejects executors whose flag and ``step_stream`` disagree, and a
-      declining executor is simply never asked to stream.
     * ``releases_gil`` — shard compute runs outside the calling process's
       GIL (worker processes, remote hosts), so pure-Python programs scale
       with workers instead of interleaving.  The flag describes the
@@ -113,7 +95,6 @@ class ExecutorCapabilities:
       serialisation; in-process backends can run anything.
     """
 
-    supports_pipelining: bool = False
     releases_gil: bool = False
     remote: bool = False
     requires_picklable: bool = False
@@ -133,11 +114,6 @@ class Executor:
     #: the class-level default is the shared disabled tracer, so every
     #: instrumentation site can read ``self.tracer.enabled`` unconditionally.
     tracer = NULL_TRACER
-
-    @property
-    def supports_pipelining(self) -> bool:
-        """Legacy view of ``capabilities.supports_pipelining`` (PR 6 flag)."""
-        return self.capabilities.supports_pipelining
 
     def bind_observability(
         self,
@@ -183,21 +159,18 @@ class Executor:
         tasks: Mapping[int, ShardTask],
         patches: Mapping[int, ShardPatch],
     ) -> Iterator[tuple[int, ShardDelta]]:
-        """Like :meth:`step`, but yield ``(shard_id, delta)`` pairs in
-        shard-id order as soon as each is available.
+        """:meth:`step` as an iterator of ``(shard_id, delta)`` pairs — what
+        the coordinator's merge loop consumes.
 
-        Only executors declaring ``supports_pipelining`` implement this;
-        the coordinator consumes the stream with its merge loop, so the
-        merge of one shard's delta runs concurrently with the compute of
-        later shards.  Yield order **must** be ascending shard id — that
-        invariant, not the executor choice, is what keeps results
-        bit-identical.
+        Yield order **must** be ascending shard id: that invariant, not
+        the executor choice, is what keeps results bit-identical.  This
+        default serves backends that only implement :meth:`step`: the
+        whole superstep runs *now*, before the iterator is returned, so
+        the coordinator's merge span times the fold alone.  A streaming
+        backend overrides it to yield each delta as it completes.
         """
-        raise NotImplementedError(
-            f"executor {self.name!r} does not support pipelining; "
-            "check `capabilities.supports_pipelining` before calling "
-            "step_stream"
-        )
+        deltas = self.step(tasks, patches)
+        return ((sid, deltas[sid]) for sid in sorted(deltas))
 
     def apply(self, patches: Mapping[int, ShardPatch]) -> None:
         """Apply ``{shard_id: ShardPatch}`` without computing (flush path).
@@ -271,75 +244,18 @@ class InlineExecutor(Executor):
         return {sid: shard.snapshot() for sid, shard in self._shards.items()}
 
 
-class ThreadExecutor(Executor):
-    """Thread-pool execution (shared memory, GIL-bound for pure Python)."""
+class ThreadExecutor(InlineExecutor):
+    """The in-process shards on a thread pool, merging overlapped with compute.
 
-    name = "thread"
+    Shared memory, GIL-bound for pure Python.  The strict protocol is
+    compute-all → merge-all: the coordinator waits for the slowest shard
+    before folding a single delta.  This executor relaxes exactly that
+    sequencing: while the coordinator merges the delta of shard ``s``,
+    shards ``> s`` keep computing on the pool threads.  Yield order stays
+    ascending shard id, so the merge order — and with it every observable
+    result — is bit-identical to the strict executors.
 
-    capabilities = ExecutorCapabilities()
-
-    def __init__(self, workers: int | None = None) -> None:
-        self._requested_workers = _require_workers(workers, "worker thread")
-        self._pool: ThreadPoolExecutor | None = None
-        self._shards: dict[int, Shard] = {}
-
-    def start(self, shards: Mapping[int, Shard]) -> None:
-        """Keep the shard map and spin up the worker thread pool."""
-        self._shards = dict(shards)
-        workers = self._requested_workers
-        if workers is None:
-            workers = min(len(self._shards) or 1, os.cpu_count() or 1)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-
-    def step(
-        self,
-        tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, ShardPatch],
-    ) -> dict[int, ShardDelta]:
-        """Fan patch + compute out over the pool; gather in shard-id order."""
-        pool = self._pool
-        assert pool is not None, "start() before step()"
-        futures = {
-            sid: pool.submit(
-                _step_shard, self._shards[sid], tasks[sid], patches.get(sid)
-            )
-            for sid in sorted(tasks)
-        }
-        return {sid: future.result() for sid, future in futures.items()}
-
-    def apply(self, patches: Mapping[int, ShardPatch]) -> None:
-        """Apply patches without computing (serial; shards share memory)."""
-        for sid in sorted(patches):
-            self._shards[sid].apply_patch(patches[sid])
-
-    def snapshot(self) -> dict[int, Any]:
-        """Consistency view straight off the in-process shards."""
-        return {sid: shard.snapshot() for sid, shard in self._shards.items()}
-
-    def stop(self) -> None:
-        """Shut the thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class PipelinedExecutor(ThreadExecutor):
-    """Thread-backed executor that overlaps barrier merging with compute.
-
-    The strict protocol is compute-all → merge-all: the coordinator waits
-    for the slowest shard before folding a single delta.  This executor
-    relaxes exactly that sequencing, double-buffered: the *compute buffer*
-    is the set of in-flight shard futures, the *merge buffer* is the one
-    completed delta currently handed to the coordinator — while the
-    coordinator merges superstep work from shard ``s``, shards ``> s``
-    keep computing on the pool threads.  Yield order stays ascending shard
-    id, so the coordinator's merge order — and with it every observable
-    result — is bit-identical to the strict executors (the golden suite
-    pins this backend like any other).
-
-    Two counters quantify the overlap for the staleness/pipelining bench:
+    Two counters quantify the overlap for ``benchmarks/bench_staleness.py``:
 
     * ``merge_seconds`` — total wall-clock the coordinator spent merging
       deltas handed out by :meth:`step_stream`;
@@ -354,15 +270,17 @@ class PipelinedExecutor(ThreadExecutor):
     ``executor.overlap_seconds``, ``executor.steps_streamed``); the
     attributes are read-through views and :meth:`start` resets all three,
     so a reused executor reports per-session numbers instead of silently
-    accumulating across runs (the pre-registry behaviour).
+    accumulating across runs.
     """
 
-    name = "pipelined"
+    name = "thread"
 
-    capabilities = ExecutorCapabilities(supports_pipelining=True)
+    capabilities = ExecutorCapabilities()
 
     def __init__(self, workers: int | None = None) -> None:
-        super().__init__(workers)
+        super().__init__()
+        self._requested_workers = _require_workers(workers, "worker thread")
+        self._pool: ThreadPoolExecutor | None = None
         self._bind_metrics(MetricsRegistry())
 
     def _bind_metrics(self, metrics: MetricsRegistry) -> None:
@@ -386,11 +304,25 @@ class PipelinedExecutor(ThreadExecutor):
         return self._steps_counter.value
 
     def start(self, shards: Mapping[int, Shard]) -> None:
-        """Start the pool and zero the per-session overlap counters."""
+        """Keep the shard map, spin up the pool, zero the session counters."""
         super().start(shards)
+        workers = self._requested_workers
+        if workers is None:
+            workers = min(len(self._shards) or 1, os.cpu_count() or 1)
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-shard"
+        )
         self._merge_counter.reset()
         self._overlap_counter.reset()
         self._steps_counter.reset()
+
+    def step(
+        self,
+        tasks: Mapping[int, ShardTask],
+        patches: Mapping[int, ShardPatch],
+    ) -> dict[int, ShardDelta]:
+        """The strict protocol: the stream, gathered to completion."""
+        return dict(self.step_stream(tasks, patches))
 
     def step_stream(
         self,
@@ -439,6 +371,12 @@ class PipelinedExecutor(ThreadExecutor):
             pending = [f for f in futures.values() if not f.done()]
             if pending:
                 wait(pending)
+
+    def stop(self) -> None:
+        """Shut the thread pool down (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
 
 def _process_worker_main(conn: Connection) -> None:
@@ -504,10 +442,9 @@ class _WorkerProtocolExecutor(Executor):
     metered (it may race a dying worker).
     """
 
-    def __init__(self, combine_inbox: bool = True) -> None:
+    def __init__(self) -> None:
         self._owner: dict[int, int] = {}
         self._task_combiner: Callable[[Any, Any], Any] | None = None
-        self._combine_inbox = bool(combine_inbox)
         self._pending_kind: dict[int, str] = {}
         self._bind_metrics(MetricsRegistry())
 
@@ -528,59 +465,66 @@ class _WorkerProtocolExecutor(Executor):
     def _worker_ids(self) -> Iterable[int]:
         raise NotImplementedError
 
+    def _decode_reply(self, worker: int, payload: bytes) -> Any:
+        """Decode one whole reply frame, blaming ``worker`` for garbage.
+
+        Raising the protocol's ``RuntimeError`` (not whatever the codec or
+        unpickler threw) is what lets :meth:`_gather` finish its drain.
+        """
+        try:
+            status, result = wire.loads(payload)
+        except Exception as exc:
+            raise RuntimeError(
+                f"shard worker {worker} sent an undecodable reply: {exc!r}"
+            ) from exc
+        return status, result
+
     # -- metered, traced transport wrappers ---------------------------------
 
     def _send(self, worker: int, message: tuple[str, Any]) -> None:
         kind = message[0]
         self._pending_kind[worker] = kind
-        tracer = self.tracer
-        if tracer.enabled:
-            wall = time()
-            tick = perf_counter()
-            sent = self._transport_send(worker, message)
-            tracer.record(
+        wall = time()
+        tick = perf_counter()
+        sent = self._transport_send(worker, message)
+        if self.tracer.enabled:
+            self.tracer.record(
                 "wire-send", wall, perf_counter() - tick, lane="wire",
                 args={"kind": kind, "worker": worker, "bytes": sent},
             )
-        else:
-            sent = self._transport_send(worker, message)
         self.bytes_sent.add(kind, sent)
 
     def _recv_message(self, worker: int) -> Any:
         kind = self._pending_kind.get(worker, "?")
-        tracer = self.tracer
-        if tracer.enabled:
-            wall = time()
-            tick = perf_counter()
-            message, received = self._transport_recv(worker)
-            tracer.record(
+        wall = time()
+        tick = perf_counter()
+        message, received = self._transport_recv(worker)
+        if self.tracer.enabled:
+            self.tracer.record(
                 "wire-recv", wall, perf_counter() - tick, lane="wire",
                 args={"kind": kind, "worker": worker, "bytes": received},
             )
-        else:
-            message, received = self._transport_recv(worker)
         self.bytes_received.add(kind, received)
         return message
 
     # -- shared protocol ----------------------------------------------------
 
-    def _assign(
+    def _begin_session(
         self, shards: Mapping[int, Shard], workers: int
     ) -> list[dict[int, Shard]]:
-        """Fix shard→worker ownership (shard ``i`` on worker ``i % workers``)."""
+        """Fix shard→worker ownership (shard ``i`` on worker ``i % workers``),
+        capture the program's combiner for pre-wire inbox folding and zero
+        the byte meters; returns each worker's shard subset."""
         assignments: list[dict[int, Shard]] = [{} for _ in range(workers)]
         for sid, shard in shards.items():
             worker = sid % workers
             assignments[worker][sid] = shard
             self._owner[sid] = worker
+        any_shard = next(iter(shards.values()), None)
+        self._task_combiner = getattr(any_shard, "_combiner", None)
+        self.bytes_sent.reset()
+        self.bytes_received.reset()
         return assignments
-
-    def _note_combiner(self, shards: Mapping[int, Shard]) -> None:
-        """Capture the program's combiner for pre-wire inbox folding."""
-        self._task_combiner = None
-        if self._combine_inbox and shards:
-            shard = next(iter(shards.values()))
-            self._task_combiner = getattr(shard, "_combiner", None)
 
     def _receive(self, worker: int) -> Any:
         """One reply from ``worker``, raising its failure as RuntimeError."""
@@ -693,9 +637,8 @@ class ProcessExecutor(_WorkerProtocolExecutor):
         self,
         workers: int | None = 4,
         mp_context: str | None = None,
-        combine_inbox: bool = True,
     ) -> None:
-        super().__init__(combine_inbox=combine_inbox)
+        super().__init__()
         if workers is None or workers < 1:
             raise ValueError("need at least one worker process")
         self._workers = workers
@@ -716,10 +659,7 @@ class ProcessExecutor(_WorkerProtocolExecutor):
         """Spawn the workers, ship each its shard subset, await the acks."""
         ctx = self._context()
         workers = min(self._workers, max(1, len(shards)))
-        assignments = self._assign(shards, workers)
-        self._note_combiner(shards)
-        self.bytes_sent.reset()
-        self.bytes_received.reset()
+        assignments = self._begin_session(shards, workers)
         try:
             for worker in range(workers):
                 parent_conn, child_conn = ctx.Pipe()
@@ -770,7 +710,7 @@ class ProcessExecutor(_WorkerProtocolExecutor):
                 f"shard worker {worker} died (pipe closed); shard state or "
                 "messages may not be picklable"
             ) from None
-        return wire.loads(payload), len(payload)
+        return self._decode_reply(worker, payload), len(payload)
 
     def stop(self) -> None:
         """Stop the workers: polite ack, then SIGTERM, then SIGKILL."""
@@ -816,13 +756,11 @@ class SocketExecutor(_WorkerProtocolExecutor):
 
     ``addresses`` is a comma-joined string, an iterable of ``host:port``,
     or None to read ``REPRO_SOCKET_WORKERS`` from the environment at
-    :meth:`start`.  ``codec`` picks the frame codec (``"binary"`` —
-    default — or ``"pickle"``, kept as the measurable baseline).  Connect
-    and read timeouts are bounded so a dead or wedged worker surfaces as
-    the same ``RuntimeError`` shape the pipe path raises instead of a
-    hang.  Bytes on the wire are tallied per command kind in
-    :attr:`bytes_sent` / :attr:`bytes_received` (framed length: payload
-    plus the 4-byte length prefix) — the counters
+    :meth:`start`.  Connect and read timeouts are bounded so a dead or
+    wedged worker surfaces as the same ``RuntimeError`` shape the pipe path
+    raises instead of a hang.  Bytes on the wire are tallied per command
+    kind in :attr:`bytes_sent` / :attr:`bytes_received` (framed length:
+    payload plus the 4-byte length prefix) — the counters
     ``benchmarks/bench_wire.py`` reads.
     """
 
@@ -842,15 +780,12 @@ class SocketExecutor(_WorkerProtocolExecutor):
         addresses: str | Iterable[str] | None = None,
         workers: int | None = None,
         *,
-        codec: int | str = "binary",
-        combine_inbox: bool = True,
         connect_timeout: float | None = None,
         read_timeout: float | None = None,
     ) -> None:
-        super().__init__(combine_inbox=combine_inbox)
+        super().__init__()
         self._requested_workers = _require_workers(workers, "socket worker")
         self._given_addresses = addresses
-        self._codec = wire.codec_id(codec)
         self._connect_timeout = (
             self._CONNECT_TIMEOUT if connect_timeout is None
             else connect_timeout
@@ -880,10 +815,7 @@ class SocketExecutor(_WorkerProtocolExecutor):
         """Connect to the workers, ship each its shard subset, await acks."""
         addresses = self._resolve_addresses()
         workers = min(len(addresses), max(1, len(shards)))
-        assignments = self._assign(shards, workers)
-        self._note_combiner(shards)
-        self.bytes_sent.reset()
-        self.bytes_received.reset()
+        assignments = self._begin_session(shards, workers)
         try:
             for worker in range(workers):
                 host, port = addresses[worker]
@@ -913,9 +845,7 @@ class SocketExecutor(_WorkerProtocolExecutor):
 
     def _transport_send(self, worker: int, message: tuple[str, Any]) -> int:
         try:
-            return wire.send_frame(
-                self._sockets[worker], message, codec=self._codec
-            )
+            return wire.send_frame(self._sockets[worker], message)
         except (BrokenPipeError, ConnectionError, OSError) as exc:
             raise RuntimeError(
                 f"shard worker {worker} ({self._peers[worker]}) died "
@@ -937,13 +867,13 @@ class SocketExecutor(_WorkerProtocolExecutor):
                 "(connection closed); shard state or messages may not be "
                 "picklable"
             ) from None
-        return wire.loads(payload), len(payload) + 4
+        return self._decode_reply(worker, payload), len(payload) + 4
 
     def stop(self) -> None:
         """End the session: polite stop + short ack wait, then close."""
         for worker, sock in enumerate(self._sockets):
             try:
-                wire.send_frame(sock, ("stop", None), codec=self._codec)
+                wire.send_frame(sock, ("stop", None))
                 sock.settimeout(self._ACK_TIMEOUT)
                 wire.recv_payload(sock)
             except (TimeoutError, EOFError, wire.WireError, OSError):
@@ -962,7 +892,6 @@ class SocketExecutor(_WorkerProtocolExecutor):
 EXECUTORS: dict[str, Callable[..., Executor]] = {
     "inline": InlineExecutor,
     "thread": ThreadExecutor,
-    "pipelined": PipelinedExecutor,
     "process": ProcessExecutor,
     "socket": SocketExecutor,
 }
@@ -971,28 +900,14 @@ EXECUTORS: dict[str, Callable[..., Executor]] = {
 def validate_executor(executor: Executor) -> Executor:
     """Check an executor's capability declaration; returns the executor.
 
-    Two honesty rules: the record must actually be an
-    :class:`ExecutorCapabilities`, and the ``supports_pipelining`` flag
-    must agree with whether :meth:`Executor.step_stream` is overridden —
-    a backend can neither promise streaming it does not implement nor
-    smuggle in streaming it does not declare.
+    The record must actually be an :class:`ExecutorCapabilities`, not a
+    look-alike mapping or a missing attribute.
     """
     caps = getattr(executor, "capabilities", None)
     if not isinstance(caps, ExecutorCapabilities):
         raise TypeError(
             f"executor {getattr(executor, 'name', executor)!r} must declare "
             f"an ExecutorCapabilities record, got {caps!r}"
-        )
-    streams = type(executor).step_stream is not Executor.step_stream
-    if caps.supports_pipelining and not streams:
-        raise ValueError(
-            f"executor {executor.name!r} declares supports_pipelining but "
-            "does not implement step_stream"
-        )
-    if streams and not caps.supports_pipelining:
-        raise ValueError(
-            f"executor {executor.name!r} implements step_stream but does "
-            "not declare supports_pipelining"
         )
     return executor
 
@@ -1005,8 +920,8 @@ def make_executor(
     ``None`` means :class:`InlineExecutor` (the deterministic default); a
     string looks up :data:`EXECUTORS`; an :class:`Executor` instance passes
     through (``workers`` is then ignored).  Every path runs
-    :func:`validate_executor`, so a backend with a dishonest capability
-    record never reaches the coordinator.
+    :func:`validate_executor`, so a backend without a capability record
+    never reaches the coordinator.
     """
     if spec is None:
         return validate_executor(InlineExecutor())

@@ -7,7 +7,8 @@ its residents — and, when the task carries a decision snapshot, the
 *decision phase* over its candidate residents: heuristic evaluation against
 its local placement mirror plus the vertex-local keyed willingness coin
 (:func:`~repro.pregel.compute.decide_block`, vectorised over the shard
-block by :class:`~repro.core.sweep.ShardSweeper` when numpy is present).
+block by the shard's :class:`~repro.core.sweep.LocalCsr` index when numpy
+is present).
 Everything the superstep produced comes back as a :class:`ShardDelta` —
 new values, a pre-combined outbox, halt transitions, aggregator
 contributions, per-worker compute cost and migration proposals.  The
@@ -28,7 +29,7 @@ is plain picklable data — that is the whole contract
 from dataclasses import dataclass, field
 
 from repro.core.heuristic import DecisionContext
-from repro.core.sweep import make_block_table, make_shard_sweeper, sort_vertices
+from repro.core.sweep import make_shard_index, sort_vertices
 from repro.obs import NULL_TRACER
 from repro.pregel.compute import compute_block, decide_block
 
@@ -41,8 +42,7 @@ class ShardTask:
 
     ``decision`` is the round's decision input, in one of three shapes:
 
-    * ``None`` — no decision phase this superstep (a non-adaptive run or
-      ``decisions="coordinator"``);
+    * ``None`` — no decision phase this superstep (a non-adaptive run);
     * a frozen :class:`~repro.core.heuristic.DecisionContext` — a *fresh*
       snapshot; the shard caches it for the staleness window;
     * an ``int`` round index — a *stale* round under relaxed synchrony
@@ -231,11 +231,12 @@ class Shard:
         self.heuristic = heuristic
         self.placement = None  # global placement mirror (decision phase)
         self._decision_cache = None  # last fresh snapshot (staleness window)
-        self._sweeper = make_shard_sweeper(heuristic)
-        # Local CSR for the batched vertex-kernel path (None without
-        # numpy); kept exact by admit/evict alongside the dict state.
-        self.batch_table = (
-            make_block_table() if program.compute_batch is not None else None
+        # The one array index (None without numpy, or with nothing to
+        # read it): kept exact by admit/evict and the placement deltas
+        # alongside the dict state, read by the vectorised decision pass
+        # and by the batched vertex-kernel path.
+        self.block_index = make_shard_index(
+            heuristic, program.compute_batch is not None
         )
         # Per-superstep scratch, bound during run_superstep.
         self.router = None
@@ -259,42 +260,38 @@ class Shard:
             self.halted.add(vertex)
         else:
             self.halted.discard(vertex)
-        if self._sweeper is not None:
-            self._sweeper.admit(vertex, self._adj[vertex])
-        if self.batch_table is not None:
-            self.batch_table.admit(vertex, self._adj[vertex])
+        if self.block_index is not None:
+            self.block_index.admit(vertex, self._adj[vertex])
 
     def evict(self, vertex):
         """Drop one resident (migration departure or stream removal)."""
         self.values.pop(vertex, None)
         self._adj.pop(vertex, None)
         self.halted.discard(vertex)
-        if self._sweeper is not None:
-            self._sweeper.evict(vertex)
-        if self.batch_table is not None:
-            self.batch_table.evict(vertex)
+        if self.block_index is not None:
+            self.block_index.evict(vertex)
 
     def seed_placement(self, assignment_items):
         """Install the initial global placement mirror (start-of-run)."""
         self.placement = dict(assignment_items)
-        if self._sweeper is not None:
-            self._sweeper.place_many(list(self.placement.items()))
+        if self.block_index is not None:
+            self.block_index.place_many(list(self.placement.items()))
 
     def apply_placement_delta(self, delta):
         """Fold one barrier's broadcast placement changes into the mirror."""
         placement = self.placement
         if placement is None:
             return
-        sweeper = self._sweeper
+        index = self.block_index
         for vertex, pid in delta:
             if pid is None:
                 placement.pop(vertex, None)
-                if sweeper is not None:
-                    sweeper.unplace(vertex)
+                if index is not None:
+                    index.unplace(vertex)
             else:
                 placement[vertex] = pid
-                if sweeper is not None:
-                    sweeper.place(vertex, pid)
+                if index is not None:
+                    index.place(vertex, pid)
 
     def apply_patch(self, patch):
         """Apply one barrier's changes (removes first, then upserts).
@@ -302,23 +299,17 @@ class Shard:
         The ``apply-patch`` span recorded here ships with the *next*
         superstep's delta (patches precede compute in the step protocol).
         """
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "apply-patch",
-                upserts=len(patch.upserts),
-                removes=len(patch.removes),
-            ):
-                self._apply_patch(patch)
-        else:
-            self._apply_patch(patch)
-
-    def _apply_patch(self, patch):
-        for vertex in patch.removes:
-            self.evict(vertex)
-        for vertex, (value, neighbours, halted) in patch.upserts.items():
-            self.admit(vertex, value, neighbours, halted)
-        if patch.placement_delta:
-            self.apply_placement_delta(patch.placement_delta)
+        with self.tracer.span(
+            "apply-patch",
+            upserts=len(patch.upserts),
+            removes=len(patch.removes),
+        ):
+            for vertex in patch.removes:
+                self.evict(vertex)
+            for vertex, (value, neighbours, halted) in patch.upserts.items():
+                self.admit(vertex, value, neighbours, halted)
+            if patch.placement_delta:
+                self.apply_placement_delta(patch.placement_delta)
 
     # ------------------------------------------------------------------
     # Compute (the host contract of compute_block)
@@ -390,8 +381,9 @@ class Shard:
         candidates = sort_vertices(
             self.values if task.candidates is None else task.candidates
         )
-        if self._sweeper is not None:
-            return self._sweeper.decisions(context, candidates)
+        index = self.block_index
+        if index is not None and index.decides:
+            return index.decisions(context, candidates)
         return decide_block(self, context, candidates)
 
     def run_superstep(self, task):
@@ -404,27 +396,17 @@ class Shard:
         self._computed_ids = []
         self._batched_blocks = 0
         halted_before = set(self.halted)
-        if tracer.enabled:
-            with tracer.span(
-                "compute",
-                superstep=task.superstep,
-                residents=len(self.values),
-            ):
-                computed = compute_block(
-                    self, list(self.values), task.inbox, task.superstep
-                )
-            if task.decision is not None:
-                with tracer.span("decide", superstep=task.superstep):
-                    proposals = self._decision_phase(task)
-            else:
-                proposals = self._decision_phase(task)
-            spans = tracer.drain()
-        else:
+        with tracer.span(
+            "compute", superstep=task.superstep, residents=len(self.values)
+        ):
             computed = compute_block(
                 self, list(self.values), task.inbox, task.superstep
             )
-            proposals = self._decision_phase(task)
-            spans = []
+        proposals = []
+        if task.decision is not None:
+            with tracer.span("decide", superstep=task.superstep):
+                proposals = self._decision_phase(task)
+        spans = tracer.drain() if tracer.enabled else []
         delta = ShardDelta(
             shard_id=self.shard_id,
             computed=computed,

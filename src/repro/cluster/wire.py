@@ -5,24 +5,22 @@ Every byte the persistent-worker protocol moves — over a pipe to a
 ``repro worker`` on another host — goes through this module.  Three layers:
 
 **Framing.**  A frame is ``[u32 length][payload]`` (little-endian length,
-bounded by :data:`MAX_FRAME`); the payload's first byte names the codec.
+bounded by :data:`MAX_FRAME`); the payload's first byte is the codec
+version (:data:`CODEC_BINARY`).
 :func:`send_frame` / :func:`recv_frame` speak frames over a socket with
 exact reads, surfacing a clean peer close as :class:`EOFError` so callers
 can distinguish "worker went away" from garbage.
 
-**Codec.**  :func:`dumps` / :func:`loads` encode one protocol message.  The
-default binary codec (:data:`CODEC_BINARY`) is a tagged format that packs
+**Codec.**  :func:`dumps` / :func:`loads` encode one protocol message in
+a tagged binary format that packs
 the hot structures — task inboxes, delta value maps and outboxes, patch
 adjacency — as homogeneous little-endian buffers via the stdlib
 :mod:`array` module, delta-encoding vertex-id columns so ids on a
 million-vertex graph cost bytes proportional to their local gaps rather
 than their magnitude (numpy is *not* required; ``numpy.ndarray`` values
 get their own raw-buffer tag when numpy is present), with a pickle
-fallback tag for arbitrary program values.  The pickle codec (:data:`CODEC_PICKLE`) is
-one ``pickle.dumps`` per message — the pre-codec wire format, kept both as
-the benchmark baseline (``benchmarks/bench_wire.py``) and because a raw
-pickle (first byte ``0x80``) is self-identifying, so frames produced by
-``Connection.send`` decode too.
+fallback tag for arbitrary program values — the only way such values
+cross.
 
 **Combining.**  :func:`combine_inbox` applies the program's combiner to a
 shard's inbox *before* the wire, folding each multi-message mailbox to one
@@ -51,11 +49,9 @@ except ImportError:  # pragma: no cover - exercised by the numpy-free CI leg
 
 __all__ = [
     "CODEC_BINARY",
-    "CODEC_PICKLE",
     "MAX_FRAME",
     "CombinedMessages",
     "WireError",
-    "codec_id",
     "combine_inbox",
     "dumps",
     "frame",
@@ -66,10 +62,6 @@ __all__ = [
 
 #: Codec byte of the tagged binary format.
 CODEC_BINARY = 0x01
-#: Codec byte of the pickle format — ``0x80`` is the PROTO opcode that opens
-#: every protocol-2+ pickle, so a raw ``pickle.dumps`` payload is already a
-#: valid frame body under this codec.
-CODEC_PICKLE = 0x80
 #: Hard ceiling on one frame's payload (guards against a corrupt length
 #: prefix turning into a multi-gigabyte allocation).
 MAX_FRAME = 1 << 30
@@ -81,17 +73,6 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 class WireError(ValueError):
     """A malformed frame or an unencodable/undecodable payload."""
-
-
-def codec_id(spec: int | str) -> int:
-    """Resolve a codec spec — ``"binary"``/``"pickle"`` or a codec byte."""
-    if spec in ("binary", CODEC_BINARY):
-        return CODEC_BINARY
-    if spec in ("pickle", CODEC_PICKLE):
-        return CODEC_PICKLE
-    raise ValueError(
-        f"unknown wire codec {spec!r}; choose 'binary' or 'pickle'"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -716,37 +697,26 @@ def _decode(reader: _Reader) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def dumps(obj: Any, codec: int | str = CODEC_BINARY) -> bytes:
+def dumps(obj: Any) -> bytes:
     """Encode one protocol message to a frame payload (codec byte included)."""
-    codec = codec_id(codec)
-    if codec == CODEC_PICKLE:
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     out = bytearray((CODEC_BINARY,))
     _encode(obj, out)
     return bytes(out)
 
 
 def loads(payload: bytes) -> Any:
-    """Decode one frame payload produced by :func:`dumps`.
-
-    Raw pickles (from a peer speaking the legacy ``Connection.send``
-    protocol) are accepted: every protocol-2+ pickle begins with the
-    :data:`CODEC_PICKLE` byte.
-    """
+    """Decode one frame payload produced by :func:`dumps`."""
     if not payload:
         raise WireError("empty frame payload")
     codec = payload[0]
-    if codec == CODEC_BINARY:
-        reader = _Reader(memoryview(payload), 1)
-        return _decode(reader)
-    if codec == CODEC_PICKLE:
-        return pickle.loads(payload)
-    raise WireError(f"unknown codec byte {codec:#x}")
+    if codec != CODEC_BINARY:
+        raise WireError(f"unknown codec byte {codec:#x}")
+    return _decode(_Reader(memoryview(payload), 1))
 
 
-def frame(obj: Any, codec: int | str = CODEC_BINARY) -> bytes:
+def frame(obj: Any) -> bytes:
     """Encode ``obj`` as one complete length-prefixed frame."""
-    payload = dumps(obj, codec)
+    payload = dumps(obj)
     if len(payload) > MAX_FRAME:
         raise WireError(
             f"frame payload of {len(payload)} bytes exceeds MAX_FRAME"
@@ -754,11 +724,9 @@ def frame(obj: Any, codec: int | str = CODEC_BINARY) -> bytes:
     return _U32.pack(len(payload)) + payload
 
 
-def send_frame(
-    sock: socket.socket, obj: Any, codec: int | str = CODEC_BINARY
-) -> int:
+def send_frame(sock: socket.socket, obj: Any) -> int:
     """Send one frame over ``sock``; returns the bytes put on the wire."""
-    data = frame(obj, codec)
+    data = frame(obj)
     sock.sendall(data)
     return len(data)
 
@@ -791,15 +759,9 @@ def recv_payload(sock: socket.socket) -> bytes:
     return _recv_exactly(sock, length, at_boundary=False)
 
 
-def recv_frame(sock: socket.socket, with_codec: bool = False) -> Any:
+def recv_frame(sock: socket.socket) -> Any:
     """Receive one frame from ``sock``; decode and return the message.
 
-    With ``with_codec=True`` returns ``(message, codec_byte)`` so servers
-    can answer in the codec the client spoke.  Error behaviour is that of
-    :func:`recv_payload`.
+    Error behaviour is that of :func:`recv_payload`.
     """
-    payload = recv_payload(sock)
-    message = loads(payload)
-    if with_codec:
-        return message, payload[0]
-    return message
+    return loads(recv_payload(sock))

@@ -154,13 +154,13 @@ class WorkerServer:
         host = ShardHost()
         while True:
             try:
-                message, codec = wire.recv_frame(conn, with_codec=True)
+                message = wire.recv_frame(conn)
             except (EOFError, wire.WireError, ConnectionError, OSError):
                 return  # coordinator went away; session over
             kind, payload = message
             reply, done = host.handle(kind, payload)
             try:
-                wire.send_frame(conn, reply, codec=codec)
+                wire.send_frame(conn, reply)
             except (BrokenPipeError, ConnectionError, OSError):
                 return
             if done:

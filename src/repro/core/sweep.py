@@ -29,7 +29,7 @@ The sweeper engages only for the exact paper heuristic
 numpy present; every other combination uses :func:`generic_decisions`, the
 portable per-vertex path.
 
-:class:`ShardSweeper` is the same idea scoped to one
+:class:`LocalCsr` is the same idea scoped to one
 :class:`~repro.cluster.shard.Shard`: a local CSR of the shard's resident
 adjacency (append-only blocks with garbage compaction, so churn patches
 cost O(changed), not O(shard)), a slot-indexed mirror of the *global*
@@ -37,8 +37,12 @@ placement (fed by the coordinator's broadcast placement deltas) and one
 vectorised greedy pass per decision round, including the keyed willingness
 draws.  It is bit-identical to the portable
 :func:`~repro.pregel.compute.decide_block` path by the same argument as
-above, and the equivalence suite pins it.
+above, and the equivalence suite pins it.  The same slots answer the
+batched vertex kernel's topology queries (:meth:`LocalCsr.gather`), so a
+shard interns every id exactly once.
 """
+
+from itertools import islice
 
 from repro.core.heuristic import GreedyMaxNeighbours
 from repro.utils.rng import WillingnessSource, vertex_key
@@ -49,13 +53,10 @@ except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
 __all__ = [
-    "BlockTable",
     "CompactSweeper",
     "LocalCsr",
-    "ShardSweeper",
     "generic_decisions",
-    "make_block_table",
-    "make_shard_sweeper",
+    "make_shard_index",
     "make_sweeper",
     "sort_vertices",
 ]
@@ -188,11 +189,9 @@ class CompactSweeper:
         if slot is None:
             return
         if slot >= len(self._assign):
-            grown = _np.full(
-                max(slot + 1, 2 * len(self._assign)), -1, dtype=_np.int64
+            self._assign = _grown(
+                self._assign, max(slot + 1, 2 * len(self._assign)), -1
             )
-            grown[: len(self._assign)] = self._assign
-            self._assign = grown
         self._assign[slot] = pid
         self._synced_version = state_version
 
@@ -229,11 +228,9 @@ class CompactSweeper:
         assign = self._assign
         top = max(slots)
         if top >= len(assign):
-            grown = _np.full(
-                max(top + 1, 2 * len(assign)), -1, dtype=_np.int64
+            self._assign = assign = _grown(
+                assign, max(top + 1, 2 * len(assign)), -1
             )
-            grown[: len(assign)] = assign
-            self._assign = assign = grown
         assign[_np.fromiter(slots, _np.int64, count=n)] = _np.fromiter(
             (pid for _, pid in placements), _np.int64, count=n
         )
@@ -337,11 +334,9 @@ class CompactSweeper:
                 self._id_lookup_dict_path = True
                 self._id_lookup_version = version
                 return
-            grown = _np.full(
-                max(vertex + 1, 2 * len(lookup)), -1, dtype=_np.int64
+            self._id_lookup = lookup = _grown(
+                lookup, max(vertex + 1, 2 * len(lookup)), -1
             )
-            grown[: len(lookup)] = lookup
-            self._id_lookup = lookup = grown
         lookup[vertex] = slot
         self._id_lookup_version = version
 
@@ -382,11 +377,9 @@ class CompactSweeper:
             if vertex > top:
                 top = vertex
         if top >= len(lookup):
-            grown = _np.full(
-                max(top + 1, 2 * len(lookup)), -1, dtype=_np.int64
+            self._id_lookup = lookup = _grown(
+                lookup, max(top + 1, 2 * len(lookup)), -1
             )
-            grown[: len(lookup)] = lookup
-            self._id_lookup = lookup = grown
         ids = _np.fromiter((v for v, _ in placements), _np.int64, count=n)
         lookup[ids] = _np.fromiter(slots, _np.int64, count=n)
         self._id_lookup_version = version
@@ -595,51 +588,50 @@ class CompactSweeper:
         return [id_of(s) for s in touched.tolist()]
 
 
-def make_shard_sweeper(heuristic):
-    """A :class:`ShardSweeper` when the vectorised shard path applies.
+def make_shard_index(heuristic, batched):
+    """One shard's :class:`LocalCsr`, or None when nothing would read it.
 
-    Same gate as :func:`make_sweeper`: numpy present and the *exact* paper
-    heuristic (a subclass could override the rule).  Every other
-    combination decides through the portable
-    :func:`~repro.pregel.compute.decide_block`.
+    Both readers need numpy: the decision pass, under the same gate as
+    :func:`make_sweeper` — the *exact* paper heuristic (a subclass could
+    override the rule; anything else decides through the portable
+    :func:`~repro.pregel.compute.decide_block`) — and the batched vertex
+    kernel (``batched``: the program declares ``compute_batch``).
     """
-    if _np is not None and type(heuristic) is GreedyMaxNeighbours:
-        return ShardSweeper()
-    return None
-
-
-def make_block_table():
-    """A :class:`BlockTable` when numpy is importable, else None.
-
-    The gate the batched vertex-kernel path shares with every other
-    vectorised structure here: no numpy, no table — hosts then rebuild
-    block topology per superstep (or run the scalar loop).
-    """
-    return BlockTable() if _np is not None else None
+    greedy = type(heuristic) is GreedyMaxNeighbours
+    if _np is None or not (greedy or batched):
+        return None
+    return LocalCsr(greedy)
 
 
 class LocalCsr:
-    """Append-only local CSR of one shard's resident adjacency.
+    """The array index of one shard: local CSR, placement mirror, id tables.
 
-    The storage idiom :class:`ShardSweeper` and :class:`BlockTable` share:
-    ids are interned into dense local slots on first sight (residents
-    *and* their neighbours); resident adjacency lives as append-only
-    ``(start, len)`` blocks in one flat array, compacted when garbage from
-    re-admissions and evictions exceeds the live volume — so a quiet shard
-    pays O(changed), and an adjacency patch pays O(degree of the patched
-    vertices).  Subclasses declare extra slot-indexed arrays via
-    ``_SLOT_FIELDS`` (grown in lockstep) and hook interning via
-    :meth:`_on_intern`.
+    Ids are interned into dense local slots on first sight (residents,
+    their neighbours, and every vertex the placement mirror names), each
+    slot carrying its vertex id, its willingness key and its partition.
+    Resident adjacency lives as append-only ``(start, len)`` blocks in one
+    flat array, compacted when garbage from re-admissions and evictions
+    exceeds the live volume — so a quiet shard pays O(changed), and an
+    adjacency patch pays O(degree of the patched vertices).
+
+    The shard feeds it the membership changes it applies to its own dict
+    state (:meth:`admit` / :meth:`evict`) and the coordinator's broadcast
+    placement deltas (:meth:`place` / :meth:`unplace`), so it is exact
+    whenever the shard is.  Two readers share the slots: :meth:`decisions`
+    (``decides`` says whether the shard's heuristic is the rule it
+    implements) and :meth:`gather`, the batched vertex kernel's topology.
     """
 
     _GROW = 1024
-    #: ``(attribute, fill, dtype)`` for every slot-indexed array.
-    _SLOT_FIELDS = (("_starts", 0, "int64"), ("_lens", 0, "int64"))
 
-    def __init__(self):
+    def __init__(self, decides):
+        self.decides = decides
         self._slot = {}
-        for name, _fill, dtype in self._SLOT_FIELDS:
-            setattr(self, name, _np.empty(0, dtype=dtype))
+        self._ids = []  # slot -> vertex id (slots are assigned densely)
+        self._keys = _np.empty(0, dtype=_np.uint64)
+        self._place = _np.empty(0, dtype=_np.int64)
+        self._starts = _np.empty(0, dtype=_np.int64)
+        self._lens = _np.empty(0, dtype=_np.int64)
         self._blocks = _np.empty(0, dtype=_np.int64)
         self._used = 0
         self._garbage = 0
@@ -650,23 +642,20 @@ class LocalCsr:
 
     def _grow_slots(self, needed):
         size = max(needed, 2 * len(self._lens), self._GROW)
-        for name, fill, _dtype in self._SLOT_FIELDS:
-            old = getattr(self, name)
-            grown = _np.full(size, fill, dtype=old.dtype)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-
-    def _on_intern(self, slot, vertex):
-        """Hook: a new ``vertex`` was just interned into ``slot``."""
+        self._keys = _grown(self._keys, size, 0)
+        self._place = _grown(self._place, size, -1)
+        self._starts = _grown(self._starts, size, 0)
+        self._lens = _grown(self._lens, size, 0)
 
     def _intern(self, vertex):
         slot = self._slot.get(vertex)
         if slot is None:
             slot = len(self._slot)
             self._slot[vertex] = slot
+            self._ids.append(vertex)
             if slot >= len(self._lens):
                 self._grow_slots(slot + 1)
-            self._on_intern(slot, vertex)
+            self._keys[slot] = vertex_key(vertex)
         return slot
 
     # ------------------------------------------------------------------
@@ -681,12 +670,9 @@ class LocalCsr:
         if degree:
             end = self._used + degree
             if end > len(self._blocks):
-                grown = _np.empty(
-                    max(end, 2 * len(self._blocks), self._GROW),
-                    dtype=_np.int64,
+                self._blocks = _grown(
+                    self._blocks, max(end, 2 * len(self._blocks), self._GROW), 0
                 )
-                grown[: self._used] = self._blocks[: self._used]
-                self._blocks = grown
             block = self._blocks[self._used : end]
             for i, w in enumerate(neighbours):
                 block[i] = self._intern(w)
@@ -725,39 +711,96 @@ class LocalCsr:
         self._used = len(nbr)
         self._garbage = 0
 
+    # ------------------------------------------------------------------
+    # Placement upkeep (mirrors the coordinator's broadcast deltas)
+    # ------------------------------------------------------------------
 
-class BlockTable(LocalCsr):
-    """A :class:`LocalCsr` that can hand whole blocks to a batched kernel.
+    def place(self, vertex, pid):
+        """Mirror one placement (any vertex, resident or not)."""
+        slot = self._intern(vertex)  # may grow (and replace) the arrays
+        self._place[slot] = pid
 
-    Adds the id table the kernel path needs on the way out (block index →
-    vertex id, for decoding reduced outbox targets) and :meth:`gather`,
-    which re-indexes a computed row set's adjacency from table slots to
-    dense block indices in one vectorised pass.  Fed by
-    :meth:`~repro.cluster.shard.Shard.admit` / ``evict`` alongside the
-    shard's dict state, so it is exact whenever the shard is.
-    """
+    def place_many(self, items):
+        """Bulk :meth:`place` — the start-of-run mirror seeding path.
 
-    def __init__(self):
-        super().__init__()
-        self._ids = []  # slot -> vertex id (slots are assigned densely)
+        One interning pass (dict inserts are unavoidable), then the fresh
+        slots' keys and every placement land as two vectorised stores — so
+        seeding k mirrors over a large graph costs one tight loop per
+        shard instead of per-vertex method dispatch.
+        """
+        slot_of = self._slot
+        first_fresh = len(slot_of)
+        slots = [slot_of.setdefault(v, len(slot_of)) for v, _ in items]
+        if len(slot_of) > first_fresh:
+            # dicts iterate in insertion order, which is slot order here
+            fresh = list(islice(slot_of, first_fresh, None))
+            self._ids.extend(fresh)
+            if len(slot_of) > len(self._place):
+                self._grow_slots(len(slot_of))
+            self._keys[first_fresh : len(slot_of)] = _np.fromiter(
+                map(vertex_key, fresh), dtype=_np.uint64, count=len(fresh)
+            )
+        self._place[slots] = _np.fromiter(
+            (pid for _, pid in items), dtype=_np.int64, count=len(items)
+        )
 
-    def _on_intern(self, slot, vertex):
-        """Record the id of a freshly interned slot (slots are dense)."""
-        self._ids.append(vertex)
+    def unplace(self, vertex):
+        """Mirror one removal from the placement."""
+        slot = self._slot.get(vertex)
+        if slot is not None:
+            self._place[slot] = -1
+
+    # ------------------------------------------------------------------
+    # The two readers
+    # ------------------------------------------------------------------
+
+    def _slots_of(self, vertex_ids):
+        return _np.fromiter(
+            map(self._slot.__getitem__, vertex_ids),
+            dtype=_np.int64,
+            count=len(vertex_ids),
+        )
+
+    def decisions(self, context, candidates):
+        """Vectorised :func:`~repro.pregel.compute.decide_block`.
+
+        Returns the same ``[(vertex, current, desired, willing), ...]``
+        proposal list (movers only, candidate order) the portable path
+        produces, bit for bit: same greedy rule, same tie-breaks, same
+        keyed willingness draws.
+        """
+        if not candidates:
+            return []
+        slots = self._slots_of(candidates)
+        place = self._place
+        cur = place[slots]
+        nbr, row = _gather_explicit(
+            self._blocks, self._starts[slots], self._lens[slots]
+        )
+        desired, movers = _greedy_movers(
+            cur, nbr, row, place, context.num_partitions
+        )
+        if not len(movers):
+            return []
+        source = WillingnessSource(context.lane)
+        draws = source.draw_keys(context.round_index, self._keys[slots[movers]])
+        willing = draws < context.willingness
+        return [
+            (candidates[i], int(cur[i]), int(desired[i]), bool(w))
+            for i, w in zip(movers.tolist(), willing.tolist())
+        ]
 
     def gather(self, row_ids):
         """``(degrees, indptr, targets, slot_ids)`` for ``row_ids``.
 
-        ``targets`` holds *block indices*: computed rows keep their
-        position in ``row_ids``; every other neighbour gets an index ≥
-        ``len(row_ids)`` into ``slot_ids``, which maps block indices back
-        to vertex ids (rows first, then the extras).
+        The batched kernel's view of a computed row set: ``targets`` holds
+        *block indices* — computed rows keep their position in
+        ``row_ids``; every other neighbour gets an index ≥ ``len(row_ids)``
+        into ``slot_ids``, which maps block indices back to vertex ids
+        (rows first, then the extras).
         """
-        slot_of = self._slot
         n = len(row_ids)
-        slots = _np.fromiter(
-            map(slot_of.__getitem__, row_ids), dtype=_np.int64, count=n
-        )
+        slots = self._slots_of(row_ids)
         degrees = self._lens[slots]
         entries, row = _gather_explicit(
             self._blocks, self._starts[slots], degrees
@@ -779,121 +822,6 @@ class BlockTable(LocalCsr):
             ids = self._ids
             slot_ids.extend(ids[s] for s in extra_slots.tolist())
         return degrees, indptr, targets, slot_ids
-
-
-class ShardSweeper(LocalCsr):
-    """Vectorised greedy decisions + willingness over one shard's block.
-
-    The shard feeds it the same stream of membership changes it applies to
-    its own dict state (:meth:`admit` / :meth:`evict`) plus the
-    coordinator's broadcast placement deltas (:meth:`place` /
-    :meth:`unplace`); :meth:`decisions` then evaluates a whole candidate
-    block in one pass over the inherited :class:`LocalCsr` adjacency.
-    """
-
-    _SLOT_FIELDS = (
-        ("_keys", 0, "uint64"),
-        ("_place", -1, "int64"),
-        ("_starts", 0, "int64"),
-        ("_lens", 0, "int64"),
-    )
-
-    def _on_intern(self, slot, vertex):
-        """Key a freshly interned slot for the vectorised willingness draw."""
-        self._keys[slot] = vertex_key(vertex)
-
-    # ------------------------------------------------------------------
-    # Placement upkeep (mirrors the coordinator's broadcast deltas)
-    # ------------------------------------------------------------------
-
-    def place(self, vertex, pid):
-        """Mirror one placement (any vertex, resident or not)."""
-        slot = self._intern(vertex)  # may grow (and replace) the arrays
-        self._place[slot] = pid
-
-    def place_many(self, items):
-        """Bulk :meth:`place` — the start-of-run mirror seeding path.
-
-        One interning pass (dict inserts are unavoidable), then the keys
-        and placements land as two vectorised stores when every id is a
-        plain int — so seeding k mirrors over a large graph costs one
-        tight loop per shard instead of per-vertex method dispatch.
-        """
-        n = len(items)
-        if not n:
-            return
-        slot_of = self._slot
-        slots = _np.empty(n, dtype=_np.int64)
-        pids = _np.empty(n, dtype=_np.int64)
-        non_int = []
-        for i, (vertex, pid) in enumerate(items):
-            slot = slot_of.get(vertex)
-            if slot is None:
-                slot = len(slot_of)
-                slot_of[vertex] = slot
-            slots[i] = slot
-            pids[i] = pid
-            if type(vertex) is not int:
-                non_int.append(i)
-        if len(slot_of) > len(self._place):
-            self._grow_slots(len(slot_of))
-        try:
-            ids = _np.fromiter(
-                (0 if type(v) is not int else v for v, _ in items),
-                dtype=_np.int64,
-                count=n,
-            )
-        except OverflowError:  # ints beyond int64: key per item instead
-            non_int = range(n)
-            ids = _np.zeros(n, dtype=_np.int64)
-        # int64 -> uint64 view is exactly the scalar path's `& 2**64-1`.
-        self._keys[slots] = ids.view(_np.uint64)
-        for i in non_int:
-            self._keys[slots[i]] = vertex_key(items[i][0])
-        self._place[slots] = pids
-
-    def unplace(self, vertex):
-        """Mirror one removal from the placement."""
-        slot = self._slot.get(vertex)
-        if slot is not None:
-            self._place[slot] = -1
-
-    # ------------------------------------------------------------------
-    # The decision pass
-    # ------------------------------------------------------------------
-
-    def decisions(self, context, candidates):
-        """Vectorised :func:`~repro.pregel.compute.decide_block`.
-
-        Returns the same ``[(vertex, current, desired, willing), ...]``
-        proposal list (movers only, candidate order) the portable path
-        produces, bit for bit: same greedy rule, same tie-breaks, same
-        keyed willingness draws.
-        """
-        n = len(candidates)
-        if n == 0:
-            return []
-        slot = self._slot
-        slots = _np.fromiter(
-            (slot[v] for v in candidates), dtype=_np.int64, count=n
-        )
-        place = self._place
-        cur = place[slots]
-        nbr, row = _gather_explicit(
-            self._blocks, self._starts[slots], self._lens[slots]
-        )
-        desired, movers = _greedy_movers(
-            cur, nbr, row, place, context.num_partitions
-        )
-        if not len(movers):
-            return []
-        source = WillingnessSource(context.lane)
-        draws = source.draw_keys(context.round_index, self._keys[slots[movers]])
-        willing = draws < context.willingness
-        return [
-            (candidates[i], int(cur[i]), int(desired[i]), bool(w))
-            for i, w in zip(movers.tolist(), willing.tolist())
-        ]
 
 
 def _greedy_movers(cur, nbr, row, assignment, k):
@@ -926,6 +854,13 @@ def _greedy_movers(cur, nbr, row, assignment, k):
     desired = _np.where(stay, cur, best_pid)
     movers = _np.flatnonzero((cur >= 0) & (desired != cur))
     return desired, movers
+
+
+def _grown(old, size, fill):
+    """``old`` copied into a new ``size``-long array padded with ``fill``."""
+    grown = _np.full(size, fill, dtype=old.dtype)
+    grown[: len(old)] = old
+    return grown
 
 
 def _gather_explicit(blocks, starts, lens):

@@ -1,7 +1,7 @@
 """A registry of named counters, gauges and histograms.
 
 The repo grew its instruments ad hoc — `SuperstepReport.decision_seconds`,
-`PipelinedExecutor.merge_seconds`, `SocketExecutor.bytes_sent` — each with
+`ThreadExecutor.merge_seconds`, `SocketExecutor.bytes_sent` — each with
 its own lifecycle and none visible from the CLI.  :class:`MetricsRegistry`
 is the single home: components create named instruments once and bump them
 in place; the registry renders one text snapshot (``--show-metrics``) or a

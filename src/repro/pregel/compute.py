@@ -44,8 +44,8 @@ no state touched.  Batching hosts extend the contract with four optional
 members (hosts without them simply never batch):
 
 ==========================  =============================================
-``batch_table``              a :class:`~repro.core.sweep.BlockTable` local
-                             CSR (or None to rebuild topology per block)
+``block_index``              a :class:`~repro.core.sweep.LocalCsr` index
+                             (or None to rebuild topology per block)
 ``batch_workers(ids)``       per-row source worker ids, or None to decline
 ``note_costs(ids, costs)``   vectorised ``note_cost`` over the block
 ``note_batched_block()``     count one batched block (observability)
@@ -282,15 +282,15 @@ def _pack_block(host, row_ids, inbox, superstep, dtype):
 def _block_topology(host, row_ids):
     """``(degrees, indptr, targets, slot_ids)`` for the block's rows.
 
-    A host with a live :class:`~repro.core.sweep.BlockTable` answers from
+    A host with a live :class:`~repro.core.sweep.LocalCsr` answers from
     its incremental local CSR; otherwise the topology is rebuilt from the
     host's graph each block — same arrays, linear in edges, no amortised
     state.  ``targets`` holds block indices into ``slot_ids`` (rows first,
     then every non-computed neighbour), in adjacency order per row.
     """
-    table = getattr(host, "batch_table", None)
-    if table is not None:
-        return table.gather(row_ids)
+    local_csr = getattr(host, "block_index", None)
+    if local_csr is not None:
+        return local_csr.gather(row_ids)
     neighbors = host.graph.neighbors
     n = len(row_ids)
     index = {}

@@ -14,14 +14,12 @@ extended API (migration requests + capacity access).  One call to
    :class:`~repro.core.heuristic.DecisionContext` snapshot (the capacity
    vector published one superstep ago) and flips its keyed willingness
    coin — while *arbitration* (quota lanes + filing requests) is the only
-   serialised step.  ``config.decisions`` selects where generation runs:
-   ``"shard"`` (default) evaluates inside the shards of the sharded
-   :class:`~repro.cluster.coordinator.Coordinator`; ``"coordinator"``
-   evaluates in the coordinator between barriers.  Both run the identical
-   rule against the identical snapshot with the identical
-   counter-split RNG, so timelines are byte-identical across the two modes
-   (and a single-process system, which has no shards, always evaluates
-   in-process through the same code path);
+   serialised step.  This single-process system, which has no shards,
+   generates centrally; the sharded
+   :class:`~repro.cluster.coordinator.Coordinator` generates inside its
+   shards.  Both run the identical rule against the identical snapshot
+   with the identical counter-split RNG, so the serial timeline is the
+   oracle the sharded one is pinned byte-identical to;
 3. **barrier** — in the protocol-mandated order: complete last superstep's
    in-flight transfers → deliver messages against the *old* placement →
    announce this superstep's migrations (placement flips now) → apply
@@ -84,13 +82,7 @@ class PregelConfig:
     vote-to-halt, matching the paper's always-on deployment; the remaining
     fields mirror :class:`repro.core.runner.AdaptiveConfig`.
 
-    ``decisions`` selects where migration proposals are generated:
-    ``"shard"`` (default) inside the shards of a sharded
-    :class:`~repro.cluster.coordinator.Coordinator`, ``"coordinator"``
-    centrally between barriers.  The knob moves work, never results —
-    timelines are byte-identical either way (a single-process
-    :class:`PregelSystem` has no shards, so it always evaluates in-process
-    whatever the value).  ``batch_events`` mirrors
+    ``batch_events`` mirrors
     :class:`~repro.core.runner.AdaptiveConfig.batch_events`: ``"auto"``
     routes injected event batches through the bulk ingestion path where
     that is provably equivalent to the per-event loop, ``"off"`` forces
@@ -120,7 +112,6 @@ class PregelConfig:
     checkpoint_interval: int = 10
     quiet_window: int = 30
     metrics: str = "incremental"
-    decisions: str = "shard"
     batch_events: str = "auto"
     snapshot_staleness: int = 0
 
@@ -133,8 +124,6 @@ class PregelConfig:
             self.heuristic = make_heuristic(self.heuristic)
         if self.metrics not in ("incremental", "recompute"):
             raise ValueError('metrics must be "incremental" or "recompute"')
-        if self.decisions not in ("shard", "coordinator"):
-            raise ValueError('decisions must be "shard" or "coordinator"')
         if self.batch_events not in ("auto", "off"):
             raise ValueError('batch_events must be "auto" or "off"')
         if not isinstance(self.snapshot_staleness, int) or (
@@ -148,8 +137,8 @@ class SuperstepReport:
     """Everything observable about one completed superstep.
 
     ``decision_seconds`` is the wall-clock the *coordinator* spent on the
-    decision phase this superstep (candidate selection, central heuristic
-    evaluation when ``decisions="coordinator"``, quota arbitration).  It is
+    decision phase this superstep (candidate selection, the single-process
+    system's central heuristic evaluation, quota arbitration).  It is
     measurement, not semantics: never part of the golden digests, but the
     number ``benchmarks/bench_decisions.py`` pins the decentralisation win
     with.
@@ -292,10 +281,7 @@ class PregelSystem:
         self._pending_events = []
         if not events:
             return 0
-        if self.tracer.enabled:
-            with self.tracer.span("ingest", events=len(events)):
-                applied = self._ingest_events(events)
-        else:
+        with self.tracer.span("ingest", events=len(events)):
             applied = self._ingest_events(events)
         self._ingest_counter.add(applied)
         if applied:
@@ -424,8 +410,8 @@ class PregelSystem:
 
     # The single-process system keeps no incremental CSR; the batched path
     # rebuilds block topology from the live graph each superstep.  (The
-    # sharded Coordinator's shards override this with real BlockTables.)
-    batch_table = None
+    # sharded Coordinator's shards carry a real LocalCsr here.)
+    block_index = None
 
     def batch_workers(self, vertex_ids):
         """Per-row source worker ids for a batched block (or None).
@@ -545,8 +531,8 @@ class PregelSystem:
         )
 
     def _generate_proposals(self, context):
-        """Central proposal generation (the ``decisions="coordinator"``
-        path, and the only path a shard-less single-process system has).
+        """Central proposal generation: the only path a shard-less
+        single-process system has, and the oracle for the shards'.
 
         Returns ``(vertex, current, desired, willing)`` proposals for every
         candidate that wants to move, in canonical candidate order.  The
@@ -588,19 +574,9 @@ class PregelSystem:
         quotas = QuotaTable(context.remaining, self.config.num_workers)
         balance = self.config.balance
         graph = self.graph
-        if self.tracer.enabled:
-            with self.tracer.span(
-                "arbitrate",
-                superstep=self.superstep,
-                proposals=len(proposals),
-            ):
-                requested, blocked, kept_active = arbitrate_proposals(
-                    proposals,
-                    self.migration,
-                    quotas,
-                    lambda v: balance.load_of(graph, v),
-                )
-        else:
+        with self.tracer.span(
+            "arbitrate", superstep=self.superstep, proposals=len(proposals)
+        ):
             requested, blocked, kept_active = arbitrate_proposals(
                 proposals,
                 self.migration,
@@ -666,14 +642,13 @@ class PregelSystem:
 
     def run_superstep(self):
         """Execute one full superstep; returns its :class:`SuperstepReport`."""
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("superstep", superstep=self.superstep + 1):
-                return self._run_superstep(tracer, True)
-        return self._run_superstep(tracer, False)
+        with self.tracer.span("superstep", superstep=self.superstep + 1):
+            return self._run_superstep()
 
-    def _run_superstep(self, tracer, traced):
-        """The superstep body; ``traced`` caches ``tracer.enabled``."""
+    def _run_superstep(self):
+        """The superstep body."""
+        tracer = self.tracer
+        traced = tracer.enabled
         self.superstep += 1
         # Freeze the decision snapshot before compute: the sharded
         # coordinator ships it with the compute tasks, the single-process

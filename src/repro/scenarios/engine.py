@@ -198,7 +198,6 @@ def play_scenario(
     engine="adaptive",
     executor=None,
     program=None,
-    decisions="shard",
     staleness=0,
     trace=None,
     metrics_registry=None,
@@ -215,14 +214,11 @@ def play_scenario(
     :class:`~repro.cluster.coordinator.Coordinator`; ``executor`` then
     selects the backend (None/name/instance, see
     :func:`~repro.cluster.executor.make_executor`), ``program`` the vertex
-    program (default: PageRank), ``decisions`` where migration
-    proposals are generated (``"shard"``, the default, evaluates the
-    heuristic inside the shards; ``"coordinator"`` keeps it central — the
-    knob moves work, never results) and ``staleness`` the relaxed-synchrony
+    program (default: PageRank) and ``staleness`` the relaxed-synchrony
     window (:class:`~repro.pregel.system.PregelConfig.snapshot_staleness`:
     decision snapshots are reused for up to that many supersteps between
     capacity resyncs; ``0``, the default, is the strict-BSP behaviour the
-    golden fixtures pin).  All four are ignored by the adaptive engine.
+    golden fixtures pin).  All three are ignored by the adaptive engine.
 
     ``trace`` turns on phase-span tracing (pregel engine only): pass a
     :class:`~repro.obs.Tracer` to collect spans in-process, or a path to
@@ -238,7 +234,7 @@ def play_scenario(
     if engine == "pregel":
         return _play_pregel(
             scenario, backend, adaptive, metrics, max_rounds, executor,
-            program, decisions, staleness, trace, metrics_registry,
+            program, staleness, trace, metrics_registry,
         )
     if trace is not None or metrics_registry is not None:
         raise ValueError(
@@ -348,7 +344,7 @@ def _play_adaptive(scenario, backend, adaptive, metrics, max_rounds):
 
 
 def _play_pregel(scenario, backend, adaptive, metrics, max_rounds, executor,
-                 program, decisions="shard", staleness=0, trace=None,
+                 program, staleness=0, trace=None,
                  metrics_registry=None):
     from repro.apps.pagerank import PageRank
     from repro.cluster.coordinator import Coordinator
@@ -380,7 +376,6 @@ def _play_pregel(scenario, backend, adaptive, metrics, max_rounds, executor,
         seed=scenario.seed,
         quiet_window=scenario.quiet_window,
         metrics=metrics,
-        decisions=decisions,
         snapshot_staleness=staleness,
     )
     # Context-managed: an exception anywhere mid-scenario (bad spec, a

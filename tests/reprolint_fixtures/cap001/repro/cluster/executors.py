@@ -1,4 +1,4 @@
-"""CAP001 fixture: honest, lying, and silently-capable executors."""
+"""CAP001 fixture: honest and lying remote executors."""
 
 from dataclasses import dataclass
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 class ExecutorCapabilities:
     """Mini twin of the real capability dataclass."""
 
-    supports_pipelining: bool = False
     releases_gil: bool = False
     remote: bool = False
     requires_picklable: bool = False
@@ -18,12 +17,8 @@ class Executor:
 
     capabilities = ExecutorCapabilities()
 
-    def step_stream(self, tasks):
-        """Protocol stub — does not count as an implementation."""
-        raise NotImplementedError
-
     def _transport_send(self, payload):
-        """Protocol stub."""
+        """Protocol stub — does not count as an implementation."""
         raise NotImplementedError
 
     def _transport_recv(self):
@@ -31,37 +26,34 @@ class Executor:
         raise NotImplementedError
 
 
-class HonestPipelined(Executor):
-    """Claims pipelining and really implements step_stream: clean."""
+class HonestRemote(Executor):
+    """Claims remote and really implements both transports: clean."""
 
-    capabilities = ExecutorCapabilities(supports_pipelining=True)
+    capabilities = ExecutorCapabilities(releases_gil=True, remote=True)
 
-    def step_stream(self, tasks):
-        """A real implementation."""
-        for task in tasks:
-            yield task
+    def _transport_send(self, payload):
+        """A real sender."""
+        return len(payload)
 
-
-class LyingPipelined(Executor):
-    """Claims pipelining over the inherited stub: CAP001."""
-
-    capabilities = ExecutorCapabilities(supports_pipelining=True)  # line 48
+    def _transport_recv(self):
+        """A real receiver."""
+        return b""
 
 
-class SilentStreamer(Executor):
-    """Implements step_stream but never claims it: CAP001 (reverse)."""
+class InheritsHonestly(HonestRemote):
+    """Inherits both the claim and the transports: clean."""
 
-    capabilities = ExecutorCapabilities(releases_gil=True)
 
-    def step_stream(self, tasks):  # line 56
-        """A real implementation the coordinator would never use."""
-        return list(tasks)
+class StubbedRemote(Executor):
+    """Claims remote over both inherited stubs: CAP001, twice."""
+
+    capabilities = ExecutorCapabilities(remote=True)  # line 50
 
 
 class LyingRemote(Executor):
     """Claims remote with only one real transport: CAP001."""
 
-    capabilities = ExecutorCapabilities(False, True, True)  # line 64
+    capabilities = ExecutorCapabilities(False, True, True)  # line 56
 
     def _transport_send(self, payload):
         """A real sender — but recv stays the inherited stub."""

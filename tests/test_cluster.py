@@ -21,7 +21,6 @@ from repro.cluster import (
     ExecutorCapabilities,
     InlineExecutor,
     LocalWorkerPool,
-    PipelinedExecutor,
     ProcessExecutor,
     SocketExecutor,
     ThreadExecutor,
@@ -60,8 +59,6 @@ def _executor(name):
         return ProcessExecutor(workers=2)
     if name == "thread":
         return ThreadExecutor(workers=2)
-    if name == "pipelined":
-        return PipelinedExecutor(workers=2)
     if name == "socket":
         return SocketExecutor(_socket_addresses())
     return InlineExecutor()
@@ -409,9 +406,6 @@ class TestCapabilityProtocol:
     def test_declared_capability_records(self):
         assert InlineExecutor.capabilities == ExecutorCapabilities()
         assert ThreadExecutor.capabilities == ExecutorCapabilities()
-        assert PipelinedExecutor.capabilities == ExecutorCapabilities(
-            supports_pipelining=True
-        )
         assert ProcessExecutor.capabilities == ExecutorCapabilities(
             releases_gil=True, requires_picklable=True
         )
@@ -421,46 +415,34 @@ class TestCapabilityProtocol:
 
     def test_validate_rejects_a_missing_or_wrong_typed_record(self):
         class NoRecord(InlineExecutor):
-            capabilities = {"supports_pipelining": False}
+            capabilities = {"remote": False}
 
         with pytest.raises(TypeError, match="ExecutorCapabilities"):
             make_executor(NoRecord())
 
-    def test_validate_rejects_pipelining_claim_without_step_stream(self):
-        class FalseClaim(InlineExecutor):
-            capabilities = ExecutorCapabilities(supports_pipelining=True)
-
-        with pytest.raises(ValueError, match="does not implement"):
-            make_executor(FalseClaim())
-
-    def test_validate_rejects_step_stream_without_the_declaration(self):
-        class Smuggler(InlineExecutor):
-            def step_stream(self, tasks, patches):
-                deltas = self.step(tasks, patches)
-                yield from sorted(deltas.items())
-
-        with pytest.raises(ValueError, match="does not declare"):
-            make_executor(Smuggler())
-
     def test_honest_subclass_passes_validation(self):
+        """A backend may stream its own way; ascending shard id is the
+        whole contract, and the coordinator's results do not move."""
+
         class Streamer(InlineExecutor):
-            capabilities = ExecutorCapabilities(supports_pipelining=True)
+            streamed = 0
 
             def step_stream(self, tasks, patches):
+                self.streamed += 1
                 deltas = self.step(tasks, patches)
                 yield from sorted(deltas.items())
 
-        assert make_executor(Streamer()).capabilities.supports_pipelining
-
-    def test_coordinator_consults_the_capability_record(self):
-        # A pipelining-capable executor streams; a strict one never does.
         config = PregelConfig(num_workers=3, seed=0)
-        pipelined = PipelinedExecutor(workers=2)
+        streamer = make_executor(Streamer())
         with Coordinator(
-            mesh_3d(4), PageRank(), config, executor=pipelined
+            mesh_3d(4), PageRank(), config, executor=streamer
         ) as system:
-            system.run(2)
-            assert pipelined.steps_streamed == 2
+            system.run(3)
+            streamed = _report_digest(system.reports)
+        assert streamer.streamed == 3
+        with Coordinator(mesh_3d(4), PageRank(), config) as system:
+            system.run(3)
+            assert _report_digest(system.reports) == streamed
 
 
 class TestExecutorRegressions:
@@ -468,7 +450,7 @@ class TestExecutorRegressions:
 
     @pytest.mark.parametrize(
         "factory",
-        [ThreadExecutor, PipelinedExecutor, ProcessExecutor, SocketExecutor],
+        [ThreadExecutor, ProcessExecutor, SocketExecutor],
         ids=lambda f: f.name,
     )
     def test_pooled_executors_reject_nonpositive_worker_counts(self, factory):
@@ -508,7 +490,7 @@ class TestExecutorRegressions:
             def snapshot(self):
                 return ({}, set())
 
-        with PipelinedExecutor(workers=3) as executor:
+        with ThreadExecutor(workers=3) as executor:
             executor.start({i: SlowShard(i) for i in range(3)})
             stream = executor.step_stream(
                 {i: None for i in range(3)}, {}
@@ -545,7 +527,7 @@ class TestExecutorRegressions:
             def snapshot(self):
                 return ({}, set())
 
-        with PipelinedExecutor(workers=2) as executor:
+        with ThreadExecutor(workers=2) as executor:
             executor.start({0: FailingShard(), 1: SlowShard()})
             with pytest.raises(RuntimeError, match="boom"):
                 for _ in executor.step_stream({0: None, 1: None}, {}):

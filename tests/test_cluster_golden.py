@@ -33,7 +33,7 @@ GOLDEN_SCENARIOS = ["mesh-growth", "grid-rewire", "cdr-weekly"]
 EXECUTORS = [
     name.strip()
     for name in os.environ.get(
-        "REPRO_CLUSTER_EXECUTORS", "inline,thread,pipelined,process,socket"
+        "REPRO_CLUSTER_EXECUTORS", "inline,thread,process,socket"
     ).split(",")
     if name.strip()
 ]

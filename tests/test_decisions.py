@@ -1,28 +1,25 @@
-"""The shard-local decision phase: mode identity, keyed RNG, activation.
+"""The shard-local decision phase: oracle identity, keyed RNG, activation.
 
-The tentpole contract of the decision refactor is that *where* migration
-proposals are generated can never change *what* happens:
+The contract of the decision phase is that *where* migration proposals are
+generated can never change *what* happens:
 
-* ``decisions="shard"`` (the default, pinned against the golden fixtures by
-  ``test_cluster_golden.py`` across every executor) and
-  ``decisions="coordinator"`` replay byte-identical timelines — asserted
-  here against the same fixtures, which makes the two modes transitively
-  identical across all executors;
+* the sharded :class:`~repro.cluster.Coordinator` (shard-local generation,
+  pinned against the golden fixtures by ``test_cluster_golden.py`` across
+  every executor) and the single-process
+  :class:`~repro.pregel.system.PregelSystem` (central generation — the
+  oracle) replay byte-identical timelines;
 * the counter-split willingness RNG is a pure function of
   ``(lane, round, vertex)`` — invariant to shard count, chunking of the
   candidate set, evaluation order, and the scalar/vectorised path split;
-* the vectorised :class:`~repro.core.sweep.ShardSweeper` and the portable
-  :func:`~repro.pregel.compute.decide_block` produce identical proposals;
+* the vectorised :class:`~repro.core.sweep.LocalCsr` shard index and the
+  portable :func:`~repro.pregel.compute.decide_block` produce identical
+  proposals, and the same index answers the batched kernel's topology
+  queries;
 * shard placement mirrors track the authoritative assignment exactly under
   churn, migrations and faults.
-
-``REPRO_CLUSTER_DECISIONS`` (comma-separated) narrows the decision-mode
-axis the same way ``REPRO_CLUSTER_EXECUTORS`` narrows executors — the CI
-matrix job uses both.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -35,7 +32,7 @@ from repro.core.heuristic import (
     GreedyMaxNeighbours,
 )
 from repro.core.runner import AdaptiveConfig, AdaptiveRunner
-from repro.core.sweep import make_shard_sweeper
+from repro.core.sweep import make_shard_index
 from repro.generators import mesh_3d, powerlaw_cluster_graph
 from repro.graph import GRAPH_BACKENDS
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
@@ -54,13 +51,6 @@ except ImportError:  # pragma: no cover - numpy is optional
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SCENARIOS = ["mesh-growth", "grid-rewire", "cdr-weekly"]
-DECISION_MODES = [
-    name.strip()
-    for name in os.environ.get(
-        "REPRO_CLUSTER_DECISIONS", "shard,coordinator"
-    ).split(",")
-    if name.strip()
-]
 
 
 def _fixture(name):
@@ -70,51 +60,84 @@ def _fixture(name):
 
 
 # ----------------------------------------------------------------------
-# Decision-mode identity against the golden superstep timelines
+# Oracle identity: central generation (serial) == shard-local (sharded)
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("decisions", DECISION_MODES)
+def _decision_digest(reports):
+    return [
+        (
+            r.superstep,
+            r.migrations_requested,
+            r.migrations_announced,
+            r.migrations_blocked,
+            r.cut_edges,
+            tuple(r.sizes),
+        )
+        for r in reports
+    ]
+
+
+def _serial_and_sharded(make_graph, config, supersteps, events_at=None):
+    """Decision digests of the serial oracle and the sharded coordinator.
+
+    Both systems get a fresh graph from ``make_graph`` and the same
+    ``{superstep index: events}`` injections; the sharded one also runs
+    its shard/mirror consistency check every superstep.
+    """
+    events_at = events_at or {}
+    serial = PregelSystem(make_graph(), PageRank(), config)
+    with Coordinator(
+        make_graph(), PageRank(), config, executor=InlineExecutor()
+    ) as sharded:
+        for step in range(supersteps):
+            for system in (serial, sharded):
+                if step in events_at:
+                    system.inject_events(list(events_at[step]))
+                system.run_superstep()
+            sharded.shard_consistency_check()
+        return _decision_digest(serial.reports), _decision_digest(
+            sharded.reports
+        )
+
+
+class _SerialOracle(PregelSystem):
+    """:class:`PregelSystem` behind the coordinator's constructor, so the
+    scenario engine can replay through central proposal generation."""
+
+    def __init__(self, graph, program, config=None, fault_plan=None,
+                 executor=None, tracer=None, metrics_registry=None):
+        super().__init__(graph, program, config, fault_plan,
+                         tracer=tracer, metrics_registry=metrics_registry)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
 @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
-def test_decision_modes_replay_the_golden_timeline(name, decisions):
-    digest = play_scenario(
-        get_scenario(name), engine="pregel", decisions=decisions
-    ).superstep_digest()
-    assert digest == _fixture(name), (
-        f"{name} with decisions={decisions!r} diverged from the golden "
-        "superstep timeline — the knob must move work, never results"
+def test_serial_oracle_replays_the_golden_timeline(name, monkeypatch):
+    """Central generation against the fixtures the shards are pinned to:
+    where proposals are generated moves work, never results."""
+    monkeypatch.setattr(
+        "repro.cluster.coordinator.Coordinator", _SerialOracle
     )
+    digest = play_scenario(
+        get_scenario(name), engine="pregel"
+    ).superstep_digest()
+    assert digest == _fixture(name)
 
 
 def test_single_process_system_matches_the_sharded_default():
     """A shard-less PregelSystem runs the same decision pipeline."""
-
-    def digest(reports):
-        return [
-            (
-                r.superstep,
-                r.migrations_requested,
-                r.migrations_announced,
-                r.migrations_blocked,
-                r.cut_edges,
-                tuple(r.sizes),
-            )
-            for r in reports
-        ]
-
     config = PregelConfig(num_workers=4, seed=3, quiet_window=5)
-    serial = PregelSystem(mesh_3d(5), PageRank(), config)
-    serial.run(10)
-    with Coordinator(
-        mesh_3d(5), PageRank(), config, executor=InlineExecutor()
-    ) as sharded:
-        sharded.run(10)
-        assert digest(serial.reports) == digest(sharded.reports)
+    serial, sharded = _serial_and_sharded(lambda: mesh_3d(5), config, 10)
+    assert serial == sharded
 
 
 def test_decisions_knob_validation():
-    with pytest.raises(ValueError, match="decisions"):
-        PregelConfig(decisions="oracle")
     with pytest.raises(ValueError, match="batch_events"):
         PregelConfig(batch_events="sometimes")
 
@@ -239,8 +262,8 @@ def test_decide_block_is_chunking_invariant():
 def test_shard_sweeper_matches_decide_block():
     adj, placement, context = _toy_decision_problem()
     host = _DecisionHost(adj, placement, GreedyMaxNeighbours())
-    sweeper = make_shard_sweeper(GreedyMaxNeighbours())
-    assert sweeper is not None
+    sweeper = make_shard_index(GreedyMaxNeighbours(), False)
+    assert sweeper is not None and sweeper.decides
     for v, neighbours in adj.items():
         sweeper.admit(v, neighbours)
     for v, pid in placement.items():
@@ -256,7 +279,7 @@ def test_shard_sweeper_tracks_churn_and_compaction():
     """Admit/evict/re-admit churn (forcing block garbage) stays exact."""
     adj, placement, context = _toy_decision_problem()
     host = _DecisionHost(adj, placement, GreedyMaxNeighbours())
-    sweeper = make_shard_sweeper(GreedyMaxNeighbours())
+    sweeper = make_shard_index(GreedyMaxNeighbours(), False)
     sweeper._GROW = 8  # tiny arena: compaction triggers many times
     for v, neighbours in adj.items():
         sweeper.admit(v, neighbours)
@@ -281,15 +304,71 @@ def test_shard_sweeper_place_many_matches_place():
     """The bulk mirror-seeding path == per-vertex place, mixed ids too."""
     items = [(v, v % 3) for v in range(40)]
     items += [("gw-1", 0), (("rack", 7), 2), (-5, 1), (2**63 + 9, 2)]
-    bulk = make_shard_sweeper(GreedyMaxNeighbours())
+    bulk = make_shard_index(GreedyMaxNeighbours(), False)
     bulk.place_many(items)
-    single = make_shard_sweeper(GreedyMaxNeighbours())
+    single = make_shard_index(GreedyMaxNeighbours(), False)
     for vertex, pid in items:
         single.place(vertex, pid)
     assert bulk._slot == single._slot
+    assert bulk._ids == single._ids == [vertex for vertex, _ in items]
     for vertex, slot in bulk._slot.items():
         assert bulk._keys[slot] == single._keys[single._slot[vertex]]
         assert bulk._place[slot] == single._place[single._slot[vertex]]
+
+
+@pytest.mark.skipif(numpy is None, reason="needs numpy")
+def test_shard_index_serves_both_readers_across_compaction():
+    """One index, two readers: interleaved admit/evict/place churn keeps
+    ``decisions()`` equal to the portable path *and* ``gather()`` equal to
+    the adjacency it was fed, before and after block compaction."""
+    adj, placement, context = _toy_decision_problem()
+    placement = dict(placement)
+    k = context.num_partitions
+    index = make_shard_index(GreedyMaxNeighbours(), True)
+    index._GROW = 8  # tiny arena: compaction triggers many times
+    compactions = []
+    compact = index._compact
+    index._compact = lambda: (compactions.append(1), compact())
+    residents = {}  # what the shard's dict state would hold
+
+    def admit(v, neighbours):
+        residents[v] = tuple(neighbours)
+        index.admit(v, residents[v])
+
+    def check():
+        host = _DecisionHost(residents, placement, GreedyMaxNeighbours())
+        candidates = sorted(residents)
+        assert index.decisions(context, candidates) == decide_block(
+            host, context, candidates
+        )
+        rows = list(residents)
+        degrees, indptr, targets, slot_ids = index.gather(rows)
+        assert slot_ids[: len(rows)] == rows
+        assert degrees.tolist() == [len(residents[v]) for v in rows]
+        for i, v in enumerate(rows):
+            block = targets[indptr[i] : indptr[i + 1]].tolist()
+            assert [slot_ids[t] for t in block] == list(residents[v])
+
+    index.place_many(list(placement.items()))
+    for v in sorted(adj)[::2]:
+        admit(v, adj[v])
+    check()
+    assert not compactions
+    for repeat in range(4):
+        for v in sorted(adj):
+            if v % 4 == repeat:
+                residents.pop(v, None)
+                index.evict(v)
+            elif v % 3 == repeat % 3:
+                admit(v, adj[v][repeat % 2 :])  # adjacency patch
+            if v % 5 == repeat:
+                placement[v] = (placement.get(v, 0) + 1) % k
+                index.place(v, placement[v])
+            elif v % 7 == repeat and v not in residents:
+                placement.pop(v, None)
+                index.unplace(v)
+        check()
+    assert compactions, "the churn never compacted; shrink _GROW"
 
 
 def test_arbitration_order_is_keyed_per_round():
@@ -316,14 +395,36 @@ def test_arbitration_order_is_keyed_per_round():
 
 
 def test_make_shard_sweeper_gates():
+    """No reader, no index; vectorised decisions only for the exact rule."""
+
     class Subclassed(GreedyMaxNeighbours):
         pass
 
-    if numpy is not None:
-        assert make_shard_sweeper(GreedyMaxNeighbours()) is not None
-    assert make_shard_sweeper(Subclassed()) is None
-    assert make_shard_sweeper(CapacityWeightedGreedy()) is None
-    assert make_shard_sweeper(None) is None
+    for heuristic in (Subclassed(), CapacityWeightedGreedy(), None):
+        assert make_shard_index(heuristic, False) is None
+    if numpy is None:
+        assert make_shard_index(GreedyMaxNeighbours(), True) is None
+        return
+    assert make_shard_index(GreedyMaxNeighbours(), False).decides
+    for heuristic in (Subclassed(), CapacityWeightedGreedy(), None):
+        # A batched program still wants the topology; decisions stay portable.
+        assert not make_shard_index(heuristic, True).decides
+
+
+def test_each_shard_holds_exactly_one_index():
+    """The decision pass and the batched kernel read one LocalCsr."""
+    from repro.core.sweep import LocalCsr
+
+    config = PregelConfig(num_workers=3, seed=1, quiet_window=5)
+    executor = InlineExecutor()
+    with Coordinator(mesh_3d(4), PageRank(), config, executor=executor):
+        for shard in executor._shards.values():
+            held = [
+                value
+                for value in vars(shard).values()
+                if isinstance(value, LocalCsr)
+            ]
+            assert len(held) == (1 if numpy is not None else 0)
 
 
 # ----------------------------------------------------------------------
@@ -381,44 +482,20 @@ def test_placement_mirrors_stay_exact_under_churn_and_faults():
 
 
 def test_non_int_vertex_ids_through_the_sharded_decision_phase():
-    """String ids exercise the sha-keyed willingness path shard-side; both
-    decision modes must still agree, and mirrors must stay exact."""
-
-    def run(decisions):
-        config = PregelConfig(
-            num_workers=3, seed=1, quiet_window=5, decisions=decisions
-        )
-        system = Coordinator(
-            mesh_3d(4), PageRank(), config, executor=InlineExecutor()
-        )
-        try:
-            for step in range(8):
-                if step == 2:
-                    system.inject_events(
-                        [
-                            AddVertex("hub"),
-                            AddEdge("hub", 0),
-                            AddEdge("hub", 1),
-                            AddEdge("spoke-a", "hub"),
-                            RemoveEdge(0, 1),
-                        ]
-                    )
-                system.run_superstep()
-                system.shard_consistency_check()
-            return [
-                (
-                    r.superstep,
-                    r.migrations_requested,
-                    r.migrations_announced,
-                    r.cut_edges,
-                    tuple(r.sizes),
-                )
-                for r in system.reports
-            ]
-        finally:
-            system.close()
-
-    assert run("shard") == run("coordinator")
+    """String ids exercise the sha-keyed willingness path shard-side; the
+    serial oracle must still agree, and mirrors must stay exact."""
+    config = PregelConfig(num_workers=3, seed=1, quiet_window=5)
+    events = [
+        AddVertex("hub"),
+        AddEdge("hub", 0),
+        AddEdge("hub", 1),
+        AddEdge("spoke-a", "hub"),
+        RemoveEdge(0, 1),
+    ]
+    serial, sharded = _serial_and_sharded(
+        lambda: mesh_3d(4), config, 8, events_at={2: events}
+    )
+    assert serial == sharded
 
 
 def test_pregel_bulk_ingestion_is_loop_identical():
@@ -508,38 +585,22 @@ class TestCapacityAwareActivation:
 
     def test_pregel_capacity_heuristic_modes_identical(self):
         """The capacity-aware heuristic composes with the shard-local
-        phase: both decision modes replay identical timelines."""
-
-        def run(decisions):
-            config = PregelConfig(
-                num_workers=4,
-                seed=3,
-                quiet_window=5,
-                heuristic=CapacityWeightedGreedy(),
-                decisions=decisions,
-            )
-            with Coordinator(
-                mesh_3d(5), PageRank(), config, executor=InlineExecutor()
-            ) as system:
-                for step in range(10):
-                    if step == 4:
-                        system.inject_events(
-                            [AddEdge(700, 0), RemoveEdge(0, 1)]
-                        )
-                    system.run_superstep()
-                return [
-                    (
-                        r.superstep,
-                        r.migrations_requested,
-                        r.migrations_announced,
-                        r.migrations_blocked,
-                        r.cut_edges,
-                        tuple(r.sizes),
-                    )
-                    for r in system.reports
-                ]
-
-        assert run("shard") == run("coordinator")
+        phase: the serial oracle and the shards replay identical
+        timelines."""
+        config = PregelConfig(
+            num_workers=4,
+            seed=3,
+            quiet_window=5,
+            heuristic=CapacityWeightedGreedy(),
+        )
+        serial, sharded = _serial_and_sharded(
+            lambda: mesh_3d(5),
+            config,
+            10,
+            events_at={4: [AddEdge(700, 0), RemoveEdge(0, 1)]},
+        )
+        assert serial == sharded
+        assert any(requested for _, requested, *_ in sharded), "vacuous run"
 
 
 class _CandidateSpy(InlineExecutor):

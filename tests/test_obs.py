@@ -27,8 +27,8 @@ import pytest
 
 from repro.cluster import (
     LocalWorkerPool,
-    PipelinedExecutor,
     SocketExecutor,
+    ThreadExecutor,
 )
 from repro.obs import (
     NULL_TRACER,
@@ -50,7 +50,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 EXECUTORS = [
     name.strip()
     for name in os.environ.get(
-        "REPRO_CLUSTER_EXECUTORS", "inline,thread,pipelined,process,socket"
+        "REPRO_CLUSTER_EXECUTORS", "inline,thread,process,socket"
     ).split(",")
     if name.strip()
 ]
@@ -385,7 +385,7 @@ def _run(executor, rounds=2):
 
 
 def test_pipelined_counters_reset_between_sessions():
-    executor = PipelinedExecutor(workers=2)
+    executor = ThreadExecutor(workers=2)
     _run(executor)
     first = executor.steps_streamed
     assert first > 0
@@ -414,7 +414,7 @@ def test_bind_observability_rehomes_counters():
     result = play_scenario(
         get_scenario("mesh-growth"),
         engine="pregel",
-        executor=PipelinedExecutor(workers=2),
+        executor=ThreadExecutor(workers=2),
         metrics_registry=registry,
         max_rounds=2,
     )

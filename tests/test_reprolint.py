@@ -142,15 +142,15 @@ class TestCap001:
     def test_capability_honesty(self):
         findings = lint("cap001")
         assert sites(findings) == {
-            ("CAP001", "executors.py", 48),  # LyingPipelined claim
-            ("CAP001", "executors.py", 56),  # SilentStreamer override
-            ("CAP001", "executors.py", 64),  # LyingRemote claim
+            ("CAP001", "executors.py", 50),  # StubbedRemote claim
+            ("CAP001", "executors.py", 56),  # LyingRemote claim
         }
-        by_line = {f.line: f.message for f in findings}
-        assert "LyingPipelined" in by_line[48]
-        assert "step_stream" in by_line[48]
-        assert "supports_pipelining=False" in by_line[56]
-        assert "_transport_recv" in by_line[64]
+        stubbed = [f.message for f in findings if f.line == 50]
+        assert len(stubbed) == 2 and all("StubbedRemote" in m for m in stubbed)
+        assert any("_transport_send" in m for m in stubbed)
+        assert any("_transport_recv" in m for m in stubbed)
+        (lying,) = [f.message for f in findings if f.line == 56]
+        assert "LyingRemote" in lying and "_transport_recv" in lying
 
 
 class TestObs001:
@@ -268,16 +268,16 @@ class TestRepoGate:
             '"""Seeded violation."""\n\n'
             "class ExecutorCapabilities:\n"
             '    """Stub."""\n\n'
-            "    def __init__(self, supports_pipelining=False):\n"
+            "    def __init__(self, remote=False):\n"
             '        """Stub."""\n'
-            "        self.supports_pipelining = supports_pipelining\n\n\n"
+            "        self.remote = remote\n\n\n"
             "class Liar:\n"
-            '    """Claims pipelining with no step_stream at all."""\n\n'
-            "    capabilities = ExecutorCapabilities("
-            "supports_pipelining=True)\n"
+            '    """Claims remote with no transport methods at all."""\n\n'
+            "    capabilities = ExecutorCapabilities(remote=True)\n"
         )
         findings = lint_paths([tmp_path], DEFAULT_CONFIG)
-        assert [f.code for f in findings] == ["CAP001"]
+        # One finding per missing transport method (send and recv).
+        assert [f.code for f in findings] == ["CAP001", "CAP001"]
 
     def test_seeded_ker001_violation_trips_the_gate(self, tmp_path):
         seeded = tmp_path / "repro" / "apps" / "seeded.py"

@@ -2,8 +2,8 @@
 
 What multi-host must *not* change is results — the socket backend replays
 the same timelines as the in-process executors (the cross-executor and
-golden suites pin that; here the codec/combining knobs get their own
-identity checks).  What it must add is operability: workers spawn from the
+golden suites pin that; here the codec and pre-wire combining get their
+own identity and byte checks).  What it must add is operability: workers spawn from the
 CLI and print their bound address, dead or wedged or unreachable workers
 surface as the same clear ``RuntimeError`` shape the pipe path raises, and
 the per-kind byte counters the wire benchmark reads actually meter the
@@ -12,8 +12,10 @@ traffic.
 
 import os
 import re
+import socket as socketlib
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from repro.cluster import (
     LocalWorkerPool,
     SocketExecutor,
     make_executor,
+    wire,
 )
 from repro.cluster.worker import parse_address, parse_worker_addresses
 from repro.generators import mesh_3d
@@ -77,16 +80,11 @@ class TestAddressParsing:
 
 class TestSocketExecutor:
     def test_results_identical_across_codec_and_combining(self, pool):
-        reference = _digest(InlineExecutor())
-        for kwargs in (
-            {},
-            {"codec": "pickle"},
-            {"combine_inbox": False},
-            {"codec": "pickle", "combine_inbox": False},
-        ):
-            assert (
-                _digest(SocketExecutor(pool.addresses, **kwargs)) == reference
-            ), f"socket run diverged with {kwargs!r}"
+        # Inline moves no bytes and folds no inboxes; the socket run does
+        # both on every superstep.
+        assert _digest(SocketExecutor(pool.addresses)) == _digest(
+            InlineExecutor()
+        )
 
     def test_results_identical_under_staleness(self, pool):
         want = _digest(InlineExecutor(), staleness=3)
@@ -108,12 +106,26 @@ class TestSocketExecutor:
             assert all(n > 0 for n in counters.values())
 
     def test_combining_shrinks_step_traffic(self, pool):
-        combined = SocketExecutor(pool.addresses)
-        raw = SocketExecutor(
-            pool.addresses, codec="pickle", combine_inbox=False
-        )
-        assert _digest(combined) == _digest(raw)
-        assert combined.bytes_sent["step"] < raw.bytes_sent["step"]
+        class Metered(SocketExecutor):
+            """Also sizes the frames the same tasks would cost unfolded."""
+
+            unfolded = 0
+
+            def step(self, tasks, patches):
+                per_worker = {}
+                for sid, task in tasks.items():
+                    per_worker.setdefault(self._owner[sid], {})[sid] = (
+                        task, patches.get(sid),
+                    )
+                self.unfolded += sum(
+                    len(wire.frame(("step", payload)))
+                    for payload in per_worker.values()
+                )
+                return super().step(tasks, patches)
+
+        executor = Metered(pool.addresses)
+        _digest(executor)
+        assert 0 < executor.bytes_sent["step"] < executor.unfolded
 
     def test_env_var_supplies_addresses(self, pool, monkeypatch):
         monkeypatch.setenv(
@@ -136,8 +148,6 @@ class TestSocketExecutor:
 
     def test_unreachable_worker_is_a_clear_error(self):
         # Grab a port nobody listens on by binding and closing it.
-        import socket as socketlib
-
         probe = socketlib.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
@@ -168,8 +178,6 @@ class TestSocketExecutor:
     def test_wedged_worker_times_out_with_a_clear_error(self, pool):
         # A worker that accepts but never answers must not hang the
         # coordinator: the bounded read surfaces it as "timed out".
-        import socket as socketlib
-
         listener = socketlib.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
         try:
@@ -261,3 +269,63 @@ def test_worker_error_replies_keep_the_session_alive(pool):
         assert executor.snapshot() == {0: ({}, set())}
     # And the pool still serves fresh sessions afterwards.
     assert _digest(SocketExecutor(pool.addresses), steps=2) is not None
+
+
+class _ScriptedPeer:
+    """A fake worker: answers each command with the next scripted body."""
+
+    def __init__(self, bodies):
+        self._listener = socketlib.create_server(("127.0.0.1", 0))
+        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(
+            target=self._serve, args=(list(bodies),), daemon=True
+        )
+        self._thread.start()
+
+    def _serve(self, bodies):
+        conn, _ = self._listener.accept()
+        with conn:
+            for body in bodies:
+                try:
+                    wire.recv_payload(conn)
+                except (EOFError, wire.WireError, OSError):
+                    return
+                conn.sendall(len(body).to_bytes(4, "little") + body)
+
+    def close(self):
+        self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+def test_undecodable_reply_does_not_desync_the_reply_protocol():
+    # A well-framed reply whose body the codec rejects used to escape
+    # _gather as a WireError before worker 1's reply was read, leaving it
+    # queued for the next command to misread as its own answer.
+    ok = wire.dumps(("ok", None))
+    garbage = b"\x01\xff"  # codec byte, then a tag nothing defines
+    peers = [
+        _ScriptedPeer(
+            [ok, garbage, wire.dumps(("ok", {0: "snapshot-0"})), ok]
+        ),
+        _ScriptedPeer(
+            [ok, wire.dumps(("ok", {1: "delta-1"})),
+             wire.dumps(("ok", {1: "snapshot-1"})), ok]
+        ),
+    ]
+    executor = SocketExecutor([peer.address for peer in peers])
+    try:
+        executor.start({0: "shard-0", 1: "shard-1"})
+        with pytest.raises(
+            RuntimeError, match="shard worker 0 sent an undecodable reply"
+        ) as caught:
+            executor.step({0: None, 1: None}, {})
+        assert isinstance(caught.value.__cause__, wire.WireError)
+        # Worker 1's step reply was drained: the next command reads
+        # snapshot replies, not the abandoned superstep's delta.
+        assert executor.snapshot() == {0: "snapshot-0", 1: "snapshot-1"}
+    finally:
+        executor.stop()
+        for peer in peers:
+            peer.close()
+    assert executor._sockets == []

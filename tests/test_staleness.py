@@ -1,4 +1,4 @@
-"""Relaxed synchrony: stale decision snapshots + the pipelined executor.
+"""Relaxed synchrony: stale decision snapshots + the delta stream.
 
 The staleness contract has three sides, each pinned here:
 
@@ -14,9 +14,9 @@ The staleness contract has three sides, each pinned here:
   reused — one publish per ``k + 1`` supersteps, the protocol's metered
   saving.
 
-The :class:`~repro.cluster.executor.PipelinedExecutor` rides along: its
-``supports_pipelining`` capability flag, the in-order delta stream, and its
-timeline identity with the blocking executors.
+The pipelining :class:`~repro.cluster.executor.ThreadExecutor` rides
+along: the in-order delta stream (and the eager default the strict
+executors inherit), and its timeline identity with the blocking executors.
 """
 
 import json
@@ -28,8 +28,6 @@ from repro.apps.pagerank import PageRank
 from repro.cluster import (
     Coordinator,
     InlineExecutor,
-    PipelinedExecutor,
-    ProcessExecutor,
     ThreadExecutor,
 )
 from repro.cluster.shard import Shard, ShardTask
@@ -107,11 +105,11 @@ def test_staleness_zero_replays_the_golden_timeline(name):
 
 
 def test_staleness_zero_on_the_pipelined_executor_matches_golden():
-    """The new backend at the scenario level, with the knob spelled out."""
+    """The streaming backend at the scenario level, knob spelled out."""
     digest = play_scenario(
         get_scenario("mesh-growth"),
         engine="pregel",
-        executor="pipelined",
+        executor="thread",
         staleness=0,
     ).superstep_digest()
     assert digest == _fixture("mesh-growth")
@@ -131,35 +129,25 @@ def test_snapshot_staleness_validation():
 
 @pytest.mark.parametrize("staleness", [1, 3])
 def test_systems_and_modes_agree_under_staleness(staleness):
-    """Serial system == sharded/pipelined == coordinator decisions, at any k.
+    """Serial system (central decisions) == sharded/pipelined, at any k.
 
     Staleness changes *what* is decided (aged inputs) but must never make
-    the outcome depend on where the decision runs — the mode/executor
+    the outcome depend on where the decision runs — the oracle/executor
     identity contract survives relaxed synchrony.
     """
-
-    def config(**kw):
-        return PregelConfig(
-            num_workers=4,
-            seed=3,
-            quiet_window=5,
-            snapshot_staleness=staleness,
-            **kw,
-        )
-
-    serial = PregelSystem(mesh_3d(5), PageRank(), config())
+    config = PregelConfig(
+        num_workers=4,
+        seed=3,
+        quiet_window=5,
+        snapshot_staleness=staleness,
+    )
+    serial = PregelSystem(mesh_3d(5), PageRank(), config)
     reference = _run_churned(serial)
-    with Coordinator(
-        mesh_3d(5), PageRank(), config(), executor=PipelinedExecutor(2)
-    ) as sharded:
-        assert _run_churned(sharded, consistency=True) == reference
-    with Coordinator(
-        mesh_3d(5),
-        PageRank(),
-        config(decisions="coordinator"),
-        executor=InlineExecutor(),
-    ) as central:
-        assert _run_churned(central) == reference
+    for executor in (ThreadExecutor(2), InlineExecutor()):
+        with Coordinator(
+            mesh_3d(5), PageRank(), config, executor=executor
+        ) as sharded:
+            assert _run_churned(sharded, consistency=True) == reference
 
 
 def test_staleness_window_actually_changes_decisions():
@@ -194,7 +182,7 @@ def test_mirrors_stay_exact_under_churn_faults_and_staleness():
         PageRank(),
         config,
         fault_plan=FaultPlan().add(9, 2),
-        executor=PipelinedExecutor(2),
+        executor=ThreadExecutor(2),
     ) as system:
         digest = _run_churned(system, steps=14, consistency=True)
     assert sum(row[2] for row in digest) > 0, "no migrations exercised"
@@ -293,30 +281,32 @@ def test_shard_resolves_stale_rounds_from_its_cache():
 
 
 # ----------------------------------------------------------------------
-# The pipelined executor
+# The delta stream
 # ----------------------------------------------------------------------
 
 
-def test_executor_capability_flags():
-    assert InlineExecutor.capabilities.supports_pipelining is False
-    assert ThreadExecutor.capabilities.supports_pipelining is False
-    assert ProcessExecutor.capabilities.supports_pipelining is False
-    assert PipelinedExecutor.capabilities.supports_pipelining is True
-    # The PR 6 boolean survives as an instance-level view of the record.
-    assert InlineExecutor().supports_pipelining is False
-    assert PipelinedExecutor(workers=1).supports_pipelining is True
+def test_strict_executors_stream_their_step_eagerly_and_in_order():
+    """The default ``step_stream`` is for backends that only know ``step``:
+    the whole superstep runs at call time (so the coordinator's merge span
+    never times compute), and the replay is in ascending shard id."""
 
+    class OnlySteps(InlineExecutor):
+        calls = 0
 
-def test_non_pipelining_executors_decline_step_stream():
-    with InlineExecutor() as executor, pytest.raises(
-        NotImplementedError, match="pipelin"
-    ):
-        next(executor.step_stream({}, {}))
+        def step(self, tasks, patches):
+            self.calls += 1
+            return {sid: f"delta-{sid}" for sid in tasks}
+
+    executor = OnlySteps()
+    stream = executor.step_stream({2: None, 0: None, 1: None}, {})
+    assert executor.calls == 1, "step must run before the first next()"
+    assert list(stream) == [(0, "delta-0"), (1, "delta-1"), (2, "delta-2")]
+    stream.close()  # the coordinator always closes; must be harmless
 
 
 def test_pipelined_executor_counts_streamed_steps():
     config = PregelConfig(num_workers=4, seed=3, quiet_window=5)
-    executor = PipelinedExecutor(2)
+    executor = ThreadExecutor(2)
     with Coordinator(
         mesh_3d(5), PageRank(), config, executor=executor
     ) as system:

@@ -131,6 +131,42 @@ class TestCli:
         with pytest.raises(SystemExit):
             self._run(["nope"])
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_scenario_rejects_nonpositive_workers(self, executor, workers):
+        # Used to escape as a ValueError traceback from the executor.
+        code, output = self._run(
+            ["scenario", "mesh-growth", "--engine", "pregel",
+             "--executor", executor, "--workers", workers]
+        )
+        assert code == 2
+        assert output == "--workers must be >= 1\n"
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_scenario_socket_without_addresses_exits_2(
+        self, monkeypatch, value
+    ):
+        # Used to escape as a ValueError traceback from SocketExecutor.start.
+        if value is None:
+            monkeypatch.delenv("REPRO_SOCKET_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_SOCKET_WORKERS", value)
+        code, output = self._run(
+            ["scenario", "mesh-growth", "--engine", "pregel",
+             "--executor", "socket"]
+        )
+        assert code == 2
+        assert output.startswith("--executor socket needs worker addresses")
+        assert output.count("\n") == 1
+
+    def test_workers_help_lists_the_real_executors(self, capsys):
+        with pytest.raises(SystemExit):
+            self._run(["scenario", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "thread/process/socket" in help_text
+        assert "pipelined" not in help_text
+        assert "--decisions" not in help_text
+
 
 class TestLabelPropagation:
     def test_finds_planted_communities(self, two_cliques):

@@ -30,7 +30,6 @@ from repro.cluster import wire
 from repro.cluster.shard import ShardDelta, ShardPatch, ShardTask
 from repro.cluster.wire import (
     CODEC_BINARY,
-    CODEC_PICKLE,
     CombinedMessages,
     WireError,
     combine_inbox,
@@ -42,8 +41,26 @@ except ImportError:  # pragma: no cover - the numpy-free CI leg
     numpy = None
 
 
-def roundtrip(obj, codec=CODEC_BINARY):
-    return wire.loads(wire.dumps(obj, codec=codec))
+#: The two ways a value crosses the wire: under its own codec tag, or
+#: pickled inside an object the codec has no tag for — the ``_TAG_PICKLE``
+#: fallback, the only way arbitrary program values cross.  The second leg
+#: is named for the PROTO opcode that opens every pickle it carries.
+TAGGED = CODEC_BINARY
+PICKLED = pickle.PROTO[0]
+PATHS = [TAGGED, PICKLED]
+
+
+class Opaque:
+    """A program value the codec has no tag for (picklable: module level)."""
+
+    def __init__(self, value):
+        self.value = value
+
+
+def roundtrip(obj, path=TAGGED):
+    if path == PICKLED:
+        return wire.loads(wire.dumps(Opaque(obj))).value
+    return wire.loads(wire.dumps(obj))
 
 
 def assert_same(got, want):
@@ -89,9 +106,9 @@ SCALARS = [
 
 
 @pytest.mark.parametrize("value", SCALARS, ids=repr)
-@pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_PICKLE])
-def test_scalar_roundtrip(value, codec):
-    assert_same(roundtrip(value, codec), value)
+@pytest.mark.parametrize("path", PATHS)
+def test_scalar_roundtrip(value, path):
+    assert_same(roundtrip(value, path), value)
 
 
 @pytest.mark.parametrize(
@@ -118,9 +135,9 @@ def test_scalar_roundtrip(value, codec):
     ],
     ids=repr,
 )
-@pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_PICKLE])
-def test_container_roundtrip(value, codec):
-    got = roundtrip(value, codec)
+@pytest.mark.parametrize("path", PATHS)
+def test_container_roundtrip(value, path):
+    got = roundtrip(value, path)
     assert_same(got, value)
     if isinstance(value, (list, tuple)) and value:
         for got_item, want_item in zip(got, value):
@@ -183,8 +200,8 @@ def test_empty_delta_int_array_is_a_wire_error():
 
 def test_combined_messages_roundtrip_preserves_logical_len():
     combined = CombinedMessages((0.75,), 5)
-    for codec in (CODEC_BINARY, CODEC_PICKLE):
-        got = roundtrip(combined, codec)
+    for path in PATHS:
+        got = roundtrip(combined, path)
         assert type(got) is CombinedMessages
         assert len(got) == 5
         assert list(got) == [0.75]
@@ -227,8 +244,8 @@ def test_protocol_records_roundtrip():
         proposals=[(5, 0, 1)],
     )
     for record in (task, patch, delta):
-        for codec in (CODEC_BINARY, CODEC_PICKLE):
-            assert_same(roundtrip(record, codec), record)
+        for path in PATHS:
+            assert_same(roundtrip(record, path), record)
     message = ("step", {2: (task, patch)})
     assert_same(roundtrip(message), message)
 
@@ -325,30 +342,17 @@ def test_property_combining_preserves_fold_and_count(payloads):
 
 
 # ---------------------------------------------------------------------------
-# Framing and codec negotiation
+# Framing
 # ---------------------------------------------------------------------------
-
-
-def test_codec_id_resolution():
-    assert wire.codec_id("binary") == CODEC_BINARY
-    assert wire.codec_id(CODEC_BINARY) == CODEC_BINARY
-    assert wire.codec_id("pickle") == CODEC_PICKLE
-    assert wire.codec_id(CODEC_PICKLE) == CODEC_PICKLE
-    with pytest.raises(ValueError, match="unknown wire codec"):
-        wire.codec_id("json")
-
-
-def test_raw_pickles_are_valid_frames():
-    # Connection.send produces bare pickles; 0x80 (the PROTO opcode) is
-    # the pickle codec byte, so they decode without a wrapper.
-    payload = pickle.dumps(("step", {0: (None, None)}))
-    assert payload[0] == CODEC_PICKLE
-    assert wire.loads(payload) == ("step", {0: (None, None)})
 
 
 def test_unknown_codec_byte_is_rejected():
     with pytest.raises(WireError, match="codec"):
         wire.loads(b"\x7fgarbage")
+    # A bare pickle is not a frame body: only the tagged codec's own
+    # fallback tag ever reaches ``pickle.loads``.
+    with pytest.raises(WireError, match="codec"):
+        wire.loads(pickle.dumps(("step", {0: (None, None)})))
 
 
 def test_truncated_binary_payload_is_a_wire_error():
@@ -372,8 +376,7 @@ def test_frames_cross_a_socket_in_order():
         for message in messages:
             total += wire.send_frame(left, message)
         for want in messages:
-            got, codec = wire.recv_frame(right, with_codec=True)
-            assert got == want and codec == CODEC_BINARY
+            assert wire.recv_frame(right) == want
         assert total == sum(len(wire.frame(m)) for m in messages)
     finally:
         left.close()

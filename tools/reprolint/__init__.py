@@ -20,7 +20,7 @@ WIRE001    every ``ShardTask``/``ShardPatch``/``ShardDelta`` field is
            encoded *and* decoded by ``cluster/wire.py``, and referenced
            dataclasses are codec- or pickle-fallback-safe
 CAP001     ``ExecutorCapabilities`` literals match the methods the class
-           actually implements (the static twin of ``validate_executor``)
+           actually implements (nothing checks that at runtime)
 OBS001     span/metric name literals appear in the checked-in registry
            (``repro/obs/names.py``), keeping ``docs/observability.md``
            honest

@@ -24,7 +24,7 @@ __all__ = ["DEFAULT_CONFIG", "LintConfig"]
 #:   (documented "measurement, not semantics" on the dataclass);
 #: * ``Coordinator._compute_phase`` — the decision-slicing stopwatch and
 #:   the ``barrier-merge`` span stamps;
-#: * ``PipelinedExecutor.step_stream`` — the merge/overlap counters;
+#: * ``ThreadExecutor.step_stream`` — the merge/overlap counters;
 #: * ``_WorkerProtocolExecutor._send`` / ``._recv_message`` — the
 #:   ``wire-send``/``wire-recv`` span stamps.
 #:
@@ -43,7 +43,7 @@ _WALLCLOCK_ALLOWLIST = {
     ),
     "repro/cluster/executor.py": frozenset(
         {
-            "PipelinedExecutor.step_stream",
+            "ThreadExecutor.step_stream",
             "_WorkerProtocolExecutor._send",
             "_WorkerProtocolExecutor._recv_message",
         }
@@ -89,16 +89,11 @@ class LintConfig:
     wire_structs: tuple = ("ShardTask", "ShardPatch", "ShardDelta")
     wire_dispatch: str = "_ENCODERS"
     #: Capability flags and the methods an honest claimant must implement
-    #: (CAP001), plus the reverse map: methods whose presence requires the
-    #: claim.
+    #: (CAP001).
     capability_requirements: dict = field(
         default_factory=lambda: {
-            "supports_pipelining": ("step_stream",),
             "remote": ("_transport_send", "_transport_recv"),
         }
-    )
-    capability_reverse: dict = field(
-        default_factory=lambda: {"step_stream": "supports_pipelining"}
     )
     #: The checked-in span/metric name registry (OBS001).
     obs_registry_suffix: str = "repro/obs/names.py"

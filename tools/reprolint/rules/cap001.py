@@ -1,25 +1,19 @@
 """CAP001 — executor capability claims must be backed by real overrides.
 
 ``ExecutorCapabilities`` is advertised, not inferred: an executor class
-*declares* ``supports_pipelining=True`` and the coordinator believes it.
-The runtime twin (``validate_executor``) catches dishonest claims when an
-executor is actually constructed — but only for executors a test happens
-to instantiate.  CAP001 is the static twin: it resolves every class-level
-``capabilities = ExecutorCapabilities(...)`` literal, walks the in-file
-class hierarchy, and checks that
-
-* a class claiming ``supports_pipelining`` has a real ``step_stream``
-  override (the base class raising stub does not count), and a class
-  claiming ``remote`` has real ``_transport_send``/``_transport_recv``;
-* conversely, a class defining a real ``step_stream`` declares
-  ``supports_pipelining`` — a working stream the coordinator will never
-  use is a silent misconfiguration.
+*declares* ``remote=True`` and its users believe it.  Nothing at runtime
+checks the claim against the class's methods.  CAP001 does, statically: it
+resolves every class-level ``capabilities = ExecutorCapabilities(...)``
+literal, walks the in-file class hierarchy, and checks that a class making
+a claim listed in ``LintConfig.capability_requirements`` has a real
+override of every method the claim needs — a class claiming ``remote`` has
+real ``_transport_send``/``_transport_recv`` (the base class's raising
+stubs do not count).
 
 A *stub* is a method whose body is an optional docstring plus a single
 ``raise NotImplementedError`` — the repo's convention for
 protocol-documenting placeholders.  Flag values must be literal
-``True``/``False``; a computed flag is skipped (the runtime validator
-still covers it).
+``True``/``False``; a computed flag is skipped.
 """
 
 import ast
@@ -30,7 +24,6 @@ __all__ = ["CapabilityHonestyRule"]
 
 #: Positional parameter order of the ExecutorCapabilities dataclass.
 _FIELD_ORDER = (
-    "supports_pipelining",
     "releases_gil",
     "remote",
     "requires_picklable",
@@ -98,13 +91,10 @@ def _literal_flags(call):
 
 
 class CapabilityHonestyRule(Rule):
-    """Flag capability claims without overrides, and the reverse."""
+    """Flag capability claims without the overrides that back them."""
 
     code = "CAP001"
-    title = (
-        "ExecutorCapabilities claim without a matching method override "
-        "(or a real override without the claim)"
-    )
+    title = "ExecutorCapabilities claim without a matching method override"
 
     def check_module(self, module, ctx):
         """Check every capability-declaring class hierarchy in the file."""
@@ -154,7 +144,7 @@ class CapabilityHonestyRule(Rule):
             flags = _literal_flags(cap_call)
             own_call = _capability_literal(node)
 
-            # Forward: every claimed flag needs real backing methods.
+            # Every claimed flag needs real backing methods.
             for flag, methods in config.capability_requirements.items():
                 if not flags.get(flag, False):
                     continue
@@ -172,17 +162,3 @@ class CapabilityHonestyRule(Rule):
                             f"{state} for {method_name}(); implement it or "
                             "drop the claim",
                         )
-
-            # Reverse: a real override defined *here* requires the claim.
-            for method_name, flag in config.capability_reverse.items():
-                own = resolve_method([node], method_name)
-                if own is None or _is_stub(own):
-                    continue
-                if not flags.get(flag, False):
-                    yield self.finding(
-                        module, own.lineno, own.col_offset,
-                        f"{node.name} implements {method_name}() but its "
-                        f"effective capabilities say {flag}=False; the "
-                        "coordinator will never use it — declare "
-                        f"{flag}=True",
-                    )
