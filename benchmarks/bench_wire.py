@@ -11,7 +11,9 @@ over localhost TCP workers and sizes every superstep's traffic two ways —
   read off the :class:`~repro.cluster.executor.SocketExecutor` per-kind
   byte counters;
 * **baseline** — the pre-codec protocol, computed bench-locally from the
-  very same step messages: one ``pickle.dumps`` per frame, every raw
+  very same step messages in their per-message form (the session replayed
+  on the dict plane, ``REPRO_BATCH_KERNEL=off`` — bit-identical results,
+  so the same messages): one ``pickle.dumps`` per frame, every raw
   mailbox shipped whole —
 
 plus the measured mean barrier latency of the real run.
@@ -30,8 +32,10 @@ regression tripwires, not flaky timings):
   (``STEP_TARGET``), with the delta-direction ratio recorded alongside.
 """
 
+import os
 import pickle
 import time
+from unittest import mock
 
 from repro.analysis import format_table
 from repro.apps.pagerank import PageRank
@@ -87,8 +91,8 @@ def _run(executor):
         )
 
 
-class _CapturingSocketExecutor(SocketExecutor):
-    """The socket executor, keeping each superstep's messages for sizing."""
+class _CapturingInlineExecutor(InlineExecutor):
+    """The inline executor, keeping each superstep's messages for sizing."""
 
     def start(self, shards):
         super().start(shards)
@@ -98,6 +102,19 @@ class _CapturingSocketExecutor(SocketExecutor):
         deltas = super().step(tasks, patches)
         self.captured.append((tasks, patches, deltas))
         return deltas
+
+
+def _dict_plane_messages():
+    """``(digest, captured)`` of the session replayed on the dict plane.
+
+    With the batched kernel off every message is a Python object and every
+    mailbox arrives unfolded — the shapes the pre-codec protocol pickled.
+    (With it on, a task's inbox reaches the executor as folded columns.)
+    """
+    executor = _CapturingInlineExecutor()
+    with mock.patch.dict(os.environ, {"REPRO_BATCH_KERNEL": "off"}):
+        digest, _ = _run(executor)
+    return digest, executor.captured
 
 
 def _pickled_frame(message):
@@ -112,7 +129,7 @@ def _pickle_baseline(captured, workers):
     Rebuilds exactly the frames the session exchanged — one ``("step",
     {sid: (task, patch)})`` out and one ``("ok", {sid: delta})`` back per
     worker per superstep, shard ``i`` on worker ``i % workers`` — from the
-    coordinator-side tasks, whose mailboxes are still unfolded.
+    dict-plane tasks, whose mailboxes are still unfolded.
     """
     sent = received = 0
     for tasks, patches, deltas in captured:
@@ -132,7 +149,7 @@ def _pickle_baseline(captured, workers):
 def _experiment():
     inline_digest, inline_barrier = _run(InlineExecutor())
     with LocalWorkerPool(WORKERS) as pool:
-        executor = _CapturingSocketExecutor(pool.addresses)
+        executor = SocketExecutor(pool.addresses)
         digest, barrier = _run(executor)
     sent = executor.bytes_sent["step"]
     received = executor.bytes_received["step"]
@@ -145,9 +162,11 @@ def _experiment():
         "step_bytes_total": sent + received,
         "init_bytes_sent": executor.bytes_sent["init"],
     }
-    sent, received = _pickle_baseline(executor.captured, WORKERS)
+    dict_plane_digest, captured = _dict_plane_messages()
+    sent, received = _pickle_baseline(captured, WORKERS)
     baseline = {
         "label": "pickle, uncombined",
+        "digest": dict_plane_digest,
         "step_bytes_sent": sent,
         "step_bytes_received": received,
         "step_bytes_total": sent + received,
@@ -210,6 +229,9 @@ def test_wire_codec_bytes_and_latency(run_once, capsys):
     # Identity first: the codec must never buy bytes with results.
     assert codec["digest"] == results["inline_digest"], (
         "binary+combine socket run diverged from the inline timeline"
+    )
+    assert baseline["digest"] == results["inline_digest"], (
+        "the dict-plane replay sized for the baseline is another session"
     )
     assert results["task_ratio"] >= TASK_TARGET, (
         f"task frames shrank only {results['task_ratio']:.2f}x "

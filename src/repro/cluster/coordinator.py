@@ -6,10 +6,11 @@ incremental metrics, stream mutations — and swaps the compute phase for a
 BSP fan-out over :class:`~repro.cluster.shard.Shard` objects driven by a
 pluggable :class:`~repro.cluster.executor.Executor`:
 
-1. **compute + decide** — the inbox splits by resident shard, every shard
-   runs the shared compute loop (possibly in other threads/processes) and —
-   when the run is adaptive — the decision phase over its
-   active residents: heuristic evaluation against its local placement
+1. **compute + decide** — the inbox splits by resident shard (a dict
+   inbox per mailbox, a columnar one with a single vertex→shard lookup
+   pass and array slices), every shard runs the shared compute loop
+   (possibly in other threads/processes) and — when the run is adaptive
+   — the decision phase over its active residents: heuristic evaluation against its local placement
    mirror plus the keyed willingness coin, vectorised over the shard block
    when numpy is present.  Each shard returns a :class:`ShardDelta`
    carrying its migration *proposals* alongside the compute results;
@@ -44,6 +45,7 @@ counter-split RNG, so serial and sharded timelines are byte-identical.
 """
 
 from itertools import compress as _compress
+from itertools import repeat as _repeat
 from time import perf_counter, time
 
 from repro.cluster.executor import make_executor
@@ -51,7 +53,13 @@ from repro.cluster.shard import Shard, ShardPatch, ShardTask
 from repro.core.sweep import sort_vertices
 from repro.graph.events import AddVertex, RemoveVertex
 from repro.obs import Tracer
+from repro.pregel.messages import MessageColumns
 from repro.pregel.system import PregelSystem
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
 
 __all__ = ["Coordinator"]
 
@@ -150,11 +158,8 @@ class Coordinator(PregelSystem):
     def _compute_phase(self, inbox):
         """Fan the compute phase out over the shards and merge the deltas."""
         num_workers = self.config.num_workers
-        shard_inbox = {sid: {} for sid in range(num_workers)}
-        for vertex, messages in inbox.items():
-            sid = self._vertex_shard.get(vertex)
-            if sid is not None:
-                shard_inbox[sid][vertex] = messages
+        with self.tracer.span("inbox-split"):
+            shard_inbox = self._split_inbox(inbox, num_workers)
         agg_previous = {
             name: self.aggregators.previous(name)
             for name in self.aggregators.names()
@@ -219,10 +224,14 @@ class Coordinator(PregelSystem):
         try:
             for sid, delta in stream:
                 computed += delta.computed
-                self.values.update(delta.values)
+                values = delta.values
+                self.values.update(
+                    values if isinstance(values, dict) else values.items()
+                )
                 self.halted.difference_update(delta.halted_removed)
                 self.halted.update(delta.halted_added)
-                self.router.absorb(delta.outbox)
+                # One shard per worker: the shard id IS the source worker.
+                self.router.absorb(delta.outbox, sid)
                 for name, value in delta.aggregated:
                     self.aggregators.contribute(name, value)
                 proposals.extend(delta.proposals)
@@ -249,6 +258,36 @@ class Coordinator(PregelSystem):
                 args={"superstep": self.superstep},
             )
         return computed, per_worker
+
+    def _split_inbox(self, inbox, num_workers):
+        """Slice the delivered inbox by resident shard, in its own plane.
+
+        Mail for a vertex that is resident nowhere (removed at the
+        barrier) is dropped either way.  A columnar inbox costs one
+        C-level ``_vertex_shard`` lookup per mailed vertex and one stable
+        sort; each slice keeps the inbox's ascending-id row order.
+        """
+        vertex_shard = self._vertex_shard
+        if isinstance(inbox, MessageColumns):
+            sids = _np.fromiter(
+                map(vertex_shard.get, inbox.targets.tolist(), _repeat(-1)),
+                dtype=_np.int64,
+                count=len(inbox),
+            )
+            order = _np.argsort(sids, kind="stable")
+            bounds = _np.searchsorted(
+                sids[order], _np.arange(num_workers + 1)
+            ).tolist()
+            return {
+                sid: inbox.take(order[bounds[sid]:bounds[sid + 1]])
+                for sid in range(num_workers)
+            }
+        shard_inbox = {sid: {} for sid in range(num_workers)}
+        for vertex, messages in inbox.items():
+            sid = vertex_shard.get(vertex)
+            if sid is not None:
+                shard_inbox[sid][vertex] = messages
+        return shard_inbox
 
     def _generate_proposals(self, context):
         """The proposals came back with the shards' compute deltas."""
@@ -329,42 +368,43 @@ class Coordinator(PregelSystem):
         """
         if not self._dirty and not self._placement_log:
             return
-        patches = {}
+        with self.tracer.span("patch-build", dirty=len(self._dirty)):
+            patches = {}
 
-        def patch_for(sid):
-            """The shard's patch under construction, created on first use."""
-            patch = patches.get(sid)
-            if patch is None:
-                patch = patches[sid] = ShardPatch()
-            return patch
+            def patch_for(sid):
+                """The shard's patch under construction, made on first use."""
+                patch = patches.get(sid)
+                if patch is None:
+                    patch = patches[sid] = ShardPatch()
+                return patch
 
-        for vertex in sort_vertices(self._dirty):
-            old_sid = self._vertex_shard.get(vertex)
-            if vertex in self.graph:
-                sid = self.state.partition_of_or_none(vertex)
-                if sid is None:  # unplaceable vertex: treat as non-resident
-                    if old_sid is not None:
+            for vertex in sort_vertices(self._dirty):
+                old_sid = self._vertex_shard.get(vertex)
+                if vertex in self.graph:
+                    sid = self.state.partition_of_or_none(vertex)
+                    if sid is None:  # unplaceable: treat as non-resident
+                        if old_sid is not None:
+                            patch_for(old_sid).removes.append(vertex)
+                            del self._vertex_shard[vertex]
+                        continue
+                    if old_sid is not None and old_sid != sid:
                         patch_for(old_sid).removes.append(vertex)
-                        del self._vertex_shard[vertex]
-                    continue
-                if old_sid is not None and old_sid != sid:
+                    patch_for(sid).upserts[vertex] = (
+                        self.values[vertex],
+                        tuple(self.graph.neighbors(vertex)),
+                        vertex in self.halted,
+                    )
+                    self._vertex_shard[vertex] = sid
+                elif old_sid is not None:
                     patch_for(old_sid).removes.append(vertex)
-                patch_for(sid).upserts[vertex] = (
-                    self.values[vertex],
-                    tuple(self.graph.neighbors(vertex)),
-                    vertex in self.halted,
-                )
-                self._vertex_shard[vertex] = sid
-            elif old_sid is not None:
-                patch_for(old_sid).removes.append(vertex)
-                del self._vertex_shard[vertex]
-        if self._placement_log:
-            log = self._placement_log
-            self._placement_log = []
-            for sid in range(self.config.num_workers):
-                patch_for(sid).placement_delta = log
-        self._dirty.clear()
-        self._pending_patches = patches
+                    del self._vertex_shard[vertex]
+            if self._placement_log:
+                log = self._placement_log
+                self._placement_log = []
+                for sid in range(self.config.num_workers):
+                    patch_for(sid).placement_delta = log
+            self._dirty.clear()
+            self._pending_patches = patches
 
     # ------------------------------------------------------------------
     # Debug / test support

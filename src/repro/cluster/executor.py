@@ -571,10 +571,12 @@ class _WorkerProtocolExecutor(Executor):
     ) -> dict[int, ShardDelta]:
         """Route each shard's (task, patch) to its owning worker.
 
-        With a combiner available, every multi-message mailbox is folded
-        shard-side of the wire (:func:`~repro.cluster.wire.combine_inbox`)
-        before framing — same values, same modelled cost, a fraction of
-        the bytes.
+        With a combiner available, every multi-message mailbox of a dict
+        inbox is folded shard-side of the wire
+        (:func:`~repro.cluster.wire.combine_inbox`) before framing — same
+        values, same modelled cost, a fraction of the bytes.  A columnar
+        inbox was folded at delivery and frames as it is, so the step
+        frame stays a pure function of ``(task, patch)``.
         """
         combiner = self._task_combiner
         per_worker: dict[int, dict[int, tuple[Any, Any]]] = {}

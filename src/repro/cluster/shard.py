@@ -32,6 +32,7 @@ from repro.core.heuristic import DecisionContext
 from repro.core.sweep import make_shard_index, sort_vertices
 from repro.obs import NULL_TRACER
 from repro.pregel.compute import compute_block, decide_block
+from repro.pregel.messages import MessageColumns
 
 __all__ = ["Shard", "ShardDelta", "ShardPatch", "ShardTask"]
 
@@ -54,10 +55,17 @@ class ShardTask:
     ``candidates`` names the resident vertices to evaluate, with None
     meaning *all residents* (a full sweep — the shard enumerates them
     itself, so full rounds ship no id lists at all).
+
+    ``inbox`` is this shard's slice of the delivered messages, in the
+    plane the router delivered them on: a dict ``{vertex id: message
+    list}`` (mailboxes may be :class:`~repro.pregel.messages
+    .CombinedMessages` once an executor folded them), or a folded
+    :class:`~repro.pregel.messages.MessageColumns` — one row per mailed
+    resident with its logical message count.
     """
 
     superstep: int
-    inbox: dict            # vertex id -> message list (this shard's slice)
+    inbox: object          # dict or MessageColumns (this shard's slice)
     num_vertices: int      # global vertex count (a master statistic)
     agg_previous: dict     # aggregator name -> last barrier's folded value
     decision: object = None
@@ -110,12 +118,21 @@ class ShardDelta:
     the batched vertex-kernel path (0 or 1 per shard per superstep).
     Observability only — it feeds the coordinator's
     ``kernel.batched_blocks`` counter and never enters a digest.
+
+    ``values`` and ``outbox`` each take one of two shapes.  From the
+    scalar loop (or a batched block whose ids are not an int64 column):
+    ``values`` is a dict ``{vertex id: value}`` over every computed vertex
+    and ``outbox`` a list of ``((source_worker, target_id), payload)`` in
+    send order.  From a batched block under a ``sum``/``min`` combiner
+    both are :class:`~repro.pregel.messages.MessageColumns` holding the
+    kernel's own arrays — ``(ids, new values)`` and ``(targets, reduced
+    payloads)``, the source worker being ``shard_id``.
     """
 
     shard_id: int
     computed: int
-    values: dict           # vertex id -> value, for every computed vertex
-    outbox: list           # ((source_worker, target_id), payload) in send order
+    values: object         # dict or MessageColumns, every computed vertex
+    outbox: object         # entry list or MessageColumns, in send order
     halted_added: list
     halted_removed: list
     aggregated: list       # (name, value) contributions in call order
@@ -155,12 +172,13 @@ class _ShardRouter:
     merge order-trivial.
     """
 
-    __slots__ = ("_worker", "_combiner", "outbox")
+    __slots__ = ("_worker", "_combiner", "outbox", "columns")
 
     def __init__(self, worker, combiner):
         self._worker = worker
         self._combiner = combiner
         self.outbox = {}
+        self.columns = None  # a batched block's outbox, kept as columns
 
     def send(self, source_id, target_id, message):
         key = (self._worker, target_id)
@@ -181,9 +199,21 @@ class _ShardRouter:
         per distinct key, already combiner-folded in canonical order, keys
         in first-send order — plain inserts reproduce exactly the dict the
         scalar ``send`` loop would have built.  ``workers`` is always this
-        shard's id repeated (a worker's vertices live on one shard).
+        shard's id repeated (a worker's vertices live on one shard), so
+        numpy columns are kept whole as one
+        :class:`~repro.pregel.messages.MessageColumns` — the delta ships
+        them as they are — while list columns join the dict.
         """
-        self.outbox.update(zip(zip(workers, targets), payloads))
+        if isinstance(workers, list):
+            self.outbox.update(zip(zip(workers, targets), payloads))
+        else:
+            self.columns = MessageColumns(targets, payloads)
+
+    def drain(self):
+        """This superstep's outbox in the shape the delta ships."""
+        if self.columns is not None:
+            return self.columns
+        return list(self.outbox.items())
 
 
 class _ShardAggregators:
@@ -244,6 +274,7 @@ class Shard:
         self._compute_units = 0.0
         self._computed_ids = None
         self._batched_blocks = 0
+        self._value_columns = None
 
     def __len__(self):
         return len(self.values)
@@ -331,9 +362,16 @@ class Shard:
         if len(costs):
             self._compute_units += float(costs.cumsum()[-1])
 
-    def note_batched_block(self, count=1):
-        """Count one block evaluated through the batched kernel path."""
-        self._batched_blocks += count
+    def note_batched_block(self, values=None):
+        """Count one block evaluated through the batched kernel path.
+
+        ``values`` is the block's ``(ids, new values)`` as a
+        :class:`~repro.pregel.messages.MessageColumns` when the kernel's
+        arrays can ship as they are; the delta then carries them instead
+        of a dict rebuilt from ``self.values``.
+        """
+        self._batched_blocks += 1
+        self._value_columns = values
 
     def batch_workers(self, vertex_ids):
         """Per-row source workers: this shard's id, for every resident."""
@@ -395,6 +433,7 @@ class Shard:
         self._compute_units = 0.0
         self._computed_ids = []
         self._batched_blocks = 0
+        self._value_columns = None
         halted_before = set(self.halted)
         with tracer.span(
             "compute", superstep=task.superstep, residents=len(self.values)
@@ -407,11 +446,14 @@ class Shard:
             with tracer.span("decide", superstep=task.superstep):
                 proposals = self._decision_phase(task)
         spans = tracer.drain() if tracer.enabled else []
+        values = self._value_columns
+        if values is None:
+            values = {v: self.values[v] for v in self._computed_ids}
         delta = ShardDelta(
             shard_id=self.shard_id,
             computed=computed,
-            values={v: self.values[v] for v in self._computed_ids},
-            outbox=list(self.router.outbox.items()),
+            values=values,
+            outbox=self.router.drain(),
             halted_added=sort_vertices(self.halted - halted_before),
             halted_removed=sort_vertices(halted_before - self.halted),
             aggregated=self.aggregators.contributions,

@@ -14,16 +14,23 @@ can distinguish "worker went away" from garbage.
 **Codec.**  :func:`dumps` / :func:`loads` encode one protocol message in
 a tagged binary format that packs
 the hot structures — task inboxes, delta value maps and outboxes, patch
-adjacency — as homogeneous little-endian buffers via the stdlib
-:mod:`array` module, delta-encoding vertex-id columns so ids on a
-million-vertex graph cost bytes proportional to their local gaps rather
-than their magnitude (numpy is *not* required; ``numpy.ndarray`` values
-get their own raw-buffer tag when numpy is present), with a pickle
-fallback tag for arbitrary program values — the only way such values
-cross.
+adjacency — as homogeneous little-endian buffers, delta-encoding
+vertex-id columns so ids on a million-vertex graph cost bytes
+proportional to their local gaps rather than their magnitude.  numpy is
+*not* required: every int column is the same bytes whether the stdlib
+:mod:`array` module or numpy packed it (numpy, when present, only does it
+without a per-element Python loop).  The message plane's
+:class:`~repro.pregel.messages.MessageColumns` and ``numpy.ndarray``
+values have tags of their own that need numpy on both sides; arbitrary
+program values cross under a pickle fallback tag — the only way such
+values cross.  :func:`loads` raises :class:`WireError`, and nothing else,
+on any payload it cannot decode, and the codec's own tags never allocate
+what a length field merely claims; the pickle fallback trusts its bytes
+like any unpickling does (frames come from this program's own peers).
 
 **Combining.**  :func:`combine_inbox` applies the program's combiner to a
-shard's inbox *before* the wire, folding each multi-message mailbox to one
+shard's dict inbox *before* the wire (a columnar inbox was folded at
+delivery and passes through), folding each multi-message mailbox to one
 :class:`CombinedMessages` entry that still reports the original message
 count through ``len()`` — which is exactly what keeps modelled compute cost
 (``VertexProgram.compute_cost`` defaults to ``1 + len(messages)``), and
@@ -38,9 +45,12 @@ import struct
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
-from typing import Any
+from itertools import chain, islice
+from math import prod
+from typing import Any, cast
 
 from repro.cluster.shard import ShardDelta, ShardPatch, ShardTask
+from repro.pregel.messages import CombinedMessages, MessageColumns
 
 try:  # numpy is optional everywhere in this repo
     import numpy as _np
@@ -80,41 +90,9 @@ class WireError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class CombinedMessages(list):
-    """One combined message standing in for ``logical_len`` originals.
-
-    Iteration, indexing and ``list(...)`` see the single folded message, so
-    a program's ``compute`` receives exactly what its combiner semantics
-    promise — but ``len()`` reports the *pre-combining* message count, so
-    cost models that charge per message (``VertexProgram.compute_cost``
-    defaults to ``1 + len(messages)``) account the same work whether or not
-    the transport combined.  That asymmetry is the whole point: it is what
-    keeps compute-unit timelines bit-identical across combining and
-    non-combining executors.
-    """
-
-    __slots__ = ("logical_len",)
-
-    def __init__(self, items: Iterable[Any], logical_len: int) -> None:
-        super().__init__(items)
-        self.logical_len = int(logical_len)
-
-    def __len__(self) -> int:
-        return self.logical_len
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return (CombinedMessages, (list(self), self.logical_len))
-
-    def __repr__(self) -> str:
-        return (
-            f"CombinedMessages({list.__repr__(self)}, "
-            f"logical_len={self.logical_len})"
-        )
-
-
 def combine_inbox(
-    inbox: dict[Any, Any], combiner: Callable[[Any, Any], Any] | None
-) -> dict[Any, Any]:
+    inbox: Any, combiner: Callable[[Any, Any], Any] | None
+) -> Any:
     """Fold every multi-message mailbox in ``inbox`` with ``combiner``.
 
     Returns a new inbox dict where each mailbox of ``n > 1`` messages became
@@ -122,9 +100,11 @@ def combine_inbox(
     same association order ``MessageRouter.send`` would have combined them
     in) and remembering ``n``.  Single-message mailboxes pass through
     untouched; with no combiner — or nothing to fold — the original mapping
-    is returned as-is.
+    is returned as-is, and so is a columnar inbox
+    (:class:`~repro.pregel.messages.MessageColumns`), which
+    ``MessageRouter.deliver`` already folded.
     """
-    if combiner is None:
+    if combiner is None or isinstance(inbox, MessageColumns):
         return inbox
     folded_any = False
     combined: dict[Any, Any] = {}
@@ -160,14 +140,16 @@ _TAG_INT_ARRAY = 0x0B      # homogeneous int sequence, width-packed
 _TAG_FLOAT_ARRAY = 0x0C    # homogeneous float sequence, f64-packed
 _TAG_NUM_DICT = 0x0D       # {int: float} — packed keys + packed values
 _TAG_COMBINED = 0x0E       # CombinedMessages, generic payload
-_TAG_COMBINED_NUM_DICT = 0x0F  # {int: CombinedMessages([float])} inbox
-_TAG_INT_PAIRS = 0x10      # [(int, int), ...] — two packed columns
+_TAG_COMBINED_NUM_DICT = 0x0F  # {int: [float] | CombinedMessages([float])}
+_TAG_INT_ROWS = 0x10       # [(int | bool, ...), ...] — one packed column each
 _TAG_OUTBOX = 0x11         # [((int, int), float), ...] — three columns
 _TAG_NDARRAY = 0x12        # dtype str + shape + raw buffer
 _TAG_TASK = 0x13
 _TAG_PATCH = 0x14
 _TAG_DELTA = 0x15
 _TAG_PICKLE = 0x16         # anything else
+_TAG_COLUMNS = 0x17        # MessageColumns: packed ids/counts + raw payloads
+_TAG_UPSERTS = 0x18        # {int: (float, (int, ...), bool)} — five columns
 
 
 def _int_typecodes() -> dict[int, str]:
@@ -183,6 +165,12 @@ _INT_BOUNDS = {
     size: (-(1 << (8 * size - 1)), (1 << (8 * size - 1)) - 1)
     for size in (1, 2, 4, 8)
 }
+_I64_LO, _I64_HI = _INT_BOUNDS[8]
+#: Little-endian numpy dtypes by item size — the numpy twin of ``_INT_TC``.
+_NP_INT = {1: "<i1", 2: "<i2", 4: "<i4", 8: "<i8"}
+# From this many entries up numpy packs and unpacks an int column (same
+# bytes); below, the array-module path beats the ndarray round trip.
+_NUMPY_MIN = 32
 # Width-byte flag: the column is stored as first-value + consecutive
 # differences instead of absolute values.  Vertex-id columns (inbox keys,
 # candidate lists, outbox targets) have small gaps between neighbouring
@@ -200,6 +188,11 @@ def _write_uint(out: bytearray, n: int) -> None:
         else:
             out.append(byte)
             return
+
+
+def _write_sint(out: bytearray, n: int) -> None:
+    """A signed int as a zigzag varint (arbitrary precision)."""
+    _write_uint(out, (n << 1) if n >= 0 else ((-n << 1) - 1))
 
 
 def _select_width(lo: int, hi: int) -> int | None:
@@ -229,6 +222,18 @@ def _pack_ints(values: Sequence[int], out: bytearray) -> bool:
     [packed differences]`` — which is what keeps large-graph vertex-id
     columns near one byte per entry.
     """
+    if not values:
+        out.append(1)
+        _write_uint(out, 0)
+        return True
+    if _np is not None and len(values) >= _NUMPY_MIN:
+        try:
+            column = _np.array(values, dtype=_np.int64)
+        except OverflowError:
+            pass  # bigints: only the delta form below may still fit
+        else:
+            _pack_int_column(column, out)
+            return True
     plain = _select_width(min(values), max(values))
     if len(values) > 1:
         diffs = [b - a for a, b in zip(values, values[1:])]
@@ -237,9 +242,7 @@ def _pack_ints(values: Sequence[int], out: bytearray) -> bool:
             first = values[0]
             out.append(narrow | _DELTA_FLAG)
             _write_uint(out, len(values))
-            _write_uint(
-                out, (first << 1) if first >= 0 else ((-first << 1) - 1)
-            )
+            _write_sint(out, first)
             _pack_array(_INT_TC[narrow], diffs, out)
             return True
     if plain is None:
@@ -248,6 +251,30 @@ def _pack_ints(values: Sequence[int], out: bytearray) -> bool:
     _write_uint(out, len(values))
     _pack_array(_INT_TC[plain], values, out)
     return True
+
+
+def _pack_int_column(column: Any, out: bytearray) -> None:
+    """:func:`_pack_ints` over an int64 ndarray: the same bytes, with the
+    width selection and differences computed by numpy (an empty column is
+    a plain one-byte-wide one)."""
+    count = len(column)
+    lo, hi = (int(column.min()), int(column.max())) if count else (0, 0)
+    plain = _select_width(lo, hi) or 8
+    # Differences cannot wrap while the value range fits int64; a wider
+    # range (in a column under 2**32 entries) holds a step beyond four
+    # bytes, so the plain form wins there anyway.
+    if count > 1 and hi - lo <= _I64_HI:
+        diffs = column[1:] - column[:-1]
+        narrow = _select_width(int(diffs.min()), int(diffs.max())) or 8
+        if narrow < plain:
+            out.append(narrow | _DELTA_FLAG)
+            _write_uint(out, count)
+            _write_sint(out, int(column[0]))
+            out += diffs.astype(_NP_INT[narrow]).tobytes()
+            return
+    out.append(plain)
+    _write_uint(out, count)
+    out += column.astype(_NP_INT[plain]).tobytes()
 
 
 def _pack_floats(values: Sequence[float], out: bytearray) -> None:
@@ -260,7 +287,7 @@ def _pack_floats(values: Sequence[float], out: bytearray) -> None:
 
 
 def _all_exact(items: Iterable[Any], kind: type) -> bool:
-    return all(type(item) is kind for item in items)
+    return set(map(type, items)) <= {kind}
 
 
 def _encode_sequence(
@@ -296,12 +323,26 @@ def _encode_tuple(obj: Sequence[Any], out: bytearray) -> None:
     _encode_sequence(obj, out, 1)
 
 
-def _is_combined_float(value: Any) -> bool:
-    return (
-        type(value) is CombinedMessages
-        and list.__len__(value) == 1
-        and type(value[0]) is float
-    )
+def _packed_mailbox_count(value: Any) -> int | None:
+    """The count column entry of one packed-inbox mailbox, or None.
+
+    Packable: a plain one-float list (count 1) and a
+    :class:`CombinedMessages` around one float — everything
+    :func:`combine_inbox` makes of float mailboxes.  Count 1 *means* the
+    plain list, so a ``CombinedMessages`` claiming one original is left to
+    the generic encoding: the round trip stays type-exact.
+    """
+    kind = type(value)
+    if (
+        (kind is not list and kind is not CombinedMessages)
+        or list.__len__(value) != 1
+        or type(value[0]) is not float
+    ):
+        return None
+    if kind is list:
+        return 1
+    count: int = value.logical_len
+    return None if count == 1 else count
 
 
 def _encode_dict(obj: dict[Any, Any], out: bytearray) -> None:
@@ -318,15 +359,17 @@ def _encode_dict(obj: dict[Any, Any], out: bytearray) -> None:
                     _pack_floats(values, out)
                     return
                 del out[mark:]
-            elif all(_is_combined_float(v) for v in values):
-                mark = len(out)
-                out.append(_TAG_COMBINED_NUM_DICT)
-                if _pack_ints(keys, out) and _pack_ints(
-                    [v.logical_len for v in values], out
-                ):
-                    _pack_floats([v[0] for v in values], out)
-                    return
-                del out[mark:]
+            elif _packed_mailbox_count(values[0]) is not None:
+                counts = list(map(_packed_mailbox_count, values))
+                if None not in counts:
+                    mark = len(out)
+                    out.append(_TAG_COMBINED_NUM_DICT)
+                    if _pack_ints(keys, out) and _pack_ints(
+                        cast("list[int]", counts), out
+                    ):
+                        _pack_floats([v[0] for v in values], out)
+                        return
+                    del out[mark:]
     out.append(_TAG_DICT)
     _write_uint(out, n)
     for key, value in obj.items():
@@ -334,29 +377,83 @@ def _encode_dict(obj: dict[Any, Any], out: bytearray) -> None:
         _encode(value, out)
 
 
-def _encode_int_pairs(pairs: Sequence[Any], out: bytearray) -> bool:
-    """Two-column packing for ``[(int, int), ...]``; False when shape differs."""
-    if not pairs or not all(
-        type(p) is tuple
-        and len(p) == 2
-        and type(p[0]) is int
-        and type(p[1]) is int
-        for p in pairs
+def _encode_int_rows(rows: Any, out: bytearray) -> bool:
+    """Column packing for ``[(int | bool, ...), ...]``; False when the
+    shape differs.
+
+    Every row must be a tuple of one arity and every column exactly
+    ``int`` or exactly ``bool`` — placement deltas ``(vertex, pid)`` and
+    migration proposals ``(vertex, current, desired, willing)``.  Layout:
+    ``[arity][bool-column bit mask][one int column per position]``.
+    """
+    if type(rows) is not list or set(map(type, rows)) != {tuple}:
+        return False
+    arities = set(map(len, rows))
+    if len(arities) != 1 or 0 in arities:
+        return False
+    columns = list(zip(*rows))
+    bools = 0
+    for position, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {bool}:
+            bools |= 1 << position
+        elif kinds != {int}:
+            return False
+    mark = len(out)
+    out.append(_TAG_INT_ROWS)
+    _write_uint(out, len(columns))
+    _write_uint(out, bools)
+    for column in columns:
+        if not _pack_ints(column, out):
+            del out[mark:]
+            return False
+    return True
+
+
+def _encode_upserts(upserts: dict[Any, Any], out: bytearray) -> bool:
+    """Five-column packing for a patch's ``{vertex: (value, neighbours,
+    halted)}`` with int ids, float values and int neighbour tuples:
+    ``[keys][degrees][neighbours, flattened][halted][values]``; False when
+    the shape differs."""
+    rows = list(upserts.values())
+    if (
+        not rows
+        or not _all_exact(upserts, int)
+        or set(map(type, rows)) != {tuple}
+        or set(map(len, rows)) != {3}
+    ):
+        return False
+    values, adjacency, halted = zip(*rows)
+    flat = list(chain.from_iterable(adjacency)) if _all_exact(
+        adjacency, tuple
+    ) else None
+    if (
+        flat is None
+        or not _all_exact(values, float)
+        or not _all_exact(halted, bool)
+        or not _all_exact(flat, int)
     ):
         return False
     mark = len(out)
-    out.append(_TAG_INT_PAIRS)
-    _write_uint(out, len(pairs))
-    if _pack_ints([p[0] for p in pairs], out) and _pack_ints(
-        [p[1] for p in pairs], out
+    out.append(_TAG_UPSERTS)
+    if (
+        _pack_ints(list(upserts), out)
+        and _pack_ints(list(map(len, adjacency)), out)
+        and _pack_ints(flat, out)
+        and _pack_ints(halted, out)
     ):
+        _pack_floats(values, out)
         return True
     del out[mark:]
     return False
 
 
-def _encode_outbox(entries: Sequence[Any], out: bytearray) -> None:
-    """Three-column packing for ``[((worker, target), payload), ...]``."""
+def _encode_outbox(entries: Any, out: bytearray) -> None:
+    """Three-column packing for ``[((worker, target), payload), ...]``
+    (a columnar outbox has its own tag)."""
+    if type(entries) is not list:
+        _encode(entries, out)
+        return
     if entries and all(
         type(e) is tuple
         and len(e) == 2
@@ -397,6 +494,24 @@ def _encode_ndarray(obj: Any, out: bytearray) -> None:
     out += payload
 
 
+def _encode_columns(obj: MessageColumns, out: bytearray) -> None:
+    """``[flags][targets column][payload buffer][counts column]``.
+
+    Flag bit 0: a ``counts`` column follows; bit 1: payloads are int64
+    (else float64).  Id and count columns are width-selected and
+    delta-encoded like every int column; payloads are the raw
+    little-endian buffer, ``len(targets)`` items long.
+    """
+    payloads = obj.payloads
+    integral = payloads.dtype.kind == "i"
+    out.append(_TAG_COLUMNS)
+    out.append((obj.counts is not None) | (integral << 1))
+    _pack_int_column(obj.targets, out)
+    out += payloads.astype("<i8" if integral else "<f8", copy=False).tobytes()
+    if obj.counts is not None:
+        _pack_int_column(obj.counts, out)
+
+
 def _encode_pickle(obj: Any, out: bytearray) -> None:
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     out.append(_TAG_PICKLE)
@@ -414,7 +529,7 @@ def _encode_bool(obj: bool, out: bytearray) -> None:
 
 def _encode_int(obj: int, out: bytearray) -> None:
     out.append(_TAG_INT)
-    _write_uint(out, (obj << 1) if obj >= 0 else ((-obj << 1) - 1))
+    _write_sint(out, obj)
 
 
 def _encode_float(obj: float, out: bytearray) -> None:
@@ -462,9 +577,10 @@ def _encode_task(obj: ShardTask, out: bytearray) -> None:
 
 def _encode_patch(obj: ShardPatch, out: bytearray) -> None:
     out.append(_TAG_PATCH)
-    _encode(obj.upserts, out)
+    if not _encode_upserts(obj.upserts, out):
+        _encode(obj.upserts, out)
     _encode(obj.removes, out)
-    if not _encode_int_pairs(obj.placement_delta, out):
+    if not _encode_int_rows(obj.placement_delta, out):
         _encode(obj.placement_delta, out)
 
 
@@ -478,7 +594,8 @@ def _encode_delta(obj: ShardDelta, out: bytearray) -> None:
     _encode(obj.halted_removed, out)
     _encode(obj.aggregated, out)
     _encode(obj.compute_units, out)
-    _encode(obj.proposals, out)
+    if not _encode_int_rows(obj.proposals, out):
+        _encode(obj.proposals, out)
     _encode(obj.spans, out)
     _encode(obj.batched_blocks, out)
 
@@ -495,6 +612,7 @@ _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
     dict: _encode_dict,
     set: _encode_set,
     CombinedMessages: _encode_combined,
+    MessageColumns: _encode_columns,
     ShardTask: _encode_task,
     ShardPatch: _encode_patch,
     ShardDelta: _encode_delta,
@@ -548,34 +666,81 @@ class _Reader:
                 return value
             shift += 7
 
+    def sint(self) -> int:
+        encoded = self.uint()
+        return (encoded >> 1) if not encoded & 1 else -((encoded + 1) >> 1)
 
-def _read_int_array(reader: _Reader) -> list[int]:
+
+def _read_int_header(reader: _Reader) -> tuple[int, int, int | None]:
+    """``(item size, count, first value)`` of an int column; ``first`` is
+    None for a plain column, the zigzag-coded start of a delta one."""
     spec = reader.byte()
     size = spec & ~_DELTA_FLAG
-    typecode = _INT_TC.get(size)
-    if typecode is None:
+    if size not in _INT_TC:
         raise WireError(f"bad int-array width {spec:#x}")
     count = reader.uint()
-    if spec & _DELTA_FLAG:
-        if count == 0:
-            raise WireError("empty delta-encoded int array")
-        encoded = reader.uint()
-        value = (encoded >> 1) if not encoded & 1 else -((encoded + 1) >> 1)
-        diffs = array(typecode)
-        diffs.frombytes(reader.take((count - 1) * size))
-        if _BIG_ENDIAN:  # pragma: no cover - little-endian hosts
-            diffs.byteswap()
-        items = [value]
-        append = items.append
-        for diff in diffs:
-            value += diff
-            append(value)
-        return items
+    if not spec & _DELTA_FLAG:
+        return size, count, None
+    if count == 0:
+        raise WireError("empty delta-encoded int array")
+    return size, count, reader.sint()
+
+
+def _read_int_array(reader: _Reader) -> list[int]:
+    size, count, first = _read_int_header(reader)
+    chunk = reader.take((count if first is None else count - 1) * size)
+    # numpy decodes plain columns, and delta columns whose running sum
+    # provably stays inside int64 (steps under 8 bytes cannot wrap it in
+    # one frame); everything else takes the arbitrary-precision loop.
+    if _np is not None and count >= _NUMPY_MIN and (
+        first is None or (size < 8 and _I64_LO <= first <= _I64_HI)
+    ):
+        steps = _np.frombuffer(chunk, dtype=_NP_INT[size])
+        if first is None:
+            return steps.tolist()
+        sums = _np.cumsum(steps, dtype=_np.int64)
+        if (
+            _I64_LO <= first + int(sums.min())
+            and first + int(sums.max()) <= _I64_HI
+        ):
+            sums += first
+            return [first, *sums.tolist()]
+    typecode = _INT_TC[size]
     packed = array(typecode)
-    packed.frombytes(reader.take(count * size))
+    packed.frombytes(chunk)
     if _BIG_ENDIAN:  # pragma: no cover - little-endian hosts
         packed.byteswap()
-    return packed.tolist()
+    if first is None:
+        return packed.tolist()
+    value = first
+    items = [value]
+    append = items.append
+    for diff in packed:
+        value += diff
+        append(value)
+    return items
+
+
+def _read_int_column(reader: _Reader) -> Any:
+    """One int column as an int64 ndarray (the numpy-only column tag)."""
+    size, count, first = _read_int_header(reader)
+    if first is None:
+        chunk = reader.take(count * size)
+        return _np.frombuffer(chunk, dtype=_NP_INT[size]).astype(_np.int64)
+    if not _I64_LO <= first <= _I64_HI:
+        raise WireError("int column starts beyond int64")
+    steps = _np.frombuffer(reader.take((count - 1) * size), dtype=_NP_INT[size])
+    column = _np.empty(count, dtype=_np.int64)
+    column[0] = first
+    _np.cumsum(steps, dtype=_np.int64, out=column[1:])
+    column[1:] += first
+    return column
+
+
+def _same_length(*columns: Any) -> None:
+    """Columns of one packed structure must agree; ``zip`` would truncate."""
+    if len(set(map(len, columns))) > 1:
+        raise WireError("packed columns disagree in length")
 
 
 def _read_float_array(reader: _Reader) -> list[float]:
@@ -596,8 +761,7 @@ def _decode(reader: _Reader) -> Any:
     if tag == _TAG_FALSE:
         return False
     if tag == _TAG_INT:
-        encoded = reader.uint()
-        return (encoded >> 1) if not encoded & 1 else -((encoded + 1) >> 1)
+        return reader.sint()
     if tag == _TAG_FLOAT:
         return _F64.unpack(reader.take(8))[0]
     if tag == _TAG_STR:
@@ -624,7 +788,9 @@ def _decode(reader: _Reader) -> Any:
         return items if container == 0 else tuple(items)
     if tag == _TAG_NUM_DICT:
         keys = _read_int_array(reader)
-        return dict(zip(keys, _read_float_array(reader)))
+        floats = _read_float_array(reader)
+        _same_length(keys, floats)
+        return dict(zip(keys, floats))
     if tag == _TAG_COMBINED:
         logical = reader.uint()
         items = [_decode(reader) for _ in range(reader.uint())]
@@ -633,18 +799,44 @@ def _decode(reader: _Reader) -> Any:
         keys = _read_int_array(reader)
         counts = _read_int_array(reader)
         payloads = _read_float_array(reader)
+        _same_length(keys, counts, payloads)
         return {
-            key: CombinedMessages((payload,), count)
+            key: [payload] if count == 1
+            else CombinedMessages((payload,), count)
             for key, count, payload in zip(keys, counts, payloads)
         }
-    if tag == _TAG_INT_PAIRS:
-        reader.uint()  # count (redundant with the columns, kept for sanity)
-        return list(zip(_read_int_array(reader), _read_int_array(reader)))
+    if tag == _TAG_INT_ROWS:
+        arity = reader.uint()
+        bools = reader.uint()
+        if not arity:
+            raise WireError("int rows without columns")
+        columns: list[Any] = [_read_int_array(reader) for _ in range(arity)]
+        _same_length(*columns)
+        for position in range(arity):
+            if bools >> position & 1:
+                columns[position] = map(bool, columns[position])
+        return list(zip(*columns))
+    if tag == _TAG_UPSERTS:
+        keys = _read_int_array(reader)
+        degrees = _read_int_array(reader)
+        flat = _read_int_array(reader)
+        halted = _read_int_array(reader)
+        floats = _read_float_array(reader)
+        _same_length(keys, degrees, halted, floats)
+        if sum(degrees) != len(flat) or (degrees and min(degrees) < 0):
+            raise WireError("upsert degrees disagree with the neighbour column")
+        neighbours = iter(flat)
+        return dict(zip(keys, zip(
+            floats,
+            [tuple(islice(neighbours, degree)) for degree in degrees],
+            map(bool, halted),
+        )))
     if tag == _TAG_OUTBOX:
-        reader.uint()
+        reader.uint()  # count (redundant with the columns)
         workers = _read_int_array(reader)
         targets = _read_int_array(reader)
         payloads = _read_float_array(reader)
+        _same_length(workers, targets, payloads)
         return [
             ((worker, target), payload)
             for worker, target, payload in zip(workers, targets, payloads)
@@ -654,10 +846,36 @@ def _decode(reader: _Reader) -> Any:
             raise WireError(
                 "frame contains a numpy array but numpy is not installed"
             )
-        dtype = bytes(reader.take(reader.uint())).decode("ascii")
+        spec = reader.take(reader.uint())
+        try:
+            dtype = _np.dtype(str(spec, "ascii"))
+        except (TypeError, ValueError) as exc:
+            raise WireError(f"bad ndarray dtype: {exc}") from None
         shape = tuple(reader.uint() for _ in range(reader.uint()))
         payload = reader.take(reader.uint())
-        return _np.frombuffer(bytes(payload), dtype=dtype).reshape(shape).copy()
+        if dtype.hasobject or dtype.itemsize * prod(shape) != len(payload):
+            raise WireError("ndarray shape and dtype disagree with its buffer")
+        return _np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    if tag == _TAG_COLUMNS:
+        if _np is None:
+            raise WireError(
+                "frame contains message columns but numpy is not installed"
+            )
+        flags = reader.byte()
+        if flags > 3:
+            raise WireError(f"bad message-columns flags {flags:#x}")
+        ids = _read_int_column(reader)
+        raw = _np.frombuffer(
+            reader.take(len(ids) * 8), dtype="<i8" if flags & 2 else "<f8"
+        )
+        try:
+            return MessageColumns(
+                targets=ids,
+                payloads=raw.astype(raw.dtype.newbyteorder("=")),
+                counts=_read_int_column(reader) if flags & 1 else None,
+            )
+        except ValueError as exc:  # column lengths disagree
+            raise WireError(str(exc)) from None
     if tag == _TAG_TASK:
         return ShardTask(
             superstep=_decode(reader),
@@ -711,7 +929,15 @@ def loads(payload: bytes) -> Any:
     codec = payload[0]
     if codec != CODEC_BINARY:
         raise WireError(f"unknown codec byte {codec:#x}")
-    return _decode(_Reader(memoryview(payload), 1))
+    try:
+        return _decode(_Reader(memoryview(payload), 1))
+    except WireError:
+        raise
+    except Exception as exc:
+        # Corrupt bytes can fail anywhere below — invalid UTF-8, an
+        # unhashable dict key, a pickle that does not unpickle, nesting
+        # past the recursion limit.  Callers get the one exception type.
+        raise WireError(f"undecodable frame payload: {exc!r}") from exc
 
 
 def frame(obj: Any) -> bytes:

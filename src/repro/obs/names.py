@@ -20,10 +20,14 @@ SPAN_NAMES = frozenset(
     {
         "superstep",      # one full superstep (coordinator/system lane)
         "compute",        # vertex-program sweep of one superstep or shard
+        "inbox-split",    # coordinator slicing the inbox by resident shard
         "decide",         # partitioning decision phase
         "apply-patch",    # shard applying a migration patch
         "barrier",        # superstep barrier (message + halt exchange)
         "barrier-merge",  # coordinator merging shard deltas at the barrier
+        "deliver",        # router flushing outboxes into the next inbox
+        "announce",       # applying this superstep's migration announcements
+        "patch-build",    # coordinator turning the dirty set into patches
         "arbitrate",      # migration arbitration among willing vertices
         "ingest",         # applying a graph-event batch
         "ingest-batch",   # one ingest segment inside the batch span

@@ -48,8 +48,22 @@ members (hosts without them simply never batch):
                              (or None to rebuild topology per block)
 ``batch_workers(ids)``       per-row source worker ids, or None to decline
 ``note_costs(ids, costs)``   vectorised ``note_cost`` over the block
-``note_batched_block()``     count one batched block (observability)
+``note_batched_block(v)``    count one batched block; ``v`` is the block's
+                             new values as columns, or None (see below)
 ==========================  =============================================
+
+**Columns in, columns out.**  The kernel's arrays are the message plane's
+native shape (:class:`~repro.pregel.messages.MessageColumns`), so the
+dispatcher neither unpacks nor repacks them when it does not have to.  An
+``inbox`` that arrives as columns scatters straight into the block's
+``msg_row`` / ``msg_values`` / ``msg_counts``; and when the block's vertex
+ids are all exact ``int64`` and the kernel dtype is ``float64`` / ``int64``
+under a ``sum`` / ``min`` combiner, the reduced outbox reaches
+``router.absorb_columns`` as numpy columns and the new values reach
+``note_batched_block`` as a ``MessageColumns`` — no ``tolist()`` between
+kernel and router.  Anything else (string ids, no combiner, a block that
+declines) takes the dict shapes: a columnar inbox is read through its
+lazily built ``mailboxes()`` view, outbox columns are plain lists.
 
 Known caveat, by design: the canonical reductions start sums at ``+0.0``
 and take numpy minima, so a program whose messages include ``-0.0`` or
@@ -75,7 +89,12 @@ how the blocks are split.  The host contract adds two members:
 import os
 from itertools import chain as _chain
 
-from repro.pregel.messages import min_combiner, sum_combiner
+from repro.pregel.messages import (
+    COLUMN_DTYPES,
+    MessageColumns,
+    min_combiner,
+    sum_combiner,
+)
 from repro.pregel.vertex import BlockContext, VertexContext
 from repro.utils.rng import WillingnessSource
 
@@ -102,7 +121,8 @@ def batch_kernel_enabled():
 def compute_block(host, vertex_ids, inbox, superstep):
     """Run the host's program over ``vertex_ids`` against ``inbox``.
 
-    ``inbox`` maps vertex id → message list (absent = no mail).  Halted
+    ``inbox`` maps vertex id → message list (absent = no mail), or is a
+    folded :class:`~repro.pregel.messages.MessageColumns`.  Halted
     vertices without mail are skipped unless the host is ``continuous``;
     mail wakes a halted vertex.  ``host.note_cost`` is called exactly once
     per computed vertex.  Returns the number of vertices computed.
@@ -120,6 +140,8 @@ def compute_block(host, vertex_ids, inbox, superstep):
         computed = _batched_block(host, vertex_ids, inbox, superstep)
         if computed is not None:
             return computed
+    if isinstance(inbox, MessageColumns):
+        inbox = inbox.mailboxes()  # the scalar loop reads the dict plane
     continuous = host.continuous
     halted = host.halted
     computed = 0
@@ -165,10 +187,16 @@ def _batched_block(host, vertex_ids, inbox, superstep):
     if continuous:
         row_ids = list(vertex_ids)
     else:
-        row_ids = [v for v in vertex_ids if v not in halted or inbox.get(v)]
+        if isinstance(inbox, MessageColumns):
+            has_mail = set(inbox.targets.tolist()).__contains__
+        else:
+            has_mail = inbox.get
+        row_ids = [v for v in vertex_ids if v not in halted or has_mail(v)]
     if not row_ids:
         return 0
-    block, mailed, slot_ids = _pack_block(host, row_ids, inbox, superstep, dtype)
+    block, mailed, slot_ids, ids = _pack_block(
+        host, row_ids, inbox, superstep, dtype
+    )
     if block is None:
         return None
     result = program.compute_batch(block)
@@ -176,11 +204,15 @@ def _batched_block(host, vertex_ids, inbox, superstep):
         return None  # the kernel declined (a shape it cannot reproduce)
     out = None
     if result.out is not None:
-        out = _reduce_outbox(host, row_ids, slot_ids, result.out, combiner)
+        out = _reduce_outbox(
+            host, row_ids, slot_ids, result.out, combiner,
+            ids if combiner is not None else None,
+        )
         if out is None:
             return None
     # ---- commit: from here on, mirror the scalar loop's effects ----
-    host.values.update(zip(row_ids, result.values.tolist()))
+    values = result.values
+    host.values.update(zip(row_ids, values.tolist()))
     halted.difference_update(mailed)
     halt = result.halt
     if halt is True:
@@ -195,20 +227,41 @@ def _batched_block(host, vertex_ids, inbox, superstep):
     note_costs(row_ids, costs)
     note_batched = getattr(host, "note_batched_block", None)
     if note_batched is not None:
-        note_batched()
+        n = len(row_ids)
+        columnar = (
+            ids is not None and values.dtype == dtype and values.shape == (n,)
+        )
+        note_batched(MessageColumns(ids[:n], values) if columnar else None)
     return len(row_ids)
 
 
+def _id_column(slot_ids):
+    """``slot_ids`` as an int64 array, or None unless every id is an exact
+    ``int`` that fits (labels, bools and bigints stay on the dict plane)."""
+    if set(map(type, slot_ids)) != {int}:
+        return None
+    try:
+        return _np.array(slot_ids, dtype=_np.int64)
+    except OverflowError:
+        return None
+
+
 def _pack_block(host, row_ids, inbox, superstep, dtype):
-    """Build the read-only ``(block, mailed, slot_ids)`` triple, or Nones.
+    """Build the read-only ``(block, mailed, slot_ids, ids)``, or Nones.
+
+    ``ids`` is the block's vertex ids (``slot_ids``: rows first, then
+    every non-computed neighbour) as one int64 column — what lets messages
+    and values leave as columns — or None, which keeps this block on the
+    dict shapes.
 
     Strict about types: every value and message must be exactly the Python
     scalar type the kernel dtype round-trips losslessly (``float`` for
-    ``f``-kind, non-bool ``int`` for ``i``-kind) — anything else (string
-    labels, mixed int/float values, ints beyond int64) declines, because a
-    lossy cast would leak into digests on write-back.
+    ``f``-kind, non-bool ``int`` for ``i``-kind; a columnar inbox must
+    carry exactly the kernel dtype) — anything else (string labels, mixed
+    int/float values, ints beyond int64) declines, because a lossy cast
+    would leak into digests on write-back.
     """
-    decline = (None, None, None)
+    decline = (None, None, None, None)
     if dtype.kind == "f":
         py_type = float
     elif dtype.kind == "i":
@@ -219,6 +272,73 @@ def _pack_block(host, row_ids, inbox, superstep, dtype):
     raw = [values_map[v] for v in row_ids]
     if set(map(type, raw)) - {py_type}:
         return decline
+    try:
+        values = _np.array(raw, dtype=dtype)
+    except (OverflowError, ValueError):
+        return decline
+    columnar = isinstance(inbox, MessageColumns)
+    if columnar:
+        if inbox.payloads.dtype != dtype:
+            return decline
+    else:
+        packed = _pack_mailboxes(row_ids, inbox, py_type, dtype)
+        if packed is None:
+            return decline
+    topology = _block_topology(host, row_ids)
+    if topology is None:
+        return decline
+    degrees, indptr, targets, slot_ids = topology
+    ids = _id_column(slot_ids) if dtype.name in COLUMN_DTYPES else None
+    if columnar and ids is not None:
+        packed = _scatter_columns(inbox, ids[: len(row_ids)])
+    elif columnar:
+        # A label id joined the block after this inbox was folded: read
+        # the inbox as the dict it stands for (its payload dtype was
+        # checked above, so this cannot decline).
+        packed = _pack_mailboxes(row_ids, inbox.mailboxes(), py_type, dtype)
+    mailed, counts, msg_rows, msg_values = packed
+    block = BlockContext(
+        superstep=superstep,
+        num_vertices=host.graph.num_vertices,
+        values=values,
+        degrees=degrees,
+        indptr=indptr,
+        targets=targets,
+        msg_values=msg_values,
+        msg_row=msg_rows,
+        msg_counts=counts,
+    )
+    return block, mailed, slot_ids, ids
+
+
+def _scatter_columns(inbox, row_ids):
+    """A folded columnar inbox → ``(mailed, counts, msg_rows, msg_values)``.
+
+    ``row_ids`` is the block's row-id column.  Each inbox row finds its
+    block row by binary search in the sorted row ids (targets that are not
+    rows this superstep carry no mail for this block, exactly as the dict
+    path's per-row ``inbox.get`` never sees them); messages come out
+    grouped by ascending row like the dict path's.
+    """
+    n = len(row_ids)
+    order = _np.argsort(row_ids, kind="stable")
+    sorted_ids = row_ids[order]
+    at = _np.searchsorted(sorted_ids, inbox.targets)
+    at[at == n] = 0
+    hit = sorted_ids[at] == inbox.targets
+    if not hit.all():
+        inbox = inbox.take(hit)
+        at = at[hit]
+    rows = order[at]
+    by_row = _np.argsort(rows)
+    counts = _np.zeros(n, dtype=_np.int64)
+    counts[rows] = 1 if inbox.counts is None else inbox.counts
+    return inbox.targets.tolist(), counts, rows[by_row], inbox.payloads[by_row]
+
+
+def _pack_mailboxes(row_ids, inbox, py_type, dtype):
+    """A dict inbox → ``(mailed, counts, msg_rows, msg_values)``, or None
+    when a message is not exactly the kernel's Python scalar type."""
     n = len(row_ids)
     inbox_get = inbox.get
     boxes = list(map(inbox_get, row_ids))
@@ -255,28 +375,12 @@ def _pack_block(host, row_ids, inbox, superstep, dtype):
             _np.fromiter(phys, dtype=_np.int64, count=len(phys)),
         )
     if set(map(type, msg_vals)) - {py_type}:
-        return decline
+        return None
     try:
-        values = _np.array(raw, dtype=dtype)
         msg_values = _np.array(msg_vals, dtype=dtype)
     except (OverflowError, ValueError):
-        return decline
-    topology = _block_topology(host, row_ids)
-    if topology is None:
-        return decline
-    degrees, indptr, targets, slot_ids = topology
-    block = BlockContext(
-        superstep=superstep,
-        num_vertices=host.graph.num_vertices,
-        values=values,
-        degrees=degrees,
-        indptr=indptr,
-        targets=targets,
-        msg_values=msg_values,
-        msg_row=msg_rows,
-        msg_counts=counts,
-    )
-    return block, mailed, slot_ids
+        return None
+    return mailed, counts, msg_rows, msg_values
 
 
 def _block_topology(host, row_ids):
@@ -318,7 +422,7 @@ def _block_topology(host, row_ids):
     return degrees, indptr, targets, slot_ids
 
 
-def _reduce_outbox(host, row_ids, slot_ids, out, combiner):
+def _reduce_outbox(host, row_ids, slot_ids, out, combiner, ids):
     """Reduce kernel outbox columns to router-ready unique-key columns.
 
     Folds duplicate ``(source_worker, target)`` keys with the program's
@@ -326,7 +430,9 @@ def _reduce_outbox(host, row_ids, slot_ids, out, combiner):
     context built to match the scalar loop's send order — and returns the
     keys in first-send order, so the router's outbox dict ends byte-equal
     with the scalar path's.  Returns ``(workers, targets, payloads)``
-    columns of Python scalars, or None to decline (an unplaced source).
+    columns, or None to decline (an unplaced source): numpy arrays when
+    ``ids`` (the block's int64 id column) is given and the fold kept the
+    kernel dtype, lists of Python scalars otherwise.
     """
     src, dst, payloads = out
     if not len(src):
@@ -351,12 +457,12 @@ def _reduce_outbox(host, row_ids, slot_ids, out, combiner):
         # Per-key accumulation happens in emission order from +0.0, the
         # same addition sequence the scalar combiner fold performs.
         sums = _np.bincount(codes, weights=payloads, minlength=size)
-        reduced = sums[keys].tolist()
+        reduced = sums[keys]
     elif combiner is min_combiner:
         by_key = _np.argsort(codes, kind="stable")
         bounds = _np.searchsorted(codes[by_key], occupied)
         mins = _np.minimum.reduceat(_np.asarray(payloads)[by_key], bounds)
-        reduced = mins[order].tolist()
+        reduced = mins[order]
     else:  # no combiner: per-key message lists, emission order within key
         by_key = _np.argsort(codes, kind="stable")
         splits = _np.searchsorted(codes[by_key], occupied[1:])
@@ -364,6 +470,10 @@ def _reduce_outbox(host, row_ids, slot_ids, out, combiner):
             g.tolist() for g in _np.split(_np.asarray(payloads)[by_key], splits)
         ]
         reduced = [groups[i] for i in order.tolist()]
+    if ids is not None and reduced.dtype.name in COLUMN_DTYPES:
+        return keys // stride, ids[keys % stride], reduced
+    if combiner is not None:
+        reduced = reduced.tolist()
     out_workers = (keys // stride).tolist()
     out_targets = [slot_ids[i] for i in (keys % stride).tolist()]
     return out_workers, out_targets, reduced

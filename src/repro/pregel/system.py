@@ -441,9 +441,10 @@ class PregelSystem:
         for v, c in zip(vertex_ids, costs.tolist()):
             note(v, c)
 
-    def note_batched_block(self, count=1):
-        """Observability hook: one block ran through the batched kernel."""
-        self._batched_counter.add(count)
+    def note_batched_block(self, values=None):
+        """Observability hook: one block ran through the batched kernel
+        (its values were already committed to ``self.values``)."""
+        self._batched_counter.add(1)
 
     def _compute_phase(self, inbox):
         """Run the user program; returns (computed_count, per_worker_cost)."""
@@ -625,7 +626,7 @@ class PregelSystem:
         )
         # The barrier cannot complete: all in-flight messages are lost.
         self.router.deliver()
-        self.router.pending_inbox.clear()
+        self.router.take_inbox()
         self.network.count_recovery()
         return worker
 
@@ -659,8 +660,7 @@ class PregelSystem:
             self._decision_context() if self.config.adaptive else None
         )
         self._decision_seconds = 0.0
-        inbox = dict(self.router.pending_inbox)
-        self.router.pending_inbox.clear()
+        inbox = self.router.take_inbox()
 
         phase_wall = time()
         phase_tick = perf_counter()
@@ -687,8 +687,10 @@ class PregelSystem:
         phase_wall = time()
         phase_tick = perf_counter()
         self.migration.complete_barrier()
-        self.router.deliver()  # classified against the old placement
-        announced = self._announce_migrations()
+        with tracer.span("deliver"):
+            self.router.deliver()  # classified against the old placement
+        with tracer.span("announce"):
+            announced = self._announce_migrations()
         mutations = self._apply_pending_events()
         self._refresh_capacities()
         if self.config.metrics == "recompute":

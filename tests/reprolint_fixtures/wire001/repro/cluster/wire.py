@@ -1,9 +1,11 @@
 """WIRE001 fixture: a miniature codec with deliberate gaps."""
 
 from repro.cluster.shard import ShardDelta, ShardTask
+from repro.pregel.messages import MessageColumns
 
 _TAG_TASK = 1
 _TAG_DELTA = 2
+_TAG_COLUMNS = 3
 
 
 def _encode_task(obj, out):
@@ -16,15 +18,24 @@ def _encode_delta(obj, out):
     out.append((_TAG_DELTA, obj.shard_id, obj.context))
 
 
+def _encode_columns(obj, out):
+    """Reads targets and payloads but never ``counts``."""
+    out.append((_TAG_COLUMNS, obj.targets, obj.payloads))
+
+
 _ENCODERS = {
     ShardTask: _encode_task,
     ShardDelta: _encode_delta,
+    MessageColumns: _encode_columns,
 }
 
 
 def _decode(payload):
-    """Reconstructs ShardTask without ``inbox``/``extra``; delta fully."""
+    """Reconstructs ShardTask without ``inbox``/``extra``, the record
+    without ``payloads``; delta fully."""
     tag = payload[0]
     if tag == _TAG_TASK:
         return ShardTask(superstep=payload[1])
+    if tag == _TAG_COLUMNS:
+        return MessageColumns(targets=payload[1], counts=None)
     return ShardDelta(shard_id=payload[1], context=payload[2])

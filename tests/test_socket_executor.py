@@ -105,7 +105,11 @@ class TestSocketExecutor:
             assert set(counters) >= {"init", "step", "snapshot"}
             assert all(n > 0 for n in counters.values())
 
-    def test_combining_shrinks_step_traffic(self, pool):
+    def test_combining_shrinks_step_traffic(self, pool, monkeypatch):
+        # Executor-side folding is the dict plane's job (a batched kernel's
+        # columnar inbox arrives folded at delivery), so pin the scalar loop.
+        monkeypatch.setenv("REPRO_BATCH_KERNEL", "off")
+
         class Metered(SocketExecutor):
             """Also sizes the frames the same tasks would cost unfolded."""
 

@@ -88,6 +88,10 @@ class LintConfig:
     wire_codec_name: str = "wire.py"
     wire_structs: tuple = ("ShardTask", "ShardPatch", "ShardDelta")
     wire_dispatch: str = "_ENCODERS"
+    #: Records defined outside the shard module that cross the wire under
+    #: a tag of their own, as ``(module suffix, class name)``; WIRE001
+    #: holds them to the same per-field encoder/decoder coverage.
+    wire_records: tuple = (("pregel/messages.py", "MessageColumns"),)
     #: Capability flags and the methods an honest claimant must implement
     #: (CAP001).
     capability_requirements: dict = field(

@@ -18,7 +18,11 @@ WIRE001 makes the discipline a check, cross-module and purely static:
   struct definition;
 * every non-builtin type named in a struct field annotation must either
   have its own codec tag or be pickle-fallback-safe, i.e. a *top-level*
-  class in the module it is imported from.
+  class in the module it is imported from;
+* every *wire record* — a class defined elsewhere that crosses under its
+  own tag (``MessageColumns`` in ``pregel/messages.py``) — is held to the
+  same field coverage: a dispatch entry, an encoder that reads every
+  field, a decode branch that passes every field.
 
 The whole rule runs in :meth:`WireContractRule.finalize` because it needs
 both files parsed; fixture trees exercise it with miniature shard/wire
@@ -168,15 +172,16 @@ class WireContractRule(Rule):
         }
         decode_kwargs = self._decode_constructions(codec.tree)
 
-        for struct_name in config.wire_structs:
-            struct = classes.get(struct_name)
+        def coverage(module, struct_name, struct, check_types):
+            """Field-coverage findings for one struct defined in ``module``
+            (plus the field-type findings when ``check_types``)."""
             if struct is None:
                 yield self.finding(
-                    shard, 1, 0,
+                    module, 1, 0,
                     f"declared wire struct {struct_name} not defined in "
-                    f"{shard.display}",
+                    f"{module.display}",
                 )
-                continue
+                return
             fields = _class_fields(struct)
             encoder_name = dispatch.get(struct_name)
             if encoder_name is None:
@@ -185,7 +190,7 @@ class WireContractRule(Rule):
                     f"{struct_name} has no entry in {config.wire_dispatch}; "
                     "instances would take the pickle fallback on every send",
                 )
-                continue
+                return
             encoder = funcs.get(encoder_name)
             read = (
                 self._attrs_read(encoder) if encoder is not None else set()
@@ -194,21 +199,40 @@ class WireContractRule(Rule):
             for field_name in fields:
                 if field_name not in read:
                     yield self.finding(
-                        shard, struct.lineno, struct.col_offset,
+                        module, struct.lineno, struct.col_offset,
                         f"{struct_name}.{field_name} is never read by "
                         f"{encoder_name}(); the field would be dropped on "
                         "encode",
                     )
                 if field_name not in passed:
                     yield self.finding(
-                        shard, struct.lineno, struct.col_offset,
+                        module, struct.lineno, struct.col_offset,
                         f"{struct_name}.{field_name} is not passed to the "
                         f"{struct_name}(...) reconstruction in the codec's "
                         "decode path",
                     )
-            yield from self._check_field_types(
-                shard, struct, fields, dispatch, ctx
+            if check_types:
+                yield from self._check_field_types(
+                    module, struct, fields, dispatch, ctx
+                )
+
+        for struct_name in config.wire_structs:
+            yield from coverage(
+                shard, struct_name, classes.get(struct_name), True
             )
+        for suffix, record_name in config.wire_records:
+            module = ctx.find_module(suffix)
+            if module is None:
+                continue  # outside the scanned tree; cannot verify
+            record = next(
+                (
+                    node for node in module.tree.body
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == record_name
+                ),
+                None,
+            )
+            yield from coverage(module, record_name, record, False)
 
     @staticmethod
     def _attrs_read(func):
