@@ -5,10 +5,11 @@ vertices; what gates that scale in this reproduction is how fast
 ``AdaptiveRunner.apply_events`` drains a round's events.  This bench builds
 a 1M-vertex community ring, generates one rolling-window arrival stream
 (edges arrive continuously and expire ``horizon`` seconds later), and
-ingests the identical rounds twice — ``batch_events="auto"`` (the
-:mod:`repro.core.ingest` array path) vs ``batch_events="off"`` (the
-per-event loop) — asserting the results are *identical* and the batch path
-is faster.
+ingests the identical rounds twice — through the :mod:`repro.core.ingest`
+array path the runner picks on this configuration, and through the
+per-event loop (the fallback every other configuration takes; forced here,
+bench-locally, by clearing the runner's ingestor) — asserting the results
+are *identical* and the batch path is faster.
 
 Two regimes are timed:
 
@@ -74,12 +75,13 @@ def _rounds(base_graph, window, horizon):
     return [events for _, events in batch_by_time(stream, window)], len(stream)
 
 
-def _ingest(rounds, mode):
+def _ingest(rounds, batched):
     """One full ingestion run; returns (seconds, changed, runner)."""
     graph, state = _build()
-    runner = AdaptiveRunner(
-        graph, state, AdaptiveConfig(seed=0, batch_events=mode)
-    )
+    runner = AdaptiveRunner(graph, state, AdaptiveConfig(seed=0))
+    assert runner._ingestor is not None, "the batch path must engage"
+    if not batched:
+        runner._ingestor = None  # the per-event baseline
     changed = 0
     gc.disable()
     start = time.perf_counter()
@@ -107,8 +109,8 @@ def _regime(base_graph, window, horizon):
     batch_s = loop_s = None
     batch_runner = loop_runner = None
     for _ in range(REPEATS):
-        b, b_changed, b_runner = _ingest(rounds, "auto")
-        l, l_changed, l_runner = _ingest(rounds, "off")
+        b, b_changed, b_runner = _ingest(rounds, batched=True)
+        l, l_changed, l_runner = _ingest(rounds, batched=False)
         assert b_changed == l_changed
         batch_runner, loop_runner = b_runner, l_runner
         batch_s = b if batch_s is None else min(batch_s, b)

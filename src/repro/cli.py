@@ -237,6 +237,9 @@ def _cmd_scenario(args, out):
     if args.workers is not None and args.workers < 1:
         out.write("--workers must be >= 1\n")
         return 2
+    if args.max_rounds is not None and args.max_rounds < 0:
+        out.write("--max-rounds must be >= 0\n")
+        return 2
     if args.executor == "socket" and not os.environ.get(
         "REPRO_SOCKET_WORKERS"
     ):
@@ -246,16 +249,21 @@ def _cmd_scenario(args, out):
             "`repro worker --listen host:port`)\n"
         )
         return 2
-    if args.spec is not None:
-        if args.name is not None:
-            out.write(
-                f"got both a catalog name ({args.name!r}) and --spec "
-                f"({args.spec!r}); pass one or the other\n"
-            )
-            return 2
-        scenario = load_scenario(args.spec)
-    else:
-        scenario = get_scenario(args.name)
+    if args.spec is not None and args.name is not None:
+        out.write(
+            f"got both a catalog name ({args.name!r}) and --spec "
+            f"({args.spec!r}); pass one or the other\n"
+        )
+        return 2
+    try:
+        # ValueError covers JSON/TOML decode errors and unknown names.
+        if args.spec is not None:
+            scenario = load_scenario(args.spec)
+        else:
+            scenario = get_scenario(args.name)
+    except (OSError, ValueError) as exc:
+        out.write(f"cannot load scenario: {exc}\n")
+        return 2
     if args.seed is not None:
         scenario = scaled(scenario, seed=args.seed)
     # Context-managed executor: worker processes stop on every exit path

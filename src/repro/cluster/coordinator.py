@@ -305,14 +305,6 @@ class Coordinator(PregelSystem):
         if self.config.adaptive:
             self._placement_log.append((vertex_id, new_worker))
 
-    def _place_new_vertex(self, vertex):
-        super()._place_new_vertex(vertex)
-        self._dirty.add(vertex)
-        if self.config.adaptive:
-            pid = self.state.partition_of_or_none(vertex)
-            if pid is not None:
-                self._placement_log.append((vertex, pid))
-
     def _apply_event(self, event):
         pre_neighbours = ()
         if isinstance(event, RemoveVertex) and event.vertex in self.graph:
@@ -329,13 +321,13 @@ class Coordinator(PregelSystem):
                 self._dirty.add(event.v)
         return changed
 
-    def _note_bulk_placements(self, placements):
-        super()._note_bulk_placements(placements)  # program-value init
+    def _vertices_placed(self, placements):
+        super()._vertices_placed(placements)  # program-value init
         self._dirty.update(vertex for vertex, _ in placements)
         if self.config.adaptive:
             self._placement_log.extend(placements)
 
-    def _note_bulk_edge_changes(self, us, vs, changed):
+    def _edges_changed(self, us, vs, changed):
         # The bulk edge kernel bypasses _apply_event, so the dirty marks
         # for changed endpoints (their adjacency tuples) land here.
         selectors = changed.tolist()

@@ -106,20 +106,14 @@ class IncrementalMetrics:
     # Event hooks
     # ------------------------------------------------------------------
 
-    def on_vertex_placed(self, vertex):
-        """A new vertex was added to the graph and assigned a partition."""
-        pid = self.state.partition_of_or_none(vertex)
-        if pid is not None:
-            self._loads[pid] += self.balance.load_of(self.graph, vertex)
-
     def on_vertices_placed(self, placements):
-        """Bulk :meth:`on_vertex_placed` for a batch of ``(vertex, pid)``.
+        """New vertices were added to the graph and assigned partitions.
 
-        Contract: each pid is the vertex's current assignment in the state
-        (the batched ingestion path passes the placements straight from
-        ``place_many``).  Per-bucket addition order matches the per-event
-        path — placements arrive in first-appearance order either way — so
-        even fractional user loads sum bit-identically.
+        ``placements`` holds ``(vertex, pid)`` straight from ``place_many``:
+        each pid is the vertex's current assignment in the state.  The
+        per-event and the bulk ingestion path both report through here, in
+        first-appearance order, so even fractional user loads sum
+        bit-identically.
         """
         loads = self._loads
         balance = self.balance

@@ -1,29 +1,46 @@
-"""Batched event ingestion: array-at-a-time churn application.
+"""Event ingestion: the one place graph mutations meet the partitioning.
 
-:meth:`AdaptiveRunner.apply_events` historically walked one event at a time
-— fifteen-odd Python calls per event — which capped the rolling-window
-scenarios far below the paper's "millions of users" scale.  This module is
-the bulk path it dispatches to instead (and, since the pregel engine's
-:meth:`PregelSystem._apply_pending_events` routes through the same
-ingestor, the path barrier mutations take in the distributed simulation
-too — host hooks cover the engine-specific bookkeeping: program-value
-initialisation for new endpoints, and the coordinator's dirty marks +
-placement broadcast): an
-:class:`~repro.graph.events.EventBatch` splits the round's events into runs,
-vertex events stay per-event (they touch interning, placement and neighbour
-bookkeeping), and each run of edge events becomes one vectorised job over
-the :class:`~repro.graph.compact.CompactGraph` CSR mirror:
+Both engines — :class:`~repro.core.runner.AdaptiveRunner` and
+:class:`~repro.pregel.system.PregelSystem` (and through it the sharded
+:class:`~repro.cluster.coordinator.Coordinator`) — apply stream mutations
+through this module:
 
-* endpoint ids map to slots through the sweeper's dense id → slot table
-  (one gather), new endpoints are interned and hash-placed in bulk;
+* :func:`apply_event` — what one event does to graph, state, metrics and
+  the active set; the reference semantics every configuration can take;
+* :func:`apply_events` — a round's events go to the bulk path where that
+  is provably equivalent, else through the per-event loop;
+* :class:`BatchIngestor` — the bulk path: an
+  :class:`~repro.graph.events.EventBatch` splits the round into runs,
+  vertex events stay per-event (they touch interning, placement and
+  neighbour bookkeeping), and each run of edge events becomes one
+  vectorised job over the :class:`~repro.graph.compact.CompactGraph` CSR
+  mirror.
+
+**The host contract.**  A host exposes ``graph``, ``state``, ``metrics``
+(:class:`~repro.core.incremental.IncrementalMetrics`), ``config.placement``,
+its active set ``_active``, ``_ingestor`` (:func:`make_ingestor`'s answer),
+``_apply_event(event)`` — the per-event entry, ending in
+:func:`apply_event`, a method so the coordinator can wrap it with dirty
+marks — and three notifications: ``_vertices_placed(placements)`` (the
+Pregel hosts initialise program values), ``_vertex_removed(vertex)`` (its
+value, halt flag, in-flight migration and mail go with it) and
+``_edges_changed(us, vs, changed)`` after a bulk edge run.  The derived
+arrays need no notification: the id → slot table lives in the graph and
+the partition column in the state, each written by the methods that
+change it.
+
+The edge-run kernel:
+
+* endpoint ids map to slots through the graph's dense id → slot table (one
+  gather), new endpoints are interned and hash-placed in bulk;
 * events grouped by canonical pair replay as a *toggle chain*: an edge's
   presence after any event equals that event's kind, so per-event change
   flags reduce to ``kind != previous kind`` (seeded with one vectorised
   CSR presence probe per unique pair) — no per-event graph queries;
 * only pairs whose presence actually *flips* across the run touch the
   graph (one bulk ``add_edges`` / ``remove_edges`` pass, CSR dirty regions
-  marked once) and the cut (one vectorised delta from endpoint-partition
-  arrays);
+  marked once) and the cut (one vectorised delta from the endpoints'
+  entries in the state's partition column);
 * the endpoints of every changed event re-enter the active set, exactly
   the vertices the per-event path would have re-activated one by one.
 
@@ -33,14 +50,22 @@ exists only where that is provable — compact graph, numpy present, exact
 :class:`~repro.partitioning.hashing.HashPartitioner` placement (per-vertex
 pure, so batch placement commutes) and a degree-insensitive balance policy
 (edge events then cannot move loads).  Everything else — and any batch the
-loop would abort mid-way (unknown event types, self-loop adds) — falls back
-to the per-event loop.  The golden timelines (which now exercise this path
-on the compact backend), the batch-vs-loop property suite and the
-``metrics="recompute"`` cross-check all pin the equivalence.
+loop would abort mid-way (unknown event types, self-loop adds) — takes the
+per-event loop, which is also the oracle: the test tree clears
+``_ingestor`` to pin the bulk path against it, alongside the golden
+timelines (bulk path on the compact backend) and the
+``metrics="recompute"`` cross-check.
 """
 
 from itertools import compress as _compress
 
+from repro.graph.events import (
+    AddEdge,
+    AddVertex,
+    EventBatch,
+    RemoveEdge,
+    RemoveVertex,
+)
 from repro.partitioning.hashing import HashPartitioner
 
 try:
@@ -48,10 +73,96 @@ try:
 except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
-__all__ = ["BatchIngestor", "make_ingestor"]
+__all__ = ["BatchIngestor", "apply_event", "apply_events", "make_ingestor"]
 
 
-def make_ingestor(runner):
+def apply_events(host, events):
+    """Apply ``events`` through ``host``; returns how many changed the graph.
+
+    The bulk path where the host has one and the batch is supported, the
+    per-event loop otherwise.
+    """
+    ingestor = host._ingestor
+    if ingestor is not None and events:
+        batch = EventBatch.from_events(events)
+        if not batch.unsupported:
+            return ingestor.apply(batch)
+    changed = 0
+    for event in events:
+        if host._apply_event(event):
+            changed += 1
+    return changed
+
+
+def apply_event(host, event):
+    """Apply one event to graph, state, metrics and active set.
+
+    Returns True when the graph changed.  New vertices are placed by the
+    configured placement strategy while still isolated; a removed vertex
+    leaves the state *before* the graph drops its edges (the cut count
+    needs them); every touched endpoint and neighbour re-enters the
+    active set.
+    """
+    graph = host.graph
+    state = host.state
+    metrics = host.metrics
+    active = host._active
+    if isinstance(event, AddVertex):
+        if event.vertex in graph:
+            return False
+        graph.add_vertex(event.vertex)
+        _place_new_vertices(host, [event.vertex])
+        active.add(event.vertex)
+        return True
+    if isinstance(event, RemoveVertex):
+        vertex = event.vertex
+        if vertex not in graph:
+            return False
+        neighbours = list(graph.neighbors(vertex))
+        snapshot = metrics.pre_remove_vertex(vertex)
+        state.remove_vertex(vertex)
+        graph.remove_vertex(vertex)
+        metrics.post_remove_vertex(snapshot)
+        active.discard(vertex)
+        active.update(neighbours)
+        host._vertex_removed(vertex)
+        return True
+    if isinstance(event, AddEdge):
+        u, v = event.u, event.v
+        for endpoint in (u, v):
+            if endpoint not in graph:
+                graph.add_vertex(endpoint)
+                _place_new_vertices(host, [endpoint])
+        if graph.has_edge(u, v):
+            return False
+        snapshot = metrics.pre_edge(u, v)
+        graph.add_edge(u, v)
+        state.on_edge_added(u, v)
+    elif isinstance(event, RemoveEdge):
+        u, v = event.u, event.v
+        if not graph.has_edge(u, v):
+            return False
+        snapshot = metrics.pre_edge(u, v)
+        graph.remove_edge(u, v)
+        state.on_edge_removed(u, v)
+    else:
+        raise TypeError(f"unknown graph event {event!r}")
+    metrics.post_edge(snapshot)
+    active.add(u)
+    active.add(v)
+    return True
+
+
+def _place_new_vertices(host, vertices):
+    """Streaming placement of just-added (still isolated) vertices, with
+    delta upkeep — one vertex from the per-event path, a run's worth of new
+    endpoints from the bulk path."""
+    placements = host.config.placement.place_many(host.state, vertices)
+    host.metrics.on_vertices_placed(placements)
+    host._vertices_placed(placements)
+
+
+def make_ingestor(host):
     """A :class:`BatchIngestor` when the bulk path applies, else None.
 
     The gate mirrors :func:`~repro.core.sweep.make_sweeper`'s philosophy:
@@ -61,41 +172,37 @@ def make_ingestor(runner):
     """
     if _np is None:
         return None
-    if runner.config.batch_events == "off":
-        return None
-    graph = runner.graph
+    graph = host.graph
     if not (hasattr(graph, "ensure_csr") and hasattr(graph, "slot_ids")):
         return None
-    if type(runner.config.placement) is not HashPartitioner:
+    if type(host.config.placement) is not HashPartitioner:
         return None
-    if runner.metrics.degree_sensitive:
+    if host.metrics.degree_sensitive:
         return None
-    return BatchIngestor(runner)
+    return BatchIngestor(host)
 
 
 class BatchIngestor:
-    """Applies an :class:`EventBatch` through a runner's bookkeeping stack."""
+    """Applies an :class:`EventBatch` through a host's bookkeeping stack."""
 
-    def __init__(self, runner):
-        self.runner = runner
+    def __init__(self, host):
+        self.host = host
 
     def apply(self, batch):
         """Apply every segment in order; returns the changed-event count."""
-        tracer = getattr(self.runner, "tracer", None)
+        tracer = getattr(self.host, "tracer", None)
         if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "ingest-batch", segments=len(batch.segments)
-            ):
+            with tracer.span("ingest-batch", segments=len(batch.segments)):
                 return self._apply(batch)
         return self._apply(batch)
 
     def _apply(self, batch):
-        runner = self.runner
+        apply_one = self.host._apply_event
         changed = 0
         for segment in batch.segments:
             if segment[0] == "loop":
                 for event in segment[1]:
-                    if runner._apply_one(event):
+                    if apply_one(event):
                         changed += 1
             else:
                 _, kinds, us, vs = segment
@@ -118,18 +225,33 @@ class BatchIngestor:
         return arr.astype(_np.int64, copy=False)
 
     def _slots_of(self, ids):
-        """Slot array for a list of vertex ids (−1 for absent ids)."""
-        sweeper = self.runner._sweeper
-        if sweeper is not None:
-            arr = self._as_int_array(ids)
-            if arr is not None:
-                slots = sweeper.lookup_slots(arr)
-                if slots is not None:
-                    return slots
-        index = self.runner.graph.slot_index
-        return _np.fromiter(
-            (index.get(v, -1) for v in ids), _np.int64, count=len(ids)
-        )
+        """Slot array for a list of vertex ids (−1 for absent ids).
+
+        Int ids map through the graph's dense id table in one gather while
+        it lives — probed ids may not be interned yet, so out-of-table ids
+        resolve to −1 instead of faulting; anything else takes one dict
+        lookup per id.
+        """
+        graph = self.host.graph
+        table = graph.id_table()
+        arr = None if table is None else self._as_int_array(ids)
+        if arr is None:
+            index = graph.slot_index
+            return _np.fromiter(
+                (index.get(v, -1) for v in ids), _np.int64, count=len(ids)
+            )
+        lookup = _np.frombuffer(table, dtype=_np.int64)
+        if len(arr) and 0 <= int(arr.min()) and int(arr.max()) < len(lookup):
+            return lookup[arr]
+        inside = (arr >= 0) & (arr < len(lookup))
+        slots = _np.full(len(arr), -1, dtype=_np.int64)
+        slots[inside] = lookup[arr[inside]]
+        return slots
+
+    def _partitions_of(self, slots):
+        """Partition ids (−1 = unassigned) of a slot array, as a copy."""
+        column = self.host.state.partition_column()
+        return _np.frombuffer(column, dtype=_np.int64)[slots]
 
     def _intern_new_endpoints(self, kinds_arr, us, vs, su, sv):
         """Create + place endpoints that add events reference for the first
@@ -139,7 +261,7 @@ class BatchIngestor:
         simply stays absent (slot −1) and every event touching it is a
         no-op, as in the per-event path.  Returns refreshed slot arrays.
         """
-        runner = self.runner
+        host = self.host
         missing_u = su < 0
         missing_v = sv < 0
         add_missing = _np.flatnonzero(kinds_arr & (missing_u | missing_v))
@@ -158,17 +280,10 @@ class BatchIngestor:
                 if v not in seen:
                     seen.add(v)
                     new_ids.append(v)
-        graph = runner.graph
-        graph.add_vertices(new_ids)
+        host.graph.add_vertices(new_ids)
         # Placement before any edge lands: each new vertex is placed while
         # isolated, exactly when the per-event path would have placed it.
-        placements = runner.config.placement.place_many(runner.state, new_ids)
-        runner.metrics.on_vertices_placed(placements)
-        if runner._sweeper is not None:
-            runner._sweeper.note_assign_many(placements)
-        # Host hook: the Pregel hosts initialise program values here (and
-        # the sharded coordinator its dirty set + placement broadcast).
-        runner._note_bulk_placements(placements)
+        _place_new_vertices(host, new_ids)
         return self._slots_of(us), self._slots_of(vs)
 
     # ------------------------------------------------------------------
@@ -186,7 +301,7 @@ class BatchIngestor:
         would drag the sweeper's per-round cost into the ingestion hot
         path, so per-pair adjacency lookups win instead.
         """
-        graph = self.runner.graph
+        graph = self.host.graph
         m = len(lo)
         if graph.dirty_slot_count * 4 <= m:
             return self._present0_csr(lo, hi, m)
@@ -204,7 +319,7 @@ class BatchIngestor:
     def _present0_csr(self, lo, hi, m):
         """Vectorised presence probe: gather each pair's smaller-degree
         endpoint's CSR block and scan it for the other endpoint."""
-        graph = self.runner.graph
+        graph = self.host.graph
         starts_a, lens_a, indices_a = graph.ensure_csr()
         starts = _np.frombuffer(starts_a, dtype=_np.int64)
         lens = _np.frombuffer(lens_a, dtype=_np.int64)
@@ -245,8 +360,8 @@ class BatchIngestor:
         added and expired inside one buffered round therefore costs one
         probe, not two mutations.
         """
-        runner = self.runner
-        graph = runner.graph
+        host = self.host
+        graph = host.graph
         n = len(kinds)
         kinds_arr = _np.fromiter(kinds, _np.bool_, count=n)
         su = self._slots_of(us)
@@ -307,14 +422,9 @@ class BatchIngestor:
             slots_u = _np.concatenate(cut_su)
             slots_v = _np.concatenate(cut_sv)
             signs = _np.concatenate(cut_sign)
-            sweeper = runner._sweeper
-            if sweeper is not None:
-                pid_u = sweeper.assignment_of_slots(slots_u)
-                pid_v = sweeper.assignment_of_slots(slots_v)
-            else:
-                pid_u = self._pids_from_state(slots_u)
-                pid_v = self._pids_from_state(slots_v)
-            runner.metrics.apply_edge_flips(pid_u, pid_v, signs)
+            host.metrics.apply_edge_flips(
+                self._partitions_of(slots_u), self._partitions_of(slots_v), signs
+            )
 
         total_changed = int(changed.sum())
         if total_changed:
@@ -325,19 +435,19 @@ class BatchIngestor:
             # before-stepping regime — the update cannot change membership
             # and is skipped wholesale (the active set only ever holds live
             # vertices, so length equality is set equality).
-            active = runner._active
+            active = host._active
             if len(active) != graph.num_vertices:
                 selectors = changed.tolist()
                 active.update(_compress(us, selectors))
                 active.update(_compress(vs, selectors))
             # Host hook: the sharded coordinator marks changed endpoints
             # dirty so shard adjacency mirrors stay current.
-            runner._note_bulk_edge_changes(us, vs, changed)
+            host._edges_changed(us, vs, changed)
         return total_changed
 
     def _apply_singles(self, us, vs, spos, s_kind):
         """Apply single-event pairs through the flag-returning bulk ops."""
-        graph = self.runner.graph
+        graph = self.host.graph
         changed = _np.empty(len(spos), dtype=bool)
         add_pos = spos[s_kind].tolist()
         if add_pos:
@@ -359,7 +469,7 @@ class BatchIngestor:
     def _apply_multis(self, multis, starts, gsize, k_s, lo, hi, order, orig,
                       changed, cut_su, cut_sv, cut_sign):
         """Toggle-chain replay of pairs touched by several events."""
-        graph = self.runner.graph
+        graph = self.host.graph
         mstarts = starts[multis]
         msizes = gsize[multis]
         total = int(msizes.sum())
@@ -407,13 +517,3 @@ class BatchIngestor:
                     map(id_of, f_hi[drop].tolist()),
                 )
             )
-
-    def _pids_from_state(self, slots):
-        """Endpoint partitions straight from the state (no sweeper mirror)."""
-        ids = self.runner.graph.slot_ids
-        get = self.runner.state.partition_of_or_none
-        out = _np.empty(len(slots), dtype=_np.int64)
-        for i, s in enumerate(slots.tolist()):
-            pid = get(ids[s])
-            out[i] = -1 if pid is None else pid
-        return out

@@ -7,8 +7,9 @@ iteration* state (decisions in a round never see each other), willingness
 all admitted moves apply together at the end of the round.
 
 The runner is also the adaptation entry point: :meth:`apply_events` feeds
-graph mutations (from any :mod:`repro.graph.stream` source), which
-re-activate the affected vertices and reset the convergence window, after
+graph mutations (from any :mod:`repro.graph.stream` source) through
+:mod:`repro.core.ingest` — the event applier both engines share — which
+re-activates the affected vertices; the convergence window resets, after
 which stepping resumes — the paper's "background algorithm" behaviour
 without the distributed machinery (that lives in :mod:`repro.pregel`).
 Cut, sizes and per-partition loads are maintained as deltas by
@@ -34,7 +35,8 @@ heuristic, per-vertex decisions are produced by the vectorised
 :class:`~repro.core.sweep.CompactSweeper` instead of per-vertex histogram
 dicts; the round semantics (candidate order, RNG stream, tie-breaks, quota
 contention) are bit-for-bit identical to the per-vertex path, which the
-cross-backend equivalence suite pins.
+cross-backend equivalence suite pins.  The arrays it reads belong to the
+graph and the state, so the runner has nothing to keep in sync.
 """
 
 from dataclasses import dataclass, field
@@ -44,16 +46,9 @@ from repro.core.capacity import QuotaTable
 from repro.core.convergence import PAPER_QUIET_WINDOW, ConvergenceDetector
 from repro.core.heuristic import GreedyMaxNeighbours, MigrationHeuristic, make_heuristic
 from repro.core.incremental import IncrementalMetrics
-from repro.core.ingest import make_ingestor
+from repro.core.ingest import apply_event, apply_events, make_ingestor
 from repro.core.metrics import IterationStats, Timeline
 from repro.core.sweep import generic_decisions, make_sweeper, sort_vertices
-from repro.graph.events import (
-    AddEdge,
-    AddVertex,
-    EventBatch,
-    RemoveEdge,
-    RemoveVertex,
-)
 from repro.partitioning.hashing import HashPartitioner
 from repro.utils import make_rng
 
@@ -78,14 +73,6 @@ class AdaptiveConfig:
     round and raises on drift — the debug cross-check, and the baseline the
     scenario benchmark measures the incremental engine against.  The two
     modes produce bit-identical timelines (property-tested).
-
-    ``batch_events`` controls the bulk ingestion path of
-    :meth:`AdaptiveRunner.apply_events`: ``"auto"`` (default) applies event
-    batches array-at-a-time where that is provably equivalent to the
-    per-event loop (compact graph, numpy, hash placement,
-    degree-insensitive balance — see :mod:`repro.core.ingest`); ``"off"``
-    forces the per-event loop everywhere, which is also the baseline the
-    scale benchmark measures the batch path against.
     """
 
     willingness: float = DEFAULT_WILLINGNESS
@@ -96,7 +83,6 @@ class AdaptiveConfig:
     placement: object = field(default_factory=HashPartitioner)
     track_active: bool = True
     metrics: str = "incremental"
-    batch_events: str = "auto"
 
     def __post_init__(self):
         if not 0.0 <= self.willingness <= 1.0:
@@ -107,8 +93,6 @@ class AdaptiveConfig:
             raise TypeError("heuristic must be a MigrationHeuristic or name")
         if self.metrics not in ("incremental", "recompute"):
             raise ValueError('metrics must be "incremental" or "recompute"')
-        if self.batch_events not in ("auto", "off"):
-            raise ValueError('batch_events must be "auto" or "off"')
 
 
 class AdaptiveRunner:
@@ -127,7 +111,9 @@ class AdaptiveRunner:
         self._last_remaining = None  # capacity trigger (uses_capacity)
         self._sweeper = make_sweeper(graph, state, self.config.heuristic)
         if self._sweeper is not None:
-            self._sweeper.warm()  # build the CSR mirror off the hot path
+            # Build the CSR mirror and the id table off the hot path.
+            graph.ensure_csr()
+            graph.id_table()
         self.metrics = IncrementalMetrics(graph, state, self.config.balance)
         self._ingestor = make_ingestor(self)
         self._refresh_capacities()
@@ -189,15 +175,9 @@ class AdaptiveRunner:
     def _activate_all(self):
         self._active = set(self.graph.vertices())
 
-    def _activate(self, vertex):
-        if vertex in self.graph:
-            self._active.add(vertex)
-
     def _activate_neighbourhood(self, vertex):
-        self._activate(vertex)
-        if vertex in self.graph:
-            for w in self.graph.neighbors(vertex):
-                self._active.add(w)
+        self._active.add(vertex)
+        self._active.update(self.graph.neighbors(vertex))
 
     @property
     def active_count(self):
@@ -340,26 +320,16 @@ class AdaptiveRunner:
         recompute happens unless ``metrics="recompute"`` asks for the debug
         cross-check.
 
-        Where the batched path applies (see
-        :class:`AdaptiveConfig.batch_events` and :mod:`repro.core.ingest`),
+        Where the batched path applies (see :mod:`repro.core.ingest`),
         runs of edge events are applied array-at-a-time with bit-identical
-        results; anything the bulk path cannot reproduce exactly falls back
-        to the per-event loop below.
+        results; anything the bulk path cannot reproduce exactly takes the
+        per-event loop.
 
         Returns the number of events that changed the graph.
         """
         if not isinstance(events, list):
             events = list(events)
-        changed = None
-        if self._ingestor is not None and events:
-            batch = EventBatch.from_events(events)
-            if not batch.unsupported:
-                changed = self._ingestor.apply(batch)
-        if changed is None:
-            changed = 0
-            for event in events:
-                if self._apply_one(event):
-                    changed += 1
+        changed = apply_events(self, events)
         if changed:
             self.detector.reset()
             self._refresh_capacities()
@@ -367,77 +337,20 @@ class AdaptiveRunner:
                 self.metrics.cross_check()
         return changed
 
-    def _place_new_vertex(self, vertex):
-        """Streaming placement of a just-added vertex, with delta upkeep."""
-        state = self.state
-        self.config.placement.place(state, vertex)
-        self.metrics.on_vertex_placed(vertex)
-        if self._sweeper is not None:
-            pid = state.partition_of_or_none(vertex)
-            if pid is not None:
-                self._sweeper.note_assign(vertex, pid)
+    # The ingest host contract (see repro.core.ingest); the runner keeps no
+    # per-vertex state of its own, so the notifications are no-ops.
 
-    def _note_bulk_placements(self, placements):
-        """Bulk-ingestion hook: new endpoints interned + placed in bulk.
+    def _apply_event(self, event):
+        return apply_event(self, event)
 
-        The runner's bookkeeping is already handled inside the kernel; the
-        Pregel hosts override this to initialise program values (and, in
-        the sharded coordinator, dirty marks + the placement broadcast).
-        """
+    def _vertices_placed(self, placements):
+        """Ingest hook: new vertices were interned and placed."""
 
-    def _note_bulk_edge_changes(self, us, vs, changed):
-        """Bulk-ingestion hook: one edge run applied, ``changed`` flags it."""
+    def _vertex_removed(self, vertex):
+        """Ingest hook: ``vertex`` left the graph and the state."""
 
-    def _apply_one(self, event):
-        graph = self.graph
-        state = self.state
-        metrics = self.metrics
-        if isinstance(event, AddVertex):
-            if event.vertex in graph:
-                return False
-            graph.add_vertex(event.vertex)
-            self._place_new_vertex(event.vertex)
-            self._activate(event.vertex)
-            return True
-        if isinstance(event, RemoveVertex):
-            if event.vertex not in graph:
-                return False
-            neighbours = list(graph.neighbors(event.vertex))
-            snapshot = metrics.pre_remove_vertex(event.vertex)
-            state.remove_vertex(event.vertex)  # before edges disappear
-            if self._sweeper is not None:
-                self._sweeper.note_remove(event.vertex)
-            graph.remove_vertex(event.vertex)
-            metrics.post_remove_vertex(snapshot)
-            self._active.discard(event.vertex)
-            for w in neighbours:
-                self._activate(w)
-            return True
-        if isinstance(event, AddEdge):
-            for endpoint in (event.u, event.v):
-                if endpoint not in graph:
-                    graph.add_vertex(endpoint)
-                    self._place_new_vertex(endpoint)
-            if graph.has_edge(event.u, event.v):
-                return False
-            snapshot = metrics.pre_edge(event.u, event.v)
-            graph.add_edge(event.u, event.v)
-            state.on_edge_added(event.u, event.v)
-            metrics.post_edge(snapshot)
-            self._activate(event.u)
-            self._activate(event.v)
-            return True
-        if isinstance(event, RemoveEdge):
-            if not graph.has_edge(event.u, event.v):
-                return False
-            snapshot = metrics.pre_edge(event.u, event.v)
-            graph.remove_edge(event.u, event.v)
-            state.on_edge_removed(event.u, event.v)
-            metrics.post_edge(snapshot)
-            self._activate(event.u)
-            self._activate(event.v)
-            return True
-        raise TypeError(f"unknown graph event {event!r}")
+    def _edges_changed(self, us, vs, changed):
+        """Ingest hook: one bulk edge run applied; ``changed`` flags it."""
 
 
 def run_to_convergence(graph, state, config=None, max_iterations=10000):

@@ -7,10 +7,10 @@ On the adjacency-set backend that allocates a fresh dict per vertex per
 round; :class:`CompactSweeper` replaces it with one vectorised pass over the
 :class:`~repro.graph.compact.CompactGraph` CSR mirror:
 
-* the partition assignment is mirrored as one flat integer array indexed by
-  vertex slot (resynced from :class:`~repro.partitioning.base.PartitionState`
-  only when its version counter says moves happened that the sweeper did not
-  witness);
+* the partition assignment is read as one flat integer array indexed by
+  vertex slot — the partition column its owner,
+  :class:`~repro.partitioning.base.PartitionState`, writes on every
+  assignment change, so the sweeper holds no copy that could go stale;
 * neighbour-partition counts for *all* candidates accumulate into a single
   ``(candidates × partitions)`` count buffer via one ``bincount`` — no
   per-vertex allocation;
@@ -95,7 +95,13 @@ def make_sweeper(graph, state, heuristic):
 
 
 class CompactSweeper:
-    """Batch greedy decisions over a compact graph + partition state."""
+    """Batch greedy decisions over a compact graph + partition state.
+
+    Holds no arrays of its own: every pass takes transient numpy views of
+    the graph's CSR mirror and id table and of the state's partition
+    column, and drops them before returning (see the view-lifetime rule
+    in ``docs/architecture.md``).
+    """
 
     @staticmethod
     def supports(graph, heuristic):
@@ -110,382 +116,27 @@ class CompactSweeper:
     def __init__(self, graph, state):
         self.graph = graph
         self.state = state
-        self._assign = None
-        self._synced_version = None
-        self._id_lookup = None  # dense id -> slot table (int ids only)
-        self._id_lookup_version = None
-        self._id_lookup_rebuilds = 0  # observability: streaming churn tests
-        self._id_lookup_dict_path = False  # sticky "use the dict path" flag
-        self._id_lookup_pending = None  # anticipated removal awaiting proof
 
-    # ------------------------------------------------------------------
-    # Assignment mirror
-    # ------------------------------------------------------------------
-
-    def warm(self):
-        """Build the CSR mirror, assignment array and id table eagerly.
-
-        Called at runner construction so neither the first iteration nor
-        the first ingested batch pays a one-time build cost; cheap when
-        already warm.
-        """
-        self.graph.ensure_csr()
-        if self._stale():
-            self._resync()
-        self._confirm_pending_removal()
-        if self._id_lookup_version != self.graph.intern_version:
-            self._rebuild_id_lookup()
-
-    def _resync(self):
-        """Rebuild the slot-indexed assignment array from the state."""
-        assign = _np.full(self.graph.num_slots, -1, dtype=_np.int64)
-        index = self.graph.slot_index
-        for v, pid in self.state.assignment_items():
-            slot = index.get(v)
-            if slot is not None:
-                assign[slot] = pid
-        self._assign = assign
-        self._synced_version = self.state.version
-
-    def note_move(self, vertex, pid):
-        """Record a move the caller just applied to the state.
-
-        Fast-forwards the mirror only when this move is the *sole* change
-        since the last sync (version advanced by exactly one) and the slot
-        is writable; anything else leaves the mirror stale so the next
-        batch pass resyncs fully — stamping the current version here would
-        mask unwitnessed state changes and silently corrupt cut deltas.
-        """
-        if self._assign is None:
-            return
-        state_version = self.state.version
-        slot = self.graph.slot_index.get(vertex)
-        if (
-            slot is not None
-            and slot < len(self._assign)
-            and self._synced_version == state_version - 1
-        ):
-            self._assign[slot] = pid
-            self._synced_version = state_version
-
-    def note_assign(self, vertex, pid):
-        """Record a streaming placement (new vertex) just applied to the state.
-
-        Same contract as :meth:`note_move`: fast-forwards only when this
-        assignment is the sole change since the last sync.  The mirror grows
-        geometrically when the new vertex's slot lies beyond it, so long
-        growth scenarios stay amortised O(1) per arrival instead of paying
-        an O(|V|) resync on the next sweep.  The dense id → slot lookup
-        table is delta-extended here too (its own contract, keyed on the
-        graph's intern version rather than the state's move version).
-        """
-        self._note_intern_assign(vertex)
-        if self._assign is None:
-            return
-        state_version = self.state.version
-        if self._synced_version != state_version - 1:
-            return
-        slot = self.graph.slot_index.get(vertex)
-        if slot is None:
-            return
-        if slot >= len(self._assign):
-            self._assign = _grown(
-                self._assign, max(slot + 1, 2 * len(self._assign)), -1
-            )
-        self._assign[slot] = pid
-        self._synced_version = state_version
-
-    def note_assign_many(self, placements):
-        """Bulk :meth:`note_assign` for a batch of streaming placements.
-
-        Contract: the ``n`` placements are the *only* assignment changes
-        since the mirror's last sync (state version advanced by exactly
-        ``n``) and the *only* interns since the id-table's last sync — the
-        shape the batched ingestion path produces by placing every new
-        endpoint through one ``place_many`` call.  Anything else leaves the
-        structures stale for the next query's full resync, exactly like the
-        single-event hooks.
-        """
-        n = len(placements)
-        if n == 0:
-            return
-        if n == 1:
-            self.note_assign(*placements[0])
-            return
-        self._note_intern_assign_many(placements)
-        if self._assign is None:
-            return
-        state_version = self.state.version
-        if self._synced_version != state_version - n:
-            return
-        index = self.graph.slot_index
-        slots = []
-        for vertex, _ in placements:
-            slot = index.get(vertex)
-            if slot is None:
-                return  # contract violation: stay stale, resync on next pass
-            slots.append(slot)
-        assign = self._assign
-        top = max(slots)
-        if top >= len(assign):
-            self._assign = assign = _grown(
-                assign, max(top + 1, 2 * len(assign)), -1
-            )
-        assign[_np.fromiter(slots, _np.int64, count=n)] = _np.fromiter(
-            (pid for _, pid in placements), _np.int64, count=n
-        )
-        self._synced_version = state_version
-
-    def note_remove(self, vertex):
-        """Record a vertex removal from the state.
-
-        Must be called after ``state.remove_vertex`` but *before* the graph
-        drops the vertex (the slot lookup still needs it).  Fast-forwards
-        under the same sole-change contract as :meth:`note_move`; the dense
-        id → slot table retires the vertex's entry in advance of the
-        interning bump the caller is about to make.
-        """
-        self._note_intern_remove(vertex)
-        if self._assign is None:
-            return
-        state_version = self.state.version
-        if self._synced_version != state_version - 1:
-            return
-        slot = self.graph.slot_index.get(vertex)
-        if slot is None or slot >= len(self._assign):
-            return  # left stale: the next batch pass resyncs fully
-        self._assign[slot] = -1
-        self._synced_version = state_version
-
-    def _stale(self):
-        return (
-            self._assign is None
-            or self._synced_version != self.state.version
-            or len(self._assign) < self.graph.num_slots
-        )
-
-    def _rebuild_id_lookup(self):
-        """From-scratch O(|V|) build of the dense id → slot table.
-
-        Chooses the dict path (``_id_lookup = None``) when ids are not all
-        modest non-negative ints; the cap at 4× the vertex count keeps
-        sparse id spaces from exploding memory.  The delta hooks
-        (:meth:`_note_intern_assign` / :meth:`_note_intern_remove`) keep
-        either decision current under streaming churn, so this runs once —
-        ``_id_lookup_rebuilds`` counts it, and the churn regression test
-        pins that it stays at one.
-        """
-        graph = self.graph
-        self._id_lookup_rebuilds += 1
-        self._id_lookup = None
-        self._id_lookup_dict_path = True
-        self._id_lookup_pending = None
-        self._id_lookup_version = graph.intern_version
-        ids = graph.slot_index
-        if ids:
-            top = -1
-            for v in ids:
-                if type(v) is not int or v < 0:
-                    top = None
-                    break
-                if v > top:
-                    top = v
-            if top is not None and top < 4 * len(ids) + 1024:
-                lookup = _np.full(top + 1, -1, dtype=_np.int64)
-                for v, slot in ids.items():
-                    lookup[v] = slot
-                self._id_lookup = lookup
-                self._id_lookup_dict_path = False
-        else:
-            self._id_lookup = _np.full(1, -1, dtype=_np.int64)
-            self._id_lookup_dict_path = False
-
-    def _note_intern_assign(self, vertex):
-        """Delta-extend the id → slot table for a just-interned vertex.
-
-        Same sole-change contract as the assignment mirror, keyed on the
-        graph's ``intern_version``: fast-forward only when this interning is
-        the only one since the table was last in sync; anything else leaves
-        the table stale for the next query's full rebuild.
-        """
-        graph = self.graph
-        version = graph.intern_version
-        if self._id_lookup_version != version - 1:
-            return
-        if self._id_lookup_dict_path:
-            self._id_lookup_version = version  # dict path needs no upkeep
-            return
-        lookup = self._id_lookup
-        if lookup is None:
-            return  # never built: the first query builds from scratch
-        if type(vertex) is not int or vertex < 0:
-            # A non-int id ends table eligibility; fall to the dict path.
-            self._id_lookup = None
-            self._id_lookup_dict_path = True
-            self._id_lookup_version = version
-            return
-        slot = graph.slot_index.get(vertex)
-        if slot is None:
-            return  # contract violation: stay stale, rebuild on next query
-        if vertex >= len(lookup):
-            if vertex >= 4 * graph.num_vertices + 1024:
-                # Id space went sparse; the dict path is the right regime.
-                self._id_lookup = None
-                self._id_lookup_dict_path = True
-                self._id_lookup_version = version
-                return
-            self._id_lookup = lookup = _grown(
-                lookup, max(vertex + 1, 2 * len(lookup)), -1
-            )
-        lookup[vertex] = slot
-        self._id_lookup_version = version
-
-    def _note_intern_assign_many(self, placements):
-        """Bulk :meth:`_note_intern_assign` under the batch contract.
-
-        Fast-forwards the dense id → slot table only when these ``n``
-        interns are the only ones since the table's last sync; a non-int or
-        out-of-regime id flips to the dict path just like the single hook.
-        """
-        graph = self.graph
-        version = graph.intern_version
-        n = len(placements)
-        if self._id_lookup_version != version - n:
-            return
-        if self._id_lookup_dict_path:
-            self._id_lookup_version = version  # dict path needs no upkeep
-            return
-        lookup = self._id_lookup
-        if lookup is None:
-            return  # never built: the first query builds from scratch
-        index = graph.slot_index
-        limit = 4 * graph.num_vertices + 1024
-        top = len(lookup) - 1
-        slots = []
-        for vertex, _ in placements:
-            if type(vertex) is not int or vertex < 0 or vertex >= limit:
-                # Table regime over (non-int id or sparse id space): the
-                # dict path is the right home from here on.
-                self._id_lookup = None
-                self._id_lookup_dict_path = True
-                self._id_lookup_version = version
-                return
-            slot = index.get(vertex)
-            if slot is None:
-                return  # contract violation: stay stale, rebuild on query
-            slots.append(slot)
-            if vertex > top:
-                top = vertex
-        if top >= len(lookup):
-            self._id_lookup = lookup = _grown(
-                lookup, max(top + 1, 2 * len(lookup)), -1
-            )
-        ids = _np.fromiter((v for v, _ in placements), _np.int64, count=n)
-        lookup[ids] = _np.fromiter(slots, _np.int64, count=n)
-        self._id_lookup_version = version
-
-    def _note_intern_remove(self, vertex):
-        """Delta-retire a vertex's table entry ahead of its un-interning.
-
-        Called (via :meth:`note_remove`) *before* the graph drops the
-        vertex, so the anticipated ``intern_version`` bump is credited in
-        advance.  The credit is provisional: the vertex is remembered in
-        ``_id_lookup_pending``, and the next query refuses to trust the
-        table until it confirms the vertex really left the intern index —
-        a caller that aborts mid-removal therefore costs one rebuild, never
-        a wrong answer.
-        """
-        version = self.graph.intern_version
-        if self._id_lookup_version != version:
-            return  # already stale; the next query rebuilds anyway
-        if not self._confirm_pending_removal():
-            return  # an earlier anticipation never landed: now stale
-        if self._id_lookup_dict_path:
-            self._id_lookup_version = version + 1
-            self._id_lookup_pending = vertex
-            return
-        lookup = self._id_lookup
-        if lookup is None:
-            return
-        if type(vertex) is int and 0 <= vertex < len(lookup):
-            lookup[vertex] = -1
-            self._id_lookup_version = version + 1
-            self._id_lookup_pending = vertex
-        else:  # out-of-table id with a live table: force a rebuild
-            self._id_lookup_version = None
-
-    def _confirm_pending_removal(self):
-        """Settle an outstanding anticipated removal; False when it failed.
-
-        An anticipated removal may only be trusted once the vertex is
-        confirmed gone from the intern index: a caller that aborted after
-        ``note_remove`` left the table holding a wrong ``-1`` under a
-        "synced" version.  Confirmation runs before every query and before
-        accepting a *new* anticipation (never overwrite an unconfirmed
-        one — a later coincidental version match must not launder it).
-        On failure the table is marked stale, so the cost is one rebuild,
-        never a wrong answer.
-        """
-        vertex = self._id_lookup_pending
-        if vertex is None:
-            return True
-        self._id_lookup_pending = None
-        if vertex in self.graph.slot_index:
-            self._id_lookup_version = None  # abort detected: force rebuild
-            return False
-        return True
-
-    def lookup_slots(self, ids):
-        """Slot array for an int64 id array; −1 for absent ids.
-
-        Unlike :meth:`_candidate_slots` (whose candidates are always live
-        vertices), the batched ingestion path probes ids that may not be
-        interned yet, so out-of-table ids resolve to −1 instead of
-        faulting.  Returns None when the dense table doesn't apply (non-int
-        id space) — callers then fall back to dict lookups.
-        """
-        self._confirm_pending_removal()
-        if self._id_lookup_version != self.graph.intern_version:
-            self._rebuild_id_lookup()
-        lookup = self._id_lookup
-        if lookup is None:
-            return None
-        if len(ids) and 0 <= int(ids.min()) and int(ids.max()) < len(lookup):
-            return lookup[ids]
-        inside = (ids >= 0) & (ids < len(lookup))
-        slots = _np.full(len(ids), -1, dtype=_np.int64)
-        slots[inside] = lookup[ids[inside]]
-        return slots
-
-    def assignment_of_slots(self, slots):
-        """Partition ids (−1 = unassigned) of a slot array, via the mirror."""
-        if self._stale():
-            self._resync()
-        return self._assign[slots]
+    def _column(self):
+        return _np.frombuffer(self.state.partition_column(), dtype=_np.int64)
 
     def _candidate_slots(self, candidates):
         """Vectorised id → slot mapping for the candidate list.
 
-        When every vertex id is a modest non-negative int (the common case:
-        generators and edge lists produce dense ints) a flat lookup table
-        maps the whole candidate array in one gather; otherwise fall back to
-        one dict lookup per candidate.  The table is delta-maintained from
-        :meth:`note_assign` / :meth:`note_remove`, so interning churn does
-        not trigger O(|V|) rebuilds.
+        While the graph keeps its dense id table (modest non-negative int
+        ids — what generators and edge lists produce) the whole candidate
+        array maps in one gather; otherwise one dict lookup per candidate.
+        Candidates are always live vertices, so no entry is −1.
         """
-        self._confirm_pending_removal()
-        if self._id_lookup_version != self.graph.intern_version:
-            self._rebuild_id_lookup()
-        if self._id_lookup is not None:
-            return self._id_lookup[_np.asarray(candidates, dtype=_np.int64)]
+        table = self.graph.id_table()
+        if table is not None:
+            return _np.frombuffer(table, dtype=_np.int64)[
+                _np.asarray(candidates, dtype=_np.int64)
+            ]
         index = self.graph.slot_index
         return _np.fromiter(
             (index[v] for v in candidates), dtype=_np.int64, count=len(candidates)
         )
-
-    # ------------------------------------------------------------------
-    # The batch pass
-    # ------------------------------------------------------------------
 
     def _gather_blocks(self, slots):
         """Gather the CSR neighbour blocks of ``slots``, concatenated.
@@ -512,31 +163,21 @@ class CompactSweeper:
         capacities by construction.
         """
         del remaining
-        n = len(candidates)
-        if n == 0:
+        if not candidates:
             return iter(())
-        if self._stale():
-            self._resync()
-        assign = self._assign
         slots = self._candidate_slots(candidates)
-        cur = assign[slots]
         nbr, row = self._gather_blocks(slots)
+        assign = self._column()
+        cur = assign[slots]
         desired, movers = _greedy_movers(
             cur, nbr, row, assign, self.state.num_partitions
         )
         # Only vertices that want to move matter to the caller's sequential
         # phase (settled ones draw no RNG and trigger no bookkeeping), so
         # emit just those — in candidate order, preserving the RNG pairing.
-        return self._emit(candidates, cur, desired, movers)
-
-    @staticmethod
-    def _emit(candidates, cur, desired, movers):
-        for i in movers.tolist():
-            yield candidates[i], int(cur[i]), int(desired[i])
-
-    # ------------------------------------------------------------------
-    # Batch move application
-    # ------------------------------------------------------------------
+        return (
+            (candidates[i], int(cur[i]), int(desired[i])) for i in movers.tolist()
+        )
 
     def apply_moves(self, moves):
         """Apply a round's admitted ``(v, old, new, load)`` moves in one batch.
@@ -553,12 +194,8 @@ class CompactSweeper:
         vertices :meth:`AdaptiveRunner._activate_neighbourhood` would have
         re-activated one by one.
         """
-        state = self.state
         if not moves:
             return []
-        if self._stale():
-            self._resync()
-        assign = self._assign
         n = len(moves)
         index = self.graph.slot_index
         slots = _np.fromiter((index[m[0]] for m in moves), dtype=_np.int64, count=n)
@@ -566,26 +203,26 @@ class CompactSweeper:
         new = _np.fromiter((m[2] for m in moves), dtype=_np.int64, count=n)
         nbr, row = self._gather_blocks(slots)
         if len(nbr):
+            assign = self._column()
             before_pid = assign[nbr]
             valid = before_pid >= 0  # unassigned neighbours never count
             cut_before = valid & (before_pid != old[row])
-            assign[slots] = new
-            after_pid = assign[nbr]
+            moved_to = _np.full(len(assign), -1, dtype=_np.int64)
+            moved_to[slots] = new
+            nbr_moved_to = moved_to[nbr]
+            nbr_moves = nbr_moved_to >= 0
+            after_pid = _np.where(nbr_moves, nbr_moved_to, before_pid)
             cut_after = valid & (after_pid != new[row])
             diff = cut_after.astype(_np.int64) - cut_before.astype(_np.int64)
-            mover_mask = _np.zeros(len(assign), dtype=bool)
-            mover_mask[slots] = True
-            double_sum = int(diff[mover_mask[nbr]].sum())  # even by symmetry
+            double_sum = int(diff[nbr_moves].sum())  # even by symmetry
             cut_delta = int(diff.sum()) - double_sum // 2
             touched = _np.unique(_np.concatenate((slots, nbr)))
         else:
-            assign[slots] = new
             cut_delta = 0
             touched = _np.unique(slots)
-        state.apply_bulk_moves(((m[0], m[1], m[2]) for m in moves), cut_delta)
-        self._synced_version = state.version
-        id_of = self.graph.id_of
-        return [id_of(s) for s in touched.tolist()]
+        self.state.apply_bulk_moves(((m[0], m[1], m[2]) for m in moves), cut_delta)
+        ids = self.graph.slot_ids
+        return [ids[s] for s in touched.tolist()]
 
 
 def make_shard_index(heuristic, batched):

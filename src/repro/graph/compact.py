@@ -8,7 +8,10 @@ semantics — is *identical* to the dense backend) and adds:
 
 * **Interning** — every vertex identifier is assigned a dense integer *slot*
   on first insertion; slots are recycled through a free list when vertices
-  are removed.  All flat-array structures are indexed by slot.
+  are removed.  All flat-array structures are indexed by slot.  While ids
+  are modest non-negative ints the graph also keeps a dense id → slot
+  table (:meth:`CompactGraph.id_table`), written by the same three
+  methods that change the mapping — so it is exact by construction.
 * **CSR-style mirror** — a flat neighbour array plus per-slot ``(start,
   length, capacity)`` offsets.  The mirror is *not* rebuilt per mutation:
   mutations are O(1) (they go through the adjacency sets and only mark the
@@ -68,14 +71,16 @@ class CompactGraph(Graph):
         "_csr_indices",
         "_csr_garbage",
         "_csr_built",
-        "_intern_version",
+        "_id_table",
+        "_id_table_retired",
     )
 
     def __init__(self, edges=None, vertices=None):
         self._index = {}
         self._slot_ids = []
         self._free_slots = []
-        self._intern_version = 0
+        self._id_table = None
+        self._id_table_retired = False
         self._dirty = set()
         self._csr_start = array("q")
         self._csr_len = array("q")
@@ -118,15 +123,6 @@ class CompactGraph(Graph):
         """
         return len(self._dirty) if self._csr_built else self.num_slots
 
-    @property
-    def intern_version(self):
-        """Monotonic counter bumped when the id ↔ slot mapping changes.
-
-        Kernels caching derived views of the mapping (the sweeper's dense
-        id → slot lookup table) invalidate against it.
-        """
-        return self._intern_version
-
     def slot_of(self, v):
         """Dense integer slot of ``v`` (KeyError when absent)."""
         return self._index[v]
@@ -134,6 +130,50 @@ class CompactGraph(Graph):
     def id_of(self, slot):
         """Vertex identifier at ``slot`` (None for a recycled hole)."""
         return self._slot_ids[slot]
+
+    def id_table(self):
+        """The dense id → slot table (``array('q')``, −1 = absent), or None.
+
+        Built on first use, then kept exact by :meth:`add_vertex` /
+        :meth:`remove_vertex`; it exists only while every id is a
+        non-negative int below ``4·|V| + 1024`` and is retired for good
+        by the first id outside that regime (callers then use
+        :attr:`slot_index`).  Array kernels map whole id columns through
+        it in one gather.  The array is the live internal: a numpy view of
+        it must not outlive the call that took it, because the next
+        interning may resize it.
+        """
+        if self._id_table is None and not self._id_table_retired:
+            self._build_id_table()
+        return self._id_table
+
+    def _build_id_table(self):
+        index = self._index
+        dense = all(type(v) is int and v >= 0 for v in index)
+        top = max(index, default=0) if dense else 0
+        if not dense or top >= 4 * len(index) + 1024:
+            self._id_table_retired = True
+            return
+        table = array("q", (-1,)) * (top + 1)
+        for v, slot in index.items():
+            table[v] = slot
+        self._id_table = table
+
+    def _table_intern(self, v, slot):
+        """Record a fresh interning in the live id table (or retire it)."""
+        table = self._id_table
+        size = len(table)
+        if (
+            type(v) is not int
+            or v < 0
+            or v >= max(size, 4 * len(self._index) + 1024)
+        ):  # non-int or sparse id: the dict is the right home from here on
+            self._id_table = None
+            self._id_table_retired = True
+            return
+        if v >= size:
+            table.extend((-1,) * (max(v + 1, 2 * size) - size))
+        table[v] = slot
 
     # ------------------------------------------------------------------
     # Mutation (adjacency authority lives in Graph; we intern + mark dirty)
@@ -149,7 +189,8 @@ class CompactGraph(Graph):
             slot = len(self._slot_ids)
             self._slot_ids.append(v)
         self._index[v] = slot
-        self._intern_version += 1
+        if self._id_table is not None:
+            self._table_intern(v, slot)
         self._dirty.add(slot)
         return True
 
@@ -163,7 +204,8 @@ class CompactGraph(Graph):
         del self._index[v]
         self._slot_ids[slot] = None
         self._free_slots.append(slot)
-        self._intern_version += 1
+        if self._id_table is not None:
+            self._id_table[v] = -1
         self._dirty.add(slot)
         return True
 
@@ -351,7 +393,12 @@ class CompactGraph(Graph):
     # ------------------------------------------------------------------
 
     def copy(self):
-        """Deep copy preserving vertex insertion order and slot layout."""
+        """Deep copy preserving vertex insertion order.
+
+        Slots are renumbered densely in that order: recycled holes do not
+        survive the copy, so slot numbers match the original's only when
+        it never removed a vertex.
+        """
         clone = CompactGraph()
         clone._adj = {v: set(ns) for v, ns in self._adj.items()}
         clone._num_edges = self._num_edges
@@ -364,7 +411,7 @@ class CompactGraph(Graph):
         self._index = {v: slot for slot, v in enumerate(self._adj)}
         self._slot_ids = list(self._adj)
         self._free_slots = []
-        self._intern_version += 1
+        self._id_table = None  # rebuilt from the new interning on next use
         self._dirty = set()
         self._csr_built = False
 
@@ -398,6 +445,14 @@ class CompactGraph(Graph):
             raise AssertionError(
                 f"free-list drift: {live} live slots, {len(self._adj)} vertices"
             )
+        table = self._id_table
+        if table is not None:
+            live = {v: slot for v, slot in enumerate(table) if slot >= 0}
+            if live != self._index:
+                raise AssertionError(
+                    f"id table drift: {len(live)} entries disagree with "
+                    f"the {len(self._index)}-vertex intern index"
+                )
         starts, lens, indices = self.ensure_csr()
         for v, slot in self._index.items():
             block = indices[starts[slot] : starts[slot] + lens[slot]]

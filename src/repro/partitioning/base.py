@@ -11,10 +11,16 @@ The cut count is the paper's quality metric (reported normalised to ``|E|``
 as the *cut ratio*), so its bookkeeping must stay exact under arbitrary
 interleavings of vertex moves and graph mutations; property-based tests
 compare it against from-scratch recomputation.
+
+Over a slotted graph (:class:`~repro.graph.compact.CompactGraph`) the state
+also keeps the assignment as a slot-indexed *partition column* for the array
+kernels (:meth:`PartitionState.partition_column`).  Every method that
+changes the assignment writes it, so it can never be stale.
 """
 
 import math
 import types
+from array import array
 
 __all__ = ["PartitionState", "Partitioner", "balanced_capacities"]
 
@@ -62,21 +68,41 @@ class PartitionState:
         self._assignment = {}
         self._sizes = [0] * num_partitions
         self._cut_edges = 0
-        self._version = 0
+        # The partition column exists only over a graph that has slots
+        # (its slot_index is one dict for the graph's whole life).
+        self._slots = getattr(graph, "slot_index", None)
+        self._column = None
+        if self._slots is not None:
+            self._column = array("q", (-1,)) * graph.num_slots
 
     # ------------------------------------------------------------------
     # Assignment
     # ------------------------------------------------------------------
 
-    @property
-    def version(self):
-        """Monotonic counter bumped on every assignment change.
+    def partition_column(self):
+        """Slot-indexed partition ids (``array('q')``, −1 = unassigned).
 
-        Derived flat views (the batch sweep's assignment array) compare it
-        against the version they were built from to detect staleness from
-        moves they did not witness.
+        None when the graph has no slots.  Padded here to cover every
+        current slot, so kernels may index it with any slot the graph
+        hands out.  The array is the live internal: read-only for callers,
+        and a numpy view of it must not outlive the call that took it —
+        the next placement may resize it.
         """
-        return self._version
+        column = self._column
+        if column is not None:
+            short = self.graph.num_slots - len(column)
+            if short > 0:
+                column.extend((-1,) * short)
+        return column
+
+    def _store(self, vertex, pid):
+        """Write ``vertex``'s column entry (no-op for a slot-less vertex)."""
+        slot = self._slots.get(vertex)
+        if slot is not None:
+            try:
+                self._column[slot] = pid
+            except IndexError:  # the graph grew since the last padding
+                self.partition_column()[slot] = pid
 
     def __contains__(self, vertex):
         return vertex in self._assignment
@@ -160,7 +186,8 @@ class PartitionState:
         self._assignment[vertex] = pid
         self._sizes[pid] += 1
         self._cut_edges += cut_delta
-        self._version += 1
+        if self._column is not None:
+            self._store(vertex, pid)
 
     def move(self, vertex, new_pid):
         """Relocate an assigned vertex, updating the cut count in O(deg v)."""
@@ -174,7 +201,8 @@ class PartitionState:
         self._sizes[old_pid] -= 1
         self._sizes[new_pid] += 1
         self._cut_edges += after - before
-        self._version += 1
+        if self._column is not None:
+            self._store(vertex, new_pid)
 
     def apply_bulk_moves(self, items, cut_delta):
         """Relocate many vertices at once with a caller-computed cut delta.
@@ -189,14 +217,16 @@ class PartitionState:
         """
         assignment = self._assignment
         sizes = self._sizes
-        count = 0
+        column = self._column
+        slot_of = self._slots
         for vertex, old_pid, new_pid in items:
             assignment[vertex] = new_pid
             sizes[old_pid] -= 1
             sizes[new_pid] += 1
-            count += 1
+            if column is not None:
+                # A mover is assigned, so it holds a slot and an entry.
+                column[slot_of[vertex]] = new_pid
         self._cut_edges += cut_delta
-        self._version += count
 
     def assign_many(self, items):
         """Bulk :meth:`assign` of brand-new vertices with no assigned
@@ -208,27 +238,24 @@ class PartitionState:
         edge lands, which is the streaming-arrival shape the batched
         ingestion path feeds this.  Under that contract the cut count
         cannot change, so the per-vertex adjacency walk of :meth:`assign`
-        is skipped; sizes and the version counter advance exactly as ``n``
-        sequential assigns would.
+        is skipped; sizes advance exactly as ``n`` sequential assigns
+        would.  An item that raises leaves the items before it applied.
         """
         assignment = self._assignment
         sizes = self._sizes
         num_partitions = self.num_partitions
+        store = self._store if self._column is not None else None
         count = 0
-        try:
-            for vertex, pid in items:
-                if vertex in assignment:
-                    raise ValueError(f"vertex {vertex!r} already assigned")
-                if not 0 <= pid < num_partitions:
-                    self._check_pid(pid)
-                assignment[vertex] = pid
-                sizes[pid] += 1
-                count += 1
-        finally:
-            # Version credit for every item that landed, even when a later
-            # item raises mid-batch: version-keyed mirrors must see partial
-            # application as the N changes it was, never as zero.
-            self._version += count
+        for vertex, pid in items:
+            if vertex in assignment:
+                raise ValueError(f"vertex {vertex!r} already assigned")
+            if not 0 <= pid < num_partitions:
+                self._check_pid(pid)
+            assignment[vertex] = pid
+            sizes[pid] += 1
+            if store is not None:
+                store(vertex, pid)
+            count += 1
         return count
 
     def apply_cut_delta(self, delta):
@@ -252,7 +279,8 @@ class PartitionState:
             return None
         self._sizes[pid] -= 1
         self._cut_edges -= self._external_degree(vertex, pid)
-        self._version += 1
+        if self._column is not None:
+            self._store(vertex, -1)
         return pid
 
     # ------------------------------------------------------------------
@@ -307,7 +335,7 @@ class PartitionState:
         return cut
 
     def validate(self):
-        """Verify sizes and cut bookkeeping; raises AssertionError on drift."""
+        """Verify sizes, cut and column bookkeeping; AssertionError on drift."""
         sizes = [0] * self.num_partitions
         for pid in self._assignment.values():
             sizes[pid] += 1
@@ -321,6 +349,16 @@ class PartitionState:
         for pid, size in enumerate(self._sizes):
             if size < 0:
                 raise AssertionError(f"negative size in partition {pid}")
+        column = self.partition_column()
+        if column is not None:
+            expected = [-1] * len(column)
+            for vertex, slot in self._slots.items():
+                expected[slot] = self._assignment.get(vertex, -1)
+            drift = [s for s, pid in enumerate(column) if pid != expected[s]]
+            if drift:
+                raise AssertionError(
+                    f"partition column drift at slots {drift[:8]}"
+                )
         return True
 
     def copy(self):
@@ -329,6 +367,8 @@ class PartitionState:
         clone._assignment = dict(self._assignment)
         clone._sizes = list(self._sizes)
         clone._cut_edges = self._cut_edges
+        if self._column is not None:
+            clone._column = array("q", self._column)
         return clone
 
     def _check_pid(self, pid):

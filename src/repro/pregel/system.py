@@ -23,7 +23,8 @@ extended API (migration requests + capacity access).  One call to
 3. **barrier** — in the protocol-mandated order: complete last superstep's
    in-flight transfers → deliver messages against the *old* placement →
    announce this superstep's migrations (placement flips now) → apply
-   queued stream mutations → publish predicted capacities (skipped on
+   queued stream mutations (:mod:`repro.core.ingest`, the applier shared
+   with the logical engine) → publish predicted capacities (skipped on
    barriers whose decision snapshot will be reused, when
    ``snapshot_staleness > 0``) → aggregator barrier → checkpoint →
    scheduled worker failure/recovery → close the traffic record.
@@ -45,15 +46,8 @@ from repro.core.heuristic import (
     make_heuristic,
 )
 from repro.core.incremental import IncrementalMetrics
-from repro.core.ingest import make_ingestor
+from repro.core.ingest import apply_event, apply_events, make_ingestor
 from repro.core.sweep import make_sweeper, sort_vertices
-from repro.graph.events import (
-    AddEdge,
-    AddVertex,
-    EventBatch,
-    RemoveEdge,
-    RemoveVertex,
-)
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.partitioning.base import PartitionState
 from repro.partitioning.hashing import HashPartitioner
@@ -82,12 +76,6 @@ class PregelConfig:
     vote-to-halt, matching the paper's always-on deployment; the remaining
     fields mirror :class:`repro.core.runner.AdaptiveConfig`.
 
-    ``batch_events`` mirrors
-    :class:`~repro.core.runner.AdaptiveConfig.batch_events`: ``"auto"``
-    routes injected event batches through the bulk ingestion path where
-    that is provably equivalent to the per-event loop, ``"off"`` forces
-    the loop.
-
     ``snapshot_staleness`` relaxes the synchrony of the *decision inputs*
     (§6's "what if the barrier is not strict" question): the frozen
     :class:`~repro.core.heuristic.DecisionContext` — capacity vector plus
@@ -112,7 +100,6 @@ class PregelConfig:
     checkpoint_interval: int = 10
     quiet_window: int = 30
     metrics: str = "incremental"
-    batch_events: str = "auto"
     snapshot_staleness: int = 0
 
     def __post_init__(self):
@@ -124,8 +111,6 @@ class PregelConfig:
             self.heuristic = make_heuristic(self.heuristic)
         if self.metrics not in ("incremental", "recompute"):
             raise ValueError('metrics must be "incremental" or "recompute"')
-        if self.batch_events not in ("auto", "off"):
-            raise ValueError('batch_events must be "auto" or "off"')
         if not isinstance(self.snapshot_staleness, int) or (
             self.snapshot_staleness < 0
         ):
@@ -269,128 +254,42 @@ class PregelSystem:
         self._pending_events.extend(events)
 
     def _apply_pending_events(self):
-        """Apply queued mutations at the barrier; returns the changed count.
-
-        Where the bulk ingestion path applies (compact graph, numpy, hash
-        placement, degree-insensitive balance — see
-        :mod:`repro.core.ingest`), runs of edge events apply array-at-a-time
-        with bit-identical results; everything else falls back to the
-        per-event loop.
-        """
+        """Apply queued mutations at the barrier; returns the changed count
+        (bulk or per event: :func:`repro.core.ingest.apply_events` picks)."""
         events = self._pending_events
         self._pending_events = []
         if not events:
             return 0
         with self.tracer.span("ingest", events=len(events)):
-            applied = self._ingest_events(events)
+            applied = apply_events(self, events)
         self._ingest_counter.add(applied)
         if applied:
             self.detector.reset()
             self._refresh_capacities()
         return applied
 
-    def _ingest_events(self, events):
-        """Apply one barrier's events (bulk path when provably equivalent)."""
-        applied = None
-        if self._ingestor is not None:
-            batch = EventBatch.from_events(events)
-            if not batch.unsupported:
-                applied = self._ingestor.apply(batch)
-        if applied is None:
-            applied = 0
-            for event in events:
-                if self._apply_event(event):
-                    applied += 1
-        return applied
+    # The ingest host contract (see repro.core.ingest).
 
-    def _apply_one(self, event):
-        """The bulk ingestor's per-event fallback (its host contract)."""
-        return self._apply_event(event)
+    def _apply_event(self, event):
+        return apply_event(self, event)
 
-    def _note_bulk_placements(self, placements):
-        """Bulk-ingestion hook: new endpoints were just interned + placed.
-
-        The per-event path initialises a new vertex's program value inside
-        :meth:`_place_new_vertex`; the bulk path places endpoints through
-        one ``place_many`` call, so the value initialisation lands here.
-        """
+    def _vertices_placed(self, placements):
+        """Ingest hook: new vertices were interned and placed; give each
+        its initial program value."""
         for vertex, _ in placements:
             self.values[vertex] = self.program.initial_value(vertex, self.graph)
 
-    def _note_bulk_edge_changes(self, us, vs, changed):
-        """Bulk-ingestion hook: one edge run applied; ``changed`` flags it.
+    def _vertex_removed(self, vertex):
+        """Ingest hook: ``vertex`` left graph and state; its value, halt
+        flag, in-flight migration and undelivered mail go with it."""
+        self.values.pop(vertex, None)
+        self.halted.discard(vertex)
+        self.migration.cancel_vertex(vertex)
+        self.router.drop_vertex(vertex)
 
-        The single-process system needs nothing (active-set upkeep happens
-        inside the kernel); the sharded coordinator marks the changed
-        endpoints dirty so shard adjacency mirrors stay current.
-        """
-
-    def _place_new_vertex(self, vertex):
-        """Streaming placement of a just-added vertex, with delta upkeep."""
-        state = self.state
-        self.config.placement.place(state, vertex)
-        self.metrics.on_vertex_placed(vertex)
-        if self._sweeper is not None:
-            pid = state.partition_of_or_none(vertex)
-            if pid is not None:
-                self._sweeper.note_assign(vertex, pid)
-        self.values[vertex] = self.program.initial_value(vertex, self.graph)
-
-    def _apply_event(self, event):
-        graph = self.graph
-        state = self.state
-        metrics = self.metrics
-        if isinstance(event, AddVertex):
-            if event.vertex in graph:
-                return False
-            graph.add_vertex(event.vertex)
-            self._place_new_vertex(event.vertex)
-            self._active.add(event.vertex)
-            return True
-        if isinstance(event, RemoveVertex):
-            if event.vertex not in graph:
-                return False
-            neighbours = list(graph.neighbors(event.vertex))
-            snapshot = metrics.pre_remove_vertex(event.vertex)
-            state.remove_vertex(event.vertex)
-            if self._sweeper is not None:
-                self._sweeper.note_remove(event.vertex)
-            graph.remove_vertex(event.vertex)
-            metrics.post_remove_vertex(snapshot)
-            self.values.pop(event.vertex, None)
-            self.halted.discard(event.vertex)
-            self._active.discard(event.vertex)
-            self.migration.cancel_vertex(event.vertex)
-            self.router.drop_vertex(event.vertex)
-            self._active.update(neighbours)
-            return True
-        if isinstance(event, AddEdge):
-            for endpoint in (event.u, event.v):
-                if endpoint not in graph:
-                    graph.add_vertex(endpoint)
-                    self._place_new_vertex(endpoint)
-            if graph.has_edge(event.u, event.v):
-                return False
-            snapshot = metrics.pre_edge(event.u, event.v)
-            graph.add_edge(event.u, event.v)
-            state.on_edge_added(event.u, event.v)
-            metrics.post_edge(snapshot)
-            self._active.add(event.u)
-            self._active.add(event.v)
-            return True
-        if isinstance(event, RemoveEdge):
-            if not graph.has_edge(event.u, event.v):
-                return False
-            snapshot = metrics.pre_edge(event.u, event.v)
-            graph.remove_edge(event.u, event.v)
-            state.on_edge_removed(event.u, event.v)
-            metrics.post_edge(snapshot)
-            if event.u in graph:
-                self._active.add(event.u)
-            if event.v in graph:
-                self._active.add(event.v)
-            return True
-        raise TypeError(f"unknown graph event {event!r}")
+    def _edges_changed(self, us, vs, changed):
+        """Ingest hook: one bulk edge run applied; ``changed`` flags it
+        (nothing to do here — the sharded coordinator marks dirty shards)."""
 
     # ------------------------------------------------------------------
     # Superstep phases
@@ -597,8 +496,6 @@ class PregelSystem:
         """
         old = self.state.partition_of(vertex_id)
         self.state.move(vertex_id, new_worker)
-        if self._sweeper is not None:
-            self._sweeper.note_move(vertex_id, new_worker)
         load = self.config.balance.load_of(self.graph, vertex_id)
         self.metrics.on_move(vertex_id, old, new_worker, load)
         self._active.add(vertex_id)

@@ -22,6 +22,25 @@ def regen_golden(request):
     return request.config.getoption("--regen-golden")
 
 
+@pytest.fixture(scope="session")
+def per_event_loop():
+    """Force an ingest host onto the per-event loop — the oracle.
+
+    ``repro.core.ingest`` picks the bulk path from what it can observe
+    (numpy, compact graph, hash placement, degree-insensitive balance);
+    the batch-vs-loop suites need the loop on a configuration that would
+    otherwise batch, and take it from here rather than from a config knob.
+    Works on an ``AdaptiveRunner``, a ``PregelSystem`` or a
+    ``Coordinator``; returns the host.
+    """
+
+    def force(host):
+        host._ingestor = None
+        return host
+
+    return force
+
+
 @pytest.fixture
 def triangle():
     """A 3-clique."""

@@ -54,19 +54,18 @@ def seed_edges(ids):
     )
 
 
-def _paired_runners(edges, heuristic="greedy", seed=3):
+def _paired_runners(per_event_loop, edges, heuristic="greedy", seed=3):
+    """Two identical runners: the bulk path and the per-event oracle."""
     runners = []
-    for mode in ("auto", "off"):
+    for _ in range(2):
         graph = CompactGraph(edges=list(edges))
         caps = balanced_capacities(max(1, graph.num_vertices), 3, 1.10)
         state = HashPartitioner().partition(graph, 3, list(caps))
-        config = AdaptiveConfig(
-            seed=seed, heuristic=heuristic, batch_events=mode
-        )
+        config = AdaptiveConfig(seed=seed, heuristic=heuristic)
         runners.append(AdaptiveRunner(graph, state, config))
-    assert runners[0]._ingestor is not None, "batch path must engage"
-    assert runners[1]._ingestor is None
-    return runners
+    batch, loop = runners
+    assert batch._ingestor is not None, "batch path must engage"
+    return batch, per_event_loop(loop)
 
 
 def _assert_equivalent(batch, loop):
@@ -95,8 +94,10 @@ class TestBatchLoopEquivalence:
         ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_int_ids_identical_across_paths(self, edges, rounds):
-        batch, loop = _paired_runners(edges)
+    def test_int_ids_identical_across_paths(
+        self, per_event_loop, edges, rounds
+    ):
+        batch, loop = _paired_runners(per_event_loop, edges)
         for events in rounds:
             assert batch.apply_events(events) == loop.apply_events(events)
             # One iteration per round: the shared RNG stream, the active
@@ -113,9 +114,11 @@ class TestBatchLoopEquivalence:
         ),
     )
     @settings(max_examples=75, deadline=None)
-    def test_mixed_ids_identical_across_paths(self, edges, rounds):
+    def test_mixed_ids_identical_across_paths(
+        self, per_event_loop, edges, rounds
+    ):
         """String ids force the dict-lookup slot path; same contract."""
-        batch, loop = _paired_runners(edges)
+        batch, loop = _paired_runners(per_event_loop, edges)
         for events in rounds:
             assert batch.apply_events(events) == loop.apply_events(events)
             assert batch.step() == loop.step()
@@ -128,17 +131,23 @@ class TestBatchLoopEquivalence:
         ),
     )
     @settings(max_examples=50, deadline=None)
-    def test_non_greedy_heuristic_identical_across_paths(self, edges, rounds):
-        """No sweeper (hysteresis heuristic): pids come from the state."""
-        batch, loop = _paired_runners(edges, heuristic="hysteresis")
+    def test_non_greedy_heuristic_identical_across_paths(
+        self, per_event_loop, edges, rounds
+    ):
+        """No sweeper (hysteresis heuristic): the bulk path needs none."""
+        batch, loop = _paired_runners(
+            per_event_loop, edges, heuristic="hysteresis"
+        )
         assert batch._sweeper is None
         for events in rounds:
             assert batch.apply_events(events) == loop.apply_events(events)
             assert batch.step() == loop.step()
         _assert_equivalent(batch, loop)
 
-    def test_cancelling_batch_leaves_graph_untouched_but_counts_changes(self):
-        batch, loop = _paired_runners([(0, 1)])
+    def test_cancelling_batch_leaves_graph_untouched_but_counts_changes(
+        self, per_event_loop
+    ):
+        batch, loop = _paired_runners(per_event_loop, [(0, 1)])
         events = [AddEdge(2, 3), RemoveEdge(2, 3), AddEdge(0, 1),
                   RemoveEdge(0, 1), AddEdge(0, 1)]
         assert batch.apply_events(events) == loop.apply_events(events) == 4
@@ -147,8 +156,10 @@ class TestBatchLoopEquivalence:
         assert not batch.graph.has_edge(2, 3)
         assert 2 in batch.graph and 3 in batch.graph  # implicit creation
 
-    def test_self_loop_add_falls_back_and_raises_like_the_loop(self):
-        batch, loop = _paired_runners([(0, 1)])
+    def test_self_loop_add_falls_back_and_raises_like_the_loop(
+        self, per_event_loop
+    ):
+        batch, loop = _paired_runners(per_event_loop, [(0, 1)])
         events = [AddEdge(1, 2), AddEdge(3, 3)]
         with pytest.raises(ValueError, match="self-loop"):
             batch.apply_events(events)
@@ -160,8 +171,8 @@ class TestBatchLoopEquivalence:
             loop.state.assignment_items()
         )
 
-    def test_unknown_event_type_falls_back_to_the_loop(self):
-        batch, _ = _paired_runners([(0, 1)])
+    def test_unknown_event_type_falls_back_to_the_loop(self, per_event_loop):
+        batch, _ = _paired_runners(per_event_loop, [(0, 1)])
         with pytest.raises(TypeError, match="unknown graph event"):
             batch.apply_events([AddEdge(1, 2), object()])
         assert batch.graph.has_edge(1, 2)  # prefix applied, loop semantics
@@ -173,13 +184,6 @@ class TestIngestorGating:
         caps = balanced_capacities(graph.num_vertices, 2, 1.10)
         state = HashPartitioner().partition(graph, 2, list(caps))
         return AdaptiveRunner(graph, state, AdaptiveConfig(**config_fields))
-
-    def test_off_disables_the_ingestor(self):
-        assert self._runner(batch_events="off")._ingestor is None
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="batch_events"):
-            AdaptiveConfig(batch_events="sometimes")
 
     def test_degree_sensitive_balance_falls_back(self):
         assert self._runner(balance=EdgeBalance())._ingestor is None
@@ -278,14 +282,13 @@ class TestBulkStateAndPlacement:
         graph, state = self._state()
         twin = state.copy()
         graph.add_vertices([10, 11, 12])
-        version_before = state.version
         state.assign_many([(10, 0), (11, 2), (12, 1)])
         for v, pid in [(10, 0), (11, 2), (12, 1)]:
             twin.assign(v, pid)
         assert dict(state.assignment_items()) == dict(twin.assignment_items())
         assert state.sizes == twin.sizes
         assert state.cut_edges == twin.cut_edges
-        assert state.version == version_before + 3
+        assert state.partition_column() == twin.partition_column()
         state.validate()
 
     def test_assign_many_rejects_reassignment_and_bad_pid(self):
@@ -296,17 +299,16 @@ class TestBulkStateAndPlacement:
         with pytest.raises(ValueError, match="out of range"):
             state.assign_many([(99, 7)])
 
-    def test_assign_many_version_credits_partial_application(self):
-        # A mid-batch failure must still advance the version by the items
-        # that landed — version-keyed mirrors treat "unchanged version" as
-        # "nothing changed", which would silently serve stale assignments.
+    def test_assign_many_partial_application_keeps_the_column_exact(self):
+        # A mid-batch failure leaves the items before it applied — in the
+        # dict, the sizes and the partition column alike.
         graph, state = self._state()
         graph.add_vertices([30, 31])
-        before = state.version
         with pytest.raises(ValueError, match="already assigned"):
             state.assign_many([(30, 0), (0, 1)])  # vertex 0 pre-assigned
-        assert state.version == before + 1
         assert state.partition_of(30) == 0
+        assert state.partition_column()[graph.slot_of(30)] == 0
+        assert state.partition_column()[graph.slot_of(31)] == -1
         state.validate()
 
     def test_apply_cut_delta(self):
@@ -343,6 +345,9 @@ class TestBulkStateAndPlacement:
 
 @needs_numpy
 class TestSweeperBulkHooks:
+    """The arrays the bulk path reads (the graph's id table, the state's
+    partition column) stay exact through it with nobody telling them."""
+
     def _runner(self):
         graph = CompactGraph([(i, i + 1) for i in range(8)])
         caps = balanced_capacities(graph.num_vertices, 3, 1.10)
@@ -351,45 +356,19 @@ class TestSweeperBulkHooks:
 
     def test_batch_placements_keep_mirror_and_table_warm(self):
         runner = self._runner()
-        sweeper = runner._sweeper
-        rebuilds_before = sweeper._id_lookup_rebuilds
+        table = runner.graph.id_table()
+        assert table is not None  # built at construction, off the hot path
         # A growth round: new endpoints appear via implicit edge creation.
         runner.apply_events([AddEdge(100, 0), AddEdge(101, 4), AddEdge(102, 7)])
-        assert sweeper._synced_version == runner.state.version
-        assert sweeper._id_lookup_version == runner.graph.intern_version
-        assert sweeper._id_lookup_rebuilds == rebuilds_before  # warm() built it
+        assert runner.graph.id_table() is table  # extended, never rebuilt
+        runner.graph.validate()  # table == slot_index
+        runner.state.validate()  # column == assignment
         runner.step()
         runner.metrics.cross_check()
 
-    def test_note_assign_many_out_of_contract_stays_stale_but_correct(self):
-        import numpy as np
-
-        runner = self._runner()
-        sweeper = runner._sweeper
-        graph, state = runner.graph, runner.state
-        graph.add_vertices([200, 201, 202])
-        state.assign(200, 0)
-        state.assign(201, 1)
-        state.assign(202, 2)
-        # Three unwitnessed changes but only two reported: the sole-change
-        # contract is broken, so the mirror must refuse the fast-forward…
-        sweeper.note_assign_many([(201, 1), (202, 2)])
-        assert sweeper._stale()
-        # …and the next query resyncs from the authoritative state.
-        slots = np.array(
-            [graph.slot_of(200), graph.slot_of(201), graph.slot_of(202)],
-            dtype=np.int64,
-        )
-        assert list(sweeper.assignment_of_slots(slots)) == [0, 1, 2]
-        assert not sweeper._stale()
-
     def test_lookup_slots_flags_absent_ids(self):
-        import numpy as np
-
         runner = self._runner()
-        sweeper = runner._sweeper
-        slots = sweeper.lookup_slots(np.array([0, 5, 4096, -3], dtype=np.int64))
-        assert slots is not None
+        slots = runner._ingestor._slots_of([0, 5, 4096, -3])
         assert slots[0] == runner.graph.slot_of(0)
         assert slots[1] == runner.graph.slot_of(5)
         assert slots[2] == -1 and slots[3] == -1

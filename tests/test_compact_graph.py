@@ -33,6 +33,7 @@ from repro.graph import (
     to_backend,
 )
 from repro.partitioning import HashPartitioner, balanced_capacities
+from repro.partitioning.base import PartitionState
 
 VERTEX_IDS = st.integers(min_value=0, max_value=25)
 
@@ -188,6 +189,125 @@ class TestBridgesAndRegistry:
         )
 
 
+PIDS = st.integers(min_value=0, max_value=2)
+ID_LISTS = st.lists(VERTEX_IDS, max_size=5, unique=True)
+
+STATE_OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_vertex"), VERTEX_IDS),
+        st.tuples(st.just("remove_vertex"), VERTEX_IDS),
+        st.tuples(st.just("add_edge"), VERTEX_IDS, VERTEX_IDS),
+        st.tuples(st.just("assign"), VERTEX_IDS, PIDS),
+        st.tuples(st.just("move"), VERTEX_IDS, PIDS),
+        st.tuples(st.just("bulk_move"), ID_LISTS, PIDS),
+        st.tuples(st.just("assign_many"), ID_LISTS, PIDS, st.booleans()),
+        st.tuples(st.just("grow"), st.integers(min_value=1, max_value=40)),
+    ),
+    max_size=60,
+)
+
+
+def apply_state_op(graph, state, op, fresh_ids):
+    """One step of the owner-array interleaving; every branch keeps the
+    documented call contracts (state told before the graph drops a vertex,
+    ``assign_many`` only for brand-new isolated vertices)."""
+    kind = op[0]
+    if kind == "add_vertex":
+        graph.add_vertex(op[1])
+    elif kind == "remove_vertex":
+        state.remove_vertex(op[1])
+        graph.remove_vertex(op[1])  # frees the slot for recycling
+    elif kind == "add_edge":
+        if op[1] != op[2] and graph.add_edge(op[1], op[2]):
+            state.on_edge_added(op[1], op[2])
+    elif kind == "assign":
+        if op[1] in graph and op[1] not in state:
+            state.assign(op[1], op[2])
+    elif kind == "move":
+        if op[1] in state:
+            state.move(op[1], op[2])
+    elif kind == "bulk_move":
+        items = [
+            (v, state.partition_of(v), op[2])
+            for v in op[1]
+            if v in state and state.partition_of(v) != op[2]
+        ]
+        oracle = state.copy()
+        for v, _, new_pid in items:
+            oracle.move(v, new_pid)
+        state.apply_bulk_moves(items, oracle.cut_edges - state.cut_edges)
+    elif kind == "assign_many":
+        arrivals = [next(fresh_ids) for _ in op[1]]
+        graph.add_vertices(arrivals)
+        placements = [(v, op[2]) for v in arrivals]
+        taken = next(iter(state.assignment_items()), None)
+        if op[3] and taken is not None:
+            # A mid-batch raise: the items before it stay applied.
+            with pytest.raises(ValueError, match="already assigned"):
+                state.assign_many(placements + [(taken[0], 0)])
+        else:
+            state.assign_many(placements)
+    elif kind == "grow":
+        graph.add_vertices([next(fresh_ids) for _ in range(op[1])])
+    else:
+        raise AssertionError(kind)
+
+
+class TestOwnerKeptArrays:
+    """The derived arrays live with their owners: the graph's id → slot
+    table and the state's partition column are exact after *any*
+    interleaving of the calls that change them — nobody has to be told."""
+
+    @given(ops=STATE_OPERATIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_column_and_table_exact_under_any_interleaving(self, ops):
+        import itertools
+
+        graph = CompactGraph([(0, 1), (1, 2)])
+        state = PartitionState(graph, 3)
+        assert graph.id_table() is not None  # build it: deltas from here on
+        fresh_ids = itertools.count(26)  # beyond VERTEX_IDS: forces growth
+        for op in ops:
+            apply_state_op(graph, state, op, fresh_ids)
+            column = state.partition_column()
+            assert len(column) >= graph.num_slots
+            assert {
+                graph.id_of(slot): pid
+                for slot, pid in enumerate(column)
+                if pid >= 0
+            } == dict(state.assignment_items())
+            table = graph.id_table()
+            assert {
+                v: slot for v, slot in enumerate(table) if slot >= 0
+            } == graph.slot_index
+        graph.validate()
+        state.validate()
+
+    def test_validate_catches_a_wrong_column_entry(self):
+        graph = CompactGraph([(0, 1), (1, 2)])
+        state = HashPartitioner().partition(graph, 2)
+        state.validate()
+        slot = graph.slot_of(1)
+        state.partition_column()[slot] = 1 - state.partition_of(1)
+        with pytest.raises(AssertionError, match="partition column drift"):
+            state.validate()
+
+    def test_validate_catches_a_wrong_table_entry(self):
+        graph = CompactGraph([(0, 1), (1, 2)])
+        graph.id_table()[2] = graph.slot_of(0)
+        with pytest.raises(AssertionError, match="id table drift"):
+            graph.validate()
+
+    def test_copy_renumbers_slots_over_holes(self):
+        graph = CompactGraph([(0, 1), (1, 2), (2, 3)])
+        graph.remove_vertex(1)
+        clone = graph.copy()
+        assert list(clone.vertices()) == list(graph.vertices())
+        assert clone.num_slots == 3 and graph.num_slots == 4
+        assert clone.id_table().tolist() == [0, -1, 1, 2]
+        clone.validate()
+
+
 def _runner(graph, seed=0, k=4, **config_kw):
     caps = balanced_capacities(graph.num_vertices, k, 1.10)
     state = HashPartitioner().partition(graph, k, list(caps))
@@ -337,20 +457,37 @@ class TestSweeperInternals:
         assert not CompactSweeper.supports(g, Sneaky())
         assert not CompactSweeper.supports(mesh_3d(3), GreedyMaxNeighbours())
 
-    def test_external_state_moves_trigger_resync(self):
+    def test_external_state_move_is_seen_by_the_next_sweep(self):
+        """A move made behind the runner's back is a move like any other:
+        the next sweep decides against it, exactly as the dense backend."""
+        dense, compact = _paired_runners(lambda: mesh_3d(4), seed=0)
+        for runner in (dense, compact):
+            runner.step()
+            state = runner.state
+            vertex = next(iter(state.assignment_items()))[0]
+            state.move(vertex, (state.partition_of(vertex) + 1) % 4)
+            runner.metrics.rebuild()  # loads follow the unreported move
+            runner._active.update(runner.graph.neighbors(vertex))
+        for _ in range(10):
+            assert dense.step() == compact.step()
+        compact.state.validate()
+
+    def test_sweep_then_growth_never_raises_buffer_error(self):
+        """No numpy view of an owner's array outlives the call that took
+        it: a live view would make the next resize raise BufferError."""
         g = as_compact(mesh_3d(4))
         runner = _runner(g, seed=0)
-        runner.step()
-        state = runner.state
-        # A move applied behind the sweeper's back (version bump) must be
-        # observed by the next step, not silently ignored.
-        vertex = next(iter(state.assignment_items()))[0]
-        state.move(vertex, (state.partition_of(vertex) + 1) % 4)
-        runner.step()
-        sweeper = runner._sweeper
-        index = g.slot_index
-        for v, pid in state.assignment_items():
-            assert sweeper._assign[index[v]] == pid
+        pending = runner._sweeper.decisions(list(g.vertices()))
+        next_id = g.num_vertices
+        for round_index in range(6):
+            runner.step()
+            # Grow every owner array: id table, partition column, CSR.
+            grown = range(next_id, next_id + 40 * (round_index + 1))
+            runner.apply_events([AddEdge(v, v % 64) for v in grown])
+            next_id = grown.stop
+        assert len(list(pending)) > 0  # an unconsumed generator pins nothing
+        g.validate()
+        runner.state.validate()
 
     def test_make_sweeper_on_non_int_ids(self):
         g = CompactGraph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
@@ -367,9 +504,9 @@ class TestSweeperInternals:
 
 
 class TestIdLookupDeltaMaintenance:
-    """The dense id → slot table must survive streaming churn without
-    O(|V|) rebuilds — it is delta-updated from note_assign/note_remove
-    under the same sole-change contract as the assignment mirror."""
+    """The graph's dense id → slot table must survive streaming churn
+    exactly — it is written by the same methods that change the interning,
+    so there is nothing to rebuild and nothing to tell."""
 
     def _churn_events(self, graph, rng, next_id):
         vertices = list(graph.vertices())
@@ -379,7 +516,6 @@ class TestIdLookupDeltaMaintenance:
             RemoveVertex(rng.choice(vertices)),
         ]
 
-    @needs_numpy
     def test_no_rebuild_under_streaming_churn(self):
         import random
 
@@ -387,22 +523,16 @@ class TestIdLookupDeltaMaintenance:
         runner = _runner(g, seed=1)
         for _ in range(3):
             runner.step()
-        sweeper = runner._sweeper
-        baseline = sweeper._id_lookup_rebuilds
-        assert baseline >= 1  # the initial build happened
+        table = g.id_table()
+        assert table is not None
         rng = random.Random(0)
         next_id = 216
         for _ in range(150):
             runner.apply_events(self._churn_events(g, rng, next_id))
             next_id += 1
             runner.step()
-        assert sweeper._id_lookup_rebuilds == baseline, (
-            "interning churn forced a full id-lookup rebuild"
-        )
-        # The delta-maintained table is exact.
-        assert sweeper._id_lookup is not None
-        for v, slot in g.slot_index.items():
-            assert sweeper._id_lookup[v] == slot
+        assert g.id_table() is table, "interning churn replaced the id table"
+        g.validate()  # the table is exact: table == slot_index
         runner.metrics.cross_check()
 
     def test_churn_timeline_matches_dense_backend(self):
@@ -426,75 +556,64 @@ class TestIdLookupDeltaMaintenance:
         compact = as_compact(dense.copy())
         assert run(dense) == run(compact)
 
-    @needs_numpy
     def test_sparse_ids_fall_back_to_dict_path(self):
-        g = as_compact(mesh_3d(4))
-        runner = _runner(g, seed=0)
-        runner.step()
-        sweeper = runner._sweeper
-        assert sweeper._id_lookup is not None
-        # An id far beyond 4x the vertex count ends table eligibility …
-        runner.apply_events([AddVertex(10_000_000), AddEdge(10_000_000, 0)])
-        runner.step()
-        assert sweeper._id_lookup is None
-        assert sweeper._id_lookup_dict_path
-        rebuilds = sweeper._id_lookup_rebuilds
-        # … and later churn stays on the dict path without rebuilding.
-        runner.apply_events([AddVertex(10_000_001), RemoveVertex(10_000_000)])
-        runner.step()
-        assert sweeper._id_lookup_rebuilds == rebuilds
-        runner.metrics.cross_check()
+        # An id far beyond 4x the vertex count ends table eligibility.
+        self._assert_arrival_retires_the_table(10_000_000, 10_000_001)
 
-    @needs_numpy
     def test_non_int_arrival_falls_back_safely(self):
-        g = as_compact(mesh_3d(4))
-        runner = _runner(g, seed=0)
-        runner.step()
-        sweeper = runner._sweeper
-        assert sweeper._id_lookup is not None
-        runner.apply_events([AddEdge("late-comer", 0)])
-        runner.step()
-        assert sweeper._id_lookup is None  # dict path from here on
-        runner.apply_events([RemoveVertex("late-comer")])
-        runner.step()
-        runner.metrics.cross_check()
-        runner.state.validate()
+        self._assert_arrival_retires_the_table("late-comer", "later-comer")
 
-    @needs_numpy
-    def test_unwitnessed_interning_triggers_rebuild(self):
-        """Interning the sweeper never saw must stay stale-safe."""
+    def _assert_arrival_retires_the_table(self, arrival, departure):
+        """An id outside the dense regime retires the table for good; the
+        timeline stays the dense backend's either way."""
+        dense, compact = _paired_runners(lambda: mesh_3d(4), seed=0)
+        g = compact.graph
+        assert dense.step() == compact.step()
+        assert g.id_table() is not None
+        rounds = [
+            [AddVertex(arrival), AddEdge(arrival, 0)],
+            [AddVertex(departure), RemoveVertex(arrival)],
+            [AddEdge(3, 17)],
+        ]
+        for events in rounds:
+            assert dense.apply_events(events) == compact.apply_events(events)
+            assert g.id_table() is None  # … and it never comes back
+            for _ in range(3):
+                assert dense.step() == compact.step()
+        g.validate()
+        compact.state.validate()
+        compact.metrics.cross_check()
+
+    def test_unwitnessed_interning_is_seen_by_the_next_sweep(self):
+        """Interning nobody told the runner about is interning like any
+        other: the table and the column already hold it."""
         g = as_compact(mesh_3d(4))
         runner = _runner(g, seed=0)
         runner.step()
-        sweeper = runner._sweeper
-        rebuilds = sweeper._id_lookup_rebuilds
-        # Mutate the graph + state behind the sweeper's back.
         g.add_vertex(900)
         g.add_edge(900, 0)
         runner.state.assign(900, 0)
-        runner.metrics.on_vertex_placed(900)
-        runner._activate(900)
+        runner.metrics.rebuild()
+        runner._active.add(900)
         runner.step()
-        assert sweeper._id_lookup_rebuilds == rebuilds + 1
-        assert sweeper._id_lookup[900] == g.slot_index[900]
+        if g.id_table() is not None:
+            assert g.id_table()[900] == g.slot_index[900]
+        g.validate()
+        runner.state.validate()
 
     @needs_numpy
     def test_aborted_removal_never_yields_wrong_slots(self):
-        """note_remove's anticipatory credit must be confirmed at query
-        time: a caller that aborts before the graph drops the vertex costs
-        a rebuild, never a wrong slot (the 'stale, never wrong' contract)."""
+        """A removal that reaches the state but never the graph leaves the
+        vertex interned — and the table says so."""
         g = as_compact(mesh_3d(3))
         runner = _runner(g, seed=0, k=2)
         runner.step()
-        sweeper = runner._sweeper
         victim = next(iter(g.vertices()))
-        # Simulate the aborted protocol: state + sweeper told, graph never.
-        runner.state.remove_vertex(victim)
-        sweeper.note_remove(victim)
-        # An unrelated interning lands the graph on the anticipated version.
+        runner.state.remove_vertex(victim)  # … and the graph never hears
         g.add_vertex(2000)
         runner.state.assign(2000, 0)
-        sweeper.note_assign(2000, 0)
-        slots = sweeper._candidate_slots([victim, 2000])
+        slots = runner._sweeper._candidate_slots([victim, 2000])
         assert slots[0] == g.slot_index[victim]  # not a stale -1
         assert slots[1] == g.slot_index[2000]
+        g.validate()
+        runner.state.validate()

@@ -137,11 +137,6 @@ def test_single_process_system_matches_the_sharded_default():
     assert serial == sharded
 
 
-def test_decisions_knob_validation():
-    with pytest.raises(ValueError, match="batch_events"):
-        PregelConfig(batch_events="sometimes")
-
-
 # ----------------------------------------------------------------------
 # The counter-split willingness RNG
 # ----------------------------------------------------------------------
@@ -432,10 +427,10 @@ def test_each_shard_holds_exactly_one_index():
 # ----------------------------------------------------------------------
 
 
-def _churned_coordinator(backend="adjacency", **config_kw):
+def _churned_coordinator(backend="adjacency", prepare=None):
     graph_cls = GRAPH_BACKENDS[backend]
     graph = mesh_3d(6, graph_cls=graph_cls)
-    config = PregelConfig(num_workers=4, seed=3, quiet_window=5, **config_kw)
+    config = PregelConfig(num_workers=4, seed=3, quiet_window=5)
     system = Coordinator(
         graph,
         PageRank(),
@@ -443,6 +438,8 @@ def _churned_coordinator(backend="adjacency", **config_kw):
         fault_plan=FaultPlan().add(9, 2),
         executor=InlineExecutor(),
     )
+    if prepare is not None:
+        prepare(system)
     try:
         for step in range(14):
             if step == 4:
@@ -498,12 +495,12 @@ def test_non_int_vertex_ids_through_the_sharded_decision_phase():
     assert serial == sharded
 
 
-def test_pregel_bulk_ingestion_is_loop_identical():
+def test_pregel_bulk_ingestion_is_loop_identical(per_event_loop):
     """Compact backend (bulk edge runs) == adjacency backend (loop), and
     forcing the loop on compact changes nothing either."""
     reference = _churned_coordinator("adjacency")
     assert _churned_coordinator("compact") == reference
-    assert _churned_coordinator("compact", batch_events="off") == reference
+    assert _churned_coordinator("compact", per_event_loop) == reference
 
 
 @pytest.mark.parametrize("backend", ["adjacency", "compact"])

@@ -159,6 +159,42 @@ class TestCli:
         assert output.startswith("--executor socket needs worker addresses")
         assert output.count("\n") == 1
 
+    def test_scenario_unknown_name_exits_2(self):
+        # Used to escape as a ValueError traceback from get_scenario.
+        code, output = self._run(["scenario", "nosuch"])
+        assert code == 2
+        assert output.startswith("cannot load scenario: unknown scenario")
+        assert output.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "filename, text",
+        [
+            ("missing.json", None),
+            ("broken.json", "{not json"),
+            ("broken.toml", "name = [unclosed"),
+            ("partial.json", '{"name": "half"}'),
+        ],
+        ids=["missing", "malformed-json", "malformed-toml", "incomplete"],
+    )
+    def test_scenario_bad_spec_exits_2(self, tmp_path, filename, text):
+        # Used to escape as FileNotFoundError / JSONDecodeError /
+        # TOMLDecodeError / ValueError tracebacks from load_scenario.
+        spec = tmp_path / filename
+        if text is not None:
+            spec.write_text(text, encoding="utf-8")
+        code, output = self._run(["scenario", "--spec", str(spec)])
+        assert code == 2
+        assert output.startswith("cannot load scenario: ")
+        assert output.count("\n") == 1
+
+    def test_scenario_rejects_negative_max_rounds(self):
+        # Used to be silently treated as 0.
+        code, output = self._run(
+            ["scenario", "mesh-growth", "--max-rounds", "-3"]
+        )
+        assert code == 2
+        assert output == "--max-rounds must be >= 0\n"
+
     def test_workers_help_lists_the_real_executors(self, capsys):
         with pytest.raises(SystemExit):
             self._run(["scenario", "--help"])
