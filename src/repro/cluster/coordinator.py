@@ -49,8 +49,15 @@ from itertools import repeat as _repeat
 from time import perf_counter, time
 
 from repro.cluster.executor import make_executor
-from repro.cluster.shard import Shard, ShardPatch, ShardTask
-from repro.core.sweep import sort_vertices
+from repro.cluster.shard import (
+    PatchColumns,
+    Shard,
+    ShardPatch,
+    ShardTask,
+    delta_columns,
+    store_dtype,
+)
+from repro.core.sweep import id_column, sort_vertices
 from repro.graph.events import AddVertex, RemoveVertex
 from repro.obs import Tracer
 from repro.pregel.messages import MessageColumns
@@ -85,6 +92,11 @@ class Coordinator(PregelSystem):
         self._shard_proposals = []
         super().__init__(graph, program, config, fault_plan,
                          tracer=tracer, metrics_registry=metrics_registry)
+        # Array stores that fell back to dicts (a perf cliff, never a
+        # correctness event); shards report per-delta counts.
+        self._demotion_counter = self.metrics_registry.counter(
+            "shard.store.demotions"
+        )
         adaptive = self.config.adaptive
         combiner = program.combiner()
         continuous = self.config.continuous
@@ -102,18 +114,25 @@ class Coordinator(PregelSystem):
             )
             for sid in range(self.config.num_workers)
         }
+        # Seeding is the first patch: every shard's residents in graph
+        # order, and on an adaptive run the full start-of-run placement as
+        # the broadcast delta (one list — as columns, one pair of arrays —
+        # shared by all k patches); barrier deltas keep the mirrors exact
+        # from here on.
+        self._store_dtype = store_dtype(program)
+        seeds = {sid: ShardPatch() for sid in shards}
+        partition_of = self.state.partition_of
         for v in graph.vertices():
-            pid = self.state.partition_of(v)
-            shards[pid].admit(
-                v, self.values[v], tuple(graph.neighbors(v)), False
+            pid = self._vertex_shard[v] = partition_of(v)
+            seeds[pid].upserts[v] = (
+                self.values[v], tuple(graph.neighbors(v)), False
             )
-            self._vertex_shard[v] = pid
-        if adaptive:
-            # Every shard mirrors the full start-of-run placement; barrier
-            # placement deltas keep the mirrors exact from here on.
-            assignment = list(self.state.assignment_items())
-            for shard in shards.values():
-                shard.seed_placement(assignment)
+        assignment = list(self.state.assignment_items()) if adaptive else []
+        for seed in seeds.values():
+            seed.placement_delta = assignment
+        for sid, seed in self._as_columns(seeds, assignment).items():
+            shards[sid].apply_patch(seed)
+            shards[sid].tracer.clear()  # set-up is not a superstep's span
         self._dirty.clear()  # initial build covered everything
         self._placement_log.clear()
         self.executor = make_executor(executor)
@@ -242,6 +261,8 @@ class Coordinator(PregelSystem):
                     # Which compute path ran, per trace/metrics dump — the
                     # scalar fallback leaves the counter untouched.
                     self._batched_counter.add(delta.batched_blocks)
+                if delta.demotions:  # an array store fell back to dicts
+                    self._demotion_counter.add(delta.demotions)
                 if traced:
                     # Worker-side spans ride home in the delta; merging
                     # them here is what builds the one shared timeline.
@@ -356,7 +377,9 @@ class Coordinator(PregelSystem):
         adaptive run the barrier's placement log is attached to
         *every* shard's patch (the same list — a broadcast, like the
         paper's migration announcements), so every placement mirror folds
-        in the identical delta before the next decision phase.
+        in the identical delta before the next decision phase.  Patches
+        leave as :class:`PatchColumns` wherever they fit the array
+        store's gate (:meth:`_as_columns`).
         """
         if not self._dirty and not self._placement_log:
             return
@@ -390,13 +413,36 @@ class Coordinator(PregelSystem):
                 elif old_sid is not None:
                     patch_for(old_sid).removes.append(vertex)
                     del self._vertex_shard[vertex]
-            if self._placement_log:
-                log = self._placement_log
+            log = self._placement_log
+            if log:
                 self._placement_log = []
                 for sid in range(self.config.num_workers):
                     patch_for(sid).placement_delta = log
             self._dirty.clear()
-            self._pending_patches = patches
+            self._pending_patches = self._as_columns(patches, log)
+
+    def _as_columns(self, patches, log):
+        """``patches`` with every one that fits the array store's gate
+        turned into :class:`PatchColumns` (the rest stay as they are).
+
+        The gate's type checks run here, once per upserted vertex per
+        barrier; ``log`` — the placement delta the patches share — becomes
+        one ``(ids, pids)`` pair of arrays, shared likewise.  A label id
+        in the broadcast keeps every patch a dict: no mirror could hold it
+        in an int64 column.
+        """
+        dtype = self._store_dtype
+        if dtype is None:
+            return patches
+        ids, pids = delta_columns(log)
+        placed = (id_column(ids), pids)
+        if placed[0] is None:
+            return patches
+        columns = {}
+        for sid, patch in patches.items():
+            packed = PatchColumns.from_patch(patch, dtype, placed)
+            columns[sid] = patch if packed is None else packed
+        return columns
 
     # ------------------------------------------------------------------
     # Debug / test support
@@ -415,7 +461,8 @@ class Coordinator(PregelSystem):
             self.executor.apply(self._pending_patches)
             self._pending_patches = {}
         seen = {}
-        for sid, (values, halted) in self.executor.snapshot().items():
+        expected = dict(self.state.assignment_items())
+        for sid, (values, halted, mirror) in self.executor.snapshot().items():
             for vertex, value in values.items():
                 if vertex in seen:
                     raise AssertionError(
@@ -435,31 +482,25 @@ class Coordinator(PregelSystem):
                     )
                 if (vertex in halted) != (vertex in self.halted):
                     raise AssertionError(f"halt-flag drift for {vertex!r}")
+            # The placement mirror came through the executor too (columns
+            # from an array store), so a remote worker's is checked as
+            # directly as an in-process shard's.
+            if mirror is None:
+                continue
+            if not isinstance(mirror, dict):
+                mirror = dict(zip(*(column.tolist() for column in mirror)))
+            if mirror != expected:
+                drift = {
+                    v: (mirror.get(v), expected.get(v))
+                    for v in sort_vertices(set(mirror) | set(expected))
+                    if mirror.get(v) != expected.get(v)
+                }
+                raise AssertionError(
+                    f"placement mirror drift on shard {sid}: {drift}"
+                )
         for vertex in self.graph.vertices():
             if vertex not in seen:
                 raise AssertionError(f"vertex {vertex!r} resident nowhere")
-        # In-process executors expose the shard objects directly; verify
-        # their placement mirrors against the authoritative assignment (a
-        # process executor's mirrors are covered by cross-executor
-        # identity of the decision timelines).
-        shards = getattr(self.executor, "_shards", None)
-        if shards and self.config.adaptive:
-            expected = dict(self.state.assignment_items())
-            for sid, shard in shards.items():
-                if shard.placement != expected:
-                    drift = {
-                        v: (shard.placement.get(v), expected.get(v))
-                        # reprolint: allow-DET001 failure-path diagnostic; order only shapes the exception text
-                        for v in set(shard.placement) ^ set(expected)
-                        | {
-                            v
-                            for v in set(shard.placement) & set(expected)
-                            if shard.placement[v] != expected[v]
-                        }
-                    }
-                    raise AssertionError(
-                        f"placement mirror drift on shard {sid}: {drift}"
-                    )
         return True
 
 

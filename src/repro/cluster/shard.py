@@ -1,14 +1,12 @@
 """One shard of the sharded execution layer.
 
 A :class:`Shard` owns the vertices of one partition (worker): their values,
-halted flags and a local read-only adjacency mirror.  Per superstep it runs
-the shared compute loop (:func:`~repro.pregel.compute.compute_block`) over
-its residents — and, when the task carries a decision snapshot, the
-*decision phase* over its candidate residents: heuristic evaluation against
-its local placement mirror plus the vertex-local keyed willingness coin
-(:func:`~repro.pregel.compute.decide_block`, vectorised over the shard
-block by the shard's :class:`~repro.core.sweep.LocalCsr` index when numpy
-is present).
+halted flags, adjacency and — on an adaptive run — a mirror of the global
+placement.  Per superstep it runs the shared compute loop
+(:func:`~repro.pregel.compute.compute_block`) over its residents — and,
+when the task carries a decision snapshot, the *decision phase* over its
+candidate residents: heuristic evaluation against its placement mirror
+plus the vertex-local keyed willingness coin.
 Everything the superstep produced comes back as a :class:`ShardDelta` —
 new values, a pre-combined outbox, halt transitions, aggregator
 contributions, per-worker compute cost and migration proposals.  The
@@ -17,24 +15,72 @@ arbitrates proposals in a keyed round permutation, so a superstep's outcome is
 independent of which thread or process ran which shard: bit-identical
 across every :mod:`~repro.cluster.executor` backend.
 
-Between supersteps the coordinator keeps shards current with
-:class:`ShardPatch` records (vertex upserts + evictions, plus the barrier's
-broadcast placement delta — the simulation's analogue of the migration
-announcements every worker receives) covering whatever the barrier changed:
-stream mutations, announced migrations, fault recoveries.  Everything here
-is plain picklable data — that is the whole contract
+**One representation at a time.**  What a shard holds its state *in* is
+decided by what the data is, never by a knob:
+
+* the **array store** — the shard's :class:`~repro.core.sweep.LocalCsr`
+  is its only state: id, value, halted, row-order, adjacency and
+  placement columns indexed by slot.  Patches arrive as
+  :class:`PatchColumns` and apply as vectorised stores; the batched kernel
+  fancy-indexes its block out of the columns and stores the new values
+  back; ``values`` / ``halted`` / ``_adj`` / ``placement`` stay empty.
+  Active while numpy is importable, the program's kernel can batch
+  (:func:`~repro.pregel.compute.kernel_dtype`, a :data:`COLUMN_DTYPES
+  <repro.pregel.messages.COLUMN_DTYPES>` dtype), the decision rule (if
+  any) is the exact paper heuristic, every id is an exact int64 and every
+  value exactly the dtype's Python scalar;
+* the **dict shard** — everything else (label ids, tuple values, no numpy,
+  ``REPRO_BATCH_KERNEL=off``): ``values`` dict, ``halted`` set, ``_adj``
+  dict of tuples, ``placement`` dict; the portable path and the oracle.
+  Under the exact paper heuristic it feeds a ``LocalCsr`` *index*
+  (adjacency + placement only) that vectorises its decision pass.
+
+A store **demotes** to dicts once, one way: on the first patch that is not
+columns in its dtype, or the first block its kernel declines (the scalar
+loop reads dicts).  Demotions are counted (``ShardDelta.demotions`` →
+``shard.store.demotions``): correct either way, but a perf cliff.
+
+Between supersteps the coordinator keeps shards current with patch records
+(vertex upserts + evictions, plus the barrier's broadcast placement delta —
+the simulation's analogue of the migration announcements every worker
+receives) covering whatever the barrier changed: stream mutations,
+announced migrations, fault recoveries.  :meth:`Shard.apply_patch` is the
+one mutation entry, start-of-run seeding included.  Everything here is
+plain picklable data — that is the whole contract
 :class:`~repro.cluster.executor.ProcessExecutor` needs.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Any
 
 from repro.core.heuristic import DecisionContext
-from repro.core.sweep import make_shard_index, sort_vertices
+from repro.core.sweep import id_column, make_shard_index, sort_vertices
 from repro.obs import NULL_TRACER
-from repro.pregel.compute import compute_block, decide_block
-from repro.pregel.messages import MessageColumns
+from repro.pregel.compute import (
+    batched_block,
+    compute_block,
+    decide_block,
+    kernel_dtype,
+)
+from repro.pregel.messages import COLUMN_DTYPES, MessageColumns, same_column
 
-__all__ = ["Shard", "ShardDelta", "ShardPatch", "ShardTask"]
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
+
+__all__ = [
+    "PatchColumns",
+    "Shard",
+    "ShardDelta",
+    "ShardPatch",
+    "ShardTask",
+    "delta_columns",
+    "store_dtype",
+]
 
 
 @dataclass(frozen=True)
@@ -74,7 +120,11 @@ class ShardTask:
 
 @dataclass
 class ShardPatch:
-    """Barrier-produced state changes for one shard.
+    """Barrier-produced state changes for one shard, as Python objects.
+
+    The universal patch shape (any id, any value); a patch whose every id
+    and value fits the array store's gate travels as :class:`PatchColumns`
+    instead.
 
     ``upserts`` maps vertex id → ``(value, neighbours, halted)`` in
     canonical vertex order (the coordinator builds it sorted, so shard
@@ -85,16 +135,144 @@ class ShardPatch:
 
     ``placement_delta`` is the barrier's ordered placement changes —
     ``(vertex, pid)`` for moves and streaming placements, ``(vertex,
-    None)`` for removals.  Unlike upserts it is a *broadcast*: every shard
-    receives the same delta (the paper's workers all learn every migration
-    announcement), which is what keeps each shard's global placement
-    mirror — the state the decision phase reads neighbour locations from —
-    exact.
+    None)`` for removals; a later entry for one vertex wins.  Unlike
+    upserts it is a *broadcast*: every shard receives the same delta (the
+    paper's workers all learn every migration announcement), which is what
+    keeps each shard's global placement mirror — the state the decision
+    phase reads neighbour locations from — exact.
     """
 
     upserts: dict = field(default_factory=dict)
     removes: list = field(default_factory=list)
     placement_delta: list = field(default_factory=list)
+
+
+def delta_columns(delta: list) -> tuple[list, Any]:
+    """An ordered placement delta as ``(ids, pids)``: the ids as a list,
+    the pids as an int64 column with −1 for a removal."""
+    ids, pids = zip(*delta) if delta else ((), ())
+    return list(ids), _np.array(
+        [-1 if pid is None else pid for pid in pids], dtype=_np.int64
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class PatchColumns:
+    """A :class:`ShardPatch` as parallel numpy columns — the store's shape.
+
+    Upserts are five columns in the patch's canonical vertex order:
+    ``ids``, ``values`` (the kernel dtype), ``degrees``, ``neighbours``
+    (every row's neighbour ids back to back, each row in
+    ``graph.neighbors(v)`` iteration order at patch-build time) and
+    ``halted``.  ``removes`` is the evicted ids; ``placed_ids`` /
+    ``placed_pids`` the ordered placement delta with −1 for a removal —
+    one pair of arrays shared by all of a barrier's patches.  Id columns
+    are 1-d ``int64``; lengths are checked on construction, so a record
+    that exists is well-formed.  Immutable, arrays included, like
+    :class:`~repro.pregel.messages.MessageColumns`.
+    """
+
+    ids: Any
+    values: Any
+    degrees: Any
+    neighbours: Any
+    halted: Any
+    removes: Any
+    placed_ids: Any
+    placed_pids: Any
+
+    def __post_init__(self) -> None:
+        for name in ("ids", "degrees", "neighbours", "removes",
+                     "placed_ids", "placed_pids"):
+            column = getattr(self, name)
+            if column.ndim != 1 or column.dtype != _np.int64:
+                raise ValueError(f"{name} must be a 1-d int64 column")
+        rows = self.ids.shape
+        if (
+            self.values.shape != rows
+            or self.values.dtype.name not in COLUMN_DTYPES
+            or self.degrees.shape != rows
+            or self.halted.shape != rows
+            or self.halted.dtype != bool
+        ):
+            raise ValueError("upsert columns disagree with the id column")
+        if (
+            len(self.degrees) and self.degrees.min() < 0
+        ) or self.degrees.sum() != len(self.neighbours):
+            raise ValueError("degrees disagree with the neighbour column")
+        if self.placed_ids.shape != self.placed_pids.shape:
+            raise ValueError("placement columns disagree in length")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatchColumns):
+            return NotImplemented
+        return all(
+            same_column(getattr(self, name), getattr(other, name))
+            for name in self.__dataclass_fields__
+        )
+
+    @classmethod
+    def from_patch(
+        cls, patch: ShardPatch, dtype: Any, placed: tuple[Any, Any]
+    ) -> PatchColumns | None:
+        """``patch`` as columns, or None when it does not fit the gate.
+
+        Fits: every id (upserted, neighbour, removed) an exact ``int`` in
+        int64 and every value exactly ``dtype``'s Python scalar — checked
+        here, once per upserted vertex.  ``placed`` is
+        ``patch.placement_delta`` as ``(int64 ids, pids)`` columns, built
+        once per barrier by the caller and shared by all its patches.
+        """
+        rows = list(patch.upserts.values())
+        values, adjacency, halted = zip(*rows) if rows else ((), (), ())
+        ids = id_column(list(patch.upserts))
+        neighbours = id_column(list(chain.from_iterable(adjacency)))
+        removes = id_column(patch.removes)
+        exact = float if dtype.kind == "f" else int
+        if (
+            ids is None
+            or neighbours is None
+            or removes is None
+            or set(map(type, values)) - {exact}
+        ):
+            return None
+        try:
+            column = _np.array(values, dtype=dtype)
+        except OverflowError:
+            return None
+        return cls(
+            ids=ids,
+            values=column,
+            degrees=_np.fromiter(
+                map(len, adjacency), dtype=_np.int64, count=len(rows)
+            ),
+            neighbours=neighbours,
+            halted=_np.array(halted, dtype=bool),
+            removes=removes,
+            placed_ids=placed[0],
+            placed_pids=placed[1],
+        )
+
+    def to_patch(self) -> ShardPatch:
+        """The same patch as Python objects (what a dict shard applies)."""
+        neighbours = iter(self.neighbours.tolist())
+        adjacency = [
+            tuple(islice(neighbours, degree))
+            for degree in self.degrees.tolist()
+        ]
+        return ShardPatch(
+            upserts=dict(zip(
+                self.ids.tolist(),
+                zip(self.values.tolist(), adjacency, self.halted.tolist()),
+            )),
+            removes=self.removes.tolist(),
+            placement_delta=[
+                (vertex, None if pid < 0 else pid)
+                for vertex, pid in zip(
+                    self.placed_ids.tolist(), self.placed_pids.tolist()
+                )
+            ],
+        )
 
 
 @dataclass
@@ -115,9 +293,12 @@ class ShardDelta:
     always empty when tracing is off.
 
     ``batched_blocks`` counts how many blocks this superstep ran through
-    the batched vertex-kernel path (0 or 1 per shard per superstep).
-    Observability only — it feeds the coordinator's
-    ``kernel.batched_blocks`` counter and never enters a digest.
+    the batched vertex-kernel path (0 or 1 per shard per superstep), and
+    ``demotions`` how many times the shard's array store fell back to
+    dicts since its last delta (0, or 1 once in a shard's life).
+    Observability only — they feed the coordinator's
+    ``kernel.batched_blocks`` / ``shard.store.demotions`` counters and
+    never enter a digest.
 
     ``values`` and ``outbox`` each take one of two shapes.  From the
     scalar loop (or a batched block whose ids are not an int64 column):
@@ -140,6 +321,7 @@ class ShardDelta:
     proposals: list = field(default_factory=list)
     spans: list = field(default_factory=list)
     batched_blocks: int = 0
+    demotions: int = 0
 
 
 class _ShardGraph:
@@ -151,14 +333,14 @@ class _ShardGraph:
 
     __slots__ = ("_adj", "num_vertices")
 
-    def __init__(self, adj):
+    def __init__(self, adj: dict) -> None:
         self._adj = adj
         self.num_vertices = 0
 
-    def neighbors(self, v):
+    def neighbors(self, v: Any) -> tuple:
         return self._adj[v]
 
-    def degree(self, v):
+    def degree(self, v: Any) -> int:
         return len(self._adj[v])
 
 
@@ -174,13 +356,14 @@ class _ShardRouter:
 
     __slots__ = ("_worker", "_combiner", "outbox", "columns")
 
-    def __init__(self, worker, combiner):
+    def __init__(self, worker: int, combiner: Any) -> None:
         self._worker = worker
         self._combiner = combiner
-        self.outbox = {}
-        self.columns = None  # a batched block's outbox, kept as columns
+        self.outbox: dict = {}
+        # a batched block's outbox, kept as columns
+        self.columns: MessageColumns | None = None
 
-    def send(self, source_id, target_id, message):
+    def send(self, source_id: Any, target_id: Any, message: Any) -> None:
         key = (self._worker, target_id)
         if self._combiner is not None:
             existing = self.outbox.get(key)
@@ -191,7 +374,7 @@ class _ShardRouter:
         else:
             self.outbox.setdefault(key, []).append(message)
 
-    def absorb_columns(self, workers, targets, payloads):
+    def absorb_columns(self, workers: Any, targets: Any, payloads: Any) -> None:
         """Batched-kernel entry point: insert pre-reduced outbox columns.
 
         Same contract as :meth:`MessageRouter.absorb_columns
@@ -209,7 +392,7 @@ class _ShardRouter:
         else:
             self.columns = MessageColumns(targets, payloads)
 
-    def drain(self):
+    def drain(self) -> Any:
         """This superstep's outbox in the shape the delta ships."""
         if self.columns is not None:
             return self.columns
@@ -221,31 +404,44 @@ class _ShardAggregators:
 
     __slots__ = ("_previous", "contributions")
 
-    def __init__(self, previous):
+    def __init__(self, previous: dict) -> None:
         self._previous = previous
-        self.contributions = []
+        self.contributions: list = []
 
-    def contribute(self, name, value):
+    def contribute(self, name: str, value: Any) -> None:
         if name not in self._previous:
             raise KeyError(f"aggregator {name!r} not registered")
         self.contributions.append((name, value))
 
-    def previous(self, name):
+    def previous(self, name: str) -> Any:
         return self._previous[name]
+
+
+def store_dtype(program: Any) -> Any:
+    """The value-column dtype an array store for ``program`` would have,
+    or None when its kernel cannot batch or its values cannot ship as
+    columns — the program's half of the store gate."""
+    dtype = kernel_dtype(program)
+    return dtype if dtype is not None and dtype.name in COLUMN_DTYPES else None
 
 
 class Shard:
     """The resident vertex state of one worker, plus its compute pass.
 
     With ``heuristic`` set the shard also hosts the decision phase: it
-    keeps a mirror of the *global* placement (seeded once at start, kept
-    exact by the barrier's broadcast placement deltas) and evaluates the
-    heuristic + willingness coin over its candidate residents each
+    keeps a mirror of the *global* placement (seeded by its first patch,
+    kept exact by the barrier's broadcast placement deltas) and evaluates
+    the heuristic + willingness coin over its candidate residents each
     superstep the coordinator asks it to.
+
+    ``store`` is the active array store (see the module docstring) or
+    None; ``index`` the shard's one :class:`~repro.core.sweep.LocalCsr` —
+    the store itself, or a dict shard's decision index, or None.
     """
 
-    def __init__(self, shard_id, program, combiner, continuous,
-                 heuristic=None, tracer=None):
+    def __init__(self, shard_id: int, program: Any, combiner: Any,
+                 continuous: bool, heuristic: Any = None,
+                 tracer: Any = None) -> None:
         self.shard_id = shard_id
         self.program = program
         self.continuous = continuous
@@ -253,116 +449,167 @@ class Shard:
         # runs in the coordinator's process: drain() must only ever take
         # this shard's spans into its delta.
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self.values = {}
-        self.halted = set()
-        self._adj = {}
+        self.values: dict = {}
+        self.halted: set = set()
+        self._adj: dict = {}
         self._combiner = combiner
         self.graph = _ShardGraph(self._adj)
         self.heuristic = heuristic
-        self.placement = None  # global placement mirror (decision phase)
-        self._decision_cache = None  # last fresh snapshot (staleness window)
-        # The one array index (None without numpy, or with nothing to
-        # read it): kept exact by admit/evict and the placement deltas
-        # alongside the dict state, read by the vectorised decision pass
-        # and by the batched vertex-kernel path.
-        self.block_index = make_shard_index(
-            heuristic, program.compute_batch is not None
-        )
+        # global placement mirror (decision phase); None = not adaptive
+        self.placement: dict | None = None if heuristic is None else {}
+        self._decision_cache: DecisionContext | None = None
+        self.index = make_shard_index(heuristic, store_dtype(program))
+        index = self.index
+        self.store = index if index is not None and index.values is not None else None
+        self._demotions = 0
         # Per-superstep scratch, bound during run_superstep.
-        self.router = None
-        self.aggregators = None
+        self.router: _ShardRouter | None = None
+        self.aggregators: _ShardAggregators | None = None
         self._compute_units = 0.0
-        self._computed_ids = None
+        self._computed_ids: list = []
         self._batched_blocks = 0
-        self._value_columns = None
+        self._value_columns: MessageColumns | None = None
 
-    def __len__(self):
-        return len(self.values)
+    def __len__(self) -> int:
+        store = self.store
+        return len(self.values) if store is None else store.residents
 
     # ------------------------------------------------------------------
     # Membership (driven by coordinator patches)
     # ------------------------------------------------------------------
 
-    def admit(self, vertex, value, neighbours, halted):
-        """Upsert one resident; an existing vertex keeps its compute slot."""
-        self.values[vertex] = value
-        self._adj[vertex] = tuple(neighbours)
-        if halted:
-            self.halted.add(vertex)
-        else:
-            self.halted.discard(vertex)
-        if self.block_index is not None:
-            self.block_index.admit(vertex, self._adj[vertex])
-
-    def evict(self, vertex):
-        """Drop one resident (migration departure or stream removal)."""
-        self.values.pop(vertex, None)
-        self._adj.pop(vertex, None)
-        self.halted.discard(vertex)
-        if self.block_index is not None:
-            self.block_index.evict(vertex)
-
-    def seed_placement(self, assignment_items):
-        """Install the initial global placement mirror (start-of-run)."""
-        self.placement = dict(assignment_items)
-        if self.block_index is not None:
-            self.block_index.place_many(list(self.placement.items()))
-
-    def apply_placement_delta(self, delta):
-        """Fold one barrier's broadcast placement changes into the mirror."""
-        placement = self.placement
-        if placement is None:
-            return
-        index = self.block_index
-        for vertex, pid in delta:
-            if pid is None:
-                placement.pop(vertex, None)
-                if index is not None:
-                    index.unplace(vertex)
-            else:
-                placement[vertex] = pid
-                if index is not None:
-                    index.place(vertex, pid)
-
-    def apply_patch(self, patch):
+    def apply_patch(self, patch: ShardPatch | PatchColumns) -> None:
         """Apply one barrier's changes (removes first, then upserts).
 
-        The ``apply-patch`` span recorded here ships with the *next*
+        A store applies columns as vectorised stores; anything else
+        reaches the dict state (demoting a store first).  The
+        ``apply-patch`` span recorded here ships with the *next*
         superstep's delta (patches precede compute in the step protocol).
         """
+        columnar = isinstance(patch, PatchColumns)
         with self.tracer.span(
             "apply-patch",
-            upserts=len(patch.upserts),
+            upserts=len(patch.ids if columnar else patch.upserts),
             removes=len(patch.removes),
         ):
-            for vertex in patch.removes:
-                self.evict(vertex)
-            for vertex, (value, neighbours, halted) in patch.upserts.items():
-                self.admit(vertex, value, neighbours, halted)
-            if patch.placement_delta:
-                self.apply_placement_delta(patch.placement_delta)
+            store = self.store
+            if store is not None and not (
+                columnar and patch.values.dtype == store.values.dtype
+            ):
+                self._demote()
+                store = None
+            if store is None:
+                self._apply_objects(patch.to_patch() if columnar else patch)
+                return
+            # The mirror first (its columns are independent of the
+            # residents'): at seeding it names every vertex, which keeps
+            # the id → slot table dense from the first lookup on.
+            if len(patch.placed_ids):
+                store.place_many(patch.placed_ids, patch.placed_pids)
+            store.evict_many(patch.removes)
+            store.admit_many(
+                patch.ids, patch.degrees, patch.neighbours,
+                patch.values, patch.halted,
+            )
+
+    def _apply_objects(self, patch: ShardPatch) -> None:
+        """The dict shard's patch: per-vertex dict upkeep, then the same
+        changes to the decision index in one bulk call each."""
+        values, halted, adj = self.values, self.halted, self._adj
+        for vertex in patch.removes:
+            values.pop(vertex, None)
+            adj.pop(vertex, None)
+            halted.discard(vertex)
+        for vertex, (value, neighbours, is_halted) in patch.upserts.items():
+            values[vertex] = value  # an existing vertex keeps its compute slot
+            adj[vertex] = tuple(neighbours)
+            if is_halted:
+                halted.add(vertex)
+            else:
+                halted.discard(vertex)
+        placement = self.placement
+        delta = patch.placement_delta if placement is not None else ()
+        if delta:
+            placement.update(delta)
+            for vertex, pid in delta:  # a later entry won; drop the removed
+                if pid is None and placement.get(vertex) is None:
+                    placement.pop(vertex, None)
+        index = self.index
+        if index is None:
+            return
+        if patch.removes:
+            index.evict_many(list(patch.removes))
+        if patch.upserts:
+            adjacency = [adj[vertex] for vertex in patch.upserts]
+            index.admit_many(
+                list(patch.upserts),
+                _np.fromiter(
+                    map(len, adjacency), dtype=_np.int64, count=len(adjacency)
+                ),
+                list(chain.from_iterable(adjacency)),
+            )
+        if delta:
+            index.place_many(*delta_columns(delta))
+
+    def _views(self) -> tuple[dict, set]:
+        """The store's ``(values, halted)`` as the dict shard's objects,
+        residents in compute order — built per call."""
+        store = self.store
+        rows = store.rows()
+        ids = store.ids[rows]
+        return (
+            dict(zip(ids.tolist(), store.values[rows].tolist())),
+            set(ids[store.halted[rows]].tolist()),
+        )
+
+    def _demote(self) -> None:
+        """Turn the array store into dict state — once, one way.
+
+        The ``LocalCsr`` stays on as the decision index (adjacency and
+        placement columns are exact and keep being fed) when the
+        heuristic reads it; its value column is dropped.
+        """
+        store = self.store
+        self.values, self.halted = self._views()
+        rows = store.rows()
+        degrees, neighbours = store.adjacency(rows)
+        flat = iter(neighbours.tolist())
+        self._adj.update(
+            (vertex, tuple(islice(flat, degree)))
+            for vertex, degree in zip(self.values, degrees.tolist())
+        )
+        if self.placement is not None:
+            ids, pids = store.mirror()
+            self.placement.update(zip(ids.tolist(), pids.tolist()))
+        store.values = None
+        self.store = None
+        if not store.decides:
+            self.index = None
+        self._demotions += 1
 
     # ------------------------------------------------------------------
     # Compute (the host contract of compute_block)
     # ------------------------------------------------------------------
 
-    def note_cost(self, vertex, cost):
+    def note_cost(self, vertex: Any, cost: float) -> None:
         """Compute-host contract: record one computed vertex and its cost."""
         self._compute_units += cost
         self._computed_ids.append(vertex)
 
-    def note_costs(self, vertex_ids, costs):
+    def note_costs(self, vertex_ids: Any, costs: Any) -> None:
         """Vectorised :meth:`note_cost` for one batched block.
 
         ``cumsum`` accumulates strictly left to right, so the final prefix
         sum associates exactly like the scalar loop's per-vertex ``+=`` —
-        compute-unit timelines stay bit-identical.
+        compute-unit timelines stay bit-identical.  A store keeps no id
+        list: its delta's value columns name the computed rows.
         """
-        self._computed_ids.extend(vertex_ids)
+        if self.store is None:
+            self._computed_ids.extend(vertex_ids)
         if len(costs):
             self._compute_units += float(costs.cumsum()[-1])
 
-    def note_batched_block(self, values=None):
+    def note_batched_block(self, values: MessageColumns | None = None) -> None:
         """Count one block evaluated through the batched kernel path.
 
         ``values`` is the block's ``(ids, new values)`` as a
@@ -373,16 +620,16 @@ class Shard:
         self._batched_blocks += 1
         self._value_columns = values
 
-    def batch_workers(self, vertex_ids):
+    def batch_workers(self, vertex_ids: Any) -> list[int]:
         """Per-row source workers: this shard's id, for every resident."""
         return [self.shard_id] * len(vertex_ids)
 
     @property
-    def placement_of(self):
+    def placement_of(self) -> Any:
         """The decision-host contract of :func:`decide_block`: mirror reads."""
         return self.placement.get
 
-    def _decision_snapshot(self, task):
+    def _decision_snapshot(self, task: ShardTask) -> DecisionContext | None:
         """Resolve the task's decision input to a usable snapshot (or None).
 
         A fresh :class:`DecisionContext` is cached (it opens a staleness
@@ -404,7 +651,7 @@ class Shard:
             )
         return cached.aged(decision)
 
-    def _decision_phase(self, task):
+    def _decision_phase(self, task: ShardTask) -> list:
         """Evaluate the decision step for ``task``; returns the proposals.
 
         Candidate order is canonicalised locally (the coordinator ships
@@ -416,60 +663,98 @@ class Shard:
         context = self._decision_snapshot(task)
         if context is None or self.placement is None:
             return []
+        store, index = self.store, self.index
+        if store is not None:  # ascending ids: sort_vertices over an int column
+            if task.candidates is None:
+                rows = store.rows()
+                slots = rows[_np.argsort(store.ids[rows])]
+            else:
+                slots = store.slots_of(
+                    _np.sort(_np.asarray(task.candidates, dtype=_np.int64))
+                )
+            return store.decisions(context, slots)
         candidates = sort_vertices(
             self.values if task.candidates is None else task.candidates
         )
-        index = self.block_index
-        if index is not None and index.decides:
-            return index.decisions(context, candidates)
+        if index is not None:
+            return index.decisions(context, index.slots_of(candidates))
         return decide_block(self, context, candidates)
 
-    def run_superstep(self, task):
+    def run_superstep(self, task: ShardTask) -> ShardDelta:
         """Run the compute pass for ``task``; returns the :class:`ShardDelta`."""
         tracer = self.tracer
-        self.router = _ShardRouter(self.shard_id, self._combiner)
-        self.aggregators = _ShardAggregators(task.agg_previous)
+        router = self.router = _ShardRouter(self.shard_id, self._combiner)
+        aggregators = self.aggregators = _ShardAggregators(task.agg_previous)
         self.graph.num_vertices = task.num_vertices
         self._compute_units = 0.0
         self._computed_ids = []
         self._batched_blocks = 0
         self._value_columns = None
-        halted_before = set(self.halted)
         with tracer.span(
-            "compute", superstep=task.superstep, residents=len(self.values)
+            "compute", superstep=task.superstep, residents=len(self)
         ):
-            computed = compute_block(
-                self, list(self.values), task.inbox, task.superstep
-            )
+            store = self.store
+            computed = None
+            if store is not None:
+                rows = store.rows()
+                asleep = store.halted[rows]
+                computed = batched_block(
+                    self, None, task.inbox, task.superstep
+                )
+                if computed is None:  # the scalar loop reads dicts
+                    self._demote()
+                    store = None
+            if computed is None:
+                halted_before = set(self.halted)
+                computed = compute_block(
+                    self, list(self.values), task.inbox, task.superstep
+                )
         proposals = []
         if task.decision is not None:
             with tracer.span("decide", superstep=task.superstep):
                 proposals = self._decision_phase(task)
         spans = tracer.drain() if tracer.enabled else []
-        values = self._value_columns
+        values: Any = self._value_columns
         if values is None:
             values = {v: self.values[v] for v in self._computed_ids}
+        if store is not None:  # halt transitions off the mask, ids ascending
+            ids, halted = store.ids[rows], store.halted[rows]
+            halted_added = _np.sort(ids[halted & ~asleep]).tolist()
+            halted_removed = _np.sort(ids[asleep & ~halted]).tolist()
+        else:
+            halted_added = sort_vertices(self.halted - halted_before)
+            halted_removed = sort_vertices(halted_before - self.halted)
         delta = ShardDelta(
             shard_id=self.shard_id,
             computed=computed,
             values=values,
-            outbox=self.router.drain(),
-            halted_added=sort_vertices(self.halted - halted_before),
-            halted_removed=sort_vertices(halted_before - self.halted),
-            aggregated=self.aggregators.contributions,
+            outbox=router.drain(),
+            halted_added=halted_added,
+            halted_removed=halted_removed,
+            aggregated=aggregators.contributions,
             compute_units=self._compute_units,
             proposals=proposals,
             spans=spans,
             batched_blocks=self._batched_blocks,
+            demotions=self._demotions,
         )
         self.router = None
         self.aggregators = None
-        self._computed_ids = None
+        self._demotions = 0
         return delta
 
-    def snapshot(self):
-        """Picklable ``(values, halted)`` view for consistency checks."""
-        return dict(self.values), set(self.halted)
+    def snapshot(self) -> tuple[dict, set, Any]:
+        """Picklable ``(values, halted, mirror)`` view for consistency checks.
 
-    def __repr__(self):
-        return f"Shard(id={self.shard_id}, residents={len(self.values)})"
+        ``mirror`` is the placement mirror — a dict, or ``(ids, pids)``
+        columns from an active store — or None on a non-adaptive run.
+        """
+        store = self.store
+        if store is not None:
+            mirror = None if self.placement is None else store.mirror()
+            return (*self._views(), mirror)
+        mirror = None if self.placement is None else dict(self.placement)
+        return dict(self.values), set(self.halted), mirror
+
+    def __repr__(self) -> str:
+        return f"Shard(id={self.shard_id}, residents={len(self)})"

@@ -14,14 +14,17 @@ can distinguish "worker went away" from garbage.
 **Codec.**  :func:`dumps` / :func:`loads` encode one protocol message in
 a tagged binary format that packs
 the hot structures — task inboxes, delta value maps and outboxes, patch
-adjacency — as homogeneous little-endian buffers, delta-encoding
+columns — as homogeneous little-endian buffers, delta-encoding
 vertex-id columns so ids on a million-vertex graph cost bytes
 proportional to their local gaps rather than their magnitude.  numpy is
 *not* required: every int column is the same bytes whether the stdlib
 :mod:`array` module or numpy packed it (numpy, when present, only does it
 without a per-element Python loop).  The message plane's
-:class:`~repro.pregel.messages.MessageColumns` and ``numpy.ndarray``
-values have tags of their own that need numpy on both sides; arbitrary
+:class:`~repro.pregel.messages.MessageColumns`, the array store's
+:class:`~repro.cluster.shard.PatchColumns` and ``numpy.ndarray`` values
+have tags of their own that need numpy on both sides (a dict
+:class:`~repro.cluster.shard.ShardPatch` takes the generic encoding of
+its three fields); arbitrary
 program values cross under a pickle fallback tag — the only way such
 values cross.  :func:`loads` raises :class:`WireError`, and nothing else,
 on any payload it cannot decode, and the codec's own tags never allocate
@@ -45,11 +48,10 @@ import struct
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
-from itertools import chain, islice
 from math import prod
 from typing import Any, cast
 
-from repro.cluster.shard import ShardDelta, ShardPatch, ShardTask
+from repro.cluster.shard import PatchColumns, ShardDelta, ShardPatch, ShardTask
 from repro.pregel.messages import CombinedMessages, MessageColumns
 
 try:  # numpy is optional everywhere in this repo
@@ -149,7 +151,7 @@ _TAG_PATCH = 0x14
 _TAG_DELTA = 0x15
 _TAG_PICKLE = 0x16         # anything else
 _TAG_COLUMNS = 0x17        # MessageColumns: packed ids/counts + raw payloads
-_TAG_UPSERTS = 0x18        # {int: (float, (int, ...), bool)} — five columns
+_TAG_PATCH_COLUMNS = 0x18  # PatchColumns: packed int columns + raw values
 
 
 def _int_typecodes() -> dict[int, str]:
@@ -410,44 +412,6 @@ def _encode_int_rows(rows: Any, out: bytearray) -> bool:
     return True
 
 
-def _encode_upserts(upserts: dict[Any, Any], out: bytearray) -> bool:
-    """Five-column packing for a patch's ``{vertex: (value, neighbours,
-    halted)}`` with int ids, float values and int neighbour tuples:
-    ``[keys][degrees][neighbours, flattened][halted][values]``; False when
-    the shape differs."""
-    rows = list(upserts.values())
-    if (
-        not rows
-        or not _all_exact(upserts, int)
-        or set(map(type, rows)) != {tuple}
-        or set(map(len, rows)) != {3}
-    ):
-        return False
-    values, adjacency, halted = zip(*rows)
-    flat = list(chain.from_iterable(adjacency)) if _all_exact(
-        adjacency, tuple
-    ) else None
-    if (
-        flat is None
-        or not _all_exact(values, float)
-        or not _all_exact(halted, bool)
-        or not _all_exact(flat, int)
-    ):
-        return False
-    mark = len(out)
-    out.append(_TAG_UPSERTS)
-    if (
-        _pack_ints(list(upserts), out)
-        and _pack_ints(list(map(len, adjacency)), out)
-        and _pack_ints(flat, out)
-        and _pack_ints(halted, out)
-    ):
-        _pack_floats(values, out)
-        return True
-    del out[mark:]
-    return False
-
-
 def _encode_outbox(entries: Any, out: bytearray) -> None:
     """Three-column packing for ``[((worker, target), payload), ...]``
     (a columnar outbox has its own tag)."""
@@ -577,11 +541,32 @@ def _encode_task(obj: ShardTask, out: bytearray) -> None:
 
 def _encode_patch(obj: ShardPatch, out: bytearray) -> None:
     out.append(_TAG_PATCH)
-    if not _encode_upserts(obj.upserts, out):
-        _encode(obj.upserts, out)
+    _encode(obj.upserts, out)
     _encode(obj.removes, out)
     if not _encode_int_rows(obj.placement_delta, out):
         _encode(obj.placement_delta, out)
+
+
+def _encode_patch_columns(obj: PatchColumns, out: bytearray) -> None:
+    """``[flags][seven int columns][raw value buffer]``.
+
+    Flag bit 0: values are int64 (else float64).  The int columns — ids,
+    degrees, neighbours, halted (as 0/1), removes, placed ids, placed
+    pids — are width-selected and delta-encoded like every int column;
+    values are the raw little-endian buffer, ``len(ids)`` items long.
+    """
+    values = obj.values
+    integral = values.dtype.kind == "i"
+    out.append(_TAG_PATCH_COLUMNS)
+    out.append(integral)
+    _pack_int_column(obj.ids, out)
+    _pack_int_column(obj.degrees, out)
+    _pack_int_column(obj.neighbours, out)
+    _pack_int_column(obj.halted.astype(_np.int64), out)
+    _pack_int_column(obj.removes, out)
+    _pack_int_column(obj.placed_ids, out)
+    _pack_int_column(obj.placed_pids, out)
+    out += values.astype("<i8" if integral else "<f8", copy=False).tobytes()
 
 
 def _encode_delta(obj: ShardDelta, out: bytearray) -> None:
@@ -598,6 +583,7 @@ def _encode_delta(obj: ShardDelta, out: bytearray) -> None:
         _encode(obj.proposals, out)
     _encode(obj.spans, out)
     _encode(obj.batched_blocks, out)
+    _encode(obj.demotions, out)
 
 
 _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
@@ -615,6 +601,7 @@ _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
     MessageColumns: _encode_columns,
     ShardTask: _encode_task,
     ShardPatch: _encode_patch,
+    PatchColumns: _encode_patch_columns,
     ShardDelta: _encode_delta,
 }
 
@@ -816,21 +803,6 @@ def _decode(reader: _Reader) -> Any:
             if bools >> position & 1:
                 columns[position] = map(bool, columns[position])
         return list(zip(*columns))
-    if tag == _TAG_UPSERTS:
-        keys = _read_int_array(reader)
-        degrees = _read_int_array(reader)
-        flat = _read_int_array(reader)
-        halted = _read_int_array(reader)
-        floats = _read_float_array(reader)
-        _same_length(keys, degrees, halted, floats)
-        if sum(degrees) != len(flat) or (degrees and min(degrees) < 0):
-            raise WireError("upsert degrees disagree with the neighbour column")
-        neighbours = iter(flat)
-        return dict(zip(keys, zip(
-            floats,
-            [tuple(islice(neighbours, degree)) for degree in degrees],
-            map(bool, halted),
-        )))
     if tag == _TAG_OUTBOX:
         reader.uint()  # count (redundant with the columns)
         workers = _read_int_array(reader)
@@ -891,6 +863,37 @@ def _decode(reader: _Reader) -> Any:
             removes=_decode(reader),
             placement_delta=_decode(reader),
         )
+    if tag == _TAG_PATCH_COLUMNS:
+        if _np is None:
+            raise WireError(
+                "frame contains patch columns but numpy is not installed"
+            )
+        flags = reader.byte()
+        if flags > 1:
+            raise WireError(f"bad patch-columns flags {flags:#x}")
+        ids = _read_int_column(reader)
+        degrees = _read_int_column(reader)
+        neighbours = _read_int_column(reader)
+        halted = _read_int_column(reader)
+        removes = _read_int_column(reader)
+        placed_ids = _read_int_column(reader)
+        placed_pids = _read_int_column(reader)
+        raw = _np.frombuffer(
+            reader.take(len(ids) * 8), dtype="<i8" if flags else "<f8"
+        )
+        try:
+            return PatchColumns(
+                ids=ids,
+                values=raw.astype(raw.dtype.newbyteorder("=")),
+                degrees=degrees,
+                neighbours=neighbours,
+                halted=halted.astype(bool),
+                removes=removes,
+                placed_ids=placed_ids,
+                placed_pids=placed_pids,
+            )
+        except ValueError as exc:  # column lengths disagree
+            raise WireError(str(exc)) from None
     if tag == _TAG_DELTA:
         return ShardDelta(
             shard_id=_decode(reader),
@@ -904,6 +907,7 @@ def _decode(reader: _Reader) -> Any:
             proposals=_decode(reader),
             spans=_decode(reader),
             batched_blocks=_decode(reader),
+            demotions=_decode(reader),
         )
     if tag == _TAG_PICKLE:
         return pickle.loads(bytes(reader.take(reader.uint())))

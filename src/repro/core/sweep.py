@@ -39,7 +39,11 @@ draws.  It is bit-identical to the portable
 :func:`~repro.pregel.compute.decide_block` path by the same argument as
 above, and the equivalence suite pins it.  The same slots answer the
 batched vertex kernel's topology queries (:meth:`LocalCsr.gather`), so a
-shard interns every id exactly once.
+shard interns every id exactly once — and when the shard's program
+batches, the same slots carry its value, halt-vote and row-order columns
+too: the ``LocalCsr`` is then the shard's *only* state (the array store
+of :mod:`repro.cluster.shard`), fed in bulk by ``admit_many`` /
+``evict_many`` / ``place_many`` and read by slot.
 """
 
 from itertools import islice
@@ -225,50 +229,92 @@ class CompactSweeper:
         return [ids[s] for s in touched.tolist()]
 
 
-def make_shard_index(heuristic, batched):
+def id_column(ids):
+    """``ids`` as an int64 column, or None unless every id is an exact
+    ``int`` that fits (labels, bools and bigints stay Python objects)."""
+    if _np is None or set(map(type, ids)) - {int}:
+        return None
+    try:
+        return _np.array(ids, dtype=_np.int64)
+    except OverflowError:
+        return None
+
+
+def make_shard_index(heuristic, dtype=None):
     """One shard's :class:`LocalCsr`, or None when nothing would read it.
 
     Both readers need numpy: the decision pass, under the same gate as
     :func:`make_sweeper` — the *exact* paper heuristic (a subclass could
     override the rule; anything else decides through the portable
-    :func:`~repro.pregel.compute.decide_block`) — and the batched vertex
-    kernel (``batched``: the program declares ``compute_batch``).
+    :func:`~repro.pregel.compute.decide_block`, which reads dict state) —
+    and the batched vertex kernel, whose value column has ``dtype``
+    (None: the program has no kernel to run).
     """
     greedy = type(heuristic) is GreedyMaxNeighbours
-    if _np is None or not (greedy or batched):
+    if _np is None or not (greedy or (heuristic is None and dtype is not None)):
         return None
-    return LocalCsr(greedy)
+    return LocalCsr(greedy, dtype)
 
 
 class LocalCsr:
-    """The array index of one shard: local CSR, placement mirror, id tables.
+    """The slot-indexed arrays of one shard: its index, or its whole state.
 
     Ids are interned into dense local slots on first sight (residents,
-    their neighbours, and every vertex the placement mirror names), each
-    slot carrying its vertex id, its willingness key and its partition.
-    Resident adjacency lives as append-only ``(start, len)`` blocks in one
-    flat array, compacted when garbage from re-admissions and evictions
-    exceeds the live volume — so a quiet shard pays O(changed), and an
-    adjacency patch pays O(degree of the patched vertices).
+    their neighbours, and every vertex the placement mirror names).  Every
+    column is indexed by slot:
 
-    The shard feeds it the membership changes it applies to its own dict
-    state (:meth:`admit` / :meth:`evict`) and the coordinator's broadcast
-    placement deltas (:meth:`place` / :meth:`unplace`), so it is exact
-    whenever the shard is.  Two readers share the slots: :meth:`decisions`
-    (``decides`` says whether the shard's heuristic is the rule it
-    implements) and :meth:`gather`, the batched vertex kernel's topology.
+    ==============  ====================================================
+    ``ids``          slot → vertex id (int64; ``object`` once a label
+                     id arrived)
+    ``_keys``        the id's willingness key
+    ``_place``       the *global* placement mirror (−1 = unplaced)
+    ``_starts`` /    the resident's adjacency block in ``_blocks`` —
+    ``_lens``        append-only, compacted when garbage from re-admissions
+                     and evictions exceeds the live volume, so a patch
+                     costs O(degree of the patched vertices)
+    ``_seq``         admission stamp (−1 = not resident): :meth:`rows` is
+                     the residents by ascending stamp — compute order is
+                     admission order, never slot order
+    ``halted``       the resident's halt vote
+    ``values``       the resident's value, in the kernel dtype (None when
+                     the shard keeps values in a dict)
+    ==============  ====================================================
+
+    Id → slot is one gather through a dense table while ids are modest
+    non-negative ints (the :meth:`CompactGraph.id_table
+    <repro.graph.compact.CompactGraph.id_table>` regime); the first id
+    outside it retires the table for a dict, for good.
+
+    Everything is fed in bulk — :meth:`admit_many` / :meth:`evict_many` /
+    :meth:`place_many`, one call per patch — and read by slot:
+    :meth:`decisions` (``decides`` says whether the shard's heuristic is
+    the rule it implements) and :meth:`gather`, the batched vertex
+    kernel's topology.  A shard whose program batches keeps *no* other
+    state (``values`` is allocated); a dict shard feeds the same calls
+    from its patches and reads only :meth:`decisions`.
     """
 
     _GROW = 1024
+    # The table lives while ids stay below this multiple of the interned
+    # count: 8 bytes per possible id, so never more than the dict costs.
+    _TABLE_SPREAD = 16
 
-    def __init__(self, decides):
+    def __init__(self, decides, dtype=None):
         self.decides = decides
-        self._slot = {}
-        self._ids = []  # slot -> vertex id (slots are assigned densely)
+        self.count = 0      # interned slots
+        self.residents = 0
+        self.ids = _np.empty(0, dtype=_np.int64)
+        self._table = _np.empty(0, dtype=_np.int64)  # dense id -> slot
+        self._slot = None   # the dict that replaces a retired table
         self._keys = _np.empty(0, dtype=_np.uint64)
         self._place = _np.empty(0, dtype=_np.int64)
         self._starts = _np.empty(0, dtype=_np.int64)
         self._lens = _np.empty(0, dtype=_np.int64)
+        self._seq = _np.empty(0, dtype=_np.int64)
+        self._stamp = 0
+        self._rows = None   # cached rows(); dropped when membership moves
+        self.halted = _np.empty(0, dtype=bool)
+        self.values = None if dtype is None else _np.empty(0, dtype=dtype)
         self._blocks = _np.empty(0, dtype=_np.int64)
         self._used = 0
         self._garbage = 0
@@ -279,56 +325,133 @@ class LocalCsr:
 
     def _grow_slots(self, needed):
         size = max(needed, 2 * len(self._lens), self._GROW)
+        self.ids = _grown(self.ids, size, 0)
         self._keys = _grown(self._keys, size, 0)
         self._place = _grown(self._place, size, -1)
         self._starts = _grown(self._starts, size, 0)
         self._lens = _grown(self._lens, size, 0)
+        self._seq = _grown(self._seq, size, -1)
+        self.halted = _grown(self.halted, size, False)
+        if self.values is not None:
+            self.values = _grown(self.values, size, 0)
 
-    def _intern(self, vertex):
-        slot = self._slot.get(vertex)
-        if slot is None:
-            slot = len(self._slot)
-            self._slot[vertex] = slot
-            self._ids.append(vertex)
-            if slot >= len(self._lens):
-                self._grow_slots(slot + 1)
-            self._keys[slot] = vertex_key(vertex)
-        return slot
+    def _append(self, fresh, keys):
+        """Give the never-seen ids ``fresh`` the next slots."""
+        end = self.count + len(fresh)
+        if end > len(self._lens):
+            self._grow_slots(end)
+        self.ids[self.count : end] = fresh
+        self._keys[self.count : end] = keys
+        self.count = end
 
-    # ------------------------------------------------------------------
-    # Membership upkeep (mirrors the shard's dict state)
-    # ------------------------------------------------------------------
+    def slots_of(self, ids):
+        """Slots of ``ids``, interning every id not seen before.
 
-    def admit(self, vertex, neighbours):
-        """Upsert one resident's adjacency block."""
-        slot = self._intern(vertex)
-        self._garbage += int(self._lens[slot])
-        degree = len(neighbours)
-        if degree:
-            end = self._used + degree
-            if end > len(self._blocks):
-                self._blocks = _grown(
-                    self._blocks, max(end, 2 * len(self._blocks), self._GROW), 0
-                )
-            block = self._blocks[self._used : end]
-            for i, w in enumerate(neighbours):
-                block[i] = self._intern(w)
-            self._starts[slot] = self._used
-            self._used = end
+        ``ids`` is an int64 column, or a list of arbitrary ids (a dict
+        shard's; packed into a column when every id allows it).
+        """
+        if isinstance(ids, list):
+            column = id_column(ids)
+            if column is not None:
+                ids = column
+        if not len(ids):
+            return _np.empty(0, dtype=_np.int64)
+        table = self._table
+        if table is not None:
+            dense = not isinstance(ids, list) and int(ids.min()) >= 0
+            top = int(ids.max()) if dense else 0
+            if dense and top < max(
+                len(table), self._TABLE_SPREAD * (self.count + len(ids)) + 1024
+            ):
+                if top >= len(table):
+                    table = _grown(table, max(top + 1, 2 * len(table)), -1)
+                    self._table = table
+                slots = table[ids]
+                fresh = ids[slots < 0]
+                if len(fresh):
+                    fresh = _np.unique(fresh)
+                    table[fresh] = _np.arange(
+                        self.count, self.count + len(fresh), dtype=_np.int64
+                    )
+                    self._append(fresh, fresh.astype(_np.uint64))
+                    slots = table[ids]
+                return slots
+            # A label, negative or sparse id: the dict takes over, for good.
+            self._slot = dict(
+                zip(self.ids[: self.count].tolist(), range(self.count))
+            )
+            self._table = None
+        slot_of = self._slot
+        known = len(slot_of)
+        if isinstance(ids, list):
+            if self.ids.dtype != object:
+                self.ids = self.ids.astype(object)
         else:
-            self._starts[slot] = 0
-        self._lens[slot] = degree
+            ids = ids.tolist()
+        slots = _np.fromiter(
+            (slot_of.setdefault(v, len(slot_of)) for v in ids),
+            dtype=_np.int64,
+            count=len(ids),
+        )
+        if len(slot_of) > known:
+            # dicts iterate in insertion order, which is slot order here
+            fresh = list(islice(slot_of, known, None))
+            self._append(
+                _np.fromiter(fresh, dtype=self.ids.dtype, count=len(fresh)),
+                _np.fromiter(
+                    map(vertex_key, fresh), dtype=_np.uint64, count=len(fresh)
+                ),
+            )
+        return slots
+
+    # ------------------------------------------------------------------
+    # Membership and placement upkeep (one call of each per patch)
+    # ------------------------------------------------------------------
+
+    def admit_many(self, ids, degrees, neighbours, values=None, halted=None):
+        """Upsert residents (distinct ``ids``) with their adjacency blocks.
+
+        ``neighbours`` holds every row's neighbour ids back to back,
+        ``degrees`` the row lengths.  A resident keeps its admission stamp
+        (and so its compute row); a new or re-admitted one goes last.
+        """
+        slots = self.slots_of(ids)
+        entries = self.slots_of(neighbours)  # interning may regrow columns
+        self._garbage += int(self._lens[slots].sum())
+        end = self._used + len(entries)
+        if end > len(self._blocks):
+            self._blocks = _grown(
+                self._blocks, max(end, 2 * len(self._blocks), self._GROW), 0
+            )
+        self._blocks[self._used : end] = entries
+        self._starts[slots] = self._used + _np.cumsum(degrees) - degrees
+        self._lens[slots] = degrees
+        self._used = end
+        fresh = slots[self._seq[slots] < 0]
+        if len(fresh):
+            self._seq[fresh] = self._stamp + _np.arange(len(fresh))
+            self._stamp += len(fresh)
+            self.residents += len(fresh)
+            self._rows = None
+        if values is not None:
+            self.values[slots] = values
+            self.halted[slots] = halted
         if self._garbage > max(self._used - self._garbage, self._GROW):
             self._compact()
 
-    def evict(self, vertex):
-        """Drop one resident's block (its interned slot remains valid)."""
-        slot = self._slot.get(vertex)
-        if slot is None:
+    def evict_many(self, ids):
+        """Drop residents' blocks, values and rows (slots stay interned)."""
+        slots = _np.unique(self.slots_of(ids))
+        slots = slots[self._seq[slots] >= 0]
+        if not len(slots):
             return
-        self._garbage += int(self._lens[slot])
-        self._lens[slot] = 0
-        self._starts[slot] = 0
+        self._garbage += int(self._lens[slots].sum())
+        self._lens[slots] = 0
+        self._starts[slots] = 0
+        self._seq[slots] = -1
+        self.halted[slots] = False
+        self.residents -= len(slots)
+        self._rows = None
 
     def _compact(self):
         """Rewrite the block array with only live blocks (garbage drops)."""
@@ -348,67 +471,52 @@ class LocalCsr:
         self._used = len(nbr)
         self._garbage = 0
 
-    # ------------------------------------------------------------------
-    # Placement upkeep (mirrors the coordinator's broadcast deltas)
-    # ------------------------------------------------------------------
+    def place_many(self, ids, pids):
+        """Fold placements (any vertex, resident or not; −1 = removed).
 
-    def place(self, vertex, pid):
-        """Mirror one placement (any vertex, resident or not)."""
-        slot = self._intern(vertex)  # may grow (and replace) the arrays
-        self._place[slot] = pid
-
-    def place_many(self, items):
-        """Bulk :meth:`place` — the start-of-run mirror seeding path.
-
-        One interning pass (dict inserts are unavoidable), then the fresh
-        slots' keys and every placement land as two vectorised stores — so
-        seeding k mirrors over a large graph costs one tight loop per
-        shard instead of per-vertex method dispatch.
+        The barrier's broadcast delta is ordered: a later entry for one
+        vertex wins, so the fancy store sees each slot's last entry only.
         """
-        slot_of = self._slot
-        first_fresh = len(slot_of)
-        slots = [slot_of.setdefault(v, len(slot_of)) for v, _ in items]
-        if len(slot_of) > first_fresh:
-            # dicts iterate in insertion order, which is slot order here
-            fresh = list(islice(slot_of, first_fresh, None))
-            self._ids.extend(fresh)
-            if len(slot_of) > len(self._place):
-                self._grow_slots(len(slot_of))
-            self._keys[first_fresh : len(slot_of)] = _np.fromiter(
-                map(vertex_key, fresh), dtype=_np.uint64, count=len(fresh)
-            )
-        self._place[slots] = _np.fromiter(
-            (pid for _, pid in items), dtype=_np.int64, count=len(items)
-        )
-
-    def unplace(self, vertex):
-        """Mirror one removal from the placement."""
-        slot = self._slot.get(vertex)
-        if slot is not None:
-            self._place[slot] = -1
+        slots = self.slots_of(ids)
+        _, last = _np.unique(slots[::-1], return_index=True)
+        last = len(slots) - 1 - last
+        self._place[slots[last]] = pids[last]
 
     # ------------------------------------------------------------------
-    # The two readers
+    # Readers (by slot)
     # ------------------------------------------------------------------
 
-    def _slots_of(self, vertex_ids):
-        return _np.fromiter(
-            map(self._slot.__getitem__, vertex_ids),
-            dtype=_np.int64,
-            count=len(vertex_ids),
-        )
+    def rows(self):
+        """Resident slots in admission order — the shard's compute order."""
+        if self._rows is None:
+            resident = _np.flatnonzero(self._seq[: self.count] >= 0)
+            self._rows = resident[_np.argsort(self._seq[resident])]
+        return self._rows
 
-    def decisions(self, context, candidates):
+    def mirror(self):
+        """The placement mirror as ``(ids, pids)`` columns, placed only."""
+        placed = _np.flatnonzero(self._place[: self.count] >= 0)
+        return self.ids[placed], self._place[placed]
+
+    def adjacency(self, slots):
+        """``(degrees, neighbour ids back to back)`` of resident ``slots``."""
+        degrees = self._lens[slots]
+        entries, row = _gather_explicit(
+            self._blocks, self._starts[slots], degrees
+        )
+        del row
+        return degrees, self.ids[entries]
+
+    def decisions(self, context, slots):
         """Vectorised :func:`~repro.pregel.compute.decide_block`.
 
         Returns the same ``[(vertex, current, desired, willing), ...]``
-        proposal list (movers only, candidate order) the portable path
-        produces, bit for bit: same greedy rule, same tie-breaks, same
-        keyed willingness draws.
+        proposal list (movers only, in the order of the candidate
+        ``slots``) the portable path produces, bit for bit: same greedy
+        rule, same tie-breaks, same keyed willingness draws.
         """
-        if not candidates:
+        if not len(slots):
             return []
-        slots = self._slots_of(candidates)
         place = self._place
         cur = place[slots]
         nbr, row = _gather_explicit(
@@ -419,46 +527,45 @@ class LocalCsr:
         )
         if not len(movers):
             return []
+        moving = slots[movers]
         source = WillingnessSource(context.lane)
-        draws = source.draw_keys(context.round_index, self._keys[slots[movers]])
-        willing = draws < context.willingness
-        return [
-            (candidates[i], int(cur[i]), int(desired[i]), bool(w))
-            for i, w in zip(movers.tolist(), willing.tolist())
-        ]
+        draws = source.draw_keys(context.round_index, self._keys[moving])
+        return list(zip(
+            self.ids[moving].tolist(),
+            cur[movers].tolist(),
+            desired[movers].tolist(),
+            (draws < context.willingness).tolist(),
+        ))
 
-    def gather(self, row_ids):
-        """``(degrees, indptr, targets, slot_ids)`` for ``row_ids``.
+    def gather(self, rows):
+        """``(degrees, indptr, targets, block_slots)`` for row ``slots``.
 
         The batched kernel's view of a computed row set: ``targets`` holds
-        *block indices* — computed rows keep their position in
-        ``row_ids``; every other neighbour gets an index ≥ ``len(row_ids)``
-        into ``slot_ids``, which maps block indices back to vertex ids
-        (rows first, then the extras).
+        *block indices* — computed rows keep their position in ``rows``;
+        every other neighbour gets an index ≥ ``len(rows)`` into
+        ``block_slots``, which maps block indices back to slots (rows
+        first, then the extras).
         """
-        n = len(row_ids)
-        slots = self._slots_of(row_ids)
-        degrees = self._lens[slots]
+        n = len(rows)
+        degrees = self._lens[rows]
         entries, row = _gather_explicit(
-            self._blocks, self._starts[slots], degrees
+            self._blocks, self._starts[rows], degrees
         )
         del row
         indptr = _np.zeros(n + 1, dtype=_np.int64)
         _np.cumsum(degrees, out=indptr[1:])
-        block_of = _np.full(len(self._lens), -1, dtype=_np.int64)
-        block_of[slots] = _np.arange(n, dtype=_np.int64)
+        block_of = _np.full(self.count, -1, dtype=_np.int64)
+        block_of[rows] = _np.arange(n, dtype=_np.int64)
         targets = block_of[entries]
         missing = targets < 0
-        slot_ids = list(row_ids)
         if missing.any():
-            extra_slots = _np.unique(entries[missing])
-            block_of[extra_slots] = n + _np.arange(
-                len(extra_slots), dtype=_np.int64
-            )
+            outside = _np.zeros(self.count, dtype=bool)
+            outside[entries[missing]] = True
+            extras = _np.flatnonzero(outside)  # distinct, ascending slots
+            block_of[extras] = n + _np.arange(len(extras), dtype=_np.int64)
             targets = block_of[entries]
-            ids = self._ids
-            slot_ids.extend(ids[s] for s in extra_slots.tolist())
-        return degrees, indptr, targets, slot_ids
+            rows = _np.concatenate((rows, extras))
+        return degrees, indptr, targets, rows
 
 
 def _greedy_movers(cur, nbr, row, assignment, k):

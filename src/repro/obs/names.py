@@ -45,6 +45,7 @@ METRIC_NAMES = frozenset(
         "phase.barrier.seconds",
         "ingest.events",
         "kernel.batched_blocks",
+        "shard.store.demotions",
         "migrations.announced",
         "executor.merge_seconds",
         "executor.overlap_seconds",

@@ -44,13 +44,24 @@ no state touched.  Batching hosts extend the contract with four optional
 members (hosts without them simply never batch):
 
 ==========================  =============================================
-``block_index``              a :class:`~repro.core.sweep.LocalCsr` index
-                             (or None to rebuild topology per block)
+``store``                    the host's array store — a
+                             :class:`~repro.core.sweep.LocalCsr` holding
+                             ids, values, halt votes, row order and
+                             adjacency by slot — or None/absent
 ``batch_workers(ids)``       per-row source worker ids, or None to decline
 ``note_costs(ids, costs)``   vectorised ``note_cost`` over the block
 ``note_batched_block(v)``    count one batched block; ``v`` is the block's
                              new values as columns, or None (see below)
 ==========================  =============================================
+
+A host with a ``store`` is read and written *through it*: the block is the
+store's resident rows (``vertex_ids`` is ignored), every block column is
+one fancy index of a store column (``values[rows]``, ``ids[rows]``,
+``gather(rows)``), the commit is one store-back (``values[rows] = new``,
+two writes to the ``halted`` mask), and ``values`` / ``halted`` /
+``graph.neighbors`` are never touched.  A host without one (the
+single-process system, a dict shard) has its block packed from the
+``values`` mapping and ``graph.neighbors`` per superstep, as before.
 
 **Columns in, columns out.**  The kernel's arrays are the message plane's
 native shape (:class:`~repro.pregel.messages.MessageColumns`), so the
@@ -89,6 +100,7 @@ how the blocks are split.  The host contract adds two members:
 import os
 from itertools import chain as _chain
 
+from repro.core.sweep import id_column
 from repro.pregel.messages import (
     COLUMN_DTYPES,
     MessageColumns,
@@ -103,7 +115,13 @@ try:
 except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
-__all__ = ["batch_kernel_enabled", "compute_block", "decide_block"]
+__all__ = [
+    "batch_kernel_enabled",
+    "batched_block",
+    "compute_block",
+    "decide_block",
+    "kernel_dtype",
+]
 
 
 def batch_kernel_enabled():
@@ -116,6 +134,36 @@ def batch_kernel_enabled():
     """
     value = os.environ.get("REPRO_BATCH_KERNEL", "")
     return value.strip().lower() not in {"off", "0", "false", "no"}
+
+
+def kernel_dtype(program):
+    """The dtype ``program``'s blocks batch in, or None when none can.
+
+    The static half of the batched path's gate — what holds for a whole
+    run unless ``REPRO_BATCH_KERNEL`` flips: the program declares
+    ``compute_batch``, numpy is importable, the kernel is enabled, the
+    combiner is one the canonical reductions reproduce, and
+    ``batch_dtype`` is a float or int dtype (a ``sum`` needs floats: the
+    ``bincount`` reduction accumulates in float64).
+    """
+    if (
+        program.compute_batch is None
+        or _np is None
+        or not batch_kernel_enabled()
+    ):
+        return None
+    combiner = program.combiner()
+    if not (
+        combiner is None or combiner is sum_combiner or combiner is min_combiner
+    ):
+        return None
+    try:
+        dtype = _np.dtype(program.batch_dtype)
+    except TypeError:
+        return None
+    if dtype.kind not in "fi" or (combiner is sum_combiner and dtype.kind != "f"):
+        return None
+    return dtype
 
 
 def compute_block(host, vertex_ids, inbox, superstep):
@@ -131,15 +179,10 @@ def compute_block(host, vertex_ids, inbox, superstep):
     when it applies (see the module docstring); the scalar loop below is
     the reference semantics and the universal fallback.
     """
+    computed = batched_block(host, vertex_ids, inbox, superstep)
+    if computed is not None:
+        return computed
     program = host.program
-    if (
-        program.compute_batch is not None
-        and _np is not None
-        and batch_kernel_enabled()
-    ):
-        computed = _batched_block(host, vertex_ids, inbox, superstep)
-        if computed is not None:
-            return computed
     if isinstance(inbox, MessageColumns):
         inbox = inbox.mailboxes()  # the scalar loop reads the dict plane
     continuous = host.continuous
@@ -158,50 +201,37 @@ def compute_block(host, vertex_ids, inbox, superstep):
     return computed
 
 
-def _batched_block(host, vertex_ids, inbox, superstep):
+def batched_block(host, vertex_ids, inbox, superstep):
     """Attempt the batched path; returns the computed count or None.
 
     None means "decline": nothing was mutated (packing is read-only and
-    the outbox reduction happens before any commit), so the caller simply
-    runs the scalar loop instead.
+    the outbox reduction happens before any commit), so the caller runs
+    the scalar loop instead.  A host with an array ``store`` computes the
+    store's resident rows and ``vertex_ids`` is not read.
     """
     program = host.program
-    combiner = program.combiner()
-    if not (
-        combiner is None or combiner is sum_combiner or combiner is min_combiner
-    ):
-        return None
+    dtype = kernel_dtype(program)
     batch_workers = getattr(host, "batch_workers", None)
     note_costs = getattr(host, "note_costs", None)
-    if batch_workers is None or note_costs is None:
+    if dtype is None or batch_workers is None or note_costs is None:
         return None
-    try:
-        dtype = _np.dtype(program.batch_dtype)
-    except TypeError:
-        return None
-    if combiner is sum_combiner and dtype.kind != "f":
-        return None  # the bincount reduction accumulates in float64
-    halted = host.halted
-    continuous = host.continuous
-    # Row selection: exactly the scalar loop's skip rule, in its order.
-    if continuous:
-        row_ids = list(vertex_ids)
+    combiner = program.combiner()
+    store = getattr(host, "store", None)
+    if store is not None:
+        packed = _pack_store_block(host, store, inbox, superstep, dtype)
     else:
-        if isinstance(inbox, MessageColumns):
-            has_mail = set(inbox.targets.tolist()).__contains__
-        else:
-            has_mail = inbox.get
-        row_ids = [v for v in vertex_ids if v not in halted or has_mail(v)]
-    if not row_ids:
-        return 0
-    block, mailed, slot_ids, ids = _pack_block(
-        host, row_ids, inbox, superstep, dtype
-    )
-    if block is None:
-        return None
+        packed = _pack_block(host, vertex_ids, inbox, superstep, dtype)
+    if packed is None or packed == 0:
+        return packed
+    block, row_ids, slot_ids, ids, rows = packed
+    n = len(row_ids)
     result = program.compute_batch(block)
     if result is None:
         return None  # the kernel declined (a shape it cannot reproduce)
+    values = result.values
+    columnar = ids is not None and values.dtype == dtype and values.shape == (n,)
+    if store is not None and not columnar:
+        return None  # only the kernel dtype can live in the value column
     out = None
     if result.out is not None:
         out = _reduce_outbox(
@@ -211,14 +241,21 @@ def _batched_block(host, vertex_ids, inbox, superstep):
         if out is None:
             return None
     # ---- commit: from here on, mirror the scalar loop's effects ----
-    values = result.values
-    host.values.update(zip(row_ids, values.tolist()))
-    halted.difference_update(mailed)
+    mailed = _np.flatnonzero(block.msg_counts)  # mail wakes a halted row
     halt = result.halt
     if halt is True:
-        halted.update(row_ids)
-    elif halt is not False:
-        halted.update(row_ids[i] for i in _np.flatnonzero(halt).tolist())
+        voters = _np.arange(n)
+    else:
+        voters = mailed[:0] if halt is False else _np.flatnonzero(halt)
+    if store is not None:
+        store.values[rows] = values
+        store.halted[rows[mailed]] = False
+        store.halted[rows[voters]] = True
+    else:
+        host.values.update(zip(row_ids, values.tolist()))
+        halted = host.halted
+        halted.difference_update(map(row_ids.__getitem__, mailed.tolist()))
+        halted.update(map(row_ids.__getitem__, voters.tolist()))
     if out is not None:
         host.router.absorb_columns(*out)
     costs = result.costs
@@ -227,32 +264,66 @@ def _batched_block(host, vertex_ids, inbox, superstep):
     note_costs(row_ids, costs)
     note_batched = getattr(host, "note_batched_block", None)
     if note_batched is not None:
-        n = len(row_ids)
-        columnar = (
-            ids is not None and values.dtype == dtype and values.shape == (n,)
-        )
         note_batched(MessageColumns(ids[:n], values) if columnar else None)
-    return len(row_ids)
+    return n
 
 
-def _id_column(slot_ids):
-    """``slot_ids`` as an int64 array, or None unless every id is an exact
-    ``int`` that fits (labels, bools and bigints stay on the dict plane)."""
-    if set(map(type, slot_ids)) != {int}:
+def _pack_store_block(host, store, inbox, superstep, dtype):
+    """:func:`_pack_block` over an array store: every column is one
+    fancy index of the store's (ids, values, adjacency blocks), nothing is
+    rebuilt from Python objects.  Rows are the store's residents in
+    admission order, minus — unless the host is ``continuous`` — the
+    halted ones without mail: the scalar loop's skip rule as a mask."""
+    columnar = isinstance(inbox, MessageColumns)
+    if columnar and inbox.payloads.dtype != dtype:
         return None
-    try:
-        return _np.array(slot_ids, dtype=_np.int64)
-    except OverflowError:
-        return None
+    rows = store.rows()
+    if not host.continuous:
+        awake = ~store.halted[rows]
+        if len(inbox):
+            mailed = store.slots_of(inbox.targets if columnar else list(inbox))
+            has_mail = _np.zeros(store.count, dtype=bool)  # after interning
+            has_mail[mailed] = True
+            awake |= has_mail[rows]
+        rows = rows[awake]
+    n = len(rows)
+    if not n:
+        return 0
+    degrees, indptr, targets, block_slots = store.gather(rows)
+    ids = store.ids[block_slots]
+    row_ids = ids[:n]
+    if columnar:
+        packed = _scatter_columns(inbox, row_ids)
+    else:
+        packed = _pack_mailboxes(
+            row_ids.tolist(), inbox, float if dtype.kind == "f" else int, dtype
+        )
+        if packed is None:
+            return None
+    counts, msg_rows, msg_values = packed
+    block = BlockContext(
+        superstep=superstep,
+        num_vertices=host.graph.num_vertices,
+        values=store.values[rows],
+        degrees=degrees,
+        indptr=indptr,
+        targets=targets,
+        msg_values=msg_values,
+        msg_row=msg_rows,
+        msg_counts=counts,
+    )
+    return block, row_ids, ids, ids, rows
 
 
-def _pack_block(host, row_ids, inbox, superstep, dtype):
-    """Build the read-only ``(block, mailed, slot_ids, ids)``, or Nones.
+def _pack_block(host, vertex_ids, inbox, superstep, dtype):
+    """Build the read-only ``(block, row_ids, slot_ids, ids, None)``.
 
-    ``ids`` is the block's vertex ids (``slot_ids``: rows first, then
-    every non-computed neighbour) as one int64 column — what lets messages
-    and values leave as columns — or None, which keeps this block on the
-    dict shapes.
+    Returns None to decline and 0 when no row computes.  ``row_ids`` are
+    the computed vertices — exactly the scalar loop's skip rule, in its
+    order; ``ids`` is the block's vertex ids (``slot_ids``: rows first,
+    then every non-computed neighbour) as one int64 column — what lets
+    messages and values leave as columns — or None, which keeps this
+    block on the dict shapes.
 
     Strict about types: every value and message must be exactly the Python
     scalar type the kernel dtype round-trips losslessly (``float`` for
@@ -261,34 +332,39 @@ def _pack_block(host, row_ids, inbox, superstep, dtype):
     int/float values, ints beyond int64) declines, because a lossy cast
     would leak into digests on write-back.
     """
-    decline = (None, None, None, None)
-    if dtype.kind == "f":
-        py_type = float
-    elif dtype.kind == "i":
-        py_type = int
+    columnar = isinstance(inbox, MessageColumns)
+    if host.continuous:
+        row_ids = list(vertex_ids)
     else:
-        return decline
+        halted = host.halted
+        if columnar:
+            has_mail = set(inbox.targets.tolist()).__contains__
+        else:
+            has_mail = inbox.get
+        row_ids = [v for v in vertex_ids if v not in halted or has_mail(v)]
+    if not row_ids:
+        return 0
+    py_type = float if dtype.kind == "f" else int
     values_map = host.values
     raw = [values_map[v] for v in row_ids]
     if set(map(type, raw)) - {py_type}:
-        return decline
+        return None
     try:
         values = _np.array(raw, dtype=dtype)
     except (OverflowError, ValueError):
-        return decline
-    columnar = isinstance(inbox, MessageColumns)
+        return None
     if columnar:
         if inbox.payloads.dtype != dtype:
-            return decline
+            return None
     else:
         packed = _pack_mailboxes(row_ids, inbox, py_type, dtype)
         if packed is None:
-            return decline
+            return None
     topology = _block_topology(host, row_ids)
     if topology is None:
-        return decline
+        return None
     degrees, indptr, targets, slot_ids = topology
-    ids = _id_column(slot_ids) if dtype.name in COLUMN_DTYPES else None
+    ids = id_column(slot_ids) if dtype.name in COLUMN_DTYPES else None
     if columnar and ids is not None:
         packed = _scatter_columns(inbox, ids[: len(row_ids)])
     elif columnar:
@@ -296,7 +372,7 @@ def _pack_block(host, row_ids, inbox, superstep, dtype):
         # the inbox as the dict it stands for (its payload dtype was
         # checked above, so this cannot decline).
         packed = _pack_mailboxes(row_ids, inbox.mailboxes(), py_type, dtype)
-    mailed, counts, msg_rows, msg_values = packed
+    counts, msg_rows, msg_values = packed
     block = BlockContext(
         superstep=superstep,
         num_vertices=host.graph.num_vertices,
@@ -308,11 +384,11 @@ def _pack_block(host, row_ids, inbox, superstep, dtype):
         msg_row=msg_rows,
         msg_counts=counts,
     )
-    return block, mailed, slot_ids, ids
+    return block, row_ids, slot_ids, ids, None
 
 
 def _scatter_columns(inbox, row_ids):
-    """A folded columnar inbox → ``(mailed, counts, msg_rows, msg_values)``.
+    """A folded columnar inbox → ``(counts, msg_rows, msg_values)``.
 
     ``row_ids`` is the block's row-id column.  Each inbox row finds its
     block row by binary search in the sorted row ids (targets that are not
@@ -333,11 +409,11 @@ def _scatter_columns(inbox, row_ids):
     by_row = _np.argsort(rows)
     counts = _np.zeros(n, dtype=_np.int64)
     counts[rows] = 1 if inbox.counts is None else inbox.counts
-    return inbox.targets.tolist(), counts, rows[by_row], inbox.payloads[by_row]
+    return counts, rows[by_row], inbox.payloads[by_row]
 
 
 def _pack_mailboxes(row_ids, inbox, py_type, dtype):
-    """A dict inbox → ``(mailed, counts, msg_rows, msg_values)``, or None
+    """A dict inbox → ``(counts, msg_rows, msg_values)``, or None
     when a message is not exactly the kernel's Python scalar type."""
     n = len(row_ids)
     inbox_get = inbox.get
@@ -347,7 +423,6 @@ def _pack_mailboxes(row_ids, inbox, py_type, dtype):
         # superstep 1): no Python-level loop at all.  ``len`` reports the
         # logical (pre-combining) count, ``list.__len__`` the physical one
         # (a ``CombinedMessages`` mailbox differs in the two).
-        mailed = row_ids
         counts = _np.fromiter(map(len, boxes), dtype=_np.int64, count=n)
         phys = _np.fromiter(map(list.__len__, boxes), dtype=_np.int64, count=n)
         msg_vals = list(_chain.from_iterable(boxes))
@@ -355,7 +430,6 @@ def _pack_mailboxes(row_ids, inbox, py_type, dtype):
     else:
         counts_list = []
         msg_vals = []
-        mailed = []
         mailed_rows = []
         phys = []
         extend_vals = msg_vals.extend
@@ -363,7 +437,6 @@ def _pack_mailboxes(row_ids, inbox, py_type, dtype):
             if not msgs:
                 counts_list.append(0)
                 continue
-            mailed.append(row_ids[i])
             mailed_rows.append(i)
             counts_list.append(len(msgs))  # logical (CombinedMessages) count
             before = len(msg_vals)
@@ -380,21 +453,18 @@ def _pack_mailboxes(row_ids, inbox, py_type, dtype):
         msg_values = _np.array(msg_vals, dtype=dtype)
     except (OverflowError, ValueError):
         return None
-    return mailed, counts, msg_rows, msg_values
+    return counts, msg_rows, msg_values
 
 
 def _block_topology(host, row_ids):
-    """``(degrees, indptr, targets, slot_ids)`` for the block's rows.
+    """``(degrees, indptr, targets, slot_ids)`` for a dict host's rows.
 
-    A host with a live :class:`~repro.core.sweep.LocalCsr` answers from
-    its incremental local CSR; otherwise the topology is rebuilt from the
-    host's graph each block — same arrays, linear in edges, no amortised
-    state.  ``targets`` holds block indices into ``slot_ids`` (rows first,
-    then every non-computed neighbour), in adjacency order per row.
+    Rebuilt from the host's graph each block — linear in edges, no
+    amortised state (a host with an array store never gets here: its
+    :meth:`~repro.core.sweep.LocalCsr.gather` answers from the resident
+    blocks).  ``targets`` holds block indices into ``slot_ids`` (rows
+    first, then every non-computed neighbour), in adjacency order per row.
     """
-    local_csr = getattr(host, "block_index", None)
-    if local_csr is not None:
-        return local_csr.gather(row_ids)
     neighbors = host.graph.neighbors
     n = len(row_ids)
     index = {}
@@ -475,7 +545,10 @@ def _reduce_outbox(host, row_ids, slot_ids, out, combiner, ids):
     if combiner is not None:
         reduced = reduced.tolist()
     out_workers = (keys // stride).tolist()
-    out_targets = [slot_ids[i] for i in (keys % stride).tolist()]
+    if isinstance(slot_ids, list):
+        out_targets = [slot_ids[i] for i in (keys % stride).tolist()]
+    else:  # a store's id column
+        out_targets = slot_ids[keys % stride].tolist()
     return out_workers, out_targets, reduced
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "MessageColumns",
     "MessageRouter",
     "min_combiner",
+    "same_column",
     "sum_combiner",
 ]
 
@@ -97,7 +98,7 @@ class CombinedMessages(list):
         )
 
 
-def _same_column(a: Any, b: Any) -> bool:
+def same_column(a: Any, b: Any) -> bool:
     """Bit-exact column equality (dtype, length and every byte)."""
     if a is None or b is None:
         return a is b
@@ -162,9 +163,9 @@ class MessageColumns:
         if not isinstance(other, MessageColumns):
             return NotImplemented
         return (
-            _same_column(self.targets, other.targets)
-            and _same_column(self.payloads, other.payloads)
-            and _same_column(self.counts, other.counts)
+            same_column(self.targets, other.targets)
+            and same_column(self.payloads, other.payloads)
+            and same_column(self.counts, other.counts)
         )
 
     def take(self, index: Any) -> MessageColumns:

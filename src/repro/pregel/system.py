@@ -307,11 +307,6 @@ class PregelSystem:
             self._per_worker_costs[pid] += cost
         self.network.count_compute(cost)
 
-    # The single-process system keeps no incremental CSR; the batched path
-    # rebuilds block topology from the live graph each superstep.  (The
-    # sharded Coordinator's shards carry a real LocalCsr here.)
-    block_index = None
-
     def batch_workers(self, vertex_ids):
         """Per-row source worker ids for a batched block (or None).
 

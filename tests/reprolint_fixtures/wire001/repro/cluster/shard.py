@@ -29,4 +29,19 @@ class ShardDelta:
     context: DecisionContext
 
 
-__all__ = ["ShardDelta", "ShardPatch", "ShardTask", "make_context"]
+@dataclass(frozen=True)
+class PatchColumns:
+    """A wire record beside the structs; the codec drops ``placed_pids``
+    on encode."""
+
+    ids: object
+    placed_pids: object
+
+
+__all__ = [
+    "PatchColumns",
+    "ShardDelta",
+    "ShardPatch",
+    "ShardTask",
+    "make_context",
+]

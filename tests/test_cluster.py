@@ -322,7 +322,7 @@ class TestExecutors:
     def test_executor_context_manager_and_idempotent_stop(self):
         with ProcessExecutor(workers=1) as executor:
             executor.start({0: Shard(0, PageRank(), None, True)})
-            assert executor.snapshot() == {0: ({}, set())}
+            assert executor.snapshot() == {0: ({}, set(), None)}
         executor.stop()  # second stop must be a no-op
 
     def test_process_executor_surfaces_worker_failures(self):

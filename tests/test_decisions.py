@@ -38,7 +38,7 @@ from repro.graph import GRAPH_BACKENDS
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
 from repro.partitioning.base import balanced_capacities
 from repro.partitioning.hashing import HashPartitioner
-from repro.pregel.compute import decide_block
+from repro.pregel.compute import batch_kernel_enabled, decide_block
 from repro.pregel.fault import FaultPlan
 from repro.pregel.system import PregelConfig, PregelSystem
 from repro.scenarios import get_scenario, play_scenario
@@ -253,18 +253,40 @@ def test_decide_block_is_chunking_invariant():
         assert sorted(merged) == sorted(whole)
 
 
+def _admit(index, adjacency):
+    """Feed ``{vertex: neighbours}`` to the index as one bulk upsert."""
+    rows = list(adjacency.values())
+    index.admit_many(
+        list(adjacency),
+        numpy.array([len(row) for row in rows], dtype=numpy.int64),
+        [w for row in rows for w in row],
+    )
+
+
+def _place(index, placement):
+    index.place_many(
+        list(placement),
+        numpy.array(
+            [-1 if pid is None else pid for pid in placement.values()],
+            dtype=numpy.int64,
+        ),
+    )
+
+
+def _decisions(index, context, candidates):
+    return index.decisions(context, index.slots_of(candidates))
+
+
 @pytest.mark.skipif(numpy is None, reason="needs numpy")
 def test_shard_sweeper_matches_decide_block():
     adj, placement, context = _toy_decision_problem()
     host = _DecisionHost(adj, placement, GreedyMaxNeighbours())
-    sweeper = make_shard_index(GreedyMaxNeighbours(), False)
+    sweeper = make_shard_index(GreedyMaxNeighbours())
     assert sweeper is not None and sweeper.decides
-    for v, neighbours in adj.items():
-        sweeper.admit(v, neighbours)
-    for v, pid in placement.items():
-        sweeper.place(v, pid)
+    _admit(sweeper, adj)
+    _place(sweeper, placement)
     candidates = sorted(adj)
-    assert sweeper.decisions(context, candidates) == decide_block(
+    assert _decisions(sweeper, context, candidates) == decide_block(
         host, context, candidates
     )
 
@@ -274,41 +296,55 @@ def test_shard_sweeper_tracks_churn_and_compaction():
     """Admit/evict/re-admit churn (forcing block garbage) stays exact."""
     adj, placement, context = _toy_decision_problem()
     host = _DecisionHost(adj, placement, GreedyMaxNeighbours())
-    sweeper = make_shard_index(GreedyMaxNeighbours(), False)
+    sweeper = make_shard_index(GreedyMaxNeighbours())
     sweeper._GROW = 8  # tiny arena: compaction triggers many times
-    for v, neighbours in adj.items():
-        sweeper.admit(v, neighbours)
-    for v, pid in placement.items():
-        sweeper.place(v, pid)
+    _admit(sweeper, adj)
+    _place(sweeper, placement)
     # Rewrite every vertex's block a few times, evict/readmit half.
     for repeat in range(3):
         for v in list(adj):
             if v % 2 == repeat % 2:
-                sweeper.evict(v)
-                sweeper.admit(v, adj[v])
-            else:
-                sweeper.admit(v, adj[v])
+                sweeper.evict_many([v])
+            _admit(sweeper, {v: adj[v]})
     candidates = sorted(adj)
-    assert sweeper.decisions(context, candidates) == decide_block(
+    assert _decisions(sweeper, context, candidates) == decide_block(
         host, context, candidates
     )
 
 
 @pytest.mark.skipif(numpy is None, reason="needs numpy")
 def test_shard_sweeper_place_many_matches_place():
-    """The bulk mirror-seeding path == per-vertex place, mixed ids too."""
-    items = [(v, v % 3) for v in range(40)]
-    items += [("gw-1", 0), (("rack", 7), 2), (-5, 1), (2**63 + 9, 2)]
-    bulk = make_shard_index(GreedyMaxNeighbours(), False)
-    bulk.place_many(items)
-    single = make_shard_index(GreedyMaxNeighbours(), False)
-    for vertex, pid in items:
-        single.place(vertex, pid)
-    assert bulk._slot == single._slot
-    assert bulk._ids == single._ids == [vertex for vertex, _ in items]
-    for vertex, slot in bulk._slot.items():
-        assert bulk._keys[slot] == single._keys[single._slot[vertex]]
-        assert bulk._place[slot] == single._place[single._slot[vertex]]
+    """Bulk placement == one call per vertex, in every id regime: the
+    dense table (modest ints), the dict (negative / sparse ints) and
+    object ids (labels, tuples, bigints) arriving after the ints."""
+    dense = {v: v % 3 for v in range(40)}
+    sparse = {-5: 1, 10**9: 0}
+    labels = {"gw-1": 0, ("rack", 7): 2, 2**63 + 9: 2}
+    bulk = make_shard_index(GreedyMaxNeighbours())
+    single = make_shard_index(GreedyMaxNeighbours())
+    seen = {}
+    for batch, has_table, dtype in (
+        (dense, True, numpy.int64),
+        (sparse, False, numpy.int64),
+        (labels, False, object),
+    ):
+        _place(bulk, batch)
+        for vertex, pid in batch.items():
+            _place(single, {vertex: pid})
+        seen.update(batch)
+        for index in (bulk, single):
+            assert (index._table is not None) == has_table
+            assert index.ids.dtype == dtype and index.count == len(seen)
+            ids = index.ids[: index.count].tolist()
+            assert ids == list(seen) and list(map(type, ids)) == list(
+                map(type, seen)
+            )
+            slots = index.slots_of(list(seen))
+            assert slots.tolist() == list(range(len(seen)))
+            assert index._keys[slots].tolist() == [
+                vertex_key(v) for v in seen
+            ]
+            assert index._place[slots].tolist() == list(seen.values())
 
 
 @pytest.mark.skipif(numpy is None, reason="needs numpy")
@@ -319,32 +355,35 @@ def test_shard_index_serves_both_readers_across_compaction():
     adj, placement, context = _toy_decision_problem()
     placement = dict(placement)
     k = context.num_partitions
-    index = make_shard_index(GreedyMaxNeighbours(), True)
+    index = make_shard_index(GreedyMaxNeighbours(), "float64")
     index._GROW = 8  # tiny arena: compaction triggers many times
     compactions = []
     compact = index._compact
     index._compact = lambda: (compactions.append(1), compact())
-    residents = {}  # what the shard's dict state would hold
+    residents = {}  # what a dict shard would hold, in admission order
 
     def admit(v, neighbours):
         residents[v] = tuple(neighbours)
-        index.admit(v, residents[v])
+        _admit(index, {v: residents[v]})
 
     def check():
         host = _DecisionHost(residents, placement, GreedyMaxNeighbours())
         candidates = sorted(residents)
-        assert index.decisions(context, candidates) == decide_block(
+        assert _decisions(index, context, candidates) == decide_block(
             host, context, candidates
         )
-        rows = list(residents)
-        degrees, indptr, targets, slot_ids = index.gather(rows)
-        assert slot_ids[: len(rows)] == rows
-        assert degrees.tolist() == [len(residents[v]) for v in rows]
-        for i, v in enumerate(rows):
+        rows = index.rows()
+        assert index.ids[rows].tolist() == list(residents)
+        assert index.residents == len(residents)
+        degrees, indptr, targets, block_slots = index.gather(rows)
+        slot_ids = index.ids[block_slots].tolist()
+        assert slot_ids[: len(rows)] == list(residents)
+        assert degrees.tolist() == [len(residents[v]) for v in residents]
+        for i, v in enumerate(residents):
             block = targets[indptr[i] : indptr[i + 1]].tolist()
             assert [slot_ids[t] for t in block] == list(residents[v])
 
-    index.place_many(list(placement.items()))
+    _place(index, placement)
     for v in sorted(adj)[::2]:
         admit(v, adj[v])
     check()
@@ -353,15 +392,15 @@ def test_shard_index_serves_both_readers_across_compaction():
         for v in sorted(adj):
             if v % 4 == repeat:
                 residents.pop(v, None)
-                index.evict(v)
+                index.evict_many([v])
             elif v % 3 == repeat % 3:
                 admit(v, adj[v][repeat % 2 :])  # adjacency patch
             if v % 5 == repeat:
                 placement[v] = (placement.get(v, 0) + 1) % k
-                index.place(v, placement[v])
+                _place(index, {v: placement[v]})
             elif v % 7 == repeat and v not in residents:
                 placement.pop(v, None)
-                index.unplace(v)
+                _place(index, {v: None})
         check()
     assert compactions, "the churn never compacted; shrink _GROW"
 
@@ -390,36 +429,52 @@ def test_arbitration_order_is_keyed_per_round():
 
 
 def test_make_shard_sweeper_gates():
-    """No reader, no index; vectorised decisions only for the exact rule."""
+    """No reader, no index: vectorised decisions only for the exact rule,
+    a value column only where the shard has no other reader of its state
+    (no heuristic, or the exact rule)."""
 
     class Subclassed(GreedyMaxNeighbours):
         pass
 
     for heuristic in (Subclassed(), CapacityWeightedGreedy(), None):
-        assert make_shard_index(heuristic, False) is None
+        assert make_shard_index(heuristic) is None
     if numpy is None:
-        assert make_shard_index(GreedyMaxNeighbours(), True) is None
+        assert make_shard_index(GreedyMaxNeighbours(), "float64") is None
         return
-    assert make_shard_index(GreedyMaxNeighbours(), False).decides
-    for heuristic in (Subclassed(), CapacityWeightedGreedy(), None):
-        # A batched program still wants the topology; decisions stay portable.
-        assert not make_shard_index(heuristic, True).decides
+    index = make_shard_index(GreedyMaxNeighbours())
+    assert index.decides and index.values is None
+    store = make_shard_index(GreedyMaxNeighbours(), "float64")
+    assert store.decides and store.values.dtype == numpy.float64
+    store = make_shard_index(None, "int64")
+    assert not store.decides and store.values.dtype == numpy.int64
+    for heuristic in (Subclassed(), CapacityWeightedGreedy()):
+        # The portable decision path reads dict state: no store under it.
+        assert make_shard_index(heuristic, "float64") is None
 
 
-def test_each_shard_holds_exactly_one_index():
-    """The decision pass and the batched kernel read one LocalCsr."""
-    from repro.core.sweep import LocalCsr
-
+def test_an_active_store_shard_holds_no_dict_state():
+    """One representation at a time: while the array store is active the
+    shard's dicts stay empty (and a dict shard holds no value column)."""
     config = PregelConfig(num_workers=3, seed=1, quiet_window=5)
     executor = InlineExecutor()
-    with Coordinator(mesh_3d(4), PageRank(), config, executor=executor):
+    with Coordinator(mesh_3d(4), PageRank(), config, executor=executor) as system:
+        system.run(4)
+        system.shard_consistency_check()
         for shard in executor._shards.values():
-            held = [
-                value
-                for value in vars(shard).values()
-                if isinstance(value, LocalCsr)
-            ]
-            assert len(held) == (1 if numpy is not None else 0)
+            state = vars(shard)
+            assert len(shard) > 0
+            if numpy is None or not batch_kernel_enabled():
+                # The dict shard: real dicts, and (with numpy) a decision
+                # index that holds no values.
+                assert shard.store is None
+                assert (shard.index is None) == (numpy is None)
+                assert shard.index is None or shard.index.values is None
+                assert len(state["values"]) == len(shard)
+                continue
+            assert shard.store is shard.index is not None
+            for name in ("values", "halted", "_adj", "placement"):
+                assert not state[name], name
+            assert shard.store.residents == len(shard)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.apps.connected_components import ConnectedComponents
 from repro.apps.pagerank import PageRank
 from repro.cluster import Coordinator, LocalWorkerPool, SocketExecutor, wire
+from repro.cluster.shard import Shard
 from repro.cluster.wire import WireError, combine_inbox
 from repro.generators import mesh_3d
 from repro.graph import Graph
@@ -456,13 +457,22 @@ GOLDEN_PLANES = {
     "mesh-growth": {MessageColumns, list},
     "cdr-weekly": {list},
 }
+# ... and which shard representation computes them: all-int ids keep every
+# shard an array store, the first ``"grow:<n>"`` label demotes the stores
+# mid-run, label ids never leave dict state.
+GOLDEN_SHARDS = {
+    "grid-rewire": {"store"},
+    "mesh-growth": {"store", "dict"},
+    "cdr-weekly": {"dict"},
+}
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("name", sorted(GOLDEN_PLANES))
 def test_goldens_replay_on_the_message_plane(name, executor, socket_pool,
                                              monkeypatch):
-    """The committed fixtures, untouched, with the plane's use observed."""
+    """The committed fixtures, untouched, with the plane's use — and the
+    shard representation that computed each superstep — observed."""
     planes = set()
     absorb = MessageRouter.absorb
 
@@ -472,6 +482,16 @@ def test_goldens_replay_on_the_message_plane(name, executor, socket_pool,
         absorb(self, entries, source_worker)
 
     monkeypatch.setattr(MessageRouter, "absorb", watching)
+    shards = set()  # seen for shards that run in this process only
+    run_superstep = Shard.run_superstep
+
+    def running(self, task):
+        if len(self):  # an empty shard computes nothing either way
+            shards.add("dict" if self.store is None else "store")
+        return run_superstep(self, task)
+
+    monkeypatch.setattr(Shard, "run_superstep", running)
+    in_process = executor in ("inline", "thread")
     if executor == "socket":
         executor = SocketExecutor(socket_pool.addresses)
     digest = play_scenario(
@@ -481,3 +501,6 @@ def test_goldens_replay_on_the_message_plane(name, executor, socket_pool,
     assert digest == json.loads(fixture.read_text(encoding="utf-8"))
     columnar = np is not None and KERNEL_ON
     assert planes == (GOLDEN_PLANES[name] if columnar else {list})
+    if in_process:
+        # The kernel-off (and numpy-free) leg is the dict shard, whole.
+        assert shards == (GOLDEN_SHARDS[name] if columnar else {"dict"})

@@ -117,7 +117,7 @@ class TestWire001:
     def test_codec_coverage_gaps(self):
         findings = lint("wire001")
         messages = sorted(f.message for f in findings)
-        assert len(findings) == 7
+        assert len(findings) == 8
         assert any(
             "ShardTask.extra is never read by _encode_task" in m
             for m in messages
@@ -143,6 +143,12 @@ class TestWire001:
         )
         assert any(
             "MessageColumns.payloads is not passed" in m for m in messages
+        )
+        # ... and so is the patch record listed beside it, in shard.py.
+        assert any(
+            "PatchColumns.placed_pids is never read by _encode_patch_columns"
+            in m
+            for m in messages
         )
         assert {f.code for f in findings} == {"WIRE001"}
 

@@ -1,0 +1,464 @@
+"""The array-native shard store against the dict shard it must reproduce.
+
+A :class:`~repro.cluster.shard.Shard` whose data fits the gate keeps its
+whole state in slot-indexed arrays (``shard.store``); everything else is
+the dict shard.  The dict shard is the oracle here: a hypothesis state
+machine drives one shard of each kind through the same random patch
+sequences — upserts of residents and newcomers, evictions, evict +
+readmit in one patch, moves, removals, duplicate ids in one placement
+delta, and the non-conforming arrivals (a label id, an ``int`` value)
+that demote the store — and after every step requires identical
+``snapshot()``s and, after every superstep, identical ``ShardDelta``s
+field by field.  After a demotion the pair keeps running: the run must
+continue byte-identically.
+
+Also pinned by example: the three order rules (compute order is admission
+order, adjacency order is the patch's, a later delta entry wins) and the
+bulk-seeding path of the coordinator.
+"""
+
+import struct
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.apps.connected_components import ConnectedComponents
+from repro.apps.pagerank import PageRank
+from repro.cluster import Coordinator, InlineExecutor
+from repro.cluster.shard import (
+    PatchColumns,
+    Shard,
+    ShardPatch,
+    ShardTask,
+    delta_columns,
+)
+from repro.core.heuristic import DecisionContext, GreedyMaxNeighbours
+from repro.core.sweep import id_column, sort_vertices
+from repro.generators import mesh_3d
+from repro.graph import Graph
+from repro.pregel.compute import batch_kernel_enabled
+from repro.pregel.messages import MessageColumns
+from repro.pregel.system import PregelConfig
+
+try:
+    import numpy as np
+except ImportError:  # the numpy-free CI leg: no array store to test
+    pytest.skip("numpy not installed", allow_module_level=True)
+
+pytestmark = pytest.mark.skipif(
+    not batch_kernel_enabled(),
+    reason="REPRO_BATCH_KERNEL is off: every shard is a dict shard",
+)
+
+K = 3  # partitions the placement mirror speaks of
+IDS = st.integers(0, 40)
+PROGRAMS = {
+    "pagerank": (PageRank, "float64", True,
+                 st.floats(1e-6, 1.0, allow_nan=False)),
+    "components": (ConnectedComponents, "int64", False, st.integers(0, 60)),
+}
+
+
+def dict_shard(monkeypatch, *args, **kwargs):
+    """The oracle: a shard built while the kernel gate is off starts (and
+    stays) on dict state; with the gate back on it batches like any dict
+    host, so its deltas have the store shard's shapes."""
+    with monkeypatch.context() as off:
+        off.setenv("REPRO_BATCH_KERNEL", "off")
+        shard = Shard(*args, **kwargs)
+    assert shard.store is None
+    return shard
+
+
+def as_columns(patch, dtype):
+    """``patch`` as the coordinator ships it: columns when it fits."""
+    ids, pids = delta_columns(patch.placement_delta)
+    ids = id_column(ids)
+    if ids is None:
+        return patch
+    packed = PatchColumns.from_patch(patch, np.dtype(dtype), (ids, pids))
+    return patch if packed is None else packed
+
+
+def bits(value):
+    return struct.pack("<d", value) if type(value) is float else value
+
+
+def plain(snapshot):
+    """A snapshot with the mirror as a dict and floats as bit patterns."""
+    values, halted, mirror = snapshot
+    if mirror is not None and not isinstance(mirror, dict):
+        mirror = dict(zip(*(column.tolist() for column in mirror)))
+    return (
+        [(v, type(x), bits(x)) for v, x in values.items()],  # in row order
+        halted,
+        mirror,
+    )
+
+
+def assert_same_delta(got, want):
+    for name in ("shard_id", "computed", "halted_added", "halted_removed",
+                 "aggregated", "proposals", "batched_blocks"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert bits(got.compute_units) == bits(want.compute_units)
+    for name in ("values", "outbox"):
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert type(ours) is type(theirs), name
+        assert ours == theirs, name
+        if isinstance(ours, dict):
+            assert list(ours) == list(theirs)
+            assert [bits(x) for x in ours.values()] == [
+                bits(x) for x in theirs.values()
+            ]
+
+
+class ShardPair(RuleBasedStateMachine):
+    """One array shard and one dict shard fed the same history."""
+
+    program_name = "pagerank"
+
+    def __init__(self):
+        super().__init__()
+        program_cls, self.dtype, continuous, self.value_st = PROGRAMS[
+            self.program_name
+        ]
+        self.monkeypatch = pytest.MonkeyPatch()
+        program = program_cls()
+        args = (1, program, program.combiner(), continuous)
+        self.store = Shard(*args, heuristic=GreedyMaxNeighbours())
+        self.oracle = dict_shard(
+            self.monkeypatch, *args, heuristic=GreedyMaxNeighbours()
+        )
+        assert self.store.store is not None
+        self.residents = {}   # vertex -> neighbours, in admission order
+        self.superstep = 0
+        self.demoted = False
+
+    def teardown(self):
+        self.monkeypatch.undo()
+
+    # -- patches ---------------------------------------------------------
+
+    def _apply(self, patch):
+        shipped = as_columns(patch, self.dtype)
+        if not isinstance(shipped, PatchColumns):
+            self.demoted = True
+        self.store.apply_patch(shipped)
+        self.oracle.apply_patch(patch)
+        for vertex in patch.removes:
+            self.residents.pop(vertex, None)
+        for vertex, (_, neighbours, _) in patch.upserts.items():
+            self.residents[vertex] = neighbours
+
+    @initialize(data=st.data())
+    def seed(self, data):
+        ids = data.draw(st.lists(IDS, min_size=3, max_size=12, unique=True))
+        self._apply(ShardPatch(
+            upserts={v: self._row(data, ids) for v in ids},
+            placement_delta=[(v, v % K) for v in range(41)],
+        ))
+
+    def _row(self, data, known):
+        return (
+            data.draw(self.value_st),
+            tuple(data.draw(st.lists(
+                st.sampled_from(sort_vertices(known)), max_size=4, unique=True
+            ))),
+            data.draw(st.booleans()),
+        )
+
+    @rule(data=st.data())
+    def patch(self, data):
+        """Upserts (resident or new), evictions, evict + readmit, and a
+        placement delta with moves, removals and duplicate ids."""
+        known = sort_vertices(set(self.residents) | {0, 1, 2})
+        removes = data.draw(st.lists(
+            st.sampled_from(sort_vertices(self.residents) or [0]),
+            max_size=3, unique=True,
+        ))
+        upserted = data.draw(st.lists(
+            st.one_of(IDS, st.sampled_from(known)), max_size=5, unique=True
+        ))
+        readmitted = [v for v in removes if data.draw(st.booleans())]
+        upserts = {
+            v: self._row(data, known)
+            for v in sort_vertices(set(upserted) | set(readmitted))
+        }
+        delta = data.draw(st.lists(
+            st.tuples(IDS, st.one_of(st.none(), st.integers(0, K - 1))),
+            max_size=8,
+        ))
+        self._apply(ShardPatch(
+            upserts=upserts, removes=removes, placement_delta=delta
+        ))
+
+    @precondition(lambda self: not self.demoted)
+    @rule(data=st.data(), poison=st.sampled_from(
+        ["label id", "label neighbour", "label in delta", "wrong value type"]
+    ))
+    def demote(self, data, poison):
+        """A non-conforming arrival: the store takes dicts, one way."""
+        known = sort_vertices(self.residents) or [0]
+        value, neighbours, halted = self._row(data, known)
+        patch = ShardPatch()
+        if poison == "label id":
+            patch.upserts["late"] = (value, neighbours, halted)
+        elif poison == "label neighbour":
+            patch.upserts[7] = (value, (*neighbours, "late"), halted)
+        elif poison == "label in delta":
+            patch.placement_delta = [("late", 0), (3, 1)]
+        else:
+            odd = int(value) if self.dtype == "float64" else float(value)
+            patch.upserts[7] = (odd, neighbours, halted)
+        self._apply(patch)
+        assert self.demoted and self.store.store is None
+
+    # -- supersteps ------------------------------------------------------
+
+    @rule(data=st.data())
+    def superstep_(self, data):
+        self.superstep += 1
+        mailed = sorted(
+            v for v in self.residents
+            if type(v) is int and data.draw(st.booleans())
+        )
+        payloads = [data.draw(self.value_st) for _ in mailed]
+        counts = [data.draw(st.integers(1, 3)) for _ in mailed]
+        inbox = MessageColumns(
+            np.array(mailed, dtype=np.int64),
+            np.array(payloads, dtype=self.dtype),
+            np.array(counts, dtype=np.int64),
+        )
+        if data.draw(st.booleans()):
+            inbox = inbox.mailboxes()  # the dict plane
+        candidates = None
+        if data.draw(st.booleans()):
+            candidates = tuple(
+                v for v in self.residents if data.draw(st.booleans())
+            )
+        task = ShardTask(
+            superstep=self.superstep,
+            inbox=inbox,
+            num_vertices=41,
+            agg_previous={},
+            decision=DecisionContext(
+                round_index=self.superstep, remaining=(5.0,) * K,
+                willingness=0.6, lane=99,
+            ),
+            candidates=candidates,
+        )
+        got = self.store.run_superstep(task)
+        want = self.oracle.run_superstep(task)
+        assert_same_delta(got, want)
+        if got.demotions:
+            self.demoted = True
+        assert (self.store.store is None) == self.demoted
+
+    # -- what must hold after every step -----------------------------------
+
+    @invariant()
+    def snapshots_agree(self):
+        if self.superstep or self.residents:
+            assert plain(self.store.snapshot()) == plain(
+                self.oracle.snapshot()
+            )
+            assert len(self.store) == len(self.oracle) == len(self.residents)
+            assert list(self.store.snapshot()[0]) == list(self.residents)
+
+    @invariant()
+    def one_representation(self):
+        store = self.store
+        if store.store is not None:
+            state = vars(store)
+            assert not any(
+                state[name] for name in ("values", "halted", "_adj", "placement")
+            )
+        else:
+            assert store.index is None or store.index.values is None
+
+
+class ComponentsPair(ShardPair):
+    program_name = "components"
+
+
+STATEFUL = settings(
+    max_examples=60, stateful_step_count=12, deadline=None, derandomize=True
+)
+TestPageRankPair = ShardPair.TestCase
+TestPageRankPair.settings = STATEFUL
+TestComponentsPair = ComponentsPair.TestCase
+TestComponentsPair.settings = STATEFUL
+
+
+# ----------------------------------------------------------------------
+# The order rules, by example
+# ----------------------------------------------------------------------
+
+
+def _store_shard(program=None, heuristic=None):
+    program = program or PageRank()
+    shard = Shard(0, program, program.combiner(), True, heuristic=heuristic)
+    assert shard.store is not None
+    return shard
+
+
+def _patch(upserts=None, removes=(), delta=()):
+    patch = ShardPatch(
+        upserts={
+            v: (value, tuple(neighbours), False)
+            for v, (value, neighbours) in (upserts or {}).items()
+        },
+        removes=list(removes),
+        placement_delta=list(delta),
+    )
+    columns = as_columns(patch, "float64")
+    assert isinstance(columns, PatchColumns)
+    return columns
+
+
+def _run(shard, superstep=1):
+    return shard.run_superstep(ShardTask(
+        superstep=superstep, inbox={}, num_vertices=10, agg_previous={}
+    ))
+
+
+def test_compute_order_is_admission_order_not_slot_order():
+    """Neighbours and the mirror intern slots before residents do, so slot
+    order says nothing about compute order; an upsert of a resident keeps
+    its row, evict-then-readmit moves it to the end."""
+    shard = _store_shard(heuristic=GreedyMaxNeighbours())
+    # The mirror interns 0..9 first: slot order is id order from here on.
+    shard.apply_patch(_patch(delta=[(v, 0) for v in range(10)]))
+    shard.apply_patch(_patch({7: (0.7, [2]), 2: (0.2, [7, 5]), 5: (0.5, [])}))
+    assert _run(shard).values.targets.tolist() == [7, 2, 5]
+    shard.apply_patch(_patch({2: (0.25, [5])}))  # upsert: keeps its row
+    assert _run(shard).values.targets.tolist() == [7, 2, 5]
+    shard.apply_patch(_patch({7: (0.75, [2])}, removes=[7]))  # readmit: last
+    assert list(shard.snapshot()[0]) == [2, 5, 7]
+    assert _run(shard).values.targets.tolist() == [2, 5, 7]
+    shard.apply_patch(_patch(removes=[5]))
+    shard.apply_patch(_patch({5: (0.5, [])}))  # ... across two patches too
+    assert list(shard.snapshot()[0]) == [2, 7, 5]
+    assert len(shard) == 3
+
+
+def test_adjacency_order_is_the_patch_order():
+    """First-send order of the outbox is the neighbour order the patch
+    carried — never sorted, never slot order."""
+    shard = _store_shard()
+    shard.apply_patch(_patch({1: (0.5, [9, 3, 6]), 3: (0.5, [1])}))
+    assert _run(shard).outbox.targets.tolist() == [9, 3, 6, 1]
+    shard.apply_patch(_patch({1: (0.5, [6, 9])}))
+    assert _run(shard).outbox.targets.tolist() == [6, 9, 1]
+
+
+def test_a_later_delta_entry_wins_and_remove_then_place_replaces():
+    shard = _store_shard(heuristic=GreedyMaxNeighbours())
+    shard.apply_patch(_patch(delta=[
+        (4, 0), (5, 1), (4, 2),            # a later entry wins
+        (6, 1), (6, None),                 # place then remove: gone
+        (7, None), (7, 2),                 # remove then place: re-placed
+        (8, None), (8, None),              # removing twice is removing once
+    ]))
+    ids, pids = shard.snapshot()[2]
+    assert dict(zip(ids.tolist(), pids.tolist())) == {4: 2, 5: 1, 7: 2}
+
+
+class _DecliningAtThree(PageRank):
+    """A kernel that declines one superstep: the scalar loop must run."""
+
+    def compute(self, ctx, messages):
+        super().compute(ctx, messages)
+
+    def compute_batch(self, block):
+        if block.superstep == 3:
+            return None
+        return super().compute_batch(block)
+
+
+def test_a_declined_block_demotes_inside_the_superstep(monkeypatch):
+    """Nothing was committed when the kernel declined, so the store turns
+    into dicts mid-superstep and the scalar loop takes the block — same
+    delta as the dict shard's, one demotion reported, none afterwards."""
+    program = _DecliningAtThree()
+    args = (0, program, program.combiner(), True)
+    store = Shard(*args)
+    oracle = dict_shard(monkeypatch, *args)
+    seed = ShardPatch(upserts={
+        v: (0.1 * (v + 1), ((v + 1) % 6, (v + 4) % 6), False) for v in range(6)
+    })
+    store.apply_patch(as_columns(seed, "float64"))
+    oracle.apply_patch(seed)
+    demotions = []
+    for superstep in range(1, 6):
+        got, want = _run(store, superstep), _run(oracle, superstep)
+        assert_same_delta(got, want)
+        assert plain(store.snapshot()) == plain(oracle.snapshot())
+        demotions.append(got.demotions)
+        assert (store.store is None) == (superstep >= 3)
+    assert demotions == [0, 0, 1, 0, 0]
+
+
+# ----------------------------------------------------------------------
+# Through the coordinator
+# ----------------------------------------------------------------------
+
+
+def test_bulk_seeding_matches_the_dict_seeding(monkeypatch):
+    """Seeding is one patch per shard; columns or dicts, same snapshots —
+    and the consistency check reads every mirror through the executor."""
+    config = PregelConfig(num_workers=4, seed=2, quiet_window=5)
+    snapshots = []
+    for kernel in ("on", "off"):
+        monkeypatch.setenv("REPRO_BATCH_KERNEL", kernel)
+        executor = InlineExecutor()
+        with Coordinator(mesh_3d(4), PageRank(), config, executor=executor) as system:
+            stored = [s.store is not None for s in executor._shards.values()]
+            assert stored == [kernel == "on"] * 4
+            system.shard_consistency_check()
+            snapshots.append({
+                sid: plain(snap) for sid, snap in executor.snapshot().items()
+            })
+    assert snapshots[0] == snapshots[1]
+
+
+def test_consistency_check_sees_a_drifted_mirror_through_the_executor():
+    config = PregelConfig(num_workers=2, seed=2, quiet_window=5)
+    executor = InlineExecutor()
+    with Coordinator(mesh_3d(3), PageRank(), config, executor=executor) as system:
+        system.run(2)
+        system.shard_consistency_check()
+        shard = executor._shards[1]
+        shard.apply_patch(_patch(delta=[(0, 1 - system.state.partition_of(0))]))
+        with pytest.raises(AssertionError, match="mirror drift on shard 1"):
+            system.shard_consistency_check()
+
+
+def test_a_label_vertex_demotes_every_store_and_is_counted():
+    """A label id in the broadcast delta reaches every mirror: all k
+    stores demote, each exactly once, and the run goes on on dicts."""
+    from repro.graph.events import AddEdge
+
+    config = PregelConfig(num_workers=3, seed=4, quiet_window=5)
+    executor = InlineExecutor()
+    graph = Graph(edges=[(i, (i + 1) % 12) for i in range(12)])
+    with Coordinator(graph, PageRank(), config, executor=executor) as system:
+        demotions = system.metrics_registry.counter("shard.store.demotions")
+        system.run(2)
+        assert demotions.value == 0
+        assert all(s.store is not None for s in executor._shards.values())
+        system.inject_events([AddEdge("grow:1", 3)])
+        system.run(3)
+        assert demotions.value == 3
+        assert all(s.store is None for s in executor._shards.values())
+        system.shard_consistency_check()
+        system.run(2)
+        assert demotions.value == 3  # one way, once

@@ -33,7 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import wire
-from repro.cluster.shard import ShardDelta, ShardPatch, ShardTask
+from repro.cluster.shard import (
+    PatchColumns,
+    ShardDelta,
+    ShardPatch,
+    ShardTask,
+    delta_columns,
+)
+from repro.core.sweep import id_column
 from repro.cluster.wire import (
     CODEC_BINARY,
     CombinedMessages,
@@ -380,6 +387,14 @@ def test_folded_inbox_with_single_message_mailboxes_stays_packed():
     assert type(got[2]) is list and got == odd
 
 
+def _columns(patch, dtype="float64"):
+    """``patch`` as the coordinator would ship it to an array store."""
+    ids, pids = delta_columns(patch.placement_delta)
+    return PatchColumns.from_patch(
+        patch, numpy.dtype(dtype), (id_column(ids), pids)
+    )
+
+
 def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
     upserts = {
         vid: (1.0 / vid, (vid - 1, vid + 1, vid + 7), vid % 2 == 0)
@@ -390,18 +405,30 @@ def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
         upserts=upserts, removes=[3, 4],
         placement_delta=[(vid, vid % 8) for vid in upserts],
     )
-    payload = wire.dumps(patch)
-    assert payload[2] == 0x18  # _TAG_UPSERTS, right after the patch tag
-    got = wire.loads(payload)
+    # A dict patch takes the generic encoding of its fields, type-exact.
+    got = wire.loads(wire.dumps(patch))
     assert_same(got, patch)
     assert list(got.upserts) == list(upserts)
     for vid, (value, neighbours, halted) in got.upserts.items():
         assert type(value) is float and type(neighbours) is tuple
         assert type(halted) is bool
-    # Upserts that are not (float, int-tuple, bool) rows stay generic.
     for odd in ({5: ((1, 2), 0.125)}, {"v": (0.5, (1,), False)},
                 {5: (0.5, ("a",), False)}, {5: (1, (2,), False)}):
         assert_same(roundtrip(ShardPatch(upserts=odd)), ShardPatch(upserts=odd))
+        if numpy is not None and len(next(iter(odd.values()))) == 3:
+            # ... and no well-formed one of them fits the columnar gate
+            assert _columns(ShardPatch(upserts=odd)) is None
+    if numpy is not None:
+        # The same patch as columns: one packed tag, fewer
+        # bytes, and back to the very same Python objects.
+        columns = _columns(patch)
+        payload = wire.dumps(columns)
+        assert payload[1] == 0x18  # _TAG_PATCH_COLUMNS
+        assert len(payload) < len(wire.dumps(patch))
+        got = wire.loads(payload)
+        assert_same(got, columns)
+        assert_same(got.to_patch(), patch)
+        assert list(got.to_patch().upserts) == list(upserts)
     # Proposals: (vertex, current, desired, willing) with the bool intact.
     proposals = [(vid, vid % 8, (vid + 1) % 8, vid % 3 == 0) for vid in upserts]
     delta = ShardDelta(0, 0, {}, [], [], [], [], 0.0, proposals=proposals)
@@ -452,10 +479,17 @@ MALFORMED = {
     "outbox columns disagree": (
         b"\x01\x11\x02\x01\x02\x00\x00\x01\x01\x05\x02" + bytes(16)
     ),
+    # PatchColumns: one id, degree 3, but a single neighbour
     "upsert degrees disagree with the neighbours": (
-        b"\x01\x18\x01\x01\x05\x01\x01\x03\x01\x01\x09\x01\x01\x00\x01"
-        + bytes(8)
+        b"\x01\x18\x00\x01\x01\x05\x01\x01\x03\x01\x01\x09\x01\x01\x00"
+        b"\x01\x00\x01\x00\x01\x00" + bytes(8)
     ),
+    # ... two ids but one halted flag
+    "patch columns disagree in length": (
+        b"\x01\x18\x00\x01\x02\x05\x06\x01\x02\x00\x00\x01\x00\x01\x01\x00"
+        b"\x01\x00\x01\x00\x01\x00" + bytes(16)
+    ),
+    "patch columns with unknown flags": b"\x01\x18\x07",
 }
 
 
@@ -531,15 +565,18 @@ def _real_frames():
     patch = ShardPatch(
         upserts={vid: (0.5, (vid - 1, vid + 1), False) for vid in ids[:12]},
         removes=ids[12:15],
-        placement_delta=[(vid, vid % 4) for vid in ids],
+        placement_delta=[(vid, vid % 4) for vid in ids] + [(ids[0], None)],
     )
+    patches = {1: (task, patch)}
+    if numpy is not None:  # a columnar patch beside the dict one
+        patches[2] = (task, _columns(patch))
     delta = ShardDelta(
         1, 40, values, outbox, ids[:3], [], [("agg", 0.5)], 41.0,
         proposals=[(vid, 1, 2, vid % 2 == 0) for vid in ids[:10]],
         spans=[("compute", "shard-1", 1.5, 0.25, {"superstep": 3})],
     )
     return [
-        wire.dumps(("step", {1: (task, patch)})),
+        wire.dumps(("step", patches)),
         wire.dumps(("ok", {1: delta})),
     ]
 
@@ -559,6 +596,88 @@ def test_fuzz_mutated_and_truncated_real_frames(data):
     at = data.draw(st.integers(1, len(frame) - 1))
     if data.draw(st.booleans()):
         _loads_or_wire_error(frame[:at])  # truncation
+    else:
+        byte = data.draw(st.integers(0, 255))
+        _loads_or_wire_error(frame[:at] + bytes([byte]) + frame[at + 1:])
+
+
+PATCH_CASES = {
+    "empty": ShardPatch(),
+    "removes only": ShardPatch(removes=[9, 3, 70_000]),
+    "delta only": ShardPatch(
+        placement_delta=[(5, 1), (7, None), (5, 2), (7, 0), (-3, None)]
+    ),
+    "upserts": ShardPatch(
+        upserts={
+            8: (0.5, (7, 9), True), 2: (-0.0, (), False),
+            -4: (1e300, (8, 2, 1 << 40), False),
+        },
+        removes=[1], placement_delta=[(8, 3)],
+    ),
+    "int64 values": ShardPatch(
+        upserts={4: (-(1 << 63), (5,), False), 5: ((1 << 63) - 1, (4,), True)},
+        placement_delta=[(4, 0), (5, 0)],
+    ),
+}
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+@pytest.mark.parametrize("name", sorted(PATCH_CASES))
+def test_patch_columns_roundtrip(name):
+    patch = PATCH_CASES[name]
+    columns = _columns(patch, "int64" if name == "int64 values" else "float64")
+    assert columns is not None and columns.to_patch() == patch
+    for path in PATHS:
+        got = roundtrip(columns, path)
+        assert_same(got, columns)
+        assert got.values.dtype == columns.values.dtype
+        assert_same(got.to_patch(), patch)
+    # Equality is a bool over every column (what the bench replay's
+    # ``loads(dumps(x)) == x`` on ``(task, patch)`` needs), and exact.
+    assert (columns == columns) is True
+    other = _columns(
+        ShardPatch(upserts={1: (0.5, (), False)}, removes=[2]), "float64"
+    )
+    assert (columns == other) is False and columns != patch
+    # A dict patch beside a columnar one, in one step frame.
+    message = ("step", {0: (None, patch), 1: (None, columns)})
+    assert_same(roundtrip(message), message)
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_patch_columns_reject_what_the_gate_excludes():
+    for odd in (
+        ShardPatch(upserts={"v": (0.5, (), False)}),        # label id
+        ShardPatch(upserts={True: (0.5, (), False)}),       # bool id
+        ShardPatch(upserts={1 << 63: (0.5, (), False)}),    # beyond int64
+        ShardPatch(upserts={1: (1, (), False)}),            # int value
+        ShardPatch(upserts={1: ((0.5, 1.0), (), False)}),   # tuple value
+        ShardPatch(upserts={1: (0.5, ("w",), False)}),      # label neighbour
+        ShardPatch(removes=["gone"]),
+    ):
+        assert _columns(odd) is None
+    assert _columns(ShardPatch(upserts={1: (1 << 63, (), False)}), "int64") is None
+    assert id_column(delta_columns([("v", 0)])[0]) is None
+    with pytest.raises(ValueError, match="degrees"):
+        PatchColumns(
+            *(numpy.zeros(1, dtype=numpy.int64),) * 1,
+            numpy.zeros(1), numpy.ones(1, dtype=numpy.int64),
+            numpy.zeros(0, dtype=numpy.int64), numpy.zeros(1, dtype=bool),
+            *(numpy.zeros(0, dtype=numpy.int64),) * 3,
+        )
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+@given(data=st.data())
+@settings(max_examples=300, deadline=5000, derandomize=True)
+def test_fuzz_truncated_and_corrupted_patch_columns(data):
+    name = data.draw(st.sampled_from(sorted(PATCH_CASES)))
+    frame = wire.dumps(_columns(
+        PATCH_CASES[name], "int64" if name == "int64 values" else "float64"
+    ))
+    at = data.draw(st.integers(1, len(frame) - 1))
+    if data.draw(st.booleans()):
+        _loads_or_wire_error(frame[:at])
     else:
         byte = data.draw(st.integers(0, 255))
         _loads_or_wire_error(frame[:at] + bytes([byte]) + frame[at + 1:])

@@ -91,7 +91,10 @@ class LintConfig:
     #: Records defined outside the shard module that cross the wire under
     #: a tag of their own, as ``(module suffix, class name)``; WIRE001
     #: holds them to the same per-field encoder/decoder coverage.
-    wire_records: tuple = (("pregel/messages.py", "MessageColumns"),)
+    wire_records: tuple = (
+        ("pregel/messages.py", "MessageColumns"),
+        ("cluster/shard.py", "PatchColumns"),
+    )
     #: Capability flags and the methods an honest claimant must implement
     #: (CAP001).
     capability_requirements: dict = field(
