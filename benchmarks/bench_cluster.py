@@ -18,6 +18,12 @@ assertion additionally requires the machine to have at least
 ``PROCESS_WORKERS`` cores — parallel speedup on a single-core box is
 physics, not a regression — mirroring how smoke scale skips shape
 assertions.
+
+The premise — per-vertex *Python* CPU dominates — needs the scalar
+``compute`` loop, so the bench runs :class:`ScalarCardiacFem`: the shipped
+program with its batched kernel dropped.  (With the kernel a superstep is
+a few array operations and the run is messaging-bound; that configuration
+is measured by ``benchmarks/e2e``'s ``fem-scalar`` workload instead.)
 """
 
 import time
@@ -40,6 +46,18 @@ PARTITIONS = 8
 PROCESS_WORKERS = 4
 SPEEDUP_TARGET = 2.0             # asserted at full scale only
 
+class ScalarCardiacFem(CombinedCardiacFemSimulation):
+    """The combined FEM program on its scalar per-vertex loop.
+
+    Overriding ``compute`` is what drops the inherited ``compute_batch``
+    (``BatchedVertexProgram.__init_subclass__``): same arithmetic, same
+    digests, one Python call per vertex per superstep.
+    """
+
+    def compute(self, ctx, messages):
+        super().compute(ctx, messages)
+
+
 EXECUTOR_SPECS = [
     ("inline", None),
     ("thread", pick(PROCESS_WORKERS, 2)),
@@ -52,9 +70,7 @@ def _build_system(executor_name, workers, registry):
     # The combined variant folds diffusion messages per worker (the Pregel
     # combiner idiom), so cross-process traffic is per-worker-pair, not
     # per-edge — the configuration a real deployment would run.
-    program = CombinedCardiacFemSimulation(
-        substeps=SUBSTEPS, stimulus_vertices={0}
-    )
+    program = ScalarCardiacFem(substeps=SUBSTEPS, stimulus_vertices={0})
     config = PregelConfig(num_workers=PARTITIONS, seed=0, quiet_window=10)
     return Coordinator(
         graph,

@@ -6,16 +6,23 @@ against a sequential BFS in the tests.
 
 import math
 
+from repro.core.sweep import id_column
 from repro.pregel.messages import min_combiner
-from repro.pregel.vertex import VertexProgram
+from repro.pregel.vertex import BatchedVertexProgram, BlockResult
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
 
 __all__ = ["SingleSourceShortestPaths"]
 
 
-class SingleSourceShortestPaths(VertexProgram):
+class SingleSourceShortestPaths(BatchedVertexProgram):
     """Pregel's canonical example, unit weights."""
 
     name = "sssp"
+    batch_dtype = "float64"
 
     def __init__(self, source):
         self.source = source
@@ -33,6 +40,23 @@ class SingleSourceShortestPaths(VertexProgram):
             ctx.value = min(ctx.value, best)
             ctx.send_to_neighbors(ctx.value + 1.0)
         ctx.vote_to_halt()
+
+    def compute_batch(self, block):
+        """Whole-block relaxation; declines unless the source can be
+        matched against an int64 id column (a label id on either side)."""
+        source = id_column([self.source])
+        if block.ids is None or source is None:
+            return None
+        values = block.values
+        best = _np.full(len(block), math.inf)
+        _np.minimum.at(best, block.msg_row, block.msg_values)
+        seeded = (block.ids == source[0]) & (block.superstep == 1)
+        best[seeded] = 0.0
+        relaxed = _np.flatnonzero((best < values) | seeded)
+        values = values.copy()
+        values[relaxed] = _np.minimum(values[relaxed], best[relaxed])
+        out = block.emit_to_neighbors(values[relaxed] + 1.0, rows=relaxed)
+        return BlockResult(values, out=out, halt=True)
 
     def combiner(self):
         return min_combiner

@@ -93,8 +93,12 @@ class Coordinator(PregelSystem):
         super().__init__(graph, program, config, fault_plan,
                          tracer=tracer, metrics_registry=metrics_registry)
         # Array stores that fell back to dicts (a perf cliff, never a
-        # correctness event); shards report per-delta counts.
+        # correctness event): the total, and one counter per reason the
+        # shards' deltas name.
         self._demotion_counter = self.metrics_registry.counter(
+            "shard.store.demotions"
+        )
+        self._demotion_reasons = self.metrics_registry.group(
             "shard.store.demotions"
         )
         adaptive = self.config.adaptive
@@ -261,8 +265,9 @@ class Coordinator(PregelSystem):
                     # Which compute path ran, per trace/metrics dump — the
                     # scalar fallback leaves the counter untouched.
                     self._batched_counter.add(delta.batched_blocks)
-                if delta.demotions:  # an array store fell back to dicts
-                    self._demotion_counter.add(delta.demotions)
+                if delta.demotion:  # an array store fell back to dicts
+                    self._demotion_counter.add(1)
+                    self._demotion_reasons.add(delta.demotion, 1)
                 if traced:
                     # Worker-side spans ride home in the delta; merging
                     # them here is what builds the one shared timeline.
@@ -434,13 +439,14 @@ class Coordinator(PregelSystem):
         dtype = self._store_dtype
         if dtype is None:
             return patches
+        width = self.program.value_width
         ids, pids = delta_columns(log)
         placed = (id_column(ids), pids)
         if placed[0] is None:
             return patches
         columns = {}
         for sid, patch in patches.items():
-            packed = PatchColumns.from_patch(patch, dtype, placed)
+            packed = PatchColumns.from_patch(patch, dtype, placed, width)
             columns[sid] = patch if packed is None else packed
         return columns
 

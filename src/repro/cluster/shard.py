@@ -28,17 +28,22 @@ decided by what the data is, never by a knob:
   (:func:`~repro.pregel.compute.kernel_dtype`, a :data:`COLUMN_DTYPES
   <repro.pregel.messages.COLUMN_DTYPES>` dtype), the decision rule (if
   any) is the exact paper heuristic, every id is an exact int64 and every
-  value exactly the dtype's Python scalar;
-* the **dict shard** — everything else (label ids, tuple values, no numpy,
-  ``REPRO_BATCH_KERNEL=off``): ``values`` dict, ``halted`` set, ``_adj``
+  value exactly the dtype's Python scalar — or, for a program that
+  declares ``value_width`` ``c`` > 1, a ``c``-tuple of floats, held as one
+  row of an ``(n, c)`` column;
+* the **dict shard** — everything else (label ids, values of another
+  shape, no numpy, ``REPRO_BATCH_KERNEL=off``): ``values`` dict,
+  ``halted`` set, ``_adj``
   dict of tuples, ``placement`` dict; the portable path and the oracle.
   Under the exact paper heuristic it feeds a ``LocalCsr`` *index*
   (adjacency + placement only) that vectorises its decision pass.
 
 A store **demotes** to dicts once, one way: on the first patch that is not
-columns in its dtype, or the first block its kernel declines (the scalar
-loop reads dicts).  Demotions are counted (``ShardDelta.demotions`` →
-``shard.store.demotions``): correct either way, but a perf cliff.
+columns in its dtype and width (``patch-shape``), the first inbox whose
+messages are not (``inbox-dtype``), or the first block its kernel declines
+(``kernel-declined``) — the scalar loop reads dicts.  The reason rides
+home in ``ShardDelta.demotion`` and is counted under
+``shard.store.demotions.<reason>``: correct either way, but a perf cliff.
 
 Between supersteps the coordinator keeps shards current with patch records
 (vertex upserts + evictions, plus the barrier's broadcast placement delta —
@@ -57,7 +62,12 @@ from itertools import chain, islice
 from typing import Any
 
 from repro.core.heuristic import DecisionContext
-from repro.core.sweep import id_column, make_shard_index, sort_vertices
+from repro.core.sweep import (
+    id_column,
+    make_shard_index,
+    sort_vertices,
+    value_column,
+)
 from repro.obs import NULL_TRACER
 from repro.pregel.compute import (
     batched_block,
@@ -65,7 +75,13 @@ from repro.pregel.compute import (
     decide_block,
     kernel_dtype,
 )
-from repro.pregel.messages import COLUMN_DTYPES, MessageColumns, same_column
+from repro.pregel.messages import (
+    COLUMN_DTYPES,
+    MessageColumns,
+    as_objects,
+    is_payload_column,
+    same_column,
+)
 
 try:
     import numpy as _np
@@ -161,7 +177,8 @@ class PatchColumns:
     """A :class:`ShardPatch` as parallel numpy columns — the store's shape.
 
     Upserts are five columns in the patch's canonical vertex order:
-    ``ids``, ``values`` (the kernel dtype), ``degrees``, ``neighbours``
+    ``ids``, ``values`` (the kernel dtype; ``(n, c)`` float64 for
+    ``c``-wide record values), ``degrees``, ``neighbours``
     (every row's neighbour ids back to back, each row in
     ``graph.neighbors(v)`` iteration order at patch-build time) and
     ``halted``.  ``removes`` is the evicted ids; ``placed_ids`` /
@@ -189,8 +206,8 @@ class PatchColumns:
                 raise ValueError(f"{name} must be a 1-d int64 column")
         rows = self.ids.shape
         if (
-            self.values.shape != rows
-            or self.values.dtype.name not in COLUMN_DTYPES
+            self.values.shape[:1] != rows
+            or not is_payload_column(self.values)
             or self.degrees.shape != rows
             or self.halted.shape != rows
             or self.halted.dtype != bool
@@ -213,12 +230,14 @@ class PatchColumns:
 
     @classmethod
     def from_patch(
-        cls, patch: ShardPatch, dtype: Any, placed: tuple[Any, Any]
+        cls, patch: ShardPatch, dtype: Any, placed: tuple[Any, Any],
+        width: int = 1,
     ) -> PatchColumns | None:
         """``patch`` as columns, or None when it does not fit the gate.
 
         Fits: every id (upserted, neighbour, removed) an exact ``int`` in
-        int64 and every value exactly ``dtype``'s Python scalar — checked
+        int64 and every value exactly ``dtype``'s Python scalar (for
+        ``width`` > 1, a tuple of exactly ``width`` of them) — checked
         here, once per upserted vertex.  ``placed`` is
         ``patch.placement_delta`` as ``(int64 ids, pids)`` columns, built
         once per barrier by the caller and shared by all its patches.
@@ -228,17 +247,8 @@ class PatchColumns:
         ids = id_column(list(patch.upserts))
         neighbours = id_column(list(chain.from_iterable(adjacency)))
         removes = id_column(patch.removes)
-        exact = float if dtype.kind == "f" else int
-        if (
-            ids is None
-            or neighbours is None
-            or removes is None
-            or set(map(type, values)) - {exact}
-        ):
-            return None
-        try:
-            column = _np.array(values, dtype=dtype)
-        except OverflowError:
+        column = value_column(values, dtype, width)
+        if ids is None or neighbours is None or removes is None or column is None:
             return None
         return cls(
             ids=ids,
@@ -263,7 +273,7 @@ class PatchColumns:
         return ShardPatch(
             upserts=dict(zip(
                 self.ids.tolist(),
-                zip(self.values.tolist(), adjacency, self.halted.tolist()),
+                zip(as_objects(self.values), adjacency, self.halted.tolist()),
             )),
             removes=self.removes.tolist(),
             placement_delta=[
@@ -294,9 +304,10 @@ class ShardDelta:
 
     ``batched_blocks`` counts how many blocks this superstep ran through
     the batched vertex-kernel path (0 or 1 per shard per superstep), and
-    ``demotions`` how many times the shard's array store fell back to
-    dicts since its last delta (0, or 1 once in a shard's life).
-    Observability only — they feed the coordinator's
+    ``demotion`` names why the shard's array store fell back to dicts
+    since its last delta — ``"patch-shape"``, ``"inbox-dtype"`` or
+    ``"kernel-declined"``; empty almost always, a reason once in a
+    shard's life.  Observability only — they feed the coordinator's
     ``kernel.batched_blocks`` / ``shard.store.demotions`` counters and
     never enter a digest.
 
@@ -304,8 +315,8 @@ class ShardDelta:
     scalar loop (or a batched block whose ids are not an int64 column):
     ``values`` is a dict ``{vertex id: value}`` over every computed vertex
     and ``outbox`` a list of ``((source_worker, target_id), payload)`` in
-    send order.  From a batched block under a ``sum``/``min`` combiner
-    both are :class:`~repro.pregel.messages.MessageColumns` holding the
+    send order.  From a batched block under a ``sum``/``min``/record-sum
+    combiner both are :class:`~repro.pregel.messages.MessageColumns` holding the
     kernel's own arrays — ``(ids, new values)`` and ``(targets, reduced
     payloads)``, the source worker being ``shard_id``.
     """
@@ -321,7 +332,7 @@ class ShardDelta:
     proposals: list = field(default_factory=list)
     spans: list = field(default_factory=list)
     batched_blocks: int = 0
-    demotions: int = 0
+    demotion: str = ""
 
 
 class _ShardGraph:
@@ -418,9 +429,10 @@ class _ShardAggregators:
 
 
 def store_dtype(program: Any) -> Any:
-    """The value-column dtype an array store for ``program`` would have,
-    or None when its kernel cannot batch or its values cannot ship as
-    columns — the program's half of the store gate."""
+    """The value-column dtype an array store for ``program`` would have
+    (its width is ``program.value_width``), or None when its kernel
+    cannot batch or its values cannot ship as columns — the program's
+    half of the store gate."""
     dtype = kernel_dtype(program)
     return dtype if dtype is not None and dtype.name in COLUMN_DTYPES else None
 
@@ -458,10 +470,13 @@ class Shard:
         # global placement mirror (decision phase); None = not adaptive
         self.placement: dict | None = None if heuristic is None else {}
         self._decision_cache: DecisionContext | None = None
-        self.index = make_shard_index(heuristic, store_dtype(program))
+        dtype = store_dtype(program)
+        self.index = make_shard_index(
+            heuristic, dtype, 1 if dtype is None else program.value_width
+        )
         index = self.index
         self.store = index if index is not None and index.values is not None else None
-        self._demotions = 0
+        self._demotion = ""
         # Per-superstep scratch, bound during run_superstep.
         self.router: _ShardRouter | None = None
         self.aggregators: _ShardAggregators | None = None
@@ -494,9 +509,11 @@ class Shard:
         ):
             store = self.store
             if store is not None and not (
-                columnar and patch.values.dtype == store.values.dtype
+                columnar
+                and patch.values.dtype == store.values.dtype
+                and patch.values.shape[1:] == store.values.shape[1:]
             ):
-                self._demote()
+                self._demote("patch-shape")
                 store = None
             if store is None:
                 self._apply_objects(patch.to_patch() if columnar else patch)
@@ -558,34 +575,37 @@ class Shard:
         rows = store.rows()
         ids = store.ids[rows]
         return (
-            dict(zip(ids.tolist(), store.values[rows].tolist())),
+            dict(zip(ids.tolist(), as_objects(store.values[rows]))),
             set(ids[store.halted[rows]].tolist()),
         )
 
-    def _demote(self) -> None:
+    def _demote(self, reason: str) -> None:
         """Turn the array store into dict state — once, one way.
 
         The ``LocalCsr`` stays on as the decision index (adjacency and
         placement columns are exact and keep being fed) when the
-        heuristic reads it; its value column is dropped.
+        heuristic reads it; its value column is dropped.  ``reason`` —
+        which gate the store fell through — goes home in the next delta
+        and, when tracing, on the ``demote`` span timing the conversion.
         """
         store = self.store
-        self.values, self.halted = self._views()
-        rows = store.rows()
-        degrees, neighbours = store.adjacency(rows)
-        flat = iter(neighbours.tolist())
-        self._adj.update(
-            (vertex, tuple(islice(flat, degree)))
-            for vertex, degree in zip(self.values, degrees.tolist())
-        )
-        if self.placement is not None:
-            ids, pids = store.mirror()
-            self.placement.update(zip(ids.tolist(), pids.tolist()))
+        with self.tracer.span("demote", reason=reason):
+            self.values, self.halted = self._views()
+            rows = store.rows()
+            degrees, neighbours = store.adjacency(rows)
+            flat = iter(neighbours.tolist())
+            self._adj.update(
+                (vertex, tuple(islice(flat, degree)))
+                for vertex, degree in zip(self.values, degrees.tolist())
+            )
+            if self.placement is not None:
+                ids, pids = store.mirror()
+                self.placement.update(zip(ids.tolist(), pids.tolist()))
         store.values = None
         self.store = None
         if not store.decides:
             self.index = None
-        self._demotions += 1
+        self._demotion = reason
 
     # ------------------------------------------------------------------
     # Compute (the host contract of compute_block)
@@ -694,16 +714,16 @@ class Shard:
             "compute", superstep=task.superstep, residents=len(self)
         ):
             store = self.store
-            computed = None
+            computed: Any = None
             if store is not None:
                 rows = store.rows()
                 asleep = store.halted[rows]
                 computed = batched_block(
                     self, None, task.inbox, task.superstep
                 )
-                if computed is None:  # the scalar loop reads dicts
-                    self._demote()
-                    store = None
+                if isinstance(computed, str):  # the scalar loop reads dicts
+                    self._demote(computed)
+                    store = computed = None
             if computed is None:
                 halted_before = set(self.halted)
                 computed = compute_block(
@@ -736,11 +756,11 @@ class Shard:
             proposals=proposals,
             spans=spans,
             batched_blocks=self._batched_blocks,
-            demotions=self._demotions,
+            demotion=self._demotion,
         )
         self.router = None
         self.aggregators = None
-        self._demotions = 0
+        self._demotion = ""
         return delta
 
     def snapshot(self) -> tuple[dict, set, Any]:

@@ -458,18 +458,34 @@ def _encode_ndarray(obj: Any, out: bytearray) -> None:
     out += payload
 
 
+def _write_column_head(
+    payloads: Any, flags: int, record_bit: int, out: bytearray
+) -> None:
+    """The flags byte of a column tag and — only for ``(n, c)`` record
+    payloads, marked by ``record_bit`` — their width as a varint, so a
+    scalar column's frame stays the bytes it always was."""
+    if payloads.ndim == 2:
+        out.append(flags | record_bit)
+        _write_uint(out, payloads.shape[1])
+    else:
+        out.append(flags)
+
+
 def _encode_columns(obj: MessageColumns, out: bytearray) -> None:
-    """``[flags][targets column][payload buffer][counts column]``.
+    """``[flags][width]?[targets column][payload buffer][counts column]``.
 
     Flag bit 0: a ``counts`` column follows; bit 1: payloads are int64
-    (else float64).  Id and count columns are width-selected and
-    delta-encoded like every int column; payloads are the raw
-    little-endian buffer, ``len(targets)`` items long.
+    (else float64); bit 2: payloads are records, their width (≥ 2)
+    follows the flags.  Id and count columns are width-selected and
+    delta-encoded like every int column; payloads are the raw row-major
+    little-endian buffer, ``len(targets)`` × width items long.
     """
     payloads = obj.payloads
     integral = payloads.dtype.kind == "i"
     out.append(_TAG_COLUMNS)
-    out.append((obj.counts is not None) | (integral << 1))
+    _write_column_head(
+        payloads, (obj.counts is not None) | (integral << 1), 4, out
+    )
     _pack_int_column(obj.targets, out)
     out += payloads.astype("<i8" if integral else "<f8", copy=False).tobytes()
     if obj.counts is not None:
@@ -548,17 +564,19 @@ def _encode_patch(obj: ShardPatch, out: bytearray) -> None:
 
 
 def _encode_patch_columns(obj: PatchColumns, out: bytearray) -> None:
-    """``[flags][seven int columns][raw value buffer]``.
+    """``[flags][width]?[seven int columns][raw value buffer]``.
 
-    Flag bit 0: values are int64 (else float64).  The int columns — ids,
+    Flag bit 0: values are int64 (else float64); bit 1: values are
+    records, their width (≥ 2) follows the flags.  The int columns — ids,
     degrees, neighbours, halted (as 0/1), removes, placed ids, placed
     pids — are width-selected and delta-encoded like every int column;
-    values are the raw little-endian buffer, ``len(ids)`` items long.
+    values are the raw row-major little-endian buffer, ``len(ids)`` ×
+    width items long.
     """
     values = obj.values
     integral = values.dtype.kind == "i"
     out.append(_TAG_PATCH_COLUMNS)
-    out.append(integral)
+    _write_column_head(values, integral, 2, out)
     _pack_int_column(obj.ids, out)
     _pack_int_column(obj.degrees, out)
     _pack_int_column(obj.neighbours, out)
@@ -583,7 +601,7 @@ def _encode_delta(obj: ShardDelta, out: bytearray) -> None:
         _encode(obj.proposals, out)
     _encode(obj.spans, out)
     _encode(obj.batched_blocks, out)
-    _encode(obj.demotions, out)
+    _encode(obj.demotion, out)
 
 
 _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
@@ -724,6 +742,28 @@ def _read_int_column(reader: _Reader) -> Any:
     return column
 
 
+def _read_width(reader: _Reader, flags: int, record_bit: int) -> int:
+    """Payload width of a column tag: 1 unless ``record_bit`` is set."""
+    if not flags & record_bit:
+        return 1
+    width = reader.uint()
+    if width < 2:
+        raise WireError(f"record columns are two or more wide, not {width}")
+    return width
+
+
+def _read_payloads(
+    reader: _Reader, rows: int, width: int, integral: int
+) -> Any:
+    """A raw payload buffer as a native ``rows``-long column (``(rows,
+    width)`` for records); :meth:`_Reader.take` bounds it by the frame."""
+    raw = _np.frombuffer(
+        reader.take(rows * width * 8), dtype="<i8" if integral else "<f8"
+    )
+    column = raw.astype(raw.dtype.newbyteorder("="))
+    return column if width == 1 else column.reshape(rows, width)
+
+
 def _same_length(*columns: Any) -> None:
     """Columns of one packed structure must agree; ``zip`` would truncate."""
     if len(set(map(len, columns))) > 1:
@@ -834,19 +874,17 @@ def _decode(reader: _Reader) -> Any:
                 "frame contains message columns but numpy is not installed"
             )
         flags = reader.byte()
-        if flags > 3:
+        if flags > 7:
             raise WireError(f"bad message-columns flags {flags:#x}")
+        width = _read_width(reader, flags, 4)
         ids = _read_int_column(reader)
-        raw = _np.frombuffer(
-            reader.take(len(ids) * 8), dtype="<i8" if flags & 2 else "<f8"
-        )
         try:
             return MessageColumns(
                 targets=ids,
-                payloads=raw.astype(raw.dtype.newbyteorder("=")),
+                payloads=_read_payloads(reader, len(ids), width, flags & 2),
                 counts=_read_int_column(reader) if flags & 1 else None,
             )
-        except ValueError as exc:  # column lengths disagree
+        except ValueError as exc:  # column lengths or dtype disagree
             raise WireError(str(exc)) from None
     if tag == _TAG_TASK:
         return ShardTask(
@@ -869,8 +907,9 @@ def _decode(reader: _Reader) -> Any:
                 "frame contains patch columns but numpy is not installed"
             )
         flags = reader.byte()
-        if flags > 1:
+        if flags > 3:
             raise WireError(f"bad patch-columns flags {flags:#x}")
+        width = _read_width(reader, flags, 2)
         ids = _read_int_column(reader)
         degrees = _read_int_column(reader)
         neighbours = _read_int_column(reader)
@@ -878,13 +917,10 @@ def _decode(reader: _Reader) -> Any:
         removes = _read_int_column(reader)
         placed_ids = _read_int_column(reader)
         placed_pids = _read_int_column(reader)
-        raw = _np.frombuffer(
-            reader.take(len(ids) * 8), dtype="<i8" if flags else "<f8"
-        )
         try:
             return PatchColumns(
                 ids=ids,
-                values=raw.astype(raw.dtype.newbyteorder("=")),
+                values=_read_payloads(reader, len(ids), width, flags & 1),
                 degrees=degrees,
                 neighbours=neighbours,
                 halted=halted.astype(bool),
@@ -907,7 +943,7 @@ def _decode(reader: _Reader) -> Any:
             proposals=_decode(reader),
             spans=_decode(reader),
             batched_blocks=_decode(reader),
-            demotions=_decode(reader),
+            demotion=_decode(reader),
         )
     if tag == _TAG_PICKLE:
         return pickle.loads(bytes(reader.take(reader.uint())))

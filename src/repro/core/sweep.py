@@ -46,7 +46,7 @@ of :mod:`repro.cluster.shard`), fed in bulk by ``admit_many`` /
 ``evict_many`` / ``place_many`` and read by slot.
 """
 
-from itertools import islice
+from itertools import chain, islice
 
 from repro.core.heuristic import GreedyMaxNeighbours
 from repro.utils.rng import WillingnessSource, vertex_key
@@ -62,7 +62,9 @@ __all__ = [
     "generic_decisions",
     "make_shard_index",
     "make_sweeper",
+    "record_shape",
     "sort_vertices",
+    "value_column",
 ]
 
 
@@ -240,20 +242,46 @@ def id_column(ids):
         return None
 
 
-def make_shard_index(heuristic, dtype=None):
+def record_shape(rows, width):
+    """Shape of a ``rows``-long value or payload column: 1-d for scalars
+    (``width`` 1), ``(rows, width)`` for fixed-width records."""
+    return (rows,) if width == 1 else (rows, width)
+
+
+def value_column(items, dtype, width=1):
+    """``items`` as a ``dtype`` column of :func:`record_shape`, or None
+    unless every item is exactly the Python scalar the dtype round-trips
+    losslessly (``float`` / non-bool ``int``) — for ``width`` > 1, a
+    tuple of exactly ``width`` of them.  Anything else (labels, mixed
+    int/float, ints beyond int64) would leak a lossy cast into digests."""
+    flat = items
+    if width > 1:
+        if set(map(type, items)) - {tuple} or set(map(len, items)) - {width}:
+            return None
+        flat = list(chain.from_iterable(items))
+    if set(map(type, flat)) - {float if dtype.kind == "f" else int}:
+        return None
+    try:
+        column = _np.array(flat, dtype=dtype)
+    except (OverflowError, ValueError):
+        return None
+    return column.reshape(record_shape(len(items), width))
+
+
+def make_shard_index(heuristic, dtype=None, width=1):
     """One shard's :class:`LocalCsr`, or None when nothing would read it.
 
     Both readers need numpy: the decision pass, under the same gate as
     :func:`make_sweeper` — the *exact* paper heuristic (a subclass could
     override the rule; anything else decides through the portable
     :func:`~repro.pregel.compute.decide_block`, which reads dict state) —
-    and the batched vertex kernel, whose value column has ``dtype``
-    (None: the program has no kernel to run).
+    and the batched vertex kernel, whose value column has ``dtype`` and
+    ``width`` components per row (None: the program has no kernel to run).
     """
     greedy = type(heuristic) is GreedyMaxNeighbours
     if _np is None or not (greedy or (heuristic is None and dtype is not None)):
         return None
-    return LocalCsr(greedy, dtype)
+    return LocalCsr(greedy, dtype, width)
 
 
 class LocalCsr:
@@ -276,8 +304,9 @@ class LocalCsr:
                      the residents by ascending stamp — compute order is
                      admission order, never slot order
     ``halted``       the resident's halt vote
-    ``values``       the resident's value, in the kernel dtype (None when
-                     the shard keeps values in a dict)
+    ``values``       the resident's value, in the kernel dtype — one row
+                     of an ``(n, c)`` column when values are ``c``-wide
+                     records (None when the shard keeps values in a dict)
     ==============  ====================================================
 
     Id → slot is one gather through a dense table while ids are modest
@@ -299,7 +328,7 @@ class LocalCsr:
     # count: 8 bytes per possible id, so never more than the dict costs.
     _TABLE_SPREAD = 16
 
-    def __init__(self, decides, dtype=None):
+    def __init__(self, decides, dtype=None, width=1):
         self.decides = decides
         self.count = 0      # interned slots
         self.residents = 0
@@ -314,7 +343,10 @@ class LocalCsr:
         self._stamp = 0
         self._rows = None   # cached rows(); dropped when membership moves
         self.halted = _np.empty(0, dtype=bool)
-        self.values = None if dtype is None else _np.empty(0, dtype=dtype)
+        self.values = (
+            None if dtype is None
+            else _np.empty(record_shape(0, width), dtype=dtype)
+        )
         self._blocks = _np.empty(0, dtype=_np.int64)
         self._used = 0
         self._garbage = 0
@@ -601,8 +633,8 @@ def _greedy_movers(cur, nbr, row, assignment, k):
 
 
 def _grown(old, size, fill):
-    """``old`` copied into a new ``size``-long array padded with ``fill``."""
-    grown = _np.full(size, fill, dtype=old.dtype)
+    """``old`` copied into a new ``size``-row array padded with ``fill``."""
+    grown = _np.full((size, *old.shape[1:]), fill, dtype=old.dtype)
     grown[: len(old)] = old
     return grown
 

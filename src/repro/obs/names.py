@@ -23,6 +23,7 @@ SPAN_NAMES = frozenset(
         "inbox-split",    # coordinator slicing the inbox by resident shard
         "decide",         # partitioning decision phase
         "apply-patch",    # shard applying a migration patch
+        "demote",         # shard turning its array store into dict state
         "barrier",        # superstep barrier (message + halt exchange)
         "barrier-merge",  # coordinator merging shard deltas at the barrier
         "deliver",        # router flushing outboxes into the next inbox
@@ -58,5 +59,6 @@ METRIC_PREFIXES = frozenset(
     {
         "executor.bytes_sent",
         "executor.bytes_received",
+        "shard.store.demotions",  # .<patch-shape|inbox-dtype|kernel-declined>
     }
 )

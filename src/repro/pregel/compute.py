@@ -69,12 +69,19 @@ dispatcher neither unpacks nor repacks them when it does not have to.  An
 ``inbox`` that arrives as columns scatters straight into the block's
 ``msg_row`` / ``msg_values`` / ``msg_counts``; and when the block's vertex
 ids are all exact ``int64`` and the kernel dtype is ``float64`` / ``int64``
-under a ``sum`` / ``min`` combiner, the reduced outbox reaches
-``router.absorb_columns`` as numpy columns and the new values reach
-``note_batched_block`` as a ``MessageColumns`` — no ``tolist()`` between
-kernel and router.  Anything else (string ids, no combiner, a block that
-declines) takes the dict shapes: a columnar inbox is read through its
-lazily built ``mailboxes()`` view, outbox columns are plain lists.
+under a ``sum`` / ``min`` / record-sum combiner, the reduced outbox
+reaches ``router.absorb_columns`` as numpy columns and the new values
+reach ``note_batched_block`` as a ``MessageColumns`` — no ``tolist()``
+between kernel and router.  Anything else (string ids, no combiner, a
+block that declines) takes the dict shapes: a columnar inbox is read
+through its lazily built ``mailboxes()`` view, outbox columns are plain
+lists.
+
+**Records.**  A program whose values or messages are fixed-width tuples of
+floats declares ``value_width`` / ``message_width``; the corresponding
+columns are then ``(n, c)`` float64 instead of 1-d, and every step here —
+packing, scatter, the outbox fold, the commit — indexes rows, so scalars
+(``c`` = 1, plain 1-d columns) and records run the same code.
 
 Known caveat, by design: the canonical reductions start sums at ``+0.0``
 and take numpy minima, so a program whose messages include ``-0.0`` or
@@ -100,11 +107,14 @@ how the blocks are split.  The host contract adds two members:
 import os
 from itertools import chain as _chain
 
-from repro.core.sweep import id_column
+from repro.core.sweep import id_column, record_shape, value_column
 from repro.pregel.messages import (
     COLUMN_DTYPES,
     MessageColumns,
+    as_objects,
     min_combiner,
+    record_sum_combiner,
+    sum_by_group,
     sum_combiner,
 )
 from repro.pregel.vertex import BlockContext, VertexContext
@@ -142,9 +152,10 @@ def kernel_dtype(program):
     The static half of the batched path's gate — what holds for a whole
     run unless ``REPRO_BATCH_KERNEL`` flips: the program declares
     ``compute_batch``, numpy is importable, the kernel is enabled, the
-    combiner is one the canonical reductions reproduce, and
-    ``batch_dtype`` is a float or int dtype (a ``sum`` needs floats: the
-    ``bincount`` reduction accumulates in float64).
+    combiner is one the canonical reductions reproduce — ``sum`` / ``min``
+    over scalar messages, the record sum over record messages, or none —
+    and ``batch_dtype`` is a float or int dtype (sums and records need
+    floats: the ``bincount`` reduction accumulates in float64).
     """
     if (
         program.compute_batch is None
@@ -153,15 +164,16 @@ def kernel_dtype(program):
     ):
         return None
     combiner = program.combiner()
-    if not (
-        combiner is None or combiner is sum_combiner or combiner is min_combiner
-    ):
+    records = program.message_width > 1
+    foldable = (record_sum_combiner,) if records else (sum_combiner, min_combiner)
+    if combiner is not None and combiner not in foldable:
         return None
     try:
         dtype = _np.dtype(program.batch_dtype)
     except TypeError:
         return None
-    if dtype.kind not in "fi" or (combiner is sum_combiner and dtype.kind != "f"):
+    floats_only = combiner is sum_combiner or records or program.value_width > 1
+    if dtype.kind not in "fi" or (floats_only and dtype.kind != "f"):
         return None
     return dtype
 
@@ -180,7 +192,7 @@ def compute_block(host, vertex_ids, inbox, superstep):
     the reference semantics and the universal fallback.
     """
     computed = batched_block(host, vertex_ids, inbox, superstep)
-    if computed is not None:
+    if not isinstance(computed, str):
         return computed
     program = host.program
     if isinstance(inbox, MessageColumns):
@@ -202,11 +214,15 @@ def compute_block(host, vertex_ids, inbox, superstep):
 
 
 def batched_block(host, vertex_ids, inbox, superstep):
-    """Attempt the batched path; returns the computed count or None.
+    """Attempt the batched path; returns the computed count, or — a
+    string — why it declined.
 
-    None means "decline": nothing was mutated (packing is read-only and
-    the outbox reduction happens before any commit), so the caller runs
-    the scalar loop instead.  A host with an array ``store`` computes the
+    Declining mutates nothing (packing is read-only and the outbox
+    reduction happens before any commit), so the caller runs the scalar
+    loop instead.  The reason is what a demoting store reports:
+    ``"inbox-dtype"`` when packing declined (a store's values are the
+    kernel's own column, so only its inbox can misfit), else
+    ``"kernel-declined"``.  A host with an array ``store`` computes the
     store's resident rows and ``vertex_ids`` is not read.
     """
     program = host.program
@@ -214,24 +230,30 @@ def batched_block(host, vertex_ids, inbox, superstep):
     batch_workers = getattr(host, "batch_workers", None)
     note_costs = getattr(host, "note_costs", None)
     if dtype is None or batch_workers is None or note_costs is None:
-        return None
+        return "kernel-declined"
     combiner = program.combiner()
     store = getattr(host, "store", None)
     if store is not None:
         packed = _pack_store_block(host, store, inbox, superstep, dtype)
     else:
         packed = _pack_block(host, vertex_ids, inbox, superstep, dtype)
-    if packed is None or packed == 0:
-        return packed
+    if packed is None:
+        return "inbox-dtype"
+    if packed == 0:
+        return 0
     block, row_ids, slot_ids, ids, rows = packed
     n = len(row_ids)
     result = program.compute_batch(block)
     if result is None:
-        return None  # the kernel declined (a shape it cannot reproduce)
+        return "kernel-declined"  # a shape the kernel cannot reproduce
     values = result.values
-    columnar = ids is not None and values.dtype == dtype and values.shape == (n,)
+    columnar = (
+        ids is not None
+        and values.dtype == dtype
+        and values.shape == record_shape(n, program.value_width)
+    )
     if store is not None and not columnar:
-        return None  # only the kernel dtype can live in the value column
+        return "kernel-declined"  # only its dtype can live in the column
     out = None
     if result.out is not None:
         out = _reduce_outbox(
@@ -239,7 +261,7 @@ def batched_block(host, vertex_ids, inbox, superstep):
             ids if combiner is not None else None,
         )
         if out is None:
-            return None
+            return "kernel-declined"
     # ---- commit: from here on, mirror the scalar loop's effects ----
     mailed = _np.flatnonzero(block.msg_counts)  # mail wakes a halted row
     halt = result.halt
@@ -252,7 +274,7 @@ def batched_block(host, vertex_ids, inbox, superstep):
         store.halted[rows[mailed]] = False
         store.halted[rows[voters]] = True
     else:
-        host.values.update(zip(row_ids, values.tolist()))
+        host.values.update(zip(row_ids, as_objects(values)))
         halted = host.halted
         halted.difference_update(map(row_ids.__getitem__, mailed.tolist()))
         halted.update(map(row_ids.__getitem__, voters.tolist()))
@@ -275,7 +297,8 @@ def _pack_store_block(host, store, inbox, superstep, dtype):
     admission order, minus — unless the host is ``continuous`` — the
     halted ones without mail: the scalar loop's skip rule as a mask."""
     columnar = isinstance(inbox, MessageColumns)
-    if columnar and inbox.payloads.dtype != dtype:
+    width = host.program.message_width
+    if columnar and not _fits(inbox.payloads, dtype, width):
         return None
     rows = store.rows()
     if not host.continuous:
@@ -295,9 +318,7 @@ def _pack_store_block(host, store, inbox, superstep, dtype):
     if columnar:
         packed = _scatter_columns(inbox, row_ids)
     else:
-        packed = _pack_mailboxes(
-            row_ids.tolist(), inbox, float if dtype.kind == "f" else int, dtype
-        )
+        packed = _pack_mailboxes(row_ids.tolist(), inbox, dtype, width)
         if packed is None:
             return None
     counts, msg_rows, msg_values = packed
@@ -305,6 +326,7 @@ def _pack_store_block(host, store, inbox, superstep, dtype):
         superstep=superstep,
         num_vertices=host.graph.num_vertices,
         values=store.values[rows],
+        ids=row_ids,
         degrees=degrees,
         indptr=indptr,
         targets=targets,
@@ -325,12 +347,11 @@ def _pack_block(host, vertex_ids, inbox, superstep, dtype):
     messages and values leave as columns — or None, which keeps this
     block on the dict shapes.
 
-    Strict about types: every value and message must be exactly the Python
-    scalar type the kernel dtype round-trips losslessly (``float`` for
-    ``f``-kind, non-bool ``int`` for ``i``-kind; a columnar inbox must
-    carry exactly the kernel dtype) — anything else (string labels, mixed
-    int/float values, ints beyond int64) declines, because a lossy cast
-    would leak into digests on write-back.
+    Strict about types (:func:`~repro.core.sweep.value_column`): every
+    value and message must be exactly the Python scalar — or tuple of the
+    declared width of them — the kernel dtype round-trips losslessly, and
+    a columnar inbox exactly the kernel dtype and message width; anything
+    else declines, because a lossy cast would leak into digests.
     """
     columnar = isinstance(inbox, MessageColumns)
     if host.continuous:
@@ -344,20 +365,17 @@ def _pack_block(host, vertex_ids, inbox, superstep, dtype):
         row_ids = [v for v in vertex_ids if v not in halted or has_mail(v)]
     if not row_ids:
         return 0
-    py_type = float if dtype.kind == "f" else int
-    values_map = host.values
-    raw = [values_map[v] for v in row_ids]
-    if set(map(type, raw)) - {py_type}:
-        return None
-    try:
-        values = _np.array(raw, dtype=dtype)
-    except (OverflowError, ValueError):
+    program = host.program
+    width = program.message_width
+    raw = list(map(host.values.__getitem__, row_ids))
+    values = value_column(raw, dtype, program.value_width)
+    if values is None:
         return None
     if columnar:
-        if inbox.payloads.dtype != dtype:
+        if not _fits(inbox.payloads, dtype, width):
             return None
     else:
-        packed = _pack_mailboxes(row_ids, inbox, py_type, dtype)
+        packed = _pack_mailboxes(row_ids, inbox, dtype, width)
         if packed is None:
             return None
     topology = _block_topology(host, row_ids)
@@ -371,12 +389,13 @@ def _pack_block(host, vertex_ids, inbox, superstep, dtype):
         # A label id joined the block after this inbox was folded: read
         # the inbox as the dict it stands for (its payload dtype was
         # checked above, so this cannot decline).
-        packed = _pack_mailboxes(row_ids, inbox.mailboxes(), py_type, dtype)
+        packed = _pack_mailboxes(row_ids, inbox.mailboxes(), dtype, width)
     counts, msg_rows, msg_values = packed
     block = BlockContext(
         superstep=superstep,
         num_vertices=host.graph.num_vertices,
         values=values,
+        ids=None if ids is None else ids[: len(row_ids)],
         degrees=degrees,
         indptr=indptr,
         targets=targets,
@@ -385,6 +404,11 @@ def _pack_block(host, vertex_ids, inbox, superstep, dtype):
         msg_counts=counts,
     )
     return block, row_ids, slot_ids, ids, None
+
+
+def _fits(column, dtype, width):
+    """True when ``column`` has exactly the kernel dtype and record width."""
+    return column.dtype == dtype and column.shape == record_shape(len(column), width)
 
 
 def _scatter_columns(inbox, row_ids):
@@ -412,9 +436,10 @@ def _scatter_columns(inbox, row_ids):
     return counts, rows[by_row], inbox.payloads[by_row]
 
 
-def _pack_mailboxes(row_ids, inbox, py_type, dtype):
+def _pack_mailboxes(row_ids, inbox, dtype, width):
     """A dict inbox → ``(counts, msg_rows, msg_values)``, or None
-    when a message is not exactly the kernel's Python scalar type."""
+    when a message is not exactly the kernel's Python scalar type (or
+    ``width``-tuple of it; ``msg_values`` is then ``(m, width)``)."""
     n = len(row_ids)
     inbox_get = inbox.get
     boxes = list(map(inbox_get, row_ids))
@@ -447,11 +472,8 @@ def _pack_mailboxes(row_ids, inbox, py_type, dtype):
             _np.fromiter(mailed_rows, dtype=_np.int64, count=len(mailed_rows)),
             _np.fromiter(phys, dtype=_np.int64, count=len(phys)),
         )
-    if set(map(type, msg_vals)) - {py_type}:
-        return None
-    try:
-        msg_values = _np.array(msg_vals, dtype=dtype)
-    except (OverflowError, ValueError):
+    msg_values = value_column(msg_vals, dtype, width)
+    if msg_values is None:
         return None
     return counts, msg_rows, msg_values
 
@@ -507,6 +529,7 @@ def _reduce_outbox(host, row_ids, slot_ids, out, combiner, ids):
     src, dst, payloads = out
     if not len(src):
         return [], [], []
+    payloads = _np.asarray(payloads)
     workers = host.batch_workers(row_ids)
     if workers is None:
         return None
@@ -523,27 +546,25 @@ def _reduce_outbox(host, row_ids, slot_ids, out, combiner, ids):
     first[codes[::-1]] = _np.arange(len(codes) - 1, -1, -1)
     order = _np.argsort(first[occupied])  # first-send order, distinct keys
     keys = occupied[order]
-    if combiner is sum_combiner:
-        # Per-key accumulation happens in emission order from +0.0, the
-        # same addition sequence the scalar combiner fold performs.
-        sums = _np.bincount(codes, weights=payloads, minlength=size)
-        reduced = sums[keys]
+    if combiner is None:  # per-key message lists, emission order within key
+        by_key = _np.argsort(codes, kind="stable")
+        splits = _np.searchsorted(codes[by_key], occupied[1:])
+        groups = list(map(as_objects, _np.split(payloads[by_key], splits)))
+        reduced = [groups[i] for i in order.tolist()]
     elif combiner is min_combiner:
         by_key = _np.argsort(codes, kind="stable")
         bounds = _np.searchsorted(codes[by_key], occupied)
-        mins = _np.minimum.reduceat(_np.asarray(payloads)[by_key], bounds)
+        mins = _np.minimum.reduceat(payloads[by_key], bounds)
         reduced = mins[order]
-    else:  # no combiner: per-key message lists, emission order within key
-        by_key = _np.argsort(codes, kind="stable")
-        splits = _np.searchsorted(codes[by_key], occupied[1:])
-        groups = [
-            g.tolist() for g in _np.split(_np.asarray(payloads)[by_key], splits)
-        ]
-        reduced = [groups[i] for i in order.tolist()]
+    else:
+        # A sum (scalar or per record component): per-key accumulation in
+        # emission order from +0.0, the same addition sequence the scalar
+        # combiner fold performs.
+        reduced = sum_by_group(codes, payloads, size)[keys]
     if ids is not None and reduced.dtype.name in COLUMN_DTYPES:
         return keys // stride, ids[keys % stride], reduced
     if combiner is not None:
-        reduced = reduced.tolist()
+        reduced = as_objects(reduced)
     out_workers = (keys // stride).tolist()
     if isinstance(slot_ids, list):
         out_targets = [slot_ids[i] for i in (keys % stride).tolist()]

@@ -17,11 +17,13 @@ representations, chosen per superstep from what the data is:
   ``{(source_worker, target): payload}``, an inbox ``{target: [messages]}``.
   Universal: any vertex id, any payload, any combiner or none;
 * the **columnar plane** — :class:`MessageColumns`, parallel numpy columns.
-  A batched kernel under a ``sum``/``min`` combiner already emits its
-  reduced outbox as arrays and consumes its inbox as arrays, so when every
-  shard's outbox arrives as columns the router keeps them as columns and
-  :meth:`MessageRouter.deliver` is one stable sort by target plus one
-  vectorised fold (see ``docs/architecture.md``, "The message plane").
+  A batched kernel under a ``sum``/``min``/record-sum combiner already
+  emits its reduced outbox as arrays and consumes its inbox as arrays, so
+  when every shard's outbox arrives as columns the router keeps them as
+  columns and :meth:`MessageRouter.deliver` is one stable sort by target
+  plus one vectorised fold (see ``docs/architecture.md``, "The message
+  plane").  A payload column is 1-d for scalar messages, ``(n, c)``
+  float64 for *records* — ``c``-tuples of floats on the dict plane.
 
 Both planes deliver the same mailboxes in the same order with the same
 local/remote counts; anything the columnar plane cannot represent falls
@@ -33,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
+from operator import add as _add
 from operator import eq as _eq
 from typing import Any
 
@@ -46,8 +49,12 @@ __all__ = [
     "CombinedMessages",
     "MessageColumns",
     "MessageRouter",
+    "as_objects",
+    "is_payload_column",
     "min_combiner",
+    "record_sum_combiner",
     "same_column",
+    "sum_by_group",
     "sum_combiner",
 ]
 
@@ -64,6 +71,41 @@ def sum_combiner(a: Any, b: Any) -> Any:
 def min_combiner(a: Any, b: Any) -> Any:
     """Keep the smaller message (min-label flood, shortest paths)."""
     return a if a <= b else b
+
+
+def record_sum_combiner(a: Any, b: Any) -> Any:
+    """Componentwise sum of two equal-width record messages (tuples)."""
+    return tuple(map(_add, a, b))
+
+
+def is_payload_column(column: Any) -> bool:
+    """True for what the array plane carries: a 1-d :data:`COLUMN_DTYPES`
+    column, or ``(n, c)`` float64 records with ``c >= 2`` (width 1 *is*
+    the 1-d column, so every payload has one canonical shape)."""
+    if column.ndim == 1:
+        return column.dtype.name in COLUMN_DTYPES
+    return bool(
+        column.ndim == 2 and column.shape[1] >= 2 and column.dtype == _np.float64
+    )
+
+
+def as_objects(column: Any) -> list[Any]:
+    """A payload column's rows as the dict plane's Python objects: exact
+    scalars from a 1-d column, tuples of them from a record column."""
+    if column.ndim == 1:
+        rows: list[Any] = column.tolist()
+        return rows
+    return list(zip(*column.T.tolist()))
+
+
+def sum_by_group(groups: Any, payloads: Any, size: int) -> Any:
+    """Per-group sums of a float64 payload column, one exact ``bincount``
+    per record component: every group accumulates in row order from
+    ``+0.0`` — the left fold a ``sum`` combiner performs on that group."""
+    if payloads.ndim == 1:
+        return _np.bincount(groups, weights=payloads, minlength=size)
+    sums = [_np.bincount(groups, weights=c, minlength=size) for c in payloads.T]
+    return _np.stack(sums, axis=1)
 
 
 class CombinedMessages(list):
@@ -128,8 +170,9 @@ class MessageColumns:
       computed vertex ids, ``payloads`` their values, ``counts`` None.
 
     ``targets`` (and ``counts``) are 1-d ``int64``, ``payloads`` 1-d
-    ``float64`` or ``int64`` (:data:`COLUMN_DTYPES`), all the same length —
-    checked on construction, so a record that exists is well-formed.  The
+    ``float64`` or ``int64`` (:data:`COLUMN_DTYPES`) or ``(n, c)`` float64
+    records (:func:`is_payload_column`), all the same length — checked on
+    construction, so a record that exists is well-formed.  The
     record is immutable and so are its arrays by contract: nothing writes
     to a column after it was handed to a task, a delta or the router,
     which is what lets the wire codec and the bench replay encode the same
@@ -144,12 +187,12 @@ class MessageColumns:
         targets, payloads, counts = self.targets, self.payloads, self.counts
         if targets.ndim != 1 or targets.dtype != _np.int64:
             raise ValueError("targets must be a 1-d int64 column")
-        if payloads.shape != targets.shape or (
-            payloads.dtype.name not in COLUMN_DTYPES
+        if payloads.shape[:1] != targets.shape or not is_payload_column(
+            payloads
         ):
             raise ValueError(
                 f"payloads must be a {' or '.join(COLUMN_DTYPES)} column "
-                "as long as targets"
+                "(or float64 records two or more wide) as long as targets"
             )
         if counts is not None and (
             counts.shape != targets.shape or counts.dtype != _np.int64
@@ -180,14 +223,14 @@ class MessageColumns:
     # -- dict-plane views (the API edge; each call builds a fresh object) ----
 
     def items(self) -> Iterator[tuple[int, Any]]:
-        """``(vertex id, payload)`` pairs as Python scalars — the values view."""
-        return zip(self.targets.tolist(), self.payloads.tolist())
+        """``(vertex id, payload)`` pairs as Python objects — the values view."""
+        return zip(self.targets.tolist(), as_objects(self.payloads))
 
     def entries(self, source_worker: int) -> list[tuple[tuple[int, int], Any]]:
         """The dict-plane outbox list ``[((source_worker, target), payload)]``."""
         return list(
             zip(zip(repeat(source_worker), self.targets.tolist()),
-                self.payloads.tolist())
+                as_objects(self.payloads))
         )
 
     def mailboxes(self) -> dict[int, list[Any]]:
@@ -199,7 +242,7 @@ class MessageColumns:
         the fold otherwise.
         """
         targets = self.targets.tolist()
-        payloads = self.payloads.tolist()
+        payloads = as_objects(self.payloads)
         if self.counts is None:
             return {t: [p] for t, p in zip(targets, payloads)}
         return {
@@ -297,7 +340,7 @@ class MessageRouter:
         """
         if not isinstance(workers, list):
             workers, targets, payloads = (
-                workers.tolist(), targets.tolist(), payloads.tolist()
+                workers.tolist(), targets.tolist(), as_objects(payloads)
             )
         self._outbox.update(zip(zip(workers, targets), payloads))
 
@@ -307,7 +350,7 @@ class MessageRouter:
         Called at the superstep barrier *after* migrations were applied, so
         remote/local classification reflects the destination's new worker.
         Returns the inbox: ``{vertex_id: [messages]}``, or — when the whole
-        outbox was columnar under a ``sum``/``min`` combiner — one
+        outbox was columnar under a ``sum``/``min``/record-sum combiner — one
         :class:`MessageColumns` with every mailbox already folded.
         """
         self._dropped = []
@@ -396,12 +439,19 @@ class MessageRouter:
 
     def _foldable(self, chunks: list[tuple[int, MessageColumns]]) -> bool:
         """True when :meth:`_deliver_columns` reproduces the dict plane:
-        one payload dtype, and a combiner whose left fold numpy performs
-        in the same order (``sum`` accumulates in float64 only)."""
-        kinds = {columns.payloads.dtype.kind for _, columns in chunks}
-        if self._combiner is sum_combiner:
-            return kinds == {"f"}
-        return self._combiner is min_combiner and len(kinds) == 1
+        one payload dtype and width, and a combiner whose left fold numpy
+        performs in the same order (the sums accumulate in float64 only;
+        ``sum`` folds scalars, the record sum records)."""
+        shapes = {
+            (c.payloads.dtype.kind, c.payloads.shape[1:]) for _, c in chunks
+        }
+        if len(shapes) != 1:
+            return False
+        kind, width = shapes.pop()
+        if self._combiner is min_combiner:
+            return not width
+        summing = record_sum_combiner if width else sum_combiner
+        return self._combiner is summing and kind == "f"
 
     def _deliver_columns(
         self, chunks: list[tuple[int, MessageColumns]]
@@ -440,13 +490,11 @@ class MessageRouter:
             _np.count_nonzero(workers[order] == _np.repeat(homes, sizes))
         )
         remote = int(sizes[alive].sum()) - local
-        if self._combiner is sum_combiner:
-            group = _np.repeat(_np.arange(len(unique)), sizes)
-            folded = _np.bincount(
-                group, weights=payloads[order], minlength=len(unique)
-            )
-        else:
+        if self._combiner is min_combiner:
             folded = _np.minimum.reduceat(payloads[order], starts)
+        else:
+            group = _np.repeat(_np.arange(len(unique)), sizes)
+            folded = sum_by_group(group, payloads[order], len(unique))
         if local:
             self._network.count_local(local)
         if remote:

@@ -136,18 +136,22 @@ class BlockContext:
     """Slot-indexed view of one block of computed vertices.
 
     All arrays are positional over the block's ``n`` computed rows, in the
-    exact order the scalar loop would have visited them.  Vertex ids never
-    appear — rows and neighbour entries are *slots* (row indices into the
-    block), which is what lets a kernel run without touching Python
-    objects.  Row ``i`` sees:
+    exact order the scalar loop would have visited them.  Topology never
+    names a vertex id — rows and neighbour entries are *slots* (row
+    indices into the block), which is what lets a kernel run without
+    touching Python objects.  Row ``i`` sees:
 
-    - ``values[i]`` — current value (dtype = program's ``batch_dtype``)
+    - ``values[i]`` — current value (dtype = program's ``batch_dtype``;
+      a row of ``value_width`` components for a record program)
+    - ``ids[i]`` — its vertex id, for arithmetic keyed by id (an int64
+      column, or None when some id is a label: such a kernel declines)
     - ``degrees[i]`` — neighbour count
     - ``targets[indptr[i]:indptr[i + 1]]`` — neighbour slots, adjacency
       order (slots index ``slot_ids``; a slot ≥ ``n`` is a vertex that is
       present in the graph but not computed this superstep)
     - ``msg_values[msg_row == i]`` — inbox payloads (combiner-folded, so
-      at most one physical entry per sender group); ``msg_counts[i]`` is
+      at most one physical entry per sender group; ``(m, message_width)``
+      for record messages, also when ``m`` is 0); ``msg_counts[i]`` is
       the *logical* message count the scalar cost model would see.
 
     ``superstep`` and ``num_vertices`` mirror :class:`VertexContext`.
@@ -157,6 +161,7 @@ class BlockContext:
         "superstep",
         "num_vertices",
         "values",
+        "ids",
         "degrees",
         "indptr",
         "targets",
@@ -170,6 +175,7 @@ class BlockContext:
         superstep,
         num_vertices,
         values,
+        ids,
         degrees,
         indptr,
         targets,
@@ -180,6 +186,7 @@ class BlockContext:
         self.superstep = superstep
         self.num_vertices = num_vertices
         self.values = values
+        self.ids = ids
         self.degrees = degrees
         self.indptr = indptr
         self.targets = targets
@@ -194,26 +201,26 @@ class BlockContext:
     def emit_to_neighbors(self, payloads, rows=None):
         """Build the (src, dst, payload) outbox columns for a broadcast.
 
-        ``payloads`` carries one payload per selected row — length ``n``
-        when ``rows`` is None, length ``len(rows)`` otherwise (``rows``
-        must be ascending, which ``np.flatnonzero``-style masks give for
-        free).  Every selected row sends its payload to each of its
-        neighbours in the same row-major × adjacency order the scalar
-        loop's ``send_to_neighbors`` produces — which is what keeps the
-        reduced outbox byte-identical.
+        ``payloads`` carries one payload (a scalar or a record row) per
+        selected row — length ``n`` when ``rows`` is None, length
+        ``len(rows)`` otherwise (``rows`` must be ascending, which
+        ``np.flatnonzero``-style masks give for free).  Every selected row
+        sends its payload to each of its neighbours in the same row-major
+        × adjacency order the scalar loop's ``send_to_neighbors`` produces
+        — which is what keeps the reduced outbox byte-identical.
         """
         payloads = _np.asarray(payloads)
         counts = _np.diff(self.indptr)
         if rows is None:
             src = _np.repeat(_np.arange(len(counts), dtype=_np.int64), counts)
-            return src, self.targets, _np.repeat(payloads, counts)
+            return src, self.targets, _np.repeat(payloads, counts, axis=0)
         rows = _np.asarray(rows, dtype=_np.int64)
         counts = counts[rows]
         keep = counts > 0  # zero-degree rows emit nothing
         if not keep.all():
             rows, payloads, counts = rows[keep], payloads[keep], counts[keep]
         src = _np.repeat(rows, counts)
-        payload = _np.repeat(payloads, counts)
+        payload = _np.repeat(payloads, counts, axis=0)
         if not len(rows):
             return src, self.targets[:0], payload
         # Gather each selected row's contiguous target extent: a cumsum
@@ -253,7 +260,9 @@ class BatchedVertexProgram(VertexProgram):
     Subclasses implement :meth:`compute_batch` as pure array operations
     over a :class:`BlockContext` (reprolint ``KER001`` rejects per-vertex
     Python loops inside it) and declare ``batch_dtype`` — the numpy dtype
-    the block's value/message arrays are built with.  The scalar
+    the block's value/message arrays are built with — and the width of a
+    value or message that is a fixed-width *record* (a tuple of that many
+    floats) rather than one scalar.  The scalar
     :meth:`~VertexProgram.compute` remains mandatory and authoritative:
     the dispatcher falls back to it whenever numpy is missing, the gate
     env var disables the kernel, or the live values/messages don't fit
@@ -263,6 +272,12 @@ class BatchedVertexProgram(VertexProgram):
 
     #: numpy dtype name for the value/message arrays ("float64"/"int64").
     batch_dtype = "float64"
+    #: Components per vertex value and per message: 1 = a scalar and a 1-d
+    #: column; ``c`` > 1 = a ``c``-tuple of floats and an ``(n, c)`` column
+    #: (float64 only; record messages combine under
+    #: :func:`~repro.pregel.messages.record_sum_combiner` or not at all).
+    value_width = 1
+    message_width = 1
 
     def __init_subclass__(cls, **kwargs):
         """Disable an inherited kernel when only ``compute`` is overridden.

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from repro.pregel.messages import sum_by_group
+
 
 class VectorisedKernel:
     """Pure array operations: clean."""
@@ -56,3 +58,21 @@ class DecliningKernel:
             if bucket in block.classes:
                 return None
         return block.values
+
+
+class RecordKernel:
+    """A two-wide record kernel on column slices and one fold: clean."""
+
+    def compute_batch(self, block):
+        """``(v, w)`` rows stay an ``(n, 2)`` array from inbox to outbox."""
+        v, w = block.values[:, 0], block.values[:, 1]
+        folded = sum_by_group(block.msg_row, block.msg_values, len(block))
+        return np.stack((v + folded[:, 0] - folded[:, 1] * v, w), axis=1)
+
+
+class RecordRowLoopKernel:
+    """Unpacking the records row by row is a per-vertex loop: one finding."""
+
+    def compute_batch(self, block):
+        """Tuples out of an ``(n, 2)`` column, one Python step per row."""
+        return np.array([(v + 1.0, w) for v, w in block.values])

@@ -12,7 +12,13 @@ rewrite classically drifts:
 * empty inboxes and isolated vertices (TunkRank's kernel *declines* the
   block there — scalar ``sum(())`` is an int, digest-visible);
 * adaptive churn (migrations re-slot vertices between blocks mid-run);
-* string vertex ids (object-dtype-free packing must still engage);
+* string vertex ids (object-dtype-free packing must still engage; the
+  kernels whose arithmetic is keyed by vertex id — the FEM stimulus,
+  the shortest-paths source — decline such blocks instead);
+* record values and messages (the cardiac FEM programs' ``(v, w)`` and
+  ``(Σv, n)`` tuples ride ``(n, 2)`` columns), over random graphs,
+  sub-step counts and worker counts, and through a *mixed* superstep
+  where one shard declines on a label id while the others batch;
 * a numpy-free interpreter (the dispatch gate falls back to scalar);
 * the committed golden timelines with the kernel *forced* on (CI's
   ``REPRO_BATCH_KERNEL=off`` matrix leg pins the scalar side).
@@ -23,28 +29,57 @@ same as the golden digests do.
 
 import dataclasses
 import json
+import struct
+from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.pregel.compute as compute_mod
-from repro.apps import ConnectedComponents, PageRank, TunkRank
+from repro.apps import (
+    ConnectedComponents,
+    PageRank,
+    SingleSourceShortestPaths,
+    TunkRank,
+)
+from repro.apps.fem_simulation import (
+    CardiacFemSimulation,
+    CombinedCardiacFemSimulation,
+)
 from repro.apps.label_propagation import LabelPropagation
 from repro.cluster import Coordinator
-from repro.generators import erdos_renyi_graph
+from repro.generators import erdos_renyi_graph, mesh_3d
 from repro.graph import Graph
+from repro.graph.events import AddEdge
 from repro.obs import MetricsRegistry
 from repro.pregel.system import PregelConfig, PregelSystem
 from repro.scenarios import get_scenario, play_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SCENARIOS = ["mesh-growth", "grid-rewire", "cdr-weekly"]
-APPS = [PageRank, TunkRank, LabelPropagation, ConnectedComponents]
+FEM = partial(CardiacFemSimulation, substeps=2, stimulus_vertices=(0, 7))
+FEM_COMBINED = partial(
+    CombinedCardiacFemSimulation, substeps=3, stimulus_vertices=(0,)
+)
+SSSP = partial(SingleSourceShortestPaths, 0)
+#: Kernels whose arithmetic names vertex ids: they need an int64 id column.
+ID_KEYED = [FEM, FEM_COMBINED, SSSP]
+APPS = [PageRank, TunkRank, LabelPropagation, ConnectedComponents, *ID_KEYED]
 HOSTS = [PregelSystem, Coordinator]
 
 
 def _app_id(app):
-    return app.__name__
+    return getattr(app, "func", app).__name__
+
+
+def _bits(value):
+    """Floats as their bit patterns (tuples componentwise), so equality
+    is to the last bit and type-exact."""
+    if type(value) is tuple:
+        return tuple(map(_bits, value))
+    return struct.pack("<d", value) if type(value) is float else value
 
 
 def _sparse_graph():
@@ -68,7 +103,8 @@ def _string_id_graph():
     return graph
 
 
-def _run(host_cls, graph, program, monkeypatch, enabled, supersteps=8):
+def _run(host_cls, graph, program, monkeypatch, enabled, supersteps=8,
+         workers=4, events=None):
     """Replay ``supersteps`` supersteps; return (reports, values, blocks).
 
     Adaptive partitioning stays on so migrations re-slot vertices between
@@ -76,17 +112,22 @@ def _run(host_cls, graph, program, monkeypatch, enabled, supersteps=8):
     zeroing ``decision_seconds`` (wall-clock, not digest-pinned).
     ``blocks`` is the ``kernel.batched_blocks`` counter — proof the fast
     path actually engaged rather than silently declining everywhere.
+    Values come back as bit patterns; ``events`` are injected after the
+    third superstep.
     """
     monkeypatch.setenv("REPRO_BATCH_KERNEL", "on" if enabled else "off")
     registry = MetricsRegistry()
-    config = PregelConfig(num_workers=4, seed=3, adaptive=True)
+    config = PregelConfig(num_workers=workers, seed=3, adaptive=True)
     host = host_cls(graph, program, config, metrics_registry=registry)
     try:
-        reports = [
-            dataclasses.replace(host.run_superstep(), decision_seconds=0.0)
-            for _ in range(supersteps)
-        ]
-        values = dict(host.values)
+        reports = []
+        for step in range(supersteps):
+            if events and step == 3:
+                host.inject_events(events)
+            reports.append(dataclasses.replace(
+                host.run_superstep(), decision_seconds=0.0
+            ))
+        values = {v: _bits(x) for v, x in host.values.items()}
     finally:
         close = getattr(host, "close", None)
         if close is not None:
@@ -95,9 +136,13 @@ def _run(host_cls, graph, program, monkeypatch, enabled, supersteps=8):
 
 
 def _assert_equivalent(host_cls, graph_factory, app, monkeypatch,
-                       expect_kernel=True):
-    batched = _run(host_cls, graph_factory(), app(), monkeypatch, True)
-    scalar = _run(host_cls, graph_factory(), app(), monkeypatch, False)
+                       expect_kernel=True, **run_args):
+    batched = _run(
+        host_cls, graph_factory(), app(), monkeypatch, True, **run_args
+    )
+    scalar = _run(
+        host_cls, graph_factory(), app(), monkeypatch, False, **run_args
+    )
     assert batched[0] == scalar[0], "superstep reports diverged"
     assert batched[1] == scalar[1], "final values diverged"
     for key, value in batched[1].items():
@@ -123,15 +168,16 @@ def test_string_id_graphs(app, monkeypatch):
 
     The float-valued apps still take the kernel (values are numeric
     regardless of id type); the label-flood apps carry the *ids* as
-    values, so their int64 packers decline every block and the scalar
-    loop must cover — both sides of the decline protocol, same digest.
+    values, so their int64 packers decline every block, and the id-keyed
+    kernels decline a block without an int64 id column — the scalar loop
+    must cover: both sides of the decline protocol, same digest.
     """
     _assert_equivalent(
         Coordinator,
         _string_id_graph,
         app,
         monkeypatch,
-        expect_kernel=app in (PageRank, TunkRank),
+        expect_kernel=app in (PageRank, TunkRank),  # numeric, not id-keyed
     )
 
 
@@ -170,3 +216,66 @@ def test_golden_replay_with_kernel_forced_on(name, monkeypatch):
         f"{name} diverged from its golden timeline with the batched "
         "kernel forced on"
     )
+
+
+@pytest.mark.skipif(compute_mod._np is None, reason="numpy not installed")
+@given(
+    graph=st.one_of(
+        st.builds(mesh_3d, st.integers(2, 4)),
+        st.builds(
+            erdos_renyi_graph, st.integers(8, 60), st.just(0.08),
+            seed=st.integers(0, 9),
+        ),
+    ),
+    app=st.sampled_from([CardiacFemSimulation, CombinedCardiacFemSimulation]),
+    substeps=st.integers(1, 4),
+    stimulus=st.sets(st.integers(0, 70), max_size=3),
+    workers=st.integers(1, 5),
+    host_cls=st.sampled_from(HOSTS),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_fem_kernels_match_scalar_on_random_graphs(
+    graph, app, substeps, stimulus, workers, host_cls
+):
+    """Record kernels over random meshes, sub-cycle counts, stimulus sets
+    (absent ids included) and worker counts, with migrations re-slotting
+    rows: reports (``compute_units`` and every message count in them) and
+    ``(v, w)`` bits equal the scalar loop's."""
+    program = partial(app, substeps=substeps, stimulus_vertices=stimulus)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_equivalent(
+            host_cls, graph.copy, program, monkeypatch,
+            supersteps=5, workers=workers,
+        )
+
+
+@pytest.mark.parametrize("app", [FEM, FEM_COMBINED], ids=_app_id)
+def test_fem_mixed_superstep_with_a_label_id(app, monkeypatch):
+    """A label vertex arrives mid-run: the shard blocks that see it (as a
+    row or a neighbour) have no int64 id column, so their kernel declines
+    and the scalar loop sends dict entries while the other shards still
+    batch — mixed supersteps, on the dict message plane, same bits."""
+    events = [AddEdge("late", 0), AddEdge("late", 33)]
+    run_args = dict(supersteps=7, events=events)
+    _assert_equivalent(
+        Coordinator, partial(mesh_3d, 4), app, monkeypatch, **run_args
+    )
+    if compute_mod._np is not None:
+        blocks = _run(
+            Coordinator, mesh_3d(4), app(), monkeypatch, True, **run_args
+        )[2]
+        assert 3 * 4 < blocks < 7 * 4, "no superstep was mixed"
+
+
+@pytest.mark.parametrize("app", [FEM_COMBINED, SSSP], ids=_app_id)
+def test_superstep_digest_is_kernel_independent(app, monkeypatch):
+    """The scenario engine's pinned digest (churn on a growing mesh) is
+    the same record with the record / shortest-paths kernels on and off."""
+    digests = []
+    for kernel in ("on", "off"):
+        monkeypatch.setenv("REPRO_BATCH_KERNEL", kernel)
+        digests.append(play_scenario(
+            get_scenario("mesh-growth"), engine="pregel", program=app(),
+            max_rounds=6,
+        ).superstep_digest())
+    assert digests[0] == digests[1]

@@ -192,20 +192,22 @@ class TestKer001:
     def test_loops_in_kernels_are_flagged(self):
         findings = lint("ker001")
         assert sites(findings) == {
-            ("KER001", "kernels.py", 29),  # list comprehension
-            ("KER001", "kernels.py", 30),  # dict comprehension
-            ("KER001", "kernels.py", 31),  # for loop
-            ("KER001", "kernels.py", 33),  # while loop
-            ("KER001", "kernels.py", 45),  # genexp in a nested helper
+            ("KER001", "kernels.py", 31),  # list comprehension
+            ("KER001", "kernels.py", 32),  # dict comprehension
+            ("KER001", "kernels.py", 33),  # for loop
+            ("KER001", "kernels.py", 35),  # while loop
+            ("KER001", "kernels.py", 47),  # genexp in a nested helper
+            ("KER001", "kernels.py", 78),  # records unpacked row by row
         }
         for finding in findings:
             assert "compute_batch" in finding.message
 
     def test_scalar_reference_loops_stay_legal(self):
         """Only ``compute_batch`` bodies are scanned; ``compute`` loops,
-        vectorised kernels and the pragma'd bounded loop are clean."""
+        vectorised kernels (scalar and record) and the pragma'd bounded
+        loop are clean."""
         findings = lint("ker001")
-        assert all(f.line not in (19, 20, 56) for f in findings)
+        assert all(f.line not in (21, 22, 58, *range(61, 71)) for f in findings)
 
     def test_outside_kernel_packages_is_out_of_scope(self, tmp_path):
         target = tmp_path / "repro" / "analysis" / "loose.py"

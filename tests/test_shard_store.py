@@ -6,18 +6,25 @@ the dict shard.  The dict shard is the oracle here: a hypothesis state
 machine drives one shard of each kind through the same random patch
 sequences — upserts of residents and newcomers, evictions, evict +
 readmit in one patch, moves, removals, duplicate ids in one placement
-delta, and the non-conforming arrivals (a label id, an ``int`` value)
-that demote the store — and after every step requires identical
-``snapshot()``s and, after every superstep, identical ``ShardDelta``s
+delta, and the non-conforming arrivals (a label id, an ``int`` value or
+record component) that demote the store — and after every step requires
+identical ``snapshot()``s and, after every superstep, identical ``ShardDelta``s
 field by field.  After a demotion the pair keeps running: the run must
 continue byte-identically.
 
+The pair runs once per column shape: float64 (PageRank), int64
+(components) and two-wide float64 *records* (the combined cardiac FEM
+program, whose values and messages are both tuples).
+
 Also pinned by example: the three order rules (compute order is admission
-order, adjacency order is the patch's, a later delta entry wins) and the
-bulk-seeding path of the coordinator.
+order, adjacency order is the patch's, a later delta entry wins), the
+named demotion reasons, the bulk-seeding path of the coordinator and the
+FEM cross-executor matrix.
 """
 
+import dataclasses
 import struct
+from functools import partial
 
 import pytest
 from hypothesis import settings
@@ -31,8 +38,17 @@ from hypothesis.stateful import (
 )
 
 from repro.apps.connected_components import ConnectedComponents
+from repro.apps.fem_simulation import (
+    CardiacFemSimulation,
+    CombinedCardiacFemSimulation,
+)
 from repro.apps.pagerank import PageRank
-from repro.cluster import Coordinator, InlineExecutor
+from repro.cluster import (
+    Coordinator,
+    InlineExecutor,
+    LocalWorkerPool,
+    SocketExecutor,
+)
 from repro.cluster.shard import (
     PatchColumns,
     Shard,
@@ -41,7 +57,7 @@ from repro.cluster.shard import (
     delta_columns,
 )
 from repro.core.heuristic import DecisionContext, GreedyMaxNeighbours
-from repro.core.sweep import id_column, sort_vertices
+from repro.core.sweep import id_column, record_shape, sort_vertices
 from repro.generators import mesh_3d
 from repro.graph import Graph
 from repro.pregel.compute import batch_kernel_enabled
@@ -60,10 +76,14 @@ pytestmark = pytest.mark.skipif(
 
 K = 3  # partitions the placement mirror speaks of
 IDS = st.integers(0, 40)
+POTENTIALS = st.one_of(st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0))
+# name -> (program, column dtype, continuous, value = message strategy)
 PROGRAMS = {
     "pagerank": (PageRank, "float64", True,
                  st.floats(1e-6, 1.0, allow_nan=False)),
     "components": (ConnectedComponents, "int64", False, st.integers(0, 60)),
+    "fem": (partial(CombinedCardiacFemSimulation, stimulus_vertices=(3, 7)),
+            "float64", True, st.tuples(POTENTIALS, POTENTIALS)),
 }
 
 
@@ -78,17 +98,21 @@ def dict_shard(monkeypatch, *args, **kwargs):
     return shard
 
 
-def as_columns(patch, dtype):
+def as_columns(patch, dtype, width=1):
     """``patch`` as the coordinator ships it: columns when it fits."""
     ids, pids = delta_columns(patch.placement_delta)
     ids = id_column(ids)
     if ids is None:
         return patch
-    packed = PatchColumns.from_patch(patch, np.dtype(dtype), (ids, pids))
+    packed = PatchColumns.from_patch(
+        patch, np.dtype(dtype), (ids, pids), width
+    )
     return patch if packed is None else packed
 
 
 def bits(value):
+    if type(value) is tuple:
+        return tuple(map(bits, value))
     return struct.pack("<d", value) if type(value) is float else value
 
 
@@ -132,6 +156,7 @@ class ShardPair(RuleBasedStateMachine):
         ]
         self.monkeypatch = pytest.MonkeyPatch()
         program = program_cls()
+        self.width = program.value_width  # == message_width on every pair
         args = (1, program, program.combiner(), continuous)
         self.store = Shard(*args, heuristic=GreedyMaxNeighbours())
         self.oracle = dict_shard(
@@ -148,7 +173,7 @@ class ShardPair(RuleBasedStateMachine):
     # -- patches ---------------------------------------------------------
 
     def _apply(self, patch):
-        shipped = as_columns(patch, self.dtype)
+        shipped = as_columns(patch, self.dtype, self.width)
         if not isinstance(shipped, PatchColumns):
             self.demoted = True
         self.store.apply_patch(shipped)
@@ -215,6 +240,8 @@ class ShardPair(RuleBasedStateMachine):
             patch.upserts[7] = (value, (*neighbours, "late"), halted)
         elif poison == "label in delta":
             patch.placement_delta = [("late", 0), (3, 1)]
+        elif self.width > 1:  # an int inside the record (still computable)
+            patch.upserts[7] = ((int(value[0]), *value[1:]), neighbours, halted)
         else:
             odd = int(value) if self.dtype == "float64" else float(value)
             patch.upserts[7] = (odd, neighbours, halted)
@@ -234,7 +261,9 @@ class ShardPair(RuleBasedStateMachine):
         counts = [data.draw(st.integers(1, 3)) for _ in mailed]
         inbox = MessageColumns(
             np.array(mailed, dtype=np.int64),
-            np.array(payloads, dtype=self.dtype),
+            np.array(payloads, dtype=self.dtype).reshape(
+                record_shape(len(mailed), self.width)
+            ),
             np.array(counts, dtype=np.int64),
         )
         if data.draw(st.booleans()):
@@ -258,7 +287,7 @@ class ShardPair(RuleBasedStateMachine):
         got = self.store.run_superstep(task)
         want = self.oracle.run_superstep(task)
         assert_same_delta(got, want)
-        if got.demotions:
+        if got.demotion:
             self.demoted = True
         assert (self.store.store is None) == self.demoted
 
@@ -289,6 +318,10 @@ class ComponentsPair(ShardPair):
     program_name = "components"
 
 
+class FemPair(ShardPair):
+    program_name = "fem"
+
+
 STATEFUL = settings(
     max_examples=60, stateful_step_count=12, deadline=None, derandomize=True
 )
@@ -296,6 +329,8 @@ TestPageRankPair = ShardPair.TestCase
 TestPageRankPair.settings = STATEFUL
 TestComponentsPair = ComponentsPair.TestCase
 TestComponentsPair.settings = STATEFUL
+TestFemPair = FemPair.TestCase
+TestFemPair.settings = STATEFUL
 
 
 # ----------------------------------------------------------------------
@@ -402,9 +437,55 @@ def test_a_declined_block_demotes_inside_the_superstep(monkeypatch):
         got, want = _run(store, superstep), _run(oracle, superstep)
         assert_same_delta(got, want)
         assert plain(store.snapshot()) == plain(oracle.snapshot())
-        demotions.append(got.demotions)
+        demotions.append(got.demotion)
         assert (store.store is None) == (superstep >= 3)
-    assert demotions == [0, 0, 1, 0, 0]
+    assert demotions == ["", "", "kernel-declined", "", ""]
+
+
+def test_every_demotion_names_the_gate_it_fell_through(monkeypatch):
+    """``patch-shape``: a patch that is not columns of the store's width;
+    ``inbox-dtype``: messages of another width than the kernel's; the declined
+    block above is ``kernel-declined`` — each demotes once, into the same
+    delta the dict shard produces."""
+    program = CombinedCardiacFemSimulation()
+    args = (0, program, program.combiner(), True)
+    rows = {
+        v: ((-1.2 + 0.1 * v, -0.6), ((v + 1) % 4, (v + 3) % 4), False)
+        for v in range(4)
+    }
+
+    def pair():
+        store, oracle = Shard(*args), dict_shard(monkeypatch, *args)
+        store.apply_patch(as_columns(ShardPatch(upserts=rows), "float64", 2))
+        oracle.apply_patch(ShardPatch(upserts=rows))
+        assert store.store is not None and store.store.values.shape[1:] == (2,)
+        return store, oracle
+
+    def step(store, oracle, inbox):
+        task = ShardTask(
+            superstep=2, inbox=inbox, num_vertices=4, agg_previous={}
+        )
+        got, want = store.run_superstep(task), oracle.run_superstep(task)
+        assert_same_delta(got, want)
+        assert store.store is None
+        assert plain(store.snapshot()) == plain(oracle.snapshot())
+        return got.demotion
+
+    store, oracle = pair()
+    scalar_patch = ShardPatch(upserts={9: (0.5, (0,), False)})
+    assert as_columns(scalar_patch, "float64", 2) is scalar_patch
+    store.apply_patch(as_columns(scalar_patch, "float64"))  # width-1 columns
+    oracle.apply_patch(scalar_patch)
+    assert store.store is None and store._demotion == "patch-shape"
+    store, oracle = pair()
+    # Mail the scalar loop can read but the kernel's width-2 column cannot
+    # hold (a third component), on either plane.
+    assert step(store, oracle, {1: [(0.25, 1.0, 9.0)]}) == "inbox-dtype"
+    store, oracle = pair()
+    assert step(store, oracle, MessageColumns(
+        np.array([1], dtype=np.int64), np.array([[0.25, 1.0, 9.0]]),
+        np.array([2], dtype=np.int64),
+    )) == "inbox-dtype"
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +539,55 @@ def test_a_label_vertex_demotes_every_store_and_is_counted():
         system.inject_events([AddEdge("grow:1", 3)])
         system.run(3)
         assert demotions.value == 3
+        registry = system.metrics_registry
+        assert registry.counter("shard.store.demotions.patch-shape").value == 3
+        assert "shard.store.demotions.patch-shape" in registry.render_text()
         assert all(s.store is None for s in executor._shards.values())
         system.shard_consistency_check()
         system.run(2)
         assert demotions.value == 3  # one way, once
+
+
+# ----------------------------------------------------------------------
+# The FEM programs across executors: records end to end
+# ----------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def socket_pool():
+    with LocalWorkerPool(2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize(
+    "program_cls", [CardiacFemSimulation, CombinedCardiacFemSimulation],
+    ids=lambda cls: cls.name,
+)
+def test_fem_is_identical_and_fully_batched_on_every_executor(
+    program_cls, socket_pool
+):
+    """inline / thread / process / socket: the same reports and the same
+    final ``(v, w)`` to the last bit, every block on a store (``(n, 2)``
+    value columns, record messages over the wire) and no demotion."""
+    workers, supersteps = 4, 7
+    config = PregelConfig(num_workers=workers, seed=5, quiet_window=5)
+    runs = {}
+    for name in ("inline", "thread", "process", "socket"):
+        program = program_cls(substeps=2, stimulus_vertices={0, 13})
+        executor = name
+        if name == "socket":
+            executor = SocketExecutor(socket_pool.addresses)
+        with Coordinator(
+            mesh_3d(4), program, config, executor=executor
+        ) as system:
+            reports = [
+                dataclasses.replace(system.run_superstep(), decision_seconds=0.0)
+                for _ in range(supersteps)
+            ]
+            system.shard_consistency_check()
+            counter = system.metrics_registry.counter
+            assert counter("shard.store.demotions").value == 0
+            assert counter("kernel.batched_blocks").value == supersteps * workers
+            runs[name] = (reports, plain((system.values, None, None)))
+    assert sum(r.migrations_announced for r in runs["inline"][0]) > 0
+    for name, run in runs.items():
+        assert run == runs["inline"], name

@@ -91,3 +91,20 @@ def test_main_reports_unreadable_trace(tmp_path):
     out = io.StringIO()
     assert trace_summary.main([str(tmp_path / "missing.json")], out=out) == 2
     assert "cannot read trace" in out.getvalue()
+
+
+def test_format_summary_names_each_store_demotion(tmp_path):
+    """A shard whose array store fell back to dicts shows up with its lane
+    and the gate it fell through — only when there is one."""
+    path = tmp_path / "trace.jsonl"
+    write_jsonl(SPANS, path)
+    assert "store demotions" not in trace_summary.format_summary(
+        trace_summary.load_spans(path)
+    )
+    write_jsonl(
+        [*SPANS, ("demote", "shard-1", 100.2, 0.004, {"reason": "patch-shape"})],
+        path,
+    )
+    text = trace_summary.format_summary(trace_summary.load_spans(path))
+    section = text[text.index("store demotions:"):].splitlines()
+    assert section[3].split() == ["shard-1", "patch-shape", "4.000"]

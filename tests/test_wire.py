@@ -387,11 +387,11 @@ def test_folded_inbox_with_single_message_mailboxes_stays_packed():
     assert type(got[2]) is list and got == odd
 
 
-def _columns(patch, dtype="float64"):
+def _columns(patch, dtype="float64", width=1):
     """``patch`` as the coordinator would ship it to an array store."""
     ids, pids = delta_columns(patch.placement_delta)
     return PatchColumns.from_patch(
-        patch, numpy.dtype(dtype), (id_column(ids), pids)
+        patch, numpy.dtype(dtype), (id_column(ids), pids), width
     )
 
 
@@ -490,7 +490,93 @@ MALFORMED = {
         b"\x01\x00\x01\x00\x01\x00" + bytes(16)
     ),
     "patch columns with unknown flags": b"\x01\x18\x07",
+    # The record-width field of both column tags: [tag][flags][width]...
+    # One row (id 5) and, where it gets that far, a 16-byte buffer.
+    "message columns zero wide": b"\x01\x17\x04\x00\x01\x01\x05" + bytes(16),
+    "message columns one wide": b"\x01\x17\x04\x01\x01\x01\x05" + bytes(8),
+    "message columns wider than their buffer": (
+        b"\x01\x17\x04\x03\x01\x01\x05" + bytes(16)
+    ),
+    "message columns width overflowing the frame": (
+        b"\x01\x17\x04\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x01\x05"
+        + bytes(16)
+    ),
+    "message columns width truncated": b"\x01\x17\x04\x82",
+    "message columns of int64 records": (
+        b"\x01\x17\x06\x02\x01\x01\x05" + bytes(16)
+    ),
+    "message columns with unknown flags": b"\x01\x17\x08",
+    "patch columns zero wide": (
+        b"\x01\x18\x02\x00\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
+        b"\x01\x00\x01\x00\x01\x00" + bytes(16)
+    ),
+    "patch columns wider than their buffer": (
+        b"\x01\x18\x02\x03\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
+        b"\x01\x00\x01\x00\x01\x00" + bytes(16)
+    ),
+    "patch columns width overflowing the frame": (
+        b"\x01\x18\x02\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x01\x05"
+        b"\x01\x01\x00\x01\x00\x01\x01\x00\x01\x00\x01\x00\x01\x00"
+        + bytes(16)
+    ),
+    "patch columns width truncated": b"\x01\x18\x02",
 }
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_the_malformed_width_cases_are_one_field_off_a_valid_frame():
+    """The width cases above fail on the width, not on a typo elsewhere:
+    the same frames with width 2 decode."""
+    columns = wire.loads(b"\x01\x17\x04\x02\x01\x01\x05" + bytes(16))
+    assert columns.payloads.shape == (1, 2) and columns.targets.tolist() == [5]
+    patch = wire.loads(
+        b"\x01\x18\x02\x02\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
+        b"\x01\x00\x01\x00\x01\x00" + bytes(16)
+    )
+    assert patch.values.shape == (1, 2) and patch.ids.tolist() == [5]
+
+
+#: Width-1 frames as the commit before record columns wrote them: a scalar
+#: program's columns must cost exactly the bytes they always did.
+SCALAR_FRAMES = {
+    "folded inbox": (
+        "0117014104e0c508030105000000000000d03f000000000000f8bf"
+        "0000000000000840fca9f1d24d62503f010401030201"
+    ),
+    "int64 outbox": (
+        "0117024104f2c508fbfffd0700000000000000feffffffffffffff"
+        "00000000000100000000000000000000"
+    ),
+    "patch": (
+        "0118000102080201020200010207090102010001010101020802010203ff"
+        "000000000000e03f0000000000000080"
+    ),
+}
+
+
+@pytest.mark.skipif(numpy is None, reason="numpy not installed")
+def test_scalar_column_frames_are_byte_identical_to_the_pinned_ones():
+    from repro.pregel.messages import MessageColumns
+
+    ids = numpy.array([70_000, 70_003, 70_004, 70_009], dtype=numpy.int64)
+    patch = ShardPatch(
+        upserts={8: (0.5, (7, 9), True), 2: (-0.0, (), False)},
+        removes=[1], placement_delta=[(8, 3), (2, None)],
+    )
+    frames = {
+        "folded inbox": MessageColumns(
+            ids, numpy.array([0.25, -1.5, 3.0, 1e-3]),
+            numpy.array([1, 3, 2, 1], dtype=numpy.int64),
+        ),
+        "int64 outbox": MessageColumns(
+            ids[::-1].copy(),
+            numpy.array([7, -2, 1 << 40, 0], dtype=numpy.int64),
+        ),
+        "patch": _columns(patch),
+    }
+    for name, record in frames.items():
+        assert wire.dumps(record).hex() == SCALAR_FRAMES[name], name
+        assert_same(wire.loads(bytes.fromhex(SCALAR_FRAMES[name])), record)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -541,6 +627,38 @@ def test_fuzz_arbitrary_bytes(body):
     _loads_or_wire_error(bytes([CODEC_BINARY]) + body)
 
 
+PATCH_CASES = {
+    "empty": ShardPatch(),
+    "removes only": ShardPatch(removes=[9, 3, 70_000]),
+    "delta only": ShardPatch(
+        placement_delta=[(5, 1), (7, None), (5, 2), (7, 0), (-3, None)]
+    ),
+    "upserts": ShardPatch(
+        upserts={
+            8: (0.5, (7, 9), True), 2: (-0.0, (), False),
+            -4: (1e300, (8, 2, 1 << 40), False),
+        },
+        removes=[1], placement_delta=[(8, 3)],
+    ),
+    "int64 values": ShardPatch(
+        upserts={4: (-(1 << 63), (5,), False), 5: ((1 << 63) - 1, (4,), True)},
+        placement_delta=[(4, 0), (5, 0)],
+    ),
+    "record values": ShardPatch(
+        upserts={
+            8: ((-1.2, -0.6), (7, 9), True), 2: ((-0.0, 1e300), (), False),
+        },
+        removes=[1], placement_delta=[(8, 3)],
+    ),
+}
+#: name -> (dtype, record width) of the cases that are not scalar float64.
+PATCH_SHAPES = {"int64 values": ("int64", 1), "record values": ("float64", 2)}
+
+
+def _case_columns(name):
+    return _columns(PATCH_CASES[name], *PATCH_SHAPES.get(name, ("float64", 1)))
+
+
 def _real_frames():
     """A ``step`` request and its ``ok`` reply with every hot shape in."""
     from repro.core.heuristic import DecisionContext
@@ -561,6 +679,8 @@ def _real_frames():
         inbox = MessageColumns(column, column * 0.25, column % 3 + 1)
         values = MessageColumns(column, column * 0.5)
         outbox = MessageColumns(column[::-1].copy(), column * 0.125)
+        records = numpy.stack((column * 0.5, column * 0.25), axis=1)
+        record_inbox = MessageColumns(column, records, column % 3 + 1)
     task = ShardTask(3, inbox, 40, {"agg": 1.0}, decision, tuple(ids[:9]))
     patch = ShardPatch(
         upserts={vid: (0.5, (vid - 1, vid + 1), False) for vid in ids[:12]},
@@ -570,14 +690,26 @@ def _real_frames():
     patches = {1: (task, patch)}
     if numpy is not None:  # a columnar patch beside the dict one
         patches[2] = (task, _columns(patch))
+        # ... and a record program's task and patch: (n, 2) columns
+        patches[3] = (
+            ShardTask(3, record_inbox, 40, {}, None, None),
+            _columns(PATCH_CASES["record values"], width=2),
+        )
     delta = ShardDelta(
         1, 40, values, outbox, ids[:3], [], [("agg", 0.5)], 41.0,
         proposals=[(vid, 1, 2, vid % 2 == 0) for vid in ids[:10]],
         spans=[("compute", "shard-1", 1.5, 0.25, {"superstep": 3})],
     )
+    deltas = {1: delta}
+    if numpy is not None:
+        deltas[3] = ShardDelta(
+            3, 40, MessageColumns(column, records),
+            MessageColumns(column[::-1].copy(), records), [], [], [], 41.0,
+            demotion="patch-shape",
+        )
     return [
         wire.dumps(("step", patches)),
-        wire.dumps(("ok", {1: delta})),
+        wire.dumps(("ok", deltas)),
     ]
 
 
@@ -601,32 +733,13 @@ def test_fuzz_mutated_and_truncated_real_frames(data):
         _loads_or_wire_error(frame[:at] + bytes([byte]) + frame[at + 1:])
 
 
-PATCH_CASES = {
-    "empty": ShardPatch(),
-    "removes only": ShardPatch(removes=[9, 3, 70_000]),
-    "delta only": ShardPatch(
-        placement_delta=[(5, 1), (7, None), (5, 2), (7, 0), (-3, None)]
-    ),
-    "upserts": ShardPatch(
-        upserts={
-            8: (0.5, (7, 9), True), 2: (-0.0, (), False),
-            -4: (1e300, (8, 2, 1 << 40), False),
-        },
-        removes=[1], placement_delta=[(8, 3)],
-    ),
-    "int64 values": ShardPatch(
-        upserts={4: (-(1 << 63), (5,), False), 5: ((1 << 63) - 1, (4,), True)},
-        placement_delta=[(4, 0), (5, 0)],
-    ),
-}
-
-
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")
 @pytest.mark.parametrize("name", sorted(PATCH_CASES))
 def test_patch_columns_roundtrip(name):
     patch = PATCH_CASES[name]
-    columns = _columns(patch, "int64" if name == "int64 values" else "float64")
+    columns = _case_columns(name)
     assert columns is not None and columns.to_patch() == patch
+    assert columns.values.ndim == PATCH_SHAPES.get(name, ("", 1))[1]
     for path in PATHS:
         got = roundtrip(columns, path)
         assert_same(got, columns)
@@ -651,12 +764,28 @@ def test_patch_columns_reject_what_the_gate_excludes():
         ShardPatch(upserts={True: (0.5, (), False)}),       # bool id
         ShardPatch(upserts={1 << 63: (0.5, (), False)}),    # beyond int64
         ShardPatch(upserts={1: (1, (), False)}),            # int value
-        ShardPatch(upserts={1: ((0.5, 1.0), (), False)}),   # tuple value
+        ShardPatch(upserts={1: ((0.5, 1.0), (), False)}),   # record value
         ShardPatch(upserts={1: (0.5, ("w",), False)}),      # label neighbour
         ShardPatch(removes=["gone"]),
     ):
         assert _columns(odd) is None
     assert _columns(ShardPatch(upserts={1: (1 << 63, (), False)}), "int64") is None
+    for odd in (
+        (0.5, 1.0, 2.0),      # a third component
+        (0.5,),               # one short
+        (0.5, 1),             # an int inside
+        [0.5, 1.0],           # a list is not a record
+        0.5,                  # a scalar among records
+    ):
+        assert _columns(ShardPatch(upserts={1: (odd, (), False)}), width=2) is None
+    with pytest.raises(ValueError, match="upsert columns"):  # int64 records
+        PatchColumns(
+            numpy.zeros(1, dtype=numpy.int64),
+            numpy.zeros((1, 2), dtype=numpy.int64),
+            numpy.zeros(1, dtype=numpy.int64),
+            numpy.zeros(0, dtype=numpy.int64), numpy.zeros(1, dtype=bool),
+            *(numpy.zeros(0, dtype=numpy.int64),) * 3,
+        )
     assert id_column(delta_columns([("v", 0)])[0]) is None
     with pytest.raises(ValueError, match="degrees"):
         PatchColumns(
@@ -672,9 +801,7 @@ def test_patch_columns_reject_what_the_gate_excludes():
 @settings(max_examples=300, deadline=5000, derandomize=True)
 def test_fuzz_truncated_and_corrupted_patch_columns(data):
     name = data.draw(st.sampled_from(sorted(PATCH_CASES)))
-    frame = wire.dumps(_columns(
-        PATCH_CASES[name], "int64" if name == "int64 values" else "float64"
-    ))
+    frame = wire.dumps(_case_columns(name))
     at = data.draw(st.integers(1, len(frame) - 1))
     if data.draw(st.booleans()):
         _loads_or_wire_error(frame[:at])

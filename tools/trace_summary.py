@@ -4,8 +4,9 @@ Reads either exporter format produced by ``repro … --trace`` /
 :mod:`repro.obs.export` — JSONL span rows (``*.jsonl``) or Chrome
 trace-event JSON — and prints three tables: wall-clock by phase name,
 wall-clock by lane (coordinator / ``shard-<id>`` / wire), and the top-N
-longest individual spans.  Stdlib only, so it runs anywhere the trace
-file does::
+longest individual spans — plus, when any shard's array store fell back
+to dict state, which shard and through which gate (the ``demote`` spans).
+Stdlib only, so it runs anywhere the trace file does::
 
     python tools/trace_summary.py out.json --top 15
 
@@ -158,6 +159,23 @@ def format_summary(spans, top=10):
             ],
         )
     )
+    demotions = [span for span in spans if span["name"] == "demote"]
+    if demotions:
+        sections.append("")
+        sections.append("store demotions:")
+        sections.append(
+            _table(
+                ["lane", "reason", "dur_ms"],
+                [
+                    [
+                        span["lane"],
+                        (span.get("args") or {}).get("reason", "?"),
+                        _ms(span["dur"]),
+                    ]
+                    for span in demotions
+                ],
+            )
+        )
     return "\n".join(sections)
 
 
