@@ -8,8 +8,9 @@ package gives the reproduction that execution shape for real:
   compute pass and its share of the migration *decision
   phase* — heuristic + willingness evaluated shard-locally against a
   placement mirror, proposals returned for central quota arbitration —
-  exchanged with the coordinator as plain picklable task/delta/patch
-  records;
+  exchanged with the coordinator as plain picklable task/delta records
+  and one vertex-state record, :class:`PatchColumns` (seed = patch =
+  snapshot);
 * :mod:`executor` — where shard compute runs: inline, thread, process
   and socket backends (see the module for what each buys) behind one
   :class:`Executor` protocol, each declaring an
@@ -40,7 +41,7 @@ from repro.cluster.executor import (
     make_executor,
     validate_executor,
 )
-from repro.cluster.shard import Shard, ShardDelta, ShardPatch, ShardTask
+from repro.cluster.shard import PatchColumns, Shard, ShardDelta, ShardTask
 from repro.cluster.worker import LocalWorkerPool, WorkerServer
 
 __all__ = [
@@ -50,10 +51,10 @@ __all__ = [
     "ExecutorCapabilities",
     "InlineExecutor",
     "LocalWorkerPool",
+    "PatchColumns",
     "ProcessExecutor",
     "Shard",
     "ShardDelta",
-    "ShardPatch",
     "ShardTask",
     "SocketExecutor",
     "ThreadExecutor",

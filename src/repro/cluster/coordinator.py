@@ -29,10 +29,18 @@ pluggable :class:`~repro.cluster.executor.Executor`:
 3. **barrier** — exactly the base class's barrier.  Everything it changes
    (announced migrations, stream mutations, fault recoveries) lands in a
    dirty set, and :meth:`_after_barrier` turns that into per-shard
-   :class:`ShardPatch` records applied just before the next compute —
-   including the barrier's *broadcast placement delta*, the simulation's
-   analogue of the migration announcements every worker receives, which
-   keeps every shard's placement mirror exact.
+   :class:`~repro.cluster.shard.PatchColumns` records applied just before
+   the next compute — including the barrier's *broadcast placement
+   delta*, the simulation's analogue of the migration announcements every
+   worker receives, which keeps every shard's placement mirror exact.
+
+``PatchColumns`` is the only record that carries vertex state to or from
+a shard: the executor is started with *empty* shards and the coordinator
+seeds them with one patch each through :meth:`Executor.apply
+<repro.cluster.executor.Executor.apply>` (a shard is only ever filled on
+its own host), and :meth:`shard_consistency_check` reads the same record
+back from :meth:`Executor.snapshot
+<repro.cluster.executor.Executor.snapshot>`.
 
 Sharding follows the paper's worker model: **one shard per worker
 (partition)**, so a migration between partitions is a migration between
@@ -44,20 +52,15 @@ the identical rule against the identical snapshot with the identical
 counter-split RNG, so serial and sharded timelines are byte-identical.
 """
 
+from collections import Counter
 from itertools import compress as _compress
+from itertools import islice as _islice
 from itertools import repeat as _repeat
 from time import perf_counter, time
 
 from repro.cluster.executor import make_executor
-from repro.cluster.shard import (
-    PatchColumns,
-    Shard,
-    ShardPatch,
-    ShardTask,
-    delta_columns,
-    store_dtype,
-)
-from repro.core.sweep import id_column, sort_vertices
+from repro.cluster.shard import PatchColumns, Shard, ShardTask, store_dtype
+from repro.core.sweep import sort_vertices
 from repro.graph.events import AddVertex, RemoveVertex
 from repro.obs import Tracer
 from repro.pregel.messages import MessageColumns
@@ -88,7 +91,7 @@ class Coordinator(PregelSystem):
         self._dirty = set()
         self._vertex_shard = {}
         self._pending_patches = {}
-        self._placement_log = []
+        self._placement_log = []  # this barrier's (vertex, pid | -1) delta
         self._shard_proposals = []
         super().__init__(graph, program, config, fault_plan,
                          tracer=tracer, metrics_registry=metrics_registry)
@@ -118,38 +121,33 @@ class Coordinator(PregelSystem):
             )
             for sid in range(self.config.num_workers)
         }
-        # Seeding is the first patch: every shard's residents in graph
-        # order, and on an adaptive run the full start-of-run placement as
-        # the broadcast delta (one list — as columns, one pair of arrays —
-        # shared by all k patches); barrier deltas keep the mirrors exact
-        # from here on.
         self._store_dtype = store_dtype(program)
-        seeds = {sid: ShardPatch() for sid in shards}
-        partition_of = self.state.partition_of
-        for v in graph.vertices():
-            pid = self._vertex_shard[v] = partition_of(v)
-            seeds[pid].upserts[v] = (
-                self.values[v], tuple(graph.neighbors(v)), False
-            )
-        assignment = list(self.state.assignment_items()) if adaptive else []
-        for seed in seeds.values():
-            seed.placement_delta = assignment
-        for sid, seed in self._as_columns(seeds, assignment).items():
-            shards[sid].apply_patch(seed)
-            shards[sid].tracer.clear()  # set-up is not a superstep's span
-        self._dirty.clear()  # initial build covered everything
-        self._placement_log.clear()
         self.executor = make_executor(executor)
         # Re-home the executor's counters in the run's registry (and hand
         # it the run's tracer for wire spans) before any traffic flows.
         self.executor.bind_observability(
             tracer=self.tracer, metrics=self.metrics_registry
         )
+        # Shards are only ever filled on their host: the executor takes
+        # them empty, and seeding is the first patch — every shard's
+        # residents in graph order, and on an adaptive run the full
+        # start-of-run placement as the broadcast delta (one pair of
+        # columns shared by all k patches); barrier deltas keep the
+        # mirrors exact from here on.
+        seeds = {sid: ({}, []) for sid in shards}
+        partition_of = self.state.partition_of
+        for v in graph.vertices():
+            pid = self._vertex_shard[v] = partition_of(v)
+            seeds[pid][0][v] = (self.values[v], tuple(graph.neighbors(v)), False)
+        assignment = list(self.state.assignment_items()) if adaptive else []
         try:
             self.executor.start(shards)
+            self.executor.apply(self._pack(seeds, assignment))
         except BaseException:
             self.executor.stop()
             raise
+        self._dirty.clear()  # initial build covered everything
+        self._placement_log.clear()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -341,7 +339,7 @@ class Coordinator(PregelSystem):
                 self._dirty.add(event.vertex)
                 self._dirty.update(pre_neighbours)
                 if self.config.adaptive and isinstance(event, RemoveVertex):
-                    self._placement_log.append((event.vertex, None))
+                    self._placement_log.append((event.vertex, -1))
             else:  # edge events: both endpoints' adjacency changed
                 self._dirty.add(event.u)
                 self._dirty.add(event.v)
@@ -380,75 +378,53 @@ class Coordinator(PregelSystem):
         shard's insertion (and therefore compute) order a pure function of
         the run's history — the executor-independence invariant.  On an
         adaptive run the barrier's placement log is attached to
-        *every* shard's patch (the same list — a broadcast, like the
-        paper's migration announcements), so every placement mirror folds
-        in the identical delta before the next decision phase.  Patches
-        leave as :class:`PatchColumns` wherever they fit the array
-        store's gate (:meth:`_as_columns`).
+        *every* shard's patch (the same pair of columns — a broadcast,
+        like the paper's migration announcements), so every placement
+        mirror folds in the identical delta before the next decision phase.
         """
-        if not self._dirty and not self._placement_log:
+        log = self._placement_log
+        if not self._dirty and not log:
             return
         with self.tracer.span("patch-build", dirty=len(self._dirty)):
-            patches = {}
-
-            def patch_for(sid):
-                """The shard's patch under construction, made on first use."""
-                patch = patches.get(sid)
-                if patch is None:
-                    patch = patches[sid] = ShardPatch()
-                return patch
-
+            # sid -> (upserts, removes)
+            patches = {sid: ({}, []) for sid in range(self.config.num_workers)}
             for vertex in sort_vertices(self._dirty):
                 old_sid = self._vertex_shard.get(vertex)
+                sid = None  # gone, or unplaceable: treat as non-resident
                 if vertex in self.graph:
                     sid = self.state.partition_of_or_none(vertex)
-                    if sid is None:  # unplaceable: treat as non-resident
-                        if old_sid is not None:
-                            patch_for(old_sid).removes.append(vertex)
-                            del self._vertex_shard[vertex]
-                        continue
-                    if old_sid is not None and old_sid != sid:
-                        patch_for(old_sid).removes.append(vertex)
-                    patch_for(sid).upserts[vertex] = (
+                if old_sid is not None and old_sid != sid:
+                    patches[old_sid][1].append(vertex)
+                if sid is None:
+                    self._vertex_shard.pop(vertex, None)
+                else:
+                    patches[sid][0][vertex] = (
                         self.values[vertex],
                         tuple(self.graph.neighbors(vertex)),
                         vertex in self.halted,
                     )
                     self._vertex_shard[vertex] = sid
-                elif old_sid is not None:
-                    patch_for(old_sid).removes.append(vertex)
-                    del self._vertex_shard[vertex]
-            log = self._placement_log
-            if log:
-                self._placement_log = []
-                for sid in range(self.config.num_workers):
-                    patch_for(sid).placement_delta = log
             self._dirty.clear()
-            self._pending_patches = self._as_columns(patches, log)
+            if log:  # a broadcast: every shard gets a patch
+                self._placement_log = []
+            else:  # only the shards the dirty set touched do
+                patches = {sid: p for sid, p in patches.items() if any(p)}
+            self._pending_patches = self._pack(patches, log)
 
-    def _as_columns(self, patches, log):
-        """``patches`` with every one that fits the array store's gate
-        turned into :class:`PatchColumns` (the rest stay as they are).
-
-        The gate's type checks run here, once per upserted vertex per
-        barrier; ``log`` — the placement delta the patches share — becomes
-        one ``(ids, pids)`` pair of arrays, shared likewise.  A label id
-        in the broadcast keeps every patch a dict: no mirror could hold it
-        in an int64 column.
-        """
-        dtype = self._store_dtype
-        if dtype is None:
-            return patches
-        width = self.program.value_width
-        ids, pids = delta_columns(log)
-        placed = (id_column(ids), pids)
-        if placed[0] is None:
-            return patches
-        columns = {}
-        for sid, patch in patches.items():
-            packed = PatchColumns.from_patch(patch, dtype, placed, width)
-            columns[sid] = patch if packed is None else packed
-        return columns
+    def _pack(self, patches, log):
+        """``{sid: (upserts, removes)}`` and the ``(vertex, pid)`` placement
+        log they share as :class:`PatchColumns` — typed wherever they fit
+        the array store's gate, the first typed patch's placement columns
+        serving the rest of the barrier's."""
+        dtype = self._store_dtype  # None: the program has no kernel to batch
+        width = 1 if dtype is None else self.program.value_width
+        placed = tuple(map(list, zip(*log))) or ([], [])
+        packed = {}
+        for sid, (upserts, removes) in patches.items():
+            patch = PatchColumns.pack(upserts, removes, placed, dtype, width)
+            packed[sid] = patch
+            placed = patch.placed_ids, patch.placed_pids
+        return packed
 
     # ------------------------------------------------------------------
     # Debug / test support
@@ -458,18 +434,24 @@ class Coordinator(PregelSystem):
         """Assert the shard mirror matches the authoritative state.
 
         Flushes any pending patches (equivalent to what the next compute
-        would do first), gathers every shard's residents through the
-        executor — so process execution checks genuinely worker-resident
-        state — and compares membership, placement, values and halt flags
-        against the coordinator's.  Raises :class:`AssertionError` on drift.
+        would do first), gathers every shard's :meth:`Shard.snapshot
+        <repro.cluster.shard.Shard.snapshot>` through the executor — so
+        process execution checks genuinely worker-resident state — and
+        compares membership, values, halt flags, every resident's
+        neighbour multiset and the placement mirror against the
+        coordinator's.  Raises :class:`AssertionError` on drift.
         """
         if self._pending_patches:
             self.executor.apply(self._pending_patches)
             self._pending_patches = {}
         seen = {}
         expected = dict(self.state.assignment_items())
-        for sid, (values, halted, mirror) in self.executor.snapshot().items():
-            for vertex, value in values.items():
+        for sid, snapshot in self.executor.snapshot().items():
+            state = snapshot.listed()
+            neighbours = iter(state.neighbours)
+            for vertex, value, degree, halted in zip(
+                state.ids, state.values, state.degrees, state.halted
+            ):
                 if vertex in seen:
                     raise AssertionError(
                         f"vertex {vertex!r} resident on shards "
@@ -486,16 +468,19 @@ class Coordinator(PregelSystem):
                         f"value drift for {vertex!r}: shard has {value!r}, "
                         f"coordinator has {self.values.get(vertex)!r}"
                     )
-                if (vertex in halted) != (vertex in self.halted):
+                if halted != (vertex in self.halted):
                     raise AssertionError(f"halt-flag drift for {vertex!r}")
-            # The placement mirror came through the executor too (columns
-            # from an array store), so a remote worker's is checked as
-            # directly as an in-process shard's.
-            if mirror is None:
-                continue
-            if not isinstance(mirror, dict):
-                mirror = dict(zip(*(column.tolist() for column in mirror)))
-            if mirror != expected:
+                held = list(_islice(neighbours, degree))
+                wanted = list(self.graph.neighbors(vertex))
+                if held != wanted and Counter(held) != Counter(wanted):
+                    raise AssertionError(
+                        f"adjacency drift for {vertex!r}: shard {sid} has "
+                        f"{held!r}, the graph has {wanted!r}"
+                    )
+            # The placement mirror came through the executor too, so a
+            # remote worker's is checked as directly as an in-process one.
+            mirror = dict(zip(state.placed_ids, state.placed_pids))
+            if self.config.adaptive and mirror != expected:
                 drift = {
                     v: (mirror.get(v), expected.get(v))
                     for v in sort_vertices(set(mirror) | set(expected))

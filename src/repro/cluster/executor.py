@@ -3,7 +3,7 @@
 The coordinator hands every executor the same work each superstep — a
 :class:`~repro.cluster.shard.ShardTask` per shard (compute inbox plus, on
 an adaptive run, the round's decision snapshot and candidate slice), plus
-the previous barrier's :class:`~repro.cluster.shard.ShardPatch` records —
+the previous barrier's :class:`~repro.cluster.shard.PatchColumns` records —
 and gets back one :class:`~repro.cluster.shard.ShardDelta` per shard
 (compute results plus migration proposals).  Because shard compute *and*
 shard decisions are pure functions of (shard state, task) — willingness
@@ -21,9 +21,11 @@ wall-clock.  Four backends ship:
   (numpy, I/O); it mainly exercises the concurrency contract cheaply.
 * :class:`ProcessExecutor` — long-lived worker processes, each owning a
   fixed subset of shards (shard ``i`` lives on worker ``i % workers``).
-  Shards ship once at start; per superstep only tasks, patches and deltas
-  cross the pipe — as compact :mod:`~repro.cluster.wire` frames, inboxes
-  pre-folded by the program's combiner.  Requires picklable programs,
+  Shards ship once at start — *empty*, so ``init`` does not grow with the
+  graph — and are seeded on their host by the first :meth:`Executor.apply`;
+  per superstep only tasks, patches and deltas cross the pipe — as compact
+  :mod:`~repro.cluster.wire` frames, inboxes pre-folded by the program's
+  combiner.  Requires picklable programs,
   values and messages.  The backend that scales superstep-heavy workloads
   on one host (``benchmarks/bench_cluster.py`` pins ≥2× with four workers).
 * :class:`SocketExecutor` — the same persistent-worker protocol and wire
@@ -53,14 +55,18 @@ from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
 from repro.cluster import wire
-from repro.cluster.worker import ShardHost, parse_worker_addresses
+from repro.cluster.worker import (
+    ShardHost,
+    apply_out_of_band,
+    parse_worker_addresses,
+)
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
 
-    from repro.cluster.shard import Shard, ShardDelta, ShardPatch, ShardTask
+    from repro.cluster.shard import PatchColumns, Shard, ShardDelta, ShardTask
 
 __all__ = [
     "EXECUTORS",
@@ -136,19 +142,24 @@ class Executor:
         """Subclass hook: move instrument state into ``metrics``."""
 
     def start(self, shards: Mapping[int, Shard]) -> None:
-        """Take ownership of ``{shard_id: Shard}`` before the first superstep."""
+        """Take ownership of ``{shard_id: Shard}`` before the first superstep.
+
+        The coordinator hands over *empty* shards and seeds them with
+        :meth:`apply`: a shard is only ever filled on its host, so what
+        crosses at start does not grow with the graph.
+        """
         raise NotImplementedError
 
     def step(
         self,
         tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, ShardPatch],
+        patches: Mapping[int, PatchColumns],
     ) -> dict[int, ShardDelta]:
         """Run one superstep: apply ``patches`` (previous barrier's changes),
         then compute every shard's task.
 
         ``tasks`` maps shard id → :class:`ShardTask` (every shard, every
-        superstep); ``patches`` maps shard id → :class:`ShardPatch` and may
+        superstep); ``patches`` maps shard id → :class:`PatchColumns` and may
         be empty.  Returns ``{shard_id: ShardDelta}``.  Completion order is
         the executor's business — the coordinator merges in shard-id order.
         """
@@ -157,7 +168,7 @@ class Executor:
     def step_stream(
         self,
         tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, ShardPatch],
+        patches: Mapping[int, PatchColumns],
     ) -> Iterator[tuple[int, ShardDelta]]:
         """:meth:`step` as an iterator of ``(shard_id, delta)`` pairs — what
         the coordinator's merge loop consumes.
@@ -172,16 +183,19 @@ class Executor:
         deltas = self.step(tasks, patches)
         return ((sid, deltas[sid]) for sid in sorted(deltas))
 
-    def apply(self, patches: Mapping[int, ShardPatch]) -> None:
-        """Apply ``{shard_id: ShardPatch}`` without computing (flush path).
+    def apply(self, patches: Mapping[int, PatchColumns]) -> None:
+        """Apply ``{shard_id: PatchColumns}`` without computing.
 
-        :meth:`step` already applies its patches; this exists so
-        consistency checks can flush pending patches out of band.
+        :meth:`step` already applies its patches; this is the out-of-band
+        path — start-of-run seeding, and consistency checks flushing
+        pending patches.  Out of band also for tracing: shard-side spans
+        recorded during it are dropped, never shipped with a superstep.
         """
         raise NotImplementedError
 
-    def snapshot(self) -> dict[int, Any]:
-        """``{shard_id: (values, halted)}`` — test/debug consistency view."""
+    def snapshot(self) -> dict[int, PatchColumns]:
+        """``{shard_id: Shard.snapshot()}`` — each shard's whole state as
+        the patch that would rebuild it (consistency checks, restore)."""
         raise NotImplementedError
 
     def stop(self) -> None:
@@ -196,7 +210,7 @@ class Executor:
 
 
 def _step_shard(
-    shard: Shard, task: ShardTask, patch: ShardPatch | None
+    shard: Shard, task: ShardTask, patch: PatchColumns | None
 ) -> ShardDelta:
     if patch is not None:
         shard.apply_patch(patch)
@@ -226,7 +240,7 @@ class InlineExecutor(Executor):
     def step(
         self,
         tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, ShardPatch],
+        patches: Mapping[int, PatchColumns],
     ) -> dict[int, ShardDelta]:
         """Patch + compute each shard sequentially, in shard-id order."""
         return {
@@ -234,13 +248,12 @@ class InlineExecutor(Executor):
             for sid in sorted(tasks)
         }
 
-    def apply(self, patches: Mapping[int, ShardPatch]) -> None:
+    def apply(self, patches: Mapping[int, PatchColumns]) -> None:
         """Apply patches without computing, in shard-id order."""
-        for sid in sorted(patches):
-            self._shards[sid].apply_patch(patches[sid])
+        apply_out_of_band(self._shards, patches)
 
-    def snapshot(self) -> dict[int, Any]:
-        """Consistency view straight off the in-process shards."""
+    def snapshot(self) -> dict[int, PatchColumns]:
+        """Every in-process shard's snapshot record."""
         return {sid: shard.snapshot() for sid, shard in self._shards.items()}
 
 
@@ -266,11 +279,10 @@ class ThreadExecutor(InlineExecutor):
       the honest projection of the saving (the GIL interleaves rather than
       parallelises the overlap).
 
-    Both live in the metrics registry (``executor.merge_seconds``,
-    ``executor.overlap_seconds``, ``executor.steps_streamed``); the
-    attributes are read-through views and :meth:`start` resets all three,
-    so a reused executor reports per-session numbers instead of silently
-    accumulating across runs.
+    Both are metrics-registry counters (``executor.merge_seconds``,
+    ``executor.overlap_seconds``, beside ``executor.steps_streamed``) and
+    :meth:`start` resets all three, so a reused executor reports
+    per-session numbers instead of silently accumulating across runs.
     """
 
     name = "thread"
@@ -288,21 +300,6 @@ class ThreadExecutor(InlineExecutor):
         self._overlap_counter = metrics.counter("executor.overlap_seconds")
         self._steps_counter = metrics.counter("executor.steps_streamed")
 
-    @property
-    def merge_seconds(self) -> float:
-        """Registry view: seconds the coordinator spent merging our deltas."""
-        return self._merge_counter.value
-
-    @property
-    def overlap_seconds(self) -> float:
-        """Registry view: merge seconds overlapped with in-flight compute."""
-        return self._overlap_counter.value
-
-    @property
-    def steps_streamed(self) -> float:
-        """Registry view: how many supersteps went through the stream path."""
-        return self._steps_counter.value
-
     def start(self, shards: Mapping[int, Shard]) -> None:
         """Keep the shard map, spin up the pool, zero the session counters."""
         super().start(shards)
@@ -319,7 +316,7 @@ class ThreadExecutor(InlineExecutor):
     def step(
         self,
         tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, ShardPatch],
+        patches: Mapping[int, PatchColumns],
     ) -> dict[int, ShardDelta]:
         """The strict protocol: the stream, gathered to completion."""
         return dict(self.step_stream(tasks, patches))
@@ -327,7 +324,7 @@ class ThreadExecutor(InlineExecutor):
     def step_stream(
         self,
         tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, ShardPatch],
+        patches: Mapping[int, PatchColumns],
     ) -> Iterator[tuple[int, ShardDelta]]:
         """Submit every shard's task, then stream deltas in shard-id order.
 
@@ -567,7 +564,7 @@ class _WorkerProtocolExecutor(Executor):
     def step(
         self,
         tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, ShardPatch],
+        patches: Mapping[int, PatchColumns],
     ) -> dict[int, ShardDelta]:
         """Route each shard's (task, patch) to its owning worker.
 
@@ -591,15 +588,15 @@ class _WorkerProtocolExecutor(Executor):
             )
         return self._broadcast(per_worker, "step")
 
-    def apply(self, patches: Mapping[int, ShardPatch]) -> None:
+    def apply(self, patches: Mapping[int, PatchColumns]) -> None:
         """Route patch-only applications to the owning workers."""
         per_worker: dict[int, dict[int, Any]] = {}
         for sid, patch in patches.items():
             per_worker.setdefault(self._owner[sid], {})[sid] = patch
         self._broadcast(per_worker, "apply")
 
-    def snapshot(self) -> dict[int, Any]:
-        """Gather the consistency view from every worker."""
+    def snapshot(self) -> dict[int, PatchColumns]:
+        """Gather every shard's snapshot record from the workers."""
         workers = list(self._worker_ids())
         for worker in workers:
             self._send(worker, ("snapshot", None))

@@ -15,49 +15,58 @@ arbitrates proposals in a keyed round permutation, so a superstep's outcome is
 independent of which thread or process ran which shard: bit-identical
 across every :mod:`~repro.cluster.executor` backend.
 
+**One record.**  Vertex state — value, adjacency, halt vote, plus the
+placement every worker mirrors — crosses between coordinator and shard as
+:class:`PatchColumns` and nothing else: the seed a shard is filled from
+(on its own host — the coordinator hands executors *empty* shards), every
+barrier's patch (vertex upserts + evictions, plus the broadcast placement
+delta — the simulation's analogue of the migration announcements every
+worker receives) covering whatever the barrier changed — stream
+mutations, announced migrations, fault recoveries — and
+:meth:`Shard.snapshot`, "the patch that would rebuild this shard":
+``fresh.apply_patch(shard.snapshot())`` reproduces the shard, which is
+the consistency view and the checkpoint / restore primitive in one.
+:meth:`Shard.apply_patch` is the one mutation entry.
+
 **One representation at a time.**  What a shard holds its state *in* is
 decided by what the data is, never by a knob:
 
 * the **array store** — the shard's :class:`~repro.core.sweep.LocalCsr`
   is its only state: id, value, halted, row-order, adjacency and
-  placement columns indexed by slot.  Patches arrive as
-  :class:`PatchColumns` and apply as vectorised stores; the batched kernel
-  fancy-indexes its block out of the columns and stores the new values
-  back; ``values`` / ``halted`` / ``_adj`` / ``placement`` stay empty.
-  Active while numpy is importable, the program's kernel can batch
-  (:func:`~repro.pregel.compute.kernel_dtype`, a :data:`COLUMN_DTYPES
-  <repro.pregel.messages.COLUMN_DTYPES>` dtype), the decision rule (if
-  any) is the exact paper heuristic, every id is an exact int64 and every
-  value exactly the dtype's Python scalar — or, for a program that
-  declares ``value_width`` ``c`` > 1, a ``c``-tuple of floats, held as one
-  row of an ``(n, c)`` column;
+  placement columns indexed by slot.  *Typed* patches apply as vectorised
+  stores; the batched kernel fancy-indexes its block out of the columns
+  and stores the new values back; ``values`` / ``halted`` / ``_adj`` /
+  ``placement`` stay empty.  Active while numpy is importable, the
+  program's kernel can batch (:func:`~repro.pregel.compute.kernel_dtype`,
+  a :data:`COLUMN_DTYPES <repro.pregel.messages.COLUMN_DTYPES>` dtype),
+  the decision rule (if any) is the exact paper heuristic and every patch
+  is typed in the store's dtype and width — the gate
+  :meth:`PatchColumns.pack` reads off the data: every id an exact int64,
+  every value exactly the dtype's Python scalar (or, for a program that
+  declares ``value_width`` ``c`` > 1, a ``c``-tuple of floats, held as
+  one row of an ``(n, c)`` column);
 * the **dict shard** — everything else (label ids, values of another
   shape, no numpy, ``REPRO_BATCH_KERNEL=off``): ``values`` dict,
-  ``halted`` set, ``_adj``
-  dict of tuples, ``placement`` dict; the portable path and the oracle.
-  Under the exact paper heuristic it feeds a ``LocalCsr`` *index*
-  (adjacency + placement only) that vectorises its decision pass.
+  ``halted`` set, ``_adj`` dict of tuples, ``placement`` dict, fed the
+  *listed* rows of each patch; the portable path and the oracle.  Under
+  the exact paper heuristic the same patches also feed a ``LocalCsr``
+  *index* (adjacency + placement only) that vectorises its decision pass.
 
-A store **demotes** to dicts once, one way: on the first patch that is not
-columns in its dtype and width (``patch-shape``), the first inbox whose
-messages are not (``inbox-dtype``), or the first block its kernel declines
+A store **demotes** to dicts once, one way — its own listed snapshot,
+applied to the dicts: on the first patch that is not typed in its dtype
+and width (``patch-shape``), the first inbox whose messages are not
+(``inbox-dtype``), or the first block its kernel declines
 (``kernel-declined``) — the scalar loop reads dicts.  The reason rides
 home in ``ShardDelta.demotion`` and is counted under
 ``shard.store.demotions.<reason>``: correct either way, but a perf cliff.
 
-Between supersteps the coordinator keeps shards current with patch records
-(vertex upserts + evictions, plus the barrier's broadcast placement delta —
-the simulation's analogue of the migration announcements every worker
-receives) covering whatever the barrier changed: stream mutations,
-announced migrations, fault recoveries.  :meth:`Shard.apply_patch` is the
-one mutation entry, start-of-run seeding included.  Everything here is
-plain picklable data — that is the whole contract
+Everything here is plain picklable data — that is the whole contract
 :class:`~repro.cluster.executor.ProcessExecutor` needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from typing import Any
 
@@ -92,9 +101,7 @@ __all__ = [
     "PatchColumns",
     "Shard",
     "ShardDelta",
-    "ShardPatch",
     "ShardTask",
-    "delta_columns",
     "store_dtype",
 ]
 
@@ -134,59 +141,35 @@ class ShardTask:
     candidates: object = None
 
 
-@dataclass
-class ShardPatch:
-    """Barrier-produced state changes for one shard, as Python objects.
-
-    The universal patch shape (any id, any value); a patch whose every id
-    and value fits the array store's gate travels as :class:`PatchColumns`
-    instead.
-
-    ``upserts`` maps vertex id → ``(value, neighbours, halted)`` in
-    canonical vertex order (the coordinator builds it sorted, so shard
-    insertion order — and with it compute order — is executor-independent);
-    ``removes`` lists evicted vertex ids.  Removes apply first: a vertex
-    migrating between two shards appears as a remove on one and an upsert
-    on the other.
-
-    ``placement_delta`` is the barrier's ordered placement changes —
-    ``(vertex, pid)`` for moves and streaming placements, ``(vertex,
-    None)`` for removals; a later entry for one vertex wins.  Unlike
-    upserts it is a *broadcast*: every shard receives the same delta (the
-    paper's workers all learn every migration announcement), which is what
-    keeps each shard's global placement mirror — the state the decision
-    phase reads neighbour locations from — exact.
-    """
-
-    upserts: dict = field(default_factory=dict)
-    removes: list = field(default_factory=list)
-    placement_delta: list = field(default_factory=list)
-
-
-def delta_columns(delta: list) -> tuple[list, Any]:
-    """An ordered placement delta as ``(ids, pids)``: the ids as a list,
-    the pids as an int64 column with −1 for a removal."""
-    ids, pids = zip(*delta) if delta else ((), ())
-    return list(ids), _np.array(
-        [-1 if pid is None else pid for pid in pids], dtype=_np.int64
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class PatchColumns:
-    """A :class:`ShardPatch` as parallel numpy columns — the store's shape.
+    """One shard's vertex state, or a change to it, as eight parallel columns.
 
-    Upserts are five columns in the patch's canonical vertex order:
-    ``ids``, ``values`` (the kernel dtype; ``(n, c)`` float64 for
-    ``c``-wide record values), ``degrees``, ``neighbours``
-    (every row's neighbour ids back to back, each row in
+    The one record that carries vertex state between coordinator and
+    shard: the seed a shard is filled from, every barrier's patch, and
+    :meth:`Shard.snapshot` — "the patch that would rebuild this shard".
+
+    Upserts are five columns in canonical vertex order (the coordinator
+    builds them sorted, so shard admission order — and with it compute
+    order — is executor-independent): ``ids``, ``values``, ``degrees``,
+    ``neighbours`` (every row's neighbour ids back to back, each row in
     ``graph.neighbors(v)`` iteration order at patch-build time) and
-    ``halted``.  ``removes`` is the evicted ids; ``placed_ids`` /
-    ``placed_pids`` the ordered placement delta with −1 for a removal —
-    one pair of arrays shared by all of a barrier's patches.  Id columns
-    are 1-d ``int64``; lengths are checked on construction, so a record
-    that exists is well-formed.  Immutable, arrays included, like
-    :class:`~repro.pregel.messages.MessageColumns`.
+    ``halted``.  ``removes`` is the evicted ids; removes apply first, so a
+    vertex migrating between two shards is a remove on one and an upsert
+    on the other.  ``placed_ids`` / ``placed_pids`` is the barrier's
+    ordered placement delta, −1 for a removal, a later entry for one
+    vertex winning — a *broadcast*: every shard receives the same pair
+    (the paper's workers all learn every migration announcement), which
+    keeps each shard's global placement mirror exact.
+
+    The columns are held in one of two regimes, read off the data by
+    :meth:`pack`: **typed** — numpy columns, every id an exact int64 and
+    every value the kernel dtype (``(n, c)`` float64 for ``c``-wide
+    records), the shape an array store applies as vectorised stores — or
+    **listed** — the same columns as Python lists, any id and any value
+    (all a numpy-free install builds).  Lengths are checked on
+    construction, so a record that exists is well-formed.  Immutable,
+    columns included, like :class:`~repro.pregel.messages.MessageColumns`.
     """
 
     ids: Any
@@ -199,89 +182,99 @@ class PatchColumns:
     placed_pids: Any
 
     def __post_init__(self) -> None:
-        for name in ("ids", "degrees", "neighbours", "removes",
-                     "placed_ids", "placed_pids"):
-            column = getattr(self, name)
-            if column.ndim != 1 or column.dtype != _np.int64:
-                raise ValueError(f"{name} must be a 1-d int64 column")
-        rows = self.ids.shape
-        if (
-            self.values.shape[:1] != rows
-            or not is_payload_column(self.values)
-            or self.degrees.shape != rows
-            or self.halted.shape != rows
-            or self.halted.dtype != bool
-        ):
+        degrees, rows = self.degrees, len(self.ids)
+        if len({type(getattr(self, spec.name)) is list for spec in fields(self)}) > 1:
+            raise ValueError("patch columns must be all lists or all arrays")
+        if self.typed:
+            for name in ("ids", "degrees", "neighbours", "removes",
+                         "placed_ids", "placed_pids"):
+                column = getattr(self, name)
+                if column.ndim != 1 or column.dtype != _np.int64:
+                    raise ValueError(f"{name} must be a 1-d int64 column")
+            if not is_payload_column(self.values) or (
+                self.halted.ndim != 1 or self.halted.dtype != bool
+            ):
+                raise ValueError("upsert columns disagree with the id column")
+            low, total = int(degrees.min()) if rows else 0, int(degrees.sum())
+        else:
+            if set(map(type, degrees)) - {int}:
+                raise ValueError("listed degrees must be ints")
+            low, total = min(degrees, default=0), sum(degrees)
+        if {len(self.values), len(degrees), len(self.halted)} != {rows}:
             raise ValueError("upsert columns disagree with the id column")
-        if (
-            len(self.degrees) and self.degrees.min() < 0
-        ) or self.degrees.sum() != len(self.neighbours):
+        if low < 0 or total != len(self.neighbours):
             raise ValueError("degrees disagree with the neighbour column")
-        if self.placed_ids.shape != self.placed_pids.shape:
+        if len(self.placed_ids) != len(self.placed_pids):
             raise ValueError("placement columns disagree in length")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PatchColumns):
             return NotImplemented
         return all(
-            same_column(getattr(self, name), getattr(other, name))
-            for name in self.__dataclass_fields__
+            same_column(getattr(self, spec.name), getattr(other, spec.name))
+            for spec in fields(self)
         )
+
+    @property
+    def typed(self) -> bool:
+        """True in the typed (numpy) regime, False in the listed one."""
+        return not isinstance(self.ids, list)
 
     @classmethod
-    def from_patch(
-        cls, patch: ShardPatch, dtype: Any, placed: tuple[Any, Any],
-        width: int = 1,
-    ) -> PatchColumns | None:
-        """``patch`` as columns, or None when it does not fit the gate.
+    def pack(
+        cls, upserts: dict, removes: list, placed: tuple[Any, Any],
+        dtype: Any = None, width: int = 1,
+    ) -> PatchColumns:
+        """The record for ``upserts`` (``{vertex: (value, neighbours,
+        halted)}``), ``removes`` and the ``placed`` ``(ids, pids)`` pair.
 
-        Fits: every id (upserted, neighbour, removed) an exact ``int`` in
-        int64 and every value exactly ``dtype``'s Python scalar (for
-        ``width`` > 1, a tuple of exactly ``width`` of them) — checked
-        here, once per upserted vertex.  ``placed`` is
-        ``patch.placement_delta`` as ``(int64 ids, pids)`` columns, built
-        once per barrier by the caller and shared by all its patches.
+        This is the array store's gate: the record is typed when
+        ``dtype`` is given and every id (upserted, neighbour, removed,
+        placed) is an exact ``int`` in int64 and every value exactly
+        ``dtype``'s Python scalar (for ``width`` > 1, a tuple of exactly
+        ``width`` of them) — checked here, once per upserted vertex —
+        and listed otherwise.  ``placed`` may be lists or the columns of
+        an earlier patch of the same barrier, which all its patches share.
         """
-        rows = list(patch.upserts.values())
+        rows = list(upserts.values())
         values, adjacency, halted = zip(*rows) if rows else ((), (), ())
-        ids = id_column(list(patch.upserts))
-        neighbours = id_column(list(chain.from_iterable(adjacency)))
-        removes = id_column(patch.removes)
-        column = value_column(values, dtype, width)
-        if ids is None or neighbours is None or removes is None or column is None:
-            return None
+        ids, degrees = list(upserts), list(map(len, adjacency))
+        neighbours = list(chain.from_iterable(adjacency))
+        placed_ids, placed_pids = placed
+        shared = not isinstance(placed_ids, list)
+        if dtype is not None:
+            typed = dict(
+                ids=id_column(ids),
+                values=value_column(values, dtype, width),
+                neighbours=id_column(neighbours),
+                removes=id_column(removes),
+                placed_ids=placed_ids if shared else id_column(placed_ids),
+            )
+            if not any(column is None for column in typed.values()):
+                return cls(
+                    degrees=_np.array(degrees, dtype=_np.int64),
+                    halted=_np.array(halted, dtype=bool),
+                    placed_pids=_np.asarray(placed_pids, dtype=_np.int64),
+                    **typed,
+                )
+        if shared:
+            placed_ids, placed_pids = placed_ids.tolist(), placed_pids.tolist()
         return cls(
-            ids=ids,
-            values=column,
-            degrees=_np.fromiter(
-                map(len, adjacency), dtype=_np.int64, count=len(rows)
-            ),
-            neighbours=neighbours,
-            halted=_np.array(halted, dtype=bool),
-            removes=removes,
-            placed_ids=placed[0],
-            placed_pids=placed[1],
+            ids, list(values), degrees, neighbours, list(halted),
+            list(removes), placed_ids, placed_pids,
         )
 
-    def to_patch(self) -> ShardPatch:
-        """The same patch as Python objects (what a dict shard applies)."""
-        neighbours = iter(self.neighbours.tolist())
-        adjacency = [
-            tuple(islice(neighbours, degree))
-            for degree in self.degrees.tolist()
-        ]
-        return ShardPatch(
-            upserts=dict(zip(
-                self.ids.tolist(),
-                zip(as_objects(self.values), adjacency, self.halted.tolist()),
+    def listed(self) -> PatchColumns:
+        """The same record in the listed regime (what dict state applies
+        row by row): exact Python scalars, record values as tuples."""
+        if not self.typed:
+            return self
+        return PatchColumns(
+            self.ids.tolist(), as_objects(self.values),
+            *(column.tolist() for column in (
+                self.degrees, self.neighbours, self.halted, self.removes,
+                self.placed_ids, self.placed_pids,
             )),
-            removes=self.removes.tolist(),
-            placement_delta=[
-                (vertex, None if pid < 0 else pid)
-                for vertex, pid in zip(
-                    self.placed_ids.tolist(), self.placed_pids.tolist()
-                )
-            ],
         )
 
 
@@ -493,94 +486,70 @@ class Shard:
     # Membership (driven by coordinator patches)
     # ------------------------------------------------------------------
 
-    def apply_patch(self, patch: ShardPatch | PatchColumns) -> None:
+    def apply_patch(self, patch: PatchColumns) -> None:
         """Apply one barrier's changes (removes first, then upserts).
 
-        A store applies columns as vectorised stores; anything else
-        reaches the dict state (demoting a store first).  The
+        One path: dict state, when that is what the shard holds (a store
+        demotes first if the patch is not typed in its dtype and width),
+        takes the listed rows; the ``LocalCsr`` — store or decision index
+        alike — takes the columns in one bulk call each.  The
         ``apply-patch`` span recorded here ships with the *next*
         superstep's delta (patches precede compute in the step protocol).
         """
-        columnar = isinstance(patch, PatchColumns)
         with self.tracer.span(
-            "apply-patch",
-            upserts=len(patch.ids if columnar else patch.upserts),
-            removes=len(patch.removes),
+            "apply-patch", upserts=len(patch.ids), removes=len(patch.removes)
         ):
             store = self.store
             if store is not None and not (
-                columnar
+                patch.typed
                 and patch.values.dtype == store.values.dtype
                 and patch.values.shape[1:] == store.values.shape[1:]
             ):
                 self._demote("patch-shape")
-                store = None
-            if store is None:
-                self._apply_objects(patch.to_patch() if columnar else patch)
+            if self.store is None:
+                self._apply_rows(patch.listed())
+            index = self.index
+            if index is None:
                 return
             # The mirror first (its columns are independent of the
             # residents'): at seeding it names every vertex, which keeps
             # the id → slot table dense from the first lookup on.
             if len(patch.placed_ids):
-                store.place_many(patch.placed_ids, patch.placed_pids)
-            store.evict_many(patch.removes)
-            store.admit_many(
+                index.place_many(patch.placed_ids, patch.placed_pids)
+            index.evict_many(patch.removes)
+            index.admit_many(
                 patch.ids, patch.degrees, patch.neighbours,
                 patch.values, patch.halted,
             )
 
-    def _apply_objects(self, patch: ShardPatch) -> None:
-        """The dict shard's patch: per-vertex dict upkeep, then the same
-        changes to the decision index in one bulk call each."""
+    def _apply_rows(self, patch: PatchColumns) -> None:
+        """A listed patch into the dict state, row by row."""
         values, halted, adj = self.values, self.halted, self._adj
         for vertex in patch.removes:
             values.pop(vertex, None)
             adj.pop(vertex, None)
             halted.discard(vertex)
-        for vertex, (value, neighbours, is_halted) in patch.upserts.items():
+        neighbours = iter(patch.neighbours)
+        for vertex, value, degree, is_halted in zip(
+            patch.ids, patch.values, patch.degrees, patch.halted
+        ):
             values[vertex] = value  # an existing vertex keeps its compute slot
-            adj[vertex] = tuple(neighbours)
+            adj[vertex] = tuple(islice(neighbours, degree))
             if is_halted:
                 halted.add(vertex)
             else:
                 halted.discard(vertex)
         placement = self.placement
-        delta = patch.placement_delta if placement is not None else ()
-        if delta:
-            placement.update(delta)
-            for vertex, pid in delta:  # a later entry won; drop the removed
-                if pid is None and placement.get(vertex) is None:
+        if placement is not None:
+            for vertex, pid in zip(patch.placed_ids, patch.placed_pids):
+                if pid < 0:
                     placement.pop(vertex, None)
-        index = self.index
-        if index is None:
-            return
-        if patch.removes:
-            index.evict_many(list(patch.removes))
-        if patch.upserts:
-            adjacency = [adj[vertex] for vertex in patch.upserts]
-            index.admit_many(
-                list(patch.upserts),
-                _np.fromiter(
-                    map(len, adjacency), dtype=_np.int64, count=len(adjacency)
-                ),
-                list(chain.from_iterable(adjacency)),
-            )
-        if delta:
-            index.place_many(*delta_columns(delta))
-
-    def _views(self) -> tuple[dict, set]:
-        """The store's ``(values, halted)`` as the dict shard's objects,
-        residents in compute order — built per call."""
-        store = self.store
-        rows = store.rows()
-        ids = store.ids[rows]
-        return (
-            dict(zip(ids.tolist(), as_objects(store.values[rows]))),
-            set(ids[store.halted[rows]].tolist()),
-        )
+                else:
+                    placement[vertex] = pid
 
     def _demote(self, reason: str) -> None:
-        """Turn the array store into dict state — once, one way.
+        """Turn the array store into dict state — once, one way: its own
+        snapshot, listed, applied to the dicts.
 
         The ``LocalCsr`` stays on as the decision index (adjacency and
         placement columns are exact and keep being fed) when the
@@ -590,17 +559,7 @@ class Shard:
         """
         store = self.store
         with self.tracer.span("demote", reason=reason):
-            self.values, self.halted = self._views()
-            rows = store.rows()
-            degrees, neighbours = store.adjacency(rows)
-            flat = iter(neighbours.tolist())
-            self._adj.update(
-                (vertex, tuple(islice(flat, degree)))
-                for vertex, degree in zip(self.values, degrees.tolist())
-            )
-            if self.placement is not None:
-                ids, pids = store.mirror()
-                self.placement.update(zip(ids.tolist(), pids.tolist()))
+            self._apply_rows(self.snapshot().listed())
         store.values = None
         self.store = None
         if not store.decides:
@@ -763,18 +722,26 @@ class Shard:
         self._demotion = ""
         return delta
 
-    def snapshot(self) -> tuple[dict, set, Any]:
-        """Picklable ``(values, halted, mirror)`` view for consistency checks.
-
-        ``mirror`` is the placement mirror — a dict, or ``(ids, pids)``
-        columns from an active store — or None on a non-adaptive run.
-        """
+    def snapshot(self) -> PatchColumns:
+        """The patch that would rebuild this shard: residents in compute
+        order with values, adjacency and halt votes, and the placement
+        mirror (ascending by id) as the delta — typed from a store, listed
+        from dict state.  ``Shard(...).apply_patch(s.snapshot())`` holds
+        what ``s`` holds: the checkpoint / restore / consistency record."""
         store = self.store
         if store is not None:
-            mirror = None if self.placement is None else store.mirror()
-            return (*self._views(), mirror)
-        mirror = None if self.placement is None else dict(self.placement)
-        return dict(self.values), set(self.halted), mirror
+            rows = store.rows()
+            degrees, neighbours = store.adjacency(rows)
+            return PatchColumns(
+                store.ids[rows], store.values[rows], degrees, neighbours,
+                store.halted[rows], rows[:0], *store.mirror(),
+            )
+        adj, halted, placement = self._adj, self.halted, self.placement or {}
+        placed = sort_vertices(placement)
+        return PatchColumns.pack(
+            {v: (x, adj[v], v in halted) for v, x in self.values.items()},
+            [], (placed, [placement[v] for v in placed]),
+        )
 
     def __repr__(self) -> str:
         return f"Shard(id={self.shard_id}, residents={len(self)})"

@@ -20,16 +20,19 @@ proportional to their local gaps rather than their magnitude.  numpy is
 *not* required: every int column is the same bytes whether the stdlib
 :mod:`array` module or numpy packed it (numpy, when present, only does it
 without a per-element Python loop).  The message plane's
-:class:`~repro.pregel.messages.MessageColumns`, the array store's
+:class:`~repro.pregel.messages.MessageColumns`, a *typed*
 :class:`~repro.cluster.shard.PatchColumns` and ``numpy.ndarray`` values
-have tags of their own that need numpy on both sides (a dict
-:class:`~repro.cluster.shard.ShardPatch` takes the generic encoding of
-its three fields); arbitrary
-program values cross under a pickle fallback tag — the only way such
-values cross.  :func:`loads` raises :class:`WireError`, and nothing else,
-on any payload it cannot decode, and the codec's own tags never allocate
-what a length field merely claims; the pickle fallback trusts its bytes
-like any unpickling does (frames come from this program's own peers).
+have tags of their own that need numpy on both sides; a *listed*
+``PatchColumns`` crosses under the same tag as its eight generic lists
+and needs nothing.  The two dataclass structs (``ShardTask``,
+``ShardDelta``) encode field by field off ``dataclasses.fields`` through
+one function and rebuild positionally, so a new field crosses by
+construction.  Arbitrary program values cross under a pickle fallback tag
+— the only way such values cross.  :func:`loads` raises
+:class:`WireError`, and nothing else, on any payload it cannot decode,
+and the codec's own tags never allocate what a length field merely
+claims; the pickle fallback trusts its bytes like any unpickling does
+(frames come from this program's own peers).
 
 **Combining.**  :func:`combine_inbox` applies the program's combiner to a
 shard's dict inbox *before* the wire (a columnar inbox was folded at
@@ -48,10 +51,11 @@ import struct
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
+from dataclasses import fields
 from math import prod
 from typing import Any, cast
 
-from repro.cluster.shard import PatchColumns, ShardDelta, ShardPatch, ShardTask
+from repro.cluster.shard import PatchColumns, ShardDelta, ShardTask
 from repro.pregel.messages import CombinedMessages, MessageColumns
 
 try:  # numpy is optional everywhere in this repo
@@ -146,12 +150,11 @@ _TAG_COMBINED_NUM_DICT = 0x0F  # {int: [float] | CombinedMessages([float])}
 _TAG_INT_ROWS = 0x10       # [(int | bool, ...), ...] — one packed column each
 _TAG_OUTBOX = 0x11         # [((int, int), float), ...] — three columns
 _TAG_NDARRAY = 0x12        # dtype str + shape + raw buffer
-_TAG_TASK = 0x13
-_TAG_PATCH = 0x14
+_TAG_TASK = 0x13           # (0x14, the dict patch, is retired)
 _TAG_DELTA = 0x15
 _TAG_PICKLE = 0x16         # anything else
 _TAG_COLUMNS = 0x17        # MessageColumns: packed ids/counts + raw payloads
-_TAG_PATCH_COLUMNS = 0x18  # PatchColumns: packed int columns + raw values
+_TAG_PATCH_COLUMNS = 0x18  # PatchColumns: packed columns, or eight lists
 
 
 def _int_typecodes() -> dict[int, str]:
@@ -412,6 +415,12 @@ def _encode_int_rows(rows: Any, out: bytearray) -> bool:
     return True
 
 
+def _encode_rows(rows: Any, out: bytearray) -> None:
+    """Int rows where the shape allows, the generic encoding otherwise."""
+    if not _encode_int_rows(rows, out):
+        _encode(rows, out)
+
+
 def _encode_outbox(entries: Any, out: bytearray) -> None:
     """Three-column packing for ``[((worker, target), payload), ...]``
     (a columnar outbox has its own tag)."""
@@ -545,63 +554,47 @@ def _encode_combined(obj: CombinedMessages, out: bytearray) -> None:
         _encode(item, out)
 
 
-def _encode_task(obj: ShardTask, out: bytearray) -> None:
-    out.append(_TAG_TASK)
-    _encode(obj.superstep, out)
-    _encode(obj.inbox, out)
-    _encode(obj.num_vertices, out)
-    _encode(obj.agg_previous, out)
-    _encode(obj.decision, out)
-    _encode(obj.candidates, out)
-
-
-def _encode_patch(obj: ShardPatch, out: bytearray) -> None:
-    out.append(_TAG_PATCH)
-    _encode(obj.upserts, out)
-    _encode(obj.removes, out)
-    if not _encode_int_rows(obj.placement_delta, out):
-        _encode(obj.placement_delta, out)
-
-
 def _encode_patch_columns(obj: PatchColumns, out: bytearray) -> None:
-    """``[flags][width]?[seven int columns][raw value buffer]``.
+    """``[flags][width]?[seven int columns][raw value buffer]``, or
+    ``[flags = 4][the eight columns, each a generic list]``.
 
     Flag bit 0: values are int64 (else float64); bit 1: values are
-    records, their width (≥ 2) follows the flags.  The int columns — ids,
-    degrees, neighbours, halted (as 0/1), removes, placed ids, placed
-    pids — are width-selected and delta-encoded like every int column;
-    values are the raw row-major little-endian buffer, ``len(ids)`` ×
-    width items long.
+    records, their width (≥ 2) follows the flags; bit 2, alone: the
+    listed regime.  A typed record's int columns — ids, degrees,
+    neighbours, halted (as 0/1), removes, placed ids, placed pids — are
+    width-selected and delta-encoded like every int column; values are
+    the raw row-major little-endian buffer, ``len(ids)`` × width items
+    long.  Listed columns cross in field order as what they are.
     """
+    out.append(_TAG_PATCH_COLUMNS)
+    if not obj.typed:
+        out.append(4)
+        for spec in fields(obj):
+            _encode_list(getattr(obj, spec.name), out)
+        return
     values = obj.values
     integral = values.dtype.kind == "i"
-    out.append(_TAG_PATCH_COLUMNS)
     _write_column_head(values, integral, 2, out)
-    _pack_int_column(obj.ids, out)
-    _pack_int_column(obj.degrees, out)
-    _pack_int_column(obj.neighbours, out)
-    _pack_int_column(obj.halted.astype(_np.int64), out)
-    _pack_int_column(obj.removes, out)
-    _pack_int_column(obj.placed_ids, out)
-    _pack_int_column(obj.placed_pids, out)
+    for column in (
+        obj.ids, obj.degrees, obj.neighbours, obj.halted.astype(_np.int64),
+        obj.removes, obj.placed_ids, obj.placed_pids,
+    ):
+        _pack_int_column(column, out)
     out += values.astype("<i8" if integral else "<f8", copy=False).tobytes()
 
 
-def _encode_delta(obj: ShardDelta, out: bytearray) -> None:
-    out.append(_TAG_DELTA)
-    _encode(obj.shard_id, out)
-    _encode(obj.computed, out)
-    _encode(obj.values, out)
-    _encode_outbox(obj.outbox, out)
-    _encode(obj.halted_added, out)
-    _encode(obj.halted_removed, out)
-    _encode(obj.aggregated, out)
-    _encode(obj.compute_units, out)
-    if not _encode_int_rows(obj.proposals, out):
-        _encode(obj.proposals, out)
-    _encode(obj.spans, out)
-    _encode(obj.batched_blocks, out)
-    _encode(obj.demotion, out)
+#: The dataclass structs: ``[tag][every field, in declaration order]``,
+#: decoded positionally — a field cannot be dropped on either side.
+_STRUCTS: dict[type, int] = {ShardTask: _TAG_TASK, ShardDelta: _TAG_DELTA}
+_STRUCT_OF_TAG = {tag: kind for kind, tag in _STRUCTS.items()}
+#: Struct fields with a packed shape of their own (by field name).
+_FIELD_ENCODERS = {"outbox": _encode_outbox, "proposals": _encode_rows}
+
+
+def _encode_struct(obj: Any, out: bytearray) -> None:
+    out.append(_STRUCTS[type(obj)])
+    for spec in fields(obj):
+        _FIELD_ENCODERS.get(spec.name, _encode)(getattr(obj, spec.name), out)
 
 
 _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
@@ -617,10 +610,8 @@ _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
     set: _encode_set,
     CombinedMessages: _encode_combined,
     MessageColumns: _encode_columns,
-    ShardTask: _encode_task,
-    ShardPatch: _encode_patch,
     PatchColumns: _encode_patch_columns,
-    ShardDelta: _encode_delta,
+    **dict.fromkeys(_STRUCTS, _encode_struct),
 }
 
 
@@ -886,38 +877,21 @@ def _decode(reader: _Reader) -> Any:
             )
         except ValueError as exc:  # column lengths or dtype disagree
             raise WireError(str(exc)) from None
-    if tag == _TAG_TASK:
-        return ShardTask(
-            superstep=_decode(reader),
-            inbox=_decode(reader),
-            num_vertices=_decode(reader),
-            agg_previous=_decode(reader),
-            decision=_decode(reader),
-            candidates=_decode(reader),
-        )
-    if tag == _TAG_PATCH:
-        return ShardPatch(
-            upserts=_decode(reader),
-            removes=_decode(reader),
-            placement_delta=_decode(reader),
-        )
     if tag == _TAG_PATCH_COLUMNS:
-        if _np is None:
-            raise WireError(
-                "frame contains patch columns but numpy is not installed"
-            )
         flags = reader.byte()
-        if flags > 3:
+        if flags > 4:
             raise WireError(f"bad patch-columns flags {flags:#x}")
-        width = _read_width(reader, flags, 2)
-        ids = _read_int_column(reader)
-        degrees = _read_int_column(reader)
-        neighbours = _read_int_column(reader)
-        halted = _read_int_column(reader)
-        removes = _read_int_column(reader)
-        placed_ids = _read_int_column(reader)
-        placed_pids = _read_int_column(reader)
+        if flags < 4 and _np is None:
+            raise WireError(
+                "frame contains typed patch columns but numpy is not installed"
+            )
         try:
+            if flags == 4:
+                return PatchColumns(*[_decode(reader) for _ in range(8)])
+            width = _read_width(reader, flags, 2)
+            ids, degrees, neighbours, halted, removes, placed_ids, pids = (
+                _read_int_column(reader) for _ in range(7)
+            )
             return PatchColumns(
                 ids=ids,
                 values=_read_payloads(reader, len(ids), width, flags & 1),
@@ -926,25 +900,13 @@ def _decode(reader: _Reader) -> Any:
                 halted=halted.astype(bool),
                 removes=removes,
                 placed_ids=placed_ids,
-                placed_pids=placed_pids,
+                placed_pids=pids,
             )
-        except ValueError as exc:  # column lengths disagree
+        except ValueError as exc:  # columns disagree (or are not lists)
             raise WireError(str(exc)) from None
-    if tag == _TAG_DELTA:
-        return ShardDelta(
-            shard_id=_decode(reader),
-            computed=_decode(reader),
-            values=_decode(reader),
-            outbox=_decode(reader),
-            halted_added=_decode(reader),
-            halted_removed=_decode(reader),
-            aggregated=_decode(reader),
-            compute_units=_decode(reader),
-            proposals=_decode(reader),
-            spans=_decode(reader),
-            batched_blocks=_decode(reader),
-            demotion=_decode(reader),
-        )
+    kind = _STRUCT_OF_TAG.get(tag)
+    if kind is not None:
+        return kind(*[_decode(reader) for _ in fields(kind)])
     if tag == _TAG_PICKLE:
         return pickle.loads(bytes(reader.take(reader.uint())))
     raise WireError(f"unknown wire tag {tag:#x}")

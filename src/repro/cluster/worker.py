@@ -11,10 +11,14 @@ two transports cannot drift apart.
 
 A session is one coordinator run: the
 :class:`~repro.cluster.executor.SocketExecutor` connects, ships the
-worker's shard subset with ``init``, drives supersteps, and ends with
-``stop`` (or by closing the connection).  The server then accepts the next
-session with fresh state; ``--sessions N`` bounds how many before the
-process exits (0 = serve forever).
+worker's shard subset — empty shards — with ``init``, fills them here, on
+their host, with the seed patches of the first ``apply``, drives
+supersteps, and ends with ``stop`` (or by closing the connection).  Every
+piece of vertex state that crosses, either way, is one
+:class:`~repro.cluster.shard.PatchColumns`: patches in with ``step`` /
+``apply``, the same record back from ``snapshot``.  The server then
+accepts the next session with fresh state; ``--sessions N`` bounds how
+many before the process exits (0 = serve forever).
 
 :class:`LocalWorkerPool` spins up in-process servers on ephemeral localhost
 ports — the harness the tests, the golden socket leg and
@@ -32,6 +36,7 @@ __all__ = [
     "LocalWorkerPool",
     "ShardHost",
     "WorkerServer",
+    "apply_out_of_band",
     "parse_address",
     "parse_worker_addresses",
 ]
@@ -58,6 +63,15 @@ def parse_worker_addresses(spec):
         parts = [part.strip() for part in spec.split(",")]
         return [parse_address(part) for part in parts if part]
     return [parse_address(part) for part in spec]
+
+
+def apply_out_of_band(shards, patches):
+    """``Executor.apply`` on the shards' own host: patch in shard-id order
+    and drop the spans that recorded — seeding and flushes happen outside
+    any superstep, so they must not show up in the next one's trace."""
+    for sid in sorted(patches):
+        shards[sid].apply_patch(patches[sid])
+        shards[sid].tracer.clear()
 
 
 class ShardHost:
@@ -96,8 +110,7 @@ class ShardHost:
                     deltas[sid] = shard.run_superstep(task)
                 return ("ok", deltas), False
             if kind == "apply":
-                for sid in sorted(payload):
-                    self.shards[sid].apply_patch(payload[sid])
+                apply_out_of_band(self.shards, payload)
                 return ("ok", None), False
             if kind == "snapshot":
                 view = {

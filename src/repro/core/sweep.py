@@ -446,7 +446,9 @@ class LocalCsr:
         ``neighbours`` holds every row's neighbour ids back to back,
         ``degrees`` the row lengths.  A resident keeps its admission stamp
         (and so its compute row); a new or re-admitted one goes last.
+        ``values`` / ``halted`` are stored only while a value column is.
         """
+        degrees = _np.asarray(degrees, dtype=_np.int64)
         slots = self.slots_of(ids)
         entries = self.slots_of(neighbours)  # interning may regrow columns
         self._garbage += int(self._lens[slots].sum())
@@ -465,7 +467,7 @@ class LocalCsr:
             self._stamp += len(fresh)
             self.residents += len(fresh)
             self._rows = None
-        if values is not None:
+        if self.values is not None:
             self.values[slots] = values
             self.halted[slots] = halted
         if self._garbage > max(self._used - self._garbage, self._GROW):
@@ -512,7 +514,7 @@ class LocalCsr:
         slots = self.slots_of(ids)
         _, last = _np.unique(slots[::-1], return_index=True)
         last = len(slots) - 1 - last
-        self._place[slots[last]] = pids[last]
+        self._place[slots[last]] = _np.asarray(pids, dtype=_np.int64)[last]
 
     # ------------------------------------------------------------------
     # Readers (by slot)
@@ -526,8 +528,10 @@ class LocalCsr:
         return self._rows
 
     def mirror(self):
-        """The placement mirror as ``(ids, pids)`` columns, placed only."""
+        """The placement mirror as ``(ids, pids)`` columns: placed vertices
+        only, ascending by id (slot order is an accident of history)."""
         placed = _np.flatnonzero(self._place[: self.count] >= 0)
+        placed = placed[_np.argsort(self.ids[placed])]
         return self.ids[placed], self._place[placed]
 
     def adjacency(self, slots):

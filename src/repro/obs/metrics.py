@@ -1,12 +1,11 @@
 """A registry of named counters, gauges and histograms.
 
 The repo grew its instruments ad hoc — `SuperstepReport.decision_seconds`,
-`ThreadExecutor.merge_seconds`, `SocketExecutor.bytes_sent` — each with
-its own lifecycle and none visible from the CLI.  :class:`MetricsRegistry`
-is the single home: components create named instruments once and bump them
-in place; the registry renders one text snapshot (``--show-metrics``) or a
-JSON document (``--metrics-json``), and the legacy attributes stay alive
-as read-through views so nothing breaks.
+the thread executor's merge timers, `SocketExecutor.bytes_sent` — each
+with its own lifecycle and none visible from the CLI.
+:class:`MetricsRegistry` is the single home: components create named
+instruments once and bump them in place; the registry renders one text
+snapshot (``--show-metrics``) or a JSON document (``--metrics-json``).
 
 Naming is dotted and lowercase: ``phase.compute.seconds``,
 ``executor.bytes_sent.step``, ``ingest.events``.  The documented names

@@ -36,7 +36,6 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import add as _add
-from operator import eq as _eq
 from typing import Any
 
 try:  # numpy is optional everywhere in this repo
@@ -141,9 +140,12 @@ class CombinedMessages(list):
 
 
 def same_column(a: Any, b: Any) -> bool:
-    """Bit-exact column equality (dtype, length and every byte)."""
+    """Bit-exact column equality (dtype, length and every byte); a list
+    column equals only a list, by ``==``."""
     if a is None or b is None:
         return a is b
+    if isinstance(a, list) or isinstance(b, list):
+        return type(a) is type(b) and bool(a == b)
     return bool(
         a.dtype == b.dtype
         and a.shape == b.shape
@@ -373,29 +375,8 @@ class MessageRouter:
         # post-migration placements.  Traffic counters accumulate locally
         # and post once — integer sums, so the totals are unchanged.
         placement_get = self._placement_get()
-        outbox = self._outbox
         local = remote = 0
-        if self._combiner is not None and outbox:
-            # Collision-free bulk path: when no target hears from two
-            # workers and nothing vanished, the inbox is a straight
-            # re-keying of the outbox — built with C-level iteration only.
-            targets = [t for _, t in outbox]
-            target_workers = list(map(placement_get, targets))
-            if None not in target_workers and len(set(targets)) == len(
-                targets
-            ):
-                inbox = dict(
-                    zip(targets, [[p] for p in outbox.values()])
-                )
-                local = sum(
-                    map(_eq, [w for w, _ in outbox], target_workers)
-                )
-                self._network.count_local(local)
-                self._network.count_remote(len(targets) - local)
-                self._outbox = {}
-                self._inbox = inbox
-                return inbox
-        inbox = {}
+        inbox: dict[Any, Any] = {}
         inbox_get = inbox.get
         if self._combiner is not None:
             for (source_worker, target_id), payload in self._outbox.items():

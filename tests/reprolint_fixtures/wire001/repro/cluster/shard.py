@@ -1,4 +1,4 @@
-"""WIRE001 fixture: wire structs with deliberate codec-coverage gaps."""
+"""WIRE001 fixture: wire structs and a record with deliberate codec gaps."""
 
 from dataclasses import dataclass
 
@@ -7,23 +7,16 @@ from repro.core.heuristic import DecisionContext, make_context
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Covered fields plus ``extra``, which the codec never touches."""
+    """Registered with the struct codec: every field crosses."""
 
     superstep: int
     inbox: dict
-    extra: float
-
-
-@dataclass(frozen=True)
-class ShardPatch:
-    """Absent from the codec's dispatch table entirely."""
-
-    upserts: dict
 
 
 @dataclass(frozen=True)
 class ShardDelta:
-    """Fully covered, but references a non-picklable imported type."""
+    """Absent from the codec's struct table, and references a
+    non-picklable imported type."""
 
     shard_id: int
     context: DecisionContext
@@ -41,7 +34,6 @@ class PatchColumns:
 __all__ = [
     "PatchColumns",
     "ShardDelta",
-    "ShardPatch",
     "ShardTask",
     "make_context",
 ]

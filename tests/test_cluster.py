@@ -31,6 +31,7 @@ from repro.generators import mesh_3d, powerlaw_cluster_graph
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
 from repro.pregel.fault import FaultPlan
 from repro.pregel.system import PregelConfig, PregelSystem
+from repro.pregel.vertex import VertexProgram
 
 EXECUTOR_NAMES = [
     name.strip()
@@ -225,6 +226,27 @@ class TestAgainstSerialReference:
         finally:
             clustered.close()
 
+    def test_a_plain_vertex_program_runs_sharded_on_listed_patches(self):
+        """A program that is no ``BatchedVertexProgram`` declares neither a
+        kernel dtype nor a ``value_width``: its patches pack listed, its
+        shards are dict shards, and it still IS the serial system."""
+        config = PregelConfig(num_workers=3, seed=1, quiet_window=5)
+        serial = PregelSystem(mesh_3d(4), _PlainDegreeSum(), config)
+        serial.run(5)
+        executor = InlineExecutor()
+        with Coordinator(
+            mesh_3d(4), _PlainDegreeSum(), config, executor=executor
+        ) as clustered:
+            clustered.run(5)
+            assert _report_digest(clustered.reports) == _report_digest(
+                serial.reports
+            )
+            assert clustered.values == serial.values
+            clustered.shard_consistency_check()
+            snapshots = executor.snapshot().values()
+            assert not any(snapshot.typed for snapshot in snapshots)
+            assert all(shard.store is None for shard in executor._shards.values())
+
     def test_non_continuous_mode_reaches_quiescence(self):
         config = PregelConfig(
             num_workers=3, seed=0, continuous=False, adaptive=False
@@ -238,6 +260,19 @@ class TestAgainstSerialReference:
             assert len(components) == 1  # the mesh is connected
         finally:
             system.close()
+
+
+class _PlainDegreeSum(VertexProgram):
+    """A bare ``VertexProgram`` (int values, no kernel, no combiner)."""
+
+    name = "plain-degree-sum"
+
+    def initial_value(self, vertex_id, graph):
+        return 0
+
+    def compute(self, ctx, messages):
+        ctx.value = ctx.value + sum(messages) + ctx.degree()
+        ctx.send_to_neighbors(1)
 
 
 class _HangingShard:
@@ -321,8 +356,11 @@ class TestExecutors:
 
     def test_executor_context_manager_and_idempotent_stop(self):
         with ProcessExecutor(workers=1) as executor:
-            executor.start({0: Shard(0, PageRank(), None, True)})
-            assert executor.snapshot() == {0: ({}, set(), None)}
+            shard = Shard(0, PageRank(), None, True)
+            executor.start({0: shard})
+            # an empty shard's snapshot: the empty patch, through the wire
+            assert executor.snapshot() == {0: shard.snapshot()}
+            assert not any(map(len, vars(shard.snapshot()).values()))
         executor.stop()  # second stop must be a no-op
 
     def test_process_executor_surfaces_worker_failures(self):

@@ -325,6 +325,34 @@ def test_traced_run_replays_golden_timeline(executor):
     assert counters["phase.compute.seconds"] > 0
 
 
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_seeding_is_out_of_band_for_the_trace(executor):
+    """Shards are seeded through ``executor.apply`` on their own host; the
+    ``apply-patch`` spans that records are dropped there, so set-up never
+    shows in superstep 1's trace — the first ones are barrier 1's patches,
+    shipped with superstep 2's deltas."""
+    from repro.apps.pagerank import PageRank
+    from repro.cluster import Coordinator
+    from repro.generators import mesh_3d
+    from repro.pregel.system import PregelConfig
+
+    tracer = Tracer()
+    config = PregelConfig(num_workers=3, seed=4, quiet_window=5)
+    with Coordinator(
+        mesh_3d(4), PageRank(), config, executor=_resolve(executor),
+        tracer=tracer,
+    ) as system:
+        assert "apply-patch" not in {span[0] for span in tracer.spans}
+        system.run_superstep()
+        first = {span[0] for span in tracer.spans}
+        assert "compute" in first and "apply-patch" not in first
+        system.run(2)
+        patched = [span for span in tracer.spans if span[0] == "apply-patch"]
+        assert patched and {span[1] for span in patched} <= {
+            "shard-0", "shard-1", "shard-2"
+        }
+
+
 def test_untraced_run_keeps_null_tracer():
     """The default path stays on the shared disabled tracer — no spans."""
     result = play_scenario(
@@ -377,23 +405,25 @@ def test_socket_run_merges_worker_spans():
 # Reset-at-start: reused executors report per-session numbers
 
 
-def _run(executor, rounds=2):
+def _run(executor, rounds=2, registry=None):
     return play_scenario(
         get_scenario("mesh-growth"), engine="pregel", executor=executor,
-        max_rounds=rounds,
+        max_rounds=rounds, metrics_registry=registry,
     )
 
 
 def test_pipelined_counters_reset_between_sessions():
-    executor = ThreadExecutor(workers=2)
-    _run(executor)
-    first = executor.steps_streamed
+    executor, registry = ThreadExecutor(workers=2), MetricsRegistry()
+    streamed = registry.counter("executor.steps_streamed")
+    _run(executor, registry=registry)
+    first = streamed.value
     assert first > 0
-    assert executor.merge_seconds > 0
-    _run(executor)
-    # identical deterministic run → identical per-session step count;
-    # the pre-registry behaviour accumulated to 2× here
-    assert executor.steps_streamed == first
+    assert registry.counter("executor.merge_seconds").value > 0
+    _run(executor, registry=registry)
+    # identical deterministic run → identical per-session step count,
+    # even in one shared registry; without the reset at start() this
+    # accumulated to 2× here
+    assert streamed.value == first
 
 
 def test_worker_byte_counters_reset_between_sessions():

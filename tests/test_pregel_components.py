@@ -86,6 +86,25 @@ class TestMessageRouter:
         inbox = self.router.deliver()
         assert sorted(inbox["b"]) == [1, 2]
 
+    def test_single_worker_delivery_keeps_send_order_and_is_all_local(self):
+        # num_workers=1: every target hears from exactly one worker (a zero
+        # cut) — the one regime the deleted "collision-free bulk path" of
+        # deliver() could take.  The general loop gives the same inbox:
+        # mailboxes in first-send order, one folded message each, all local.
+        placement = dict.fromkeys("abcd", 0)
+        router = MessageRouter(placement, self.net)
+        router.set_combiner(sum_combiner)
+        for source, target, message in (
+            ("a", "c", 1), ("b", "a", 2), ("d", "c", 4), ("a", "d", 8),
+        ):
+            router.send(source, target, message)
+        inbox = router.deliver()
+        assert list(inbox.items()) == [("c", [5]), ("a", [2]), ("d", [8])]
+        assert {type(box) for box in inbox.values()} == {list}
+        assert self.net.current.local_messages == 3
+        assert self.net.current.remote_messages == 0
+        assert router.take_inbox() is inbox
+
     def test_vanished_destination_dropped(self):
         self.router.send("a", "ghost", 1)
         inbox = self.router.deliver()

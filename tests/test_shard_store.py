@@ -8,9 +8,12 @@ sequences — upserts of residents and newcomers, evictions, evict +
 readmit in one patch, moves, removals, duplicate ids in one placement
 delta, and the non-conforming arrivals (a label id, an ``int`` value or
 record component) that demote the store — and after every step requires
-identical ``snapshot()``s and, after every superstep, identical ``ShardDelta``s
-field by field.  After a demotion the pair keeps running: the run must
-continue byte-identically.
+identical ``snapshot()``s (values to the bit, compute order, adjacency
+order, halt votes, mirror) and, after every superstep, identical
+``ShardDelta``s field by field.  After a demotion the pair keeps running:
+the run must continue byte-identically.  Every snapshot is also *restored*:
+``apply_patch(snapshot())`` into a fresh shard must give an equal snapshot
+— typed, listed, and across each named demotion — and cross the wire whole.
 
 The pair runs once per column shape: float64 (PageRank), int64
 (components) and two-wide float64 *records* (the combined cardiac FEM
@@ -18,8 +21,9 @@ program, whose values and messages are both tuples).
 
 Also pinned by example: the three order rules (compute order is admission
 order, adjacency order is the patch's, a later delta entry wins), the
-named demotion reasons, the bulk-seeding path of the coordinator and the
-FEM cross-executor matrix.
+named demotion reasons, the seeding path of the coordinator (shards fill
+on their host, on every executor), the adjacency self-check and the FEM
+cross-executor matrix.
 """
 
 import dataclasses
@@ -48,16 +52,11 @@ from repro.cluster import (
     InlineExecutor,
     LocalWorkerPool,
     SocketExecutor,
+    wire,
 )
-from repro.cluster.shard import (
-    PatchColumns,
-    Shard,
-    ShardPatch,
-    ShardTask,
-    delta_columns,
-)
+from repro.cluster.shard import PatchColumns, Shard, ShardTask
 from repro.core.heuristic import DecisionContext, GreedyMaxNeighbours
-from repro.core.sweep import id_column, record_shape, sort_vertices
+from repro.core.sweep import record_shape, sort_vertices
 from repro.generators import mesh_3d
 from repro.graph import Graph
 from repro.pregel.compute import batch_kernel_enabled
@@ -98,16 +97,18 @@ def dict_shard(monkeypatch, *args, **kwargs):
     return shard
 
 
-def as_columns(patch, dtype, width=1):
-    """``patch`` as the coordinator ships it: columns when it fits."""
-    ids, pids = delta_columns(patch.placement_delta)
-    ids = id_column(ids)
-    if ids is None:
-        return patch
-    packed = PatchColumns.from_patch(
-        patch, np.dtype(dtype), (ids, pids), width
+def patch(upserts=None, removes=(), placement_delta=(), dtype=None, width=1):
+    """A patch literal as the coordinator would ship it: ``upserts`` maps
+    vertex → ``(value, neighbours, halted)``, ``placement_delta`` lists
+    ``(vertex, pid | None)``; typed when ``dtype`` is given and it fits."""
+    placed = (
+        [vertex for vertex, _ in placement_delta],
+        [-1 if pid is None else pid for _, pid in placement_delta],
     )
-    return patch if packed is None else packed
+    return PatchColumns.pack(
+        upserts or {}, list(removes), placed,
+        None if dtype is None else np.dtype(dtype), width,
+    )
 
 
 def bits(value):
@@ -117,15 +118,12 @@ def bits(value):
 
 
 def plain(snapshot):
-    """A snapshot with the mirror as a dict and floats as bit patterns."""
-    values, halted, mirror = snapshot
-    if mirror is not None and not isinstance(mirror, dict):
-        mirror = dict(zip(*(column.tolist() for column in mirror)))
-    return (
-        [(v, type(x), bits(x)) for v, x in values.items()],  # in row order
-        halted,
-        mirror,
-    )
+    """A snapshot as listed columns, values typed and floats as bit
+    patterns — everything a restore must reproduce, in order."""
+    state = snapshot.listed()
+    return {
+        **vars(state), "values": [(type(x), bits(x)) for x in state.values],
+    }
 
 
 def assert_same_delta(got, want):
@@ -157,11 +155,8 @@ class ShardPair(RuleBasedStateMachine):
         self.monkeypatch = pytest.MonkeyPatch()
         program = program_cls()
         self.width = program.value_width  # == message_width on every pair
-        args = (1, program, program.combiner(), continuous)
-        self.store = Shard(*args, heuristic=GreedyMaxNeighbours())
-        self.oracle = dict_shard(
-            self.monkeypatch, *args, heuristic=GreedyMaxNeighbours()
-        )
+        self.args = (1, program, program.combiner(), continuous)
+        self.store, self.oracle = self._fresh(), self._fresh(array=False)
         assert self.store.store is not None
         self.residents = {}   # vertex -> neighbours, in admission order
         self.superstep = 0
@@ -170,26 +165,37 @@ class ShardPair(RuleBasedStateMachine):
     def teardown(self):
         self.monkeypatch.undo()
 
+    def _fresh(self, array=True):
+        if array:
+            return Shard(*self.args, heuristic=GreedyMaxNeighbours())
+        return dict_shard(
+            self.monkeypatch, *self.args, heuristic=GreedyMaxNeighbours()
+        )
+
     # -- patches ---------------------------------------------------------
 
-    def _apply(self, patch):
-        shipped = as_columns(patch, self.dtype, self.width)
-        if not isinstance(shipped, PatchColumns):
+    def _apply(self, upserts=None, removes=(), placement_delta=()):
+        """The same literal to both: typed (if it fits) to the store
+        shard, listed to the oracle."""
+        shipped = patch(
+            upserts, removes, placement_delta, self.dtype, self.width
+        )
+        if not shipped.typed:
             self.demoted = True
         self.store.apply_patch(shipped)
-        self.oracle.apply_patch(patch)
-        for vertex in patch.removes:
+        self.oracle.apply_patch(patch(upserts, removes, placement_delta))
+        for vertex in removes:
             self.residents.pop(vertex, None)
-        for vertex, (_, neighbours, _) in patch.upserts.items():
+        for vertex, (_, neighbours, _) in (upserts or {}).items():
             self.residents[vertex] = neighbours
 
     @initialize(data=st.data())
     def seed(self, data):
         ids = data.draw(st.lists(IDS, min_size=3, max_size=12, unique=True))
-        self._apply(ShardPatch(
+        self._apply(
             upserts={v: self._row(data, ids) for v in ids},
             placement_delta=[(v, v % K) for v in range(41)],
-        ))
+        )
 
     def _row(self, data, known):
         return (
@@ -221,9 +227,7 @@ class ShardPair(RuleBasedStateMachine):
             st.tuples(IDS, st.one_of(st.none(), st.integers(0, K - 1))),
             max_size=8,
         ))
-        self._apply(ShardPatch(
-            upserts=upserts, removes=removes, placement_delta=delta
-        ))
+        self._apply(upserts, removes, delta)
 
     @precondition(lambda self: not self.demoted)
     @rule(data=st.data(), poison=st.sampled_from(
@@ -233,19 +237,18 @@ class ShardPair(RuleBasedStateMachine):
         """A non-conforming arrival: the store takes dicts, one way."""
         known = sort_vertices(self.residents) or [0]
         value, neighbours, halted = self._row(data, known)
-        patch = ShardPatch()
         if poison == "label id":
-            patch.upserts["late"] = (value, neighbours, halted)
+            self._apply({"late": (value, neighbours, halted)})
         elif poison == "label neighbour":
-            patch.upserts[7] = (value, (*neighbours, "late"), halted)
+            self._apply({7: (value, (*neighbours, "late"), halted)})
         elif poison == "label in delta":
-            patch.placement_delta = [("late", 0), (3, 1)]
+            self._apply(placement_delta=[("late", 0), (3, 1)])
         elif self.width > 1:  # an int inside the record (still computable)
-            patch.upserts[7] = ((int(value[0]), *value[1:]), neighbours, halted)
+            odd = (int(value[0]), *value[1:])
+            self._apply({7: (odd, neighbours, halted)})
         else:
             odd = int(value) if self.dtype == "float64" else float(value)
-            patch.upserts[7] = (odd, neighbours, halted)
-        self._apply(patch)
+            self._apply({7: (odd, neighbours, halted)})
         assert self.demoted and self.store.store is None
 
     # -- supersteps ------------------------------------------------------
@@ -296,11 +299,33 @@ class ShardPair(RuleBasedStateMachine):
     @invariant()
     def snapshots_agree(self):
         if self.superstep or self.residents:
-            assert plain(self.store.snapshot()) == plain(
-                self.oracle.snapshot()
-            )
+            snapshot = self.store.snapshot()
+            assert snapshot.typed != self.demoted
+            state = snapshot.listed()
+            assert plain(state) == plain(self.oracle.snapshot())
             assert len(self.store) == len(self.oracle) == len(self.residents)
-            assert list(self.store.snapshot()[0]) == list(self.residents)
+            assert state.ids == list(self.residents)  # admission order
+            flat = iter(state.neighbours)  # ... each row in patch order
+            assert [
+                tuple(next(flat) for _ in range(degree))
+                for degree in state.degrees
+            ] == list(self.residents.values())
+
+    @invariant()
+    def snapshots_restore(self):
+        """``apply_patch(snapshot())`` into a fresh shard reproduces the
+        snapshot — typed into a store, listed into dict state, and a
+        demoted shard's listed one through a fresh store's own demotion —
+        and the record survives the wire."""
+        for shard, array in ((self.store, True), (self.oracle, False)):
+            snapshot = shard.snapshot()
+            restored = self._fresh(array)
+            restored.apply_patch(snapshot)
+            assert (restored.store is not None) == snapshot.typed
+            assert restored.snapshot() == snapshot
+            assert plain(restored.snapshot()) == plain(snapshot)
+            assert plain(wire.loads(wire.dumps(snapshot))) == plain(snapshot)
+            assert wire.loads(wire.dumps(snapshot)).typed == snapshot.typed
 
     @invariant()
     def one_representation(self):
@@ -346,16 +371,14 @@ def _store_shard(program=None, heuristic=None):
 
 
 def _patch(upserts=None, removes=(), delta=()):
-    patch = ShardPatch(
-        upserts={
+    columns = patch(
+        {
             v: (value, tuple(neighbours), False)
             for v, (value, neighbours) in (upserts or {}).items()
         },
-        removes=list(removes),
-        placement_delta=list(delta),
+        removes, delta, "float64",
     )
-    columns = as_columns(patch, "float64")
-    assert isinstance(columns, PatchColumns)
+    assert columns.typed
     return columns
 
 
@@ -377,11 +400,11 @@ def test_compute_order_is_admission_order_not_slot_order():
     shard.apply_patch(_patch({2: (0.25, [5])}))  # upsert: keeps its row
     assert _run(shard).values.targets.tolist() == [7, 2, 5]
     shard.apply_patch(_patch({7: (0.75, [2])}, removes=[7]))  # readmit: last
-    assert list(shard.snapshot()[0]) == [2, 5, 7]
+    assert shard.snapshot().ids.tolist() == [2, 5, 7]
     assert _run(shard).values.targets.tolist() == [2, 5, 7]
     shard.apply_patch(_patch(removes=[5]))
     shard.apply_patch(_patch({5: (0.5, [])}))  # ... across two patches too
-    assert list(shard.snapshot()[0]) == [2, 7, 5]
+    assert shard.snapshot().ids.tolist() == [2, 7, 5]
     assert len(shard) == 3
 
 
@@ -403,8 +426,9 @@ def test_a_later_delta_entry_wins_and_remove_then_place_replaces():
         (7, None), (7, 2),                 # remove then place: re-placed
         (8, None), (8, None),              # removing twice is removing once
     ]))
-    ids, pids = shard.snapshot()[2]
-    assert dict(zip(ids.tolist(), pids.tolist())) == {4: 2, 5: 1, 7: 2}
+    mirror = shard.snapshot()
+    assert mirror.placed_ids.tolist() == [4, 5, 7]  # ascending, placed only
+    assert mirror.placed_pids.tolist() == [2, 1, 2]
 
 
 class _DecliningAtThree(PageRank):
@@ -427,11 +451,11 @@ def test_a_declined_block_demotes_inside_the_superstep(monkeypatch):
     args = (0, program, program.combiner(), True)
     store = Shard(*args)
     oracle = dict_shard(monkeypatch, *args)
-    seed = ShardPatch(upserts={
+    seed = {
         v: (0.1 * (v + 1), ((v + 1) % 6, (v + 4) % 6), False) for v in range(6)
-    })
-    store.apply_patch(as_columns(seed, "float64"))
-    oracle.apply_patch(seed)
+    }
+    store.apply_patch(patch(seed, dtype="float64"))
+    oracle.apply_patch(patch(seed))
     demotions = []
     for superstep in range(1, 6):
         got, want = _run(store, superstep), _run(oracle, superstep)
@@ -456,8 +480,8 @@ def test_every_demotion_names_the_gate_it_fell_through(monkeypatch):
 
     def pair():
         store, oracle = Shard(*args), dict_shard(monkeypatch, *args)
-        store.apply_patch(as_columns(ShardPatch(upserts=rows), "float64", 2))
-        oracle.apply_patch(ShardPatch(upserts=rows))
+        store.apply_patch(patch(rows, dtype="float64", width=2))
+        oracle.apply_patch(patch(rows))
         assert store.store is not None and store.store.values.shape[1:] == (2,)
         return store, oracle
 
@@ -472,11 +496,12 @@ def test_every_demotion_names_the_gate_it_fell_through(monkeypatch):
         return got.demotion
 
     store, oracle = pair()
-    scalar_patch = ShardPatch(upserts={9: (0.5, (0,), False)})
-    assert as_columns(scalar_patch, "float64", 2) is scalar_patch
-    store.apply_patch(as_columns(scalar_patch, "float64"))  # width-1 columns
-    oracle.apply_patch(scalar_patch)
+    scalar = {9: (0.5, (0,), False)}
+    assert not patch(scalar, dtype="float64", width=2).typed
+    store.apply_patch(patch(scalar, dtype="float64"))  # width-1 columns
+    oracle.apply_patch(patch(scalar))
     assert store.store is None and store._demotion == "patch-shape"
+    assert plain(store.snapshot()) == plain(oracle.snapshot())
     store, oracle = pair()
     # Mail the scalar loop can read but the kernel's width-2 column cannot
     # hold (a third component), on either plane.
@@ -523,6 +548,33 @@ def test_consistency_check_sees_a_drifted_mirror_through_the_executor():
             system.shard_consistency_check()
 
 
+def test_consistency_check_compares_adjacency_with_the_graph(monkeypatch):
+    """A missed dirty mark on an edge event leaves a resident with a stale
+    neighbour list; membership, values, halt flags and mirror all still
+    agree — only the adjacency comparison can see it."""
+    from repro.graph.compact import CompactGraph
+    from repro.graph.events import AddEdge
+
+    marked = Coordinator._edges_changed
+
+    def forgetful(self, us, vs, changed):
+        marked(self, us, vs, changed)
+        self._dirty.discard(5)
+
+    config = PregelConfig(num_workers=2, seed=2, quiet_window=5)
+    graph = CompactGraph(edges=[(i, (i + 1) % 12) for i in range(12)])
+    with Coordinator(graph, PageRank(), config) as system:
+        system.inject_events([AddEdge(2, 9)])
+        system.run(2)
+        system.shard_consistency_check()  # every mark made: clean
+        monkeypatch.setattr(Coordinator, "_edges_changed", forgetful)
+        system.inject_events([AddEdge(5, 11)])
+        system.run(2)
+        assert 11 in graph.neighbors(5)
+        with pytest.raises(AssertionError, match="adjacency drift for 5:"):
+            system.shard_consistency_check()
+
+
 def test_a_label_vertex_demotes_every_store_and_is_counted():
     """A label id in the broadcast delta reaches every mirror: all k
     stores demote, each exactly once, and the run goes on on dicts."""
@@ -558,6 +610,35 @@ def socket_pool():
         yield pool
 
 
+@pytest.mark.parametrize("name", ["inline", "thread", "process", "socket"])
+@pytest.mark.parametrize("labels", [False, True], ids=["typed", "listed"])
+def test_executor_snapshots_restore_their_shards(name, labels, socket_pool):
+    """``executor.snapshot()`` is every shard's restore record, wherever the
+    shard lives: applied to a fresh shard it reproduces itself — typed off
+    stores, listed once a label vertex demoted them."""
+    from repro.graph.events import AddEdge
+
+    config = PregelConfig(num_workers=3, seed=4, quiet_window=5)
+    executor = SocketExecutor(socket_pool.addresses) if name == "socket" else name
+    program = PageRank()
+    with Coordinator(mesh_3d(3), program, config, executor=executor) as system:
+        system.run(2)
+        if labels:
+            system.inject_events([AddEdge("grow:1", 3)])
+        system.run(3)
+        system.shard_consistency_check()
+        snapshots = system.executor.snapshot()
+    assert sorted(snapshots) == [0, 1, 2]
+    for sid, snapshot in snapshots.items():
+        assert snapshot.typed != labels and len(snapshot.ids)
+        restored = Shard(
+            sid, program, program.combiner(), True, config.heuristic
+        )
+        restored.apply_patch(snapshot)
+        assert restored.snapshot() == snapshot
+        assert plain(restored.snapshot()) == plain(snapshot)
+
+
 @pytest.mark.parametrize(
     "program_cls", [CardiacFemSimulation, CombinedCardiacFemSimulation],
     ids=lambda cls: cls.name,
@@ -587,7 +668,9 @@ def test_fem_is_identical_and_fully_batched_on_every_executor(
             counter = system.metrics_registry.counter
             assert counter("shard.store.demotions").value == 0
             assert counter("kernel.batched_blocks").value == supersteps * workers
-            runs[name] = (reports, plain((system.values, None, None)))
+            runs[name] = (
+                reports, [(v, bits(x)) for v, x in system.values.items()]
+            )
     assert sum(r.migrations_announced for r in runs["inline"][0]) > 0
     for name, run in runs.items():
         assert run == runs["inline"], name

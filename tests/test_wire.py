@@ -33,14 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import wire
-from repro.cluster.shard import (
-    PatchColumns,
-    ShardDelta,
-    ShardPatch,
-    ShardTask,
-    delta_columns,
-)
-from repro.core.sweep import id_column
+from repro.cluster.shard import PatchColumns, ShardDelta, ShardTask
 from repro.cluster.wire import (
     CODEC_BINARY,
     CombinedMessages,
@@ -68,6 +61,21 @@ class Opaque:
 
     def __init__(self, value):
         self.value = value
+
+
+def patch(upserts=None, removes=(), placement_delta=(), dtype=None, width=1):
+    """A patch literal as the coordinator would ship it: ``upserts`` maps
+    vertex → ``(value, neighbours, halted)``, ``placement_delta`` lists
+    ``(vertex, pid | None)``; typed when ``dtype`` is given and it fits
+    the array store's gate, listed otherwise."""
+    placed = (
+        [vertex for vertex, _ in placement_delta],
+        [-1 if pid is None else pid for _, pid in placement_delta],
+    )
+    return PatchColumns.pack(
+        upserts or {}, list(removes), placed,
+        None if dtype is None else numpy.dtype(dtype), width,
+    )
 
 
 def roundtrip(obj, path=TAGGED):
@@ -240,10 +248,10 @@ def test_protocol_records_roundtrip():
         decision=None,
         candidates=(4, 9),
     )
-    patch = ShardPatch(
-        upserts={5: ((1, 2), 0.125)},
+    record = patch(
+        upserts={5: (0.125, (1, 2), False)},
         removes=[7],
-        placement_delta=[(5, 1), (7, -1)],
+        placement_delta=[(5, 1), (7, None)],
     )
     delta = ShardDelta(
         shard_id=2,
@@ -256,10 +264,10 @@ def test_protocol_records_roundtrip():
         compute_units=77,
         proposals=[(5, 0, 1)],
     )
-    for record in (task, patch, delta):
+    for struct in (task, record, delta):
         for path in PATHS:
-            assert_same(roundtrip(record, path), record)
-    message = ("step", {2: (task, patch)})
+            assert_same(roundtrip(struct, path), struct)
+    message = ("step", {2: (task, record)})
     assert_same(roundtrip(message), message)
 
 
@@ -387,48 +395,43 @@ def test_folded_inbox_with_single_message_mailboxes_stays_packed():
     assert type(got[2]) is list and got == odd
 
 
-def _columns(patch, dtype="float64", width=1):
-    """``patch`` as the coordinator would ship it to an array store."""
-    ids, pids = delta_columns(patch.placement_delta)
-    return PatchColumns.from_patch(
-        patch, numpy.dtype(dtype), (id_column(ids), pids), width
-    )
-
-
 def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
     upserts = {
         vid: (1.0 / vid, (vid - 1, vid + 1, vid + 7), vid % 2 == 0)
         for vid in range(50_000, 50_100)
     }
     upserts[60_000] = (0.0, (), False)  # an isolated vertex
-    patch = ShardPatch(
+    literal = dict(
         upserts=upserts, removes=[3, 4],
         placement_delta=[(vid, vid % 8) for vid in upserts],
     )
-    # A dict patch takes the generic encoding of its fields, type-exact.
-    got = wire.loads(wire.dumps(patch))
-    assert_same(got, patch)
-    assert list(got.upserts) == list(upserts)
-    for vid, (value, neighbours, halted) in got.upserts.items():
-        assert type(value) is float and type(neighbours) is tuple
-        assert type(halted) is bool
-    for odd in ({5: ((1, 2), 0.125)}, {"v": (0.5, (1,), False)},
+    # A listed patch crosses as its eight lists, type-exact.
+    listed = patch(**literal)
+    payload = wire.dumps(listed)
+    assert payload[1:3] == b"\x18\x04"  # _TAG_PATCH_COLUMNS, listed
+    got = wire.loads(payload)
+    assert_same(got, listed)
+    assert not got.typed and got.ids == list(upserts)
+    assert {type(value) for value in got.values} == {float}
+    assert {type(flag) for flag in got.halted} == {bool}
+    for odd in ({5: ((1, 2), (), False)}, {"v": (0.5, (1,), False)},
                 {5: (0.5, ("a",), False)}, {5: (1, (2,), False)}):
-        assert_same(roundtrip(ShardPatch(upserts=odd)), ShardPatch(upserts=odd))
-        if numpy is not None and len(next(iter(odd.values()))) == 3:
-            # ... and no well-formed one of them fits the columnar gate
-            assert _columns(ShardPatch(upserts=odd)) is None
+        # ... and no odd one of them fits the gate: listed, and exact
+        assert not patch(odd, dtype=numpy and "float64").typed
+        assert_same(roundtrip(patch(odd)), patch(odd))
+        assert roundtrip(patch(odd)).values == [
+            value for value, _, _ in odd.values()
+        ]
     if numpy is not None:
-        # The same patch as columns: one packed tag, fewer
-        # bytes, and back to the very same Python objects.
-        columns = _columns(patch)
+        # The same patch typed: packed columns, fewer bytes, and back to
+        # the very same Python objects.
+        columns = patch(**literal, dtype="float64")
         payload = wire.dumps(columns)
-        assert payload[1] == 0x18  # _TAG_PATCH_COLUMNS
-        assert len(payload) < len(wire.dumps(patch))
+        assert payload[1:3] == b"\x18\x00"  # typed, scalar float64
+        assert len(payload) < len(wire.dumps(listed))
         got = wire.loads(payload)
         assert_same(got, columns)
-        assert_same(got.to_patch(), patch)
-        assert list(got.to_patch().upserts) == list(upserts)
+        assert got.typed and got.listed() == listed
     # Proposals: (vertex, current, desired, willing) with the bool intact.
     proposals = [(vid, vid % 8, (vid + 1) % 8, vid % 3 == 0) for vid in upserts]
     delta = ShardDelta(0, 0, {}, [], [], [], [], 0.0, proposals=proposals)
@@ -437,8 +440,9 @@ def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
     assert {type(x) for row in got.proposals for x in row[:3]} == {int}
     assert {type(row[3]) for row in got.proposals} == {bool}
     assert len(wire.dumps(delta)) < len(proposals) * 6
-    # Removals ride the placement delta as (vertex, None): generic, exact.
-    mixed = ShardPatch(placement_delta=[(5, 1), (7, None)])
+    # A removal rides the placement columns as pid −1, in both regimes.
+    mixed = patch(placement_delta=[(5, 1), (7, None)])
+    assert mixed.placed_pids == [1, -1]
     assert_same(roundtrip(mixed), mixed)
 
 
@@ -453,6 +457,8 @@ def _ndarray_frame(dtype=b"<f8", shape=(4,), payload=bytes(32)):
         + bytes([len(shape), *shape, len(payload)]) + payload
     )
 
+
+_EMPTY = b"\x07\x00"  # an empty generic list
 
 MALFORMED = {
     "ndarray shape disagrees with its buffer": _ndarray_frame(shape=(5,)),
@@ -520,7 +526,47 @@ MALFORMED = {
         + bytes(16)
     ),
     "patch columns width truncated": b"\x01\x18\x02",
+    # The listed regime: [tag][flags = 4][eight generic lists].
+    "patch columns flags mix listed and typed": b"\x01\x18\x05" + _EMPTY * 8,
+    "listed patch truncated": b"\x01\x18\x04" + _EMPTY * 7,
+    "listed patch column is not a list": (
+        b"\x01\x18\x04" + _EMPTY * 7 + b"\x03\x00"
+    ),
+    "listed patch column is a tuple": (
+        b"\x01\x18\x04" + b"\x08\x00" + _EMPTY * 7
+    ),
+    # ... one id, nothing else
+    "listed patch columns disagree in length": (
+        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05" + _EMPTY * 7
+    ),
+    # ... one whole row, but its degree is a float
+    "listed patch degrees are not ints": (
+        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05"
+        + (b"\x0c\x00\x01" + bytes(8)) * 2 + _EMPTY + b"\x07\x01\x02"
+        + _EMPTY * 3
+    ),
+    # ... degree 1 without a neighbour
+    "listed patch degrees disagree with the neighbours": (
+        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05"
+        + b"\x0c\x00\x01" + bytes(8) + b"\x0b\x00\x01\x01\x01" + _EMPTY
+        + b"\x07\x01\x02" + _EMPTY * 3
+    ),
+    # The dict patch's tag (0x14) is retired, not reassigned.
+    "retired dict patch tag": b"\x01\x14" + b"\x09\x00" + _EMPTY * 2,
 }
+
+
+def test_the_listed_cases_are_one_field_off_a_valid_frame():
+    """... and the retired tag is reported as what it now is: unknown."""
+    got = wire.loads(
+        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05"
+        + b"\x0c\x00\x01" + bytes(8) + b"\x0b\x00\x01\x01\x00" + _EMPTY
+        + b"\x07\x01\x02" + _EMPTY * 3
+    )
+    assert got == patch({5: (0.0, (), False)}) and not got.typed
+    assert wire.loads(b"\x01\x18\x04" + _EMPTY * 8) == patch()
+    with pytest.raises(WireError, match="unknown wire tag 0x14"):
+        wire.loads(MALFORMED["retired dict patch tag"])
 
 
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")
@@ -559,10 +605,6 @@ def test_scalar_column_frames_are_byte_identical_to_the_pinned_ones():
     from repro.pregel.messages import MessageColumns
 
     ids = numpy.array([70_000, 70_003, 70_004, 70_009], dtype=numpy.int64)
-    patch = ShardPatch(
-        upserts={8: (0.5, (7, 9), True), 2: (-0.0, (), False)},
-        removes=[1], placement_delta=[(8, 3), (2, None)],
-    )
     frames = {
         "folded inbox": MessageColumns(
             ids, numpy.array([0.25, -1.5, 3.0, 1e-3]),
@@ -572,7 +614,10 @@ def test_scalar_column_frames_are_byte_identical_to_the_pinned_ones():
             ids[::-1].copy(),
             numpy.array([7, -2, 1 << 40, 0], dtype=numpy.int64),
         ),
-        "patch": _columns(patch),
+        "patch": patch(
+            upserts={8: (0.5, (7, 9), True), 2: (-0.0, (), False)},
+            removes=[1], placement_delta=[(8, 3), (2, None)], dtype="float64",
+        ),
     }
     for name, record in frames.items():
         assert wire.dumps(record).hex() == SCALAR_FRAMES[name], name
@@ -628,23 +673,23 @@ def test_fuzz_arbitrary_bytes(body):
 
 
 PATCH_CASES = {
-    "empty": ShardPatch(),
-    "removes only": ShardPatch(removes=[9, 3, 70_000]),
-    "delta only": ShardPatch(
+    "empty": dict(),
+    "removes only": dict(removes=[9, 3, 70_000]),
+    "delta only": dict(
         placement_delta=[(5, 1), (7, None), (5, 2), (7, 0), (-3, None)]
     ),
-    "upserts": ShardPatch(
+    "upserts": dict(
         upserts={
             8: (0.5, (7, 9), True), 2: (-0.0, (), False),
             -4: (1e300, (8, 2, 1 << 40), False),
         },
         removes=[1], placement_delta=[(8, 3)],
     ),
-    "int64 values": ShardPatch(
+    "int64 values": dict(
         upserts={4: (-(1 << 63), (5,), False), 5: ((1 << 63) - 1, (4,), True)},
         placement_delta=[(4, 0), (5, 0)],
     ),
-    "record values": ShardPatch(
+    "record values": dict(
         upserts={
             8: ((-1.2, -0.6), (7, 9), True), 2: ((-0.0, 1e300), (), False),
         },
@@ -653,10 +698,27 @@ PATCH_CASES = {
 }
 #: name -> (dtype, record width) of the cases that are not scalar float64.
 PATCH_SHAPES = {"int64 values": ("int64", 1), "record values": ("float64", 2)}
+#: Listed only: what no typed column could hold.
+LISTED_CASES = {
+    "label ids": dict(
+        upserts={
+            "grow:1": (0.5, (3, "grow:2"), False), 3: (0.25, ("grow:1",), True),
+        },
+        removes=["grow:0", 7], placement_delta=[("grow:1", 2), ("grow:0", None)],
+    ),
+    "odd values": dict(
+        upserts={
+            1: (None, (), False), 2: ({"k": (1, 2.5)}, (1,), True),
+            3: (1 << 70, (1, 2), False), 4: (frozenset({4}), (), False),
+            5: (7, (4,), False), 6: ((0.5, 1), (), True),
+        },
+    ),
+}
 
 
 def _case_columns(name):
-    return _columns(PATCH_CASES[name], *PATCH_SHAPES.get(name, ("float64", 1)))
+    dtype, width = PATCH_SHAPES.get(name, ("float64", 1))
+    return patch(**PATCH_CASES[name], dtype=dtype, width=width)
 
 
 def _real_frames():
@@ -682,18 +744,19 @@ def _real_frames():
         records = numpy.stack((column * 0.5, column * 0.25), axis=1)
         record_inbox = MessageColumns(column, records, column % 3 + 1)
     task = ShardTask(3, inbox, 40, {"agg": 1.0}, decision, tuple(ids[:9]))
-    patch = ShardPatch(
+    literal = dict(
         upserts={vid: (0.5, (vid - 1, vid + 1), False) for vid in ids[:12]},
         removes=ids[12:15],
         placement_delta=[(vid, vid % 4) for vid in ids] + [(ids[0], None)],
     )
-    patches = {1: (task, patch)}
-    if numpy is not None:  # a columnar patch beside the dict one
-        patches[2] = (task, _columns(patch))
+    patches = {1: (task, patch(**literal))}
+    patches[4] = (task, patch(**LISTED_CASES["label ids"]))
+    if numpy is not None:  # a typed patch beside the listed ones
+        patches[2] = (task, patch(**literal, dtype="float64"))
         # ... and a record program's task and patch: (n, 2) columns
         patches[3] = (
             ShardTask(3, record_inbox, 40, {}, None, None),
-            _columns(PATCH_CASES["record values"], width=2),
+            _case_columns("record values"),
         )
     delta = ShardDelta(
         1, 40, values, outbox, ids[:3], [], [("agg", 0.5)], 41.0,
@@ -736,40 +799,70 @@ def test_fuzz_mutated_and_truncated_real_frames(data):
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")
 @pytest.mark.parametrize("name", sorted(PATCH_CASES))
 def test_patch_columns_roundtrip(name):
-    patch = PATCH_CASES[name]
+    listed = patch(**PATCH_CASES[name])
     columns = _case_columns(name)
-    assert columns is not None and columns.to_patch() == patch
+    assert columns.typed and not listed.typed
+    assert_same(columns.listed(), listed)
     assert columns.values.ndim == PATCH_SHAPES.get(name, ("", 1))[1]
     for path in PATHS:
         got = roundtrip(columns, path)
         assert_same(got, columns)
         assert got.values.dtype == columns.values.dtype
-        assert_same(got.to_patch(), patch)
+        assert_same(got.listed(), listed)
+        assert_same(roundtrip(listed, path), listed)
     # Equality is a bool over every column (what the bench replay's
     # ``loads(dumps(x)) == x`` on ``(task, patch)`` needs), and exact.
     assert (columns == columns) is True
-    other = _columns(
-        ShardPatch(upserts={1: (0.5, (), False)}, removes=[2]), "float64"
-    )
-    assert (columns == other) is False and columns != patch
-    # A dict patch beside a columnar one, in one step frame.
-    message = ("step", {0: (None, patch), 1: (None, columns)})
+    other = patch({1: (0.5, (), False)}, removes=[2], dtype="float64")
+    assert (columns == other) is False
+    assert (columns == listed) is False  # one regime is never the other
+    # A listed patch beside a typed one, in one step frame.
+    message = ("step", {0: (None, listed), 1: (None, columns)})
     assert_same(roundtrip(message), message)
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_CASES))
+def test_listed_patch_columns_roundtrip(name):
+    """Label ids and values of any shape: the listed regime carries what
+    the dict patch did, needs no numpy, and never claims to be typed."""
+    listed = patch(**LISTED_CASES[name])
+    assert not listed.typed and listed.listed() is listed
+    assert not patch(**LISTED_CASES[name], dtype=numpy and "float64").typed
+    for path in PATHS:
+        got = roundtrip(listed, path)
+        assert_same(got, listed)
+        for column, want in zip(vars(got).values(), vars(listed).values()):
+            assert type(column) is list
+            assert list(map(type, column)) == list(map(type, want))
+    frame = wire.dumps(listed)
+    for at in range(1, len(frame)):  # every truncation, only WireError
+        with pytest.raises(WireError):
+            wire.loads(frame[:at])
+
+
+def test_a_typed_patch_frame_needs_numpy_and_says_so(monkeypatch):
+    frame = bytes.fromhex(SCALAR_FRAMES["patch"])
+    monkeypatch.setattr(wire, "_np", None)
+    with pytest.raises(WireError, match="typed patch columns but numpy"):
+        wire.loads(frame)
+    assert not wire.loads(wire.dumps(patch(removes=[3]))).typed  # listed: fine
 
 
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")
 def test_patch_columns_reject_what_the_gate_excludes():
     for odd in (
-        ShardPatch(upserts={"v": (0.5, (), False)}),        # label id
-        ShardPatch(upserts={True: (0.5, (), False)}),       # bool id
-        ShardPatch(upserts={1 << 63: (0.5, (), False)}),    # beyond int64
-        ShardPatch(upserts={1: (1, (), False)}),            # int value
-        ShardPatch(upserts={1: ((0.5, 1.0), (), False)}),   # record value
-        ShardPatch(upserts={1: (0.5, ("w",), False)}),      # label neighbour
-        ShardPatch(removes=["gone"]),
+        dict(upserts={"v": (0.5, (), False)}),        # label id
+        dict(upserts={True: (0.5, (), False)}),       # bool id
+        dict(upserts={1 << 63: (0.5, (), False)}),    # beyond int64
+        dict(upserts={1: (1, (), False)}),            # int value
+        dict(upserts={1: ((0.5, 1.0), (), False)}),   # record value
+        dict(upserts={1: (0.5, ("w",), False)}),      # label neighbour
+        dict(removes=["gone"]),
+        dict(placement_delta=[("v", 0)]),             # label in the broadcast
     ):
-        assert _columns(odd) is None
-    assert _columns(ShardPatch(upserts={1: (1 << 63, (), False)}), "int64") is None
+        assert not patch(**odd, dtype="float64").typed
+        assert patch(**odd, dtype="float64") == patch(**odd)
+    assert not patch({1: (1 << 63, (), False)}, dtype="int64").typed
     for odd in (
         (0.5, 1.0, 2.0),      # a third component
         (0.5,),               # one short
@@ -777,7 +870,14 @@ def test_patch_columns_reject_what_the_gate_excludes():
         [0.5, 1.0],           # a list is not a record
         0.5,                  # a scalar among records
     ):
-        assert _columns(ShardPatch(upserts={1: (odd, (), False)}), width=2) is None
+        assert not patch({1: (odd, (), False)}, dtype="float64", width=2).typed
+    # The columns of an earlier patch of the barrier serve the next one's
+    # placement — as they are when it is typed, as lists when it is not.
+    first = patch({1: (0.5, (), False)}, placement_delta=[(1, 0)], dtype="float64")
+    shared = first.placed_ids, first.placed_pids
+    float64 = numpy.dtype("float64")
+    assert PatchColumns.pack({}, [], shared, float64).placed_ids is shared[0]
+    assert PatchColumns.pack({}, ["gone"], shared, float64).placed_ids == [1]
     with pytest.raises(ValueError, match="upsert columns"):  # int64 records
         PatchColumns(
             numpy.zeros(1, dtype=numpy.int64),
@@ -786,7 +886,6 @@ def test_patch_columns_reject_what_the_gate_excludes():
             numpy.zeros(0, dtype=numpy.int64), numpy.zeros(1, dtype=bool),
             *(numpy.zeros(0, dtype=numpy.int64),) * 3,
         )
-    assert id_column(delta_columns([("v", 0)])[0]) is None
     with pytest.raises(ValueError, match="degrees"):
         PatchColumns(
             *(numpy.zeros(1, dtype=numpy.int64),) * 1,
@@ -794,14 +893,21 @@ def test_patch_columns_reject_what_the_gate_excludes():
             numpy.zeros(0, dtype=numpy.int64), numpy.zeros(1, dtype=bool),
             *(numpy.zeros(0, dtype=numpy.int64),) * 3,
         )
+    with pytest.raises(ValueError, match="all lists or all arrays"):
+        PatchColumns([], numpy.zeros(0), [], [], [], [], [], [])
 
 
-@pytest.mark.skipif(numpy is None, reason="numpy not installed")
 @given(data=st.data())
 @settings(max_examples=300, deadline=5000, derandomize=True)
 def test_fuzz_truncated_and_corrupted_patch_columns(data):
-    name = data.draw(st.sampled_from(sorted(PATCH_CASES)))
-    frame = wire.dumps(_case_columns(name))
+    """Both regimes (the typed one where numpy is): only ``WireError``,
+    and no allocation the frame does not back."""
+    frames = [wire.dumps(patch(**case)) for case in LISTED_CASES.values()]
+    for name in sorted(PATCH_CASES):
+        frames.append(wire.dumps(patch(**PATCH_CASES[name])))
+        if numpy is not None:
+            frames.append(wire.dumps(_case_columns(name)))
+    frame = data.draw(st.sampled_from(frames))
     at = data.draw(st.integers(1, len(frame) - 1))
     if data.draw(st.booleans()):
         _loads_or_wire_error(frame[:at])

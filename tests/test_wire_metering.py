@@ -183,6 +183,32 @@ def _assert_counters_match_medium(executor, media):
         assert {"step", "snapshot"} <= set(executor.bytes_sent)
 
 
+@pytest.mark.parametrize("transport", ["process", "socket"])
+def test_init_frames_do_not_grow_with_the_graph(transport, pool):
+    """Shards fill on their host: ``init`` ships them empty — the same
+    bytes for a 200- and a 2 000-vertex graph — and the seeds cross as
+    patches, metered under ``apply``."""
+    from repro.generators import ring_lattice
+
+    sent = {}
+    for vertices in (200, 2_000):
+        executor = (
+            ProcessExecutor(workers=2) if transport == "process"
+            else SocketExecutor(pool.addresses)
+        )
+        with Coordinator(
+            ring_lattice(vertices, 2), PageRank(),
+            PregelConfig(num_workers=4, seed=3, quiet_window=5),
+            executor=executor,
+        ) as system:
+            sent[vertices] = dict(executor.bytes_sent)
+            assert set(sent[vertices]) == {"init", "apply"}
+            system.run(2)
+            system.shard_consistency_check()
+    assert sent[200]["init"] == sent[2_000]["init"] < 64 * 1024
+    assert sent[2_000]["apply"] > 5 * sent[200]["apply"] > 5 * 200 * 8
+
+
 def test_pipe_counters_equal_payload_bytes_on_the_pipe():
     executor = ProcessExecutor(workers=2)
 

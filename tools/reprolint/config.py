@@ -86,7 +86,7 @@ class LintConfig:
     #: the struct names and the codec's dispatch table (WIRE001).
     wire_shard_suffix: str = "cluster/shard.py"
     wire_codec_name: str = "wire.py"
-    wire_structs: tuple = ("ShardTask", "ShardPatch", "ShardDelta")
+    wire_structs: tuple = ("ShardTask", "ShardDelta")
     wire_dispatch: str = "_ENCODERS"
     #: Records defined outside the shard module that cross the wire under
     #: a tag of their own, as ``(module suffix, class name)``; WIRE001

@@ -1,28 +1,32 @@
 """WIRE001 — the shard-struct / wire-codec contract.
 
-``cluster/shard.py`` defines the dataclasses that cross the wire
-(``ShardTask``/``ShardPatch``/``ShardDelta``); ``cluster/wire.py`` encodes
-them with a tagged binary codec.  The two files agree only by discipline:
-adding a field to a struct without teaching the codec drops it silently on
-the remote side (the encoder just never reads it), and referencing a type
-the codec has no tag for falls back to pickle — fine for top-level
-classes, a runtime error for anything else.
+``cluster/shard.py`` defines the records that cross the wire;
+``cluster/wire.py`` encodes them with a tagged binary codec.  Two kinds:
 
-WIRE001 makes the discipline a check, cross-module and purely static:
+* the dataclass **structs** (``ShardTask`` / ``ShardDelta``) cross as
+  ``[tag][every field, in declaration order]``: the codec walks
+  ``dataclasses.fields`` on encode and rebuilds positionally on decode, so
+  "a field is dropped on encode / not passed on decode" cannot happen *by
+  construction* — provided the struct is registered;
+* the **column records** (``MessageColumns`` in ``pregel/messages.py``,
+  ``PatchColumns`` in ``cluster/shard.py``) keep hand-written column
+  codecs, which agree with the class only by discipline.
 
-* every wire struct must appear as a key in the codec's dispatch table
-  (``_ENCODERS``);
-* its encoder function must read **every** declared field, and
-  ``_decode`` must pass every field to the reconstructing constructor
-  call — a field missing on either side is a finding anchored at the
-  struct definition;
+WIRE001 makes both a check, cross-module and purely static:
+
+* every wire struct must be a key of the codec's struct table
+  (``_STRUCTS``) — unregistered, its instances would silently take the
+  pickle fallback on every send;
+* every key of the per-field override table (``_FIELD_ENCODERS``) must
+  name a real field of a wire struct — a misspelt or stale override
+  never applies, and the field quietly loses its packed shape;
 * every non-builtin type named in a struct field annotation must either
   have its own codec tag or be pickle-fallback-safe, i.e. a *top-level*
   class in the module it is imported from;
-* every *wire record* — a class defined elsewhere that crosses under its
-  own tag (``MessageColumns`` in ``pregel/messages.py``) — is held to the
-  same field coverage: a dispatch entry, an encoder that reads every
-  field, a decode branch that passes every field.
+* every column record must have an entry in the dispatch table
+  (``_ENCODERS``), an encoder that reads **every** declared field, and a
+  ``_decode`` that passes every field (by keyword) to a reconstructing
+  constructor call.
 
 The whole rule runs in :meth:`WireContractRule.finalize` because it needs
 both files parsed; fixture trees exercise it with miniature shard/wire
@@ -34,6 +38,11 @@ import ast
 from tools.reprolint.core import Rule
 
 __all__ = ["WireContractRule"]
+
+#: The codec's struct table (struct class -> tag) and its per-field
+#: override table (field name -> encoder), by name.
+_STRUCT_TABLE = "_STRUCTS"
+_OVERRIDE_TABLE = "_FIELD_ENCODERS"
 
 #: Annotation names that never need a codec tag.
 _BUILTIN_TYPES = frozenset(
@@ -97,21 +106,25 @@ def _assign_targets(node):
     return []
 
 
-def _find_dispatch(tree, dispatch_name):
-    """The ``_ENCODERS`` dict literal: {struct name: encoder func name}."""
+def _find_table(tree, table_name):
+    """The dict literal assigned to ``table_name``: ``(node, {key: value
+    node})`` over its bare-name and string-constant keys (``**`` spreads
+    and computed keys are skipped); ``(None, {})`` when there is none."""
     for node in ast.walk(tree):
         if node.__class__ not in (ast.Assign, ast.AnnAssign):
             continue
-        if not any(t.id == dispatch_name for t in _assign_targets(node)):
+        if not any(t.id == table_name for t in _assign_targets(node)):
             continue
         if node.value is None:
             continue  # a bare annotation declares nothing
-        if not isinstance(node.value, ast.Dict):
-            return node, {}
         table = {}
+        if not isinstance(node.value, ast.Dict):
+            return node, table
         for key, value in zip(node.value.keys, node.value.values):
-            if isinstance(key, ast.Name) and isinstance(value, ast.Name):
-                table[key.id] = value.id
+            if isinstance(key, ast.Name):
+                table[key.id] = value
+            elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                table[key.value] = value
         return node, table
     return None, {}
 
@@ -155,9 +168,7 @@ class WireContractRule(Rule):
             for node in ast.walk(shard.tree)
             if isinstance(node, ast.ClassDef)
         }
-        dispatch_node, dispatch = _find_dispatch(
-            codec.tree, config.wire_dispatch
-        )
+        dispatch_node, dispatch = _find_table(codec.tree, config.wire_dispatch)
         if dispatch_node is None:
             yield self.finding(
                 codec, 1, 0,
@@ -165,61 +176,13 @@ class WireContractRule(Rule):
                 "WIRE001 cannot verify struct coverage",
             )
             return
+        yield from self._check_structs(shard, codec, classes, dispatch, ctx)
         funcs = {
             node.name: node
             for node in ast.walk(codec.tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         decode_kwargs = self._decode_constructions(codec.tree)
-
-        def coverage(module, struct_name, struct, check_types):
-            """Field-coverage findings for one struct defined in ``module``
-            (plus the field-type findings when ``check_types``)."""
-            if struct is None:
-                yield self.finding(
-                    module, 1, 0,
-                    f"declared wire struct {struct_name} not defined in "
-                    f"{module.display}",
-                )
-                return
-            fields = _class_fields(struct)
-            encoder_name = dispatch.get(struct_name)
-            if encoder_name is None:
-                yield self.finding(
-                    codec, dispatch_node.lineno, dispatch_node.col_offset,
-                    f"{struct_name} has no entry in {config.wire_dispatch}; "
-                    "instances would take the pickle fallback on every send",
-                )
-                return
-            encoder = funcs.get(encoder_name)
-            read = (
-                self._attrs_read(encoder) if encoder is not None else set()
-            )
-            passed = decode_kwargs.get(struct_name, set())
-            for field_name in fields:
-                if field_name not in read:
-                    yield self.finding(
-                        module, struct.lineno, struct.col_offset,
-                        f"{struct_name}.{field_name} is never read by "
-                        f"{encoder_name}(); the field would be dropped on "
-                        "encode",
-                    )
-                if field_name not in passed:
-                    yield self.finding(
-                        module, struct.lineno, struct.col_offset,
-                        f"{struct_name}.{field_name} is not passed to the "
-                        f"{struct_name}(...) reconstruction in the codec's "
-                        "decode path",
-                    )
-            if check_types:
-                yield from self._check_field_types(
-                    module, struct, fields, dispatch, ctx
-                )
-
-        for struct_name in config.wire_structs:
-            yield from coverage(
-                shard, struct_name, classes.get(struct_name), True
-            )
         for suffix, record_name in config.wire_records:
             module = ctx.find_module(suffix)
             if module is None:
@@ -232,7 +195,79 @@ class WireContractRule(Rule):
                 ),
                 None,
             )
-            yield from coverage(module, record_name, record, False)
+            if record is None:
+                yield self.finding(
+                    module, 1, 0,
+                    f"declared wire record {record_name} not defined in "
+                    f"{module.display}",
+                )
+                continue
+            encoder_node = dispatch.get(record_name)
+            if encoder_node is None:
+                yield self.finding(
+                    codec, dispatch_node.lineno, dispatch_node.col_offset,
+                    f"{record_name} has no entry in {config.wire_dispatch}; "
+                    "instances would take the pickle fallback on every send",
+                )
+                continue
+            encoder_name = getattr(encoder_node, "id", None)
+            encoder = funcs.get(encoder_name)
+            read = self._attrs_read(encoder) if encoder is not None else set()
+            passed = decode_kwargs.get(record_name, set())
+            for field_name in _class_fields(record):
+                if field_name not in read:
+                    yield self.finding(
+                        module, record.lineno, record.col_offset,
+                        f"{record_name}.{field_name} is never read by "
+                        f"{encoder_name}(); the field would be dropped on "
+                        "encode",
+                    )
+                if field_name not in passed:
+                    yield self.finding(
+                        module, record.lineno, record.col_offset,
+                        f"{record_name}.{field_name} is not passed to the "
+                        f"{record_name}(...) reconstruction in the codec's "
+                        "decode path",
+                    )
+
+    def _check_structs(self, shard, codec, classes, dispatch, ctx):
+        """Registration, override keys and field types of the structs."""
+        config = ctx.config
+        table_node, registered = _find_table(codec.tree, _STRUCT_TABLE)
+        anchor = (1, 0) if table_node is None else (
+            table_node.lineno, table_node.col_offset
+        )
+        tagged = set(dispatch) | set(registered)
+        struct_fields = set()
+        for struct_name in config.wire_structs:
+            struct = classes.get(struct_name)
+            if struct is None:
+                yield self.finding(
+                    shard, 1, 0,
+                    f"declared wire struct {struct_name} not defined in "
+                    f"{shard.display}",
+                )
+                continue
+            fields = _class_fields(struct)
+            struct_fields.update(fields)
+            if struct_name not in registered:
+                yield self.finding(
+                    codec, *anchor,
+                    f"{struct_name} has no entry in {_STRUCT_TABLE}; "
+                    "instances would take the pickle fallback on every send",
+                )
+            yield from self._check_field_types(
+                shard, struct, fields, tagged, ctx
+            )
+        _, overrides = _find_table(codec.tree, _OVERRIDE_TABLE)
+        for key, node in overrides.items():
+            if key not in struct_fields:
+                yield self.finding(
+                    codec, node.lineno, node.col_offset,
+                    f"{_OVERRIDE_TABLE} key {key!r} names no field of "
+                    f"{' / '.join(config.wire_structs)}; the override "
+                    "would never apply",
+                )
 
     @staticmethod
     def _attrs_read(func):
@@ -260,7 +295,7 @@ class WireContractRule(Rule):
                 constructions.setdefault(node.func.id, set()).update(kwargs)
         return constructions
 
-    def _check_field_types(self, shard, struct, fields, dispatch, ctx):
+    def _check_field_types(self, shard, struct, fields, tagged, ctx):
         """Non-builtin annotation types need a tag or pickle-fallback safety."""
         origins = _import_origins(shard.tree)
         local_classes = _top_level_classes(shard.tree)
@@ -270,7 +305,7 @@ class WireContractRule(Rule):
                 if name in _BUILTIN_TYPES or name in seen:
                     continue
                 seen.add(name)
-                if name in dispatch or name in local_classes:
+                if name in tagged or name in local_classes:
                     continue
                 origin = origins.get(name)
                 if origin is None:
