@@ -8,7 +8,8 @@ run executes on every executor backend:
 
 * ``inline`` — the serial reference;
 * ``thread`` — GIL-bound for pure-Python compute (expected ≈ inline);
-* ``process`` — four persistent worker processes with shard affinity.
+* ``process`` — four ``repro worker`` subprocesses the executor spawns and
+  drives over the socket protocol, with shard affinity.
 
 Asserted at full scale: ``process`` clears **≥2×** over ``inline``
 (the ISSUE acceptance bar), and every backend's superstep timeline is
@@ -84,8 +85,9 @@ def _build_system(executor_name, workers, registry):
 def _timed_run(executor_name, workers):
     """Build (untimed), run SUPERSTEPS supersteps (timed), return a row.
 
-    Construction stays outside the timer: shard build + worker spawn is a
-    one-time cost, and the claim under test is per-superstep throughput.
+    Construction stays outside the timer: shard build + worker spawn
+    (≈ 0.1 s of interpreter start-up per ``process`` worker) is a one-time
+    cost, and the claim under test is per-superstep throughput.
     """
     registry = MetricsRegistry()
     system = _build_system(executor_name, workers, registry)

@@ -15,9 +15,9 @@ Gives downstream users the paper's workflow without writing code:
 * ``datasets`` — print the Table-1 catalog;
 * ``generate`` — write a synthetic dataset to an edge-list file;
 * ``worker`` — serve shards over TCP to a ``--executor socket`` run on
-  another host (or another process on this one): ``repro worker --listen
-  HOST:PORT`` prints the bound address and speaks the persistent-worker
-  wire protocol until its session count is exhausted.
+  another host (``--executor process`` spawns its own on this one):
+  ``repro worker --listen HOST:PORT`` prints the bound address and speaks
+  the persistent-worker wire protocol until its session count is exhausted.
 """
 
 import argparse
@@ -93,8 +93,8 @@ def build_parser():
                     "distributed simulation (messages + migration protocol)")
     sc.add_argument("--executor", default=None, choices=sorted(EXECUTORS),
                     help="pregel engine only: where shard compute runs "
-                    "(default inline; socket reads worker addresses from "
-                    "REPRO_SOCKET_WORKERS)")
+                    "(default inline; process spawns local `repro worker`s, "
+                    "socket reads theirs from REPRO_SOCKET_WORKERS)")
     sc.add_argument("--workers", type=int, default=None,
                     help="worker count for --executor "
                     "thread/process/socket (>= 1)")
@@ -135,7 +135,7 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
 
     wk = sub.add_parser(
-        "worker", help="serve shards over TCP to a socket-executor run"
+        "worker", help="serve shards over TCP to a socket/process-executor run"
     )
     wk.add_argument("--listen", required=True, metavar="HOST:PORT",
                     help="address to bind (port 0 = pick an ephemeral "

@@ -18,8 +18,8 @@ package gives the reproduction that execution shape for real:
   validates;
 * :mod:`wire` — the framed binary wire format those worker protocols
   speak, plus pre-wire inbox combining;
-* :mod:`worker` — the TCP worker side (``repro worker --listen``) and
-  the localhost pool harness;
+* :mod:`worker` — the TCP worker side (``repro worker --listen``), the
+  subprocess fleet ``--executor process`` spawns, the in-thread pool harness;
 * :mod:`coordinator` — :class:`Coordinator`, the sharded drop-in for
   :class:`~repro.pregel.system.PregelSystem`: same protocols and barrier
   order, compute fanned out per shard and merged deterministically.

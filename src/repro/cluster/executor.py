@@ -16,23 +16,26 @@ wall-clock.  Four backends ship:
   The deterministic reference; zero overhead, no parallelism.
 * :class:`ThreadExecutor` — a thread pool that streams each shard's delta
   *in shard-id order, as it completes*, so the coordinator's merge
-  overlaps the compute of later shards.  Python's GIL serialises
-  pure-Python compute, so this wins only when programs release the GIL
-  (numpy, I/O); it mainly exercises the concurrency contract cheaply.
-* :class:`ProcessExecutor` — long-lived worker processes, each owning a
-  fixed subset of shards (shard ``i`` lives on worker ``i % workers``).
-  Shards ship once at start — *empty*, so ``init`` does not grow with the
-  graph — and are seeded on their host by the first :meth:`Executor.apply`;
-  per superstep only tasks, patches and deltas cross the pipe — as compact
-  :mod:`~repro.cluster.wire` frames, inboxes pre-folded by the program's
-  combiner.  Requires picklable programs,
-  values and messages.  The backend that scales superstep-heavy workloads
-  on one host (``benchmarks/bench_cluster.py`` pins ≥2× with four workers).
-* :class:`SocketExecutor` — the same persistent-worker protocol and wire
-  frames over TCP to ``repro worker`` processes on *any* host: the step
-  from multi-core to multi-machine (``benchmarks/bench_wire.py`` pins the
-  bytes-on-wire win).  Bounded connect/read timeouts surface dead workers
-  as the same clear ``RuntimeError`` the pipe path raises.
+  overlaps the compute of later shards.  The GIL serialises all but the
+  numpy calls — on two cores it ties inline on churn and loses 7 % on FEM
+  (docs/benchmarks.md; ≥4 cores unverified) — so it mainly exercises the
+  concurrency contract cheaply.
+* :class:`SocketExecutor` — persistent workers over TCP: ``repro worker``
+  processes on *any* host, each owning a fixed subset of shards (shard
+  ``i`` lives on worker ``i % workers``).  Shards ship once at start —
+  *empty*, so ``init`` does not grow with the graph — and are seeded on
+  their host by the first :meth:`Executor.apply`; per superstep only
+  tasks, patches and deltas cross — as compact :mod:`~repro.cluster.wire`
+  frames, inboxes pre-folded by the program's combiner
+  (``benchmarks/bench_wire.py`` pins the bytes-on-wire win).  Programs,
+  values and messages must pickle *and be importable on the worker*.
+  Bounded connect/read timeouts surface dead or wedged workers as a clear
+  ``RuntimeError``.
+* :class:`ProcessExecutor` — that same executor over ``repro worker``
+  processes it spawns on localhost at start and reaps at stop: one worker
+  entry point, one transport.  The backend that scales superstep-heavy
+  workloads on one host (``benchmarks/bench_cluster.py`` pins ≥2× with
+  four workers).
 
 The coordinator drives all of them through :meth:`Executor.step_stream`
 (by default: :meth:`Executor.step` to completion, deltas replayed in
@@ -44,7 +47,6 @@ Executors are context managers; :meth:`Executor.stop` is idempotent.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
 import weakref
@@ -56,16 +58,13 @@ from typing import TYPE_CHECKING, Any
 
 from repro.cluster import wire
 from repro.cluster.worker import (
-    ShardHost,
+    WorkerFleet,
     apply_out_of_band,
     parse_worker_addresses,
 )
 from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
 
 if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
-    from multiprocessing.process import BaseProcess
-
     from repro.cluster.shard import PatchColumns, Shard, ShardDelta, ShardTask
 
 __all__ = [
@@ -97,8 +96,9 @@ class ExecutorCapabilities:
       exactly the combination ``benchmarks/bench_kernel.py`` measures).
     * ``remote`` — workers may live on other hosts; shard traffic crosses
       a network, not just a process boundary.
-    * ``requires_picklable`` — programs, values and messages must survive
-      serialisation; in-process backends can run anything.
+    * ``requires_picklable`` — programs, values and messages must pickle
+      **and be importable on the worker** (define the program in a module,
+      not in ``__main__``); in-process backends can run anything.
     """
 
     releases_gil: bool = False
@@ -376,70 +376,57 @@ class ThreadExecutor(InlineExecutor):
             self._pool = None
 
 
-def _process_worker_main(conn: Connection) -> None:
-    """Worker loop: owns its shards for the life of the run."""
-    host = ShardHost()
-    while True:
-        try:
-            message = wire.loads(conn.recv_bytes())
-        except EOFError:
-            return
-        kind, payload = message
-        reply, done = host.handle(kind, payload)
-        conn.send_bytes(wire.dumps(reply))
-        if done:
-            return
+class SocketExecutor(Executor):
+    """The persistent-worker protocol over TCP — shards on other hosts.
 
+    Workers are ``repro worker --listen HOST:PORT`` processes (see
+    :mod:`repro.cluster.worker`); :meth:`start` connects to each address
+    and ships its shard subset (shard ``i`` lives on worker ``i %
+    workers``), and from then on the session is :mod:`~repro.cluster.wire`
+    frames: tasks + patches out (inboxes pre-folded by the program's
+    combiner when it has one), deltas back, every reply drained even on
+    failure.
 
-def _reap_workers(procs: list[BaseProcess], pipes: list[Connection]) -> None:
-    """Last-resort worker teardown: no acks, straight to the signals.
+    ``addresses`` is a comma-joined string, an iterable of ``host:port``,
+    or None to read ``REPRO_SOCKET_WORKERS`` from the environment at
+    :meth:`start`.  Connect and read timeouts are bounded so a dead or
+    wedged worker surfaces as a clear ``RuntimeError`` instead of a hang.
 
-    Runs from the :mod:`weakref` finalizer when a :class:`ProcessExecutor`
-    is garbage-collected without :meth:`~Executor.stop` — the polite
-    stop-message protocol needs live pipes and a caller willing to wait, so
-    the reaper just terminates, escalates to kill for anything that shrugs
-    off SIGTERM, and closes the pipes.  Deliberately module-level: a bound
-    method would keep the executor alive and the finalizer would never run.
-    """
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in procs:
-        proc.join(timeout=2)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=2)
-    for pipe in pipes:
-        try:
-            pipe.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-
-
-class _WorkerProtocolExecutor(Executor):
-    """Shared client half of the persistent-worker protocol.
-
-    :class:`ProcessExecutor` (pipes) and :class:`SocketExecutor` (TCP)
-    differ only in transport; the command routing, the shard→worker
-    ownership map, shard-side inbox combining, byte metering and —
-    critically — the reply-draining discipline live here.  Subclasses
-    provide :meth:`_transport_send` and :meth:`_transport_recv` plus
-    lifecycle.
-
-    Byte accounting: every command's payload bytes are tallied per command
-    kind in :attr:`bytes_sent` / :attr:`bytes_received` — live
+    Byte accounting: every command's bytes on the wire — the framed
+    length, payload plus the 4-byte length prefix — are tallied per
+    command kind in :attr:`bytes_sent` / :attr:`bytes_received`, live
     :class:`~repro.obs.CounterGroup` views over registry counters
-    (``executor.bytes_sent.<kind>`` / ``executor.bytes_received.<kind>``).
-    The tally is whatever :meth:`_transport_send` reports having put on its
-    medium: framed bytes including the 4-byte length prefix on the socket
-    path, the wire payload alone on the pipe path (the
-    :class:`multiprocessing.connection.Connection` frame is the OS's
-    business).  :meth:`start` resets the counters, so a reused executor
-    reports per-session traffic; the stop handshake is deliberately not
-    metered (it may race a dying worker).
+    (``executor.bytes_sent.<kind>`` / ``executor.bytes_received.<kind>``)
+    and the counters ``benchmarks/bench_wire.py`` reads.  :meth:`start`
+    resets them, so a reused executor reports per-session traffic; the
+    stop handshake is deliberately not metered (it may race a dying
+    worker).
     """
 
-    def __init__(self) -> None:
+    name = "socket"
+
+    capabilities = ExecutorCapabilities(
+        releases_gil=True, remote=True, requires_picklable=True
+    )
+
+    # Bounded wait (seconds) for the stop ack; connect and per-reply read
+    # are bounded by the constructor's timeouts.
+    _ACK_TIMEOUT = 1.0
+
+    def __init__(
+        self,
+        addresses: str | Iterable[str] | None = None,
+        workers: int | None = None,
+        *,
+        connect_timeout: float = 10.0,
+        read_timeout: float = 600.0,
+    ) -> None:
+        self._requested_workers = _require_workers(workers, "socket worker")
+        self._given_addresses = addresses
+        self._connect_timeout = connect_timeout
+        self._read_timeout = read_timeout
+        self._sockets: list[socket.socket] = []
+        self._peers: list[str] = []
         self._owner: dict[int, int] = {}
         self._task_combiner: Callable[[Any, Any], Any] | None = None
         self._pending_kind: dict[int, str] = {}
@@ -449,18 +436,87 @@ class _WorkerProtocolExecutor(Executor):
         self.bytes_sent = metrics.group("executor.bytes_sent")
         self.bytes_received = metrics.group("executor.bytes_received")
 
-    # -- transport contract -------------------------------------------------
+    def _resolve_addresses(self) -> list[tuple[str, int]]:
+        spec = self._given_addresses
+        if spec is None:
+            spec = os.environ.get("REPRO_SOCKET_WORKERS") or None
+        addresses = parse_worker_addresses(spec)
+        if not addresses:
+            raise ValueError(
+                "socket executor has no worker addresses; pass "
+                "addresses='host:port,...' or set REPRO_SOCKET_WORKERS "
+                "(start workers with `repro worker --listen host:port`)"
+            )
+        if self._requested_workers is not None:
+            addresses = addresses[: self._requested_workers]
+        return addresses
+
+    def start(self, shards: Mapping[int, Shard]) -> None:
+        """Connect to the workers, ship each its shard subset, await acks."""
+        addresses = self._resolve_addresses()
+        workers = min(len(addresses), max(1, len(shards)))
+        assignments: list[dict[int, Shard]] = [{} for _ in range(workers)]
+        for sid, shard in shards.items():
+            self._owner[sid] = sid % workers
+            assignments[sid % workers][sid] = shard
+        any_shard = next(iter(shards.values()), None)
+        self._task_combiner = getattr(any_shard, "_combiner", None)
+        self.bytes_sent.reset()
+        self.bytes_received.reset()
+        try:
+            for worker in range(workers):
+                host, port = addresses[worker]
+                try:
+                    sock = socket.create_connection(
+                        (host, port), timeout=self._connect_timeout
+                    )
+                except OSError as exc:
+                    raise RuntimeError(
+                        f"cannot reach shard worker {worker} at "
+                        f"{host}:{port}: {exc}"
+                    ) from exc
+                sock.settimeout(self._read_timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._sockets.append(sock)
+                self._peers.append(f"{host}:{port}")
+            self._broadcast(dict(enumerate(assignments)), "init")
+        except BaseException:
+            self.stop()  # no half-connected session on a failed start
+            raise
+
+    # -- transport ----------------------------------------------------------
+
+    def _peer(self, worker: int) -> str:
+        """How a failure message names ``worker``."""
+        return self._peers[worker]
 
     def _transport_send(self, worker: int, message: tuple[str, Any]) -> int:
-        """Put one message on the medium; returns the bytes written."""
-        raise NotImplementedError
+        """Put one frame on the wire; returns the bytes written."""
+        try:
+            return wire.send_frame(self._sockets[worker], message)
+        except (BrokenPipeError, ConnectionError, OSError) as exc:
+            raise RuntimeError(
+                f"shard worker {worker} ({self._peer(worker)}) died "
+                "(connection lost); it may have crashed or been killed "
+                "mid-run"
+            ) from exc
 
     def _transport_recv(self, worker: int) -> tuple[Any, int]:
-        """Take one reply off the medium; returns ``(message, bytes_read)``."""
-        raise NotImplementedError
-
-    def _worker_ids(self) -> Iterable[int]:
-        raise NotImplementedError
+        """Take one reply off the wire; returns ``(message, bytes_read)``."""
+        try:
+            payload = wire.recv_payload(self._sockets[worker])
+        except TimeoutError:
+            raise RuntimeError(
+                f"shard worker {worker} ({self._peer(worker)}) timed out "
+                f"after {self._read_timeout}s; it may be dead or wedged"
+            ) from None
+        except (EOFError, wire.WireError, ConnectionError, OSError):
+            raise RuntimeError(
+                f"shard worker {worker} ({self._peer(worker)}) died "
+                "(connection closed); it may have crashed or been killed "
+                "mid-run"
+            ) from None
+        return self._decode_reply(worker, payload), len(payload) + 4
 
     def _decode_reply(self, worker: int, payload: bytes) -> Any:
         """Decode one whole reply frame, blaming ``worker`` for garbage.
@@ -504,24 +560,7 @@ class _WorkerProtocolExecutor(Executor):
         self.bytes_received.add(kind, received)
         return message
 
-    # -- shared protocol ----------------------------------------------------
-
-    def _begin_session(
-        self, shards: Mapping[int, Shard], workers: int
-    ) -> list[dict[int, Shard]]:
-        """Fix shard→worker ownership (shard ``i`` on worker ``i % workers``),
-        capture the program's combiner for pre-wire inbox folding and zero
-        the byte meters; returns each worker's shard subset."""
-        assignments: list[dict[int, Shard]] = [{} for _ in range(workers)]
-        for sid, shard in shards.items():
-            worker = sid % workers
-            assignments[worker][sid] = shard
-            self._owner[sid] = worker
-        any_shard = next(iter(shards.values()), None)
-        self._task_combiner = getattr(any_shard, "_combiner", None)
-        self.bytes_sent.reset()
-        self.bytes_received.reset()
-        return assignments
+    # -- protocol -----------------------------------------------------------
 
     def _receive(self, worker: int) -> Any:
         """One reply from ``worker``, raising its failure as RuntimeError."""
@@ -597,280 +636,13 @@ class _WorkerProtocolExecutor(Executor):
 
     def snapshot(self) -> dict[int, PatchColumns]:
         """Gather every shard's snapshot record from the workers."""
-        workers = list(self._worker_ids())
-        for worker in workers:
-            self._send(worker, ("snapshot", None))
-        return self._gather(workers)
-
-
-class ProcessExecutor(_WorkerProtocolExecutor):
-    """Persistent worker processes with shard affinity.
-
-    ``workers`` processes are spawned at :meth:`start`; shard ``i`` lives on
-    worker ``i % workers`` for the whole run, so per-superstep traffic is
-    tasks + patches in, deltas out — never whole shards.  Messages cross
-    the pipe as :mod:`~repro.cluster.wire` frames (the binary codec, with
-    shard-side inbox combining), not pickle-per-message.  ``mp_context``
-    names a :mod:`multiprocessing` start method (default: ``"fork"`` where
-    available, else the platform default) — with ``"spawn"``, shard state is
-    shipped through the pipe at start, so programs and values must pickle.
-
-    Worker lifetime is belt-and-braces: :meth:`stop` waits briefly for the
-    polite ack, then ``terminate()``, then ``kill()`` for workers stuck in
-    uninterruptible state; and a :func:`weakref.finalize` registered at
-    :meth:`start` reaps the processes even when a caller drops the executor
-    without ever calling :meth:`stop`.
-    """
-
-    name = "process"
-
-    capabilities = ExecutorCapabilities(
-        releases_gil=True, requires_picklable=True
-    )
-
-    # Bounded waits (seconds): ack on the pipe, SIGTERM grace, SIGKILL grace.
-    _ACK_TIMEOUT = 1.0
-    _JOIN_TIMEOUT = 5.0
-
-    def __init__(
-        self,
-        workers: int | None = 4,
-        mp_context: str | None = None,
-    ) -> None:
-        super().__init__()
-        if workers is None or workers < 1:
-            raise ValueError("need at least one worker process")
-        self._workers = workers
-        self._context_name = mp_context
-        self._procs: list[BaseProcess] = []
-        self._pipes: list[Connection] = []
-        self._reaper: weakref.finalize | None = None
-
-    def _context(self) -> Any:
-        if self._context_name is not None:
-            return multiprocessing.get_context(self._context_name)
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context(None)
-
-    def start(self, shards: Mapping[int, Shard]) -> None:
-        """Spawn the workers, ship each its shard subset, await the acks."""
-        ctx = self._context()
-        workers = min(self._workers, max(1, len(shards)))
-        assignments = self._begin_session(shards, workers)
-        try:
-            for worker in range(workers):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_process_worker_main,
-                    args=(child_conn,),
-                    daemon=True,
-                    name=f"repro-shard-worker-{worker}",
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._pipes.append(parent_conn)
-            # Reap on garbage collection: a caller that never reaches
-            # stop() (crash between supersteps, dropped reference) must not
-            # orphan workers for the life of the parent process.
-            self._reaper = weakref.finalize(
-                self, _reap_workers, list(self._procs), list(self._pipes)
-            )
-            for worker in range(workers):
-                self._send(worker, ("init", assignments[worker]))
-            for worker in range(workers):
-                self._receive(worker)
-        except BaseException:
-            self.stop()  # no leaked worker processes on a failed start
-            raise
-
-    def _worker_ids(self) -> Iterable[int]:
-        return range(len(self._pipes))
-
-    def _transport_send(self, worker: int, message: tuple[str, Any]) -> int:
-        """Send to one worker, surfacing a dead process as a clear error."""
-        data = wire.dumps(message)
-        try:
-            self._pipes[worker].send_bytes(data)
-        except (BrokenPipeError, OSError) as exc:
-            raise RuntimeError(
-                f"shard worker {worker} died (pipe closed); it may have "
-                "crashed or been killed mid-run"
-            ) from exc
-        return len(data)
-
-    def _transport_recv(self, worker: int) -> tuple[Any, int]:
-        try:
-            payload = self._pipes[worker].recv_bytes()
-        except EOFError:
-            raise RuntimeError(
-                f"shard worker {worker} died (pipe closed); shard state or "
-                "messages may not be picklable"
-            ) from None
-        return self._decode_reply(worker, payload), len(payload)
-
-    def stop(self) -> None:
-        """Stop the workers: polite ack, then SIGTERM, then SIGKILL."""
-        for pipe in self._pipes:
-            try:
-                pipe.send_bytes(wire.dumps(("stop", None)))
-            except (BrokenPipeError, OSError):
-                pass
-        for worker, proc in enumerate(self._procs):
-            try:
-                # Bounded ack wait: a hard-stuck worker never answers, and
-                # an unbounded recv() would hang the whole teardown.
-                if self._pipes[worker].poll(self._ACK_TIMEOUT):
-                    self._pipes[worker].recv_bytes()
-            except (EOFError, OSError):
-                pass
-            proc.join(timeout=self._JOIN_TIMEOUT)
-            if proc.is_alive():  # pragma: no cover - defensive cleanup
-                proc.terminate()
-                proc.join(timeout=self._JOIN_TIMEOUT)
-            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                proc.kill()
-                proc.join(timeout=self._JOIN_TIMEOUT)
-            self._pipes[worker].close()
-        if self._reaper is not None:
-            self._reaper.detach()  # workers are down; nothing left to reap
-            self._reaper = None
-        self._procs = []
-        self._pipes = []
-        self._owner = {}
-        self._pending_kind = {}
-
-
-class SocketExecutor(_WorkerProtocolExecutor):
-    """The persistent-worker protocol over TCP — shards on other hosts.
-
-    Workers are ``repro worker --listen HOST:PORT`` processes (see
-    :mod:`repro.cluster.worker`); :meth:`start` connects to each address,
-    ships its shard subset, and from then on the session is exactly the
-    pipe protocol as :mod:`~repro.cluster.wire` frames: tasks + patches
-    out (inboxes pre-folded by the program's combiner when it has one),
-    deltas back, every reply drained even on failure.
-
-    ``addresses`` is a comma-joined string, an iterable of ``host:port``,
-    or None to read ``REPRO_SOCKET_WORKERS`` from the environment at
-    :meth:`start`.  Connect and read timeouts are bounded so a dead or
-    wedged worker surfaces as the same ``RuntimeError`` shape the pipe path
-    raises instead of a hang.  Bytes on the wire are tallied per command
-    kind in :attr:`bytes_sent` / :attr:`bytes_received` (framed length:
-    payload plus the 4-byte length prefix) — the counters
-    ``benchmarks/bench_wire.py`` reads.
-    """
-
-    name = "socket"
-
-    capabilities = ExecutorCapabilities(
-        releases_gil=True, remote=True, requires_picklable=True
-    )
-
-    # Bounded waits (seconds): TCP connect, per-reply read, stop-ack read.
-    _CONNECT_TIMEOUT = 10.0
-    _READ_TIMEOUT = 600.0
-    _ACK_TIMEOUT = 1.0
-
-    def __init__(
-        self,
-        addresses: str | Iterable[str] | None = None,
-        workers: int | None = None,
-        *,
-        connect_timeout: float | None = None,
-        read_timeout: float | None = None,
-    ) -> None:
-        super().__init__()
-        self._requested_workers = _require_workers(workers, "socket worker")
-        self._given_addresses = addresses
-        self._connect_timeout = (
-            self._CONNECT_TIMEOUT if connect_timeout is None
-            else connect_timeout
+        return self._broadcast(
+            dict.fromkeys(range(len(self._sockets))), "snapshot"
         )
-        self._read_timeout = (
-            self._READ_TIMEOUT if read_timeout is None else read_timeout
-        )
-        self._sockets: list[socket.socket] = []
-        self._peers: list[str] = []
-
-    def _resolve_addresses(self) -> list[tuple[str, int]]:
-        spec = self._given_addresses
-        if spec is None:
-            spec = os.environ.get("REPRO_SOCKET_WORKERS") or None
-        addresses = parse_worker_addresses(spec)
-        if not addresses:
-            raise ValueError(
-                "socket executor has no worker addresses; pass "
-                "addresses='host:port,...' or set REPRO_SOCKET_WORKERS "
-                "(start workers with `repro worker --listen host:port`)"
-            )
-        if self._requested_workers is not None:
-            addresses = addresses[: self._requested_workers]
-        return addresses
-
-    def start(self, shards: Mapping[int, Shard]) -> None:
-        """Connect to the workers, ship each its shard subset, await acks."""
-        addresses = self._resolve_addresses()
-        workers = min(len(addresses), max(1, len(shards)))
-        assignments = self._begin_session(shards, workers)
-        try:
-            for worker in range(workers):
-                host, port = addresses[worker]
-                try:
-                    sock = socket.create_connection(
-                        (host, port), timeout=self._connect_timeout
-                    )
-                except OSError as exc:
-                    raise RuntimeError(
-                        f"cannot reach shard worker {worker} at "
-                        f"{host}:{port}: {exc}"
-                    ) from exc
-                sock.settimeout(self._read_timeout)
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._sockets.append(sock)
-                self._peers.append(f"{host}:{port}")
-            for worker in range(workers):
-                self._send(worker, ("init", assignments[worker]))
-            for worker in range(workers):
-                self._receive(worker)
-        except BaseException:
-            self.stop()  # no half-connected session on a failed start
-            raise
-
-    def _worker_ids(self) -> Iterable[int]:
-        return range(len(self._sockets))
-
-    def _transport_send(self, worker: int, message: tuple[str, Any]) -> int:
-        try:
-            return wire.send_frame(self._sockets[worker], message)
-        except (BrokenPipeError, ConnectionError, OSError) as exc:
-            raise RuntimeError(
-                f"shard worker {worker} ({self._peers[worker]}) died "
-                "(connection lost); it may have crashed or been killed "
-                "mid-run"
-            ) from exc
-
-    def _transport_recv(self, worker: int) -> tuple[Any, int]:
-        try:
-            payload = wire.recv_payload(self._sockets[worker])
-        except TimeoutError:
-            raise RuntimeError(
-                f"shard worker {worker} ({self._peers[worker]}) timed out "
-                f"after {self._read_timeout}s; it may be dead or wedged"
-            ) from None
-        except (EOFError, wire.WireError, ConnectionError, OSError):
-            raise RuntimeError(
-                f"shard worker {worker} ({self._peers[worker]}) died "
-                "(connection closed); shard state or messages may not be "
-                "picklable"
-            ) from None
-        return self._decode_reply(worker, payload), len(payload) + 4
 
     def stop(self) -> None:
         """End the session: polite stop + short ack wait, then close."""
-        for worker, sock in enumerate(self._sockets):
+        for sock in self._sockets:
             try:
                 wire.send_frame(sock, ("stop", None))
                 sock.settimeout(self._ACK_TIMEOUT)
@@ -886,6 +658,67 @@ class SocketExecutor(_WorkerProtocolExecutor):
         self._peers = []
         self._owner = {}
         self._pending_kind = {}
+
+
+class ProcessExecutor(SocketExecutor):
+    """The socket protocol over worker processes this executor spawns.
+
+    :meth:`start` launches ``min(workers, shards)`` ``repro worker``
+    subprocesses on localhost (a :class:`~repro.cluster.worker.WorkerFleet`)
+    and runs the ordinary socket session against them; :meth:`stop` ends
+    the session, then reaps the fleet.  The workers import what they
+    unpickle, so programs must live in an importable module, not in
+    ``__main__``.
+
+    Worker lifetime is belt-and-braces: after the session ends a worker
+    exits by itself, :meth:`stop` waits for that within a bound, then
+    ``terminate()``, then ``kill()`` for workers wedged in compute; and a
+    :func:`weakref.finalize` registered at :meth:`start` reaps the
+    processes even when a caller drops the executor without ever calling
+    :meth:`stop`.
+    """
+
+    name = "process"
+
+    capabilities = ExecutorCapabilities(
+        releases_gil=True, requires_picklable=True
+    )
+
+    def __init__(self, workers: int | None = 4) -> None:
+        if workers is None or workers < 1:
+            raise ValueError(
+                f"need at least one worker process, got workers={workers!r}"
+            )
+        super().__init__(workers=workers)
+        self._workers = workers
+        self._fleet: WorkerFleet | None = None
+        self._reaper: weakref.finalize | None = None
+
+    def start(self, shards: Mapping[int, Shard]) -> None:
+        """Spawn the workers, then start the socket session against them."""
+        self._fleet = WorkerFleet(min(self._workers, max(1, len(shards))))
+        # Reap on garbage collection: a caller that never reaches stop()
+        # (crash between supersteps, dropped reference) must not orphan
+        # workers for the life of the parent process.
+        self._reaper = weakref.finalize(self, self._fleet.reap, force=True)
+        self._given_addresses = self._fleet.addresses
+        super().start(shards)
+
+    def _peer(self, worker: int) -> str:
+        """The worker's address, plus its exit code once it has one."""
+        assert self._fleet is not None
+        note = self._fleet.exit_note(worker)
+        return super()._peer(worker) + (f", {note}" if note else "")
+
+    def stop(self) -> None:
+        """End the session, then reap the fleet (idempotent, bounded)."""
+        super().stop()
+        if self._reaper is not None:
+            self._reaper.detach()
+            self._reaper = None
+        if self._fleet is not None:
+            self._fleet.reap()
+            self._fleet = None
 
 
 EXECUTORS: dict[str, Callable[..., Executor]] = {

@@ -61,7 +61,7 @@ home in ``ShardDelta.demotion`` and is counted under
 ``shard.store.demotions.<reason>``: correct either way, but a perf cliff.
 
 Everything here is plain picklable data — that is the whole contract
-:class:`~repro.cluster.executor.ProcessExecutor` needs.
+the worker-process executors need.
 """
 
 from __future__ import annotations

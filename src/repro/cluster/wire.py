@@ -1,8 +1,8 @@
 """The cluster wire format: framing, a compact binary codec, inbox combining.
 
-Every byte the persistent-worker protocol moves — over a pipe to a
-:class:`~repro.cluster.executor.ProcessExecutor` worker or over TCP to a
-``repro worker`` on another host — goes through this module.  Three layers:
+Every byte the persistent-worker protocol moves — over TCP to a ``repro
+worker``, whether a local ``--executor process`` spawned it or it runs on
+another host — goes through this module.  Three layers:
 
 **Framing.**  A frame is ``[u32 length][payload]`` (little-endian length,
 bounded by :data:`MAX_FRAME`); the payload's first byte is the codec
@@ -977,7 +977,7 @@ def recv_payload(sock: socket.socket) -> bytes:
     """Receive one frame from ``sock``; returns the undecoded payload bytes.
 
     A peer that closes cleanly *between* frames raises :class:`EOFError`
-    (the pipe protocol's signal for a departed worker); a close mid-frame
+    (the protocol's signal for a departed peer); a close mid-frame
     or a length prefix beyond :data:`MAX_FRAME` raises :class:`WireError`.
     """
     header = _recv_exactly(sock, _U32.size, at_boundary=True)

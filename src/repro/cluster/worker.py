@@ -2,12 +2,12 @@
 
 ``repro worker --listen HOST:PORT`` runs a :class:`WorkerServer`: a process
 on any host that owns a subset of shards for the life of one coordinator
-session and answers the same five commands the
-:class:`~repro.cluster.executor.ProcessExecutor` pipe protocol speaks —
-``init`` / ``step`` / ``apply`` / ``snapshot`` / ``stop`` — as
-length-prefixed :mod:`~repro.cluster.wire` frames.  The command semantics
-live in :class:`ShardHost`, which the in-process pipe workers reuse, so the
-two transports cannot drift apart.
+session and answers the protocol's five commands — ``init`` / ``step`` /
+``apply`` / ``snapshot`` / ``stop`` — as length-prefixed
+:mod:`~repro.cluster.wire` frames.  It is the only worker entry point:
+``--executor socket`` connects to workers somebody else started,
+``--executor process`` to a :class:`WorkerFleet` it spawned on localhost.
+The command semantics live in :class:`ShardHost`.
 
 A session is one coordinator run: the
 :class:`~repro.cluster.executor.SocketExecutor` connects, ships the
@@ -20,13 +20,18 @@ piece of vertex state that crosses, either way, is one
 accepts the next session with fresh state; ``--sessions N`` bounds how
 many before the process exits (0 = serve forever).
 
-:class:`LocalWorkerPool` spins up in-process servers on ephemeral localhost
-ports — the harness the tests, the golden socket leg and
-``benchmarks/bench_wire.py`` use to stand up a "multi-host" topology on one
-machine.
+:class:`WorkerFleet` spawns real ``repro worker`` subprocesses on ephemeral
+localhost ports and reaps them on every exit path;
+:class:`LocalWorkerPool` spins up in-process servers instead — the cheap
+harness the tests, the golden socket leg and ``benchmarks/bench_wire.py``
+use to stand up a "multi-host" topology on one machine.
 """
 
+import os
+import select
 import socket
+import subprocess
+import sys
 import threading
 import traceback
 
@@ -35,6 +40,7 @@ from repro.cluster import wire
 __all__ = [
     "LocalWorkerPool",
     "ShardHost",
+    "WorkerFleet",
     "WorkerServer",
     "apply_out_of_band",
     "parse_address",
@@ -77,10 +83,7 @@ def apply_out_of_band(shards, patches):
 class ShardHost:
     """One worker's shard state plus the protocol command semantics.
 
-    Both worker transports — the pipe loop inside a
-    :class:`~repro.cluster.executor.ProcessExecutor` child and a
-    :class:`WorkerServer` session — drive this one dispatcher, so a command
-    means exactly the same thing on either side of either wire.  Failures
+    A :class:`WorkerServer` session drives this dispatcher.  Failures
     never kill the worker: :meth:`handle` catches the exception and returns
     it as an ``("error", traceback)`` reply, leaving the loop alive for the
     next command.
@@ -167,11 +170,17 @@ class WorkerServer:
         host = ShardHost()
         while True:
             try:
-                message = wire.recv_frame(conn)
+                payload = wire.recv_payload(conn)
             except (EOFError, wire.WireError, ConnectionError, OSError):
                 return  # coordinator went away; session over
-            kind, payload = message
-            reply, done = host.handle(kind, payload)
+            try:
+                kind, body = wire.loads(payload)
+            except (TypeError, ValueError) as exc:  # WireError included
+                # A whole frame arrived (say, a pickled program this host
+                # cannot import), so the stream is in sync: answer it.
+                reply, done = ("error", f"undecodable command: {exc}"), False
+            else:
+                reply, done = host.handle(kind, body)
             try:
                 wire.send_frame(conn, reply)
             except (BrokenPipeError, ConnectionError, OSError):
@@ -189,6 +198,88 @@ class WorkerServer:
                 active.close()
             except OSError:  # pragma: no cover - already torn down
                 pass
+
+
+class WorkerFleet:
+    """``count`` ``repro worker`` subprocesses on localhost, one session each.
+
+    What ``--executor process`` runs on.  Each worker is ``python -m repro
+    worker --listen 127.0.0.1:0`` with the parent's ``sys.path`` as its
+    ``PYTHONPATH`` — what the coordinator can import, the worker can
+    unpickle — and :attr:`addresses` come off their banner lines.  A worker
+    that exits or stays silent fails the constructor, which reaps the rest.
+    """
+
+    # Bounded waits (seconds): the banner line; each stage of reap().
+    _BANNER_TIMEOUT = 30.0
+    _EXIT_TIMEOUT = 5.0
+    _BANNER = "repro worker listening on "
+
+    def __init__(self, count):
+        command = [sys.executable, "-m", "repro", "worker",
+                   "--listen", "127.0.0.1:0"]
+        env = dict(
+            os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path))
+        )
+        self.addresses = []
+        self.procs = []
+        try:
+            for _ in range(count):  # all first: the interpreters overlap
+                self.procs.append(subprocess.Popen(
+                    command, stdout=subprocess.PIPE, text=True, env=env
+                ))
+            for index, proc in enumerate(self.procs):
+                self.addresses.append(self._read_banner(index, proc))
+        except BaseException:
+            self.reap(force=True)
+            raise
+
+    def _read_banner(self, index, proc):
+        ready, _, _ = select.select(
+            [proc.stdout], [], [], self._BANNER_TIMEOUT
+        )
+        line = proc.stdout.readline() if ready else ""
+        if line.startswith(self._BANNER):
+            return line[len(self._BANNER):].strip()
+        state = self.exit_note(index) or (
+            f"still running after {self._BANNER_TIMEOUT:g}s"
+        )
+        raise RuntimeError(
+            f"shard worker {index} (pid {proc.pid}) announced no port "
+            f"(got {line!r}): {state}"
+        )
+
+    def exit_note(self, index):
+        """``"exited with code N"``, or ``""`` while the worker still runs."""
+        # A connection drops a moment before its process is waitable.
+        code = _exit_code(self.procs[index], 0.5)
+        return "" if code is None else f"exited with code {code}"
+
+    def reap(self, force=False):
+        """Wait every worker out — own exit, SIGTERM, SIGKILL, each bounded.
+
+        A worker exits by itself once its one session ends; ``force`` skips
+        that grace (failed start, finalizer of an unstopped executor).
+        """
+        for proc in self.procs:
+            if force and proc.poll() is None:
+                proc.terminate()
+            for escalate in (proc.terminate, proc.kill):
+                if _exit_code(proc, self._EXIT_TIMEOUT) is not None:
+                    break
+                escalate()
+            else:
+                _exit_code(proc, self._EXIT_TIMEOUT)  # collect the killed
+            proc.stdout.close()
+        self.procs = []
+
+
+def _exit_code(proc, timeout):
+    """``proc``'s exit code, waiting at most ``timeout`` s; None = running."""
+    try:
+        return proc.wait(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None
 
 
 class LocalWorkerPool:

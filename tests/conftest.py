@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import subprocess
+
 import pytest
 
 from repro.generators import mesh_3d, powerlaw_cluster_graph
@@ -39,6 +41,21 @@ def per_event_loop():
         return host
 
     return force
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every ``Popen`` the test makes — a process executor's workers — so
+    "stopped" can be asserted by pid, also after a start that raised."""
+    procs = []
+    real = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        procs.append(real(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return procs
 
 
 @pytest.fixture

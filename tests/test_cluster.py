@@ -9,6 +9,7 @@ backend in isolation.
 import atexit
 import gc
 import os
+import signal
 import threading
 import time
 
@@ -25,8 +26,10 @@ from repro.cluster import (
     SocketExecutor,
     ThreadExecutor,
     make_executor,
+    wire,
 )
 from repro.cluster.shard import Shard
+from repro.cluster.worker import WorkerFleet
 from repro.generators import mesh_3d, powerlaw_cluster_graph
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
 from repro.pregel.fault import FaultPlan
@@ -279,14 +282,16 @@ class _HangingShard:
     """Picklable shard stand-in whose compute never returns.
 
     It also shrugs off SIGTERM, so reaping it exercises the full stop
-    escalation: bounded ack wait → join → terminate → kill.
+    escalation: bounded ack wait → own exit → terminate → kill.  It
+    touches ``wedged`` once it is past the point of no return.
     """
 
-    def run_superstep(self, task):  # pragma: no cover - runs in the worker
-        import signal
-        import time
+    def __init__(self, wedged):
+        self.wedged = wedged
 
+    def run_superstep(self, task):  # pragma: no cover - runs in the worker
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        open(self.wedged, "w").close()
         time.sleep(3600)
 
     def apply_patch(self, patch):  # pragma: no cover - runs in the worker
@@ -363,70 +368,87 @@ class TestExecutors:
             assert not any(map(len, vars(shard.snapshot()).values()))
         executor.stop()  # second stop must be a no-op
 
-    def test_process_executor_surfaces_worker_failures(self):
+    def test_process_executor_surfaces_worker_failures(self, spawned):
         system = Coordinator(
             mesh_3d(3),
             _ExplodingProgram(),
             PregelConfig(num_workers=2, seed=0),
-            executor=ProcessExecutor(workers=1),
+            executor=ProcessExecutor(workers=2),
         )
         try:
+            assert [proc.poll() for proc in spawned] == [None, None]
             # The program raises inside the worker process; the traceback
             # must surface as a coordinator-side RuntimeError.
             with pytest.raises(RuntimeError, match="shard worker 0"):
                 system.run_superstep()
         finally:
             system.close()
+        # The failure killed nobody: each worker served its one session
+        # to the stop and then exited by itself.
+        assert [proc.poll() for proc in spawned] == [0, 0]
 
-    def test_unpicklable_shard_state_fails_fast_without_leaking(self):
-        # The lambda combiner cannot cross the pipe; construction must
+    def test_unpicklable_shard_state_fails_fast_without_leaking(
+        self, spawned
+    ):
+        # The lambda combiner cannot cross the wire; construction must
         # raise (any pickling error) and leave no worker processes behind.
-        with pytest.raises(Exception):
+        with pytest.raises(Exception, match="pickle"):
             Coordinator(
                 mesh_3d(3),
                 _LambdaCombinerProgram(),
                 PregelConfig(num_workers=2, seed=0),
-                executor=ProcessExecutor(workers=1),
+                executor=ProcessExecutor(workers=2),
             )
+        assert len(spawned) == 2
+        assert all(proc.poll() is not None for proc in spawned)
 
-    def test_stop_reaps_a_hard_stuck_worker(self):
+    def test_stop_reaps_a_hard_stuck_worker(self, tmp_path, monkeypatch):
         # A worker wedged in compute (and ignoring SIGTERM) must not hang
-        # stop(): the ack wait is bounded and escalation ends in kill().
+        # stop(): every wait is bounded and escalation ends in kill().
+        monkeypatch.setattr(WorkerFleet, "_EXIT_TIMEOUT", 0.3)
+        wedged = tmp_path / "wedged"
         executor = ProcessExecutor(workers=1)
         executor._ACK_TIMEOUT = 0.1
-        executor._JOIN_TIMEOUT = 0.3
-        executor.start({0: _HangingShard()})
-        proc = executor._procs[0]
+        executor.start({0: _HangingShard(str(wedged))})
+        proc = executor._fleet.procs[0]
         # Dispatch the never-returning step without awaiting the reply
         # (executor.step() would block on it forever, like a real caller
         # abandoning a stuck superstep would have).
-        executor._pipes[0].send(("step", {0: (None, None)}))
+        executor._sockets[0].sendall(wire.frame(("step", {0: (None, None)})))
         deadline = time.monotonic() + 30
+        while not wedged.exists():
+            assert time.monotonic() < deadline, "worker never took the step"
+            time.sleep(0.01)
+        assert proc.poll() is None  # alive, wedged, deaf to SIGTERM
+        started = time.monotonic()
         executor.stop()
-        assert time.monotonic() < deadline, "stop() hung on a stuck worker"
-        assert not proc.is_alive()
+        assert time.monotonic() - started < 10, "stop() hung on a stuck worker"
+        assert proc.returncode == -signal.SIGKILL  # the last resort it took
         executor.stop()  # idempotent after escalation too
 
     def test_dropped_executor_is_reaped_by_the_finalizer(self):
         executor = ProcessExecutor(workers=1)
         executor.start({0: Shard(0, PageRank(), None, True)})
-        proc = executor._procs[0]
-        assert proc.is_alive()
+        proc = executor._fleet.procs[0]
+        assert proc.poll() is None
         reaper = executor._reaper
         del executor
         gc.collect()
         assert not reaper.alive  # finalizer ran at collection
-        proc.join(timeout=10)
-        assert not proc.is_alive()
+        assert proc.poll() is not None  # and waited the worker out
 
     def test_dead_worker_surfaces_clear_error_then_stops_cleanly(self):
         executor = ProcessExecutor(workers=1)
         executor.start({0: Shard(0, PageRank(), None, True)})
-        executor._procs[0].kill()
-        executor._procs[0].join(timeout=10)
-        with pytest.raises(RuntimeError, match="shard worker 0 died"):
+        proc = executor._fleet.procs[0]
+        proc.kill()
+        proc.wait(timeout=10)
+        with pytest.raises(
+            RuntimeError,
+            match=r"shard worker 0 \(.*exited with code -9\) died",
+        ):
             executor.snapshot()
-        executor.stop()  # broken pipes must not break the teardown
+        executor.stop()  # a dead peer must not break the teardown
 
     def test_close_is_part_of_coordinator_context_manager(self):
         with Coordinator(
@@ -575,19 +597,12 @@ class TestExecutorRegressions:
                 "was still computing"
             )
 
-    @pytest.mark.parametrize("transport", ["process", "socket"])
-    def test_worker_failure_does_not_desync_the_reply_protocol(
-        self, transport
-    ):
+    def test_worker_failure_does_not_desync_the_reply_protocol(self):
         # One reply per touched worker per command is the protocol
         # invariant: a failed step used to raise on worker 0's error
         # *before* reading worker 1's reply, so the next command consumed
         # the stale step delta as its own answer.
-        if transport == "process":
-            executor = ProcessExecutor(workers=2)
-        else:
-            executor = SocketExecutor(_socket_addresses())
-        with executor:
+        with ProcessExecutor(workers=2) as executor:
             executor.start({0: _ErringShard(), 1: _StubShard(1)})
             with pytest.raises(RuntimeError, match="shard worker 0 failed"):
                 executor.step({0: None, 1: None}, {})

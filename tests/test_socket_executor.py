@@ -3,11 +3,10 @@
 What multi-host must *not* change is results — the socket backend replays
 the same timelines as the in-process executors (the cross-executor and
 golden suites pin that; here the codec and pre-wire combining get their
-own identity and byte checks).  What it must add is operability: workers spawn from the
-CLI and print their bound address, dead or wedged or unreachable workers
-surface as the same clear ``RuntimeError`` shape the pipe path raises, and
-the per-kind byte counters the wire benchmark reads actually meter the
-traffic.
+own identity and byte checks).  What it must add is operability: workers
+spawn from the CLI and print their bound address, dead or wedged or
+unreachable workers surface as a clear ``RuntimeError``, and the per-kind
+byte counters the wire benchmark reads actually meter the traffic.
 """
 
 import os

@@ -2,20 +2,16 @@
 
 ``bytes_sent`` / ``bytes_received`` feed ``benchmarks/bench_wire.py`` and
 the ``--show-metrics`` snapshot, so they have to be *measurements*, not
-estimates.  Three layers of proof:
+estimates.  Two layers of proof:
 
 * a hypothesis property pins the framing arithmetic — for arbitrary
   messages, :func:`~repro.cluster.wire.send_frame`'s return value is
   exactly the bytes put on the socket, which is exactly the payload plus
   the 4-byte length prefix, and the receive side accounts the same total
   even when the OS hands the stream back a few bytes at a time;
-* a pipe-path integration test wraps the live
-  :class:`multiprocessing.connection.Connection` objects mid-session and
-  checks the executor's per-kind counter deltas sum to the bytes the
-  wrapped medium actually saw (payload only — the ``Connection`` frame is
-  the OS's business);
-* the socket-path twin wraps the live TCP sockets, where the actual
-  stream bytes *include* every frame's length prefix.
+* an integration test wraps the live TCP sockets mid-session and checks
+  the executor's per-kind counter deltas sum to the bytes the wrapped
+  stream actually carried — every frame's length prefix *included*.
 """
 
 from hypothesis import given, settings
@@ -104,27 +100,6 @@ def test_property_frame_accounting_is_exact(kind, payload, chunk):
 # Integration: counter deltas equal bytes the live medium actually carried
 
 
-class _CountingConnection:
-    """A pipe wrapper tallying the payload bytes crossing it."""
-
-    def __init__(self, conn):
-        self._conn = conn
-        self.sent = 0
-        self.received = 0
-
-    def send_bytes(self, data):
-        self.sent += len(data)
-        self._conn.send_bytes(data)
-
-    def recv_bytes(self):
-        data = self._conn.recv_bytes()
-        self.received += len(data)
-        return data
-
-    def __getattr__(self, name):
-        return getattr(self._conn, name)
-
-
 class _CountingSocket:
     """A TCP socket wrapper tallying every stream byte (prefix included)."""
 
@@ -165,26 +140,7 @@ def _deltas(counters, base):
     return sum(counters[kind] - base.get(kind, 0) for kind in counters)
 
 
-def _assert_counters_match_medium(executor, media):
-    with _session(executor) as system:
-        # wrap the live media *after* start so every subsequent counter
-        # bump has an independently tallied ground truth
-        wrapped = media()
-        sent_base = dict(executor.bytes_sent)
-        received_base = dict(executor.bytes_received)
-        system.run(4)
-        system.shard_consistency_check()  # snapshot kind crosses too
-        assert _deltas(executor.bytes_sent, sent_base) == sum(
-            w.sent for w in wrapped
-        )
-        assert _deltas(executor.bytes_received, received_base) == sum(
-            w.received for w in wrapped
-        )
-        assert {"step", "snapshot"} <= set(executor.bytes_sent)
-
-
-@pytest.mark.parametrize("transport", ["process", "socket"])
-def test_init_frames_do_not_grow_with_the_graph(transport, pool):
+def test_init_frames_do_not_grow_with_the_graph():
     """Shards fill on their host: ``init`` ships them empty — the same
     bytes for a 200- and a 2 000-vertex graph — and the seeds cross as
     patches, metered under ``apply``."""
@@ -192,10 +148,7 @@ def test_init_frames_do_not_grow_with_the_graph(transport, pool):
 
     sent = {}
     for vertices in (200, 2_000):
-        executor = (
-            ProcessExecutor(workers=2) if transport == "process"
-            else SocketExecutor(pool.addresses)
-        )
+        executor = ProcessExecutor(workers=2)
         with Coordinator(
             ring_lattice(vertices, 2), PageRank(),
             PregelConfig(num_workers=4, seed=3, quiet_window=5),
@@ -209,25 +162,22 @@ def test_init_frames_do_not_grow_with_the_graph(transport, pool):
     assert sent[2_000]["apply"] > 5 * sent[200]["apply"] > 5 * 200 * 8
 
 
-def test_pipe_counters_equal_payload_bytes_on_the_pipe():
-    executor = ProcessExecutor(workers=2)
-
-    def wrap():
-        executor._pipes = [
-            _CountingConnection(pipe) for pipe in executor._pipes
-        ]
-        return executor._pipes
-
-    _assert_counters_match_medium(executor, wrap)
-
-
 def test_socket_counters_equal_stream_bytes_with_prefix(pool):
     executor = SocketExecutor(pool.addresses)
-
-    def wrap():
-        executor._sockets = [
+    with _session(executor) as system:
+        # wrap the live sockets *after* start so every subsequent counter
+        # bump has an independently tallied ground truth
+        executor._sockets = wrapped = [
             _CountingSocket(sock) for sock in executor._sockets
         ]
-        return executor._sockets
-
-    _assert_counters_match_medium(executor, wrap)
+        sent_base = dict(executor.bytes_sent)
+        received_base = dict(executor.bytes_received)
+        system.run(4)
+        system.shard_consistency_check()  # snapshot kind crosses too
+        assert _deltas(executor.bytes_sent, sent_base) == sum(
+            w.sent for w in wrapped
+        )
+        assert _deltas(executor.bytes_received, received_base) == sum(
+            w.received for w in wrapped
+        )
+        assert {"step", "snapshot"} <= set(executor.bytes_sent)

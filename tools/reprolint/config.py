@@ -25,7 +25,7 @@ __all__ = ["DEFAULT_CONFIG", "LintConfig"]
 #: * ``Coordinator._compute_phase`` — the decision-slicing stopwatch and
 #:   the ``barrier-merge`` span stamps;
 #: * ``ThreadExecutor.step_stream`` — the merge/overlap counters;
-#: * ``_WorkerProtocolExecutor._send`` / ``._recv_message`` — the
+#: * ``SocketExecutor._send`` / ``._recv_message`` — the
 #:   ``wire-send``/``wire-recv`` span stamps.
 #:
 #: DET003 cross-checks this map against the tree: an entry whose function
@@ -44,8 +44,8 @@ _WALLCLOCK_ALLOWLIST = {
     "repro/cluster/executor.py": frozenset(
         {
             "ThreadExecutor.step_stream",
-            "_WorkerProtocolExecutor._send",
-            "_WorkerProtocolExecutor._recv_message",
+            "SocketExecutor._send",
+            "SocketExecutor._recv_message",
         }
     ),
 }
