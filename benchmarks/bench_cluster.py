@@ -7,7 +7,6 @@ a 3-D mesh, with the background partitioner adapting underneath.  The same
 run executes on every executor backend:
 
 * ``inline`` — the serial reference;
-* ``thread`` — GIL-bound for pure-Python compute (expected ≈ inline);
 * ``process`` — four ``repro worker`` subprocesses the executor spawns and
   drives over the socket protocol, with shard affinity.
 
@@ -61,7 +60,6 @@ class ScalarCardiacFem(CombinedCardiacFemSimulation):
 
 EXECUTOR_SPECS = [
     ("inline", None),
-    ("thread", pick(PROCESS_WORKERS, 2)),
     ("process", pick(PROCESS_WORKERS, 2)),
 ]
 

@@ -13,8 +13,7 @@ speedup is the isolated signal.  The same scenario runs three ways:
 Asserted, at every scale:
 
 * all three superstep timelines and final value maps are **bit-identical**
-  (the kernel is an optimisation, never semantics) — and the thread leg's
-  timeline matches its inline baseline;
+  (the kernel is an optimisation, never semantics);
 * batched clears **≥3×** over scalar at full scale (≥2× smoke);
 * the dispatch check costs non-batched programs **<2%** of their
   wall-clock.  A/B deltas at that margin are scheduler noise, so the bar
@@ -23,11 +22,6 @@ Asserted, at every scale:
   a generous over-count of how often a run hits it (2× the computed-vertex
   total, though the check really runs once per *block*), and compare that
   against the plain run's wall-clock.
-
-Asserted only on ≥4-core hosts (see ``_harness.parallel_floor_applies``),
-at full scale: a 4-thread executor clears **≥1.5×** over inline on the
-batched kernel — the numpy reductions release the GIL, so threads scale
-where pure-Python compute cannot.
 
 Timing methodology: construction and a warmup superstep stay outside the
 timer, and the garbage collector is frozen (``gc.freeze`` + ``gc.disable``)
@@ -44,12 +38,11 @@ import time
 
 from repro.analysis import format_table
 from repro.apps.pagerank import PageRank
-from repro.cluster import Coordinator, InlineExecutor, make_executor
+from repro.cluster import Coordinator, InlineExecutor
 from repro.generators import ring_lattice
 from repro.obs import MetricsRegistry
 from repro.pregel.system import PregelConfig
 
-from benchmarks import _harness
 from benchmarks._harness import pick, record_result
 
 N_VERTICES = pick(100_000, 8_000)
@@ -58,8 +51,6 @@ WARMUP_SUPERSTEPS = 1
 TIMED_SUPERSTEPS = 4
 BEST_OF = 3
 KERNEL_FLOOR = pick(3.0, 2.0)    # batched vs scalar, single thread
-THREAD_WORKERS = 4
-THREAD_FLOOR = 1.5               # thread(4) vs inline, ≥4-core hosts only
 DISPATCH_CEILING = 0.02          # opt-out programs: <2% for the check
 MICROBENCH_ROUNDS = 200_000
 
@@ -70,8 +61,7 @@ class _ScalarPageRank(PageRank):
     compute_batch = None
 
 
-def _timed_run(kernel, num_workers=1, executor_factory=InlineExecutor,
-               program_factory=PageRank):
+def _timed_run(kernel, program_factory=PageRank):
     """Build (untimed), warm up, run TIMED_SUPERSTEPS gc-frozen, return a row.
 
     Construction and the first superstep stay outside the timer: shard
@@ -83,12 +73,12 @@ def _timed_run(kernel, num_workers=1, executor_factory=InlineExecutor,
     os.environ["REPRO_BATCH_KERNEL"] = kernel
     try:
         registry = MetricsRegistry()
-        config = PregelConfig(num_workers=num_workers, seed=7, adaptive=False)
+        config = PregelConfig(num_workers=1, seed=7, adaptive=False)
         with Coordinator(
             ring_lattice(N_VERTICES, DEGREE),
             program_factory(),
             config,
-            executor=executor_factory(),
+            executor=InlineExecutor(),
             metrics_registry=registry,
         ) as system:
             for _ in range(WARMUP_SUPERSTEPS):
@@ -184,18 +174,6 @@ def _experiment():
     assert scalar["batched_blocks"] == 0
     assert plain["batched_blocks"] == 0, "opted-out program took the kernel"
 
-    # Thread-vs-inline on the batched kernel (numpy releases the GIL), at
-    # matching worker counts so the timelines are comparable.
-    inline_par = _timed_run(kernel="on", num_workers=THREAD_WORKERS)
-    thread_par = _timed_run(
-        kernel="on",
-        num_workers=THREAD_WORKERS,
-        executor_factory=lambda: make_executor("thread", THREAD_WORKERS),
-    )
-    assert thread_par["timeline"] == inline_par["timeline"], (
-        "thread timeline diverged from inline"
-    )
-
     site_cost = _dispatch_site_cost()
     # one check per *block* in reality; 2x the per-vertex total is a
     # deliberately absurd over-count, and the bar still clears
@@ -212,10 +190,6 @@ def _experiment():
         "plain_seconds": plain["seconds"],
         "kernel_speedup": scalar["seconds"] / batched["seconds"],
         "batched_blocks": batched["batched_blocks"],
-        "inline_parallel_seconds": inline_par["seconds"],
-        "thread_parallel_seconds": thread_par["seconds"],
-        "thread_speedup": inline_par["seconds"] / thread_par["seconds"],
-        "thread_workers": THREAD_WORKERS,
         "site_cost_ns": 1e9 * site_cost,
         "estimated_activations": activations,
         "dispatch_overhead_fraction": dispatch_overhead,
@@ -239,9 +213,6 @@ def test_batched_kernel_speedup(run_once, capsys):
                      f"{results['kernel_speedup']:.2f}x"],
                     ["plain (opt-out)", f"{results['plain_seconds']:.3f}",
                      f"dispatch {100.0 * results['dispatch_overhead_fraction']:.3f}%"],
-                    [f"thread x{results['thread_workers']}",
-                     f"{results['thread_parallel_seconds']:.3f}",
-                     f"{results['thread_speedup']:.2f}x vs inline"],
                 ],
                 title=(
                     f"Batched PageRank kernel ({results['vertices']} "
@@ -258,12 +229,4 @@ def test_batched_kernel_speedup(run_once, capsys):
     assert results["kernel_speedup"] >= KERNEL_FLOOR, (
         f"batched kernel {results['kernel_speedup']:.2f}x < "
         f"{KERNEL_FLOOR:.1f}x floor"
-    )
-    if _harness.SMOKE:
-        return  # toy scale: thread-pool overhead drowns the compute signal
-    if not _harness.parallel_floor_applies(THREAD_WORKERS):
-        return  # too few cores: parallel speedup is physically unavailable
-    assert results["thread_speedup"] >= THREAD_FLOOR, (
-        f"thread executor {results['thread_speedup']:.2f}x < "
-        f"{THREAD_FLOOR:.1f}x floor"
     )

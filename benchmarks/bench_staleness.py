@@ -22,25 +22,16 @@ Asserted, including at smoke scale:
   for the barrier gating);
 * adaptation still works at every window: migrations happen and the final
   cut ratio is no worse than the initial one.
-
-The second experiment measures the pipelining :class:`ThreadExecutor`: the
-coordinator merges each shard's delta while later shards still compute.
-On a single CI core the threads time-share, so the artifact records the
-measured merge/overlap seconds as an *honest 1-core projection* (the
-``bench_cluster.py`` convention): ``overlap_seconds`` is merge work that
-ran while at least one shard future was still open — wall-clock a
-multi-core coordinator would take off the barrier's critical path.
 """
 
 import time
 
 from repro.analysis import format_table
-from repro.cluster import Coordinator, InlineExecutor, ThreadExecutor
+from repro.cluster import Coordinator, InlineExecutor
 from repro.generators import mesh_3d
 from repro.pregel.system import PregelConfig
 from repro.pregel.vertex import VertexProgram
 
-from benchmarks import _harness
 from benchmarks._harness import pick, record_result
 
 MESH_SIDE = pick(47, 22)         # 47³ ≈ 104k vertices; smoke: 22³ ≈ 10.6k
@@ -99,27 +90,6 @@ def _staleness_run(staleness):
     }
 
 
-def _pipelined_run():
-    executor = ThreadExecutor(4)
-    with Coordinator(
-        mesh_3d(MESH_SIDE), _Sensor(), _config(0), executor=executor
-    ) as system:
-        start = time.perf_counter()
-        system.run(SUPERSTEPS)
-        elapsed = time.perf_counter() - start
-        counter = system.metrics_registry.counter
-        overlap = counter("executor.overlap_seconds").value
-        return {
-            "seconds": elapsed,
-            "steps_streamed": counter("executor.steps_streamed").value,
-            "merge_seconds": counter("executor.merge_seconds").value,
-            "overlap_seconds": overlap,
-            # Merge time a multi-core coordinator would take off the
-            # barrier's critical path, as a fraction of this run.
-            "projected_barrier_saving": overlap / elapsed if elapsed else 0.0,
-        }
-
-
 def _experiment():
     sweep = [_staleness_run(s) for s in STALENESS_SWEEP]
     return {
@@ -128,7 +98,6 @@ def _experiment():
         "supersteps": SUPERSTEPS,
         "partitions": PARTITIONS,
         "sweep": sweep,
-        "pipelined": _pipelined_run(),
     }
 
 
@@ -160,14 +129,6 @@ def test_staleness_sweep(run_once, capsys):
                 ),
             )
         )
-        pipelined = results["pipelined"]
-        print(
-            f"thread executor: {pipelined['steps_streamed']} supersteps "
-            f"streamed, merge {1000 * pipelined['merge_seconds']:.1f} ms, "
-            f"overlapped {1000 * pipelined['overlap_seconds']:.1f} ms "
-            f"({100 * pipelined['projected_barrier_saving']:.1f}% of the "
-            "run; 1-core projection)"
-        )
     for row in results["sweep"]:
         assert row["migrations"] > 0, (
             f"staleness {row['staleness']}: adaptation stalled entirely"
@@ -182,9 +143,3 @@ def test_staleness_sweep(run_once, capsys):
         f"staleness 4 cut capacity traffic only {savings:.2f}x "
         f"(target {SAVINGS_TARGET}x)"
     )
-    pipelined = results["pipelined"]
-    assert pipelined["steps_streamed"] == results["supersteps"]
-    if not _harness.SMOKE:
-        assert pipelined["overlap_seconds"] > 0.0, (
-            "pipelined merge never overlapped shard compute"
-        )

@@ -9,7 +9,7 @@ Gives downstream users the paper's workflow without writing code:
 * ``scenario`` — replay a named dynamic scenario (churning graph) and print
   its per-round timeline; ``--static`` runs the paired static-hash cluster,
   ``--engine pregel`` replays through the sharded cluster simulation (with
-  ``--executor inline|thread|process|socket`` selecting the backend and
+  ``--executor inline|process|socket`` selecting the backend and
   ``--staleness N`` relaxing the capacity-resync cadence), ``--spec file``
   loads a user JSON/TOML scenario instead of a catalog name;
 * ``datasets`` — print the Table-1 catalog;
@@ -96,8 +96,8 @@ def build_parser():
                     "(default inline; process spawns local `repro worker`s, "
                     "socket reads theirs from REPRO_SOCKET_WORKERS)")
     sc.add_argument("--workers", type=int, default=None,
-                    help="worker count for --executor "
-                    "thread/process/socket (>= 1)")
+                    help="worker count for --executor process/socket "
+                    "(>= 1)")
     sc.add_argument("--staleness", type=int, default=None,
                     help="pregel engine only: relaxed synchrony — reuse "
                     "each decision snapshot for up to N extra supersteps "
@@ -231,7 +231,7 @@ def _cmd_scenario(args, out):
     if args.workers is not None and args.executor in (None, "inline"):
         out.write(
             "--workers needs a parallel executor: add "
-            "--executor thread, process or socket\n"
+            "--executor process or socket\n"
         )
         return 2
     if args.workers is not None and args.workers < 1:

@@ -11,8 +11,8 @@ package gives the reproduction that execution shape for real:
   exchanged with the coordinator as plain picklable task/delta records
   and one vertex-state record, :class:`PatchColumns` (seed = patch =
   snapshot);
-* :mod:`executor` — where shard compute runs: inline, thread, process
-  and socket backends (see the module for what each buys) behind one
+* :mod:`executor` — where shard compute runs: inline, process and
+  socket backends (see the module for what each buys) behind one
   :class:`Executor` protocol, each declaring an
   :class:`ExecutorCapabilities` record that :func:`make_executor`
   validates;
@@ -37,7 +37,6 @@ from repro.cluster.executor import (
     InlineExecutor,
     ProcessExecutor,
     SocketExecutor,
-    ThreadExecutor,
     make_executor,
     validate_executor,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ShardDelta",
     "ShardTask",
     "SocketExecutor",
-    "ThreadExecutor",
     "WorkerServer",
     "make_executor",
     "validate_executor",

@@ -9,7 +9,7 @@ pluggable :class:`~repro.cluster.executor.Executor`:
 1. **compute + decide** — the inbox splits by resident shard (a dict
    inbox per mailbox, a columnar one with a single vertex→shard lookup
    pass and array slices), every shard runs the shared compute loop
-   (possibly in other threads/processes) and — when the run is adaptive
+   (possibly in other processes or hosts) and — when the run is adaptive
    — the decision phase over its active residents: heuristic evaluation against its local placement
    mirror plus the keyed willingness coin, vectorised over the shard block
    when numpy is present.  Each shard returns a :class:`ShardDelta`
@@ -18,14 +18,13 @@ pluggable :class:`~repro.cluster.executor.Executor`:
    shard-id order*: values, halt votes, the message outbox (pre-combined
    per worker, so keys never collide), aggregator contributions, per-worker
    compute cost.  The merge order is what makes results a pure function of
-   the configuration — bit-identical across executors.  Deltas arrive as
-   a stream (:meth:`~repro.cluster.executor.Executor.step_stream`, same
-   order); the thread executor yields each while later shards still
-   compute, so the fold overlaps the fan-out.  The coordinator's only
-   decision work is quota arbitration over the proposals in a keyed round
-   permutation (the capacity protocol's serialised step, unbiased across
-   rounds) — its per-superstep decision cost is O(active + proposals),
-   independent of edge count;
+   the configuration — bit-identical across executors.  One
+   :meth:`~repro.cluster.executor.Executor.step` call returns every
+   shard's delta or raises, so a superstep merges whole or not at all.
+   The coordinator's only decision work is quota arbitration over the
+   proposals in a keyed round permutation (the capacity protocol's
+   serialised step, unbiased across rounds) — its per-superstep decision
+   cost is O(active + proposals), independent of edge count;
 3. **barrier** — exactly the base class's barrier.  Everything it changes
    (announced migrations, stream mutations, fault recoveries) lands in a
    dirty set, and :meth:`_after_barrier` turns that into per-shard
@@ -78,8 +77,8 @@ class Coordinator(PregelSystem):
     """A simulated Pregel cluster whose supersteps run on sharded executors.
 
     Drop-in for :class:`PregelSystem`: same constructor plus ``executor``
-    (None, an executor name — ``"inline"`` / ``"thread"`` / ``"process"``
-    / ``"socket"`` — or an
+    (None, an executor name — ``"inline"`` / ``"process"`` / ``"socket"``
+    — or an
     :class:`~repro.cluster.executor.Executor` instance; capability records
     are validated by :func:`~repro.cluster.executor.make_executor` on the
     way in).  Call :meth:`close` (or use ``with``) to release executor
@@ -226,9 +225,8 @@ class Coordinator(PregelSystem):
         }
         patches = self._pending_patches
         self._pending_patches = {}
-        # Deltas arrive in shard-id order: all computed already, or (thread
-        # executor) as shards finish, so the fold overlaps the fan-out.
-        stream = self.executor.step_stream(tasks, patches)
+        # Every shard's delta, or a raise before any of them is merged.
+        deltas = self.executor.step(tasks, patches)
 
         per_worker = [0.0] * num_workers
         computed = 0
@@ -236,46 +234,38 @@ class Coordinator(PregelSystem):
         proposals.clear()
         tracer = self.tracer
         traced = tracer.enabled
-        if traced:
-            # One span over the whole delta fold; with the thread executor
-            # it also covers the waits on still-computing shards (the
-            # overlap the executor's counters quantify).
+        if traced:  # one span over the whole delta fold
             merge_wall = time()
             merge_tick = perf_counter()
-        try:
-            for sid, delta in stream:
-                computed += delta.computed
-                values = delta.values
-                self.values.update(
-                    values if isinstance(values, dict) else values.items()
-                )
-                self.halted.difference_update(delta.halted_removed)
-                self.halted.update(delta.halted_added)
-                # One shard per worker: the shard id IS the source worker.
-                self.router.absorb(delta.outbox, sid)
-                for name, value in delta.aggregated:
-                    self.aggregators.contribute(name, value)
-                proposals.extend(delta.proposals)
-                # One shard per worker: the shard's compute IS the worker's.
-                per_worker[sid] += delta.compute_units
-                self.network.count_compute(delta.compute_units)
-                if delta.batched_blocks:
-                    # Which compute path ran, per trace/metrics dump — the
-                    # scalar fallback leaves the counter untouched.
-                    self._batched_counter.add(delta.batched_blocks)
-                if delta.demotion:  # an array store fell back to dicts
-                    self._demotion_counter.add(1)
-                    self._demotion_reasons.add(delta.demotion, 1)
-                if traced:
-                    # Worker-side spans ride home in the delta; merging
-                    # them here is what builds the one shared timeline.
-                    tracer.absorb(delta.spans)
-        finally:
-            # A merge failure must not abandon the stream mid-flight:
-            # closing it runs the executor's drain (step_stream's
-            # finally), so no shard future is still mutating state when
-            # the caller regains control.
-            stream.close()
+        # The coordinator's own sort, not the executor's dict order, fixes
+        # the merge order — what keeps results identical across executors.
+        for sid, delta in sorted(deltas.items()):
+            computed += delta.computed
+            values = delta.values
+            self.values.update(
+                values if isinstance(values, dict) else values.items()
+            )
+            self.halted.difference_update(delta.halted_removed)
+            self.halted.update(delta.halted_added)
+            # One shard per worker: the shard id IS the source worker.
+            self.router.absorb(delta.outbox, sid)
+            for name, value in delta.aggregated:
+                self.aggregators.contribute(name, value)
+            proposals.extend(delta.proposals)
+            # One shard per worker: the shard's compute IS the worker's.
+            per_worker[sid] += delta.compute_units
+            self.network.count_compute(delta.compute_units)
+            if delta.batched_blocks:
+                # Which compute path ran, per trace/metrics dump — the
+                # scalar fallback leaves the counter untouched.
+                self._batched_counter.add(delta.batched_blocks)
+            if delta.demotion:  # an array store fell back to dicts
+                self._demotion_counter.add(1)
+                self._demotion_reasons.add(delta.demotion, 1)
+            if traced:
+                # Worker-side spans ride home in the delta; merging
+                # them here is what builds the one shared timeline.
+                tracer.absorb(delta.spans)
         if traced:
             tracer.record(
                 "barrier-merge", merge_wall, perf_counter() - merge_tick,

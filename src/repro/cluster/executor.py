@@ -10,16 +10,10 @@ shard decisions are pure functions of (shard state, task) — willingness
 draws are keyed, not streamed — and the coordinator merges deltas in
 shard-id order and arbitrates proposals in a keyed round permutation,
 **the choice of executor cannot change any result**; it only changes
-wall-clock.  Four backends ship:
+wall-clock.  Three backends ship:
 
 * :class:`InlineExecutor` — runs shards sequentially in the calling thread.
   The deterministic reference; zero overhead, no parallelism.
-* :class:`ThreadExecutor` — a thread pool that streams each shard's delta
-  *in shard-id order, as it completes*, so the coordinator's merge
-  overlaps the compute of later shards.  The GIL serialises all but the
-  numpy calls — on two cores it ties inline on churn and loses 7 % on FEM
-  (docs/benchmarks.md; ≥4 cores unverified) — so it mainly exercises the
-  concurrency contract cheaply.
 * :class:`SocketExecutor` — persistent workers over TCP: ``repro worker``
   processes on *any* host, each owning a fixed subset of shards (shard
   ``i`` lives on worker ``i % workers``).  Shards ship once at start —
@@ -37,10 +31,10 @@ wall-clock.  Four backends ship:
   workloads on one host (``benchmarks/bench_cluster.py`` pins ≥2× with
   four workers).
 
-The coordinator drives all of them through :meth:`Executor.step_stream`
-(by default: :meth:`Executor.step` to completion, deltas replayed in
-order).  Each declares an :class:`ExecutorCapabilities` record (the
-``RunnerCapabilities`` pattern) that :func:`make_executor` validates.
+The coordinator calls :meth:`Executor.step` once per superstep and folds
+the returned deltas in shard-id order.  Each backend declares an
+:class:`ExecutorCapabilities` record (the ``RunnerCapabilities`` pattern)
+that :func:`make_executor` validates.
 
 Executors are context managers; :meth:`Executor.stop` is idempotent.
 """
@@ -50,8 +44,7 @@ from __future__ import annotations
 import os
 import socket
 import weakref
-from collections.abc import Callable, Iterable, Iterator, Mapping
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
 from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
@@ -74,7 +67,6 @@ __all__ = [
     "InlineExecutor",
     "ProcessExecutor",
     "SocketExecutor",
-    "ThreadExecutor",
     "make_executor",
     "validate_executor",
 ]
@@ -87,13 +79,11 @@ class ExecutorCapabilities:
     * ``releases_gil`` — shard compute runs outside the calling process's
       GIL (worker processes, remote hosts), so pure-Python programs scale
       with workers instead of interleaving.  The flag describes the
-      *executor*, never the program: an in-process backend keeps
+      *executor*, never the program: :class:`InlineExecutor` keeps
       ``releases_gil=False`` even when a program's batched numpy kernel
       (:meth:`~repro.pregel.vertex.BatchedVertexProgram.compute_batch`)
       happens to drop the GIL inside array calls — that is a property of
-      the program's compute, orthogonal to where the executor runs it,
-      and the two compose (a thread executor + a batched kernel is
-      exactly the combination ``benchmarks/bench_kernel.py`` measures).
+      the program's compute, orthogonal to where the executor runs it.
     * ``remote`` — workers may live on other hosts; shard traffic crosses
       a network, not just a process boundary.
     * ``requires_picklable`` — programs, values and messages must pickle
@@ -160,28 +150,12 @@ class Executor:
 
         ``tasks`` maps shard id → :class:`ShardTask` (every shard, every
         superstep); ``patches`` maps shard id → :class:`PatchColumns` and may
-        be empty.  Returns ``{shard_id: ShardDelta}``.  Completion order is
-        the executor's business — the coordinator merges in shard-id order.
+        be empty.  Returns ``{shard_id: ShardDelta}`` for every shard, or
+        raises — never a partial superstep.  Dict order and completion
+        order are the executor's business: the coordinator merges in
+        sorted shard-id order.
         """
         raise NotImplementedError
-
-    def step_stream(
-        self,
-        tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, PatchColumns],
-    ) -> Iterator[tuple[int, ShardDelta]]:
-        """:meth:`step` as an iterator of ``(shard_id, delta)`` pairs — what
-        the coordinator's merge loop consumes.
-
-        Yield order **must** be ascending shard id: that invariant, not
-        the executor choice, is what keeps results bit-identical.  This
-        default serves backends that only implement :meth:`step`: the
-        whole superstep runs *now*, before the iterator is returned, so
-        the coordinator's merge span times the fold alone.  A streaming
-        backend overrides it to yield each delta as it completes.
-        """
-        deltas = self.step(tasks, patches)
-        return ((sid, deltas[sid]) for sid in sorted(deltas))
 
     def apply(self, patches: Mapping[int, PatchColumns]) -> None:
         """Apply ``{shard_id: PatchColumns}`` without computing.
@@ -209,20 +183,6 @@ class Executor:
         return False
 
 
-def _step_shard(
-    shard: Shard, task: ShardTask, patch: PatchColumns | None
-) -> ShardDelta:
-    if patch is not None:
-        shard.apply_patch(patch)
-    return shard.run_superstep(task)
-
-
-def _require_workers(workers: int | None, what: str) -> int | None:
-    if workers is not None and workers < 1:
-        raise ValueError(f"need at least one {what}, got workers={workers!r}")
-    return workers
-
-
 class InlineExecutor(Executor):
     """Sequential in-thread execution — the deterministic serial reference."""
 
@@ -243,10 +203,13 @@ class InlineExecutor(Executor):
         patches: Mapping[int, PatchColumns],
     ) -> dict[int, ShardDelta]:
         """Patch + compute each shard sequentially, in shard-id order."""
-        return {
-            sid: _step_shard(self._shards[sid], tasks[sid], patches.get(sid))
-            for sid in sorted(tasks)
-        }
+        deltas: dict[int, ShardDelta] = {}
+        for sid in sorted(tasks):
+            shard, patch = self._shards[sid], patches.get(sid)
+            if patch is not None:
+                shard.apply_patch(patch)
+            deltas[sid] = shard.run_superstep(tasks[sid])
+        return deltas
 
     def apply(self, patches: Mapping[int, PatchColumns]) -> None:
         """Apply patches without computing, in shard-id order."""
@@ -255,125 +218,6 @@ class InlineExecutor(Executor):
     def snapshot(self) -> dict[int, PatchColumns]:
         """Every in-process shard's snapshot record."""
         return {sid: shard.snapshot() for sid, shard in self._shards.items()}
-
-
-class ThreadExecutor(InlineExecutor):
-    """The in-process shards on a thread pool, merging overlapped with compute.
-
-    Shared memory, GIL-bound for pure Python.  The strict protocol is
-    compute-all → merge-all: the coordinator waits for the slowest shard
-    before folding a single delta.  This executor relaxes exactly that
-    sequencing: while the coordinator merges the delta of shard ``s``,
-    shards ``> s`` keep computing on the pool threads.  Yield order stays
-    ascending shard id, so the merge order — and with it every observable
-    result — is bit-identical to the strict executors.
-
-    Two counters quantify the overlap for ``benchmarks/bench_staleness.py``:
-
-    * ``merge_seconds`` — total wall-clock the coordinator spent merging
-      deltas handed out by :meth:`step_stream`;
-    * ``overlap_seconds`` — the portion of that merge time during which at
-      least one later shard was still computing, i.e. barrier work that a
-      strict executor would have serialised after the fan-out.  On a
-      multi-core host this is wall-clock saved outright; on one core it is
-      the honest projection of the saving (the GIL interleaves rather than
-      parallelises the overlap).
-
-    Both are metrics-registry counters (``executor.merge_seconds``,
-    ``executor.overlap_seconds``, beside ``executor.steps_streamed``) and
-    :meth:`start` resets all three, so a reused executor reports
-    per-session numbers instead of silently accumulating across runs.
-    """
-
-    name = "thread"
-
-    capabilities = ExecutorCapabilities()
-
-    def __init__(self, workers: int | None = None) -> None:
-        super().__init__()
-        self._requested_workers = _require_workers(workers, "worker thread")
-        self._pool: ThreadPoolExecutor | None = None
-        self._bind_metrics(MetricsRegistry())
-
-    def _bind_metrics(self, metrics: MetricsRegistry) -> None:
-        self._merge_counter = metrics.counter("executor.merge_seconds")
-        self._overlap_counter = metrics.counter("executor.overlap_seconds")
-        self._steps_counter = metrics.counter("executor.steps_streamed")
-
-    def start(self, shards: Mapping[int, Shard]) -> None:
-        """Keep the shard map, spin up the pool, zero the session counters."""
-        super().start(shards)
-        workers = self._requested_workers
-        if workers is None:
-            workers = min(len(self._shards) or 1, os.cpu_count() or 1)
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-shard"
-        )
-        self._merge_counter.reset()
-        self._overlap_counter.reset()
-        self._steps_counter.reset()
-
-    def step(
-        self,
-        tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, PatchColumns],
-    ) -> dict[int, ShardDelta]:
-        """The strict protocol: the stream, gathered to completion."""
-        return dict(self.step_stream(tasks, patches))
-
-    def step_stream(
-        self,
-        tasks: Mapping[int, ShardTask],
-        patches: Mapping[int, PatchColumns],
-    ) -> Iterator[tuple[int, ShardDelta]]:
-        """Submit every shard's task, then stream deltas in shard-id order.
-
-        The generator body resumes between yields while the consumer (the
-        coordinator's merge loop) works, which is where the overlap
-        accounting happens: merge time observed while later futures are
-        unfinished is time the strict protocol would have added to the
-        barrier.
-
-        The stream owns its in-flight futures to the end: if the consumer
-        abandons the generator (``close()`` on a merge-loop failure) or a
-        shard raises, the ``finally`` below blocks until every submitted
-        future has finished.  Without that barrier the unfinished futures
-        would keep mutating ``Shard`` objects on pool threads while the
-        caller moved on to the next ``step()``/``apply()`` — a data race
-        dressed up as early cleanup.
-        """
-        pool = self._pool
-        assert pool is not None, "start() before step_stream()"
-        order = sorted(tasks)
-        futures = {
-            sid: pool.submit(
-                _step_shard, self._shards[sid], tasks[sid], patches.get(sid)
-            )
-            for sid in order
-        }
-        self._steps_counter.add(1)
-        try:
-            for position, sid in enumerate(order):
-                delta = futures[sid].result()
-                handed = perf_counter()
-                yield sid, delta
-                merged = perf_counter()
-                spent = merged - handed
-                self._merge_counter.add(spent)
-                if any(
-                    not futures[later].done() for later in order[position + 1:]
-                ):
-                    self._overlap_counter.add(spent)
-        finally:
-            pending = [f for f in futures.values() if not f.done()]
-            if pending:
-                wait(pending)
-
-    def stop(self) -> None:
-        """Shut the thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class SocketExecutor(Executor):
@@ -421,7 +265,11 @@ class SocketExecutor(Executor):
         connect_timeout: float = 10.0,
         read_timeout: float = 600.0,
     ) -> None:
-        self._requested_workers = _require_workers(workers, "socket worker")
+        if workers is not None and workers < 1:
+            raise ValueError(
+                f"need at least one socket worker, got workers={workers!r}"
+            )
+        self._requested_workers = workers
         self._given_addresses = addresses
         self._connect_timeout = connect_timeout
         self._read_timeout = read_timeout
@@ -711,19 +559,24 @@ class ProcessExecutor(SocketExecutor):
         return super()._peer(worker) + (f", {note}" if note else "")
 
     def stop(self) -> None:
-        """End the session, then reap the fleet (idempotent, bounded)."""
+        """End the session, then reap the fleet (idempotent, bounded).
+
+        A worker that never got a session (a start interrupted before it
+        connected) sits in ``accept()`` and will not exit by itself, so
+        the fleet is then reaped with ``force`` instead of waited out.
+        """
+        connected = len(self._sockets)
         super().stop()
         if self._reaper is not None:
             self._reaper.detach()
             self._reaper = None
         if self._fleet is not None:
-            self._fleet.reap()
+            self._fleet.reap(force=connected < len(self._fleet.procs))
             self._fleet = None
 
 
 EXECUTORS: dict[str, Callable[..., Executor]] = {
     "inline": InlineExecutor,
-    "thread": ThreadExecutor,
     "process": ProcessExecutor,
     "socket": SocketExecutor,
 }

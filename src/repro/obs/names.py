@@ -48,9 +48,6 @@ METRIC_NAMES = frozenset(
         "kernel.batched_blocks",
         "shard.store.demotions",
         "migrations.announced",
-        "executor.merge_seconds",
-        "executor.overlap_seconds",
-        "executor.steps_streamed",
     }
 )
 

@@ -8,7 +8,7 @@ the block's state.  Two hosts exist:
   vertex set: the classic single-process reference loop;
 * :class:`~repro.cluster.shard.Shard` passes itself and its resident
   vertices: the sharded execution layer runs one block per shard, possibly
-  in another thread or process.
+  in another process.
 
 The host contract is exactly what :class:`~repro.pregel.vertex.VertexContext`
 reads plus the loop's own needs:

@@ -1,16 +1,15 @@
 """The sharded execution layer: executors, determinism, shard consistency.
 
 The suite runs its cross-executor cases on every backend named in
-``REPRO_CLUSTER_EXECUTORS`` (comma-separated; default inline, thread,
-process and socket) — the CI executor-matrix job sets it to exercise each
-backend in isolation.
+``REPRO_CLUSTER_EXECUTORS`` (comma-separated; default inline, process and
+socket) — the CI executor-matrix job sets it to exercise each backend in
+isolation.
 """
 
 import atexit
 import gc
 import os
 import signal
-import threading
 import time
 
 import pytest
@@ -18,13 +17,13 @@ import pytest
 from repro.apps.connected_components import ConnectedComponents
 from repro.apps.pagerank import PageRank
 from repro.cluster import (
+    EXECUTORS,
     Coordinator,
     ExecutorCapabilities,
     InlineExecutor,
     LocalWorkerPool,
     ProcessExecutor,
     SocketExecutor,
-    ThreadExecutor,
     make_executor,
     wire,
 )
@@ -39,7 +38,7 @@ from repro.pregel.vertex import VertexProgram
 EXECUTOR_NAMES = [
     name.strip()
     for name in os.environ.get(
-        "REPRO_CLUSTER_EXECUTORS", "inline,thread,process,socket"
+        "REPRO_CLUSTER_EXECUTORS", "inline,process,socket"
     ).split(",")
     if name.strip()
 ]
@@ -61,8 +60,6 @@ def _executor(name):
     # depend on them (shard-id merge order is the invariant).
     if name == "process":
         return ProcessExecutor(workers=2)
-    if name == "thread":
-        return ThreadExecutor(workers=2)
     if name == "socket":
         return SocketExecutor(_socket_addresses())
     return InlineExecutor()
@@ -308,6 +305,35 @@ class _ExplodingProgram(PageRank):
         raise RuntimeError("boom in worker")
 
 
+class _ShardBomb(PageRank):
+    """Module-level (picklable) program that fails on one vertex at one
+    superstep, so only the shard holding that vertex raises."""
+
+    def __init__(self, vertex, superstep):
+        super().__init__()
+        self.bomb = (vertex, superstep)
+
+    def compute(self, ctx, messages):
+        if (ctx.vertex_id, ctx.superstep) == self.bomb:
+            raise RuntimeError("boom in one shard")
+        super().compute(ctx, messages)
+
+
+def _merged_state(system):
+    """Everything the coordinator's delta fold writes, copied."""
+    router, aggregators = system.router, system.aggregators
+    return (
+        dict(system.values),
+        set(system.halted),
+        dict(aggregators._current),
+        dict(aggregators._previous),
+        dict(router._outbox),
+        list(router._columns),
+        system.superstep,
+        list(system.reports),
+    )
+
+
 class _ErringShard:
     """Picklable shard stub whose compute always fails worker-side."""
 
@@ -348,12 +374,13 @@ class TestExecutors:
     def test_make_executor_resolution(self):
         assert isinstance(make_executor(None), InlineExecutor)
         assert isinstance(make_executor("inline"), InlineExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
         assert isinstance(make_executor("process"), ProcessExecutor)
         instance = InlineExecutor()
         assert make_executor(instance) is instance
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("gpu")
+        assert sorted(EXECUTORS) == ["inline", "process", "socket"]
+        for unknown in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(unknown)
 
     def test_process_executor_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
@@ -465,7 +492,6 @@ class TestExecutors:
 class TestCapabilityProtocol:
     def test_declared_capability_records(self):
         assert InlineExecutor.capabilities == ExecutorCapabilities()
-        assert ThreadExecutor.capabilities == ExecutorCapabilities()
         assert ProcessExecutor.capabilities == ExecutorCapabilities(
             releases_gil=True, requires_picklable=True
         )
@@ -481,41 +507,74 @@ class TestCapabilityProtocol:
             make_executor(NoRecord())
 
     def test_honest_subclass_passes_validation(self):
-        """A backend may stream its own way; ascending shard id is the
-        whole contract, and the coordinator's results do not move."""
+        """An executor owes the coordinator every shard's delta, not an
+        order: a backend whose ``step`` hands them back in descending
+        shard order replays a plain inline run exactly, because the
+        coordinator sorts before it merges."""
 
-        class Streamer(InlineExecutor):
-            streamed = 0
+        class Descending(InlineExecutor):
+            steps = 0
 
-            def step_stream(self, tasks, patches):
-                self.streamed += 1
-                deltas = self.step(tasks, patches)
-                yield from sorted(deltas.items())
+            def step(self, tasks, patches):
+                self.steps += 1
+                deltas = super().step(tasks, patches)
+                return {
+                    sid: deltas[sid] for sid in sorted(deltas, reverse=True)
+                }
+
+        def digest(executor):
+            with Coordinator(
+                mesh_3d(4), PageRank(), config, executor=executor
+            ) as system:
+                system.run(3)
+                return _report_digest(system.reports), dict(system.values)
 
         config = PregelConfig(num_workers=3, seed=0)
-        streamer = make_executor(Streamer())
+        descending = make_executor(Descending())
+        assert digest(descending) == digest(None)
+        assert descending.steps == 3
+
+    @pytest.mark.parametrize("executor_name", EXECUTOR_NAMES)
+    def test_a_failing_shard_leaves_the_merged_state_untouched(
+        self, executor_name
+    ):
+        """A superstep merges whole or not at all: when the middle shard
+        raises inside ``step`` — after shard 0 computed, inline; beside
+        shards 0 and 2, remote — every field the fold writes is as it was
+        when ``step`` was called.  (The pending patches were consumed.)"""
+        config = PregelConfig(num_workers=3, seed=0, adaptive=False)
+        placement = PregelSystem(mesh_3d(4), PageRank(), config).state
+        bomb = min(
+            v for v, pid in placement.assignment_items() if pid == 1
+        )
         with Coordinator(
-            mesh_3d(4), PageRank(), config, executor=streamer
+            mesh_3d(4), _ShardBomb(bomb, superstep=3), config,
+            executor=_executor(executor_name),
         ) as system:
-            system.run(3)
-            streamed = _report_digest(system.reports)
-        assert streamer.streamed == 3
-        with Coordinator(mesh_3d(4), PageRank(), config) as system:
-            system.run(3)
-            assert _report_digest(system.reports) == streamed
+            system.run(2)
+            at_call = []
+            step = system.executor.step
+
+            def watched(tasks, patches):
+                at_call.append(_merged_state(system))
+                return step(tasks, patches)
+
+            system.executor.step = watched
+            with pytest.raises(RuntimeError, match="boom in one shard"):
+                system.run_superstep()
+            assert len(at_call) == 1 and at_call[0][0]
+            assert _merged_state(system) == at_call[0]
 
 
 class TestExecutorRegressions:
     """Pinned fixes for the executor-layer bug sweep."""
 
     @pytest.mark.parametrize(
-        "factory",
-        [ThreadExecutor, ProcessExecutor, SocketExecutor],
-        ids=lambda f: f.name,
+        "factory", [ProcessExecutor, SocketExecutor], ids=lambda f: f.name
     )
     def test_pooled_executors_reject_nonpositive_worker_counts(self, factory):
-        # workers=0 used to fall through ThreadExecutor's `or`-style
-        # default and silently size the pool as if unset.
+        # workers=0 used to fall through an `or`-style default and
+        # silently size the pool as if unset.
         for bad in (0, -2):
             with pytest.raises(ValueError, match="at least one"):
                 factory(workers=bad)
@@ -526,76 +585,6 @@ class TestExecutorRegressions:
         # callers run close() in finally blocks around construction.
         system = Coordinator.__new__(Coordinator)
         system.close()
-
-    def test_abandoned_step_stream_drains_in_flight_futures(self):
-        # A consumer that closes the stream mid-superstep (merge-loop
-        # failure) must not leave pool threads mutating shards while the
-        # caller moves on: the generator's cleanup blocks on every
-        # submitted future.
-        finished = [threading.Event() for _ in range(3)]
-
-        class SlowShard:
-            def __init__(self, idx):
-                self.idx = idx
-
-            def run_superstep(self, task):
-                if self.idx:
-                    time.sleep(0.3)
-                finished[self.idx].set()
-                return ("delta", self.idx)
-
-            def apply_patch(self, patch):
-                pass
-
-            def snapshot(self):
-                return ({}, set())
-
-        with ThreadExecutor(workers=3) as executor:
-            executor.start({i: SlowShard(i) for i in range(3)})
-            stream = executor.step_stream(
-                {i: None for i in range(3)}, {}
-            )
-            sid, delta = next(stream)
-            assert sid == 0 and delta == ("delta", 0)
-            stream.close()  # abandon with shards 1 and 2 still computing
-            assert all(event.is_set() for event in finished), (
-                "stream.close() returned with shard compute still in flight"
-            )
-
-    def test_failing_step_stream_still_drains_before_raising(self):
-        finished = threading.Event()
-
-        class FailingShard:
-            def run_superstep(self, task):
-                raise RuntimeError("boom")
-
-            def apply_patch(self, patch):
-                pass
-
-            def snapshot(self):
-                return ({}, set())
-
-        class SlowShard:
-            def run_superstep(self, task):
-                time.sleep(0.3)
-                finished.set()
-                return ("delta", 1)
-
-            def apply_patch(self, patch):
-                pass
-
-            def snapshot(self):
-                return ({}, set())
-
-        with ThreadExecutor(workers=2) as executor:
-            executor.start({0: FailingShard(), 1: SlowShard()})
-            with pytest.raises(RuntimeError, match="boom"):
-                for _ in executor.step_stream({0: None, 1: None}, {}):
-                    pass  # pragma: no cover - first result already raises
-            assert finished.is_set(), (
-                "the stream propagated shard 0's failure while shard 1 "
-                "was still computing"
-            )
 
     def test_worker_failure_does_not_desync_the_reply_protocol(self):
         # One reply per touched worker per command is the protocol

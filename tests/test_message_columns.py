@@ -51,7 +51,7 @@ needs_numpy = pytest.mark.skipif(np is None, reason="numpy not installed")
 EXECUTORS = [
     name.strip()
     for name in os.environ.get(
-        "REPRO_CLUSTER_EXECUTORS", "inline,thread,process,socket"
+        "REPRO_CLUSTER_EXECUTORS", "inline,process,socket"
     ).split(",")
     if name.strip()
 ]
@@ -491,7 +491,7 @@ def test_goldens_replay_on_the_message_plane(name, executor, socket_pool,
         return run_superstep(self, task)
 
     monkeypatch.setattr(Shard, "run_superstep", running)
-    in_process = executor in ("inline", "thread")
+    in_process = executor == "inline"
     if executor == "socket":
         executor = SocketExecutor(socket_pool.addresses)
     digest = play_scenario(

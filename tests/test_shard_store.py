@@ -610,7 +610,7 @@ def socket_pool():
         yield pool
 
 
-@pytest.mark.parametrize("name", ["inline", "thread", "process", "socket"])
+@pytest.mark.parametrize("name", ["inline", "process", "socket"])
 @pytest.mark.parametrize("labels", [False, True], ids=["typed", "listed"])
 def test_executor_snapshots_restore_their_shards(name, labels, socket_pool):
     """``executor.snapshot()`` is every shard's restore record, wherever the
@@ -646,13 +646,13 @@ def test_executor_snapshots_restore_their_shards(name, labels, socket_pool):
 def test_fem_is_identical_and_fully_batched_on_every_executor(
     program_cls, socket_pool
 ):
-    """inline / thread / process / socket: the same reports and the same
+    """inline / process / socket: the same reports and the same
     final ``(v, w)`` to the last bit, every block on a store (``(n, 2)``
     value columns, record messages over the wire) and no demotion."""
     workers, supersteps = 4, 7
     config = PregelConfig(num_workers=workers, seed=5, quiet_window=5)
     runs = {}
-    for name in ("inline", "thread", "process", "socket"):
+    for name in ("inline", "process", "socket"):
         program = program_cls(substeps=2, stimulus_vertices={0, 13})
         executor = name
         if name == "socket":

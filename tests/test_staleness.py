@@ -1,4 +1,4 @@
-"""Relaxed synchrony: stale decision snapshots + the delta stream.
+"""Relaxed synchrony: stale decision snapshots.
 
 The staleness contract has three sides, each pinned here:
 
@@ -13,10 +13,6 @@ The staleness contract has three sides, each pinned here:
 * the capacity broadcast is *skipped* on barriers whose snapshot will be
   reused — one publish per ``k + 1`` supersteps, the protocol's metered
   saving.
-
-The pipelining :class:`~repro.cluster.executor.ThreadExecutor` rides
-along: the in-order delta stream (and the eager default the strict
-executors inherit), and its timeline identity with the blocking executors.
 """
 
 import json
@@ -25,11 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.pagerank import PageRank
-from repro.cluster import (
-    Coordinator,
-    InlineExecutor,
-    ThreadExecutor,
-)
+from repro.cluster import Coordinator
 from repro.cluster.shard import Shard, ShardTask
 from repro.core.heuristic import DecisionContext
 from repro.generators import mesh_3d
@@ -104,17 +96,6 @@ def test_staleness_zero_replays_the_golden_timeline(name):
     assert digest == _fixture(name)
 
 
-def test_staleness_zero_on_the_pipelined_executor_matches_golden():
-    """The streaming backend at the scenario level, knob spelled out."""
-    digest = play_scenario(
-        get_scenario("mesh-growth"),
-        engine="pregel",
-        executor="thread",
-        staleness=0,
-    ).superstep_digest()
-    assert digest == _fixture("mesh-growth")
-
-
 def test_snapshot_staleness_validation():
     with pytest.raises(ValueError, match="snapshot_staleness"):
         PregelConfig(snapshot_staleness=-1)
@@ -129,11 +110,12 @@ def test_snapshot_staleness_validation():
 
 @pytest.mark.parametrize("staleness", [1, 3])
 def test_systems_and_modes_agree_under_staleness(staleness):
-    """Serial system (central decisions) == sharded/pipelined, at any k.
+    """Serial system (central decisions) == sharded, at any k.
 
     Staleness changes *what* is decided (aged inputs) but must never make
     the outcome depend on where the decision runs — the oracle/executor
-    identity contract survives relaxed synchrony.
+    identity contract survives relaxed synchrony.  (The remote leg is
+    ``test_socket_executor.py``'s ``test_results_identical_under_staleness``.)
     """
     config = PregelConfig(
         num_workers=4,
@@ -143,11 +125,8 @@ def test_systems_and_modes_agree_under_staleness(staleness):
     )
     serial = PregelSystem(mesh_3d(5), PageRank(), config)
     reference = _run_churned(serial)
-    for executor in (ThreadExecutor(2), InlineExecutor()):
-        with Coordinator(
-            mesh_3d(5), PageRank(), config, executor=executor
-        ) as sharded:
-            assert _run_churned(sharded, consistency=True) == reference
+    with Coordinator(mesh_3d(5), PageRank(), config) as sharded:
+        assert _run_churned(sharded, consistency=True) == reference
 
 
 def test_staleness_window_actually_changes_decisions():
@@ -182,7 +161,6 @@ def test_mirrors_stay_exact_under_churn_faults_and_staleness():
         PageRank(),
         config,
         fault_plan=FaultPlan().add(9, 2),
-        executor=ThreadExecutor(2),
     ) as system:
         digest = _run_churned(system, steps=14, consistency=True)
     assert sum(row[2] for row in digest) > 0, "no migrations exercised"
@@ -278,40 +256,3 @@ def test_shard_resolves_stale_rounds_from_its_cache():
     stale = shard._decision_snapshot(task(5))
     assert stale == fresh.aged(5)
     assert stale.version == 3 and stale.age == 2
-
-
-# ----------------------------------------------------------------------
-# The delta stream
-# ----------------------------------------------------------------------
-
-
-def test_strict_executors_stream_their_step_eagerly_and_in_order():
-    """The default ``step_stream`` is for backends that only know ``step``:
-    the whole superstep runs at call time (so the coordinator's merge span
-    never times compute), and the replay is in ascending shard id."""
-
-    class OnlySteps(InlineExecutor):
-        calls = 0
-
-        def step(self, tasks, patches):
-            self.calls += 1
-            return {sid: f"delta-{sid}" for sid in tasks}
-
-    executor = OnlySteps()
-    stream = executor.step_stream({2: None, 0: None, 1: None}, {})
-    assert executor.calls == 1, "step must run before the first next()"
-    assert list(stream) == [(0, "delta-0"), (1, "delta-1"), (2, "delta-2")]
-    stream.close()  # the coordinator always closes; must be harmless
-
-
-def test_pipelined_executor_counts_streamed_steps():
-    config = PregelConfig(num_workers=4, seed=3, quiet_window=5)
-    executor = ThreadExecutor(2)
-    with Coordinator(
-        mesh_3d(5), PageRank(), config, executor=executor
-    ) as system:
-        system.run(6)
-        counter = system.metrics_registry.counter
-        assert counter("executor.steps_streamed").value == 6
-        merged = counter("executor.merge_seconds").value
-        assert 0.0 <= counter("executor.overlap_seconds").value <= merged

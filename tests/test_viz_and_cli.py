@@ -131,7 +131,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             self._run(["nope"])
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process", "socket"])
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_scenario_rejects_nonpositive_workers(self, executor, workers):
         # Used to escape as a ValueError traceback from the executor.
@@ -199,7 +199,9 @@ class TestCli:
         with pytest.raises(SystemExit):
             self._run(["scenario", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "thread/process/socket" in help_text
+        assert "--executor process/socket" in help_text
+        assert "{inline,process,socket}" in help_text
+        assert "thread" not in help_text
         assert "pipelined" not in help_text
         assert "--decisions" not in help_text
 

@@ -2,17 +2,19 @@
 
 ``--executor process`` runs on real ``repro worker`` subprocesses
 (:class:`~repro.cluster.worker.WorkerFleet`), so "stopped" has to mean
-*the pid is gone* — here after a worker that never announces its port and
-after SIGINT / SIGTERM to the CLI mid-run.  (``tests/test_cluster.py::
-TestExecutors`` holds the executor-level cases: a clean stop, a
-worker-side exception, a failed start, a ``kill -9``-ed worker, a wedged
-SIGTERM-ignoring one, a dropped-and-collected executor.)  Also here,
+*the pid is gone* — here after a worker that never announces its port,
+after SIGINT / SIGTERM to the CLI mid-run, and after SIGTERM before its
+workers connect.  (``tests/test_cluster.py::TestExecutors`` holds the
+executor-level cases: a clean stop, a worker-side exception, a failed
+start, a ``kill -9``-ed worker, a wedged SIGTERM-ignoring one, a
+dropped-and-collected executor.)  Also here,
 because it needs a worker that really is another interpreter: a command
 the worker cannot decode is answered, not dropped.
 """
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -176,3 +178,60 @@ def test_a_signalled_cli_run_leaves_no_worker_behind(signum, tmp_path):
             cli.wait()
         for pid in filter(_alive, workers):  # pragma: no cover - ditto
             os.kill(pid, signal.SIGKILL)
+
+
+# The CLI with the socket session's start held open: the fleet is up and
+# announced, but no worker has a coordinator yet — the window in which
+# no worker would ever see the EOF that ends a session.
+_HELD_BEFORE_CONNECT = """
+import runpy, sys, time
+from repro.cluster import SocketExecutor
+
+def start(self, shards):
+    print("spawned", *(proc.pid for proc in self._fleet.procs), flush=True)
+    time.sleep(60)
+
+SocketExecutor.start = start
+sys.argv = ["repro", "scenario", "mesh-growth", "--engine", "pregel",
+            "--executor", "process", "--workers", "2"]
+runpy.run_module("repro", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs procfs to see pids"
+)
+def test_a_sigterm_before_the_workers_connect_leaves_no_worker_behind():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    cli = subprocess.Popen(
+        [sys.executable, "-c", _HELD_BEFORE_CONNECT],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while not workers:
+            assert cli.poll() is None, "the CLI ended before its workers"
+            assert time.monotonic() < deadline, "workers never spawned"
+            ready, _, _ = select.select([cli.stdout], [], [], 0.5)
+            line = cli.stdout.readline() if ready else ""
+            if line.startswith("spawned "):
+                workers = [int(pid) for pid in line.split()[1:]]
+        assert len(workers) == 2 and all(map(_alive, workers))
+        cli.send_signal(signal.SIGTERM)
+        code = cli.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)):
+            assert time.monotonic() < deadline, (
+                f"orphan workers: {[p for p in workers if _alive(p)]}"
+            )
+            time.sleep(0.05)
+        assert code == 128 + signal.SIGTERM  # unwound, not killed outright
+    finally:
+        if cli.poll() is None:  # pragma: no cover - failure path
+            cli.kill()
+            cli.wait()
+        for pid in filter(_alive, workers):  # pragma: no cover - ditto
+            os.kill(pid, signal.SIGKILL)
+        cli.stdout.close()

@@ -24,7 +24,6 @@ __all__ = ["DEFAULT_CONFIG", "LintConfig"]
 #:   (documented "measurement, not semantics" on the dataclass);
 #: * ``Coordinator._compute_phase`` — the decision-slicing stopwatch and
 #:   the ``barrier-merge`` span stamps;
-#: * ``ThreadExecutor.step_stream`` — the merge/overlap counters;
 #: * ``SocketExecutor._send`` / ``._recv_message`` — the
 #:   ``wire-send``/``wire-recv`` span stamps.
 #:
@@ -42,11 +41,7 @@ _WALLCLOCK_ALLOWLIST = {
         {"Coordinator._compute_phase"}
     ),
     "repro/cluster/executor.py": frozenset(
-        {
-            "ThreadExecutor.step_stream",
-            "SocketExecutor._send",
-            "SocketExecutor._recv_message",
-        }
+        {"SocketExecutor._send", "SocketExecutor._recv_message"}
     ),
 }
 
