@@ -5,6 +5,8 @@ heuristic should barely improve them) and ring lattices provide the most
 partitionable extreme (a 1-D mesh).
 """
 
+from itertools import chain, islice, repeat
+
 from repro.graph import Graph
 from repro.utils import make_rng
 
@@ -52,8 +54,10 @@ def ring_lattice(num_vertices, neighbours_each_side=1, graph_cls=Graph):
     k = neighbours_each_side
     if k < 1 or 2 * k >= num_vertices:
         raise ValueError("neighbours_each_side out of range")
-    graph = graph_cls(vertices=range(num_vertices))
-    for v in range(num_vertices):
-        for offset in range(1, k + 1):
-            graph.add_edge(v, (v + offset) % num_vertices)
-    return graph
+    ids = list(range(num_vertices))  # one int object per vertex, shared
+    # (v, v + i mod n) for v ascending, then i: the pairs zipped in C.
+    sources = chain.from_iterable(map(repeat, ids, repeat(k)))
+    targets = chain.from_iterable(
+        zip(*(chain(islice(ids, i, None), islice(ids, i)) for i in range(1, k + 1)))
+    )
+    return graph_cls(vertices=ids, edges=zip(sources, targets))

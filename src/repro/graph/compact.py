@@ -191,7 +191,8 @@ class CompactGraph(Graph):
         self._index[v] = slot
         if self._id_table is not None:
             self._table_intern(v, slot)
-        self._dirty.add(slot)
+        if self._csr_built:  # before it, ensure_csr rebuilds every slot
+            self._dirty.add(slot)
         return True
 
     def remove_vertex(self, v):
@@ -235,41 +236,46 @@ class CompactGraph(Graph):
         same per-pair change flags, but every per-edge method dispatch
         collapses into one tight loop with bound locals — the difference
         between a million-event churn round being graph-bound or
-        interpreter-bound.
+        interpreter-bound.  A raise leaves the pairs before it applied and
+        the counters exact.
         """
         adj = self._adj
         index = self._index
+        mark = self._csr_built  # the first build rebuilds every slot anyway
         dirty_add = self._dirty.add
         flags = []
         flag = flags.append
         added = 0
         isolated = 0
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u!r} is not allowed")
-            nu = adj.get(u)
-            if nu is None:
-                self.add_vertex(u)
-                nu = adj[u]
-            nv = adj.get(v)
-            if nv is None:
-                self.add_vertex(v)
-                nv = adj[v]
-            if v in nu:
-                flag(False)
-                continue
-            if not nu:
-                isolated -= 1
-            if not nv:
-                isolated -= 1
-            nu.add(v)
-            nv.add(u)
-            added += 1
-            dirty_add(index[u])
-            dirty_add(index[v])
-            flag(True)
-        self._num_edges += added
-        self._num_isolated += isolated
+        try:
+            for u, v in pairs:
+                if u == v:
+                    raise ValueError(f"self-loop on vertex {u!r} is not allowed")
+                nu = adj.get(u)
+                if nu is None:
+                    self.add_vertex(u)
+                    nu = adj[u]
+                nv = adj.get(v)
+                if nv is None:
+                    self.add_vertex(v)
+                    nv = adj[v]
+                if v in nu:
+                    flag(False)
+                    continue
+                if not nu:
+                    isolated -= 1
+                if not nv:
+                    isolated -= 1
+                nu.add(v)
+                nv.add(u)
+                added += 1
+                if mark:
+                    dirty_add(index[u])
+                    dirty_add(index[v])
+                flag(True)
+        finally:
+            self._num_edges += added
+            self._num_isolated += isolated
         return flags
 
     def remove_edges(self, pairs):
@@ -399,29 +405,17 @@ class CompactGraph(Graph):
         survive the copy, so slot numbers match the original's only when
         it never removed a vertex.
         """
-        clone = CompactGraph()
-        clone._adj = {v: set(ns) for v, ns in self._adj.items()}
-        clone._num_edges = self._num_edges
-        clone._reintern()
-        return clone
-
-    def _reintern(self):
-        """Rebuild interning structures from the adjacency dict."""
-        self._num_isolated = sum(1 for ns in self._adj.values() if not ns)
-        self._index = {v: slot for slot, v in enumerate(self._adj)}
-        self._slot_ids = list(self._adj)
-        self._free_slots = []
-        self._id_table = None  # rebuilt from the new interning on next use
-        self._dirty = set()
-        self._csr_built = False
+        return CompactGraph.from_graph(self)
 
     @classmethod
     def from_graph(cls, graph):
         """Compact copy of any backend (vertex insertion order preserved)."""
         clone = cls()
-        clone._adj = {v: set(graph.neighbors(v)) for v in graph.vertices()}
+        clone._adj = adj = {v: set(graph.neighbors(v)) for v in graph.vertices()}
         clone._num_edges = graph.num_edges
-        clone._reintern()
+        clone._num_isolated = sum(1 for ns in adj.values() if not ns)
+        clone._index = {v: slot for slot, v in enumerate(adj)}
+        clone._slot_ids = list(adj)
         return clone
 
     def validate(self):
@@ -483,10 +477,4 @@ def as_compact(graph):
 
 def as_adjacency(graph):
     """Bridge: return ``graph`` as a plain adjacency-set :class:`Graph`."""
-    if type(graph) is Graph:
-        return graph
-    clone = Graph()
-    clone._adj = {v: set(graph.neighbors(v)) for v in graph.vertices()}
-    clone._num_edges = graph.num_edges
-    clone._num_isolated = sum(1 for ns in clone._adj.values() if not ns)
-    return clone
+    return graph if type(graph) is Graph else Graph.copy(graph)

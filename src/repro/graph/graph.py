@@ -37,11 +37,9 @@ class Graph:
         self._num_edges = 0
         self._num_isolated = 0
         if vertices is not None:
-            for v in vertices:
-                self.add_vertex(v)
+            self.add_vertices(vertices)
         if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
+            self.add_edges(edges)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -114,11 +112,7 @@ class Graph:
 
     def add_vertices(self, vertices):
         """Bulk :meth:`add_vertex`, in order.  Returns the count added."""
-        added = 0
-        for v in vertices:
-            if self.add_vertex(v):
-                added += 1
-        return added
+        return sum(map(self.add_vertex, vertices))
 
     def add_edges(self, pairs):
         """Bulk :meth:`add_edge`, in order.  Returns per-pair change flags.
@@ -236,14 +230,10 @@ class Graph:
             if v in self._adj and v not in seen:
                 seen.add(v)
                 keep.append(v)
-        sub = type(self)()
-        for v in keep:
-            sub.add_vertex(v)
-        for v in keep:
-            for w in self._adj[v]:
-                if w in seen:
-                    sub.add_edge(v, w)  # add_edge dedups the reverse visit
-        return sub
+        return type(self)(  # add_edges dedups the reverse visit
+            vertices=keep,
+            edges=((v, w) for v in keep for w in self._adj[v] if w in seen),
+        )
 
     def degree_histogram(self):
         """Map degree -> number of vertices with that degree."""

@@ -19,6 +19,7 @@ import bisect
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.graph.events import apply_event
 
@@ -30,6 +31,11 @@ __all__ = ["EventStream", "TimedEvent", "batch_by_count", "batch_by_time"]
 # ever matters — cross-stream tie order is pinned by :meth:`merged_with`'s
 # rank-based merge, never by comparing seqs from different streams.
 _SEQUENCE = itertools.count()
+
+# The TimedEvent order as C-level keys: sorts and bisects compare tuples
+# instead of calling the dataclass's generated ``__lt__``.
+_ORDER = attrgetter("time", "seq")
+_time_of = attrgetter("time")
 
 
 @dataclass(frozen=True, order=True)
@@ -60,19 +66,19 @@ class EventStream:
     """
 
     def __init__(self, timed_events=None):
-        self._events = sorted(timed_events) if timed_events else []
+        self._events = sorted(timed_events, key=_ORDER) if timed_events else []
 
     def push(self, time, event):
         """Insert an event, keeping the stream time-ordered.
 
         Equal-time pushes land after existing events at that time (FIFO).
         """
-        bisect.insort(self._events, TimedEvent(float(time), event))
+        bisect.insort(self._events, TimedEvent(float(time), event), key=_ORDER)
 
     def extend(self, timed_events):
         """Bulk insert; re-sorts once (ties keep creation order)."""
         self._events.extend(timed_events)
-        self._events.sort()
+        self._events.sort(key=_ORDER)
 
     def __len__(self):
         return len(self._events)
@@ -153,10 +159,6 @@ class EventStream:
             f"EventStream(n={len(self._events)}, "
             f"span=[{self.start_time}, {self.end_time}])"
         )
-
-
-def _time_of(te):
-    return te.time
 
 
 def batch_by_time(stream, window):

@@ -5,13 +5,17 @@ lines are comments (SNAP uses ``#``, the Walshaw archive's Chaco headers
 start differently but converted lists commonly use ``%``).  Ids are read
 as ints when every id in the file parses as one, else kept as strings —
 mixed files would break id ordering, so the promotion is all-or-nothing.
+The one comment read back is :func:`write_edgelist`'s ``# isolated:`` line.
 """
+
+from itertools import chain
 
 from repro.graph import make_graph
 
 __all__ = ["read_edgelist", "write_edgelist"]
 
 _COMMENT_PREFIXES = ("#", "%")
+_ISOLATED = "# isolated:"
 
 
 def read_edgelist(path, directed_dedup=True, backend="adjacency"):
@@ -27,10 +31,13 @@ def read_edgelist(path, directed_dedup=True, backend="adjacency"):
     """
     del directed_dedup  # duplicates collapse in the undirected Graph
     raw_edges = []
-    all_int = True
+    isolated = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             stripped = line.strip()
+            if stripped.startswith(_ISOLATED):
+                isolated.extend(stripped[len(_ISOLATED):].split())
+                continue
             if not stripped or stripped.startswith(_COMMENT_PREFIXES):
                 continue
             parts = stripped.split()
@@ -38,19 +45,18 @@ def read_edgelist(path, directed_dedup=True, backend="adjacency"):
                 raise ValueError(
                     f"{path}:{line_number}: expected two ids, got {stripped!r}"
                 )
-            u, v = parts[0], parts[1]
-            if all_int:
-                try:
-                    int(u), int(v)
-                except ValueError:
-                    all_int = False
-            raw_edges.append((u, v))
+            raw_edges.append((parts[0], parts[1]))
+    try:  # all or nothing: one id that is not an int keeps every id a str
+        for v in chain(chain.from_iterable(raw_edges), isolated):
+            int(v)
+        ids = int
+    except ValueError:
+        ids = str
+    edges = ((ids(u), ids(v)) for u, v in raw_edges)  # converted lazily
     graph = make_graph(backend)
-    for u, v in raw_edges:
-        if all_int:
-            u, v = int(u), int(v)
-        if u != v:  # real datasets occasionally contain self-loops; drop them
-            graph.add_edge(u, v)
+    # real datasets occasionally contain self-loops; drop them
+    graph.add_edges((u, v) for u, v in edges if u != v)
+    graph.add_vertices(map(ids, isolated))
     return graph
 
 

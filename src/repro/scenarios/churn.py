@@ -27,7 +27,7 @@ from repro.generators.cdr import CdrStreamConfig, generate_cdr_stream
 from repro.generators.forest_fire import forest_fire_expansion
 from repro.generators.social import TweetStreamConfig, generate_tweet_stream
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
-from repro.graph.stream import EventStream
+from repro.graph.stream import EventStream, TimedEvent
 from repro.utils import make_rng
 
 __all__ = [
@@ -234,7 +234,7 @@ def rolling_window_churn(
     vertices = list(graph.vertices())
     if len(vertices) < 2:
         raise ValueError("rolling window needs at least two vertices")
-    stream = EventStream()
+    timed = []  # creation order; one sort pins the (time, seq) order
     live = {}  # canonical pair -> expiry time
     t = 0.0
     while True:
@@ -261,10 +261,10 @@ def rolling_window_churn(
         expiry = live.get((a, b))
         if expiry is not None and expiry > t:
             continue  # still live from an earlier arrival
-        stream.push(t, AddEdge(a, b))
-        stream.push(t + horizon, RemoveEdge(a, b))
+        timed.append(TimedEvent(t, AddEdge(a, b)))
+        timed.append(TimedEvent(t + horizon, RemoveEdge(a, b)))
         live[(a, b)] = t + horizon
-    return stream
+    return EventStream(timed)
 
 
 def twitter_churn(

@@ -18,7 +18,9 @@ def stable_hash(value):
     by the library.  Ints hash via their decimal rendering so that equal ints
     of different widths agree.
     """
-    if isinstance(value, bytes):
+    if type(value) is int:  # the common case first; bools keep "True"
+        payload = b"%d" % value
+    elif isinstance(value, bytes):
         payload = value
     elif isinstance(value, str):
         payload = value.encode("utf-8")

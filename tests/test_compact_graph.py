@@ -17,7 +17,7 @@ HAS_NUMPY = sweep_module._np is not None
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="the vectorised sweeper requires numpy"
 )
-from repro.generators import mesh_3d, powerlaw_cluster_graph
+from repro.generators import mesh_3d, powerlaw_cluster_graph, ring_lattice
 from repro.graph import (
     GRAPH_BACKENDS,
     AddEdge,
@@ -617,3 +617,96 @@ class TestIdLookupDeltaMaintenance:
         assert slots[1] == g.slot_index[2000]
         g.validate()
         runner.state.validate()
+
+
+# ----------------------------------------------------------------------
+# Bulk set-up: constructor / add_edges / ring_lattice against the
+# per-edge oracle.
+# ----------------------------------------------------------------------
+
+BACKENDS = [Graph, CompactGraph]
+
+
+def per_edge_build(cls, vertices, pairs):
+    """The per-item oracle: one add_vertex / add_edge call each, in order."""
+    graph = cls()
+    for v in vertices:
+        graph.add_vertex(v)
+    for u, v in pairs:
+        graph.add_edge(u, v)
+    return graph
+
+
+def csr_bytes(graph):
+    starts, lens, indices = graph.ensure_csr()
+    return bytes(starts), bytes(lens), list(graph._csr_cap), bytes(indices)
+
+
+def assert_built_alike(bulk, oracle):
+    assert type(bulk) is type(oracle)
+    assert list(bulk) == list(oracle)
+    for v in oracle:
+        assert list(bulk.neighbors(v)) == list(oracle.neighbors(v))
+    assert bulk.num_edges == oracle.num_edges
+    assert bulk.num_isolated == oracle.num_isolated
+    if isinstance(oracle, CompactGraph):
+        assert bulk.slot_ids == oracle.slot_ids
+        assert csr_bytes(bulk) == csr_bytes(oracle)
+        table = bulk.id_table()
+        assert (None if table is None else bytes(table)) == (
+            None if oracle.id_table() is None else bytes(oracle.id_table())
+        )
+    bulk.validate()
+    oracle.validate()
+
+
+EDGE_IDS = st.one_of(
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from(["a", "b", "c", "d"]),
+)
+
+
+class TestBulkBuild:
+    @pytest.mark.parametrize("cls", BACKENDS)
+    def test_failed_add_edges_keeps_the_counters_exact(self, cls):
+        g = cls()
+        with pytest.raises(ValueError, match="self-loop"):
+            g.add_edges([(1, 2), (2, 3), (4, 4)])
+        assert (g.num_edges, g.num_isolated) == (2, 0)
+        g.validate()
+
+    @pytest.mark.parametrize("cls", BACKENDS)
+    @pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (7, 3), (10, 4), (64, 3)])
+    def test_ring_lattice_matches_the_per_edge_build(self, cls, n, k):
+        pairs = [(v, (v + i) % n) for v in range(n) for i in range(1, k + 1)]
+        assert_built_alike(
+            ring_lattice(n, k, graph_cls=cls),
+            per_edge_build(cls, range(n), pairs),
+        )
+
+    @pytest.mark.parametrize("cls", BACKENDS)
+    @given(
+        pairs=st.lists(st.tuples(EDGE_IDS, EDGE_IDS), max_size=80),
+        extra=st.lists(EDGE_IDS, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_constructor_matches_the_per_edge_build(self, cls, pairs, extra):
+        pairs = [(u, v) for u, v in pairs if u != v]
+        pairs += [(v, u) for u, v in pairs[::3]]  # reversed duplicates
+        assert_built_alike(
+            cls(vertices=extra, edges=pairs),
+            per_edge_build(cls, extra, pairs),
+        )
+
+    def test_marks_start_at_the_first_build(self):
+        g = CompactGraph(edges=[(0, 1), (1, 2)])
+        assert not g._dirty and g.dirty_slot_count == g.num_slots
+        g.add_edge(2, 5)  # the per-edge mutators still mark ...
+        assert g._dirty
+        g.ensure_csr()  # ... and the first build clears them
+        assert not g._dirty
+        g.add_edges([(2, 3)])
+        g.add_vertex(9)
+        assert sorted(g._dirty) == sorted(g.slot_of(v) for v in (2, 3, 9))
+        g.validate()
+

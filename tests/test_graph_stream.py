@@ -78,6 +78,23 @@ class TestEventStream:
         s = make_stream([1.0, 0.0])
         assert s[0].time == 0.0
 
+    def test_push_extend_and_init_share_the_time_seq_order(self):
+        """Many equal times: every way in lands in ``(time, seq)`` order,
+        the order the dataclass comparison defines."""
+        times = [float(i % 4) for i in range(7, 47)]  # ten events per time
+        pushed = make_stream(times)
+        created = [TimedEvent(t, AddEdge(i, i + 1)) for i, t in enumerate(times)]
+        extended = EventStream()
+        extended.extend(created[::-1])
+        expected = sorted(created)
+        assert [(te.time, te.seq) for te in expected] == sorted(
+            (te.time, te.seq) for te in created
+        )
+        assert list(extended) == expected
+        assert list(EventStream(created[::2] + created[1::2])) == expected
+        assert [te.event for te in pushed] == [te.event for te in expected]
+        assert list(pushed) == sorted(pushed)  # FIFO among equal times
+
 
 class TestBatching:
     def test_batch_by_time_covers_span(self):

@@ -29,6 +29,20 @@ class TestEdgelist:
             map(frozenset, graph.edges())
         )
 
+    @pytest.mark.parametrize("backend", ["adjacency", "compact"])
+    @pytest.mark.parametrize("labels", [False, True])
+    def test_roundtrip_keeps_isolated_vertices(self, tmp_path, backend, labels):
+        name = (lambda i: f"v{i}") if labels else int
+        graph = Graph([(name(1), name(2)), (name(2), name(3))])
+        graph.add_vertices([name(7), name(9)])
+        path = tmp_path / "graph.txt"
+        write_edgelist(graph, path)
+        loaded = read_edgelist(path, backend=backend)
+        assert list(loaded) == list(graph)
+        assert (loaded.num_vertices, loaded.num_edges) == (5, 2)
+        assert loaded.num_isolated == 2
+        loaded.validate()
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# SNAP header\n\n% chaco comment\n1 2\n2 3\n")

@@ -5,7 +5,15 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.graph import AddEdge, AddVertex, EventStream, Graph, RemoveVertex
+from repro.core.sweep import sort_vertices
+from repro.graph import (
+    AddEdge,
+    AddVertex,
+    EventStream,
+    Graph,
+    RemoveEdge,
+    RemoveVertex,
+)
 from repro.scenarios import (
     CHURNS,
     SCENARIOS,
@@ -25,6 +33,43 @@ from repro.scenarios.churn import (
     rewire_churn,
     rolling_window_churn,
 )
+from repro.utils import make_rng
+
+
+def _rolling_window_per_push(graph, *, seed, rate, duration, horizon, locality):
+    """The per-push reference: each arrival and expiry inserted in turn."""
+    rng = make_rng(seed, "rolling_window")
+    vertices = list(graph.vertices())
+    stream = EventStream()
+    live = {}
+    t = 0.0
+    while True:
+        t += rng.expovariate(rate)
+        if t >= duration:
+            break
+        u = vertices[rng.randrange(len(vertices))]
+        v = None
+        if rng.random() < locality:
+            hops = sort_vertices(graph.neighbors(u))
+            if hops:
+                w = hops[rng.randrange(len(hops))]
+                two_hops = sort_vertices(graph.neighbors(w))
+                if two_hops:
+                    v = two_hops[rng.randrange(len(two_hops))]
+        if v is None or v == u:
+            v = vertices[rng.randrange(len(vertices))]
+        if v == u:
+            continue
+        a, b = sort_vertices((u, v))
+        if graph.has_edge(a, b):
+            continue
+        expiry = live.get((a, b))
+        if expiry is not None and expiry > t:
+            continue
+        stream.push(t, AddEdge(a, b))
+        stream.push(t + horizon, RemoveEdge(a, b))
+        live[(a, b)] = t + horizon
+    return stream
 
 
 @pytest.fixture
@@ -127,6 +172,18 @@ class TestChurnFactories:
         working = base_graph.copy()
         stream.replay_into(working)
         assert working.num_edges == base_graph.num_edges
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rolling_window_equals_the_per_push_loop(self, seed):
+        """One sort over the collected events is the per-push stream."""
+        graph = Graph([(i, (i + d) % 60) for i in range(60) for d in (1, 2)])
+        params = dict(rate=40.0, duration=20.0, horizon=0.75, locality=0.7)
+        bulk = rolling_window_churn(graph, seed=seed, **params)
+        oracle = _rolling_window_per_push(graph, seed=seed, **params)
+        assert len(bulk) > 500
+        assert [(te.time, te.event) for te in bulk] == [
+            (te.time, te.event) for te in oracle
+        ]
 
     def test_factories_are_seed_deterministic(self, base_graph):
         for kind in ("growth", "decay", "rewire", "rolling-window"):
