@@ -1,16 +1,19 @@
-"""Backend matrix — Fig. 6-style adaptive-sweep scaling on both graph
-backends (adjacency-set ``Graph`` vs integer-interned ``CompactGraph``),
-asserting bit-identical timelines and reporting the compact speedup.
+"""Decision-path matrix — Fig. 6-style adaptive-sweep scaling on the one
+graph, the portable per-vertex path against the vectorised sweep,
+asserting bit-identical timelines and reporting the sweep's speedup.
 
-The compact backend routes the runner's per-iteration decision pass through
+The sweep routes the runner's per-iteration decision pass through
 :class:`repro.core.sweep.CompactSweeper` (one vectorised histogram pass over
-the CSR mirror instead of a dict per vertex) and batch-applies each round's
-admitted moves.  Round semantics are preserved exactly — same candidate
-order, same RNG stream, same tie-breaks — so the timelines must match
-entry-for-entry, and the speedup is pure substrate.
+the graph's CSR mirror instead of a dict per vertex read from the adjacency
+sets) and batch-applies each round's admitted moves.  The reference side
+runs the paper's rule as :class:`_PortableGreedy`, a no-op subclass the
+sweep's exact-type gate rejects, so it takes the portable path.  Round
+semantics are preserved exactly — same candidate order, same RNG stream,
+same tie-breaks — so the timelines must match entry-for-entry, and the
+speedup is pure decision path.
 
-Asserted at full scale: ≥3× on the 100k-vertex mesh sweep (the ISSUE's
-acceptance bar), plus timeline identity at every size.
+Asserted at full scale: ≥3× on the 100k-vertex mesh sweep, plus timeline
+identity at every size.
 """
 
 import math
@@ -18,8 +21,8 @@ import time
 
 from repro.analysis import format_table
 from repro.core import AdaptiveConfig, AdaptiveRunner
+from repro.core.heuristic import GreedyMaxNeighbours
 from repro.generators import mesh_with_vertex_count, powerlaw_cluster_graph
-from repro.graph import CompactGraph, Graph, as_compact
 from repro.partitioning import HashPartitioner, balanced_capacities
 
 from benchmarks import _harness
@@ -32,18 +35,23 @@ TIMING_REPEATS = pick(2, 1)  # wall-clock = min over repeats (noise rejection)
 SPEEDUP_TARGET = 3.0      # asserted at the largest mesh size, full scale only
 
 
-def _runner(graph, seed=0):
+class _PortableGreedy(GreedyMaxNeighbours):
+    """The paper's rule, unchanged; not the exact type the sweep accepts."""
+
+
+def _runner(graph, heuristic, seed=0):
     caps = balanced_capacities(graph.num_vertices, PARTITIONS, 1.10)
     state = HashPartitioner().partition(graph, PARTITIONS, list(caps))
-    return AdaptiveRunner(graph, state, AdaptiveConfig(seed=seed))
+    config = AdaptiveConfig(seed=seed, heuristic=heuristic)
+    return AdaptiveRunner(graph, state, config)
 
 
-def _time_sweep(graph, iterations, seed=0):
+def _time_sweep(graph, heuristic, iterations, seed=0):
     """Best wall-clock over TIMING_REPEATS identical sweeps + last runner."""
     best = None
     runner = None
     for _ in range(TIMING_REPEATS):
-        runner = _runner(graph, seed=seed)
+        runner = _runner(graph, heuristic, seed=seed)
         start = time.perf_counter()
         for _ in range(iterations):
             runner.step()
@@ -53,34 +61,38 @@ def _time_sweep(graph, iterations, seed=0):
 
 
 def _measure(make_graph, size):
-    dense = make_graph(size, Graph)
-    compact = make_graph(size, CompactGraph)
-    dense_time, dense_runner = _time_sweep(dense, ITERATIONS)
-    compact_time, compact_runner = _time_sweep(compact, ITERATIONS)
-    assert list(dense_runner.timeline) == list(compact_runner.timeline), (
+    graph = make_graph(size)
+    portable_time, portable_runner = _time_sweep(
+        graph, _PortableGreedy(), ITERATIONS
+    )
+    sweep_time, sweep_runner = _time_sweep(
+        graph, GreedyMaxNeighbours(), ITERATIONS
+    )
+    assert sweep_runner._sweeper is not None, "the sweep must engage"
+    assert list(portable_runner.timeline) == list(sweep_runner.timeline), (
         f"timelines diverged at |V|={size}"
     )
     assert (
-        compact_runner.state.cut_edges
-        == compact_runner.state.recompute_cut_edges()
+        sweep_runner.state.cut_edges
+        == sweep_runner.state.recompute_cut_edges()
     )
     return {
-        "vertices": dense.num_vertices,
-        "edges": dense.num_edges,
-        "dense_s": dense_time,
-        "compact_s": compact_time,
-        "speedup": dense_time / compact_time,
-        "final_cut_ratio": compact_runner.state.cut_ratio(),
+        "vertices": graph.num_vertices,
+        "edges": graph.num_edges,
+        "portable_s": portable_time,
+        "sweep_s": sweep_time,
+        "speedup": portable_time / sweep_time,
+        "final_cut_ratio": sweep_runner.state.cut_ratio(),
     }
 
 
-def _mesh(size, graph_cls):
-    return mesh_with_vertex_count(size, graph_cls=graph_cls)
+def _mesh(size):
+    return mesh_with_vertex_count(size)
 
 
-def _plaw(size, graph_cls):
+def _plaw(size):
     return powerlaw_cluster_graph(
-        size, m=max(1, round(math.log(size) / 2)), seed=0, graph_cls=graph_cls
+        size, m=max(1, round(math.log(size) / 2)), seed=0
     )
 
 
@@ -99,19 +111,19 @@ def test_backend_matrix(run_once, capsys):
             print()
             print(
                 format_table(
-                    ["|V|", "|E|", "dense s", "compact s", "speedup"],
+                    ["|V|", "|E|", "portable s", "sweep s", "speedup"],
                     [
                         [
                             r["vertices"],
                             r["edges"],
-                            r["dense_s"],
-                            r["compact_s"],
+                            r["portable_s"],
+                            r["sweep_s"],
                             r["speedup"],
                         ]
                         for r in rows
                     ],
                     title=(
-                        f"Backend matrix ({family}): {ITERATIONS}-iteration "
+                        f"Decision paths ({family}): {ITERATIONS}-iteration "
                         "adaptive sweep, identical timelines"
                     ),
                 )
@@ -121,7 +133,7 @@ def test_backend_matrix(run_once, capsys):
     # The acceptance bar: ≥3x on the 100k-vertex mesh sweep.
     headline = results["mesh"][-1]
     assert headline["speedup"] >= SPEEDUP_TARGET, headline
-    # The compact backend must never be slower anywhere in the matrix.
+    # The sweep must never be slower anywhere in the matrix.
     for family, rows in results.items():
         for row in rows:
             assert row["speedup"] > 1.0, (family, row)

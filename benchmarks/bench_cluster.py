@@ -32,7 +32,6 @@ from repro.analysis import format_table
 from repro.apps.fem_simulation import CombinedCardiacFemSimulation
 from repro.cluster import Coordinator, make_executor
 from repro.generators import mesh_3d
-from repro.graph.backend import to_backend
 from repro.obs import MetricsRegistry
 from repro.pregel.system import PregelConfig
 
@@ -65,7 +64,7 @@ EXECUTOR_SPECS = [
 
 
 def _build_system(executor_name, workers, registry):
-    graph = to_backend(mesh_3d(MESH_SIDE), "compact")
+    graph = mesh_3d(MESH_SIDE)
     # The combined variant folds diffusion messages per worker (the Pregel
     # combiner idiom), so cross-process traffic is per-worker-pair, not
     # per-edge — the configuration a real deployment would run.

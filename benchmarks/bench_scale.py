@@ -36,7 +36,6 @@ import time
 from repro.analysis import format_table
 from repro.core import AdaptiveConfig, AdaptiveRunner
 from repro.generators.random_graphs import ring_lattice
-from repro.graph.compact import CompactGraph
 from repro.graph.stream import batch_by_time
 from repro.partitioning import HashPartitioner, balanced_capacities
 from repro.scenarios.churn import rolling_window_churn
@@ -59,9 +58,7 @@ SMOKE_SPEEDUP_FLOOR = 2.5            # smoke bar, asserted in CI
 
 
 def _build():
-    graph = ring_lattice(
-        VERTICES, neighbours_each_side=2, graph_cls=CompactGraph
-    )
+    graph = ring_lattice(VERTICES, neighbours_each_side=2)
     caps = balanced_capacities(graph.num_vertices, PARTITIONS, 1.10)
     state = HashPartitioner().partition(graph, PARTITIONS, list(caps))
     return graph, state

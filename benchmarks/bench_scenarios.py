@@ -59,10 +59,8 @@ ROLLING_SCENARIO = scaled(
 
 def _paired(scenario):
     """Replay one scenario on both paired clusters; return the summary row."""
-    adaptive = play_scenario(scenario, backend="compact", max_rounds=MAX_ROUNDS)
-    static = play_scenario(
-        scenario, backend="compact", adaptive=False, max_rounds=MAX_ROUNDS
-    )
+    adaptive = play_scenario(scenario, max_rounds=MAX_ROUNDS)
+    static = play_scenario(scenario, adaptive=False, max_rounds=MAX_ROUNDS)
     return {
         "scenario": scenario.name,
         "regime": scenario.regime,
@@ -112,7 +110,7 @@ def _timed_churn(metrics):
     claim under test is about the per-round cost of the churn loop.
     """
     scenario = ROLLING_SCENARIO
-    graph = scenario.build_graph("compact")
+    graph = scenario.build_graph()
     caps = balanced_capacities(
         graph.num_vertices, scenario.num_partitions, scenario.slack
     )

@@ -9,7 +9,7 @@ Gives downstream users the paper's workflow without writing code:
 * ``scenario`` — replay a named dynamic scenario (churning graph) and print
   its per-round timeline; ``--static`` runs the paired static-hash cluster,
   ``--engine pregel`` replays through the sharded cluster simulation (with
-  ``--executor inline|process|socket`` selecting the backend and
+  ``--executor inline|process|socket`` selecting where shards run and
   ``--staleness N`` relaxing the capacity-resync cadence), ``--spec file``
   loads a user JSON/TOML scenario instead of a catalog name;
 * ``datasets`` — print the Table-1 catalog;
@@ -32,7 +32,6 @@ from repro.cluster.worker import parse_address
 from repro.core import AdaptiveConfig, AdaptiveRunner
 from repro.datasets import CATALOG, build_dataset, dataset_names
 from repro.generators import mesh_3d
-from repro.graph import GRAPH_BACKENDS
 from repro.io import read_edgelist, save_partition, write_edgelist
 from repro.partitioning import balanced_capacities, make_partitioner
 from repro.scenarios import (
@@ -63,9 +62,6 @@ def build_parser():
     p.add_argument("--strategy", default="HSH", choices=["HSH", "RND", "DGR", "MNN", "METIS"])
     p.add_argument("--slack", type=float, default=1.10,
                    help="capacity as a multiple of the balanced load")
-    p.add_argument("--backend", default="adjacency",
-                   choices=sorted(GRAPH_BACKENDS),
-                   help="graph backend (compact enables the batch sweep)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iterations", type=int, default=1000)
     p.add_argument("-o", "--output", help="save the final assignment here")
@@ -86,8 +82,6 @@ def build_parser():
     sc.add_argument("--spec", default=None,
                     help="load the scenario from a JSON/TOML spec file "
                     "instead of the catalog")
-    sc.add_argument("--backend", default="adjacency",
-                    choices=sorted(GRAPH_BACKENDS))
     sc.add_argument("--engine", default="adaptive", choices=sorted(ENGINES),
                     help="adaptive = logical round loop; pregel = sharded "
                     "distributed simulation (messages + migration protocol)")
@@ -147,7 +141,7 @@ def build_parser():
 
 
 def _cmd_partition(args, out):
-    graph = read_edgelist(args.edgelist, backend=args.backend)
+    graph = read_edgelist(args.edgelist)
     out.write(f"loaded {graph}\n")
     caps = balanced_capacities(graph.num_vertices, args.partitions, args.slack)
     state = make_partitioner(args.strategy, seed=args.seed).partition(
@@ -277,7 +271,6 @@ def _cmd_scenario(args, out):
     with executor_cm as executor:
         result = play_scenario(
             scenario,
-            backend=args.backend,
             adaptive=not args.static,
             metrics=args.metrics,
             max_rounds=args.max_rounds,
@@ -290,8 +283,7 @@ def _cmd_scenario(args, out):
     if args.engine == "pregel":
         engine_label += f" ({args.executor or 'inline'} executor)"
     out.write(
-        f"{scenario.name} [{scenario.regime}] on {args.backend} backend, "
-        f"{engine_label} engine, "
+        f"{scenario.name} [{scenario.regime}], {engine_label} engine, "
         f"{'static hash' if args.static else 'adaptive'}, "
         f"k={scenario.num_partitions}, seed={scenario.seed}\n"
     )

@@ -13,8 +13,7 @@ through this module:
   :class:`~repro.graph.events.EventBatch` splits the round into runs,
   vertex events stay per-event (they touch interning, placement and
   neighbour bookkeeping), and each run of edge events becomes one
-  vectorised job over the :class:`~repro.graph.compact.CompactGraph` CSR
-  mirror.
+  vectorised job over the graph's CSR mirror.
 
 **The host contract.**  A host exposes ``graph``, ``state``, ``metrics``
 (:class:`~repro.core.incremental.IncrementalMetrics`), ``config.placement``,
@@ -46,14 +45,14 @@ The edge-run kernel:
 
 **Equivalence is the contract**: assignment, metrics, active set and the
 RNG stream come out bit-identical to the per-event loop.  The ingestor
-exists only where that is provable — compact graph, numpy present, exact
+exists only where that is provable — numpy present, exact
 :class:`~repro.partitioning.hashing.HashPartitioner` placement (per-vertex
 pure, so batch placement commutes) and a degree-insensitive balance policy
 (edge events then cannot move loads).  Everything else — and any batch the
 loop would abort mid-way (unknown event types, self-loop adds) — takes the
 per-event loop, which is also the oracle: the test tree clears
 ``_ingestor`` to pin the bulk path against it, alongside the golden
-timelines (bulk path on the compact backend) and the
+timelines (bulk path and loop, both pinned) and the
 ``metrics="recompute"`` cross-check.
 """
 
@@ -171,9 +170,6 @@ def make_ingestor(host):
     could override the behaviours the bulk path relies on.
     """
     if _np is None:
-        return None
-    graph = host.graph
-    if not (hasattr(graph, "ensure_csr") and hasattr(graph, "slot_ids")):
         return None
     if type(host.config.placement) is not HashPartitioner:
         return None

@@ -30,12 +30,12 @@ the cheap neighbour-of-changed activation.  Convergence is exactly where
 that pays: no migrations and no churn means no capacity movement, so quiet
 phases cost O(active) instead of a full sweep per round.
 
-On a :class:`~repro.graph.compact.CompactGraph` with the paper's greedy
-heuristic, per-vertex decisions are produced by the vectorised
-:class:`~repro.core.sweep.CompactSweeper` instead of per-vertex histogram
-dicts; the round semantics (candidate order, RNG stream, tie-breaks, quota
-contention) are bit-for-bit identical to the per-vertex path, which the
-cross-backend equivalence suite pins.  The arrays it reads belong to the
+With the paper's greedy heuristic (and numpy), per-vertex decisions are
+produced by the vectorised :class:`~repro.core.sweep.CompactSweeper` over
+the graph's CSR mirror instead of per-vertex histogram dicts; the round
+semantics (candidate order, RNG stream, tie-breaks, quota contention) are
+bit-for-bit identical to the per-vertex path, which the portable-vs-sweep
+equivalence suite pins.  The arrays it reads belong to the
 graph and the state, so the runner has nothing to keep in sync.
 """
 
@@ -81,7 +81,6 @@ class AdaptiveConfig:
     heuristic: object = field(default_factory=GreedyMaxNeighbours)
     balance: object = field(default_factory=VertexBalance)
     placement: object = field(default_factory=HashPartitioner)
-    track_active: bool = True
     metrics: str = "incremental"
 
     def __post_init__(self):
@@ -156,18 +155,12 @@ class AdaptiveRunner:
     # Active-set maintenance
     # ------------------------------------------------------------------
 
-    def _tracking_active(self):
-        return self.config.track_active
-
     def _needs_full_sweep(self, remaining):
-        """True when this round must evaluate every vertex.
-
-        Untracked configurations always sweep fully; a capacity-consulting
-        heuristic additionally sweeps fully on any change of the remaining
-        vector since the last evaluated round (the capacity trigger).
+        """True when this round must evaluate every vertex: a
+        capacity-consulting heuristic sweeps fully on any change of the
+        remaining vector since the last evaluated round (the capacity
+        trigger).
         """
-        if not self._tracking_active():
-            return True
         return getattr(self.config.heuristic, "uses_capacity", False) and (
             self._last_remaining != tuple(remaining)
         )
@@ -189,8 +182,8 @@ class AdaptiveRunner:
 
         Sorting before the shuffle makes a round's RNG pairing a function of
         the active *membership* rather than set iteration order (which
-        depends on hash-table insertion history and would differ between a
-        graph and its bridged copy on another backend).
+        depends on hash-table insertion history, which two graphs with
+        equal membership need not share).
         """
         return sort_vertices(self._active)
 
@@ -239,18 +232,13 @@ class AdaptiveRunner:
         # Apply all admitted moves together (synchronous semantics: no
         # decision above saw any of these relocations).
         self.metrics.on_moves(admitted_moves)
+        self._active = kept_active
         if self._sweeper is not None:
-            touched = self._sweeper.apply_moves(admitted_moves)
-            if self._tracking_active():
-                self._active = kept_active
-                self._active.update(touched)
+            kept_active.update(self._sweeper.apply_moves(admitted_moves))
         else:
             for v, _, new_pid, __ in admitted_moves:
                 state.move(v, new_pid)
-            if self._tracking_active():
-                self._active = kept_active
-                for v, _, __, ___ in admitted_moves:
-                    self._activate_neighbourhood(v)
+                self._activate_neighbourhood(v)
 
         self.iteration += 1
         self._last_remaining = tuple(remaining)

@@ -3,9 +3,9 @@
 The per-vertex hot path of :class:`~repro.core.runner.AdaptiveRunner` (and
 the Pregel background partitioner) is: read the vertex's neighbour-partition
 histogram, apply the heuristic, then gate the move on willingness and quota.
-On the adjacency-set backend that allocates a fresh dict per vertex per
+Read from the adjacency sets, that allocates a fresh dict per vertex per
 round; :class:`CompactSweeper` replaces it with one vectorised pass over the
-:class:`~repro.graph.compact.CompactGraph` CSR mirror:
+graph's CSR mirror (:meth:`~repro.graph.graph.Graph.ensure_csr`):
 
 * the partition assignment is read as one flat integer array indexed by
   vertex slot — the partition column its owner,
@@ -21,13 +21,13 @@ Because every decision in a round is taken against start-of-round state,
 batching is *semantics-preserving*: decisions are order-independent, and the
 order-dependent parts (willingness draws, quota consumption) stay in the
 caller's sequential loop, which consumes the RNG stream exactly as the
-per-vertex path does.  Timelines are bit-for-bit identical across backends —
-the cross-backend equivalence suite pins this.
+per-vertex path does.  Timelines are bit-for-bit identical to that path —
+the portable-vs-sweep equivalence suite pins this.
 
 The sweeper engages only for the exact paper heuristic
-(:class:`~repro.core.heuristic.GreedyMaxNeighbours`) on a compact graph with
-numpy present; every other combination uses :func:`generic_decisions`, the
-portable per-vertex path.
+(:class:`~repro.core.heuristic.GreedyMaxNeighbours`) with numpy present;
+every other combination uses :func:`generic_decisions`, the portable
+per-vertex path.
 
 :class:`LocalCsr` is the same idea scoped to one
 :class:`~repro.cluster.shard.Shard`: a local CSR of the shard's resident
@@ -83,7 +83,7 @@ def sort_vertices(vertices):
 def generic_decisions(state, heuristic, candidates, remaining):
     """Yield ``(vertex, current, desired)`` per assigned candidate, in order.
 
-    The portable decision path: works on any backend and any heuristic.
+    The portable decision path: works for any heuristic, numpy or not.
     """
     for v in candidates:
         current = state.partition_of_or_none(v)
@@ -95,13 +95,13 @@ def generic_decisions(state, heuristic, candidates, remaining):
 
 def make_sweeper(graph, state, heuristic):
     """A :class:`CompactSweeper` when the fast path applies, else None."""
-    if CompactSweeper.supports(graph, heuristic):
+    if CompactSweeper.supports(heuristic):
         return CompactSweeper(graph, state)
     return None
 
 
 class CompactSweeper:
-    """Batch greedy decisions over a compact graph + partition state.
+    """Batch greedy decisions over a graph's CSR mirror + partition state.
 
     Holds no arrays of its own: every pass takes transient numpy views of
     the graph's CSR mirror and id table and of the state's partition
@@ -110,14 +110,10 @@ class CompactSweeper:
     """
 
     @staticmethod
-    def supports(graph, heuristic):
+    def supports(heuristic):
         """True when the vectorised path can replace the per-vertex one."""
-        return (
-            _np is not None
-            and hasattr(graph, "ensure_csr")
-            # Exact type: a subclass could override the decision rule.
-            and type(heuristic) is GreedyMaxNeighbours
-        )
+        # Exact type: a subclass could override the decision rule.
+        return _np is not None and type(heuristic) is GreedyMaxNeighbours
 
     def __init__(self, graph, state):
         self.graph = graph
@@ -310,8 +306,8 @@ class LocalCsr:
     ==============  ====================================================
 
     Id → slot is one gather through a dense table while ids are modest
-    non-negative ints (the :meth:`CompactGraph.id_table
-    <repro.graph.compact.CompactGraph.id_table>` regime); the first id
+    non-negative ints (the :meth:`Graph.id_table
+    <repro.graph.graph.Graph.id_table>` regime); the first id
     outside it retires the table for a dict, for good.
 
     Everything is fed in bulk — :meth:`admit_many` / :meth:`evict_many` /

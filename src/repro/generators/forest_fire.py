@@ -28,8 +28,8 @@ def _burn(graph, ambassador, burn_probability, rng, max_burned):
     while frontier and len(burned) < max_burned:
         current = frontier.pop()
         # Canonical order before the shuffle: raw neighbour-*set* iteration
-        # order is not contractually identical across backend bridges, and
-        # scenario replay needs the same events on every backend.
+        # order depends on insertion history, not on topology alone, and
+        # scenario replay needs the same events for the same topology.
         neighbours = sort_vertices(
             w for w in graph.neighbors(current) if w not in burned
         )

@@ -28,8 +28,8 @@ def mesh_3d(nx, ny=None, nz=None, graph_cls=Graph):
 
     ``ny``/``nz`` default to ``nx`` (a cube).  Vertices are dense ints in
     row-major order; each connects to the +x, +y and +z lattice neighbour,
-    yielding the 6-neighbourhood overall.  ``graph_cls`` selects the graph
-    backend (any class from :data:`repro.graph.GRAPH_BACKENDS`).
+    yielding the 6-neighbourhood overall.  ``graph_cls`` is the class to
+    build (default :class:`~repro.graph.Graph`).
 
     >>> g = mesh_3d(2)
     >>> g.num_vertices, g.num_edges

@@ -57,8 +57,8 @@ def powerlaw_cluster_graph(
     """Holme–Kim power-law graph with tunable clustering.
 
     Parameters mirror the paper: ``m`` defaults to the paper's
-    ``log(|V|)/2`` rule and ``triad_probability`` to 0.1; ``graph_cls``
-    selects the graph backend.
+    ``log(|V|)/2`` rule and ``triad_probability`` to 0.1; ``graph_cls`` is
+    the class to build.
 
     >>> g = powerlaw_cluster_graph(200, m=2, seed=1)
     >>> g.num_vertices

@@ -4,11 +4,10 @@ The paper's system ingests graphs that mutate continuously — vertices and
 edges are injected and removed from a stream while computation runs.  This
 package provides:
 
-* :class:`repro.graph.graph.Graph` — an adjacency-set dynamic graph with O(1)
-  amortised mutation, the in-memory representation used by every other layer;
-* :class:`repro.graph.compact.CompactGraph` — the integer-interned backend
-  with a CSR-style adjacency mirror, feeding the batch sweep kernels; the
-  :mod:`repro.graph.backend` registry and bridges select between the two;
+* :class:`repro.graph.graph.Graph` — the one dynamic graph every other layer
+  shares: adjacency sets with O(1) amortised mutation, every vertex interned
+  to a dense integer slot, and a CSR-style mirror built on demand for the
+  batch sweep and ingest kernels;
 * :mod:`repro.graph.events` — the vocabulary of mutation events
   (add/remove vertex/edge) with inverse computation for undo tests;
 * :mod:`repro.graph.stream` — timestamped event streams, batching windows and
@@ -26,23 +25,14 @@ from repro.graph.events import (
     apply_events,
     invert_event,
 )
-from repro.graph.backend import (
-    GRAPH_BACKENDS,
-    graph_backend,
-    make_graph,
-    to_backend,
-)
-from repro.graph.compact import CompactGraph, as_adjacency, as_compact
 from repro.graph.graph import Graph
 from repro.graph.stream import EventStream, TimedEvent, batch_by_count, batch_by_time
 
 __all__ = [
     "AddEdge",
     "AddVertex",
-    "CompactGraph",
     "EventKind",
     "EventStream",
-    "GRAPH_BACKENDS",
     "Graph",
     "GraphEvent",
     "RemoveEdge",
@@ -50,12 +40,7 @@ __all__ = [
     "TimedEvent",
     "apply_event",
     "apply_events",
-    "as_adjacency",
-    "as_compact",
     "batch_by_count",
     "batch_by_time",
-    "graph_backend",
     "invert_event",
-    "make_graph",
-    "to_backend",
 ]

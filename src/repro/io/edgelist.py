@@ -10,7 +10,7 @@ The one comment read back is :func:`write_edgelist`'s ``# isolated:`` line.
 
 from itertools import chain
 
-from repro.graph import make_graph
+from repro.graph import Graph
 
 __all__ = ["read_edgelist", "write_edgelist"]
 
@@ -18,18 +18,13 @@ _COMMENT_PREFIXES = ("#", "%")
 _ISOLATED = "# isolated:"
 
 
-def read_edgelist(path, directed_dedup=True, backend="adjacency"):
-    """Read an edge list into a graph on the chosen backend.
+def read_edgelist(path):
+    """Read an edge list into a :class:`~repro.graph.Graph`.
 
-    ``directed_dedup``: SNAP ships directed pairs (both ``a b`` and
-    ``b a``); the undirected graph stores each such tie once (the Graph
-    handles duplicates natively — the flag exists only to document intent).
-    ``backend`` names a :data:`repro.graph.GRAPH_BACKENDS` entry
-    (``"adjacency"`` or ``"compact"``).
-
-    Returns the graph.  Raises ``ValueError`` on malformed lines.
+    SNAP ships directed pairs (both ``a b`` and ``b a``); the undirected
+    graph stores each such tie once.  Returns the graph.  Raises
+    ``ValueError`` on malformed lines.
     """
-    del directed_dedup  # duplicates collapse in the undirected Graph
     raw_edges = []
     isolated = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -53,7 +48,7 @@ def read_edgelist(path, directed_dedup=True, backend="adjacency"):
     except ValueError:
         ids = str
     edges = ((ids(u), ids(v)) for u, v in raw_edges)  # converted lazily
-    graph = make_graph(backend)
+    graph = Graph()
     # real datasets occasionally contain self-loops; drop them
     graph.add_edges((u, v) for u, v in edges if u != v)
     graph.add_vertices(map(ids, isolated))

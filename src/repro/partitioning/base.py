@@ -12,10 +12,10 @@ as the *cut ratio*), so its bookkeeping must stay exact under arbitrary
 interleavings of vertex moves and graph mutations; property-based tests
 compare it against from-scratch recomputation.
 
-Over a slotted graph (:class:`~repro.graph.compact.CompactGraph`) the state
-also keeps the assignment as a slot-indexed *partition column* for the array
-kernels (:meth:`PartitionState.partition_column`).  Every method that
-changes the assignment writes it, so it can never be stale.
+The state also keeps the assignment as a slot-indexed *partition column*
+over the graph's interned slots, for the array kernels
+(:meth:`PartitionState.partition_column`).  Every method that changes the
+assignment writes it, so it can never be stale.
 """
 
 import math
@@ -68,12 +68,9 @@ class PartitionState:
         self._assignment = {}
         self._sizes = [0] * num_partitions
         self._cut_edges = 0
-        # The partition column exists only over a graph that has slots
-        # (its slot_index is one dict for the graph's whole life).
-        self._slots = getattr(graph, "slot_index", None)
-        self._column = None
-        if self._slots is not None:
-            self._column = array("q", (-1,)) * graph.num_slots
+        # The graph's slot_index is one dict for the graph's whole life.
+        self._slots = graph.slot_index
+        self._column = array("q", (-1,)) * graph.num_slots
 
     # ------------------------------------------------------------------
     # Assignment
@@ -82,21 +79,20 @@ class PartitionState:
     def partition_column(self):
         """Slot-indexed partition ids (``array('q')``, −1 = unassigned).
 
-        None when the graph has no slots.  Padded here to cover every
-        current slot, so kernels may index it with any slot the graph
-        hands out.  The array is the live internal: read-only for callers,
-        and a numpy view of it must not outlive the call that took it —
-        the next placement may resize it.
+        Padded here to cover every current slot, so kernels may index it
+        with any slot the graph hands out.  The array is the live internal:
+        read-only for callers, and a numpy view of it must not outlive the
+        call that took it — the next placement may resize it.
         """
         column = self._column
-        if column is not None:
-            short = self.graph.num_slots - len(column)
-            if short > 0:
-                column.extend((-1,) * short)
+        short = self.graph.num_slots - len(column)
+        if short > 0:
+            column.extend((-1,) * short)
         return column
 
     def _store(self, vertex, pid):
-        """Write ``vertex``'s column entry (no-op for a slot-less vertex)."""
+        """Write ``vertex``'s column entry (no-op for a vertex the graph
+        does not hold)."""
         slot = self._slots.get(vertex)
         if slot is not None:
             try:
@@ -186,8 +182,7 @@ class PartitionState:
         self._assignment[vertex] = pid
         self._sizes[pid] += 1
         self._cut_edges += cut_delta
-        if self._column is not None:
-            self._store(vertex, pid)
+        self._store(vertex, pid)
 
     def move(self, vertex, new_pid):
         """Relocate an assigned vertex, updating the cut count in O(deg v)."""
@@ -201,8 +196,7 @@ class PartitionState:
         self._sizes[old_pid] -= 1
         self._sizes[new_pid] += 1
         self._cut_edges += after - before
-        if self._column is not None:
-            self._store(vertex, new_pid)
+        self._store(vertex, new_pid)
 
     def apply_bulk_moves(self, items, cut_delta):
         """Relocate many vertices at once with a caller-computed cut delta.
@@ -223,9 +217,8 @@ class PartitionState:
             assignment[vertex] = new_pid
             sizes[old_pid] -= 1
             sizes[new_pid] += 1
-            if column is not None:
-                # A mover is assigned, so it holds a slot and an entry.
-                column[slot_of[vertex]] = new_pid
+            # A mover is assigned, so it holds a slot and an entry.
+            column[slot_of[vertex]] = new_pid
         self._cut_edges += cut_delta
 
     def assign_many(self, items):
@@ -244,7 +237,7 @@ class PartitionState:
         assignment = self._assignment
         sizes = self._sizes
         num_partitions = self.num_partitions
-        store = self._store if self._column is not None else None
+        store = self._store
         count = 0
         for vertex, pid in items:
             if vertex in assignment:
@@ -253,8 +246,7 @@ class PartitionState:
                 self._check_pid(pid)
             assignment[vertex] = pid
             sizes[pid] += 1
-            if store is not None:
-                store(vertex, pid)
+            store(vertex, pid)
             count += 1
         return count
 
@@ -279,8 +271,7 @@ class PartitionState:
             return None
         self._sizes[pid] -= 1
         self._cut_edges -= self._external_degree(vertex, pid)
-        if self._column is not None:
-            self._store(vertex, -1)
+        self._store(vertex, -1)
         return pid
 
     # ------------------------------------------------------------------
@@ -350,15 +341,12 @@ class PartitionState:
             if size < 0:
                 raise AssertionError(f"negative size in partition {pid}")
         column = self.partition_column()
-        if column is not None:
-            expected = [-1] * len(column)
-            for vertex, slot in self._slots.items():
-                expected[slot] = self._assignment.get(vertex, -1)
-            drift = [s for s, pid in enumerate(column) if pid != expected[s]]
-            if drift:
-                raise AssertionError(
-                    f"partition column drift at slots {drift[:8]}"
-                )
+        expected = [-1] * len(column)
+        for vertex, slot in self._slots.items():
+            expected[slot] = self._assignment.get(vertex, -1)
+        drift = [s for s, pid in enumerate(column) if pid != expected[s]]
+        if drift:
+            raise AssertionError(f"partition column drift at slots {drift[:8]}")
         return True
 
     def copy(self):
@@ -367,8 +355,7 @@ class PartitionState:
         clone._assignment = dict(self._assignment)
         clone._sizes = list(self._sizes)
         clone._cut_edges = self._cut_edges
-        if self._column is not None:
-            clone._column = array("q", self._column)
+        clone._column = array("q", self._column)
         return clone
 
     def _check_pid(self, pid):

@@ -13,11 +13,12 @@ first-class, regression-testable workloads:
   :class:`~repro.core.runner.AdaptiveRunner` round by round (or without
   adaptation: the static-hash paired cluster), or — ``engine="pregel"`` —
   through the sharded :class:`~repro.cluster.coordinator.Coordinator` on
-  any executor backend;
+  any executor;
 * :mod:`io` — user-defined scenario specs from JSON/TOML files;
 * :mod:`registry` — the named catalog (``repro scenario --list``).
 
-Timelines are bit-for-bit reproducible across backends and metrics modes;
+Timelines are bit-for-bit reproducible across decision paths and metrics
+modes;
 ``tests/test_golden_timelines.py`` pins three of them as JSON fixtures.
 """
 

@@ -5,7 +5,7 @@ replayable :class:`~repro.graph.stream.EventStream`.  All randomness flows
 through :func:`repro.utils.make_rng`, and events emitted at equal times rely
 on the stream's FIFO tie order — so a schedule is a pure function of
 ``(graph topology, parameters, seed)`` and replays identically against every
-backend and system configuration (the paper's paired-cluster methodology).
+system configuration (the paper's paired-cluster methodology).
 
 The regimes mirror the paper's dynamic workloads:
 
@@ -144,7 +144,7 @@ def rewire_churn(graph, *, seed=0, num_rewires=50, duration=32.0):
     stream = EventStream()
     vertices = list(working.vertices())
     # Canonical edge order: edges() interleaves per-vertex *set* iteration,
-    # which is not contractually identical across backend bridges.  Sorted
+    # which depends on insertion history, not topology alone.  Sorted
     # once up front, then maintained incrementally (each rewire changes at
     # most two entries — re-sorting per step would be O(R·E log E)).
     edges = _sorted_edges(working.edges())
@@ -244,7 +244,7 @@ def rolling_window_churn(
         u = vertices[rng.randrange(len(vertices))]
         v = None
         if rng.random() < locality:
-            # Sorted neighbour views: raw set order is not backend-portable.
+            # Sorted neighbour views: raw set order is history-dependent.
             hops = sort_vertices(graph.neighbors(u))
             if hops:
                 w = hops[rng.randrange(len(hops))]

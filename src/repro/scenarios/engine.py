@@ -20,8 +20,8 @@ churn schedule:
   executors (the cluster golden suite pins it).
 
 Timelines are a pure function of ``(scenario, engine, adaptive[, program])``
-— backend, metrics mode and executor provably do not matter (the golden
-suites pin the first two, the cross-executor suite the third).
+— decision path, metrics mode and executor provably do not matter (the
+golden suites pin the first two, the cross-executor suite the third).
 """
 
 from dataclasses import dataclass
@@ -66,11 +66,13 @@ class RoundRecord:
 class ScenarioResult:
     """A completed scenario run: per-round records plus summaries."""
 
+    # ``backend`` is ignored: there is one graph class.  The parameter stays
+    # positional for the frozen perf ledger (benchmarks/e2e/workloads.py).
     def __init__(self, scenario, backend, adaptive, rounds, settle_iterations,
                  engine="adaptive", reports=None, tracer=None,
                  metrics_registry=None):
+        del backend
         self.scenario = scenario
-        self.backend = backend
         self.adaptive = adaptive
         self.rounds = rounds
         self.settle_iterations = settle_iterations
@@ -175,7 +177,7 @@ class ScenarioResult:
     def __repr__(self):
         return (
             f"ScenarioResult({self.scenario.name!r}, engine={self.engine!r}, "
-            f"backend={self.backend!r}, adaptive={self.adaptive}, "
+            f"adaptive={self.adaptive}, "
             f"rounds={len(self.rounds)})"
         )
 
@@ -191,7 +193,6 @@ def _batches(scenario, stream):
 
 def play_scenario(
     scenario,
-    backend="adjacency",
     adaptive=True,
     metrics="incremental",
     max_rounds=None,
@@ -212,7 +213,7 @@ def play_scenario(
 
     ``engine="pregel"`` replays the scenario through the sharded
     :class:`~repro.cluster.coordinator.Coordinator`; ``executor`` then
-    selects the backend (None/name/instance, see
+    selects where shards run (None/name/instance, see
     :func:`~repro.cluster.executor.make_executor`), ``program`` the vertex
     program (default: PageRank) and ``staleness`` the relaxed-synchrony
     window (:class:`~repro.pregel.system.PregelConfig.snapshot_staleness`:
@@ -233,7 +234,7 @@ def play_scenario(
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if engine == "pregel":
         return _play_pregel(
-            scenario, backend, adaptive, metrics, max_rounds, executor,
+            scenario, adaptive, metrics, max_rounds, executor,
             program, staleness, trace, metrics_registry,
         )
     if trace is not None or metrics_registry is not None:
@@ -241,7 +242,7 @@ def play_scenario(
             "trace/metrics_registry require engine='pregel' (the adaptive "
             "round loop has no phase instrumentation)"
         )
-    return _play_adaptive(scenario, backend, adaptive, metrics, max_rounds)
+    return _play_adaptive(scenario, adaptive, metrics, max_rounds)
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +268,8 @@ def _adaptive_round_cost(scenario, step_stats):
     return _COST_MODEL.time_of(traffic)
 
 
-def _play_adaptive(scenario, backend, adaptive, metrics, max_rounds):
-    graph = scenario.build_graph(backend)
+def _play_adaptive(scenario, adaptive, metrics, max_rounds):
+    graph = scenario.build_graph()
     capacities = balanced_capacities(
         max(1, graph.num_vertices), scenario.num_partitions, scenario.slack
     )
@@ -335,7 +336,7 @@ def _play_adaptive(scenario, backend, adaptive, metrics, max_rounds):
             record(index, -1.0, 0, 0, step_stats)
             index += 1
 
-    return ScenarioResult(scenario, backend, adaptive, rounds, settle_iterations)
+    return ScenarioResult(scenario, None, adaptive, rounds, settle_iterations)
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +344,7 @@ def _play_adaptive(scenario, backend, adaptive, metrics, max_rounds):
 # ----------------------------------------------------------------------
 
 
-def _play_pregel(scenario, backend, adaptive, metrics, max_rounds, executor,
+def _play_pregel(scenario, adaptive, metrics, max_rounds, executor,
                  program, staleness=0, trace=None,
                  metrics_registry=None):
     from repro.apps.pagerank import PageRank
@@ -364,7 +365,7 @@ def _play_pregel(scenario, backend, adaptive, metrics, max_rounds, executor,
             "the pregel engine needs steps_per_round >= 1: stream mutations "
             "apply at superstep barriers, so a round must run at least one"
         )
-    graph = scenario.build_graph(backend)
+    graph = scenario.build_graph()
     if program is None:
         program = PageRank()
     config = PregelConfig(
@@ -439,7 +440,7 @@ def _play_pregel(scenario, backend, adaptive, metrics, max_rounds, executor,
 
         result = ScenarioResult(
             scenario,
-            backend,
+            None,
             adaptive,
             rounds,
             settle_iterations,

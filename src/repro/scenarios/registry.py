@@ -2,7 +2,7 @@
 
 Small, laptop-fast instances of every churn regime.  Benchmarks scale them
 up with :func:`repro.scenarios.spec.scaled`; the golden-timeline regression
-suite replays a subset bit-for-bit on every backend.
+suite replays a subset bit-for-bit on both decision paths.
 """
 
 from repro.scenarios.spec import ChurnSpec, GraphSpec, Scenario

@@ -2,8 +2,8 @@
 
 A :class:`Scenario` bundles the three things a dynamic experiment needs —
 a seed-graph generator, a churn schedule and the runner configuration — as
-plain data, so a scenario can be named, listed, replayed bit-for-bit on any
-backend, serialised into a golden fixture and compared across paired system
+plain data, so a scenario can be named, listed, replayed bit-for-bit,
+serialised into a golden fixture and compared across paired system
 configurations (adaptive vs static hash), exactly the paper's methodology.
 """
 
@@ -13,14 +13,10 @@ from repro.generators.forest_fire import forest_fire_graph
 from repro.generators.mesh import grid_2d, mesh_3d
 from repro.generators.powerlaw import powerlaw_cluster_graph
 from repro.generators.random_graphs import erdos_renyi_graph, ring_lattice
-from repro.graph.backend import make_graph, to_backend
+from repro.graph.graph import Graph
 from repro.scenarios.churn import make_churn
 
 __all__ = ["GRAPH_KINDS", "GraphSpec", "ChurnSpec", "Scenario", "scaled"]
-
-
-def _empty_graph():
-    return make_graph("adjacency")
 
 
 GRAPH_KINDS = {
@@ -30,7 +26,7 @@ GRAPH_KINDS = {
     "erdos-renyi": erdos_renyi_graph,
     "ring": ring_lattice,
     "forest-fire": forest_fire_graph,
-    "empty": _empty_graph,
+    "empty": Graph,
 }
 
 
@@ -47,10 +43,9 @@ class GraphSpec:
                 f"unknown graph kind {self.kind!r}; choose from {sorted(GRAPH_KINDS)}"
             )
 
-    def build(self, backend="adjacency"):
-        """Generate the seed graph and bridge it onto ``backend``."""
-        graph = GRAPH_KINDS[self.kind](**self.params)
-        return to_backend(graph, backend)
+    def build(self):
+        """Generate the seed graph."""
+        return GRAPH_KINDS[self.kind](**self.params)
 
 
 @dataclass(frozen=True)
@@ -135,8 +130,8 @@ class Scenario:
         if self.steps_per_round < 0 or self.cooldown_rounds < 0:
             raise ValueError("steps_per_round/cooldown_rounds must be >= 0")
 
-    def build_graph(self, backend="adjacency"):
-        return self.graph.build(backend)
+    def build_graph(self):
+        return self.graph.build()
 
     def build_stream(self, graph):
         """The scenario's event stream: composed parts time-merged."""

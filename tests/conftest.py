@@ -29,7 +29,7 @@ def per_event_loop():
     """Force an ingest host onto the per-event loop — the oracle.
 
     ``repro.core.ingest`` picks the bulk path from what it can observe
-    (numpy, compact graph, hash placement, degree-insensitive balance);
+    (numpy, hash placement, degree-insensitive balance);
     the batch-vs-loop suites need the loop on a configuration that would
     otherwise batch, and take it from here rather than from a config knob.
     Works on an ``AdaptiveRunner``, a ``PregelSystem`` or a
@@ -41,6 +41,21 @@ def per_event_loop():
         return host
 
     return force
+
+
+@pytest.fixture
+def portable_paths(monkeypatch):
+    """Build every host from here on on the portable paths: per-vertex
+    decisions read from the adjacency sets and the per-event ingest loop
+    (what a numpy-free host runs), instead of the sweep and bulk ingest
+    over the CSR mirror.  For runs whose hosts a test cannot reach, such
+    as a whole ``play_scenario`` replay."""
+    import repro.core.runner
+    import repro.pregel.system
+
+    for module in (repro.core.runner, repro.pregel.system):
+        monkeypatch.setattr(module, "make_sweeper", lambda *args: None)
+        monkeypatch.setattr(module, "make_ingestor", lambda host: None)
 
 
 @pytest.fixture

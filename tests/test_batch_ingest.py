@@ -11,7 +11,7 @@ implicit endpoint creation, vertex events splitting edge runs — through
 paired runners and compare everything observable.
 
 The golden timelines pin the same equivalence on full catalog scenarios
-(the compact backend now takes the batch path); these tests cover the
+(in both the bulk-ingest and the per-event leg); these tests cover the
 adversarial corners fixtures cannot reach.
 """
 
@@ -23,7 +23,6 @@ from repro.core import ingest
 from repro.core.balance import EdgeBalance
 from repro.core.runner import AdaptiveConfig, AdaptiveRunner
 from repro.graph import AddEdge, AddVertex, Graph, RemoveEdge, RemoveVertex
-from repro.graph.compact import CompactGraph
 from repro.graph.events import EventBatch
 from repro.partitioning import HashPartitioner, balanced_capacities
 from repro.partitioning.base import Partitioner, PartitionState
@@ -58,7 +57,7 @@ def _paired_runners(per_event_loop, edges, heuristic="greedy", seed=3):
     """Two identical runners: the bulk path and the per-event oracle."""
     runners = []
     for _ in range(2):
-        graph = CompactGraph(edges=list(edges))
+        graph = Graph(edges=list(edges))
         caps = balanced_capacities(max(1, graph.num_vertices), 3, 1.10)
         state = HashPartitioner().partition(graph, 3, list(caps))
         config = AdaptiveConfig(seed=seed, heuristic=heuristic)
@@ -180,7 +179,7 @@ class TestBatchLoopEquivalence:
 
 class TestIngestorGating:
     def _runner(self, **config_fields):
-        graph = CompactGraph([(0, 1), (1, 2)])
+        graph = Graph([(0, 1), (1, 2)])
         caps = balanced_capacities(graph.num_vertices, 2, 1.10)
         state = HashPartitioner().partition(graph, 2, list(caps))
         return AdaptiveRunner(graph, state, AdaptiveConfig(**config_fields))
@@ -190,13 +189,6 @@ class TestIngestorGating:
 
     def test_non_hash_placement_falls_back(self):
         assert self._runner(placement=RandomPartitioner())._ingestor is None
-
-    def test_adjacency_backend_falls_back(self):
-        graph = Graph([(0, 1), (1, 2)])
-        caps = balanced_capacities(graph.num_vertices, 2, 1.10)
-        state = HashPartitioner().partition(graph, 2, list(caps))
-        runner = AdaptiveRunner(graph, state, AdaptiveConfig())
-        assert runner._ingestor is None
 
 
 class TestEventBatch:
@@ -225,8 +217,16 @@ class TestEventBatch:
         assert EventBatch.from_events([AddEdge(0, 1), "bogus"]).unsupported
 
 
+def mirrored(edges=()):
+    """A graph whose CSR mirror is built, so bulk ops take the marking
+    path and ``validate`` checks the patched mirror."""
+    graph = Graph(edges)
+    graph.ensure_csr()
+    return graph
+
+
 class TestBulkGraphOps:
-    @pytest.mark.parametrize("graph_cls", [Graph, CompactGraph])
+    @pytest.mark.parametrize("graph_cls", [Graph, mirrored])
     def test_add_edges_flags_and_counters(self, graph_cls):
         graph = graph_cls([(0, 1)])
         flags = graph.add_edges([(0, 1), (1, 2), (2, 3), (1, 2)])
@@ -235,7 +235,7 @@ class TestBulkGraphOps:
         assert graph.num_isolated == 0
         graph.validate()
 
-    @pytest.mark.parametrize("graph_cls", [Graph, CompactGraph])
+    @pytest.mark.parametrize("graph_cls", [Graph, mirrored])
     def test_remove_edges_flags_and_isolation(self, graph_cls):
         graph = graph_cls([(0, 1), (1, 2)])
         flags = graph.remove_edges([(0, 1), (0, 1), (5, 6), (2, 1)])
@@ -244,7 +244,7 @@ class TestBulkGraphOps:
         assert graph.num_isolated == 3
         graph.validate()
 
-    @pytest.mark.parametrize("graph_cls", [Graph, CompactGraph])
+    @pytest.mark.parametrize("graph_cls", [Graph, mirrored])
     def test_add_vertices_counts_new_only(self, graph_cls):
         graph = graph_cls([(0, 1)])
         assert graph.add_vertices([0, 7, 8, 7]) == 2
@@ -252,17 +252,17 @@ class TestBulkGraphOps:
 
     def test_compact_add_edges_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            CompactGraph().add_edges([(4, 4)])
+            Graph().add_edges([(4, 4)])
 
     def test_compact_bulk_ops_keep_csr_consistent(self):
-        graph = CompactGraph([(0, 1), (1, 2)])
+        graph = Graph([(0, 1), (1, 2)])
         graph.ensure_csr()
         graph.add_edges([(2, 3), (3, 4), (0, 2)])
         graph.remove_edges([(0, 1)])
         graph.validate()  # validates the CSR mirror against adjacency
 
     def test_dirty_slot_count_tracks_pending_repairs(self):
-        graph = CompactGraph([(0, 1)])
+        graph = Graph([(0, 1)])
         assert graph.dirty_slot_count == graph.num_slots  # never built
         graph.ensure_csr()
         assert graph.dirty_slot_count == 0
@@ -274,7 +274,7 @@ class TestBulkGraphOps:
 
 class TestBulkStateAndPlacement:
     def _state(self, k=3):
-        graph = CompactGraph([(0, 1), (1, 2)])
+        graph = Graph([(0, 1), (1, 2)])
         caps = balanced_capacities(graph.num_vertices, k, 2.0)
         return graph, HashPartitioner().partition(graph, k, list(caps))
 
@@ -330,10 +330,10 @@ class TestBulkStateAndPlacement:
         assert placements == [(v, twin.partition_of(v)) for v in new]
 
     def test_base_place_many_preserves_capacity_spillover_order(self):
-        graph = CompactGraph(vertices=range(4))
+        graph = Graph(vertices=range(4))
         state = PartitionState(graph, 2, capacities=[2, 100])
         partitioner = Partitioner()  # base: hash place with spill-over
-        twin_graph = CompactGraph(vertices=range(4))
+        twin_graph = Graph(vertices=range(4))
         twin = PartitionState(twin_graph, 2, capacities=[2, 100])
         new = list(range(4))
         placements = partitioner.place_many(state, new)
@@ -349,7 +349,7 @@ class TestSweeperBulkHooks:
     partition column) stay exact through it with nobody telling them."""
 
     def _runner(self):
-        graph = CompactGraph([(i, i + 1) for i in range(8)])
+        graph = Graph([(i, i + 1) for i in range(8)])
         caps = balanced_capacities(graph.num_vertices, 3, 1.10)
         state = HashPartitioner().partition(graph, 3, list(caps))
         return AdaptiveRunner(graph, state, AdaptiveConfig(seed=0))

@@ -1,39 +1,39 @@
-"""Cross-backend equivalence: CompactGraph must be indistinguishable from
-Graph — structurally (under arbitrary mutation sequences) and behaviourally
-(bit-identical AdaptiveRunner / Pregel timelines for fixed seeds)."""
+"""The one graph's interning and CSR mirror, and the two decision paths.
+
+Structurally, :class:`Graph` must stay indistinguishable from a plain
+dict-of-sets under arbitrary mutation sequences — same vertex order, same
+neighbour-set iteration order — while its slots, id table and CSR mirror
+stay exact.  Behaviourally, the vectorised sweep over the mirror must give
+bit-identical AdaptiveRunner / Pregel timelines to the portable per-vertex
+path for fixed seeds; :class:`PortableGreedy` selects that path (the
+sweep's exact-type gate rejects it)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.sweep as sweep_module
-from repro.core import AdaptiveConfig, AdaptiveRunner, EdgeBalance, VertexBalance
+from repro.core import AdaptiveConfig, AdaptiveRunner, EdgeBalance
 from repro.core.heuristic import GreedyMaxNeighbours
 from repro.core.sweep import CompactSweeper, make_sweeper
 
-# The batch fast path needs numpy; without it every test below still pins
-# cross-backend equivalence through the portable per-vertex path.
+# The batch fast path needs numpy; without it every pair below runs the
+# portable per-vertex path on both sides.
 HAS_NUMPY = sweep_module._np is not None
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="the vectorised sweeper requires numpy"
 )
 from repro.generators import mesh_3d, powerlaw_cluster_graph, ring_lattice
-from repro.graph import (
-    GRAPH_BACKENDS,
-    AddEdge,
-    AddVertex,
-    CompactGraph,
-    Graph,
-    RemoveEdge,
-    RemoveVertex,
-    as_adjacency,
-    as_compact,
-    graph_backend,
-    make_graph,
-    to_backend,
-)
+from repro.graph import AddEdge, AddVertex, Graph, RemoveEdge, RemoveVertex
+from repro.graph.compact import CompactGraph
 from repro.partitioning import HashPartitioner, balanced_capacities
 from repro.partitioning.base import PartitionState
+
+
+class PortableGreedy(GreedyMaxNeighbours):
+    """The paper's rule, unchanged — but not the exact type the sweep
+    gate accepts, so a runner holding it takes the portable path."""
+
 
 VERTEX_IDS = st.integers(min_value=0, max_value=25)
 
@@ -49,6 +49,47 @@ OPERATIONS = st.lists(
 )
 
 
+class DictOfSets:
+    """The model: a bare dict of neighbour sets with the graph's mutation
+    semantics and none of its interning or mirror."""
+
+    def __init__(self):
+        self.adj = {}
+
+    def add_vertex(self, v):
+        if v in self.adj:
+            return False
+        self.adj[v] = set()
+        return True
+
+    def remove_vertex(self, v):
+        neighbours = self.adj.pop(v, None)
+        if neighbours is None:
+            return False
+        for w in neighbours:
+            self.adj[w].discard(v)
+        return True
+
+    def add_edge(self, u, v):
+        self.add_vertex(u)
+        self.add_vertex(v)
+        if v in self.adj[u]:
+            return False
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        return True
+
+    def remove_edge(self, u, v):
+        if v not in self.adj.get(u, ()):
+            return False
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        return True
+
+    def ensure_csr(self):
+        pass
+
+
 def apply_op(graph, op):
     kind = op[0]
     if kind == "add_vertex":
@@ -57,27 +98,26 @@ def apply_op(graph, op):
         return graph.remove_vertex(op[1])
     if kind == "add_edge":
         if op[1] == op[2]:
-            return None  # self-loops raise identically on both backends
+            return None  # self-loops raise; the model has no rule for them
         return graph.add_edge(op[1], op[2])
     if kind == "remove_edge":
         return graph.remove_edge(op[1], op[2])
     if kind == "sync":
-        if isinstance(graph, CompactGraph):
-            graph.ensure_csr()
+        graph.ensure_csr()
         return None
     raise AssertionError(kind)
 
 
-def assert_same_topology(dense, compact):
-    assert dense.num_vertices == compact.num_vertices
-    assert dense.num_edges == compact.num_edges
-    assert list(dense.vertices()) == list(compact.vertices())
-    assert sorted(dense.edges()) == sorted(compact.edges())
-    for v in dense.vertices():
-        assert dense.degree(v) == compact.degree(v)
-        assert set(dense.neighbors(v)) == set(compact.neighbors(v))
-    assert sorted(sorted(c) for c in dense.connected_components()) == sorted(
-        sorted(c) for c in compact.connected_components()
+def assert_same_topology(model, graph):
+    adj = model.adj
+    assert graph.num_vertices == len(adj)
+    assert 2 * graph.num_edges == sum(map(len, adj.values()))
+    assert list(graph.vertices()) == list(adj)
+    for v, neighbours in adj.items():
+        assert graph.degree(v) == len(neighbours)
+        assert list(graph.neighbors(v)) == list(neighbours)  # same order
+    assert sorted(graph.edges()) == sorted(
+        (u, v) for u, ns in adj.items() for v in ns if u < v
     )
 
 
@@ -85,32 +125,36 @@ class TestStructuralEquivalence:
     @given(ops=OPERATIONS)
     @settings(max_examples=80, deadline=None)
     def test_random_mutation_sequences(self, ops):
-        dense = Graph()
-        compact = CompactGraph()
+        model = DictOfSets()
+        graph = Graph()
         for op in ops:
-            assert apply_op(dense, op) == apply_op(compact, op)
-        assert_same_topology(dense, compact)
-        dense.validate()
-        compact.validate()
+            assert apply_op(model, op) == apply_op(graph, op)
+        assert_same_topology(model, graph)
+        graph.validate()
 
     @given(ops=OPERATIONS)
     @settings(max_examples=40, deadline=None)
     def test_degree_histogram_and_isolated(self, ops):
-        dense = Graph()
-        compact = CompactGraph()
+        model = DictOfSets()
+        graph = Graph()
         for op in ops:
-            apply_op(dense, op)
-            apply_op(compact, op)
-        assert dense.degree_histogram() == compact.degree_histogram()
-        assert sorted(dense.isolated_vertices()) == sorted(
-            compact.isolated_vertices()
+            apply_op(model, op)
+            apply_op(graph, op)
+        degrees = [len(ns) for ns in model.adj.values()]
+        assert graph.degree_histogram() == {
+            d: degrees.count(d) for d in degrees
+        }
+        isolated = [v for v, ns in model.adj.items() if not ns]
+        assert list(graph.isolated_vertices()) == isolated
+        assert graph.num_isolated == len(isolated)
+        assert graph.average_degree() == (
+            sum(degrees) / len(degrees) if degrees else 0.0
         )
-        assert dense.average_degree() == compact.average_degree()
 
 
 class TestCsrMirror:
     def test_in_place_patch_after_edge_removal(self):
-        g = as_compact(mesh_3d(3))
+        g = mesh_3d(3)
         g.ensure_csr()
         assert g.remove_edge(0, 1)
         starts, lens, _ = g.ensure_csr()
@@ -118,7 +162,7 @@ class TestCsrMirror:
         g.validate()
 
     def test_relocation_when_capacity_exceeded(self):
-        g = CompactGraph([(0, 1)])
+        g = Graph([(0, 1)])
         g.ensure_csr()
         # Grow vertex 0's neighbourhood past its reserved headroom.
         for w in range(2, 40):
@@ -126,7 +170,7 @@ class TestCsrMirror:
         g.validate()  # validate() re-ensures and checks the mirror
 
     def test_garbage_triggers_full_rebuild(self):
-        g = CompactGraph([(i, i + 1) for i in range(50)])
+        g = Graph([(i, i + 1) for i in range(50)])
         g.ensure_csr()
         for i in range(0, 50, 2):
             g.remove_vertex(i)
@@ -136,7 +180,7 @@ class TestCsrMirror:
         g.validate()
 
     def test_slot_recycling(self):
-        g = CompactGraph([(0, 1), (1, 2)])
+        g = Graph([(0, 1), (1, 2)])
         slot = g.slot_of(2)
         g.remove_vertex(2)
         g.add_vertex(99)
@@ -145,47 +189,40 @@ class TestCsrMirror:
         g.validate()
 
 
+def same_build(graph, other):
+    assert list(graph) == list(other)
+    for v in graph:
+        assert list(graph.neighbors(v)) == list(other.neighbors(v))
+    assert graph.slot_ids == other.slot_ids
+
+
 class TestBridgesAndRegistry:
-    def test_as_compact_preserves_orders(self):
-        dense = mesh_3d(3)
-        compact = as_compact(dense)
-        assert list(dense.vertices()) == list(compact.vertices())
-        assert dense.num_edges == compact.num_edges
-        assert as_compact(compact) is compact  # no-op on the same backend
-
-    def test_as_adjacency_round_trip(self):
-        compact = as_compact(mesh_3d(3))
-        dense = as_adjacency(compact)
-        assert type(dense) is Graph
-        assert_same_topology(dense, compact)
-        assert as_adjacency(dense) is dense
-
-    def test_registry(self):
-        assert graph_backend("compact") is CompactGraph
-        assert graph_backend("adjacency") is Graph
-        with pytest.raises(ValueError):
-            graph_backend("bogus")
-        assert set(GRAPH_BACKENDS) == {"adjacency", "compact"}
-        g = make_graph("compact", edges=[(1, 2)])
-        assert isinstance(g, CompactGraph) and g.num_edges == 1
-        assert isinstance(to_backend(g, "adjacency"), Graph)
+    """What is left of the bridges and the registry: derived graphs, and
+    the retired class name the perf ledger still imports."""
 
     def test_copy_and_subgraph_stay_compact(self):
-        g = as_compact(mesh_3d(3))
-        assert isinstance(g.copy(), CompactGraph)
+        """Derived graphs intern densely and mirror like any other."""
+        g = mesh_3d(3)
+        g.ensure_csr()
+        clone = g.copy()
+        assert list(clone) == list(g) and clone.slot_ids == g.slot_ids
+        assert all(clone.neighbors(v) == g.neighbors(v) for v in g)
+        assert not clone._csr_built  # a copy mirrors on its own demand
+        clone.ensure_csr()
+        clone.validate()
         sub = g.subgraph(range(9))
-        assert isinstance(sub, CompactGraph)
+        assert sub.slot_ids == list(range(9))
+        sub.ensure_csr()
         sub.validate()
-        dense_sub = as_adjacency(g).subgraph(range(9))
-        assert_same_topology(dense_sub, sub)
 
     def test_generators_accept_backend(self):
-        compact = mesh_3d(3, graph_cls=CompactGraph)
-        assert isinstance(compact, CompactGraph)
-        assert_same_topology(mesh_3d(3), compact)
-        plaw = powerlaw_cluster_graph(60, m=2, seed=1, graph_cls=CompactGraph)
-        assert_same_topology(
-            powerlaw_cluster_graph(60, m=2, seed=1), plaw
+        """``graph_cls=`` still builds through the retired name the perf
+        ledger imports — the very same class."""
+        assert CompactGraph is Graph
+        same_build(mesh_3d(3, graph_cls=CompactGraph), mesh_3d(3))
+        same_build(
+            powerlaw_cluster_graph(60, m=2, seed=1, graph_cls=CompactGraph),
+            powerlaw_cluster_graph(60, m=2, seed=1),
         )
 
 
@@ -263,7 +300,7 @@ class TestOwnerKeptArrays:
     def test_column_and_table_exact_under_any_interleaving(self, ops):
         import itertools
 
-        graph = CompactGraph([(0, 1), (1, 2)])
+        graph = Graph([(0, 1), (1, 2)])
         state = PartitionState(graph, 3)
         assert graph.id_table() is not None  # build it: deltas from here on
         fresh_ids = itertools.count(26)  # beyond VERTEX_IDS: forces growth
@@ -284,7 +321,7 @@ class TestOwnerKeptArrays:
         state.validate()
 
     def test_validate_catches_a_wrong_column_entry(self):
-        graph = CompactGraph([(0, 1), (1, 2)])
+        graph = Graph([(0, 1), (1, 2)])
         state = HashPartitioner().partition(graph, 2)
         state.validate()
         slot = graph.slot_of(1)
@@ -293,13 +330,13 @@ class TestOwnerKeptArrays:
             state.validate()
 
     def test_validate_catches_a_wrong_table_entry(self):
-        graph = CompactGraph([(0, 1), (1, 2)])
+        graph = Graph([(0, 1), (1, 2)])
         graph.id_table()[2] = graph.slot_of(0)
         with pytest.raises(AssertionError, match="id table drift"):
             graph.validate()
 
     def test_copy_renumbers_slots_over_holes(self):
-        graph = CompactGraph([(0, 1), (1, 2), (2, 3)])
+        graph = Graph([(0, 1), (1, 2), (2, 3)])
         graph.remove_vertex(1)
         clone = graph.copy()
         assert list(clone.vertices()) == list(graph.vertices())
@@ -314,12 +351,22 @@ def _runner(graph, seed=0, k=4, **config_kw):
     return AdaptiveRunner(graph, state, AdaptiveConfig(seed=seed, **config_kw))
 
 
+def _portable_runner(graph, seed=0, **config_kw):
+    """The oracle: per-vertex decisions read from the adjacency sets, and
+    the per-event ingest loop."""
+    config_kw.setdefault("heuristic", PortableGreedy())
+    runner = _runner(graph, seed=seed, **config_kw)
+    assert runner._sweeper is None
+    runner._ingestor = None
+    return runner
+
+
 def _paired_runners(make, seed=0, **config_kw):
-    dense = make()
-    compact = as_compact(dense.copy())
+    """``(portable, swept)`` runners over two copies of one graph."""
+    graph = make()
     return (
-        _runner(dense, seed=seed, **config_kw),
-        _runner(compact, seed=seed, **config_kw),
+        _portable_runner(graph.copy(), seed=seed, **config_kw),
+        _runner(graph, seed=seed, **config_kw),
     )
 
 
@@ -334,46 +381,39 @@ class TestRunnerTimelineEquivalence:
         ids=["mesh", "powerlaw"],
     )
     def test_identical_timelines_fixed_seed(self, make, seed):
-        dense, compact = _paired_runners(make, seed=seed)
+        portable, swept = _paired_runners(make, seed=seed)
         if HAS_NUMPY:
-            assert compact._sweeper is not None  # the fast path is engaged
+            assert swept._sweeper is not None  # the fast path is engaged
         for _ in range(50):
-            assert dense.step() == compact.step()
-        assert dict(dense.state.assignment_items()) == dict(
-            compact.state.assignment_items()
+            assert portable.step() == swept.step()
+        assert dict(portable.state.assignment_items()) == dict(
+            swept.state.assignment_items()
         )
-        assert dense.state.cut_edges == compact.state.cut_edges
-        assert dense.loads == compact.loads
-        compact.state.validate()  # bulk-move cut bookkeeping stayed exact
+        assert portable.state.cut_edges == swept.state.cut_edges
+        assert portable.loads == swept.loads
+        swept.state.validate()  # bulk-move cut bookkeeping stayed exact
 
     @pytest.mark.parametrize("heuristic", ["hysteresis", "capacity-weighted"])
     def test_non_greedy_heuristics_use_generic_path(self, heuristic):
-        dense, compact = _paired_runners(
+        portable, swept = _paired_runners(
             lambda: mesh_3d(5), seed=2, heuristic=heuristic
         )
-        assert compact._sweeper is None  # only the exact greedy rule batches
+        assert swept._sweeper is None  # only the exact greedy rule batches
         for _ in range(30):
-            assert dense.step() == compact.step()
-
-    def test_full_sweep_mode_matches(self):
-        dense, compact = _paired_runners(
-            lambda: mesh_3d(5), seed=1, track_active=False
-        )
-        for _ in range(30):
-            assert dense.step() == compact.step()
+            assert portable.step() == swept.step()
 
     def test_edge_balance_matches(self):
-        dense, compact = _paired_runners(
+        portable, swept = _paired_runners(
             lambda: powerlaw_cluster_graph(200, m=2, seed=0),
             seed=4,
             balance=EdgeBalance(slack=1.2),
         )
         for _ in range(30):
-            assert dense.step() == compact.step()
-        assert dense.loads == compact.loads
+            assert portable.step() == swept.step()
+        assert portable.loads == swept.loads
 
     def test_dynamic_events_match(self):
-        dense, compact = _paired_runners(lambda: mesh_3d(5), seed=0)
+        portable, swept = _paired_runners(lambda: mesh_3d(5), seed=0)
         events = [
             AddVertex(900),
             AddEdge(900, 3),
@@ -385,36 +425,38 @@ class TestRunnerTimelineEquivalence:
             AddEdge(5, 900),
         ]
         for _ in range(8):
-            assert dense.step() == compact.step()
-        assert dense.apply_events(events) == compact.apply_events(events)
+            assert portable.step() == swept.step()
+        assert portable.apply_events(events) == swept.apply_events(events)
         for _ in range(30):
-            assert dense.step() == compact.step()
-        assert dict(dense.state.assignment_items()) == dict(
-            compact.state.assignment_items()
+            assert portable.step() == swept.step()
+        assert dict(portable.state.assignment_items()) == dict(
+            swept.state.assignment_items()
         )
-        compact.graph.validate()
-        compact.state.validate()
+        swept.graph.validate()
+        swept.state.validate()
 
     def test_convergence_time_matches(self):
-        dense, compact = _paired_runners(lambda: mesh_3d(6), seed=7)
-        dense.run_until_convergence(max_iterations=400)
-        compact.run_until_convergence(max_iterations=400)
-        assert dense.converged == compact.converged
-        assert dense.convergence_time == compact.convergence_time
-        assert list(dense.timeline) == list(compact.timeline)
+        portable, swept = _paired_runners(lambda: mesh_3d(6), seed=7)
+        portable.run_until_convergence(max_iterations=400)
+        swept.run_until_convergence(max_iterations=400)
+        assert portable.converged == swept.converged
+        assert portable.convergence_time == swept.convergence_time
+        assert list(portable.timeline) == list(swept.timeline)
 
     def test_generic_path_on_compact_matches_when_numpy_absent(
         self, monkeypatch
     ):
         monkeypatch.setattr(sweep_module, "_np", None)
-        dense, compact = _paired_runners(lambda: mesh_3d(5), seed=0)
-        assert compact._sweeper is None
+        portable, swept = _paired_runners(lambda: mesh_3d(5), seed=0)
+        assert swept._sweeper is None
         for _ in range(20):
-            assert dense.step() == compact.step()
+            assert portable.step() == swept.step()
 
 
 class TestPregelEquivalence:
     def test_superstep_reports_match_across_backends(self):
+        """The serial Pregel system's central decisions: the portable
+        path and the sweep over the mirror report the same supersteps."""
         from repro.pregel import PregelConfig, PregelSystem, VertexProgram
 
         class Echo(VertexProgram):
@@ -424,24 +466,24 @@ class TestPregelEquivalence:
             def compute(self, ctx, messages):
                 ctx.send_to_neighbors(1)
 
-        dense = mesh_3d(5)
-        compact = as_compact(dense.copy())
         reports = []
-        for graph in (dense, compact):
+        for heuristic in (PortableGreedy(), GreedyMaxNeighbours()):
             system = PregelSystem(
-                graph, Echo(), PregelConfig(num_workers=4, seed=0)
+                mesh_3d(5),
+                Echo(),
+                PregelConfig(num_workers=4, seed=0, heuristic=heuristic),
             )
             reports.append(system.run(25))
-        for dense_report, compact_report in zip(*reports):
-            assert dense_report.cut_edges == compact_report.cut_edges
-            assert dense_report.sizes == compact_report.sizes
+        for portable_report, swept_report in zip(*reports):
+            assert portable_report.cut_edges == swept_report.cut_edges
+            assert portable_report.sizes == swept_report.sizes
             assert (
-                dense_report.migrations_announced
-                == compact_report.migrations_announced
+                portable_report.migrations_announced
+                == swept_report.migrations_announced
             )
             assert (
-                dense_report.migrations_requested
-                == compact_report.migrations_requested
+                portable_report.migrations_requested
+                == swept_report.migrations_requested
             )
 
 
@@ -452,16 +494,15 @@ class TestSweeperInternals:
             def desired_partition(self, current, counts, remaining):
                 return current
 
-        g = as_compact(mesh_3d(3))
-        assert CompactSweeper.supports(g, GreedyMaxNeighbours())
-        assert not CompactSweeper.supports(g, Sneaky())
-        assert not CompactSweeper.supports(mesh_3d(3), GreedyMaxNeighbours())
+        assert CompactSweeper.supports(GreedyMaxNeighbours())
+        assert not CompactSweeper.supports(Sneaky())
+        assert not CompactSweeper.supports(PortableGreedy())
 
     def test_external_state_move_is_seen_by_the_next_sweep(self):
         """A move made behind the runner's back is a move like any other:
-        the next sweep decides against it, exactly as the dense backend."""
-        dense, compact = _paired_runners(lambda: mesh_3d(4), seed=0)
-        for runner in (dense, compact):
+        the next sweep decides against it, exactly as the portable path."""
+        portable, swept = _paired_runners(lambda: mesh_3d(4), seed=0)
+        for runner in (portable, swept):
             runner.step()
             state = runner.state
             vertex = next(iter(state.assignment_items()))[0]
@@ -469,13 +510,13 @@ class TestSweeperInternals:
             runner.metrics.rebuild()  # loads follow the unreported move
             runner._active.update(runner.graph.neighbors(vertex))
         for _ in range(10):
-            assert dense.step() == compact.step()
-        compact.state.validate()
+            assert portable.step() == swept.step()
+        swept.state.validate()
 
     def test_sweep_then_growth_never_raises_buffer_error(self):
         """No numpy view of an owner's array outlives the call that took
         it: a live view would make the next resize raise BufferError."""
-        g = as_compact(mesh_3d(4))
+        g = mesh_3d(4)
         runner = _runner(g, seed=0)
         pending = runner._sweeper.decisions(list(g.vertices()))
         next_id = g.num_vertices
@@ -490,17 +531,19 @@ class TestSweeperInternals:
         runner.state.validate()
 
     def test_make_sweeper_on_non_int_ids(self):
-        g = CompactGraph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
+        edges = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")]
+        g = Graph(edges)
         caps = balanced_capacities(g.num_vertices, 2, 2.0)
         state = HashPartitioner().partition(g, 2, list(caps))
-        sweeper = make_sweeper(g, state, GreedyMaxNeighbours())
-        assert sweeper is not None
+        assert make_sweeper(g, state, GreedyMaxNeighbours()) is not None
         runner = AdaptiveRunner(g, state, AdaptiveConfig(seed=0))
-        dense = Graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")])
-        dense_state = HashPartitioner().partition(dense, 2, list(caps))
-        dense_runner = AdaptiveRunner(dense, dense_state, AdaptiveConfig(seed=0))
+        other = Graph(edges)
+        other_state = HashPartitioner().partition(other, 2, list(caps))
+        portable = AdaptiveRunner(
+            other, other_state, AdaptiveConfig(seed=0, heuristic=PortableGreedy())
+        )
         for _ in range(20):
-            assert dense_runner.step() == runner.step()
+            assert portable.step() == runner.step()
 
 
 class TestIdLookupDeltaMaintenance:
@@ -519,7 +562,7 @@ class TestIdLookupDeltaMaintenance:
     def test_no_rebuild_under_streaming_churn(self):
         import random
 
-        g = as_compact(mesh_3d(6))
+        g = mesh_3d(6)
         runner = _runner(g, seed=1)
         for _ in range(3):
             runner.step()
@@ -536,25 +579,24 @@ class TestIdLookupDeltaMaintenance:
         runner.metrics.cross_check()
 
     def test_churn_timeline_matches_dense_backend(self):
-        """Delta maintenance must not change a single decision."""
+        """Delta maintenance must not change a single decision: the sweep
+        under churn replays the portable path's timeline."""
         import random
 
-        def run(backend_graph):
-            runner = _runner(backend_graph, seed=5)
+        def run(runner):
             rng = random.Random(7)
             next_id = 216
             stats = []
             for _ in range(40):
                 runner.apply_events(
-                    self._churn_events(backend_graph, rng, next_id)
+                    self._churn_events(runner.graph, rng, next_id)
                 )
                 next_id += 1
                 stats.append(runner.step())
             return stats
 
-        dense = mesh_3d(6)
-        compact = as_compact(dense.copy())
-        assert run(dense) == run(compact)
+        portable, swept = _paired_runners(lambda: mesh_3d(6), seed=5)
+        assert run(portable) == run(swept)
 
     def test_sparse_ids_fall_back_to_dict_path(self):
         # An id far beyond 4x the vertex count ends table eligibility.
@@ -565,10 +607,10 @@ class TestIdLookupDeltaMaintenance:
 
     def _assert_arrival_retires_the_table(self, arrival, departure):
         """An id outside the dense regime retires the table for good; the
-        timeline stays the dense backend's either way."""
-        dense, compact = _paired_runners(lambda: mesh_3d(4), seed=0)
-        g = compact.graph
-        assert dense.step() == compact.step()
+        timeline stays the portable path's either way."""
+        portable, swept = _paired_runners(lambda: mesh_3d(4), seed=0)
+        g = swept.graph
+        assert portable.step() == swept.step()
         assert g.id_table() is not None
         rounds = [
             [AddVertex(arrival), AddEdge(arrival, 0)],
@@ -576,18 +618,18 @@ class TestIdLookupDeltaMaintenance:
             [AddEdge(3, 17)],
         ]
         for events in rounds:
-            assert dense.apply_events(events) == compact.apply_events(events)
+            assert portable.apply_events(events) == swept.apply_events(events)
             assert g.id_table() is None  # … and it never comes back
             for _ in range(3):
-                assert dense.step() == compact.step()
+                assert portable.step() == swept.step()
         g.validate()
-        compact.state.validate()
-        compact.metrics.cross_check()
+        swept.state.validate()
+        swept.metrics.cross_check()
 
     def test_unwitnessed_interning_is_seen_by_the_next_sweep(self):
         """Interning nobody told the runner about is interning like any
         other: the table and the column already hold it."""
-        g = as_compact(mesh_3d(4))
+        g = mesh_3d(4)
         runner = _runner(g, seed=0)
         runner.step()
         g.add_vertex(900)
@@ -605,7 +647,7 @@ class TestIdLookupDeltaMaintenance:
     def test_aborted_removal_never_yields_wrong_slots(self):
         """A removal that reaches the state but never the graph leaves the
         vertex interned — and the table says so."""
-        g = as_compact(mesh_3d(3))
+        g = mesh_3d(3)
         runner = _runner(g, seed=0, k=2)
         runner.step()
         victim = next(iter(g.vertices()))
@@ -624,7 +666,19 @@ class TestIdLookupDeltaMaintenance:
 # per-edge oracle.
 # ----------------------------------------------------------------------
 
-BACKENDS = [Graph, CompactGraph]
+def mirrored(edges=None, vertices=None):
+    """A graph whose CSR mirror exists before it is filled, so every
+    mutation after the first build goes down the marking path."""
+    graph = Graph()
+    graph.ensure_csr()
+    graph.add_vertices(vertices or ())
+    graph.add_edges(edges or ())
+    return graph
+
+
+# Each bulk build against the per-item oracle, before the first mirror
+# build (nothing marked) and after it (marks, then a dirty-region patch).
+BUILDS = [Graph, mirrored]
 
 
 def per_edge_build(cls, vertices, pairs):
@@ -643,19 +697,17 @@ def csr_bytes(graph):
 
 
 def assert_built_alike(bulk, oracle):
-    assert type(bulk) is type(oracle)
     assert list(bulk) == list(oracle)
     for v in oracle:
         assert list(bulk.neighbors(v)) == list(oracle.neighbors(v))
     assert bulk.num_edges == oracle.num_edges
     assert bulk.num_isolated == oracle.num_isolated
-    if isinstance(oracle, CompactGraph):
-        assert bulk.slot_ids == oracle.slot_ids
-        assert csr_bytes(bulk) == csr_bytes(oracle)
-        table = bulk.id_table()
-        assert (None if table is None else bytes(table)) == (
-            None if oracle.id_table() is None else bytes(oracle.id_table())
-        )
+    assert bulk.slot_ids == oracle.slot_ids
+    assert csr_bytes(bulk) == csr_bytes(oracle)
+    table = bulk.id_table()
+    assert (None if table is None else bytes(table)) == (
+        None if oracle.id_table() is None else bytes(oracle.id_table())
+    )
     bulk.validate()
     oracle.validate()
 
@@ -667,7 +719,7 @@ EDGE_IDS = st.one_of(
 
 
 class TestBulkBuild:
-    @pytest.mark.parametrize("cls", BACKENDS)
+    @pytest.mark.parametrize("cls", BUILDS)
     def test_failed_add_edges_keeps_the_counters_exact(self, cls):
         g = cls()
         with pytest.raises(ValueError, match="self-loop"):
@@ -675,7 +727,7 @@ class TestBulkBuild:
         assert (g.num_edges, g.num_isolated) == (2, 0)
         g.validate()
 
-    @pytest.mark.parametrize("cls", BACKENDS)
+    @pytest.mark.parametrize("cls", BUILDS)
     @pytest.mark.parametrize("n, k", [(3, 1), (5, 2), (7, 3), (10, 4), (64, 3)])
     def test_ring_lattice_matches_the_per_edge_build(self, cls, n, k):
         pairs = [(v, (v + i) % n) for v in range(n) for i in range(1, k + 1)]
@@ -684,7 +736,7 @@ class TestBulkBuild:
             per_edge_build(cls, range(n), pairs),
         )
 
-    @pytest.mark.parametrize("cls", BACKENDS)
+    @pytest.mark.parametrize("cls", BUILDS)
     @given(
         pairs=st.lists(st.tuples(EDGE_IDS, EDGE_IDS), max_size=80),
         extra=st.lists(EDGE_IDS, max_size=8),
@@ -699,14 +751,42 @@ class TestBulkBuild:
         )
 
     def test_marks_start_at_the_first_build(self):
-        g = CompactGraph(edges=[(0, 1), (1, 2)])
+        g = Graph(edges=[(0, 1), (1, 2)])
         assert not g._dirty and g.dirty_slot_count == g.num_slots
-        g.add_edge(2, 5)  # the per-edge mutators still mark ...
-        assert g._dirty
-        g.ensure_csr()  # ... and the first build clears them
+        g.add_edge(2, 5)  # no mutator marks before the first build ...
+        assert not g._dirty
+        g.ensure_csr()  # ... which covers every slot, then marks start
         assert not g._dirty
         g.add_edges([(2, 3)])
         g.add_vertex(9)
         assert sorted(g._dirty) == sorted(g.slot_of(v) for v in (2, 3, 9))
         g.validate()
 
+    @pytest.mark.parametrize(
+        "mutate, touched",
+        [
+            (lambda g: g.add_vertex(9), [9]),
+            (lambda g: g.remove_vertex(1), [0, 1, 2]),
+            (lambda g: g.add_edge(2, 5), [2, 5]),
+            (lambda g: g.remove_edge(0, 1), [0, 1]),
+            (lambda g: g.add_edges([(2, 3)]), [2, 3]),
+            (lambda g: g.remove_edges([(1, 2)]), [1, 2]),
+        ],
+        ids=[
+            "add_vertex", "remove_vertex", "add_edge", "remove_edge",
+            "add_edges", "remove_edges",
+        ],
+    )
+    def test_every_mutator_marks_only_after_the_first_build(
+        self, mutate, touched
+    ):
+        g = Graph(edges=[(0, 1), (1, 2)])
+        mutate(g)
+        assert not g._dirty  # unbuilt: nothing to repair, nothing marked
+        g = Graph(edges=[(0, 1), (1, 2)])
+        g.ensure_csr()
+        slots = {v: g.slot_of(v) for v in (0, 1, 2)}
+        mutate(g)
+        slots.update((v, g.slot_of(v)) for v in touched if v in g)
+        assert g._dirty == {slots[v] for v in touched}
+        g.validate()  # the patch repairs exactly what was marked

@@ -227,22 +227,6 @@ class TestActiveSetOptimisation:
             runner.step()
         assert runner.active_count < small_mesh.num_vertices
 
-    def test_tracking_matches_full_sweep(self):
-        # The optimisation must not change the result distribution; with a
-        # fixed seed the two modes may differ in RNG consumption, so compare
-        # final quality rather than exact assignments.
-        outcomes = []
-        for track in (True, False):
-            graph = mesh_3d(6)
-            state = hash_state(graph)
-            run_to_convergence(
-                graph,
-                state,
-                AdaptiveConfig(seed=3, quiet_window=10, track_active=track),
-            )
-            outcomes.append(state.cut_ratio())
-        assert abs(outcomes[0] - outcomes[1]) < 0.1
-
 
 class TestEdgeBalanceMode:
     def test_edge_loads_respected(self, small_powerlaw):

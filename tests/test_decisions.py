@@ -34,7 +34,6 @@ from repro.core.heuristic import (
 from repro.core.runner import AdaptiveConfig, AdaptiveRunner
 from repro.core.sweep import make_shard_index
 from repro.generators import mesh_3d, powerlaw_cluster_graph
-from repro.graph import GRAPH_BACKENDS
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
 from repro.partitioning.base import balanced_capacities
 from repro.partitioning.hashing import HashPartitioner
@@ -482,9 +481,8 @@ def test_an_active_store_shard_holds_no_dict_state():
 # ----------------------------------------------------------------------
 
 
-def _churned_coordinator(backend="adjacency", prepare=None):
-    graph_cls = GRAPH_BACKENDS[backend]
-    graph = mesh_3d(6, graph_cls=graph_cls)
+def _churned_coordinator(prepare=None):
+    graph = mesh_3d(6)
     config = PregelConfig(num_workers=4, seed=3, quiet_window=5)
     system = Coordinator(
         graph,
@@ -551,19 +549,19 @@ def test_non_int_vertex_ids_through_the_sharded_decision_phase():
 
 
 def test_pregel_bulk_ingestion_is_loop_identical(per_event_loop):
-    """Compact backend (bulk edge runs) == adjacency backend (loop), and
-    forcing the loop on compact changes nothing either."""
-    reference = _churned_coordinator("adjacency")
-    assert _churned_coordinator("compact") == reference
-    assert _churned_coordinator("compact", per_event_loop) == reference
+    """Bulk edge runs == the per-event loop forced on the same graph."""
+    assert _churned_coordinator() == _churned_coordinator(per_event_loop)
 
 
-@pytest.mark.parametrize("backend", ["adjacency", "compact"])
-def test_pregel_scenario_backends_identical(backend):
-    """Scenario-level pin: the pregel engine's golden digest is
-    backend-independent (the compact backend takes the bulk path)."""
+@pytest.mark.parametrize("path", ["adjacency", "compact"])
+def test_pregel_scenario_backends_identical(path, request):
+    """Scenario-level pin: the pregel engine's golden digest is the same
+    on both read paths — "adjacency" ingests per event from the adjacency
+    sets (the portable paths), "compact" in bulk over the CSR mirror."""
+    if path == "adjacency":
+        request.getfixturevalue("portable_paths")
     digest = play_scenario(
-        get_scenario("mesh-growth"), backend=backend, engine="pregel"
+        get_scenario("mesh-growth"), engine="pregel"
     ).superstep_digest()
     assert digest == _fixture("mesh-growth")
 

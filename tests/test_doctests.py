@@ -14,7 +14,6 @@ import repro.core.heuristic
 import repro.datasets.catalog
 import repro.generators.mesh
 import repro.generators.powerlaw
-import repro.graph.backend
 import repro.graph.compact
 import repro.graph.graph
 import repro.graph.stream
@@ -30,7 +29,6 @@ MODULES = [
     repro.datasets.catalog,
     repro.generators.mesh,
     repro.generators.powerlaw,
-    repro.graph.backend,
     repro.graph.compact,
     repro.graph.graph,
     repro.graph.stream,

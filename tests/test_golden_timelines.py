@@ -2,8 +2,8 @@
 
 Three catalog scenarios are pinned as JSON fixtures: the exact per-round
 ``(events, changed, migrations, cut_edges, cut_ratio, sizes, |V|, |E|)``
-record of a full scenario replay.  Every backend must reproduce the fixture
-**exactly** (floats survive the JSON round-trip bit-for-bit), so any change
+record of a full scenario replay.  Both read paths must reproduce the
+fixture **exactly** (floats survive the JSON round-trip bit-for-bit), so any change
 to the heuristic, the RNG pairing, the incremental metrics engine, the
 sweeper, the event algebra or the churn generators that shifts dynamic
 behaviour fails loudly here instead of drifting silently.
@@ -25,31 +25,36 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # One per churn family shape: growth (continuous, vertices arriving),
 # rewiring (continuous, constant size) and CDR (buffered, add+remove).
 GOLDEN_SCENARIOS = ["mesh-growth", "grid-rewire", "cdr-weekly"]
-BACKENDS = ["adjacency", "compact"]
+# The two read paths over the one graph: "adjacency" decides per vertex
+# and ingests per event from the adjacency sets (the portable paths, as on
+# a numpy-free host); "compact" sweeps and bulk-ingests over the CSR mirror.
+PATHS = ["adjacency", "compact"]
 
 
 def _fixture_path(name):
     return GOLDEN_DIR / f"{name}.json"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
-def test_golden_timeline(name, backend, regen_golden):
-    digest = play_scenario(get_scenario(name), backend=backend).digest()
-    path = _fixture_path(name)
-    if regen_golden and backend == BACKENDS[0]:
+def test_golden_timeline(name, path, regen_golden, request):
+    if path == "adjacency":
+        request.getfixturevalue("portable_paths")
+    digest = play_scenario(get_scenario(name)).digest()
+    fixture = _fixture_path(name)
+    if regen_golden and path == PATHS[0]:
         GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(
+        fixture.write_text(
             json.dumps(digest, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-    assert path.exists(), (
-        f"missing fixture {path}; generate it with "
+    assert fixture.exists(), (
+        f"missing fixture {fixture}; generate it with "
         "`python -m pytest tests/test_golden_timelines.py --regen-golden`"
     )
-    expected = json.loads(path.read_text(encoding="utf-8"))
+    expected = json.loads(fixture.read_text(encoding="utf-8"))
     assert digest == expected, (
-        f"{name} on {backend} diverged from the golden timeline — if this "
+        f"{name} on the {path} path diverged from the golden timeline — if this "
         "change is intentional, regenerate with --regen-golden and commit "
         "the fixture diff"
     )
@@ -72,7 +77,7 @@ def test_golden_fixture_is_nontrivial(name):
 def test_metrics_modes_match_golden(name):
     """The recompute cross-check mode replays the identical timeline."""
     digest = play_scenario(
-        get_scenario(name), backend="compact", metrics="recompute"
+        get_scenario(name), metrics="recompute"
     ).digest()
     expected = json.loads(_fixture_path(name).read_text(encoding="utf-8"))
     assert digest == expected

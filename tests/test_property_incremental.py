@@ -3,7 +3,7 @@
 The incremental engine maintains loads (and, via ``PartitionState``, cut and
 sizes) as deltas per admitted move and applied event.  These tests drive an
 :class:`AdaptiveRunner` through arbitrary interleavings of event batches and
-adaptive iterations — on both backends, under both the paper's vertex
+adaptive iterations — on both decision paths, under both the paper's vertex
 balance and the degree-sensitive edge balance — and assert the maintained
 values are *bit-identical* to from-scratch recomputation, and that the
 ``metrics="recompute"`` audit mode (which re-derives and cross-checks every
@@ -14,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AdaptiveConfig, AdaptiveRunner, EdgeBalance, VertexBalance
-from repro.graph import (
-    AddEdge,
-    AddVertex,
-    CompactGraph,
-    Graph,
-    RemoveEdge,
-    RemoveVertex,
-)
+from repro.core.heuristic import GreedyMaxNeighbours
+from repro.graph import AddEdge, AddVertex, Graph, RemoveEdge, RemoveVertex
 from repro.partitioning import HashPartitioner, balanced_capacities
+
+class PortableGreedy(GreedyMaxNeighbours):
+    """The paper's rule, but not the exact type the sweep gate accepts: a
+    runner holding it decides on the portable per-vertex path."""
+
 
 VERTEX_IDS = st.integers(min_value=0, max_value=15)
 NEW_IDS = st.integers(min_value=16, max_value=23)  # arrivals beyond the base
@@ -55,24 +54,31 @@ EDGES = st.sets(
 )
 
 BALANCES = st.sampled_from(["vertex", "edge"])
-BACKENDS = st.sampled_from([Graph, CompactGraph])
+PATHS = st.sampled_from(["portable", "sweep"])
 
 
 def _make_balance(name):
     return VertexBalance() if name == "vertex" else EdgeBalance()
 
 
-def _make_runner(graph_cls, edges, seed, balance_name, metrics):
-    graph = graph_cls(edges=list(edges))
+def _make_runner(path, edges, seed, balance_name, metrics):
+    """A runner on the ``"sweep"`` path (vectorised decisions, bulk ingest
+    where they apply) or the ``"portable"`` one (per-vertex decisions, the
+    per-event ingest loop)."""
+    graph = Graph(edges=list(edges))
     caps = balanced_capacities(graph.num_vertices, 3, slack=1.3)
     state = HashPartitioner().partition(graph, 3, list(caps))
     config = AdaptiveConfig(
         seed=seed,
         quiet_window=5,
+        heuristic=PortableGreedy() if path == "portable" else GreedyMaxNeighbours(),
         balance=_make_balance(balance_name),
         metrics=metrics,
     )
-    return AdaptiveRunner(graph, state, config)
+    runner = AdaptiveRunner(graph, state, config)
+    if path == "portable":
+        runner._ingestor = None
+    return runner
 
 
 def _drive(runner, ops):
@@ -96,13 +102,13 @@ def _recomputed_loads(runner):
     ops=OPS,
     seed=st.integers(0, 20),
     balance_name=BALANCES,
-    graph_cls=BACKENDS,
+    path=PATHS,
 )
 @settings(max_examples=120, deadline=None)
 def test_incremental_metrics_equal_full_recompute(
-    edges, ops, seed, balance_name, graph_cls
+    edges, ops, seed, balance_name, path
 ):
-    runner = _make_runner(graph_cls, edges, seed, balance_name, "incremental")
+    runner = _make_runner(path, edges, seed, balance_name, "incremental")
     _drive(runner, ops)
     # Cut and sizes: PartitionState's delta bookkeeping vs full recount.
     runner.state.validate()
@@ -124,8 +130,8 @@ def test_incremental_metrics_equal_full_recompute(
 def test_recompute_mode_replays_identical_timeline(
     edges, ops, seed, balance_name
 ):
-    incremental = _make_runner(Graph, edges, seed, balance_name, "incremental")
-    recompute = _make_runner(Graph, edges, seed, balance_name, "recompute")
+    incremental = _make_runner("sweep", edges, seed, balance_name, "incremental")
+    recompute = _make_runner("sweep", edges, seed, balance_name, "recompute")
     _drive(incremental, ops)
     _drive(recompute, ops)  # cross-checks itself after every round
     assert list(incremental.timeline) == list(recompute.timeline)
@@ -140,11 +146,12 @@ def test_recompute_mode_replays_identical_timeline(
 )
 @settings(max_examples=60, deadline=None)
 def test_backends_stay_identical_under_interleaving(edges, ops, seed):
-    dense = _make_runner(Graph, edges, seed, "vertex", "incremental")
-    compact = _make_runner(CompactGraph, edges, seed, "vertex", "incremental")
-    _drive(dense, ops)
-    _drive(compact, ops)
-    assert list(dense.timeline) == list(compact.timeline)
-    assert dense.state.cut_edges == compact.state.cut_edges
-    assert dense.state.sizes == compact.state.sizes
-    compact.graph.validate()  # interning + CSR mirror survive the churn
+    """The two decision-and-ingest paths replay one timeline."""
+    portable = _make_runner("portable", edges, seed, "vertex", "incremental")
+    swept = _make_runner("sweep", edges, seed, "vertex", "incremental")
+    _drive(portable, ops)
+    _drive(swept, ops)
+    assert list(portable.timeline) == list(swept.timeline)
+    assert portable.state.cut_edges == swept.state.cut_edges
+    assert portable.state.sizes == swept.state.sizes
+    swept.graph.validate()  # interning + CSR mirror survive the churn

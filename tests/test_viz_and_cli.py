@@ -205,6 +205,17 @@ class TestCli:
         assert "pipelined" not in help_text
         assert "--decisions" not in help_text
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["scenario", "mesh-growth"], ["partition", "graph.el"]],
+    )
+    def test_backend_flag_is_gone(self, argv, capsys):
+        """One graph class: ``--backend`` is an unknown option (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            self._run(argv + ["--backend", "compact"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestLabelPropagation:
     def test_finds_planted_communities(self, two_cliques):
