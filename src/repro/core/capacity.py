@@ -12,6 +12,11 @@ receives at most C_t(j) vertices.  :class:`QuotaTable` freezes the quotas at
 iteration start and meters consumption during the round.
 """
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
+
 __all__ = ["QuotaTable"]
 
 
@@ -60,6 +65,46 @@ class QuotaTable:
             return False
         self._consumed[key] = used + load
         return True
+
+    def admit(self, sources, destinations, loads):
+        """:meth:`try_consume` over columns, item by item; returns the
+        admitted mask (numpy only).
+
+        Equal to the sequential loop, down to the ``ValueError`` an invalid
+        item raises once the items before it are applied.  Per lane, a
+        ``cumsum`` seeded with the lane's consumption adds left to right
+        like ``used + load``; the items after a lane's first refusal are
+        walked one by one only if the smallest of them could still fit.
+        """
+        src, dst = _np.asarray(sources), _np.asarray(destinations)
+        loads = _np.asarray(loads, dtype=_np.float64)
+        k = self.num_partitions
+        bad = (src < 0) | (src >= k) | (dst < 0) | (dst >= k) | (src == dst)
+        bad |= loads <= 0
+        if bad.any():
+            i = int(bad.argmax())
+            self.admit(src[:i], dst[:i], loads[:i])
+            self.try_consume(int(src[i]), int(dst[i]), loads[i])  # raises
+        admitted = _np.zeros(len(src), dtype=bool)
+        lanes = src * k + dst
+        order = _np.argsort(lanes, kind="stable")
+        cuts = _np.flatnonzero(_np.diff(lanes[order])) + 1
+        for members in _np.split(order, cuts) if len(order) else ():
+            key = (int(src[members[0]]), int(dst[members[0]]))
+            cap = self._per_source[key[1]] + 1e-9
+            seeded = _np.concatenate(([self.consumed(*key)], loads[members]))
+            sums = _np.cumsum(seeded)  # sums[j]: used after j admissions
+            fit = int(_np.append(sums[1:] > cap, True).argmax())
+            admitted[members[:fit]] = True
+            used = float(sums[fit])
+            tail = members[fit + 1 :]
+            if len(tail) and not used + loads[tail].min() > cap:
+                for i, load in zip(tail.tolist(), loads[tail].tolist()):
+                    if not used + load > cap:
+                        used += load
+                        admitted[i] = True
+            self._consumed[key] = used
+        return admitted
 
     def consumed(self, source, destination):
         """Load already consumed on the lane this iteration."""

@@ -88,19 +88,17 @@ class IncrementalMetrics:
     # Move hooks
     # ------------------------------------------------------------------
 
-    def on_move(self, vertex, old_pid, new_pid, load=None):
+    def on_move(self, vertex, old_pid, new_pid, load):
         """One vertex relocated (degree unchanged, so load is portable)."""
-        if load is None:
-            load = self.balance.load_of(self.graph, vertex)
         self._loads[old_pid] -= load
         self._loads[new_pid] += load
 
-    def on_moves(self, moves):
-        """A round's admitted ``(vertex, old_pid, new_pid, load)`` batch."""
-        loads = self._loads
-        for _, old_pid, new_pid, load in moves:
-            loads[old_pid] -= load
-            loads[new_pid] += load
+    def on_moves(self, old_pids, new_pids, loads):
+        """A round's admitted moves as columns, folded in admitted order."""
+        vector = self._loads
+        for old_pid, new_pid, load in zip(old_pids, new_pids, loads):
+            vector[old_pid] -= load
+            vector[new_pid] += load
 
     # ------------------------------------------------------------------
     # Event hooks

@@ -30,16 +30,17 @@ the cheap neighbour-of-changed activation.  Convergence is exactly where
 that pays: no migrations and no churn means no capacity movement, so quiet
 phases cost O(active) instead of a full sweep per round.
 
-With the paper's greedy heuristic (and numpy), per-vertex decisions are
-produced by the vectorised :class:`~repro.core.sweep.CompactSweeper` over
-the graph's CSR mirror instead of per-vertex histogram dicts; the round
-semantics (candidate order, RNG stream, tie-breaks, quota contention) are
-bit-for-bit identical to the per-vertex path, which the portable-vs-sweep
-equivalence suite pins.  The arrays it reads belong to the
-graph and the state, so the runner has nothing to keep in sync.
+With the paper's greedy heuristic (and numpy) the whole round runs as
+columns: :class:`~repro.core.sweep.CompactSweeper` decides over the
+graph's CSR mirror, :func:`~repro.utils.rng.shuffled_order` and
+:func:`~repro.utils.rng.random_column` make the shuffle's and the coins'
+exact draws, :meth:`QuotaTable.admit` meters the lanes and the moves apply
+in one batch.  Timelines are bit-for-bit those of the per-vertex path,
+which the portable-vs-sweep equivalence suite pins.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 from repro.core.balance import VertexBalance
 from repro.core.capacity import QuotaTable
@@ -51,6 +52,7 @@ from repro.core.metrics import IterationStats, Timeline
 from repro.core.sweep import generic_decisions, make_sweeper, sort_vertices
 from repro.partitioning.hashing import HashPartitioner
 from repro.utils import make_rng
+from repro.utils.rng import random_column, shuffled_order
 
 __all__ = ["AdaptiveConfig", "AdaptiveRunner", "run_to_convergence"]
 
@@ -106,7 +108,6 @@ class AdaptiveRunner:
         self.timeline = Timeline()
         self.iteration = 0
         self._capacities = None
-        self._active = None
         self._last_remaining = None  # capacity trigger (uses_capacity)
         self._sweeper = make_sweeper(graph, state, self.config.heuristic)
         if self._sweeper is not None:
@@ -116,7 +117,7 @@ class AdaptiveRunner:
         self.metrics = IncrementalMetrics(graph, state, self.config.balance)
         self._ingestor = make_ingestor(self)
         self._refresh_capacities()
-        self._activate_all()
+        self._active = set(graph.vertices())
 
     # ------------------------------------------------------------------
     # Balance bookkeeping
@@ -165,27 +166,10 @@ class AdaptiveRunner:
             self._last_remaining != tuple(remaining)
         )
 
-    def _activate_all(self):
-        self._active = set(self.graph.vertices())
-
-    def _activate_neighbourhood(self, vertex):
-        self._active.add(vertex)
-        self._active.update(self.graph.neighbors(vertex))
-
     @property
     def active_count(self):
         """Number of vertices that will be evaluated next iteration."""
         return len(self._active)
-
-    def _ordered_active(self):
-        """The active set as a canonically ordered list.
-
-        Sorting before the shuffle makes a round's RNG pairing a function of
-        the active *membership* rather than set iteration order (which
-        depends on hash-table insertion history, which two graphs with
-        equal membership need not share).
-        """
-        return sort_vertices(self._active)
 
     # ------------------------------------------------------------------
     # One iteration
@@ -194,58 +178,27 @@ class AdaptiveRunner:
     def step(self):
         """Run one synchronous iteration; returns its :class:`IterationStats`."""
         state = self.state
-        config = self.config
         remaining = self.remaining_capacities()
         quotas = QuotaTable(remaining, state.num_partitions)
+        # Sorted, the round's RNG pairing is a function of the active
+        # *membership*, not of set iteration order.
         candidates = (
             list(self.graph.vertices())
             if self._needs_full_sweep(remaining)
-            else self._ordered_active()
+            else sort_vertices(self._active)
         )
-        # Random evaluation order so quota contention is unbiased.
-        self._rng.shuffle(candidates)
-
         if self._sweeper is not None:
-            decisions = self._sweeper.decisions(candidates, remaining)
+            wanted, blocked, migrations = self._sweep_round(candidates, quotas)
         else:
-            decisions = generic_decisions(
-                state, config.heuristic, candidates, remaining
+            wanted, blocked, migrations = self._portable_round(
+                candidates, remaining, quotas
             )
-
-        admitted_moves = []
-        wanted = 0
-        blocked = 0
-        kept_active = set()
-        for v, current, desired in decisions:
-            if desired == current:
-                continue  # settled: drops out of the active set
-            wanted += 1
-            kept_active.add(v)  # still unhappy until the move lands
-            if self._rng.random() >= config.willingness:
-                continue  # willingness coin says wait this iteration
-            load = config.balance.load_of(self.graph, v)
-            if not quotas.try_consume(current, desired, load):
-                blocked += 1
-                continue
-            admitted_moves.append((v, current, desired, load))
-
-        # Apply all admitted moves together (synchronous semantics: no
-        # decision above saw any of these relocations).
-        self.metrics.on_moves(admitted_moves)
-        self._active = kept_active
-        if self._sweeper is not None:
-            kept_active.update(self._sweeper.apply_moves(admitted_moves))
-        else:
-            for v, _, new_pid, __ in admitted_moves:
-                state.move(v, new_pid)
-                self._activate_neighbourhood(v)
-
         self.iteration += 1
         self._last_remaining = tuple(remaining)
         sizes = state.sizes
         stats = IterationStats(
             iteration=self.iteration,
-            migrations=len(admitted_moves),
+            migrations=migrations,
             wanted_migrations=wanted,
             blocked_migrations=blocked,
             cut_edges=state.cut_edges,
@@ -260,6 +213,60 @@ class AdaptiveRunner:
         if self.config.metrics == "recompute":
             self.metrics.cross_check()
         return stats
+
+    def _portable_round(self, candidates, remaining, quotas):
+        """One round vertex by vertex: shuffle (so quota contention is
+        unbiased), decide, coin, meter, then apply every admitted move
+        together (no decision saw any of them).  Returns ``(wanted,
+        blocked, migrations)``; the unhappy stay active until they move."""
+        config = self.config
+        self._rng.shuffle(candidates)
+        moves = []
+        wanted = blocked = 0
+        self._active = set()
+        for v, current, desired in generic_decisions(
+            self.state, config.heuristic, candidates, remaining
+        ):
+            if desired == current:
+                continue
+            wanted += 1
+            self._active.add(v)
+            if self._rng.random() >= config.willingness:
+                continue  # willingness coin says wait this iteration
+            load = config.balance.load_of(self.graph, v)
+            if not quotas.try_consume(current, desired, load):
+                blocked += 1
+                continue
+            moves.append((v, current, desired, load))
+        for v, current, desired, load in moves:
+            self.metrics.on_move(v, current, desired, load)
+            self.state.move(v, desired)
+            self._active.add(v)
+            self._active.update(self.graph.neighbors(v))
+        return wanted, blocked, len(moves)
+
+    def _sweep_round(self, candidates, quotas):
+        """:meth:`_portable_round` as columns, bit for bit: the same
+        shuffle and coin draws, quota lanes metered by
+        :meth:`QuotaTable.admit`, the moves applied in one batch."""
+        sweeper = self._sweeper
+        rng = self._rng
+        slots, cur, desired, movers = sweeper.decisions(
+            candidates, shuffled_order(rng, len(candidates))
+        )
+        slots, cur, desired = slots[movers], cur[movers], desired[movers]
+        unhappy = slots  # they stay active until their move lands
+        willing = random_column(rng, len(slots)) < self.config.willingness
+        slots, cur, desired = slots[willing], cur[willing], desired[willing]
+        load_of = self.config.balance.load_of
+        loads = list(map(load_of, repeat(self.graph), sweeper.ids(slots)))
+        admitted = quotas.admit(cur, desired, loads)
+        slots, cur, desired = slots[admitted], cur[admitted], desired[admitted]
+        self.metrics.on_moves(
+            cur.tolist(), desired.tolist(), compress(loads, admitted.tolist())
+        )
+        self._active = sweeper.apply_moves(slots, cur, desired, unhappy)
+        return len(movers), len(admitted) - len(slots), len(slots)
 
     # ------------------------------------------------------------------
     # Convergence loop

@@ -1,33 +1,20 @@
 """Array-backed batch evaluation of the greedy migration rule.
 
-The per-vertex hot path of :class:`~repro.core.runner.AdaptiveRunner` (and
-the Pregel background partitioner) is: read the vertex's neighbour-partition
-histogram, apply the heuristic, then gate the move on willingness and quota.
-Read from the adjacency sets, that allocates a fresh dict per vertex per
-round; :class:`CompactSweeper` replaces it with one vectorised pass over the
-graph's CSR mirror (:meth:`~repro.graph.graph.Graph.ensure_csr`):
-
-* the partition assignment is read as one flat integer array indexed by
-  vertex slot — the partition column its owner,
-  :class:`~repro.partitioning.base.PartitionState`, writes on every
-  assignment change, so the sweeper holds no copy that could go stale;
-* neighbour-partition counts for *all* candidates accumulate into a single
-  ``(candidates × partitions)`` count buffer via one ``bincount`` — no
-  per-vertex allocation;
-* the paper's greedy rule (argmax neighbours, prefer to stay, lowest id wins
-  ties) is evaluated closed-form on the buffer.
-
-Because every decision in a round is taken against start-of-round state,
-batching is *semantics-preserving*: decisions are order-independent, and the
-order-dependent parts (willingness draws, quota consumption) stay in the
-caller's sequential loop, which consumes the RNG stream exactly as the
-per-vertex path does.  Timelines are bit-for-bit identical to that path —
-the portable-vs-sweep equivalence suite pins this.
-
-The sweeper engages only for the exact paper heuristic
-(:class:`~repro.core.heuristic.GreedyMaxNeighbours`) with numpy present;
-every other combination uses :func:`generic_decisions`, the portable
-per-vertex path.
+Read from the adjacency sets, the paper's greedy rule allocates a
+neighbour-partition histogram per vertex per round.
+:class:`CompactSweeper` replaces that with one vectorised pass over the
+graph's CSR mirror (:meth:`~repro.graph.graph.Graph.ensure_csr`) and the
+partition column :class:`~repro.partitioning.base.PartitionState` writes on
+every assignment change (so there is no copy to go stale): one
+``bincount`` fills a ``(candidates × partitions)`` count buffer, and the
+rule — argmax neighbours, prefer to stay, lowest id wins ties — is
+evaluated closed-form on it.  Every decision in a round is taken against
+start-of-round state, so batching preserves the semantics; the caller's
+order-dependent phase (shuffle, coins, quota lanes) runs on the columns
+with the per-vertex path's exact RNG draws, and the equivalence suite pins
+the timelines bit for bit.  The sweeper engages only for the exact paper
+heuristic (:class:`~repro.core.heuristic.GreedyMaxNeighbours`) with numpy;
+everything else takes :func:`generic_decisions`, the portable path.
 
 :class:`LocalCsr` is the same idea scoped to one
 :class:`~repro.cluster.shard.Shard`: a local CSR of the shard's resident
@@ -155,18 +142,17 @@ class CompactSweeper:
         indices = _np.frombuffer(indices_a, dtype=_np.int64)
         return _gather_explicit(indices, starts[slots], lens[slots])
 
-    def decisions(self, candidates, remaining=None):
-        """Yield ``(vertex, current, desired)`` for candidates wanting to move.
+    def decisions(self, candidates, order=None):
+        """The greedy rule over ``candidates`` as columns ``(slots, cur,
+        desired, movers)``.
 
-        Settled and unassigned candidates are filtered out vectorised — they
-        are no-ops in every consumer's sequential phase, so dropping them
-        changes neither the RNG stream nor any bookkeeping.  ``remaining``
-        is accepted for signature compatibility; the greedy rule ignores
-        capacities by construction.
+        Candidates are taken in ``order`` when given (a permutation of
+        their positions, e.g. :func:`~repro.utils.rng.shuffled_order`);
+        ``slots``, ``cur`` and ``desired`` hold every candidate's slot,
+        partition and desired partition in that order, and ``movers`` the
+        positions of those that want to move — the only ones any
+        consumer's sequential phase draws for or books.
         """
-        del remaining
-        if not candidates:
-            return iter(())
         slots = self._candidate_slots(candidates)
         nbr, row = self._gather_blocks(slots)
         assign = self._column()
@@ -174,15 +160,19 @@ class CompactSweeper:
         desired, movers = _greedy_movers(
             cur, nbr, row, assign, self.state.num_partitions
         )
-        # Only vertices that want to move matter to the caller's sequential
-        # phase (settled ones draw no RNG and trigger no bookkeeping), so
-        # emit just those — in candidate order, preserving the RNG pairing.
-        return (
-            (candidates[i], int(cur[i]), int(desired[i])) for i in movers.tolist()
-        )
+        if order is not None:  # decide in slot-local order, then permute
+            want = _np.zeros(len(slots), dtype=bool)
+            want[movers] = True
+            slots, cur, desired = slots[order], cur[order], desired[order]
+            movers = _np.flatnonzero(want[order])
+        return slots, cur, desired, movers
 
-    def apply_moves(self, moves):
-        """Apply a round's admitted ``(v, old, new, load)`` moves in one batch.
+    def ids(self, slots):
+        """The vertex ids at ``slots``, as a list."""
+        return list(map(self.graph.slot_ids.__getitem__, slots.tolist()))
+
+    def apply_moves(self, slots, old, new, unhappy):
+        """Apply a round's admitted moves (columns, by slot) in one batch.
 
         Within a synchronous round the admitted moves commute: the final cut
         count depends only on the final assignment, so instead of walking
@@ -192,39 +182,31 @@ class CompactSweeper:
         the gather twice (once per endpoint) with identical indicators, so
         their contribution is halved.
 
-        Returns the ids of the movers and their neighbours — exactly the
-        vertices :meth:`AdaptiveRunner._activate_neighbourhood` would have
-        re-activated one by one.
+        Returns the next active set: the ids of the ``unhappy`` slots (the
+        round's would-be movers), the movers and the movers' neighbours.
         """
-        if not moves:
-            return []
-        n = len(moves)
-        index = self.graph.slot_index
-        slots = _np.fromiter((index[m[0]] for m in moves), dtype=_np.int64, count=n)
-        old = _np.fromiter((m[1] for m in moves), dtype=_np.int64, count=n)
-        new = _np.fromiter((m[2] for m in moves), dtype=_np.int64, count=n)
+        if not len(slots):
+            return set(self.ids(unhappy))
         nbr, row = self._gather_blocks(slots)
-        if len(nbr):
-            assign = self._column()
-            before_pid = assign[nbr]
-            valid = before_pid >= 0  # unassigned neighbours never count
-            cut_before = valid & (before_pid != old[row])
-            moved_to = _np.full(len(assign), -1, dtype=_np.int64)
-            moved_to[slots] = new
-            nbr_moved_to = moved_to[nbr]
-            nbr_moves = nbr_moved_to >= 0
-            after_pid = _np.where(nbr_moves, nbr_moved_to, before_pid)
-            cut_after = valid & (after_pid != new[row])
-            diff = cut_after.astype(_np.int64) - cut_before.astype(_np.int64)
-            double_sum = int(diff[nbr_moves].sum())  # even by symmetry
-            cut_delta = int(diff.sum()) - double_sum // 2
-            touched = _np.unique(_np.concatenate((slots, nbr)))
-        else:
-            cut_delta = 0
-            touched = _np.unique(slots)
-        self.state.apply_bulk_moves(((m[0], m[1], m[2]) for m in moves), cut_delta)
-        ids = self.graph.slot_ids
-        return [ids[s] for s in touched.tolist()]
+        assign = self._column()
+        before_pid = assign[nbr]
+        valid = before_pid >= 0  # unassigned neighbours never count
+        cut_before = valid & (before_pid != old[row])
+        moved_to = _np.full(len(assign), -1, dtype=_np.int64)
+        moved_to[slots] = new
+        nbr_moved_to = moved_to[nbr]
+        nbr_moves = nbr_moved_to >= 0
+        after_pid = _np.where(nbr_moves, nbr_moved_to, before_pid)
+        cut_after = valid & (after_pid != new[row])
+        diff = cut_after.astype(_np.int64) - cut_before.astype(_np.int64)
+        double_sum = int(diff[nbr_moves].sum())  # even by symmetry
+        cut_delta = int(diff.sum()) - double_sum // 2
+        touched = moved_to >= 0
+        touched[nbr] = True
+        touched[unhappy] = True
+        del assign  # the state writes the column next
+        self.state.apply_bulk_moves(self.ids(slots), slots, old, new, cut_delta)
+        return set(self.ids(_np.flatnonzero(touched)))
 
 
 def id_column(ids):
@@ -623,9 +605,10 @@ def _greedy_movers(cur, nbr, row, assignment, k):
         ).reshape(n, k)
     else:
         counts = _np.zeros((n, k), dtype=_np.int64)
-    best = counts.max(axis=1)
+    rows = _np.arange(n)
     best_pid = counts.argmax(axis=1)
-    here = counts[_np.arange(n), _np.where(cur >= 0, cur, 0)]
+    best = counts[rows, best_pid]
+    here = counts[rows, _np.where(cur >= 0, cur, 0)]
     stay = (best == 0) | (here == best)
     desired = _np.where(stay, cur, best_pid)
     movers = _np.flatnonzero((cur >= 0) & (desired != cur))
@@ -653,10 +636,7 @@ def _gather_explicit(blocks, starts, lens):
     n = len(starts)
     cum = _np.zeros(n, dtype=_np.int64)
     _np.cumsum(lens[:-1], out=cum[1:])
-    pos = (
-        _np.arange(total, dtype=_np.int64)
-        - _np.repeat(cum, lens)
-        + _np.repeat(starts, lens)
-    )
+    pos = _np.repeat(starts - cum, lens)
+    pos += _np.arange(total, dtype=_np.int64)
     row = _np.repeat(_np.arange(n, dtype=_np.int64), lens)
     return blocks[pos], row

@@ -22,6 +22,11 @@ import math
 import types
 from array import array
 
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
+
 __all__ = ["PartitionState", "Partitioner", "balanced_capacities"]
 
 
@@ -198,27 +203,21 @@ class PartitionState:
         self._cut_edges += after - before
         self._store(vertex, new_pid)
 
-    def apply_bulk_moves(self, items, cut_delta):
-        """Relocate many vertices at once with a caller-computed cut delta.
+    def apply_bulk_moves(self, vertices, slots, old, new, cut_delta):
+        """Relocate ``vertices`` (at ``slots``) from ``old`` to ``new``
+        partitions — int64 columns, every move a real change; numpy only.
 
-        ``items`` yields ``(vertex, old_pid, new_pid)`` for vertices that
-        actually change partition.  The caller guarantees ``cut_delta``
-        equals the sum of the per-move deltas :meth:`move` would have
-        produced (batch application commutes because the final cut count is
-        a function of the final assignment alone).  The batch sweep uses
-        this to skip the per-move ``O(deg v)`` adjacency walks; the
-        equivalence tests cross-check against :meth:`validate`.
+        The caller guarantees ``cut_delta`` equals the sum of the per-move
+        deltas :meth:`move` would have produced (the final cut count is a
+        function of the final assignment alone), which skips the per-move
+        ``O(deg v)`` adjacency walks.
         """
-        assignment = self._assignment
-        sizes = self._sizes
-        column = self._column
-        slot_of = self._slots
-        for vertex, old_pid, new_pid in items:
-            assignment[vertex] = new_pid
-            sizes[old_pid] -= 1
-            sizes[new_pid] += 1
-            # A mover is assigned, so it holds a slot and an entry.
-            column[slot_of[vertex]] = new_pid
+        self._assignment.update(zip(vertices, new.tolist()))
+        k = self.num_partitions
+        shift = _np.bincount(new, minlength=k) - _np.bincount(old, minlength=k)
+        for pid, delta in enumerate(shift.tolist()):
+            self._sizes[pid] += delta
+        _np.frombuffer(self.partition_column(), dtype=_np.int64)[slots] = new
         self._cut_edges += cut_delta
 
     def assign_many(self, items):

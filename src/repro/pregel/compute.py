@@ -2,106 +2,26 @@
 
 :func:`compute_block` is the paper's *compute phase* over one block of
 vertices, written as a pure function of a **host** — the object that owns
-the block's state.  Two hosts exist:
-
-* :class:`~repro.pregel.system.PregelSystem` passes itself and the whole
-  vertex set: the classic single-process reference loop;
-* :class:`~repro.cluster.shard.Shard` passes itself and its resident
-  vertices: the sharded execution layer runs one block per shard, possibly
-  in another process.
-
-The host contract is exactly what :class:`~repro.pregel.vertex.VertexContext`
-reads plus the loop's own needs:
-
-==================  =====================================================
-attribute            contract
-==================  =====================================================
-``program``          the :class:`VertexProgram` being run
-``continuous``       ignore vote-to-halt (the paper's always-on mode)
-``values``           mutable mapping vertex id → value
-``halted``           mutable set of halted vertex ids
-``graph``            ``neighbors(v)`` / ``degree(v)`` / ``num_vertices``
-``router``           ``send(source_id, target_id, message)``
-``aggregators``      ``contribute(name, value)`` / ``previous(name)``
-``note_cost(v, c)``  account one vertex's modelled compute cost
-==================  =====================================================
-
-Because every effect flows through the host, a block's outcome is a pure
-function of (host state, inbox, superstep) — the property the cluster layer
-relies on for bit-identical results across executors.
-
-**The batched kernel path.**  When the program is a
-:class:`~repro.pregel.vertex.BatchedVertexProgram`, numpy is importable and
-``REPRO_BATCH_KERNEL`` does not disable it, :func:`compute_block` evaluates
-the whole block through ``program.compute_batch`` instead of the scalar
-loop: pack slot-indexed value/degree/inbox arrays, run the kernel, reduce
-its three-column outbox in the canonical (first-send) order and commit —
-values, halt votes, router absorption, cost accounting — exactly as the
-scalar loop would have, bit for bit.  The packing stage is read-only, so
-any mismatch (non-numeric values or ids-as-labels, an exotic combiner, a
-kernel that declines by returning None) falls back to the scalar loop with
-no state touched.  Batching hosts extend the contract with four optional
-members (hosts without them simply never batch):
-
-==========================  =============================================
-``store``                    the host's array store — a
-                             :class:`~repro.core.sweep.LocalCsr` holding
-                             ids, values, halt votes, row order and
-                             adjacency by slot — or None/absent
-``batch_workers(ids)``       per-row source worker ids, or None to decline
-``note_costs(ids, costs)``   vectorised ``note_cost`` over the block
-``note_batched_block(v)``    count one batched block; ``v`` is the block's
-                             new values as columns, or None (see below)
-==========================  =============================================
-
-A host with a ``store`` is read and written *through it*: the block is the
-store's resident rows (``vertex_ids`` is ignored), every block column is
-one fancy index of a store column (``values[rows]``, ``ids[rows]``,
-``gather(rows)``), the commit is one store-back (``values[rows] = new``,
-two writes to the ``halted`` mask), and ``values`` / ``halted`` /
-``graph.neighbors`` are never touched.  A host without one (the
-single-process system, a dict shard) has its block packed from the
-``values`` mapping and ``graph.neighbors`` per superstep, as before.
-
-**Columns in, columns out.**  The kernel's arrays are the message plane's
-native shape (:class:`~repro.pregel.messages.MessageColumns`), so the
-dispatcher neither unpacks nor repacks them when it does not have to.  An
-``inbox`` that arrives as columns scatters straight into the block's
-``msg_row`` / ``msg_values`` / ``msg_counts``; and when the block's vertex
-ids are all exact ``int64`` and the kernel dtype is ``float64`` / ``int64``
-under a ``sum`` / ``min`` / record-sum combiner, the reduced outbox
-reaches ``router.absorb_columns`` as numpy columns and the new values
-reach ``note_batched_block`` as a ``MessageColumns`` — no ``tolist()``
-between kernel and router.  Anything else (string ids, no combiner, a
-block that declines) takes the dict shapes: a columnar inbox is read
-through its lazily built ``mailboxes()`` view, outbox columns are plain
-lists.
-
-**Records.**  A program whose values or messages are fixed-width tuples of
-floats declares ``value_width`` / ``message_width``; the corresponding
-columns are then ``(n, c)`` float64 instead of 1-d, and every step here —
-packing, scatter, the outbox fold, the commit — indexes rows, so scalars
-(``c`` = 1, plain 1-d columns) and records run the same code.
-
-Known caveat, by design: the canonical reductions start sums at ``+0.0``
-and take numpy minima, so a program whose messages include ``-0.0`` or
-NaN payloads is outside the bit-identity contract (every shipped batched
-program emits strictly positive finite messages).
+the block's state: :class:`~repro.pregel.system.PregelSystem` over the
+whole vertex set (the single-process reference loop), or a
+:class:`~repro.cluster.shard.Shard` over its residents.  Every effect flows
+through the host, so a block's outcome is a pure function of (host state,
+inbox, superstep) — what bit-identical results across executors rest on.
+When the program batches (and numpy is present and
+``REPRO_BATCH_KERNEL`` allows it) the block runs through
+``program.compute_batch`` on slot-indexed columns, bit for bit the scalar
+loop, which any block the packing cannot express exactly falls back to.
 
 :func:`decide_block` is the matching *decision step* of the paper's
-background partitioner: heuristic evaluation plus the vertex-local
-willingness coin over one block of candidate vertices, against a frozen
-:class:`~repro.core.heuristic.DecisionContext` snapshot.  The same two
-hosts run it — the single-process system over the whole candidate set, a
-shard over its resident slice — and because every willingness draw is
-keyed by ``(lane, round, vertex)`` (no shared stream), the union of the
-blocks' proposals is a pure function of the start-of-round state no matter
-how the blocks are split.  The host contract adds two members:
+background partitioner: the heuristic plus the keyed willingness coin over
+one block of candidates against a frozen
+:class:`~repro.core.heuristic.DecisionContext`, so the union of the
+blocks' proposals does not depend on how the blocks are split.
 
-==================  =====================================================
-``heuristic``        the :class:`MigrationHeuristic` being evaluated
-``placement_of(v)``  partition id of any vertex, or None when unassigned
-==================  =====================================================
+The host contract (both functions), the batching hosts' optional members,
+the array-store regime, the columnar message shapes, records and the
+``-0.0`` / NaN caveat are written out in ``docs/architecture.md``
+("The compute host contract").
 """
 
 import os

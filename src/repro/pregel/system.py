@@ -443,10 +443,13 @@ class PregelSystem:
             source = WillingnessSource(context.lane)
             round_index = context.round_index
             s = context.willingness
+            _, cur, desired, movers = self._sweeper.decisions(candidates)
             return [
-                (v, current, desired, source.willing(round_index, v, s))
-                for v, current, desired in self._sweeper.decisions(
-                    candidates, context.remaining
+                (v, current, wish, source.willing(round_index, v, s))
+                for v, current, wish in zip(
+                    map(candidates.__getitem__, movers.tolist()),
+                    cur[movers].tolist(),
+                    desired[movers].tolist(),
                 )
             ]
         return decide_block(self, context, candidates)

@@ -23,13 +23,17 @@ Two sharing disciplines coexist:
 
 import hashlib
 import random
+from array import array
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
-__all__ = ["WillingnessSource", "derive_seed", "make_rng", "vertex_key"]
+__all__ = [
+    "WillingnessSource", "derive_seed", "make_rng", "random_column",
+    "shuffled_order", "vertex_key",
+]
 
 _SEED_SPACE = 2**63
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -70,6 +74,52 @@ def make_rng(base_seed, *labels):
     if labels:
         return random.Random(derive_seed(base_seed, *labels))
     return random.Random(base_seed)
+
+
+def shuffled_order(rng, n):
+    """The permutation ``rng.shuffle`` applies to an ``n``-list, as an
+    int64 column (numpy only).
+
+    Draws exactly what :meth:`random.Random.shuffle` draws —
+    ``getrandbits(m.bit_length())`` with rejection for ``m = n … 2`` — so
+    the stream after it is the same; only the swaps replay vectorised.
+    Step ``i`` leaves ``x[i]`` final, holding what was last written into
+    its target ``j_i`` — by the next-larger step with that target, whose
+    own value is found the same way — so pointer jumping over "last
+    writer" resolves every chain at once.
+    """
+    getrandbits = rng.getrandbits
+    draws = array("q")
+    append = draws.append
+    top = n
+    while top > 1:  # one bit length k at a time: m = top … 2**(k-1)
+        k = top.bit_length()
+        for m in range(top, (1 << (k - 1)) - 1, -1):
+            r = getrandbits(k)
+            while r >= m:
+                r = getrandbits(k)
+            append(r)
+        top = (1 << (k - 1)) - 1
+    steps = _np.arange(n, dtype=_np.int64)
+    target = _np.zeros(n, dtype=_np.int64)  # step 0 stands for x[0]'s end
+    target[1:] = _np.frombuffer(draws, dtype=_np.int64)[::-1]
+    grouped = _np.sort(target * n + steps) % n  # by target, then step
+    same = target[grouped[1:]] == target[grouped[:-1]]
+    later = _np.full(n, -1, dtype=_np.int64)  # next step, same target
+    later[grouped[:-1][same]] = grouped[1:][same]
+    first = _np.full(n, -1, dtype=_np.int64)  # first step into a slot
+    heads = grouped[_np.concatenate(([True], ~same))] if n else grouped
+    first[target[heads]] = heads
+    writer = _np.where(first == steps, later, first)  # > its slot, or −1
+    chain = _np.where(writer > 0, writer, steps)
+    while not _np.array_equal(chain[chain], chain):
+        chain = chain[chain]
+    return _np.where(later >= 0, chain[_np.maximum(later, 0)], target)
+
+
+def random_column(rng, n):
+    """The next ``n`` ``rng.random()`` draws, in order, as a float64 column."""
+    return _np.fromiter(iter(rng.random, 2.0), dtype=_np.float64, count=n)
 
 
 def _mix64(x):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import (
     RunningStats,
@@ -14,6 +16,12 @@ from repro.utils import (
     stable_hash,
     stderr_of_mean,
 )
+from repro.utils.rng import random_column, shuffled_order
+
+try:
+    import numpy as np
+except ImportError:  # the numpy-free leg
+    np = None
 
 
 class TestDeriveSeed:
@@ -165,3 +173,42 @@ class TestRunningStats:
         rs.add(2.0)
         d = rs.as_dict()
         assert set(d) == {"n", "mean", "stdev", "stderr", "min", "max"}
+
+
+# The n that sit next to a change of ``getrandbits`` width (2**k ± 1), and
+# the smallest lists (0, 1, 2), always run — not only when drawn.
+BUCKET_EDGES = sorted({0, 1, 2} | {2**k + d for k in range(1, 11) for d in (-1, 1)})
+
+
+@pytest.mark.skipif(np is None, reason="shuffled_order returns a numpy column")
+class TestShuffledOrder:
+    """``shuffled_order`` replays ``random.Random.shuffle``: the same
+    permutation from the same draws, so the stream after it is the same.
+    If a CPython release changes how ``shuffle`` draws, this fails first."""
+
+    @given(seed=st.integers(0, 2**64), n=st.integers(0, 3000))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_random_shuffle(self, seed, n):
+        self.check(seed, n)
+
+    @given(seed=st.integers(0, 2**64))
+    @settings(max_examples=10, deadline=None)
+    @pytest.mark.parametrize("n", BUCKET_EDGES)
+    def test_matches_random_shuffle_on_bucket_edges(self, seed, n):
+        self.check(seed, n)
+
+    @staticmethod
+    def check(seed, n):
+        reference, replay = random.Random(seed), random.Random(seed)
+        shuffled = list(range(n))
+        reference.shuffle(shuffled)
+        order = shuffled_order(replay, n)
+        assert order.dtype == np.int64
+        assert order.tolist() == shuffled
+        assert replay.random() == reference.random()
+
+    def test_random_column_continues_the_stream(self):
+        reference, replay = random.Random(3), random.Random(3)
+        coins = random_column(replay, 50)
+        assert coins.tolist() == [reference.random() for _ in range(50)]
+        assert replay.getrandbits(32) == reference.getrandbits(32)
