@@ -3,16 +3,16 @@
 The workload is the kernel sweet spot: PageRank on a ring lattice (every
 vertex mails every neighbour each superstep, so the per-superstep work is
 one dense gather/scatter), run on one worker so the single-thread kernel
-speedup is the isolated signal.  The same scenario runs three ways:
+speedup is the isolated signal.  The same scenario runs two ways:
 
-* **scalar** — ``REPRO_BATCH_KERNEL=off``, the per-vertex reference loop;
-* **batched** — the numpy block kernel (``compute_batch``);
-* **plain** — a PageRank subclass that *opts out* (``compute_batch =
-  None``), measuring what non-batched programs pay for the dispatch check.
+* **scalar** — a PageRank subclass that *opts out* (``compute_batch =
+  None``): the per-vertex reference loop, and what non-batched programs
+  pay for the dispatch check;
+* **batched** — the numpy block kernel (``compute_batch``).
 
 Asserted, at every scale:
 
-* all three superstep timelines and final value maps are **bit-identical**
+* both superstep timelines and final value maps are **bit-identical**
   (the kernel is an optimisation, never semantics);
 * batched clears **≥3×** over scalar at full scale (≥2× smoke);
 * the dispatch check costs non-batched programs **<2%** of their
@@ -21,7 +21,7 @@ Asserted, at every scale:
   dispatch site (one attribute read + ``is not None`` branch), multiply by
   a generous over-count of how often a run hits it (2× the computed-vertex
   total, though the check really runs once per *block*), and compare that
-  against the plain run's wall-clock.
+  against the scalar run's wall-clock.
 
 Timing methodology: construction and a warmup superstep stay outside the
 timer, and the garbage collector is frozen (``gc.freeze`` + ``gc.disable``)
@@ -33,7 +33,6 @@ noise from both legs symmetrically.  Each leg reports its best of
 """
 
 import gc
-import os
 import time
 
 from repro.analysis import format_table
@@ -56,12 +55,13 @@ MICROBENCH_ROUNDS = 200_000
 
 
 class _ScalarPageRank(PageRank):
-    """PageRank that opts out of the batch kernel (dispatch-cost probe)."""
+    """PageRank that opts out of the batch kernel: the scalar reference
+    and the dispatch-cost probe."""
 
     compute_batch = None
 
 
-def _timed_run(kernel, program_factory=PageRank):
+def _timed_run(program_factory=PageRank):
     """Build (untimed), warm up, run TIMED_SUPERSTEPS gc-frozen, return a row.
 
     Construction and the first superstep stay outside the timer: shard
@@ -69,61 +69,51 @@ def _timed_run(kernel, program_factory=PageRank):
     under test — steady-state per-superstep throughput — starts at
     superstep 2.
     """
-    previous = os.environ.get("REPRO_BATCH_KERNEL")
-    os.environ["REPRO_BATCH_KERNEL"] = kernel
-    try:
-        registry = MetricsRegistry()
-        config = PregelConfig(num_workers=1, seed=7, adaptive=False)
-        with Coordinator(
-            ring_lattice(N_VERTICES, DEGREE),
-            program_factory(),
-            config,
-            executor=InlineExecutor(),
-            metrics_registry=registry,
-        ) as system:
-            for _ in range(WARMUP_SUPERSTEPS):
-                system.run_superstep()
-            gc.collect()
-            gc.freeze()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                reports = [
-                    system.run_superstep() for _ in range(TIMED_SUPERSTEPS)
-                ]
-                elapsed = time.perf_counter() - start
-            finally:
-                gc.enable()
-                gc.unfreeze()
-            timeline = tuple(
-                (
-                    r.superstep,
-                    r.migrations_announced,
-                    r.cut_edges,
-                    tuple(r.sizes),
-                    r.computed_vertices,
-                    tuple(r.per_worker_compute),
-                    r.traffic.local_messages,
-                    r.traffic.remote_messages,
-                    r.traffic.compute_units,
-                )
-                for r in reports
+    registry = MetricsRegistry()
+    config = PregelConfig(num_workers=1, seed=7, adaptive=False)
+    with Coordinator(
+        ring_lattice(N_VERTICES, DEGREE),
+        program_factory(),
+        config,
+        executor=InlineExecutor(),
+        metrics_registry=registry,
+    ) as system:
+        for _ in range(WARMUP_SUPERSTEPS):
+            system.run_superstep()
+        gc.collect()
+        gc.freeze()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            reports = [
+                system.run_superstep() for _ in range(TIMED_SUPERSTEPS)
+            ]
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.enable()
+            gc.unfreeze()
+        timeline = tuple(
+            (
+                r.superstep,
+                r.migrations_announced,
+                r.cut_edges,
+                tuple(r.sizes),
+                r.computed_vertices,
+                tuple(r.per_worker_compute),
+                r.traffic.local_messages,
+                r.traffic.remote_messages,
+                r.traffic.compute_units,
             )
-            return {
-                "seconds": elapsed,
-                "timeline": timeline,
-                "values": dict(system.values),
-                "computed_vertices": sum(r.computed_vertices for r in reports),
-                "batched_blocks": registry.counter(
-                    "kernel.batched_blocks"
-                ).value,
-                "phases": registry.phase_seconds(),
-            }
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_KERNEL", None)
-        else:
-            os.environ["REPRO_BATCH_KERNEL"] = previous
+            for r in reports
+        )
+        return {
+            "seconds": elapsed,
+            "timeline": timeline,
+            "values": dict(system.values),
+            "computed_vertices": sum(r.computed_vertices for r in reports),
+            "batched_blocks": registry.counter("kernel.batched_blocks").value,
+            "phases": registry.phase_seconds(),
+        }
 
 
 def _best_of(label, **kwargs):
@@ -157,28 +147,25 @@ def _dispatch_site_cost():
 
 
 def _experiment():
-    scalar = _best_of("scalar", kernel="off")
-    batched = _best_of("batched", kernel="on")
-    plain = _best_of("plain", kernel="on", program_factory=_ScalarPageRank)
+    scalar = _best_of("scalar", program_factory=_ScalarPageRank)
+    batched = _best_of("batched")
 
-    # The determinism contract, on the heavy workload: the kernel (and the
-    # opt-out path) replay the scalar run bit for bit.
-    for row in (batched, plain):
-        assert row["timeline"] == scalar["timeline"], (
-            f"{row['leg']} timeline diverged from scalar"
-        )
-        assert row["values"] == scalar["values"], (
-            f"{row['leg']} final values diverged from scalar"
-        )
+    # The determinism contract, on the heavy workload: the kernel replays
+    # the scalar run bit for bit.
+    assert batched["timeline"] == scalar["timeline"], (
+        "batched timeline diverged from scalar"
+    )
+    assert batched["values"] == scalar["values"], (
+        "batched final values diverged from scalar"
+    )
     assert batched["batched_blocks"] > 0, "batched leg never took the kernel"
-    assert scalar["batched_blocks"] == 0
-    assert plain["batched_blocks"] == 0, "opted-out program took the kernel"
+    assert scalar["batched_blocks"] == 0, "opted-out program took the kernel"
 
     site_cost = _dispatch_site_cost()
     # one check per *block* in reality; 2x the per-vertex total is a
     # deliberately absurd over-count, and the bar still clears
-    activations = 2 * plain["computed_vertices"]
-    dispatch_overhead = site_cost * activations / plain["seconds"]
+    activations = 2 * scalar["computed_vertices"]
+    dispatch_overhead = site_cost * activations / scalar["seconds"]
 
     results = {
         "vertices": N_VERTICES,
@@ -187,7 +174,6 @@ def _experiment():
         "best_of": BEST_OF,
         "scalar_seconds": scalar["seconds"],
         "batched_seconds": batched["seconds"],
-        "plain_seconds": plain["seconds"],
         "kernel_speedup": scalar["seconds"] / batched["seconds"],
         "batched_blocks": batched["batched_blocks"],
         "site_cost_ns": 1e9 * site_cost,
@@ -208,11 +194,11 @@ def test_batched_kernel_speedup(run_once, capsys):
             format_table(
                 ["leg", "seconds", "speedup"],
                 [
-                    ["scalar", f"{results['scalar_seconds']:.3f}", "1.00x"],
+                    ["scalar (opt-out)", f"{results['scalar_seconds']:.3f}",
+                     f"1.00x, dispatch "
+                     f"{100.0 * results['dispatch_overhead_fraction']:.3f}%"],
                     ["batched", f"{results['batched_seconds']:.3f}",
                      f"{results['kernel_speedup']:.2f}x"],
-                    ["plain (opt-out)", f"{results['plain_seconds']:.3f}",
-                     f"dispatch {100.0 * results['dispatch_overhead_fraction']:.3f}%"],
                 ],
                 title=(
                     f"Batched PageRank kernel ({results['vertices']} "

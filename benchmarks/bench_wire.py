@@ -12,9 +12,9 @@ over localhost TCP workers and sizes every superstep's traffic two ways —
   byte counters;
 * **baseline** — the pre-codec protocol, computed bench-locally from the
   very same step messages in their per-message form (the session replayed
-  on the dict plane, ``REPRO_BATCH_KERNEL=off`` — bit-identical results,
-  so the same messages): one ``pickle.dumps`` per frame, every raw
-  mailbox shipped whole —
+  on the dict plane by a kernel-less PageRank twin — bit-identical
+  results, so the same messages): one ``pickle.dumps`` per frame, every
+  raw mailbox shipped whole —
 
 plus the measured mean barrier latency of the real run.
 
@@ -32,10 +32,8 @@ regression tripwires, not flaky timings):
   (``STEP_TARGET``), with the delta-direction ratio recorded alongside.
 """
 
-import os
 import pickle
 import time
-from unittest import mock
 
 from repro.analysis import format_table
 from repro.apps.pagerank import PageRank
@@ -75,10 +73,16 @@ def _digest(reports):
     ]
 
 
-def _run(executor):
+class _ScalarPageRank(PageRank):
+    """PageRank without its batch kernel: the scalar loop, dict plane."""
+
+    compute_batch = None
+
+
+def _run(executor, program_factory=PageRank):
     """Drive one coordinator session; returns (digest, mean barrier s)."""
     with Coordinator(
-        mesh_3d(MESH_SIDE), PageRank(), _config(), executor=executor
+        mesh_3d(MESH_SIDE), program_factory(), _config(), executor=executor
     ) as system:
         barrier_seconds = []
         for _ in range(SUPERSTEPS):
@@ -107,13 +111,12 @@ class _CapturingInlineExecutor(InlineExecutor):
 def _dict_plane_messages():
     """``(digest, captured)`` of the session replayed on the dict plane.
 
-    With the batched kernel off every message is a Python object and every
+    Without the batched kernel every message is a Python object and every
     mailbox arrives unfolded — the shapes the pre-codec protocol pickled.
-    (With it on, a task's inbox reaches the executor as folded columns.)
+    (With it, a task's inbox reaches the executor as folded columns.)
     """
     executor = _CapturingInlineExecutor()
-    with mock.patch.dict(os.environ, {"REPRO_BATCH_KERNEL": "off"}):
-        digest, _ = _run(executor)
+    digest, _ = _run(executor, _ScalarPageRank)
     return digest, executor.captured
 
 

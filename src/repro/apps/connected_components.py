@@ -40,7 +40,7 @@ class ConnectedComponents(BatchedVertexProgram):
         ctx.vote_to_halt()
 
     def compute_batch(self, block):
-        """Whole-block min-label flood (int-id graphs; strings decline)."""
+        """Whole-block min-label flood (int ids: no store holds a string)."""
         values = block.values
         if block.superstep == 1:
             return BlockResult(

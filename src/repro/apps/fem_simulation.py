@@ -103,11 +103,11 @@ class CardiacFemSimulation(BatchedVertexProgram):
 
     def _integrate_batch(self, block, coupling):
         """:meth:`_integrate` and the send over a block, or None (decline)
-        when a label id keeps the stimulus from matching an int64 column.
+        when a label stimulus id cannot match the block's int64 id column.
         Rows without mail get ``coupling`` 0.0 exactly, like the scalar
         ``if messages:`` branch."""
         stimulated = id_column(list(self.stimulus_vertices))
-        if block.ids is None or stimulated is None:
+        if stimulated is None:
             return None
         coupling = _np.where(block.msg_counts > 0, coupling, 0.0)
         current = _np.where(_np.isin(block.ids, stimulated), self.stimulus, 0.0)

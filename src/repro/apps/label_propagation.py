@@ -60,8 +60,8 @@ class LabelPropagation(BatchedVertexProgram):
         the candidate (row, label) pairs are lexsorted by row, then count
         descending, then the label's rank under *string* ordering, and the
         first pair per row wins — the same minimum.  String-labelled
-        graphs never reach this kernel (the int64 packing declines), so
-        ``str`` ordering only ever ranks decimal renderings of ints.
+        graphs never reach this kernel (no int64 array store holds them),
+        so ``str`` ordering only ever ranks decimal renderings of ints.
         """
         values = block.values
         if block.superstep == 1:

@@ -42,10 +42,10 @@ class SingleSourceShortestPaths(BatchedVertexProgram):
         ctx.vote_to_halt()
 
     def compute_batch(self, block):
-        """Whole-block relaxation; declines unless the source can be
-        matched against an int64 id column (a label id on either side)."""
+        """Whole-block relaxation; declines when the source is a label id
+        (it cannot be matched against the block's int64 id column)."""
         source = id_column([self.source])
-        if block.ids is None or source is None:
+        if source is None:
             return None
         values = block.values
         best = _np.full(len(block), math.inf)

@@ -2,8 +2,10 @@
 
 A :class:`Shard` owns the vertices of one partition (worker): their values,
 halted flags, adjacency and — on an adaptive run — a mirror of the global
-placement.  Per superstep it runs the shared compute loop
-(:func:`~repro.pregel.compute.compute_block`) over its residents — and,
+placement.  Per superstep it runs the compute phase over its residents —
+the batched kernel over its array store
+(:func:`~repro.pregel.compute.batched_block`), or the scalar loop
+(:func:`~repro.pregel.compute.compute_block`) over dict state — and,
 when the task carries a decision snapshot, the *decision phase* over its
 candidate residents: heuristic evaluation against its placement mirror
 plus the vertex-local keyed willingness coin.
@@ -34,23 +36,24 @@ decided by what the data is, never by a knob:
 * the **array store** — the shard's :class:`~repro.core.sweep.LocalCsr`
   is its only state: id, value, halted, row-order, adjacency and
   placement columns indexed by slot.  *Typed* patches apply as vectorised
-  stores; the batched kernel fancy-indexes its block out of the columns
-  and stores the new values back; ``values`` / ``halted`` / ``_adj`` /
-  ``placement`` stay empty.  Active while numpy is importable, the
-  program's kernel can batch (:func:`~repro.pregel.compute.kernel_dtype`,
-  a :data:`COLUMN_DTYPES <repro.pregel.messages.COLUMN_DTYPES>` dtype),
-  the decision rule (if any) is the exact paper heuristic and every patch
-  is typed in the store's dtype and width — the gate
-  :meth:`PatchColumns.pack` reads off the data: every id an exact int64,
-  every value exactly the dtype's Python scalar (or, for a program that
-  declares ``value_width`` ``c`` > 1, a ``c``-tuple of floats, held as
-  one row of an ``(n, c)`` column);
+  stores; the batched kernel — which runs nowhere else — fancy-indexes
+  its block out of the columns and stores the new values back;
+  ``values`` / ``halted`` / ``_adj`` / ``placement`` stay empty.  Active
+  while numpy is importable, the program's kernel can batch
+  (:func:`~repro.pregel.compute.kernel_dtype`, a :data:`COLUMN_DTYPES
+  <repro.pregel.messages.COLUMN_DTYPES>` dtype), the decision rule (if
+  any) is the exact paper heuristic and every patch is typed in the
+  store's dtype and width — the gate :meth:`PatchColumns.pack` reads off
+  the data: every id an exact int64, every value exactly the dtype's
+  Python scalar (or, for a program that declares ``value_width`` ``c`` >
+  1, a ``c``-tuple of floats, held as one row of an ``(n, c)`` column);
 * the **dict shard** — everything else (label ids, values of another
-  shape, no numpy, ``REPRO_BATCH_KERNEL=off``): ``values`` dict,
-  ``halted`` set, ``_adj`` dict of tuples, ``placement`` dict, fed the
-  *listed* rows of each patch; the portable path and the oracle.  Under
-  the exact paper heuristic the same patches also feed a ``LocalCsr``
-  *index* (adjacency + placement only) that vectorises its decision pass.
+  shape, a kernel-less program, no numpy): ``values`` dict, ``halted``
+  set, ``_adj`` dict of tuples, ``placement`` dict, fed the *listed* rows
+  of each patch and computed by the scalar loop; the portable path and
+  the oracle.  Under the exact paper heuristic the same patches also feed
+  a ``LocalCsr`` *index* (adjacency + placement only) that vectorises its
+  decision pass.
 
 A store **demotes** to dicts once, one way — its own listed snapshot,
 applied to the dicts: on the first patch that is not typed in its dtype
@@ -67,7 +70,7 @@ the worker-process executors need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Any
 
 from repro.core.heuristic import DecisionContext
@@ -305,13 +308,15 @@ class ShardDelta:
     never enter a digest.
 
     ``values`` and ``outbox`` each take one of two shapes.  From the
-    scalar loop (or a batched block whose ids are not an int64 column):
-    ``values`` is a dict ``{vertex id: value}`` over every computed vertex
-    and ``outbox`` a list of ``((source_worker, target_id), payload)`` in
-    send order.  From a batched block under a ``sum``/``min``/record-sum
-    combiner both are :class:`~repro.pregel.messages.MessageColumns` holding the
-    kernel's own arrays — ``(ids, new values)`` and ``(targets, reduced
-    payloads)``, the source worker being ``shard_id``.
+    scalar loop (a dict shard): ``values`` is a dict ``{vertex id:
+    value}`` over every computed vertex and ``outbox`` a list of
+    ``((source_worker, target_id), payload)`` in send order.  From a
+    batched block (an array store) ``values`` is a
+    :class:`~repro.pregel.messages.MessageColumns` holding the kernel's
+    own ``(ids, new values)`` arrays, and so is ``outbox`` — ``(targets,
+    reduced payloads)``, the source worker being ``shard_id`` — under a
+    ``sum``/``min``/record-sum combiner; without one it is the entry
+    list.
     """
 
     shard_id: int
@@ -378,21 +383,19 @@ class _ShardRouter:
         else:
             self.outbox.setdefault(key, []).append(message)
 
-    def absorb_columns(self, workers: Any, targets: Any, payloads: Any) -> None:
+    def absorb_columns(self, targets: Any, payloads: Any) -> None:
         """Batched-kernel entry point: insert pre-reduced outbox columns.
 
-        Same contract as :meth:`MessageRouter.absorb_columns
-        <repro.pregel.messages.MessageRouter.absorb_columns>`: one entry
-        per distinct key, already combiner-folded in canonical order, keys
-        in first-send order — plain inserts reproduce exactly the dict the
-        scalar ``send`` loop would have built.  ``workers`` is always this
-        shard's id repeated (a worker's vertices live on one shard), so
-        numpy columns are kept whole as one
+        One entry per distinct target, already combiner-folded in
+        canonical order, targets in first-send order — plain inserts
+        reproduce exactly the dict the scalar ``send`` loop would have
+        built (the source worker is this shard: a worker's vertices live
+        on one shard).  Numpy columns are kept whole as one
         :class:`~repro.pregel.messages.MessageColumns` — the delta ships
         them as they are — while list columns join the dict.
         """
-        if isinstance(workers, list):
-            self.outbox.update(zip(zip(workers, targets), payloads))
+        if isinstance(targets, list):
+            self.outbox.update(zip(zip(repeat(self._worker), targets), payloads))
         else:
             self.columns = MessageColumns(targets, payloads)
 
@@ -475,7 +478,6 @@ class Shard:
         self.aggregators: _ShardAggregators | None = None
         self._compute_units = 0.0
         self._computed_ids: list = []
-        self._batched_blocks = 0
         self._value_columns: MessageColumns | None = None
 
     def __len__(self) -> int:
@@ -567,7 +569,7 @@ class Shard:
         self._demotion = reason
 
     # ------------------------------------------------------------------
-    # Compute (the host contract of compute_block)
+    # Compute (the host contracts of compute_block and batched_block)
     # ------------------------------------------------------------------
 
     def note_cost(self, vertex: Any, cost: float) -> None:
@@ -575,33 +577,18 @@ class Shard:
         self._compute_units += cost
         self._computed_ids.append(vertex)
 
-    def note_costs(self, vertex_ids: Any, costs: Any) -> None:
-        """Vectorised :meth:`note_cost` for one batched block.
+    def note_batched_block(self, values: MessageColumns, costs: Any) -> None:
+        """Record one block the store's kernel computed.
 
-        ``cumsum`` accumulates strictly left to right, so the final prefix
-        sum associates exactly like the scalar loop's per-vertex ``+=`` —
-        compute-unit timelines stay bit-identical.  A store keeps no id
-        list: its delta's value columns name the computed rows.
+        ``values`` is the block's ``(ids, new values)``, which the delta
+        ships as they are; ``costs`` its per-row compute costs.  ``cumsum``
+        accumulates strictly left to right, so the final prefix sum
+        associates exactly like the scalar loop's per-vertex ``+=`` —
+        compute-unit timelines stay bit-identical.
         """
-        if self.store is None:
-            self._computed_ids.extend(vertex_ids)
+        self._value_columns = values
         if len(costs):
             self._compute_units += float(costs.cumsum()[-1])
-
-    def note_batched_block(self, values: MessageColumns | None = None) -> None:
-        """Count one block evaluated through the batched kernel path.
-
-        ``values`` is the block's ``(ids, new values)`` as a
-        :class:`~repro.pregel.messages.MessageColumns` when the kernel's
-        arrays can ship as they are; the delta then carries them instead
-        of a dict rebuilt from ``self.values``.
-        """
-        self._batched_blocks += 1
-        self._value_columns = values
-
-    def batch_workers(self, vertex_ids: Any) -> list[int]:
-        """Per-row source workers: this shard's id, for every resident."""
-        return [self.shard_id] * len(vertex_ids)
 
     @property
     def placement_of(self) -> Any:
@@ -667,7 +654,6 @@ class Shard:
         self.graph.num_vertices = task.num_vertices
         self._compute_units = 0.0
         self._computed_ids = []
-        self._batched_blocks = 0
         self._value_columns = None
         with tracer.span(
             "compute", superstep=task.superstep, residents=len(self)
@@ -677,9 +663,7 @@ class Shard:
             if store is not None:
                 rows = store.rows()
                 asleep = store.halted[rows]
-                computed = batched_block(
-                    self, None, task.inbox, task.superstep
-                )
+                computed = batched_block(self, task.inbox, task.superstep)
                 if isinstance(computed, str):  # the scalar loop reads dicts
                     self._demote(computed)
                     store = computed = None
@@ -694,7 +678,8 @@ class Shard:
                 proposals = self._decision_phase(task)
         spans = tracer.drain() if tracer.enabled else []
         values: Any = self._value_columns
-        if values is None:
+        batched = values is not None
+        if not batched:
             values = {v: self.values[v] for v in self._computed_ids}
         if store is not None:  # halt transitions off the mask, ids ascending
             ids, halted = store.ids[rows], store.halted[rows]
@@ -714,7 +699,7 @@ class Shard:
             compute_units=self._compute_units,
             proposals=proposals,
             spans=spans,
-            batched_blocks=self._batched_blocks,
+            batched_blocks=int(batched),
             demotion=self._demotion,
         )
         self.router = None

@@ -1,16 +1,19 @@
-"""The shard-callable compute loop shared by both execution engines.
+"""The compute loop shared by both execution engines, and its batched twin.
 
 :func:`compute_block` is the paper's *compute phase* over one block of
-vertices, written as a pure function of a **host** — the object that owns
-the block's state: :class:`~repro.pregel.system.PregelSystem` over the
-whole vertex set (the single-process reference loop), or a
-:class:`~repro.cluster.shard.Shard` over its residents.  Every effect flows
-through the host, so a block's outcome is a pure function of (host state,
-inbox, superstep) — what bit-identical results across executors rest on.
-When the program batches (and numpy is present and
-``REPRO_BATCH_KERNEL`` allows it) the block runs through
-``program.compute_batch`` on slot-indexed columns, bit for bit the scalar
-loop, which any block the packing cannot express exactly falls back to.
+vertices — the scalar reference loop — written as a pure function of a
+**host**, the object that owns the block's state:
+:class:`~repro.pregel.system.PregelSystem` over the whole vertex set (the
+single-process oracle), or a dict :class:`~repro.cluster.shard.Shard`
+over its residents.  Every effect flows through the host, so a block's
+outcome is a pure function of (host state, inbox, superstep) — what
+bit-identical results across executors rest on.
+
+:func:`batched_block` is the same phase over a shard's array store: when
+the program batches (and numpy is present) the store's resident rows run
+through ``program.compute_batch`` as slot-indexed columns, bit for bit
+the scalar loop.  A block the kernel cannot reproduce exactly declines
+with nothing committed, and the shard demotes to the scalar loop.
 
 :func:`decide_block` is the matching *decision step* of the paper's
 background partitioner: the heuristic plus the keyed willingness coin over
@@ -18,16 +21,14 @@ one block of candidates against a frozen
 :class:`~repro.core.heuristic.DecisionContext`, so the union of the
 blocks' proposals does not depend on how the blocks are split.
 
-The host contract (both functions), the batching hosts' optional members,
-the array-store regime, the columnar message shapes, records and the
-``-0.0`` / NaN caveat are written out in ``docs/architecture.md``
-("The compute host contract").
+The host contract (both functions), the array-store host's members, the
+columnar message shapes, records and the ``-0.0`` / NaN caveat are
+written out in ``docs/architecture.md`` ("The compute host contract").
 """
 
-import os
 from itertools import chain as _chain
 
-from repro.core.sweep import id_column, record_shape, value_column
+from repro.core.sweep import record_shape, value_column
 from repro.pregel.messages import (
     COLUMN_DTYPES,
     MessageColumns,
@@ -46,7 +47,6 @@ except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
 __all__ = [
-    "batch_kernel_enabled",
     "batched_block",
     "compute_block",
     "decide_block",
@@ -54,34 +54,17 @@ __all__ = [
 ]
 
 
-def batch_kernel_enabled():
-    """True unless ``REPRO_BATCH_KERNEL`` disables the batched path.
-
-    Read per compute call (not cached) so test suites and the CI matrix
-    leg can flip the gate between runs of one process.  Any of ``off``,
-    ``0``, ``false`` or ``no`` (case-insensitive) disables; everything
-    else — including unset — leaves the kernel on.
-    """
-    value = os.environ.get("REPRO_BATCH_KERNEL", "")
-    return value.strip().lower() not in {"off", "0", "false", "no"}
-
-
 def kernel_dtype(program):
     """The dtype ``program``'s blocks batch in, or None when none can.
 
-    The static half of the batched path's gate — what holds for a whole
-    run unless ``REPRO_BATCH_KERNEL`` flips: the program declares
-    ``compute_batch``, numpy is importable, the kernel is enabled, the
-    combiner is one the canonical reductions reproduce — ``sum`` / ``min``
-    over scalar messages, the record sum over record messages, or none —
-    and ``batch_dtype`` is a float or int dtype (sums and records need
-    floats: the ``bincount`` reduction accumulates in float64).
+    A pure function of the program: it declares ``compute_batch``, numpy
+    is importable, the combiner is one the canonical reductions reproduce
+    — ``sum`` / ``min`` over scalar messages, the record sum over record
+    messages, or none — and ``batch_dtype`` is a float or int dtype (sums
+    and records need floats: the ``bincount`` reduction accumulates in
+    float64).
     """
-    if (
-        program.compute_batch is None
-        or _np is None
-        or not batch_kernel_enabled()
-    ):
+    if program.compute_batch is None or _np is None:
         return None
     combiner = program.combiner()
     records = program.message_width > 1
@@ -106,14 +89,7 @@ def compute_block(host, vertex_ids, inbox, superstep):
     vertices without mail are skipped unless the host is ``continuous``;
     mail wakes a halted vertex.  ``host.note_cost`` is called exactly once
     per computed vertex.  Returns the number of vertices computed.
-
-    Programs that declare ``compute_batch`` take the batched kernel path
-    when it applies (see the module docstring); the scalar loop below is
-    the reference semantics and the universal fallback.
     """
-    computed = batched_block(host, vertex_ids, inbox, superstep)
-    if not isinstance(computed, str):
-        return computed
     program = host.program
     if isinstance(inbox, MessageColumns):
         inbox = inbox.mailboxes()  # the scalar loop reads the dict plane
@@ -133,55 +109,41 @@ def compute_block(host, vertex_ids, inbox, superstep):
     return computed
 
 
-def batched_block(host, vertex_ids, inbox, superstep):
-    """Attempt the batched path; returns the computed count, or — a
-    string — why it declined.
+def batched_block(host, inbox, superstep):
+    """Run the host's array store through the kernel; returns the computed
+    count, or — a string — why it declined.
 
-    Declining mutates nothing (packing is read-only and the outbox
-    reduction happens before any commit), so the caller runs the scalar
-    loop instead.  The reason is what a demoting store reports:
-    ``"inbox-dtype"`` when packing declined (a store's values are the
+    ``host`` is a shard whose ``store`` (a
+    :class:`~repro.core.sweep.LocalCsr`) holds every resident's id, value,
+    halt vote and adjacency; the block is its resident rows.  Declining
+    mutates nothing (packing is read-only and the outbox reduction happens
+    before any commit), so the caller demotes and runs the scalar loop
+    instead.  The reason is what the demoting store reports:
+    ``"inbox-dtype"`` when packing declined (the store's values are the
     kernel's own column, so only its inbox can misfit), else
-    ``"kernel-declined"``.  A host with an array ``store`` computes the
-    store's resident rows and ``vertex_ids`` is not read.
+    ``"kernel-declined"``.
     """
     program = host.program
-    dtype = kernel_dtype(program)
-    batch_workers = getattr(host, "batch_workers", None)
-    note_costs = getattr(host, "note_costs", None)
-    if dtype is None or batch_workers is None or note_costs is None:
-        return "kernel-declined"
-    combiner = program.combiner()
-    store = getattr(host, "store", None)
-    if store is not None:
-        packed = _pack_store_block(host, store, inbox, superstep, dtype)
-    else:
-        packed = _pack_block(host, vertex_ids, inbox, superstep, dtype)
+    store = host.store
+    dtype = store.values.dtype
+    packed = _pack_store_block(host, store, inbox, superstep, dtype)
     if packed is None:
         return "inbox-dtype"
     if packed == 0:
         return 0
-    block, row_ids, slot_ids, ids, rows = packed
-    n = len(row_ids)
+    block, ids, rows = packed
+    n = len(rows)
     result = program.compute_batch(block)
     if result is None:
         return "kernel-declined"  # a shape the kernel cannot reproduce
     values = result.values
-    columnar = (
-        ids is not None
-        and values.dtype == dtype
-        and values.shape == record_shape(n, program.value_width)
-    )
-    if store is not None and not columnar:
+    if values.dtype != dtype or values.shape != record_shape(
+        n, program.value_width
+    ):
         return "kernel-declined"  # only its dtype can live in the column
     out = None
     if result.out is not None:
-        out = _reduce_outbox(
-            host, row_ids, slot_ids, result.out, combiner,
-            ids if combiner is not None else None,
-        )
-        if out is None:
-            return "kernel-declined"
+        out = _reduce_outbox(ids, result.out, program.combiner())
     # ---- commit: from here on, mirror the scalar loop's effects ----
     mailed = _np.flatnonzero(block.msg_counts)  # mail wakes a halted row
     halt = result.halt
@@ -189,33 +151,29 @@ def batched_block(host, vertex_ids, inbox, superstep):
         voters = _np.arange(n)
     else:
         voters = mailed[:0] if halt is False else _np.flatnonzero(halt)
-    if store is not None:
-        store.values[rows] = values
-        store.halted[rows[mailed]] = False
-        store.halted[rows[voters]] = True
-    else:
-        host.values.update(zip(row_ids, as_objects(values)))
-        halted = host.halted
-        halted.difference_update(map(row_ids.__getitem__, mailed.tolist()))
-        halted.update(map(row_ids.__getitem__, voters.tolist()))
+    store.values[rows] = values
+    store.halted[rows[mailed]] = False
+    store.halted[rows[voters]] = True
     if out is not None:
         host.router.absorb_columns(*out)
     costs = result.costs
     if costs is None:
         costs = 1.0 + block.msg_counts
-    note_costs(row_ids, costs)
-    note_batched = getattr(host, "note_batched_block", None)
-    if note_batched is not None:
-        note_batched(MessageColumns(ids[:n], values) if columnar else None)
+    host.note_batched_block(MessageColumns(ids[:n], values), costs)
     return n
 
 
 def _pack_store_block(host, store, inbox, superstep, dtype):
-    """:func:`_pack_block` over an array store: every column is one
-    fancy index of the store's (ids, values, adjacency blocks), nothing is
-    rebuilt from Python objects.  Rows are the store's residents in
-    admission order, minus — unless the host is ``continuous`` — the
-    halted ones without mail: the scalar loop's skip rule as a mask."""
+    """Build the read-only ``(block, ids, rows)``, or None to decline
+    (an inbox not exactly the kernel dtype and message width: a lossy
+    cast would leak into digests) and 0 when no row computes.
+
+    Every column is one fancy index of the store's (ids, values,
+    adjacency blocks), nothing is rebuilt from Python objects.  Rows are
+    the store's residents in admission order, minus — unless the host is
+    ``continuous`` — the halted ones without mail: the scalar loop's skip
+    rule as a mask.  ``ids`` is the block's int64 id column — rows first,
+    then every non-computed neighbour."""
     columnar = isinstance(inbox, MessageColumns)
     width = host.program.message_width
     if columnar and not _fits(inbox.payloads, dtype, width):
@@ -254,76 +212,7 @@ def _pack_store_block(host, store, inbox, superstep, dtype):
         msg_row=msg_rows,
         msg_counts=counts,
     )
-    return block, row_ids, ids, ids, rows
-
-
-def _pack_block(host, vertex_ids, inbox, superstep, dtype):
-    """Build the read-only ``(block, row_ids, slot_ids, ids, None)``.
-
-    Returns None to decline and 0 when no row computes.  ``row_ids`` are
-    the computed vertices — exactly the scalar loop's skip rule, in its
-    order; ``ids`` is the block's vertex ids (``slot_ids``: rows first,
-    then every non-computed neighbour) as one int64 column — what lets
-    messages and values leave as columns — or None, which keeps this
-    block on the dict shapes.
-
-    Strict about types (:func:`~repro.core.sweep.value_column`): every
-    value and message must be exactly the Python scalar — or tuple of the
-    declared width of them — the kernel dtype round-trips losslessly, and
-    a columnar inbox exactly the kernel dtype and message width; anything
-    else declines, because a lossy cast would leak into digests.
-    """
-    columnar = isinstance(inbox, MessageColumns)
-    if host.continuous:
-        row_ids = list(vertex_ids)
-    else:
-        halted = host.halted
-        if columnar:
-            has_mail = set(inbox.targets.tolist()).__contains__
-        else:
-            has_mail = inbox.get
-        row_ids = [v for v in vertex_ids if v not in halted or has_mail(v)]
-    if not row_ids:
-        return 0
-    program = host.program
-    width = program.message_width
-    raw = list(map(host.values.__getitem__, row_ids))
-    values = value_column(raw, dtype, program.value_width)
-    if values is None:
-        return None
-    if columnar:
-        if not _fits(inbox.payloads, dtype, width):
-            return None
-    else:
-        packed = _pack_mailboxes(row_ids, inbox, dtype, width)
-        if packed is None:
-            return None
-    topology = _block_topology(host, row_ids)
-    if topology is None:
-        return None
-    degrees, indptr, targets, slot_ids = topology
-    ids = id_column(slot_ids) if dtype.name in COLUMN_DTYPES else None
-    if columnar and ids is not None:
-        packed = _scatter_columns(inbox, ids[: len(row_ids)])
-    elif columnar:
-        # A label id joined the block after this inbox was folded: read
-        # the inbox as the dict it stands for (its payload dtype was
-        # checked above, so this cannot decline).
-        packed = _pack_mailboxes(row_ids, inbox.mailboxes(), dtype, width)
-    counts, msg_rows, msg_values = packed
-    block = BlockContext(
-        superstep=superstep,
-        num_vertices=host.graph.num_vertices,
-        values=values,
-        ids=None if ids is None else ids[: len(row_ids)],
-        degrees=degrees,
-        indptr=indptr,
-        targets=targets,
-        msg_values=msg_values,
-        msg_row=msg_rows,
-        msg_counts=counts,
-    )
-    return block, row_ids, slot_ids, ids, None
+    return block, ids, rows
 
 
 def _fits(column, dtype, width):
@@ -398,99 +287,50 @@ def _pack_mailboxes(row_ids, inbox, dtype, width):
     return counts, msg_rows, msg_values
 
 
-def _block_topology(host, row_ids):
-    """``(degrees, indptr, targets, slot_ids)`` for a dict host's rows.
+def _reduce_outbox(ids, out, combiner):
+    """Reduce kernel outbox columns to router-ready unique-target columns.
 
-    Rebuilt from the host's graph each block — linear in edges, no
-    amortised state (a host with an array store never gets here: its
-    :meth:`~repro.core.sweep.LocalCsr.gather` answers from the resident
-    blocks).  ``targets`` holds block indices into ``slot_ids`` (rows
-    first, then every non-computed neighbour), in adjacency order per row.
+    Every row of a store's block lives on its shard, so all messages share
+    one source worker and a key is just the target's block slot.  Folds
+    duplicate targets with the program's combiner in the emission order
+    the arrays carry — which the block context built to match the scalar
+    loop's send order — and returns the targets in first-send order, so
+    the shard's outbox ends byte-equal with the scalar path's.  Returns
+    ``(targets, payloads)``: numpy columns when a combiner's fold kept a
+    :data:`~repro.pregel.messages.COLUMN_DTYPES` dtype, lists of Python
+    objects otherwise (per-target message lists without a combiner).
     """
-    neighbors = host.graph.neighbors
-    n = len(row_ids)
-    index = {}
-    for i, v in enumerate(row_ids):
-        index[v] = i
-    if len(index) != n:
-        return None  # duplicate ids cannot be indexed positionally
-    slot_ids = list(row_ids)
-    degs = []
-    flat = []
-    for v in row_ids:
-        ns = list(neighbors(v))
-        degs.append(len(ns))
-        for w in ns:
-            j = index.get(w)
-            if j is None:
-                j = len(slot_ids)
-                index[w] = j
-                slot_ids.append(w)
-            flat.append(j)
-    degrees = _np.fromiter(degs, dtype=_np.int64, count=n)
-    indptr = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(degrees, out=indptr[1:])
-    targets = _np.fromiter(flat, dtype=_np.int64, count=len(flat))
-    return degrees, indptr, targets, slot_ids
-
-
-def _reduce_outbox(host, row_ids, slot_ids, out, combiner, ids):
-    """Reduce kernel outbox columns to router-ready unique-key columns.
-
-    Folds duplicate ``(source_worker, target)`` keys with the program's
-    combiner in the emission order the arrays carry — which the block
-    context built to match the scalar loop's send order — and returns the
-    keys in first-send order, so the router's outbox dict ends byte-equal
-    with the scalar path's.  Returns ``(workers, targets, payloads)``
-    columns, or None to decline (an unplaced source): numpy arrays when
-    ``ids`` (the block's int64 id column) is given and the fold kept the
-    kernel dtype, lists of Python scalars otherwise.
-    """
-    src, dst, payloads = out
-    if not len(src):
-        return [], [], []
-    payloads = _np.asarray(payloads)
-    workers = host.batch_workers(row_ids)
-    if workers is None:
-        return None
-    worker_of_row = _np.asarray(workers, dtype=_np.int64)
-    stride = len(slot_ids)
-    codes = worker_of_row[src] * stride + dst
-    # Dense-code reduction: key space is (max worker + 1) × stride, small
+    _, slots, payloads = out
+    if not len(slots):
+        return [], []
+    slots, payloads = _np.asarray(slots), _np.asarray(payloads)
+    # Dense-code reduction: the key space is the block's slots, small
     # enough to scatter into directly — O(E) bincounts instead of an
     # O(E log E) unique over every emitted message.  The reversed scatter
     # leaves each key's *first* emission index, giving first-send order.
-    size = int(codes[0]) + 1 if len(codes) == 1 else int(codes.max()) + 1
-    occupied = _np.flatnonzero(_np.bincount(codes, minlength=size))
+    size = int(slots.max()) + 1
+    occupied = _np.flatnonzero(_np.bincount(slots, minlength=size))
     first = _np.empty(size, dtype=_np.int64)
-    first[codes[::-1]] = _np.arange(len(codes) - 1, -1, -1)
+    first[slots[::-1]] = _np.arange(len(slots) - 1, -1, -1)
     order = _np.argsort(first[occupied])  # first-send order, distinct keys
     keys = occupied[order]
     if combiner is None:  # per-key message lists, emission order within key
-        by_key = _np.argsort(codes, kind="stable")
-        splits = _np.searchsorted(codes[by_key], occupied[1:])
+        by_key = _np.argsort(slots, kind="stable")
+        splits = _np.searchsorted(slots[by_key], occupied[1:])
         groups = list(map(as_objects, _np.split(payloads[by_key], splits)))
-        reduced = [groups[i] for i in order.tolist()]
-    elif combiner is min_combiner:
-        by_key = _np.argsort(codes, kind="stable")
-        bounds = _np.searchsorted(codes[by_key], occupied)
-        mins = _np.minimum.reduceat(payloads[by_key], bounds)
-        reduced = mins[order]
+        return ids[keys].tolist(), [groups[i] for i in order.tolist()]
+    if combiner is min_combiner:
+        by_key = _np.argsort(slots, kind="stable")
+        bounds = _np.searchsorted(slots[by_key], occupied)
+        reduced = _np.minimum.reduceat(payloads[by_key], bounds)[order]
     else:
         # A sum (scalar or per record component): per-key accumulation in
         # emission order from +0.0, the same addition sequence the scalar
         # combiner fold performs.
-        reduced = sum_by_group(codes, payloads, size)[keys]
-    if ids is not None and reduced.dtype.name in COLUMN_DTYPES:
-        return keys // stride, ids[keys % stride], reduced
-    if combiner is not None:
-        reduced = as_objects(reduced)
-    out_workers = (keys // stride).tolist()
-    if isinstance(slot_ids, list):
-        out_targets = [slot_ids[i] for i in (keys % stride).tolist()]
-    else:  # a store's id column
-        out_targets = slot_ids[keys % stride].tolist()
-    return out_workers, out_targets, reduced
+        reduced = sum_by_group(slots, payloads, size)[keys]
+    if reduced.dtype.name in COLUMN_DTYPES:
+        return ids[keys], reduced
+    return ids[keys].tolist(), as_objects(reduced)
 
 
 def decide_block(host, context, candidates):

@@ -17,17 +17,20 @@ representations, chosen per superstep from what the data is:
   ``{(source_worker, target): payload}``, an inbox ``{target: [messages]}``.
   Universal: any vertex id, any payload, any combiner or none;
 * the **columnar plane** — :class:`MessageColumns`, parallel numpy columns.
-  A batched kernel under a ``sum``/``min``/record-sum combiner already
-  emits its reduced outbox as arrays and consumes its inbox as arrays, so
-  when every shard's outbox arrives as columns the router keeps them as
-  columns and :meth:`MessageRouter.deliver` is one stable sort by target
-  plus one vectorised fold (see ``docs/architecture.md``, "The message
-  plane").  A payload column is 1-d for scalar messages, ``(n, c)``
-  float64 for *records* — ``c``-tuples of floats on the dict plane.
+  The batched kernel, which runs on a shard's array store, under a
+  ``sum``/``min``/record-sum combiner already emits its reduced outbox as
+  arrays and consumes its inbox as arrays, so when every shard's outbox
+  arrives as columns the router keeps them as columns and
+  :meth:`MessageRouter.deliver` is one stable sort by target plus one
+  vectorised fold (see ``docs/architecture.md``, "The message plane").  A
+  payload column is 1-d for scalar messages, ``(n, c)`` float64 for
+  *records* — ``c``-tuples of floats on the dict plane.
 
 Both planes deliver the same mailboxes in the same order with the same
 local/remote counts; anything the columnar plane cannot represent falls
-back to the dict plane for that superstep.
+back to the dict plane for that superstep.  The single-process
+:class:`~repro.pregel.system.PregelSystem` runs the scalar loop, so its
+router only ever sees the dict plane.
 """
 
 from __future__ import annotations
@@ -328,23 +331,6 @@ class MessageRouter:
         outbox = self._outbox
         for key, payload in entries:
             outbox[key] = payload
-
-    def absorb_columns(self, workers: Any, targets: Any, payloads: Any) -> None:
-        """Merge a batched kernel's reduced outbox columns.
-
-        Parallel ``source_worker`` / ``target_id`` / ``payload`` sequences
-        (lists, or numpy columns straight from the reducer), one entry per
-        *distinct* outbox key, already reduced in the canonical order.
-        This router — the single-process system's — files them on the dict
-        plane: plain inserts, same contract as :meth:`absorb` (keys arrive
-        in the producing block's first-send order and never collide with
-        keys already present).
-        """
-        if not isinstance(workers, list):
-            workers, targets, payloads = (
-                workers.tolist(), targets.tolist(), as_objects(payloads)
-            )
-        self._outbox.update(zip(zip(workers, targets), payloads))
 
     def deliver(self) -> dict[Any, Any] | MessageColumns:
         """Flush outboxes into inboxes, counting local vs remote traffic.

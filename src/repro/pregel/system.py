@@ -49,7 +49,6 @@ from repro.core.incremental import IncrementalMetrics
 from repro.core.ingest import apply_event, apply_events, make_ingestor
 from repro.core.sweep import make_sweeper, sort_vertices
 from repro.obs import NULL_TRACER, MetricsRegistry
-from repro.partitioning.base import PartitionState
 from repro.partitioning.hashing import HashPartitioner
 from repro.pregel.aggregators import Aggregators, SumAggregator
 from repro.pregel.capacity_protocol import CapacityProtocol
@@ -186,8 +185,9 @@ class PregelSystem:
         self._barrier_counter = registry.counter("phase.barrier.seconds")
         self._ingest_counter = registry.counter("ingest.events")
         self._migrations_counter = registry.counter("migrations.announced")
-        # Which compute path ran: blocks evaluated through the batched
-        # vertex-kernel path (the shard layer reports per-delta counts).
+        # Which compute path ran: blocks the shards' array stores ran
+        # through the batched kernel (per-delta counts).  This oracle always
+        # runs the scalar loop, so here it stays 0.
         self._batched_counter = registry.counter("kernel.batched_blocks")
         k = self.config.num_workers
         capacities = self.config.balance.capacities(graph, k)
@@ -307,41 +307,9 @@ class PregelSystem:
             self._per_worker_costs[pid] += cost
         self.network.count_compute(cost)
 
-    def batch_workers(self, vertex_ids):
-        """Per-row source worker ids for a batched block (or None).
-
-        Mirrors what :meth:`MessageRouter.send` would look up per message;
-        an unplaced vertex declines the whole block — the scalar loop is
-        the reference for that edge case.
-        """
-        partition_of = self.state.partition_of_or_none
-        workers = []
-        for v in vertex_ids:
-            pid = partition_of(v)
-            if pid is None:
-                return None
-            workers.append(pid)
-        return workers
-
-    def note_costs(self, vertex_ids, costs):
-        """Per-block cost accounting: the per-vertex hook, in row order.
-
-        Deliberately a loop over :meth:`note_cost`: the single-process
-        system's per-worker accumulation and traffic counting are
-        per-vertex float operations, and replaying them in the exact
-        scalar order is what keeps digests bit-identical.
-        """
-        note = self.note_cost
-        for v, c in zip(vertex_ids, costs.tolist()):
-            note(v, c)
-
-    def note_batched_block(self, values=None):
-        """Observability hook: one block ran through the batched kernel
-        (its values were already committed to ``self.values``)."""
-        self._batched_counter.add(1)
-
     def _compute_phase(self, inbox):
-        """Run the user program; returns (computed_count, per_worker_cost)."""
+        """Run the user program through the scalar reference loop; returns
+        (computed_count, per_worker_cost)."""
         self._per_worker_costs = [0.0] * self.config.num_workers
         computed = compute_block(
             self, list(self.graph.vertices()), inbox, self.superstep

@@ -10,8 +10,9 @@ architecture (Fig. 2) where both sit on the Pregel API.
 :class:`BatchedVertexProgram` is the optional fast path: a program that
 *additionally* implements :meth:`~BatchedVertexProgram.compute_batch`,
 evaluating a whole block of vertices as array operations over a
-:class:`BlockContext`.  ``compute`` stays mandatory — it is the reference
-semantics, the numpy-free fallback, and what non-numeric graphs run — and
+:class:`BlockContext` — a sharded run's array store calls it.  ``compute``
+stays mandatory — it is the reference semantics, what the single-process
+oracle and every dict shard (numpy-free, non-numeric graphs) run — and
 the two must agree bit for bit (the batch-kernel property suite pins
 this for every shipped program).
 """
@@ -144,7 +145,7 @@ class BlockContext:
     - ``values[i]`` — current value (dtype = program's ``batch_dtype``;
       a row of ``value_width`` components for a record program)
     - ``ids[i]`` — its vertex id, for arithmetic keyed by id (an int64
-      column, or None when some id is a label: such a kernel declines)
+      column: only an array store, whose ids are all int64, batches)
     - ``degrees[i]`` — neighbour count
     - ``targets[indptr[i]:indptr[i + 1]]`` — neighbour slots, adjacency
       order (slots index ``slot_ids``; a slot ≥ ``n`` is a vertex that is
@@ -264,8 +265,8 @@ class BatchedVertexProgram(VertexProgram):
     value or message that is a fixed-width *record* (a tuple of that many
     floats) rather than one scalar.  The scalar
     :meth:`~VertexProgram.compute` remains mandatory and authoritative:
-    the dispatcher falls back to it whenever numpy is missing, the gate
-    env var disables the kernel, or the live values/messages don't fit
+    the single-process oracle always runs it, and a shard falls back to
+    it whenever numpy is missing or the live ids/values/messages don't fit
     ``batch_dtype`` exactly (e.g. string labels) — and the batched path
     must reproduce it bit for bit.
     """

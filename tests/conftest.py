@@ -43,6 +43,23 @@ def per_event_loop():
     return force
 
 
+@pytest.fixture(scope="session")
+def scalar_twin():
+    """Switch a program's batched kernel off — the scalar reference.
+
+    ``compute_batch = None`` on the instance shadows the method, so the
+    program is kernel-less to every gate (``kernel_dtype``): shards are
+    dict shards running the scalar loop, on any executor, since the
+    attribute pickles with the instance.  Returns the program.
+    """
+
+    def twin(program):
+        program.compute_batch = None
+        return program
+
+    return twin
+
+
 @pytest.fixture
 def portable_paths(monkeypatch):
     """Build every host from here on on the portable paths: per-vertex

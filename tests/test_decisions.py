@@ -37,7 +37,7 @@ from repro.generators import mesh_3d, powerlaw_cluster_graph
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
 from repro.partitioning.base import balanced_capacities
 from repro.partitioning.hashing import HashPartitioner
-from repro.pregel.compute import batch_kernel_enabled, decide_block
+from repro.pregel.compute import decide_block
 from repro.pregel.fault import FaultPlan
 from repro.pregel.system import PregelConfig, PregelSystem
 from repro.scenarios import get_scenario, play_scenario
@@ -451,18 +451,21 @@ def test_make_shard_sweeper_gates():
         assert make_shard_index(heuristic, "float64") is None
 
 
-def test_an_active_store_shard_holds_no_dict_state():
+def test_an_active_store_shard_holds_no_dict_state(scalar_twin):
     """One representation at a time: while the array store is active the
-    shard's dicts stay empty (and a dict shard holds no value column)."""
+    shard's dicts stay empty (and a dict shard — the kernel-less twin's,
+    or any shard without numpy — holds no value column)."""
     config = PregelConfig(num_workers=3, seed=1, quiet_window=5)
-    executor = InlineExecutor()
-    with Coordinator(mesh_3d(4), PageRank(), config, executor=executor) as system:
-        system.run(4)
-        system.shard_consistency_check()
-        for shard in executor._shards.values():
+    for program in (PageRank(), scalar_twin(PageRank())):
+        executor = InlineExecutor()
+        with Coordinator(mesh_3d(4), program, config, executor=executor) as system:
+            system.run(4)
+            system.shard_consistency_check()
+            shards = list(executor._shards.values())
+        for shard in shards:
             state = vars(shard)
             assert len(shard) > 0
-            if numpy is None or not batch_kernel_enabled():
+            if numpy is None or program.compute_batch is None:
                 # The dict shard: real dicts, and (with numpy) a decision
                 # index that holds no values.
                 assert shard.store is None

@@ -7,7 +7,7 @@ same traffic both ways and requires identical mailboxes (contents, logical
 lengths, float bits), identical local/remote counts and identical run
 digests.  Also pinned: the record's wire round trip, the fallback when a
 superstep mixes planes, and the conditions under which the record must
-never be built at all (label ids, no numpy, the kernel gate off).
+never be built at all (label ids, no numpy, a kernel-less program).
 
 ``REPRO_CLUSTER_EXECUTORS`` narrows the executor axis like the cluster
 suites do; the numpy-free CI leg runs the tests that need no numpy.
@@ -55,9 +55,6 @@ EXECUTORS = [
     ).split(",")
     if name.strip()
 ]
-KERNEL_ON = os.environ.get("REPRO_BATCH_KERNEL", "on").lower() not in {
-    "off", "0", "false", "no"
-}
 WORKERS = 4
 
 
@@ -388,14 +385,12 @@ class _DecliningPageRank(PageRank):
                                      ConnectedComponents])
 @pytest.mark.parametrize("continuous", [True, False])
 def test_sharded_run_on_columns_equals_the_dict_plane_run(
-    program, continuous, monkeypatch
+    program, continuous, monkeypatch, scalar_twin
 ):
     config = _config(continuous=continuous)
     # The dict plane whole: scalar loop, per-message objects end to end.
-    with monkeypatch.context() as scalar:
-        scalar.setenv("REPRO_BATCH_KERNEL", "off")
-        with Coordinator(mesh_3d(5), program(), config) as system:
-            want = _run_digest(system, 8)
+    with Coordinator(mesh_3d(5), scalar_twin(program()), config) as system:
+        want = _run_digest(system, 8)
     # The serial oracle pins the timeline (its one-block mailbox order
     # differs from a sharded run's, so values agree only to rounding).
     serial = _run_digest(PregelSystem(mesh_3d(5), program(), config), 8)
@@ -408,10 +403,8 @@ def test_sharded_run_on_columns_equals_the_dict_plane_run(
     )
     with Coordinator(mesh_3d(5), program(), config) as system:
         assert _run_digest(system, 8) == want
-    if KERNEL_ON and program is not _DecliningPageRank:
+    if program is not _DecliningPageRank:
         assert delivered, "the columnar plane never carried a superstep"
-    if not KERNEL_ON:
-        assert not delivered
 
 
 def _forbid_records(monkeypatch):
@@ -431,14 +424,13 @@ def test_label_ids_never_build_the_record(monkeypatch):
         assert _run_digest(system, 6)[0] == serial[0]
 
 
-def test_without_the_kernel_no_record_is_built(monkeypatch):
-    # The numpy-free leg gets here with numpy genuinely absent; elsewhere
-    # the gate plays its part.  Either way: int ids, dict plane only.
+def test_without_the_kernel_no_record_is_built(monkeypatch, scalar_twin):
+    # A kernel-less program (on the numpy-free leg, every program): int
+    # ids, dict plane only.
     _forbid_records(monkeypatch)
-    if np is not None:
-        monkeypatch.setenv("REPRO_BATCH_KERNEL", "off")
     serial = _run_digest(PregelSystem(mesh_3d(4), PageRank(), _config()), 6)
-    with Coordinator(mesh_3d(4), PageRank(), _config()) as system:
+    program = scalar_twin(PageRank())
+    with Coordinator(mesh_3d(4), program, _config()) as system:
         assert _run_digest(system, 6)[0] == serial[0]
     assert messages._np is np
 
@@ -499,8 +491,8 @@ def test_goldens_replay_on_the_message_plane(name, executor, socket_pool,
     ).superstep_digest()
     fixture = Path(__file__).parent / "golden" / f"pregel-{name}.json"
     assert digest == json.loads(fixture.read_text(encoding="utf-8"))
-    columnar = np is not None and KERNEL_ON
+    columnar = np is not None
     assert planes == (GOLDEN_PLANES[name] if columnar else {list})
     if in_process:
-        # The kernel-off (and numpy-free) leg is the dict shard, whole.
+        # The numpy-free leg is the dict shard, whole.
         assert shards == (GOLDEN_SHARDS[name] if columnar else {"dict"})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.generators import mesh_3d, powerlaw_cluster_graph
+from repro.generators import mesh_3d
 from repro.partitioning import HashPartitioner, MultilevelPartitioner
 from repro.partitioning.multilevel.coarsen import coarsen_once, coarsen_to_size
 from repro.partitioning.multilevel.initial import (

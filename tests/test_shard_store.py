@@ -54,12 +54,12 @@ from repro.cluster import (
     SocketExecutor,
     wire,
 )
+from repro.cluster import shard as shard_module
 from repro.cluster.shard import PatchColumns, Shard, ShardTask
 from repro.core.heuristic import DecisionContext, GreedyMaxNeighbours
 from repro.core.sweep import record_shape, sort_vertices
 from repro.generators import mesh_3d
 from repro.graph import Graph
-from repro.pregel.compute import batch_kernel_enabled
 from repro.pregel.messages import MessageColumns
 from repro.pregel.system import PregelConfig
 
@@ -67,11 +67,6 @@ try:
     import numpy as np
 except ImportError:  # the numpy-free CI leg: no array store to test
     pytest.skip("numpy not installed", allow_module_level=True)
-
-pytestmark = pytest.mark.skipif(
-    not batch_kernel_enabled(),
-    reason="REPRO_BATCH_KERNEL is off: every shard is a dict shard",
-)
 
 K = 3  # partitions the placement mirror speaks of
 IDS = st.integers(0, 40)
@@ -87,11 +82,11 @@ PROGRAMS = {
 
 
 def dict_shard(monkeypatch, *args, **kwargs):
-    """The oracle: a shard built while the kernel gate is off starts (and
-    stays) on dict state; with the gate back on it batches like any dict
-    host, so its deltas have the store shard's shapes."""
+    """The oracle: a shard built while the store gate says no starts (and
+    stays) on dict state and runs the scalar loop — same program, kernel
+    unused — so its deltas carry the dict shapes."""
     with monkeypatch.context() as off:
-        off.setenv("REPRO_BATCH_KERNEL", "off")
+        off.setattr(shard_module, "store_dtype", lambda program: None)
         shard = Shard(*args, **kwargs)
     assert shard.store is None
     return shard
@@ -126,20 +121,31 @@ def plain(snapshot):
     }
 
 
+def dict_shapes(delta):
+    """A delta's ``(values, outbox)`` in the scalar loop's shapes — a
+    store's :class:`MessageColumns` read through their dict-plane views —
+    with every payload as its bits."""
+    values, outbox = delta.values, delta.outbox
+    if isinstance(values, MessageColumns):
+        values = dict(values.items())
+    if isinstance(outbox, MessageColumns):
+        outbox = outbox.entries(delta.shard_id)
+    return (
+        [(v, bits(x)) for v, x in values.items()],
+        [(key, bits(x)) for key, x in outbox],
+    )
+
+
 def assert_same_delta(got, want):
+    """``got`` (from a store, or what it demoted to) ships what the dict
+    shard ``want`` ships, shapes normalised; only a store batches."""
     for name in ("shard_id", "computed", "halted_added", "halted_removed",
-                 "aggregated", "proposals", "batched_blocks"):
+                 "aggregated", "proposals"):
         assert getattr(got, name) == getattr(want, name), name
     assert bits(got.compute_units) == bits(want.compute_units)
-    for name in ("values", "outbox"):
-        ours, theirs = getattr(got, name), getattr(want, name)
-        assert type(ours) is type(theirs), name
-        assert ours == theirs, name
-        if isinstance(ours, dict):
-            assert list(ours) == list(theirs)
-            assert [bits(x) for x in ours.values()] == [
-                bits(x) for x in theirs.values()
-            ]
+    assert dict_shapes(got) == dict_shapes(want)
+    assert want.batched_blocks == 0
+    assert got.batched_blocks == isinstance(got.values, MessageColumns)
 
 
 class ShardPair(RuleBasedStateMachine):
@@ -518,17 +524,16 @@ def test_every_demotion_names_the_gate_it_fell_through(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_bulk_seeding_matches_the_dict_seeding(monkeypatch):
+def test_bulk_seeding_matches_the_dict_seeding(scalar_twin):
     """Seeding is one patch per shard; columns or dicts, same snapshots —
     and the consistency check reads every mirror through the executor."""
     config = PregelConfig(num_workers=4, seed=2, quiet_window=5)
     snapshots = []
-    for kernel in ("on", "off"):
-        monkeypatch.setenv("REPRO_BATCH_KERNEL", kernel)
+    for program in (PageRank(), scalar_twin(PageRank())):
         executor = InlineExecutor()
-        with Coordinator(mesh_3d(4), PageRank(), config, executor=executor) as system:
+        with Coordinator(mesh_3d(4), program, config, executor=executor) as system:
             stored = [s.store is not None for s in executor._shards.values()]
-            assert stored == [kernel == "on"] * 4
+            assert stored == [program.compute_batch is not None] * 4
             system.shard_consistency_check()
             snapshots.append({
                 sid: plain(snap) for sid, snap in executor.snapshot().items()

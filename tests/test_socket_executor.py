@@ -39,12 +39,12 @@ def pool():
         yield workers
 
 
-def _digest(executor, steps=5, staleness=0):
+def _digest(executor, steps=5, staleness=0, program=None):
     config = PregelConfig(
         num_workers=4, seed=3, quiet_window=5, snapshot_staleness=staleness
     )
     with Coordinator(
-        mesh_3d(5), PageRank(), config, executor=executor
+        mesh_3d(5), program or PageRank(), config, executor=executor
     ) as system:
         system.run(steps)
         return (
@@ -104,10 +104,9 @@ class TestSocketExecutor:
             assert set(counters) >= {"init", "step", "snapshot"}
             assert all(n > 0 for n in counters.values())
 
-    def test_combining_shrinks_step_traffic(self, pool, monkeypatch):
+    def test_combining_shrinks_step_traffic(self, pool, scalar_twin):
         # Executor-side folding is the dict plane's job (a batched kernel's
         # columnar inbox arrives folded at delivery), so pin the scalar loop.
-        monkeypatch.setenv("REPRO_BATCH_KERNEL", "off")
 
         class Metered(SocketExecutor):
             """Also sizes the frames the same tasks would cost unfolded."""
@@ -127,7 +126,7 @@ class TestSocketExecutor:
                 return super().step(tasks, patches)
 
         executor = Metered(pool.addresses)
-        _digest(executor)
+        _digest(executor, program=scalar_twin(PageRank()))
         assert 0 < executor.bytes_sent["step"] < executor.unfolded
 
     def test_env_var_supplies_addresses(self, pool, monkeypatch):
