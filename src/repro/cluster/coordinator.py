@@ -1,60 +1,19 @@
 """The coordinator: a :class:`PregelSystem` whose compute phase is sharded.
 
-:class:`Coordinator` keeps every semantic of the single-process system —
-the superstep order, the migration and capacity protocols, fault recovery,
-incremental metrics, stream mutations — and swaps the compute phase for a
-BSP fan-out over :class:`~repro.cluster.shard.Shard` objects driven by a
-pluggable :class:`~repro.cluster.executor.Executor`:
-
-1. **compute + decide** — the inbox splits by resident shard (a dict
-   inbox per mailbox, a columnar one with a single vertex→shard lookup
-   pass and array slices), every shard runs the shared compute loop
-   (possibly in other processes or hosts) and — when the run is adaptive
-   — the decision phase over its active residents: heuristic evaluation against its local placement
-   mirror plus the keyed willingness coin, vectorised over the shard block
-   when numpy is present.  Each shard returns a :class:`ShardDelta`
-   carrying its migration *proposals* alongside the compute results;
-2. **merge + arbitrate** — deltas fold into the authoritative state *in
-   shard-id order*: values, halt votes, the message outbox (pre-combined
-   per worker, so keys never collide), aggregator contributions, per-worker
-   compute cost.  The merge order is what makes results a pure function of
-   the configuration — bit-identical across executors.  One
-   :meth:`~repro.cluster.executor.Executor.step` call returns every
-   shard's delta or raises, so a superstep merges whole or not at all.
-   The coordinator's only decision work is quota arbitration over the
-   proposals in a keyed round permutation (the capacity protocol's
-   serialised step, unbiased across rounds) — its per-superstep decision
-   cost is O(active + proposals), independent of edge count;
-3. **barrier** — exactly the base class's barrier.  Everything it changes
-   (announced migrations, stream mutations, fault recoveries) lands in a
-   dirty set, and :meth:`_after_barrier` turns that into per-shard
-   :class:`~repro.cluster.shard.PatchColumns` records applied just before
-   the next compute — including the barrier's *broadcast placement
-   delta*, the simulation's analogue of the migration announcements every
-   worker receives, which keeps every shard's placement mirror exact.
-
-``PatchColumns`` is the only record that carries vertex state to or from
-a shard: the executor is started with *empty* shards and the coordinator
-seeds them with one patch each through :meth:`Executor.apply
-<repro.cluster.executor.Executor.apply>` (a shard is only ever filled on
-its own host), and :meth:`shard_consistency_check` reads the same record
-back from :meth:`Executor.snapshot
-<repro.cluster.executor.Executor.snapshot>`.
-
-Sharding follows the paper's worker model: **one shard per worker
-(partition)**, so a migration between partitions is a migration between
-shards and the executor's worker count is purely a throughput knob.
-
-The single-process :class:`PregelSystem` keeps the centralised decision
-phase (heuristic evaluation between barriers) and is the oracle: it runs
-the identical rule against the identical snapshot with the identical
-counter-split RNG, so serial and sharded timelines are byte-identical.
+:class:`Coordinator` keeps every semantic of the single-process system and
+fans the compute phase out over one :class:`~repro.cluster.shard.Shard`
+per worker, driven by a pluggable
+:class:`~repro.cluster.executor.Executor`; with numpy it runs arbitration,
+announce and routing as columns, while :class:`PregelSystem` stays the
+per-row oracle.  ``docs/architecture.md`` ("The barrier as columns") has
+the phases, the merge order and the oracle split.
 """
 
 from collections import Counter
+from functools import partial
+from itertools import chain as _chain
 from itertools import compress as _compress
 from itertools import islice as _islice
-from itertools import repeat as _repeat
 from time import perf_counter, time
 
 from repro.cluster.executor import make_executor
@@ -63,6 +22,7 @@ from repro.core.sweep import sort_vertices
 from repro.graph.events import AddVertex, RemoveVertex
 from repro.obs import Tracer
 from repro.pregel.messages import MessageColumns
+from repro.pregel.migration import arbitrate_columns
 from repro.pregel.system import PregelSystem
 
 try:
@@ -198,14 +158,22 @@ class Coordinator(PregelSystem):
             # ships no ids at all — candidates=None means "all residents").
             started = perf_counter()
             if not self._decision_needs_full_sweep(decision_ctx):
-                candidate_slices = {sid: [] for sid in range(num_workers)}
-                vertex_shard = self._vertex_shard
                 # Canonical order: the slices cross the wire in ShardTask
                 # .candidates and feed per-shard decision sweeps.
-                for v in sort_vertices(self._active):
-                    sid = vertex_shard.get(v)
-                    if sid is not None:
-                        candidate_slices[sid].append(v)
+                active = sort_vertices(self._active)
+                if _np is None:  # one residency probe per shard and vertex
+                    shard = self._vertex_shard.get
+                    candidate_slices = [
+                        tuple(v for v in active if shard(v) == sid)
+                        for sid in range(num_workers)
+                    ]
+                else:
+                    candidate_slices = [
+                        tuple(map(active.__getitem__, rows.tolist()))
+                        for rows in _by_shard(
+                            self.state.partitions_of(active), num_workers
+                        )
+                    ]
             self._decision_seconds += perf_counter() - started
         num_vertices = self.graph.num_vertices
         tasks = {
@@ -216,9 +184,7 @@ class Coordinator(PregelSystem):
                 agg_previous=agg_previous,
                 decision=shipped_decision,
                 candidates=(
-                    None
-                    if candidate_slices is None
-                    else tuple(candidate_slices[sid])
+                    None if candidate_slices is None else candidate_slices[sid]
                 ),
             )
             for sid in range(num_workers)
@@ -278,24 +244,14 @@ class Coordinator(PregelSystem):
 
         Mail for a vertex that is resident nowhere (removed at the
         barrier) is dropped either way.  A columnar inbox costs one
-        C-level ``_vertex_shard`` lookup per mailed vertex and one stable
-        sort; each slice keeps the inbox's ascending-id row order.
+        ``partitions_of`` gather and one stable sort (the placement *is*
+        the residency — :meth:`shard_consistency_check` asserts it); each
+        slice keeps the inbox's ascending-id row order.
         """
-        vertex_shard = self._vertex_shard
         if isinstance(inbox, MessageColumns):
-            sids = _np.fromiter(
-                map(vertex_shard.get, inbox.targets.tolist(), _repeat(-1)),
-                dtype=_np.int64,
-                count=len(inbox),
-            )
-            order = _np.argsort(sids, kind="stable")
-            bounds = _np.searchsorted(
-                sids[order], _np.arange(num_workers + 1)
-            ).tolist()
-            return {
-                sid: inbox.take(order[bounds[sid]:bounds[sid + 1]])
-                for sid in range(num_workers)
-            }
+            sids = self.state.partitions_of(inbox.targets)
+            return dict(enumerate(map(inbox.take, _by_shard(sids, num_workers))))
+        vertex_shard = self._vertex_shard
         shard_inbox = {sid: {} for sid in range(num_workers)}
         for vertex, messages in inbox.items():
             sid = vertex_shard.get(vertex)
@@ -309,9 +265,41 @@ class Coordinator(PregelSystem):
         self._shard_proposals = []
         return proposals
 
+    def _arbitrate(self, proposals, order, round_index, quotas, load_of):
+        """The base class's arbitration as columns (numpy present)."""
+        if _np is None:
+            return super()._arbitrate(
+                proposals, order, round_index, quotas, load_of
+            )
+        return arbitrate_columns(
+            proposals, order, round_index, self.migration, quotas, load_of
+        )
+
     # ------------------------------------------------------------------
     # Dirty tracking: every barrier mutation that shards must learn about
     # ------------------------------------------------------------------
+
+    def _announce_migrations(self):
+        if _np is None:
+            return super()._announce_migrations()
+        return self.migration.announce_moves(self._place_moves)
+
+    def _place_moves(self, movers, targets):
+        """:meth:`_placement_update` over the barrier's whole batch: one
+        bulk move, loads folded in announced order, then the same active,
+        dirty and placement-log marks."""
+        if not movers:
+            return
+        graph = self.graph
+        old = self.state.move_many(movers, targets)
+        self.metrics.on_moves(
+            old.tolist(), targets,
+            map(partial(self.config.balance.load_of, graph), movers),
+        )
+        self._active.update(movers)
+        self._active.update(_chain.from_iterable(map(graph.neighbors, movers)))
+        self._dirty.update(movers)
+        self._placement_log.extend(zip(movers, targets))
 
     def _placement_update(self, vertex_id, new_worker):
         super()._placement_update(vertex_id, new_worker)
@@ -479,10 +467,26 @@ class Coordinator(PregelSystem):
                 raise AssertionError(
                     f"placement mirror drift on shard {sid}: {drift}"
                 )
+        # The column inbox split and candidate slicing route by the
+        # placement, so residency must be the placement.
+        placement = self.state.partition_of_or_none
         for vertex in self.graph.vertices():
             if vertex not in seen:
                 raise AssertionError(f"vertex {vertex!r} resident nowhere")
+            if self._vertex_shard.get(vertex) != placement(vertex):
+                raise AssertionError(
+                    f"vertex {vertex!r} on shard {seen[vertex]}, placed on "
+                    f"partition {placement(vertex)}"
+                )
         return True
+
+
+def _by_shard(sids, num_workers):
+    """Each shard's rows of an int64 shard-id column (−1 = nowhere, so
+    dropped), in row order."""
+    order = _np.argsort(sids, kind="stable")
+    starts = _np.searchsorted(sids[order], _np.arange(num_workers))
+    return _np.split(order, starts)[1:]
 
 
 class _Missing:

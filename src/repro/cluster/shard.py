@@ -1,70 +1,15 @@
 """One shard of the sharded execution layer.
 
-A :class:`Shard` owns the vertices of one partition (worker): their values,
-halted flags, adjacency and — on an adaptive run — a mirror of the global
-placement.  Per superstep it runs the compute phase over its residents —
-the batched kernel over its array store
-(:func:`~repro.pregel.compute.batched_block`), or the scalar loop
-(:func:`~repro.pregel.compute.compute_block`) over dict state — and,
-when the task carries a decision snapshot, the *decision phase* over its
-candidate residents: heuristic evaluation against its placement mirror
-plus the vertex-local keyed willingness coin.
-Everything the superstep produced comes back as a :class:`ShardDelta` —
-new values, a pre-combined outbox, halt transitions, aggregator
-contributions, per-worker compute cost and migration proposals.  The
-coordinator merges deltas at the barrier **in shard-id order** and
-arbitrates proposals in a keyed round permutation, so a superstep's outcome is
-independent of which thread or process ran which shard: bit-identical
-across every :mod:`~repro.cluster.executor` backend.
-
-**One record.**  Vertex state — value, adjacency, halt vote, plus the
-placement every worker mirrors — crosses between coordinator and shard as
-:class:`PatchColumns` and nothing else: the seed a shard is filled from
-(on its own host — the coordinator hands executors *empty* shards), every
-barrier's patch (vertex upserts + evictions, plus the broadcast placement
-delta — the simulation's analogue of the migration announcements every
-worker receives) covering whatever the barrier changed — stream
-mutations, announced migrations, fault recoveries — and
-:meth:`Shard.snapshot`, "the patch that would rebuild this shard":
-``fresh.apply_patch(shard.snapshot())`` reproduces the shard, which is
-the consistency view and the checkpoint / restore primitive in one.
-:meth:`Shard.apply_patch` is the one mutation entry.
-
-**One representation at a time.**  What a shard holds its state *in* is
-decided by what the data is, never by a knob:
-
-* the **array store** — the shard's :class:`~repro.core.sweep.LocalCsr`
-  is its only state: id, value, halted, row-order, adjacency and
-  placement columns indexed by slot.  *Typed* patches apply as vectorised
-  stores; the batched kernel — which runs nowhere else — fancy-indexes
-  its block out of the columns and stores the new values back;
-  ``values`` / ``halted`` / ``_adj`` / ``placement`` stay empty.  Active
-  while numpy is importable, the program's kernel can batch
-  (:func:`~repro.pregel.compute.kernel_dtype`, a :data:`COLUMN_DTYPES
-  <repro.pregel.messages.COLUMN_DTYPES>` dtype), the decision rule (if
-  any) is the exact paper heuristic and every patch is typed in the
-  store's dtype and width — the gate :meth:`PatchColumns.pack` reads off
-  the data: every id an exact int64, every value exactly the dtype's
-  Python scalar (or, for a program that declares ``value_width`` ``c`` >
-  1, a ``c``-tuple of floats, held as one row of an ``(n, c)`` column);
-* the **dict shard** — everything else (label ids, values of another
-  shape, a kernel-less program, no numpy): ``values`` dict, ``halted``
-  set, ``_adj`` dict of tuples, ``placement`` dict, fed the *listed* rows
-  of each patch and computed by the scalar loop; the portable path and
-  the oracle.  Under the exact paper heuristic the same patches also feed
-  a ``LocalCsr`` *index* (adjacency + placement only) that vectorises its
-  decision pass.
-
-A store **demotes** to dicts once, one way — its own listed snapshot,
-applied to the dicts: on the first patch that is not typed in its dtype
-and width (``patch-shape``), the first inbox whose messages are not
-(``inbox-dtype``), or the first block its kernel declines
-(``kernel-declined``) — the scalar loop reads dicts.  The reason rides
-home in ``ShardDelta.demotion`` and is counted under
-``shard.store.demotions.<reason>``: correct either way, but a perf cliff.
-
-Everything here is plain picklable data — that is the whole contract
-the worker-process executors need.
+A :class:`Shard` owns the vertices of one partition (worker): values, halt
+flags, adjacency and, on an adaptive run, a placement mirror.  Per
+superstep it runs the compute phase over its residents (the batched kernel
+on its array store, else the scalar loop over dicts) and the decision
+phase over its candidates, and returns a :class:`ShardDelta`; vertex state
+crosses to and from it only as :class:`PatchColumns` (seed = patch =
+snapshot).  Which representation holds the state, and when an array store
+demotes to dicts, is read off the data — ``docs/architecture.md``
+("Shard state").  Everything here is plain picklable data, the whole
+contract the worker-process executors need.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ of :mod:`repro.cluster.shard`), fed in bulk by ``admit_many`` /
 from itertools import chain, islice
 
 from repro.core.heuristic import GreedyMaxNeighbours
+from repro.partitioning.base import id_column
 from repro.utils.rng import WillingnessSource, vertex_key
 
 try:
@@ -207,17 +208,6 @@ class CompactSweeper:
         del assign  # the state writes the column next
         self.state.apply_bulk_moves(self.ids(slots), slots, old, new, cut_delta)
         return set(self.ids(_np.flatnonzero(touched)))
-
-
-def id_column(ids):
-    """``ids`` as an int64 column, or None unless every id is an exact
-    ``int`` that fits (labels, bools and bigints stay Python objects)."""
-    if _np is None or set(map(type, ids)) - {int}:
-        return None
-    try:
-        return _np.array(ids, dtype=_np.int64)
-    except OverflowError:
-        return None
 
 
 def record_shape(rows, width):

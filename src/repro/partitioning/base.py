@@ -1,33 +1,23 @@
 """Partition bookkeeping shared by every strategy and the adaptive core.
 
-:class:`PartitionState` maintains, incrementally and in O(deg v) per move:
-
-* the vertex → partition assignment (every vertex in exactly one partition,
-  the paper's partition definition);
-* per-partition vertex counts and capacities ``C(i)``;
-* the global cut-edge count ``|Ec|`` against a live graph.
-
-The cut count is the paper's quality metric (reported normalised to ``|E|``
-as the *cut ratio*), so its bookkeeping must stay exact under arbitrary
-interleavings of vertex moves and graph mutations; property-based tests
-compare it against from-scratch recomputation.
-
-The state also keeps the assignment as a slot-indexed *partition column*
-over the graph's interned slots, for the array kernels
-(:meth:`PartitionState.partition_column`).  Every method that changes the
-assignment writes it, so it can never be stale.
+:class:`PartitionState` keeps the vertex → partition assignment, the
+per-partition sizes and capacities and the exact cut-edge count ``|Ec|``
+(the paper's quality metric) under any interleaving of moves and graph
+mutations, plus the slot-indexed partition column the array kernels read
+(``docs/architecture.md``, "Who owns which array").
 """
 
 import math
 import types
 from array import array
+from itertools import chain, compress, repeat
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
-__all__ = ["PartitionState", "Partitioner", "balanced_capacities"]
+__all__ = ["PartitionState", "Partitioner", "balanced_capacities", "id_column"]
 
 
 def balanced_capacities(num_vertices, num_partitions, slack=1.10):
@@ -45,6 +35,17 @@ def balanced_capacities(num_vertices, num_partitions, slack=1.10):
     # must cap at 110, not 111.
     capacity = max(1, math.ceil(balanced * slack - 1e-9))
     return [capacity for _ in range(num_partitions)]
+
+
+def id_column(ids):
+    """``ids`` as an int64 column, or None unless every id is an exact
+    ``int`` that fits (labels, bools and bigints stay Python objects)."""
+    if _np is None or set(map(type, ids)) - {int}:
+        return None
+    try:
+        return _np.array(ids, dtype=_np.int64)
+    except OverflowError:
+        return None
 
 
 class PartitionState:
@@ -104,6 +105,37 @@ class PartitionState:
                 self._column[slot] = pid
             except IndexError:  # the graph grew since the last padding
                 self.partition_column()[slot] = pid
+
+    def _slots_of(self, ids):
+        """Slots of ``ids`` (an int64 column or a sequence), −1 = not in
+        the graph: one gather through the graph's id table while it lives
+        and the ids are exact ints, else one ``slot_index`` probe each."""
+        table = self.graph.id_table()
+        column = ids if isinstance(ids, _np.ndarray) else id_column(ids)
+        if table is None or column is None:
+            keys = ids.tolist() if isinstance(ids, _np.ndarray) else ids
+            return _np.fromiter(
+                map(self._slots.get, keys, repeat(-1)), _np.int64, len(keys)
+            )
+        lookup = _np.frombuffer(table, dtype=_np.int64)
+        slots = _np.full(len(column), -1, dtype=_np.int64)
+        inside = (column >= 0) & (column < len(lookup))
+        slots[inside] = lookup[column[inside]]
+        return slots
+
+    def _column_at(self, slots):
+        """Partition ids at ``slots`` (−1 at slot −1), as a copy."""
+        column = _np.frombuffer(self.partition_column(), dtype=_np.int64)
+        pids = _np.full(len(slots), -1, dtype=_np.int64)
+        hit = slots >= 0
+        pids[hit] = column[slots[hit]]
+        return pids
+
+    def partitions_of(self, ids):
+        """:meth:`partition_of_or_none` over ``ids`` (an int64 column or a
+        sequence) as an int64 column, −1 = absent or unassigned; numpy
+        only.  Two gathers: id → slot, then slot → partition column."""
+        return self._column_at(self._slots_of(ids))
 
     def __contains__(self, vertex):
         return vertex in self._assignment
@@ -219,6 +251,46 @@ class PartitionState:
             self._sizes[pid] += delta
         _np.frombuffer(self.partition_column(), dtype=_np.int64)[slots] = new
         self._cut_edges += cut_delta
+
+    def move_many(self, vertices, new):
+        """:meth:`move` each of ``vertices`` to its entry of ``new`` in one
+        bulk move (numpy only); returns their old partitions (int64).
+
+        The exact cut delta comes from the real movers' adjacency sets
+        through the id table and the partition column, never the CSR
+        mirror; a mover–mover edge appears once per endpoint with equal
+        indicators, so those entries count half.
+        """
+        k = self.num_partitions
+        new = _np.asarray(new, dtype=_np.int64)
+        bad = (new < 0) | (new >= k)
+        if bad.any():
+            self._check_pid(int(new[bad.argmax()]))  # raises
+        slots = self._slots_of(vertices)
+        old = self._column_at(slots)
+        if (old < 0).any():
+            raise KeyError(vertices[int((old < 0).argmax())])
+        real = old != new
+        if not real.any():
+            return old
+        movers = list(compress(vertices, real.tolist()))
+        slots, src, dst = slots[real], old[real], new[real]
+        blocks = list(map(self.graph.neighbors, movers))
+        degrees = _np.fromiter(map(len, blocks), _np.int64, count=len(blocks))
+        nbr = self._slots_of(list(chain.from_iterable(blocks)))
+        row = _np.repeat(_np.arange(len(movers)), degrees)
+        before = self._column_at(nbr)
+        moved_to = _np.full(self.graph.num_slots, -1, dtype=_np.int64)
+        moved_to[slots] = dst
+        after = moved_to[nbr]
+        hit = after >= 0  # the neighbour moves too
+        after = _np.where(hit, after, before)
+        valid = before >= 0  # unassigned neighbours never count
+        diff = (valid & (after != dst[row])).astype(_np.int64)
+        diff -= valid & (before != src[row])
+        cut_delta = int(diff.sum()) - int(diff[hit].sum()) // 2
+        self.apply_bulk_moves(movers, slots, src, dst, cut_delta)
+        return old
 
     def assign_many(self, items):
         """Bulk :meth:`assign` of brand-new vertices with no assigned

@@ -1,36 +1,13 @@
 """Message routing with BSP delivery semantics.
 
-Messages sent during superstep t are delivered at t + 1.  The router decides
-*remote vs local* using the destination vertex's worker **at delivery
-time** — which is exactly the correctness problem deferred migration solves:
-because a migrating vertex only moves after all workers were notified
-(:mod:`repro.pregel.migration`), the router's view at delivery time is
-always accurate and no message is mis-addressed (Fig. 3, bottom).
-
-Combiners fold messages addressed to the same destination *on the sending
-worker*, reducing remote traffic the way Pregel combiners do.
-
-**Two planes, one contract.**  Messages travel in one of two
-representations, chosen per superstep from what the data is:
-
-* the **dict plane** — per-message Python objects: an outbox
-  ``{(source_worker, target): payload}``, an inbox ``{target: [messages]}``.
-  Universal: any vertex id, any payload, any combiner or none;
-* the **columnar plane** — :class:`MessageColumns`, parallel numpy columns.
-  The batched kernel, which runs on a shard's array store, under a
-  ``sum``/``min``/record-sum combiner already emits its reduced outbox as
-  arrays and consumes its inbox as arrays, so when every shard's outbox
-  arrives as columns the router keeps them as columns and
-  :meth:`MessageRouter.deliver` is one stable sort by target plus one
-  vectorised fold (see ``docs/architecture.md``, "The message plane").  A
-  payload column is 1-d for scalar messages, ``(n, c)`` float64 for
-  *records* — ``c``-tuples of floats on the dict plane.
-
-Both planes deliver the same mailboxes in the same order with the same
-local/remote counts; anything the columnar plane cannot represent falls
-back to the dict plane for that superstep.  The single-process
-:class:`~repro.pregel.system.PregelSystem` runs the scalar loop, so its
-router only ever sees the dict plane.
+Messages sent during superstep t are delivered at t + 1 and classified
+local or remote against the destination's worker *at delivery time*,
+which deferred migration keeps accurate (:mod:`repro.pregel.migration`).
+Combiners fold messages to one target on the sending worker.  Messages
+travel on the dict plane (per-message objects, any id or payload) or the
+columnar plane (:class:`MessageColumns`), chosen per superstep from the
+data; both deliver the same mailboxes, in the same order, with the same
+counts (``docs/architecture.md``, "The message plane").
 """
 
 from __future__ import annotations
@@ -431,8 +408,9 @@ class MessageRouter:
         the dict plane's per-entry loop appends it, and ``bincount`` /
         ``minimum.reduceat`` fold each run left to right, which is the
         fold ``combine_inbox`` performs on that mailbox.  Classification
-        and vanished-target drops are array compares against one
-        placement lookup per *distinct* target.
+        and vanished-target drops are array compares against the distinct
+        targets' homes: one ``partitions_of`` gather where the placement
+        has one, else one ``get`` per distinct target.
         """
         targets = _np.concatenate([c.targets for _, c in chunks])
         payloads = _np.concatenate([c.payloads for _, c in chunks])
@@ -447,8 +425,9 @@ class MessageRouter:
         starts = _np.flatnonzero(first)
         unique = targets[starts]
         sizes = _np.diff(starts, append=len(targets))
-        homes = _np.fromiter(
-            map(self._placement_get(), unique.tolist(), repeat(-1)),
+        gather = getattr(self._placement, "partitions_of", None)
+        homes = gather(unique) if gather is not None else _np.fromiter(
+            map(self._placement.get, unique.tolist(), repeat(-1)),
             dtype=_np.int64,
             count=len(unique),
         )

@@ -1,33 +1,15 @@
-"""Deferred vertex migration (Fig. 3).
+"""Deferred vertex migration (Fig. 3) and quota arbitration.
 
-Migrating a vertex the instant it decides would lose messages: neighbours
-addressed it at its old worker.  The paper's protocol defers the move by one
-iteration — at the end of iteration t the origin worker *announces* the
-migration to all workers, so from iteration t + 1 onwards new messages are
-addressed to the new destination, while messages produced during t still
-drain to the old location.
-
-The simulation realises this with a strict barrier ordering (enforced by
-:class:`repro.pregel.system.PregelSystem`):
-
-1. messages produced during superstep t are delivered against the *pre-*
-   announcement placement (old location — nothing is lost);
-2. announced migrations then update the placement, so everything produced
-   from t + 1 onwards routes to the new location;
-3. the physical state transfer happens while t + 1 computes, and the vertex
-   is counted as migrated (and its "migrating" flag cleared) at the t + 1
-   barrier.
-
-Requests made *during* a superstep are therefore never visible to that same
-superstep — the property the protocol exists to guarantee.
-
-The *decision* side is split in two, mirroring the paper's division of
-labour: **proposal generation** is vertex-local (heuristic + willingness
-coin, see :func:`~repro.pregel.compute.decide_block` — it runs inside
-shards) and **arbitration** (:func:`arbitrate_proposals`) is the only
-centrally-serialised step: consuming lane quotas in a keyed round-specific
-permutation and filing the admitted requests with the protocol.
+A move decided during superstep t is announced at the t barrier and
+transferred while t + 1 computes; arbitration is the only centrally
+serialised decision step.  The barrier order and the column path are in
+``docs/architecture.md`` ("The barrier as columns").
 """
+
+from itertools import compress
+from operator import eq, itemgetter
+
+from repro.core.sweep import id_column, sort_vertices
 
 try:
     import numpy as _np
@@ -36,8 +18,8 @@ except ImportError:  # pragma: no cover - numpy is optional
 
 __all__ = [
     "MigrationProtocol",
+    "arbitrate_columns",
     "arbitrate_proposals",
-    "permute_proposals",
     "sort_proposals",
 ]
 
@@ -65,37 +47,6 @@ def sort_proposals(proposals, priority=None):
     if priority is not None:
         ordered.sort(key=lambda p: priority(p[0]))
     return ordered
-
-
-def permute_proposals(order, round_index, proposals):
-    """Arbitration order for one round: keyed permutation, vectorised.
-
-    Equivalent to ``sort_proposals(proposals, priority=order.draw)`` —
-    canonical pre-sort, then a stable reshuffle by each vertex's keyed
-    per-round draw — but the draws and the argsort run as one numpy pass
-    when every vertex id is a plain int (stable argsort over identical
-    draw values reproduces the scalar path's ordering bit for bit).
-    """
-    proposals = sort_proposals(proposals)
-    if _np is not None and proposals:
-        try:
-            ids = _np.fromiter(
-                (p[0] for p in proposals),
-                dtype=_np.int64,
-                count=len(proposals),
-            )
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
-            if all(type(p[0]) is int for p in proposals):
-                draws = order.draw_keys(round_index, ids.view(_np.uint64))
-                return [
-                    proposals[i]
-                    for i in _np.argsort(draws, kind="stable").tolist()
-                ]
-    draws = order.draw_map(round_index, (p[0] for p in proposals))
-    proposals.sort(key=lambda p: draws[p[0]])
-    return proposals
 
 
 def arbitrate_proposals(proposals, protocol, quotas, load_of):
@@ -126,6 +77,55 @@ def arbitrate_proposals(proposals, protocol, quotas, load_of):
     return requested, blocked, kept_active
 
 
+def arbitrate_columns(proposals, order, round_index, protocol, quotas, load_of):
+    """:func:`arbitrate_proposals` over ``sort_proposals(proposals,
+    priority=draw)`` as columns (numpy only), with the same result.
+
+    Rows rank by keyed draw (``draw_keys`` over int64 ids, ``draw_map``
+    for labels); only tied draws need the canonical id order, through a
+    ``lexsort``.  One mask drops in-flight vertices, ``QuotaTable.admit``
+    meters the willing movers and the admitted are filed in rank order.
+    """
+    if not proposals:
+        return 0, 0, set()
+    n = len(proposals)
+    vertices = list(map(itemgetter(0), proposals))
+    current, desired, willing = (
+        _np.fromiter(map(itemgetter(i), proposals), dtype, count=n)
+        for i, dtype in ((1, _np.int64), (2, _np.int64), (3, bool))
+    )
+    ids = id_column(vertices)
+    if ids is None:
+        draw = order.draw_map(round_index, vertices)
+        draws = _np.fromiter(map(draw.__getitem__, vertices), float, count=n)
+    else:
+        draws = order.draw_keys(round_index, ids.view(_np.uint64))
+    rank = _np.argsort(draws)
+    ranked = draws[rank]
+    if (ranked[1:] == ranked[:-1]).any():
+        key = ids
+        if key is None:
+            at = {v: i for i, v in enumerate(sort_vertices(vertices))}
+            key = _np.fromiter(map(at.__getitem__, vertices), _np.int64, n)
+        rank = _np.lexsort((key, draws))
+    kept = ~protocol.migrating(vertices)
+    kept_active = set(compress(vertices, kept.tolist()))
+    rank = rank[kept[rank] & willing[rank]]
+    movers = (
+        list(map(vertices.__getitem__, rank.tolist())) if ids is None
+        else ids[rank].tolist()
+    )
+    src, dst = current[rank], desired[rank]
+    admitted = quotas.admit(src, dst, list(map(load_of, movers)))
+    protocol.request_many(
+        compress(movers, admitted.tolist()),
+        src[admitted].tolist(),
+        dst[admitted].tolist(),
+    )
+    blocked = len(movers) - int(_np.count_nonzero(admitted))
+    return int(_np.count_nonzero(kept)), blocked, kept_active
+
+
 class MigrationProtocol:
     """Collects migration requests and applies them with one-step deferral."""
 
@@ -141,6 +141,12 @@ class MigrationProtocol:
             raise ValueError("migration to the same worker is not a migration")
         self._requested.append((vertex_id, old_worker, new_worker))
 
+    def request_many(self, vertices, old_workers, new_workers):
+        """:meth:`request` over parallel sequences, in order."""
+        if any(map(eq, old_workers, new_workers)):
+            raise ValueError("migration to the same worker is not a migration")
+        self._requested.extend(zip(vertices, old_workers, new_workers))
+
     @property
     def requested_count(self):
         """Requests queued during the in-flight superstep."""
@@ -149,6 +155,13 @@ class MigrationProtocol:
     def is_migrating(self, vertex_id):
         """True while a vertex is in the red-dashed "migrating" state."""
         return vertex_id in self._in_flight
+
+    def migrating(self, vertices):
+        """:meth:`is_migrating` over a sequence, as a bool column (numpy)."""
+        return _np.fromiter(
+            map(self._in_flight.__contains__, vertices), dtype=bool,
+            count=len(vertices),
+        )
 
     def announce_barrier(self, placement_update):
         """Barrier step 2: publish this superstep's requests to all workers.
@@ -159,16 +172,23 @@ class MigrationProtocol:
         to every other worker; those messages ride the same network and are
         counted.  Returns the list of announced ``(vertex, old, new)``.
         """
+        def apply(vertices, new_workers):
+            for vertex_id, new_worker in zip(vertices, new_workers):
+                placement_update(vertex_id, new_worker)
+
+        return self.announce_moves(apply)
+
+    def announce_moves(self, apply):
+        """:meth:`announce_barrier` with the whole batch handed to one
+        ``apply(vertices, new_workers)`` call — the bulk placement flip."""
         announced = self._requested
         self._requested = []
-        origins = set()
-        for vertex_id, old_worker, new_worker in announced:
-            placement_update(vertex_id, new_worker)
-            self._in_flight[vertex_id] = (old_worker, new_worker)
-            origins.add(old_worker)
+        vertices, olds, news = zip(*announced) if announced else ((),) * 3
+        apply(vertices, news)
+        self._in_flight.update(zip(vertices, zip(olds, news)))
         if self._num_workers > 1:
             self._network.count_migration_notification(
-                len(origins) * (self._num_workers - 1)
+                len(set(olds)) * (self._num_workers - 1)
             )
         return announced
 

@@ -1,40 +1,17 @@
 """The Pregel-inspired system facade.
 
-:class:`PregelSystem` wires the pieces together the way Fig. 2 draws them:
-user applications and the background partitioning algorithm both run on the
-vertex-program API; the partitioning algorithm additionally uses the
-extended API (migration requests + capacity access).  One call to
-:meth:`run_superstep` executes:
-
-1. **compute** — every active vertex runs the user program against the
-   messages delivered at the previous barrier;
-2. **background partitioning** (when ``config.adaptive``) — split the way
-   the paper splits it: *proposal generation* is vertex-local — each
-   candidate vertex evaluates the migration heuristic against the frozen
-   :class:`~repro.core.heuristic.DecisionContext` snapshot (the capacity
-   vector published one superstep ago) and flips its keyed willingness
-   coin — while *arbitration* (quota lanes + filing requests) is the only
-   serialised step.  This single-process system, which has no shards,
-   generates centrally; the sharded
-   :class:`~repro.cluster.coordinator.Coordinator` generates inside its
-   shards.  Both run the identical rule against the identical snapshot
-   with the identical counter-split RNG, so the serial timeline is the
-   oracle the sharded one is pinned byte-identical to;
-3. **barrier** — in the protocol-mandated order: complete last superstep's
-   in-flight transfers → deliver messages against the *old* placement →
-   announce this superstep's migrations (placement flips now) → apply
-   queued stream mutations (:mod:`repro.core.ingest`, the applier shared
-   with the logical engine) → publish predicted capacities (skipped on
-   barriers whose decision snapshot will be reused, when
-   ``snapshot_staleness > 0``) → aggregator barrier → checkpoint →
-   scheduled worker failure/recovery → close the traffic record.
-
-The system is deliberately single-process: workers are partitions of a
-shared store plus honest per-worker accounting (DESIGN.md §4 explains why
-this substitution preserves the paper's measured shapes).
+:class:`PregelSystem` wires the pieces together the way Fig. 2 draws
+them; :meth:`~PregelSystem.run_superstep` runs compute, the background
+partitioning (vertex-local proposals, serialised arbitration) and the
+barrier in the protocol-mandated order drawn in ``docs/architecture.md``
+("The superstep lifecycle").  It is deliberately single-process — workers
+are partitions of a shared store with honest per-worker accounting — and
+is the oracle the sharded :class:`~repro.cluster.coordinator.Coordinator`
+is pinned byte-identical to.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter, time
 
 from repro.core.balance import VertexBalance
@@ -58,7 +35,7 @@ from repro.pregel.messages import MessageRouter
 from repro.pregel.migration import (
     MigrationProtocol,
     arbitrate_proposals,
-    permute_proposals,
+    sort_proposals,
 )
 from repro.pregel.network import NetworkStats
 from repro.utils import WillingnessSource, derive_seed
@@ -158,6 +135,10 @@ class _PlacementView:
     def bulk(self):
         """Read-only mapping view for bulk lookups (delivery loop)."""
         return self._state.assignment_view()
+
+    def partitions_of(self, ids):
+        """Column lookup for the columnar delivery (numpy only)."""
+        return self._state.partitions_of(ids)
 
 
 class PregelSystem:
@@ -428,31 +409,35 @@ class PregelSystem:
         if context is None:
             return 0, 0
         started = perf_counter()
+        proposals = self._generate_proposals(context)
         # Arbitration order is a keyed per-round permutation: deterministic
         # and mode/executor-independent like the willingness draws (its own
         # derived lane, so priority never correlates with the coin), but
         # unbiased across rounds — a fixed canonical order would hand
         # scarce quota lanes to the lowest ids every superstep.
-        order = WillingnessSource(context.lane, "arbitration")
-        proposals = permute_proposals(
-            order, context.round_index, self._generate_proposals(context)
-        )
-        quotas = QuotaTable(context.remaining, self.config.num_workers)
-        balance = self.config.balance
-        graph = self.graph
         with self.tracer.span(
             "arbitrate", superstep=self.superstep, proposals=len(proposals)
         ):
-            requested, blocked, kept_active = arbitrate_proposals(
+            requested, blocked, kept_active = self._arbitrate(
                 proposals,
-                self.migration,
-                quotas,
-                lambda v: balance.load_of(graph, v),
+                WillingnessSource(context.lane, "arbitration"),
+                context.round_index,
+                QuotaTable(context.remaining, self.config.num_workers),
+                partial(self.config.balance.load_of, self.graph),
             )
         self._active = kept_active
         self._last_decision_remaining = context.remaining
         self._decision_seconds += perf_counter() - started
         return requested, blocked
+
+    def _arbitrate(self, proposals, order, round_index, quotas, load_of):
+        """Order one round's proposals and meter them, row by row — the
+        oracle (the coordinator overrides this with the column path)."""
+        draws = order.draw_map(round_index, (p[0] for p in proposals))
+        return arbitrate_proposals(
+            sort_proposals(proposals, priority=draws.__getitem__),
+            self.migration, quotas, load_of,
+        )
 
     def _placement_update(self, vertex_id, new_worker):
         """Flip one announced migration in the placement, with delta upkeep.
