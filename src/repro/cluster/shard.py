@@ -62,7 +62,8 @@ class ShardTask:
 
     * ``None`` — no decision phase this superstep (a non-adaptive run);
     * a frozen :class:`~repro.core.heuristic.DecisionContext` — a *fresh*
-      snapshot; the shard caches it for the staleness window;
+      snapshot (a codec struct on the wire, never pickled); the shard
+      caches it for the staleness window;
     * an ``int`` round index — a *stale* round under relaxed synchrony
       (``snapshot_staleness > 0``): the shard re-keys its cached snapshot
       to this round (:meth:`DecisionContext.aged`) instead of receiving

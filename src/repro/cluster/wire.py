@@ -20,19 +20,21 @@ proportional to their local gaps rather than their magnitude.  numpy is
 *not* required: every int column is the same bytes whether the stdlib
 :mod:`array` module or numpy packed it (numpy, when present, only does it
 without a per-element Python loop).  The message plane's
-:class:`~repro.pregel.messages.MessageColumns`, a *typed*
-:class:`~repro.cluster.shard.PatchColumns` and ``numpy.ndarray`` values
-have tags of their own that need numpy on both sides; a *listed*
-``PatchColumns`` crosses under the same tag as its eight generic lists
-and needs nothing.  The two dataclass structs (``ShardTask``,
-``ShardDelta``) encode field by field off ``dataclasses.fields`` through
-one function and rebuild positionally, so a new field crosses by
-construction.  Arbitrary program values cross under a pickle fallback tag
-— the only way such values cross.  :func:`loads` raises
-:class:`WireError`, and nothing else, on any payload it cannot decode,
-and the codec's own tags never allocate what a length field merely
-claims; the pickle fallback trusts its bytes like any unpickling does
-(frames come from this program's own peers).
+:class:`~repro.pregel.messages.MessageColumns` and a *typed*
+:class:`~repro.cluster.shard.PatchColumns` have tags of their own that
+need numpy on both sides; a *listed* ``PatchColumns`` crosses under the
+same tag as its eight generic lists and needs nothing.  The three
+dataclass structs (``ShardTask``, ``ShardDelta`` and the round's
+:class:`~repro.core.heuristic.DecisionContext`) encode field by field off
+``dataclasses.fields`` through one function and rebuild positionally, so
+a new field crosses by construction.  The tags are what the protocol
+sends, not what Python has: anything else — the program and the empty
+shards of the session-start ``init`` frame, ``bytes``, sets, ndarrays —
+crosses under a pickle fallback tag, which no step frame needs.
+:func:`loads` raises :class:`WireError`, and nothing else, on any payload
+it cannot decode, and the codec's own tags never allocate what a length
+field merely claims; the pickle fallback trusts its bytes like any
+unpickling does (frames come from this program's own peers).
 
 **Combining.**  :func:`combine_inbox` applies the program's combiner to a
 shard's dict inbox *before* the wire (a columnar inbox was folded at
@@ -52,10 +54,10 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import fields
-from math import prod
 from typing import Any, cast
 
 from repro.cluster.shard import PatchColumns, ShardDelta, ShardTask
+from repro.core.heuristic import DecisionContext
 from repro.pregel.messages import CombinedMessages, MessageColumns
 
 try:  # numpy is optional everywhere in this repo
@@ -137,11 +139,9 @@ _TAG_FALSE = 0x02
 _TAG_INT = 0x03
 _TAG_FLOAT = 0x04
 _TAG_STR = 0x05
-_TAG_BYTES = 0x06
 _TAG_LIST = 0x07
 _TAG_TUPLE = 0x08
 _TAG_DICT = 0x09
-_TAG_SET = 0x0A
 _TAG_INT_ARRAY = 0x0B      # homogeneous int sequence, width-packed
 _TAG_FLOAT_ARRAY = 0x0C    # homogeneous float sequence, f64-packed
 _TAG_NUM_DICT = 0x0D       # {int: float} — packed keys + packed values
@@ -149,12 +149,14 @@ _TAG_COMBINED = 0x0E       # CombinedMessages, generic payload
 _TAG_COMBINED_NUM_DICT = 0x0F  # {int: [float] | CombinedMessages([float])}
 _TAG_INT_ROWS = 0x10       # [(int | bool, ...), ...] — one packed column each
 _TAG_OUTBOX = 0x11         # [((int, int), float), ...] — three columns
-_TAG_NDARRAY = 0x12        # dtype str + shape + raw buffer
-_TAG_TASK = 0x13           # (0x14, the dict patch, is retired)
+_TAG_TASK = 0x13
 _TAG_DELTA = 0x15
 _TAG_PICKLE = 0x16         # anything else
 _TAG_COLUMNS = 0x17        # MessageColumns: packed ids/counts + raw payloads
 _TAG_PATCH_COLUMNS = 0x18  # PatchColumns: packed columns, or eight lists
+_TAG_CONTEXT = 0x19        # DecisionContext
+# Retired, never to be reassigned: 0x06 (bytes), 0x0A (set), 0x12
+# (ndarray), 0x14 (the dict patch).  They decode as an unknown tag.
 
 
 def _int_typecodes() -> dict[int, str]:
@@ -449,24 +451,6 @@ def _encode_outbox(entries: Any, out: bytearray) -> None:
     _encode_list(entries, out)
 
 
-def _encode_ndarray(obj: Any, out: bytearray) -> None:
-    if obj.dtype.hasobject:
-        _encode_pickle(obj, out)
-        return
-    # ascontiguousarray may promote 0-d to 1-d; ship the original shape.
-    contiguous = _np.ascontiguousarray(obj)
-    dtype = contiguous.dtype.str.encode("ascii")
-    out.append(_TAG_NDARRAY)
-    _write_uint(out, len(dtype))
-    out += dtype
-    _write_uint(out, obj.ndim)
-    for dim in obj.shape:
-        _write_uint(out, dim)
-    payload = contiguous.tobytes()
-    _write_uint(out, len(payload))
-    out += payload
-
-
 def _write_column_head(
     payloads: Any, flags: int, record_bit: int, out: bytearray
 ) -> None:
@@ -533,19 +517,6 @@ def _encode_str(obj: str, out: bytearray) -> None:
     out += payload
 
 
-def _encode_bytes(obj: bytes, out: bytearray) -> None:
-    out.append(_TAG_BYTES)
-    _write_uint(out, len(obj))
-    out += obj
-
-
-def _encode_set(obj: set[Any], out: bytearray) -> None:
-    out.append(_TAG_SET)
-    _write_uint(out, len(obj))
-    for item in obj:
-        _encode(item, out)
-
-
 def _encode_combined(obj: CombinedMessages, out: bytearray) -> None:
     out.append(_TAG_COMBINED)
     _write_uint(out, obj.logical_len)
@@ -585,7 +556,11 @@ def _encode_patch_columns(obj: PatchColumns, out: bytearray) -> None:
 
 #: The dataclass structs: ``[tag][every field, in declaration order]``,
 #: decoded positionally — a field cannot be dropped on either side.
-_STRUCTS: dict[type, int] = {ShardTask: _TAG_TASK, ShardDelta: _TAG_DELTA}
+_STRUCTS: dict[type, int] = {
+    ShardTask: _TAG_TASK,
+    ShardDelta: _TAG_DELTA,
+    DecisionContext: _TAG_CONTEXT,
+}
 _STRUCT_OF_TAG = {tag: kind for kind, tag in _STRUCTS.items()}
 #: Struct fields with a packed shape of their own (by field name).
 _FIELD_ENCODERS = {"outbox": _encode_outbox, "proposals": _encode_rows}
@@ -603,11 +578,9 @@ _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
     int: _encode_int,
     float: _encode_float,
     str: _encode_str,
-    bytes: _encode_bytes,
     list: _encode_list,
     tuple: _encode_tuple,
     dict: _encode_dict,
-    set: _encode_set,
     CombinedMessages: _encode_combined,
     MessageColumns: _encode_columns,
     PatchColumns: _encode_patch_columns,
@@ -616,13 +589,7 @@ _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
 
 
 def _encode(obj: Any, out: bytearray) -> None:
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is not None:
-        encoder(obj, out)
-    elif _np is not None and isinstance(obj, _np.ndarray):
-        _encode_ndarray(obj, out)
-    else:
-        _encode_pickle(obj, out)
+    _ENCODERS.get(type(obj), _encode_pickle)(obj, out)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +751,6 @@ def _decode(reader: _Reader) -> Any:
         return _F64.unpack(reader.take(8))[0]
     if tag == _TAG_STR:
         return bytes(reader.take(reader.uint())).decode("utf-8")
-    if tag == _TAG_BYTES:
-        return bytes(reader.take(reader.uint()))
     if tag == _TAG_LIST:
         return [_decode(reader) for _ in range(reader.uint())]
     if tag == _TAG_TUPLE:
@@ -794,16 +759,13 @@ def _decode(reader: _Reader) -> Any:
         return {
             _decode(reader): _decode(reader) for _ in range(reader.uint())
         }
-    if tag == _TAG_SET:
-        return {_decode(reader) for _ in range(reader.uint())}
-    if tag == _TAG_INT_ARRAY:
+    if tag == _TAG_INT_ARRAY or tag == _TAG_FLOAT_ARRAY:
         container = reader.byte()
-        items = _read_int_array(reader)
-        return items if container == 0 else tuple(items)
-    if tag == _TAG_FLOAT_ARRAY:
-        container = reader.byte()
-        items = _read_float_array(reader)
-        return items if container == 0 else tuple(items)
+        if container > 1:
+            raise WireError(f"bad packed-sequence container {container:#x}")
+        read = _read_int_array if tag == _TAG_INT_ARRAY else _read_float_array
+        packed = read(reader)
+        return packed if container == 0 else tuple(packed)
     if tag == _TAG_NUM_DICT:
         keys = _read_int_array(reader)
         floats = _read_float_array(reader)
@@ -828,6 +790,8 @@ def _decode(reader: _Reader) -> Any:
         bools = reader.uint()
         if not arity:
             raise WireError("int rows without columns")
+        if bools >> arity:
+            raise WireError("int rows mark a bool column past their arity")
         columns: list[Any] = [_read_int_array(reader) for _ in range(arity)]
         _same_length(*columns)
         for position in range(arity):
@@ -844,21 +808,6 @@ def _decode(reader: _Reader) -> Any:
             ((worker, target), payload)
             for worker, target, payload in zip(workers, targets, payloads)
         ]
-    if tag == _TAG_NDARRAY:
-        if _np is None:
-            raise WireError(
-                "frame contains a numpy array but numpy is not installed"
-            )
-        spec = reader.take(reader.uint())
-        try:
-            dtype = _np.dtype(str(spec, "ascii"))
-        except (TypeError, ValueError) as exc:
-            raise WireError(f"bad ndarray dtype: {exc}") from None
-        shape = tuple(reader.uint() for _ in range(reader.uint()))
-        payload = reader.take(reader.uint())
-        if dtype.hasobject or dtype.itemsize * prod(shape) != len(payload):
-            raise WireError("ndarray shape and dtype disagree with its buffer")
-        return _np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
     if tag == _TAG_COLUMNS:
         if _np is None:
             raise WireError(

@@ -189,15 +189,17 @@ class WorkerServer:
                 return
 
     def close(self):
-        """Stop serving: close the listener and any in-flight session."""
+        """Stop serving: close the listener and any in-flight session,
+        shutting each down first — a bare close does not wake a thread
+        blocked in its ``accept`` / ``recv``."""
         self._closed = True
-        self._listener.close()
-        active = self._active
-        if active is not None:
-            try:
-                active.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+        for sock in (self._listener, self._active):
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # not connected, or already torn down
+                    pass
+                sock.close()
 
 
 class WorkerFleet:

@@ -40,8 +40,9 @@ class DecisionContext:
     This is the *entire* non-local state a vertex may consult (§2.1): the
     per-partition remaining-capacity vector published by the capacity
     protocol, the round number, the willingness probability ``s`` and the
-    64-bit willingness RNG lane.  It is plain picklable data — the sharded
-    execution layer ships one per superstep to every shard, and every shard
+    64-bit willingness RNG lane.  The sharded execution layer ships a fresh
+    one to every shard at each capacity resync (a wire struct: it crosses
+    field by field under its own codec tag, never pickled), and every shard
     (and the single-process reference path) deciding against the same
     snapshot is what makes the decision phase's outcome independent of
     where it runs.

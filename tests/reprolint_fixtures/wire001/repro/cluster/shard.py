@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.core.heuristic import DecisionContext, make_context
+from repro.core.heuristic import Snapshot, make_snapshot
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,7 @@ class ShardDelta:
     non-picklable imported type."""
 
     shard_id: int
-    context: DecisionContext
+    context: Snapshot
 
 
 @dataclass(frozen=True)
@@ -35,5 +35,5 @@ __all__ = [
     "PatchColumns",
     "ShardDelta",
     "ShardTask",
-    "make_context",
+    "make_snapshot",
 ]

@@ -117,7 +117,7 @@ class TestWire001:
     def test_codec_coverage_gaps(self):
         findings = lint("wire001")
         messages = sorted(f.message for f in findings)
-        assert len(findings) == 6
+        assert len(findings) == 7
         # Structs cross field by field through ``dataclasses.fields``, so
         # a dropped field cannot happen; what can is a struct the codec
         # never registered ...
@@ -125,12 +125,19 @@ class TestWire001:
             "ShardDelta has no entry in _STRUCTS" in m for m in messages
         )
         assert not any("ShardTask" in m and "entry" in m for m in messages)
+        # ... including one outside shard.py: ``wire_structs`` pairs a
+        # module suffix with each class, and the fixture codec leaves the
+        # round's DecisionContext (core/heuristic.py) out of _STRUCTS ...
+        assert any(
+            "DecisionContext has no entry in _STRUCTS" in m for m in messages
+        )
         # ... an override keyed by a name that is no field ...
         (typo,) = [m for m in messages if "_FIELD_ENCODERS" in m]
         assert "'outbocks' names no field of ShardTask / ShardDelta" in typo
         # ... and a field type the pickle fallback cannot carry.
         assert any(
-            "DecisionContext" in m and "pickle fallback" in m
+            "ShardDelta.context references Snapshot" in m
+            and "pickle fallback would fail" in m
             for m in messages
         )
         # The column records keep hand-written codecs and are held to

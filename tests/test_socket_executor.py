@@ -177,6 +177,19 @@ class TestSocketExecutor:
                 ):
                     system.run_superstep()
 
+    def test_closing_a_pool_stops_its_server_threads(self):
+        # One server waits in ``accept``, the other in ``recv`` on a live
+        # session; a bare socket close wakes neither, so ``close`` must
+        # shut both down or the threads outlive their pool.
+        pool = LocalWorkerPool(2)
+        executor = SocketExecutor(pool.addresses[:1])
+        try:
+            executor.start({0: PageRank()})
+            pool.close()
+        finally:
+            executor.stop()
+        assert not any(thread.is_alive() for thread in pool._threads)
+
     def test_wedged_worker_times_out_with_a_clear_error(self, pool):
         # A worker that accepts but never answers must not hang the
         # coordinator: the bounded read surfaces it as "timed out".

@@ -27,6 +27,7 @@ import math
 import pickle
 import socket
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import wire
 from repro.cluster.shard import PatchColumns, ShardDelta, ShardTask
+from repro.core.heuristic import DecisionContext
 from repro.cluster.wire import (
     CODEC_BINARY,
     CombinedMessages,
@@ -265,38 +267,61 @@ def test_protocol_records_roundtrip():
         compute_units=77,
         proposals=[(5, 0, 1)],
     )
-    for struct in (task, record, delta):
+    # The round's snapshot: int (k = 8), all-float and mixed int/float
+    # capacity vectors, lanes past int64.
+    contexts = [
+        DecisionContext(12, tuple(range(6000, 6008)), 0.5, 1 << 62, 12),
+        DecisionContext(9, (0.5, 1.25, -0.0, float("inf")), 0.25, 1, 8),
+        DecisionContext(2, (4, 2.5, 0, 1e300), 1.0, (1 << 64) - 1),
+        DecisionContext(0, (), 0.0, 1 << 63),
+    ]
+    for struct in (task, record, delta, *contexts):
         for path in PATHS:
             assert_same(roundtrip(struct, path), struct)
+    for context in contexts:
+        # A struct tag of its own, never the pickle fallback; each
+        # capacity crosses as the type it is.
+        frame = wire.dumps(context)
+        assert frame[1] == wire._TAG_CONTEXT
+        assert len(frame) < len(pickle.dumps(context))
+        got = wire.loads(frame).remaining
+        assert list(map(type, got)) == list(map(type, context.remaining))
     message = ("step", {2: (task, record)})
     assert_same(roundtrip(message), message)
 
 
-@pytest.mark.skipif(numpy is None, reason="numpy not installed")
-def test_ndarray_roundtrip():
+def test_arbitrary_values_fall_back_to_pickle():
+    # Program values the codec has no tag for ride the pickle fallback —
+    # so do bytes, sets and ndarrays, whose tags were retired because no
+    # protocol frame sends them.
+    values = [
+        complex(1.0, -2.0),
+        range(5),
+        b"",
+        b"\x00\x80raw",
+        set(),
+        {1, 2, "x"},
+        frozenset({1}),
+    ]
+    for value in values:
+        assert wire.dumps(value)[1] == wire._TAG_PICKLE
+        assert_same(roundtrip(value), value)
+    if numpy is None:
+        return
     arrays = [
         numpy.arange(12, dtype=numpy.float64).reshape(3, 4),
         numpy.array([], dtype=numpy.int32),
         numpy.arange(10)[::2],  # non-contiguous view
         numpy.array(3.5),  # zero-dim
+        numpy.array([{"k": 1}, None], dtype=object),
     ]
     for want in arrays:
+        assert wire.dumps(want)[1] == wire._TAG_PICKLE
         got = roundtrip(want)
         assert isinstance(got, numpy.ndarray)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert numpy.array_equal(got, want)
-        got[...] = 0  # the decode must hand back a writable copy
-    # Object-dtype arrays cannot be raw buffers; they fall back to pickle.
-    objarr = numpy.array([{"k": 1}, None], dtype=object)
-    got = roundtrip(objarr)
-    assert got[0] == {"k": 1} and got[1] is None
-
-
-def test_arbitrary_values_fall_back_to_pickle():
-    # Program values the codec has no tag for ride the pickle fallback.
-    value = complex(1.0, -2.0)
-    assert_same(roundtrip(value), value)
-    assert_same(roundtrip(range(5)), range(5))
+        assert got.tolist() == want.tolist()
+        got[...] = 0  # the decode hands back a writable array
 
 
 # ---------------------------------------------------------------------------
@@ -452,22 +477,9 @@ def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
 # ---------------------------------------------------------------------------
 
 
-def _ndarray_frame(dtype=b"<f8", shape=(4,), payload=bytes(32)):
-    return (
-        bytes([CODEC_BINARY, 0x12, len(dtype)]) + dtype
-        + bytes([len(shape), *shape, len(payload)]) + payload
-    )
-
-
 _EMPTY = b"\x07\x00"  # an empty generic list
 
 MALFORMED = {
-    "ndarray shape disagrees with its buffer": _ndarray_frame(shape=(5,)),
-    "ndarray dtype unknown": _ndarray_frame(dtype=b"<q9"),
-    "ndarray dtype not ascii": _ndarray_frame(dtype=b"\xff\xfe"),
-    "ndarray dtype without an item size": _ndarray_frame(
-        dtype=b"V0", shape=(0,), payload=b""
-    ),
     "str is not utf-8": bytes([CODEC_BINARY, 0x05, 2, 0xFF, 0xFE]),
     "pickle does not unpickle": bytes([CODEC_BINARY, 0x16, 3]) + b"abc",
     "dict key is unhashable": bytes([CODEC_BINARY, 0x09, 1, 0x07, 0, 0]),
@@ -483,6 +495,13 @@ MALFORMED = {
     ),
     "int rows are ragged": b"\x01\x10\x02\x00\x01\x02\x01\x02\x01\x01\x05",
     "int rows without columns": b"\x01\x10\x00\x00",
+    # arity 2, bool mask 0b100: a bool column past the last one
+    "int rows mark a bool past their arity": (
+        b"\x01\x10\x02\x04\x01\x01\x05\x01\x01\x06"
+    ),
+    # [tag][container][column]: container 0 is a list, 1 a tuple, no more
+    "int sequence container unknown": b"\x01\x0b\x02\x01\x01\x05",
+    "float sequence container unknown": b"\x01\x0c\x02\x01" + bytes(8),
     "outbox columns disagree": (
         b"\x01\x11\x02\x01\x02\x00\x00\x01\x01\x05\x02" + bytes(16)
     ),
@@ -552,8 +571,12 @@ MALFORMED = {
         + b"\x0c\x00\x01" + bytes(8) + b"\x0b\x00\x01\x01\x01" + _EMPTY
         + b"\x07\x01\x02" + _EMPTY * 3
     ),
-    # The dict patch's tag (0x14) is retired, not reassigned.
+    # Retired tags are never reassigned: each is an unknown tag, framed
+    # as its last sender framed it.
     "retired dict patch tag": b"\x01\x14" + b"\x09\x00" + _EMPTY * 2,
+    "retired bytes tag": b"\x01\x06\x03abc",
+    "retired set tag": b"\x01\x0a\x01\x03\x02",
+    "retired ndarray tag": b"\x01\x12\x03<f8\x01\x01\x08" + bytes(8),
 }
 
 
@@ -724,8 +747,6 @@ def _case_columns(name):
 
 def _real_frames():
     """A ``step`` request and its ``ok`` reply with every hot shape in."""
-    from repro.core.heuristic import DecisionContext
-
     decision = DecisionContext(
         round_index=3, remaining=(4, 5, 6), willingness=0.5, lane=77,
         version=3,
@@ -751,7 +772,11 @@ def _real_frames():
         placement_delta=[(vid, vid % 4) for vid in ids] + [(ids[0], None)],
     )
     patches = {1: (task, patch(**literal))}
-    patches[4] = (task, patch(**LISTED_CASES["label ids"]))
+    # ... a mixed int/float capacity vector and a lane past int64
+    mixed = DecisionContext(4, (4, 2.5, 0.0, 7), 0.25, (1 << 64) - 5, 2)
+    patches[4] = (
+        replace(task, decision=mixed), patch(**LISTED_CASES["label ids"])
+    )
     if numpy is not None:  # a typed patch beside the listed ones
         patches[2] = (task, patch(**literal, dtype="float64"))
         # ... and a record program's task and patch: (n, 2) columns
@@ -780,9 +805,12 @@ def _real_frames():
 REAL_FRAMES = _real_frames()
 
 
-def test_real_frames_decode():
+def test_real_frames_decode(monkeypatch):
+    spy = _PickleSpy()
+    monkeypatch.setattr(wire, "pickle", spy)
     for frame in REAL_FRAMES:
         assert wire.dumps(wire.loads(frame)) == frame
+    assert not spy.used  # a step frame and its reply never unpickle
 
 
 @given(data=st.data())

@@ -16,8 +16,9 @@ DET002     no unseeded ``random.*`` / ``numpy.random.*`` use outside
            ``repro/utils/rng.py``
 DET003     no wall-clock reads outside ``repro/obs`` except declared
            measurement-only sites (cross-checked against the allowlist)
-WIRE001    ``ShardTask``/``ShardDelta`` are registered with the field-
-           walking struct codec of ``cluster/wire.py`` (override keys
+WIRE001    ``ShardTask``/``ShardDelta``/``DecisionContext`` are
+           registered with the field-walking struct codec of
+           ``cluster/wire.py`` (override keys
            name real fields, field types are codec- or pickle-safe);
            every column-record field is encoded *and* decoded
 CAP001     ``ExecutorCapabilities`` literals match the methods the class

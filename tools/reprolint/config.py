@@ -78,10 +78,15 @@ class LintConfig:
     #: neutralisers).
     order_wrappers: frozenset = frozenset({"sorted", "sort_vertices"})
     #: The module defining the wire-crossing structs, its codec sibling,
-    #: the struct names and the codec's dispatch table (WIRE001).
+    #: the structs as ``(module suffix, class name)`` and the codec's
+    #: dispatch table (WIRE001).
     wire_shard_suffix: str = "cluster/shard.py"
     wire_codec_name: str = "wire.py"
-    wire_structs: tuple = ("ShardTask", "ShardDelta")
+    wire_structs: tuple = (
+        ("cluster/shard.py", "ShardTask"),
+        ("cluster/shard.py", "ShardDelta"),
+        ("core/heuristic.py", "DecisionContext"),
+    )
     wire_dispatch: str = "_ENCODERS"
     #: Records defined outside the shard module that cross the wire under
     #: a tag of their own, as ``(module suffix, class name)``; WIRE001

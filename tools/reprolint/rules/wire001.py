@@ -3,11 +3,12 @@
 ``cluster/shard.py`` defines the records that cross the wire;
 ``cluster/wire.py`` encodes them with a tagged binary codec.  Two kinds:
 
-* the dataclass **structs** (``ShardTask`` / ``ShardDelta``) cross as
-  ``[tag][every field, in declaration order]``: the codec walks
-  ``dataclasses.fields`` on encode and rebuilds positionally on decode, so
-  "a field is dropped on encode / not passed on decode" cannot happen *by
-  construction* — provided the struct is registered;
+* the dataclass **structs** (``ShardTask`` / ``ShardDelta``, and
+  ``DecisionContext`` from ``core/heuristic.py``) cross as ``[tag][every
+  field, in declaration order]``: the codec walks ``dataclasses.fields``
+  on encode and rebuilds positionally on decode, so "a field is dropped
+  on encode / not passed on decode" cannot happen *by construction* —
+  provided the struct is registered;
 * the **column records** (``MessageColumns`` in ``pregel/messages.py``,
   ``PatchColumns`` in ``cluster/shard.py``) keep hand-written column
   codecs, which agree with the class only by discipline.
@@ -151,7 +152,7 @@ class WireContractRule(Rule):
                     f"({config.wire_codec_name}) found next to it",
                 )
                 continue
-            yield from self._check_pair(shard, codec, ctx)
+            yield from self._check_codec(codec, ctx)
 
     def _codec_sibling(self, shard, ctx):
         """The wire codec module living in the same directory as ``shard``."""
@@ -161,13 +162,8 @@ class WireContractRule(Rule):
                 return module
         return None
 
-    def _check_pair(self, shard, codec, ctx):
+    def _check_codec(self, codec, ctx):
         config = ctx.config
-        classes = {
-            node.name: node
-            for node in ast.walk(shard.tree)
-            if isinstance(node, ast.ClassDef)
-        }
         dispatch_node, dispatch = _find_table(codec.tree, config.wire_dispatch)
         if dispatch_node is None:
             yield self.finding(
@@ -176,32 +172,16 @@ class WireContractRule(Rule):
                 "WIRE001 cannot verify struct coverage",
             )
             return
-        yield from self._check_structs(shard, codec, classes, dispatch, ctx)
+        yield from self._check_structs(codec, dispatch, ctx)
         funcs = {
             node.name: node
             for node in ast.walk(codec.tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
         decode_kwargs = self._decode_constructions(codec.tree)
-        for suffix, record_name in config.wire_records:
-            module = ctx.find_module(suffix)
-            if module is None:
-                continue  # outside the scanned tree; cannot verify
-            record = next(
-                (
-                    node for node in module.tree.body
-                    if isinstance(node, ast.ClassDef)
-                    and node.name == record_name
-                ),
-                None,
-            )
-            if record is None:
-                yield self.finding(
-                    module, 1, 0,
-                    f"declared wire record {record_name} not defined in "
-                    f"{module.display}",
-                )
-                continue
+        records, missing = self._declared(config.wire_records, "record", ctx)
+        yield from missing
+        for module, record_name, record in records:
             encoder_node = dispatch.get(record_name)
             if encoder_node is None:
                 yield self.finding(
@@ -230,7 +210,34 @@ class WireContractRule(Rule):
                         "decode path",
                     )
 
-    def _check_structs(self, shard, codec, classes, dispatch, ctx):
+    def _declared(self, pairs, what, ctx):
+        """Resolve ``(module suffix, class name)`` pairs to ``(found,
+        findings)``: ``(module, name, class node)`` for each class at its
+        module's top level, a finding for each missing there (a module
+        outside the scanned tree is skipped)."""
+        found, findings = [], []
+        for suffix, name in pairs:
+            module = ctx.find_module(suffix)
+            if module is None:
+                continue  # outside the scanned tree; cannot verify
+            node = next(
+                (
+                    node for node in module.tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == name
+                ),
+                None,
+            )
+            if node is None:
+                findings.append(self.finding(
+                    module, 1, 0,
+                    f"declared wire {what} {name} not defined in "
+                    f"{module.display}",
+                ))
+            else:
+                found.append((module, name, node))
+        return found, findings
+
+    def _check_structs(self, codec, dispatch, ctx):
         """Registration, override keys and field types of the structs."""
         config = ctx.config
         table_node, registered = _find_table(codec.tree, _STRUCT_TABLE)
@@ -239,15 +246,9 @@ class WireContractRule(Rule):
         )
         tagged = set(dispatch) | set(registered)
         struct_fields = set()
-        for struct_name in config.wire_structs:
-            struct = classes.get(struct_name)
-            if struct is None:
-                yield self.finding(
-                    shard, 1, 0,
-                    f"declared wire struct {struct_name} not defined in "
-                    f"{shard.display}",
-                )
-                continue
+        structs, missing = self._declared(config.wire_structs, "struct", ctx)
+        yield from missing
+        for module, struct_name, struct in structs:
             fields = _class_fields(struct)
             struct_fields.update(fields)
             if struct_name not in registered:
@@ -257,16 +258,16 @@ class WireContractRule(Rule):
                     "instances would take the pickle fallback on every send",
                 )
             yield from self._check_field_types(
-                shard, struct, fields, tagged, ctx
+                module, struct, fields, tagged, ctx
             )
         _, overrides = _find_table(codec.tree, _OVERRIDE_TABLE)
+        names = " / ".join(name for _, name in config.wire_structs)
         for key, node in overrides.items():
             if key not in struct_fields:
                 yield self.finding(
                     codec, node.lineno, node.col_offset,
                     f"{_OVERRIDE_TABLE} key {key!r} names no field of "
-                    f"{' / '.join(config.wire_structs)}; the override "
-                    "would never apply",
+                    f"{names}; the override would never apply",
                 )
 
     @staticmethod
