@@ -80,7 +80,10 @@ class Coordinator(PregelSystem):
             )
             for sid in range(self.config.num_workers)
         }
-        self._store_dtype = store_dtype(program)
+        # What PatchColumns.pack gates on: (dtype, width), dtype None when
+        # the program has no kernel to batch.
+        dtype = store_dtype(program)
+        self._store_gate = (dtype, 1 if dtype is None else program.value_width)
         self.executor = make_executor(executor)
         # Re-home the executor's counters in the run's registry (and hand
         # it the run's tracer for wire spans) before any traffic flows.
@@ -88,20 +91,16 @@ class Coordinator(PregelSystem):
             tracer=self.tracer, metrics=self.metrics_registry
         )
         # Shards are only ever filled on their host: the executor takes
-        # them empty, and seeding is the first patch — every shard's
-        # residents in graph order, and on an adaptive run the full
-        # start-of-run placement as the broadcast delta (one pair of
-        # columns shared by all k patches); barrier deltas keep the
-        # mirrors exact from here on.
-        seeds = {sid: ({}, []) for sid in shards}
-        partition_of = self.state.partition_of
-        for v in graph.vertices():
-            pid = self._vertex_shard[v] = partition_of(v)
-            seeds[pid][0][v] = (self.values[v], tuple(graph.neighbors(v)), False)
-        assignment = list(self.state.assignment_items()) if adaptive else []
+        # them empty, and seeding is the first patch (_seed_rows), with
+        # the start placement as the broadcast delta on an adaptive run;
+        # barrier deltas keep the mirrors exact from here on.
+        vertices = list(graph.vertices())
+        sids = list(map(self.state.partition_of, vertices))
+        self._vertex_shard = dict(zip(vertices, sids))
+        log = list(self.state.assignment_items()) if adaptive else []
         try:
             self.executor.start(shards)
-            self.executor.apply(self._pack(seeds, assignment))
+            self.executor.apply(self._pack(self._seed_rows(vertices, sids), log))
         except BaseException:
             self.executor.stop()
             raise
@@ -364,23 +363,25 @@ class Coordinator(PregelSystem):
         if not self._dirty and not log:
             return
         with self.tracer.span("patch-build", dirty=len(self._dirty)):
-            # sid -> (upserts, removes)
-            patches = {sid: ({}, []) for sid in range(self.config.num_workers)}
+            # sid -> (ids, values, adjacency, halted, removes)
+            patches = {
+                sid: ([], [], [], [], [])
+                for sid in range(self.config.num_workers)
+            }
             for vertex in sort_vertices(self._dirty):
                 old_sid = self._vertex_shard.get(vertex)
                 sid = None  # gone, or unplaceable: treat as non-resident
                 if vertex in self.graph:
                     sid = self.state.partition_of_or_none(vertex)
                 if old_sid is not None and old_sid != sid:
-                    patches[old_sid][1].append(vertex)
+                    patches[old_sid][4].append(vertex)
                 if sid is None:
                     self._vertex_shard.pop(vertex, None)
                 else:
-                    patches[sid][0][vertex] = (
-                        self.values[vertex],
-                        tuple(self.graph.neighbors(vertex)),
-                        vertex in self.halted,
-                    )
+                    row = (vertex, self.values[vertex],
+                           self.graph.neighbors(vertex), vertex in self.halted)
+                    for column, item in zip(patches[sid], row):
+                        column.append(item)
                     self._vertex_shard[vertex] = sid
             self._dirty.clear()
             if log:  # a broadcast: every shard gets a patch
@@ -390,19 +391,33 @@ class Coordinator(PregelSystem):
             self._pending_patches = self._pack(patches, log)
 
     def _pack(self, patches, log):
-        """``{sid: (upserts, removes)}`` and the ``(vertex, pid)`` placement
-        log they share as :class:`PatchColumns` — typed wherever they fit
-        the array store's gate, the first typed patch's placement columns
-        serving the rest of the barrier's."""
-        dtype = self._store_dtype  # None: the program has no kernel to batch
-        width = 1 if dtype is None else self.program.value_width
-        placed = tuple(map(list, zip(*log))) or ([], [])
+        """``{sid: (ids, values, adjacency, halted, removes)}`` and the
+        ``(vertex, pid)`` placement log they share as :class:`PatchColumns`
+        — typed wherever they fit the array store's gate, the first typed
+        patch's placement columns serving the rest of the barrier's."""
+        placed = [v for v, _ in log], [pid for _, pid in log]
         packed = {}
-        for sid, (upserts, removes) in patches.items():
-            patch = PatchColumns.pack(upserts, removes, placed, dtype, width)
+        for sid, rows in patches.items():
+            patch = PatchColumns.pack(*rows, placed, *self._store_gate)
             packed[sid] = patch
             placed = patch.placed_ids, patch.placed_pids
         return packed
+
+    def _seed_rows(self, vertices, sids):
+        """Each shard's seed rows for :meth:`_pack`: its residents in graph
+        order, none halted, cut from the graph-order columns by index."""
+        columns = (
+            vertices, list(map(self.values.__getitem__, vertices)),
+            list(map(self.graph.neighbors, vertices)),
+        )
+        members = [[] for _ in range(self.config.num_workers)]
+        for row, sid in enumerate(sids):
+            members[sid].append(row)
+        return {
+            sid: (*(list(map(c.__getitem__, rows)) for c in columns),
+                  [False] * len(rows), [])
+            for sid, rows in enumerate(members)
+        }
 
     # ------------------------------------------------------------------
     # Debug / test support

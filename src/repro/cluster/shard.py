@@ -171,11 +171,13 @@ class PatchColumns:
 
     @classmethod
     def pack(
-        cls, upserts: dict, removes: list, placed: tuple[Any, Any],
-        dtype: Any = None, width: int = 1,
+        cls, ids: list, values: Any, adjacency: Any, halted: Any,
+        removes: list, placed: tuple[Any, Any], dtype: Any = None,
+        width: int = 1,
     ) -> PatchColumns:
-        """The record for ``upserts`` (``{vertex: (value, neighbours,
-        halted)}``), ``removes`` and the ``placed`` ``(ids, pids)`` pair.
+        """The record for upsert rows (``ids`` with their ``values``,
+        neighbour collections ``adjacency`` and ``halted`` votes),
+        ``removes`` and the ``placed`` ``(ids, pids)`` pair.
 
         This is the array store's gate: the record is typed when
         ``dtype`` is given and every id (upserted, neighbour, removed,
@@ -185,9 +187,7 @@ class PatchColumns:
         and listed otherwise.  ``placed`` may be lists or the columns of
         an earlier patch of the same barrier, which all its patches share.
         """
-        rows = list(upserts.values())
-        values, adjacency, halted = zip(*rows) if rows else ((), (), ())
-        ids, degrees = list(upserts), list(map(len, adjacency))
+        degrees = list(map(len, adjacency))
         neighbours = list(chain.from_iterable(adjacency))
         placed_ids, placed_pids = placed
         shared = not isinstance(placed_ids, list)
@@ -209,7 +209,7 @@ class PatchColumns:
         if shared:
             placed_ids, placed_pids = placed_ids.tolist(), placed_pids.tolist()
         return cls(
-            ids, list(values), degrees, neighbours, list(halted),
+            list(ids), list(values), degrees, neighbours, list(halted),
             list(removes), placed_ids, placed_pids,
         )
 
@@ -667,11 +667,12 @@ class Shard:
                 store.ids[rows], store.values[rows], degrees, neighbours,
                 store.halted[rows], rows[:0], *store.mirror(),
             )
-        adj, halted, placement = self._adj, self.halted, self.placement or {}
+        ids, placement = list(self.values), self.placement or {}
         placed = sort_vertices(placement)
         return PatchColumns.pack(
-            {v: (x, adj[v], v in halted) for v, x in self.values.items()},
-            [], (placed, [placement[v] for v in placed]),
+            ids, list(self.values.values()), list(map(self._adj.get, ids)),
+            list(map(self.halted.__contains__, ids)), [],
+            (placed, [placement[v] for v in placed]),
         )
 
     def __repr__(self) -> str:

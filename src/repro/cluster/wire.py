@@ -5,8 +5,9 @@ worker``, whether a local ``--executor process`` spawned it or it runs on
 another host — goes through this module.  Three layers:
 
 **Framing.**  A frame is ``[u32 length][payload]`` (little-endian length,
-bounded by :data:`MAX_FRAME`); the payload's first byte is the codec
-version (:data:`CODEC_BINARY`).
+bounded by :data:`MAX_FRAME`); the payload is the codec version byte
+(:data:`CODEC_BINARY`), the body's CRC32 (so a flipped bit is a
+:class:`WireError`, never wrong data) and the body.
 :func:`send_frame` / :func:`recv_frame` speak frames over a socket with
 exact reads, surfacing a clean peer close as :class:`EOFError` so callers
 can distinguish "worker went away" from garbage.
@@ -51,6 +52,7 @@ import pickle
 import socket
 import struct
 import sys
+import zlib
 from array import array
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import fields
@@ -78,13 +80,15 @@ __all__ = [
     "send_frame",
 ]
 
-#: Codec byte of the tagged binary format.
-CODEC_BINARY = 0x01
+#: Codec byte of the tagged binary format (0x01, no checksum, is retired).
+CODEC_BINARY = 0x02
 #: Hard ceiling on one frame's payload (guards against a corrupt length
 #: prefix turning into a multi-gigabyte allocation).
 MAX_FRAME = 1 << 30
 
 _U32 = struct.Struct("<I")
+_HEAD = struct.Struct("<BI")  # the codec byte, then the body's CRC32
+_BODY = _HEAD.size
 _F64 = struct.Struct("<d")
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -867,10 +871,11 @@ def _decode(reader: _Reader) -> Any:
 
 
 def dumps(obj: Any) -> bytes:
-    """Encode one protocol message to a frame payload (codec byte included)."""
-    out = bytearray((CODEC_BINARY,))
-    _encode(obj, out)
-    return bytes(out)
+    """Encode one protocol message to a frame payload: the codec byte,
+    the body's CRC32, the body."""
+    body = bytearray()
+    _encode(obj, body)
+    return _HEAD.pack(CODEC_BINARY, zlib.crc32(body)) + body
 
 
 def loads(payload: bytes) -> Any:
@@ -880,8 +885,12 @@ def loads(payload: bytes) -> Any:
     codec = payload[0]
     if codec != CODEC_BINARY:
         raise WireError(f"unknown codec byte {codec:#x}")
+    view = memoryview(payload)
+    crc = _HEAD.unpack_from(view)[1] if len(view) >= _BODY else None
+    if zlib.crc32(view[_BODY:]) != crc:
+        raise WireError("frame header or body fails its CRC32 check")
     try:
-        return _decode(_Reader(memoryview(payload), 1))
+        return _decode(_Reader(view, _BODY))
     except WireError:
         raise
     except Exception as exc:

@@ -369,7 +369,8 @@ class LocalCsr:
                 slots = table[ids]
                 fresh = ids[slots < 0]
                 if len(fresh):
-                    fresh = _np.unique(fresh)
+                    if not (fresh[1:] > fresh[:-1]).all():  # else sorted
+                        fresh = _np.unique(fresh)
                     table[fresh] = _np.arange(
                         self.count, self.count + len(fresh), dtype=_np.int64
                     )
@@ -477,12 +478,16 @@ class LocalCsr:
         """Fold placements (any vertex, resident or not; −1 = removed).
 
         The barrier's broadcast delta is ordered: a later entry for one
-        vertex wins, so the fancy store sees each slot's last entry only.
+        vertex wins, so the fancy store sees each slot's last entry only
+        (every entry when the slots are distinct — ascending, say).
         """
         slots = self.slots_of(ids)
-        _, last = _np.unique(slots[::-1], return_index=True)
-        last = len(slots) - 1 - last
-        self._place[slots[last]] = _np.asarray(pids, dtype=_np.int64)[last]
+        pids = _np.asarray(pids, dtype=_np.int64)
+        if not (slots[1:] > slots[:-1]).all():
+            _, last = _np.unique(slots[::-1], return_index=True)
+            last = len(slots) - 1 - last
+            slots, pids = slots[last], pids[last]
+        self._place[slots] = pids
 
     # ------------------------------------------------------------------
     # Readers (by slot)

@@ -10,14 +10,21 @@ mutations, plus the slot-indexed partition column the array kernels read
 import math
 import types
 from array import array
-from itertools import chain, compress, repeat
+from collections import Counter
+from itertools import chain, compress, islice, repeat
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
-__all__ = ["PartitionState", "Partitioner", "balanced_capacities", "id_column"]
+__all__ = [
+    "PartitionState",
+    "Partitioner",
+    "StreamingPartitioner",
+    "balanced_capacities",
+    "id_column",
+]
 
 
 def balanced_capacities(num_vertices, num_partitions, slack=1.10):
@@ -292,34 +299,37 @@ class PartitionState:
         self.apply_bulk_moves(movers, slots, src, dst, cut_delta)
         return old
 
-    def assign_many(self, items):
-        """Bulk :meth:`assign` of brand-new vertices with no assigned
-        neighbours.
-
-        ``items`` yields ``(vertex, pid)``.  Contract: every vertex is
-        currently unassigned and none of its graph neighbours (if any) is
-        assigned — true for just-created vertices placed before their first
-        edge lands, which is the streaming-arrival shape the batched
-        ingestion path feeds this.  Under that contract the cut count
-        cannot change, so the per-vertex adjacency walk of :meth:`assign`
-        is skipped; sizes advance exactly as ``n`` sequential assigns
-        would.  An item that raises leaves the items before it applied.
-        """
+    def assign_many(self, vertices, pids):
+        """Bulk :meth:`assign` of ``vertices`` to the parallel ``pids``, in
+        order: the initial placement and streaming arrivals alike.  One
+        pass fills the dict and counts each new cut edge once, when its
+        later endpoint lands; sizes, column and cut then move once.  As
+        with the :meth:`assign` loop, a raise leaves the pairs before it
+        applied."""
         assignment = self._assignment
-        sizes = self._sizes
-        num_partitions = self.num_partitions
-        store = self._store
-        count = 0
-        for vertex, pid in items:
-            if vertex in assignment:
-                raise ValueError(f"vertex {vertex!r} already assigned")
-            if not 0 <= pid < num_partitions:
-                self._check_pid(pid)
-            assignment[vertex] = pid
-            sizes[pid] += 1
-            store(vertex, pid)
-            count += 1
-        return count
+        neighbours = self.graph.neighbors
+        k = self.num_partitions
+        cut = done = 0
+        try:
+            for vertex, pid in zip(vertices, pids):
+                if vertex in assignment:
+                    raise ValueError(f"vertex {vertex!r} already assigned")
+                if not 0 <= pid < k:
+                    self._check_pid(pid)
+                for other in neighbours(vertex):
+                    held = assignment.get(other)
+                    if held is not None and held != pid:
+                        cut += 1
+                assignment[vertex] = pid
+                done += 1
+        finally:
+            self._cut_edges += cut
+            for pid, count in Counter(islice(pids, done)).items():
+                self._sizes[pid] += count
+            column, slot_of = self.partition_column(), self._slots.get
+            for slot, pid in zip(map(slot_of, islice(vertices, done)), pids):
+                if slot is not None:
+                    column[slot] = pid
 
     def apply_cut_delta(self, delta):
         """Adjust the cut count by a caller-computed bulk delta.
@@ -387,36 +397,34 @@ class PartitionState:
         return max(self._sizes) / balanced if balanced else 1.0
 
     def recompute_cut_edges(self):
-        """From-scratch cut count (O(|E|)); ground truth for the tests."""
-        cut = 0
-        for u, v in self.graph.edges():
-            pu = self._assignment.get(u)
-            pv = self._assignment.get(v)
-            if pu is not None and pv is not None and pu != pv:
-                cut += 1
-        return cut
+        """From-scratch cut count (O(|E|)): one pass over the adjacency
+        sets and the assignment dict, every cut edge seen from both ends."""
+        get, graph, twice = self._assignment.get, self.graph, 0
+        for vertex in graph.vertices():
+            pid = get(vertex)
+            for other in graph.neighbors(vertex) if pid is not None else ():
+                held = get(other)
+                if held is not None and held != pid:
+                    twice += 1
+        return twice // 2
 
     def validate(self):
         """Verify sizes, cut and column bookkeeping; AssertionError on drift."""
-        sizes = [0] * self.num_partitions
-        for pid in self._assignment.values():
-            sizes[pid] += 1
-        if sizes != self._sizes:
+        counted = Counter(self._assignment.values())
+        sizes = [counted[pid] for pid in range(self.num_partitions)]
+        if sizes != self._sizes or sum(sizes) != len(self._assignment):
             raise AssertionError(f"size drift: counted {sizes}, stored {self._sizes}")
         actual = self.recompute_cut_edges()
         if actual != self._cut_edges:
             raise AssertionError(
                 f"cut drift: counted {actual}, stored {self._cut_edges}"
             )
-        for pid, size in enumerate(self._sizes):
-            if size < 0:
-                raise AssertionError(f"negative size in partition {pid}")
         column = self.partition_column()
-        expected = [-1] * len(column)
-        for vertex, slot in self._slots.items():
-            expected[slot] = self._assignment.get(vertex, -1)
-        drift = [s for s, pid in enumerate(column) if pid != expected[s]]
-        if drift:
+        expected = array(
+            "q", map(self._assignment.get, self.graph.slot_ids, repeat(-1))
+        )
+        if expected != column:
+            drift = [s for s, pid in enumerate(column) if pid != expected[s]]
             raise AssertionError(f"partition column drift at slots {drift[:8]}")
         return True
 
@@ -480,3 +488,28 @@ class Partitioner:
         is a pure per-vertex function (hash) override with a bulk path.
         """
         return [(v, self.place(state, v)) for v in vertices]
+
+
+class StreamingPartitioner(Partitioner):
+    """Single-pass driver: :meth:`place` each vertex in ``stream_order``
+    (default: graph insertion order, matching how loaders feed real
+    systems) into balanced capacities unless ``capacities`` are given."""
+
+    def __init__(self, stream_order=None):
+        self.stream_order = stream_order
+
+    def partition(self, graph, num_partitions, capacities=None):
+        if capacities is None:
+            capacities = balanced_capacities(graph.num_vertices, num_partitions)
+        state = PartitionState(graph, num_partitions, capacities)
+        order = (
+            self.stream_order if self.stream_order is not None else graph.vertices()
+        )
+        for v in order:
+            self.place(state, v)
+        return state
+
+    @staticmethod
+    def _spill(state):
+        """Fallback destination when every partition is full."""
+        return max(range(state.num_partitions), key=state.remaining_capacity)

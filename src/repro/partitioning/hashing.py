@@ -24,8 +24,7 @@ class HashPartitioner(Partitioner):
 
     def partition(self, graph, num_partitions, capacities=None):
         state = PartitionState(graph, num_partitions, capacities)
-        for v in graph.vertices():
-            state.assign(v, stable_hash(v) % num_partitions)
+        self.place_many(state, list(graph.vertices()))
         return state
 
     def place(self, state, vertex):
@@ -34,18 +33,15 @@ class HashPartitioner(Partitioner):
         return pid
 
     def place_many(self, state, vertices):
-        """Bulk streaming placement of brand-new (still isolated) vertices.
+        """Bulk placement of unassigned ``vertices`` (a sequence), in order.
 
         Hash placement is a pure per-vertex function, so a batch places
-        exactly where ``n`` sequential :meth:`place` calls would; the state
-        update collapses into one
-        :meth:`~repro.partitioning.base.PartitionState.assign_many` call.
-        Callers guarantee the vertices were just created and have no
-        assigned neighbours yet (the streaming-arrival contract) — the
-        batched ingestion path places endpoints before their first edge
-        lands, exactly like the per-event path does.
+        exactly where ``n`` sequential :meth:`place` calls would, and the
+        state update is one
+        :meth:`~repro.partitioning.base.PartitionState.assign_many` — the
+        path the initial placement and the batched ingestion share.
         """
         k = state.num_partitions
-        placements = [(v, stable_hash(v) % k) for v in vertices]
-        state.assign_many(placements)
-        return placements
+        pids = [stable_hash(v) % k for v in vertices]
+        state.assign_many(vertices, pids)
+        return list(zip(vertices, pids))

@@ -12,16 +12,12 @@ global knowledge the paper points at when discussing DGR's scalability
 limits (§4.2.1).
 """
 
-from repro.partitioning.base import (
-    Partitioner,
-    PartitionState,
-    balanced_capacities,
-)
+from repro.partitioning.base import StreamingPartitioner
 
 __all__ = ["LinearDeterministicGreedy"]
 
 
-class LinearDeterministicGreedy(Partitioner):
+class LinearDeterministicGreedy(StreamingPartitioner):
     """Single-pass linear deterministic greedy placement.
 
     ``stream_order`` optionally fixes the arrival order (default: graph
@@ -29,20 +25,6 @@ class LinearDeterministicGreedy(Partitioner):
     """
 
     name = "DGR"
-
-    def __init__(self, stream_order=None):
-        self.stream_order = stream_order
-
-    def partition(self, graph, num_partitions, capacities=None):
-        if capacities is None:
-            capacities = balanced_capacities(graph.num_vertices, num_partitions)
-        state = PartitionState(graph, num_partitions, capacities)
-        order = (
-            self.stream_order if self.stream_order is not None else graph.vertices()
-        )
-        for v in order:
-            self.place(state, v)
-        return state
 
     def place(self, state, vertex):
         counts = state.neighbour_partition_counts(vertex)
@@ -62,8 +44,7 @@ class LinearDeterministicGreedy(Partitioner):
             if best_score is None or key > best_score:
                 best_score = key
                 best_pid = pid
-        if best_pid is None:
-            # All partitions full: spill to the least loaded.
-            best_pid = max(range(state.num_partitions), key=state.remaining_capacity)
+        if best_pid is None:  # every partition is full
+            best_pid = self._spill(state)
         state.assign(vertex, best_pid)
         return best_pid

@@ -9,16 +9,12 @@ like RND, exists to show the adaptive heuristic can recover from a bad
 start.
 """
 
-from repro.partitioning.base import (
-    Partitioner,
-    PartitionState,
-    balanced_capacities,
-)
+from repro.partitioning.base import StreamingPartitioner
 
 __all__ = ["MinimumNeighbours"]
 
 
-class MinimumNeighbours(Partitioner):
+class MinimumNeighbours(StreamingPartitioner):
     """Place each arriving vertex where the *fewest* of its neighbours live.
 
     Ties break to the partition with more remaining capacity, then lower id,
@@ -26,20 +22,6 @@ class MinimumNeighbours(Partitioner):
     """
 
     name = "MNN"
-
-    def __init__(self, stream_order=None):
-        self.stream_order = stream_order
-
-    def partition(self, graph, num_partitions, capacities=None):
-        if capacities is None:
-            capacities = balanced_capacities(graph.num_vertices, num_partitions)
-        state = PartitionState(graph, num_partitions, capacities)
-        order = (
-            self.stream_order if self.stream_order is not None else graph.vertices()
-        )
-        for v in order:
-            self.place(state, v)
-        return state
 
     def place(self, state, vertex):
         counts = state.neighbour_partition_counts(vertex)
@@ -54,6 +36,6 @@ class MinimumNeighbours(Partitioner):
                 best_key = key
                 best_pid = pid
         if best_pid is None:
-            best_pid = max(range(state.num_partitions), key=state.remaining_capacity)
+            best_pid = self._spill(state)
         state.assign(vertex, best_pid)
         return best_pid

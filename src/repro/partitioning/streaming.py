@@ -22,11 +22,7 @@ they drop into the adaptive runner and benches exactly like DGR.
 
 import math
 
-from repro.partitioning.base import (
-    Partitioner,
-    PartitionState,
-    balanced_capacities,
-)
+from repro.partitioning.base import StreamingPartitioner
 
 __all__ = [
     "BalancedPartitioner",
@@ -38,30 +34,7 @@ __all__ = [
 ]
 
 
-class _StreamingBase(Partitioner):
-    """Shared single-pass driver: subclasses implement ``place``."""
-
-    def __init__(self, stream_order=None):
-        self.stream_order = stream_order
-
-    def partition(self, graph, num_partitions, capacities=None):
-        if capacities is None:
-            capacities = balanced_capacities(graph.num_vertices, num_partitions)
-        state = PartitionState(graph, num_partitions, capacities)
-        order = (
-            self.stream_order if self.stream_order is not None else graph.vertices()
-        )
-        for v in order:
-            self.place(state, v)
-        return state
-
-    @staticmethod
-    def _spill(state):
-        """Fallback destination when every partition is full."""
-        return max(range(state.num_partitions), key=state.remaining_capacity)
-
-
-class BalancedPartitioner(_StreamingBase):
+class BalancedPartitioner(StreamingPartitioner):
     """Place every vertex in the currently least-loaded partition."""
 
     name = "BAL"
@@ -75,7 +48,7 @@ class BalancedPartitioner(_StreamingBase):
         return pid
 
 
-class ChunkingPartitioner(_StreamingBase):
+class ChunkingPartitioner(StreamingPartitioner):
     """Fill partition 0 to capacity, then partition 1, and so on."""
 
     name = "CHUNK"
@@ -90,7 +63,7 @@ class ChunkingPartitioner(_StreamingBase):
         return pid
 
 
-class UnweightedGreedy(_StreamingBase):
+class UnweightedGreedy(StreamingPartitioner):
     """Most neighbours wins; capacity is only a hard limit.
 
     Without DGR's fullness penalty this heuristic densifies early
@@ -116,7 +89,7 @@ class UnweightedGreedy(_StreamingBase):
         return best_pid
 
 
-class ExponentialGreedy(_StreamingBase):
+class ExponentialGreedy(StreamingPartitioner):
     """DGR with an exponential instead of linear fullness penalty."""
 
     name = "EGR"
@@ -143,7 +116,7 @@ class ExponentialGreedy(_StreamingBase):
         return best_pid
 
 
-class TriangleGreedy(_StreamingBase):
+class TriangleGreedy(StreamingPartitioner):
     """Score = closed triangles: edges among the vertex's neighbours that
     already live in the candidate partition, discounted by fullness."""
 

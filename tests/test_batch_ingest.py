@@ -282,7 +282,7 @@ class TestBulkStateAndPlacement:
         graph, state = self._state()
         twin = state.copy()
         graph.add_vertices([10, 11, 12])
-        state.assign_many([(10, 0), (11, 2), (12, 1)])
+        state.assign_many([10, 11, 12], [0, 2, 1])
         for v, pid in [(10, 0), (11, 2), (12, 1)]:
             twin.assign(v, pid)
         assert dict(state.assignment_items()) == dict(twin.assignment_items())
@@ -294,10 +294,10 @@ class TestBulkStateAndPlacement:
     def test_assign_many_rejects_reassignment_and_bad_pid(self):
         graph, state = self._state()
         with pytest.raises(ValueError, match="already assigned"):
-            state.assign_many([(0, 1)])
+            state.assign_many([0], [1])
         graph.add_vertex(99)
         with pytest.raises(ValueError, match="out of range"):
-            state.assign_many([(99, 7)])
+            state.assign_many([99], [7])
 
     def test_assign_many_partial_application_keeps_the_column_exact(self):
         # A mid-batch failure leaves the items before it applied — in the
@@ -305,7 +305,7 @@ class TestBulkStateAndPlacement:
         graph, state = self._state()
         graph.add_vertices([30, 31])
         with pytest.raises(ValueError, match="already assigned"):
-            state.assign_many([(30, 0), (0, 1)])  # vertex 0 pre-assigned
+            state.assign_many([30, 0], [0, 1])  # vertex 0 pre-assigned
         assert state.partition_of(30) == 0
         assert state.partition_column()[graph.slot_of(30)] == 0
         assert state.partition_column()[graph.slot_of(31)] == -1

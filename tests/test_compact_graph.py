@@ -283,14 +283,14 @@ def apply_state_op(graph, state, op, fresh_ids):
     elif kind == "assign_many":
         arrivals = [next(fresh_ids) for _ in op[1]]
         graph.add_vertices(arrivals)
-        placements = [(v, op[2]) for v in arrivals]
+        pids = [op[2]] * len(arrivals)
         taken = next(iter(state.assignment_items()), None)
         if op[3] and taken is not None:
             # A mid-batch raise: the items before it stay applied.
             with pytest.raises(ValueError, match="already assigned"):
-                state.assign_many(placements + [(taken[0], 0)])
+                state.assign_many(arrivals + [taken[0]], pids + [0])
         else:
-            state.assign_many(placements)
+            state.assign_many(arrivals, pids)
     elif kind == "grow":
         graph.add_vertices([next(fresh_ids) for _ in range(op[1])])
     else:

@@ -312,6 +312,25 @@ def test_shard_sweeper_tracks_churn_and_compaction():
 
 
 @pytest.mark.skipif(numpy is None, reason="needs numpy")
+def test_fresh_ids_take_slots_in_ascending_order_sorted_or_not():
+    """Slot numbering does not depend on whether the interning sorted:
+    an ascending batch (a seeding broadcast) keeps its order, an unsorted
+    one with repeats is numbered as its sorted distinct ids; a later
+    placement entry for one vertex wins either way."""
+    index = make_shard_index(GreedyMaxNeighbours())
+    assert index.slots_of(numpy.array([5, 9, 12])).tolist() == [0, 1, 2]
+    got = index.slots_of(numpy.array([30, 7, 30, 9, 20]))
+    assert got.tolist() == [5, 3, 5, 1, 4]
+    assert index.ids[: index.count].tolist() == [5, 9, 12, 7, 20, 30]
+    assert index.slots_of(numpy.array([40, 40, 41])).tolist() == [6, 6, 7]
+    assert index.count == 8
+    index.place_many(numpy.array([7, 5, 7, 30]), numpy.array([1, 2, 3, 0]))
+    index.place_many(numpy.array([9, 12, 20]), numpy.array([4, 5, 6]))
+    assert index.mirror()[0].tolist() == [5, 7, 9, 12, 20, 30]
+    assert index.mirror()[1].tolist() == [2, 3, 4, 5, 6, 0]
+
+
+@pytest.mark.skipif(numpy is None, reason="needs numpy")
 def test_shard_sweeper_place_many_matches_place():
     """Bulk placement == one call per vertex, in every id regime: the
     dense table (modest ints), the dict (negative / sparse ints) and

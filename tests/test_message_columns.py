@@ -240,7 +240,7 @@ def test_record_round_trips_on_the_wire(ids, kind, with_counts):
         np.arange(1, n + 1, dtype=np.int64) if with_counts else None,
     )
     payload = wire.dumps(record)
-    assert payload[1] == 0x17
+    assert payload[wire._BODY] == 0x17
     got = wire.loads(payload)
     assert (got == record) is True and type(got) is MessageColumns
     assert wire.dumps(got) == payload  # re-encoding is byte-stable

@@ -3,9 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Graph
-from repro.partitioning import PartitionState, balanced_capacities
+from repro.partitioning import (
+    HashPartitioner,
+    PartitionState,
+    balanced_capacities,
+)
 
 
 class TestBalancedCapacities:
@@ -203,6 +209,108 @@ class TestMetricsAndCopy:
         with pytest.raises(AssertionError):
             state.validate()
 
+    def test_validate_catches_size_drift(self, triangle):
+        state = PartitionState(triangle, 2)
+        state.assign(0, 0)
+        state._sizes[1] += 1
+        with pytest.raises(AssertionError, match="size drift"):
+            state.validate()
+        # A dict entry no size counts (its partition out of range) too.
+        state._sizes[1] -= 1
+        state._assignment[1] = 5
+        with pytest.raises(AssertionError, match="size drift"):
+            state.validate()
+
+    def test_validate_catches_column_drift(self, triangle):
+        state = PartitionState(triangle, 2)
+        state.assign(0, 0)
+        state.assign(1, 1)
+        state.validate()
+        for slot, pid in ((triangle.slot_of(1), 0), (triangle.slot_of(2), 1)):
+            column = state.partition_column()
+            before, column[slot] = column[slot], pid
+            with pytest.raises(AssertionError, match=f"column drift at slots \\[{slot}\\]"):
+                state.validate()
+            column[slot] = before
+        state.validate()
+
     def test_num_partitions_validation(self, triangle):
         with pytest.raises(ValueError):
             PartitionState(triangle, 0)
+
+
+# ----------------------------------------------------------------------
+# The bulk load: one assign_many == the per-vertex assign loop
+# ----------------------------------------------------------------------
+
+LABELS = st.sampled_from(["a", "b", "c", "hub", "v:1", "v:2"])
+
+
+@st.composite
+def graphs(draw):
+    """A small graph over int, label or mixed ids, isolated vertices and
+    the empty graph included, with an id space to draw arrivals from."""
+    ids = draw(st.sampled_from([
+        st.integers(0, 30), LABELS, st.one_of(st.integers(0, 30), LABELS),
+    ]))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    isolated = draw(st.lists(ids, max_size=6))
+    graph = Graph(vertices=isolated)
+    graph.add_edges((u, v) for u, v in edges if u != v)
+    return graph, ids
+
+
+def _loop(graph, k, vertices, pids, state=None):
+    state = PartitionState(graph, k) if state is None else state
+    for vertex, pid in zip(vertices, pids):
+        state.assign(vertex, pid)
+    return state
+
+
+def _same_state(bulk, loop):
+    assert list(bulk.assignment_items()) == list(loop.assignment_items())
+    assert bulk.sizes == loop.sizes
+    assert bulk.cut_edges == loop.cut_edges
+    assert bulk.partition_column().tobytes() == loop.partition_column().tobytes()
+    assert bulk.validate() and loop.validate()
+
+
+@given(drawn=graphs(), k=st.integers(1, 5), data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_assign_many_equals_the_assign_loop(drawn, k, data):
+    """From empty, and onto a state that already holds a prefix whose
+    edges reach the new vertices (old–new and new–new cut edges)."""
+    graph, _ = drawn
+    vertices = list(graph.vertices())
+    pids = data.draw(st.lists(
+        st.integers(0, k - 1), min_size=len(vertices), max_size=len(vertices)
+    ))
+    bulk = PartitionState(graph, k)
+    bulk.assign_many(vertices, pids)
+    _same_state(bulk, _loop(graph, k, vertices, pids))
+    cut = data.draw(st.integers(0, len(vertices)))
+    bulk = _loop(graph, k, vertices[:cut], pids[:cut])
+    bulk.assign_many(vertices[cut:], pids[cut:])
+    _same_state(bulk, _loop(graph, k, vertices, pids))
+
+
+@given(drawn=graphs(), k=st.integers(1, 5), data=st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_hash_partition_and_place_many_equal_the_place_loop(drawn, k, data):
+    """The initial placement and ingest's arrivals (isolated new vertices
+    placed before their first edge) through the one bulk path."""
+    graph, ids = drawn
+    vertices = list(graph.vertices())
+    loop = PartitionState(graph, k)
+    for vertex in vertices:
+        HashPartitioner().place(loop, vertex)
+    _same_state(HashPartitioner().partition(graph, k), loop)
+    bulk = HashPartitioner().partition(graph, k)
+    arrivals = [v for v in data.draw(st.lists(ids, max_size=8, unique=True))
+                if v not in graph]
+    graph.add_vertices(arrivals)
+    placements = HashPartitioner().place_many(bulk, arrivals)
+    for vertex in arrivals:
+        HashPartitioner().place(loop, vertex)
+    assert placements == [(v, loop.partition_of(v)) for v in arrivals]
+    _same_state(bulk, loop)

@@ -46,6 +46,7 @@ from repro.apps.fem_simulation import (
     CardiacFemSimulation,
     CombinedCardiacFemSimulation,
 )
+from repro.apps.maximal_clique import MaximalCliqueFinder
 from repro.apps.pagerank import PageRank
 from repro.cluster import (
     Coordinator,
@@ -100,8 +101,9 @@ def patch(upserts=None, removes=(), placement_delta=(), dtype=None, width=1):
         [vertex for vertex, _ in placement_delta],
         [-1 if pid is None else pid for _, pid in placement_delta],
     )
+    rows = list(zip(*(upserts or {}).values())) or [(), (), ()]
     return PatchColumns.pack(
-        upserts or {}, list(removes), placed,
+        list(upserts or {}), *rows, list(removes), placed,
         None if dtype is None else np.dtype(dtype), width,
     )
 
@@ -641,6 +643,74 @@ def test_executor_snapshots_restore_their_shards(name, labels, socket_pool):
         restored.apply_patch(snapshot)
         assert restored.snapshot() == snapshot
         assert plain(restored.snapshot()) == plain(snapshot)
+
+
+def _row_built_seeds(system):
+    """The seed patches the per-vertex loop built: each shard's residents
+    as ``{v: (value, neighbours, False)}`` rows in graph order, packed
+    shard by shard, the start placement as every patch's broadcast."""
+    graph, state = system.graph, system.state
+    rows = {sid: {} for sid in range(system.config.num_workers)}
+    for v in graph.vertices():
+        rows[state.partition_of(v)][v] = (
+            system.values[v], tuple(graph.neighbors(v)), False
+        )
+    placed = ([], [])
+    if system.config.adaptive:
+        placed = tuple(map(list, zip(*state.assignment_items()))) or placed
+    return {
+        sid: PatchColumns.pack(
+            list(upserts), *(list(zip(*upserts.values())) or [(), (), ()]),
+            [], placed, *system._store_gate,
+        )
+        for sid, upserts in rows.items()
+    }
+
+
+SEED_PROGRAMS = {
+    "pagerank": PageRank,
+    "fem": partial(CombinedCardiacFemSimulation, stimulus_vertices={0}),
+    "cliques": MaximalCliqueFinder,
+}
+
+
+@pytest.mark.parametrize("executor", ["inline", "socket"])
+@pytest.mark.parametrize("name", sorted(SEED_PROGRAMS))
+@pytest.mark.parametrize("ids", ["ints", "labels", "mixed"])
+def test_column_built_seeds_equal_the_row_built_ones(
+    executor, name, ids, socket_pool
+):
+    """Right after construction every shard holds exactly what the
+    row-built seed gives a fresh shard: typed (PageRank), ``(n, 2)``
+    records (FEM), kernel-less dict shards (cliques), the listed plane on
+    label ids and, with one label vertex on a non-adaptive run (no
+    placement broadcast), typed and listed shards side by side."""
+    graph = mesh_3d(3)
+    if ids == "labels":
+        graph = Graph(edges=[(f"v{u}", f"v{w}") for u, w in graph.edges()])
+    if ids == "mixed":
+        graph.add_edge("grow:1", 0)
+    program = SEED_PROGRAMS[name]()
+    config = PregelConfig(
+        num_workers=3, seed=2, quiet_window=5, adaptive=ids != "mixed"
+    )
+    if executor == "socket":
+        executor = SocketExecutor(socket_pool.addresses)
+    with Coordinator(graph, program, config, executor=executor) as system:
+        snapshots = system.executor.snapshot()
+        seeds = _row_built_seeds(system)
+    assert sorted(snapshots) == sorted(seeds)
+    regimes = {seed.typed for seed in seeds.values()}
+    if name == "cliques" or ids == "labels":  # cliques has no kernel
+        assert regimes == {False}
+    else:
+        assert regimes == {True} if ids == "ints" else {True, False}
+    heuristic = config.heuristic if config.adaptive else None
+    for sid, seed in seeds.items():
+        fresh = Shard(sid, program, program.combiner(), True, heuristic)
+        fresh.apply_patch(seed)
+        assert snapshots[sid] == fresh.snapshot()
+        assert plain(snapshots[sid]) == plain(fresh.snapshot())
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,11 @@ byte counters the wire benchmark reads actually meter the traffic.
 import os
 import re
 import socket as socketlib
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -318,7 +320,9 @@ def test_undecodable_reply_does_not_desync_the_reply_protocol():
     # _gather as a WireError before worker 1's reply was read, leaving it
     # queued for the next command to misread as its own answer.
     ok = wire.dumps(("ok", None))
-    garbage = b"\x01\xff"  # codec byte, then a tag nothing defines
+    # A sealed body (codec byte, CRC32) holding a tag nothing defines.
+    garbage = bytes([wire.CODEC_BINARY]) + struct.pack("<I", zlib.crc32(b"\xff"))
+    garbage += b"\xff"
     peers = [
         _ScriptedPeer(
             [ok, garbage, wire.dumps(("ok", {0: "snapshot-0"})), ok]

@@ -11,6 +11,7 @@ Three contracts:
 * **Framing** — ``[u32 length][payload]`` with exact reads; a peer closing
   *between* frames is :class:`EOFError` (the departed-worker signal), a
   close mid-frame or an oversized length prefix is :class:`WireError`.
+  The payload carries a CRC32 of its body, so a flipped bit never decodes.
 * **Combining** — :func:`~repro.cluster.wire.combine_inbox` folds mailboxes
   with the program's combiner *without changing modelled cost*:
   :class:`~repro.cluster.wire.CombinedMessages` iterates as one message but
@@ -25,8 +26,11 @@ Three contracts:
 
 import math
 import pickle
+import random
 import socket
+import struct
 import tracemalloc
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -51,11 +55,20 @@ except ImportError:  # pragma: no cover - the numpy-free CI leg
 
 #: The two ways a value crosses the wire: under its own codec tag, or
 #: pickled inside an object the codec has no tag for — the ``_TAG_PICKLE``
-#: fallback, the only way arbitrary program values cross.  The second leg
-#: is named for the PROTO opcode that opens every pickle it carries.
-TAGGED = CODEC_BINARY
+#: fallback, the only way arbitrary program values cross.  The first leg
+#: keeps the number of the first tagged codec byte, so test ids do not move
+#: with the codec version; the second is named for the PROTO opcode that
+#: opens every pickle it carries.
+TAGGED = 1
 PICKLED = pickle.PROTO[0]
 PATHS = [TAGGED, PICKLED]
+
+
+def sealed(body):
+    """The frame payload :func:`wire.dumps` would wrap around ``body``:
+    codec byte, the body's CRC32, the body — so a hand-made body reaches
+    the decoder rather than failing its checksum."""
+    return bytes([CODEC_BINARY]) + struct.pack("<I", zlib.crc32(body)) + body
 
 
 class Opaque:
@@ -74,8 +87,9 @@ def patch(upserts=None, removes=(), placement_delta=(), dtype=None, width=1):
         [vertex for vertex, _ in placement_delta],
         [-1 if pid is None else pid for _, pid in placement_delta],
     )
+    rows = list(zip(*(upserts or {}).values())) or [(), (), ()]
     return PatchColumns.pack(
-        upserts or {}, list(removes), placed,
+        list(upserts or {}), *rows, list(removes), placed,
         None if dtype is None else numpy.dtype(dtype), width,
     )
 
@@ -217,7 +231,7 @@ def test_scattered_columns_stay_plain_packed():
 def test_empty_delta_int_array_is_a_wire_error():
     # A corrupt frame claiming a delta-encoded column with zero entries
     # must fail loudly, not read a negative payload length.
-    frame = bytes([wire.CODEC_BINARY, 0x0B, 0x00, 0x41, 0x00])
+    frame = sealed(bytes([0x0B, 0x00, 0x41, 0x00]))
     with pytest.raises(WireError, match="delta"):
         wire.loads(frame)
 
@@ -282,7 +296,7 @@ def test_protocol_records_roundtrip():
         # A struct tag of its own, never the pickle fallback; each
         # capacity crosses as the type it is.
         frame = wire.dumps(context)
-        assert frame[1] == wire._TAG_CONTEXT
+        assert frame[wire._BODY] == wire._TAG_CONTEXT
         assert len(frame) < len(pickle.dumps(context))
         got = wire.loads(frame).remaining
         assert list(map(type, got)) == list(map(type, context.remaining))
@@ -304,7 +318,7 @@ def test_arbitrary_values_fall_back_to_pickle():
         frozenset({1}),
     ]
     for value in values:
-        assert wire.dumps(value)[1] == wire._TAG_PICKLE
+        assert wire.dumps(value)[wire._BODY] == wire._TAG_PICKLE
         assert_same(roundtrip(value), value)
 
 
@@ -320,7 +334,7 @@ def test_ndarray_roundtrip():
         numpy.array([{"k": 1}, None], dtype=object),
     ]
     for want in arrays:
-        assert wire.dumps(want)[1] == wire._TAG_PICKLE
+        assert wire.dumps(want)[wire._BODY] == wire._TAG_PICKLE
         got = roundtrip(want)
         assert isinstance(got, numpy.ndarray)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -406,7 +420,7 @@ def test_folded_inbox_with_single_message_mailboxes_stays_packed():
     )
     assert {type(box) for box in inbox.values()} == {list, CombinedMessages}
     payload = wire.dumps(inbox)
-    assert payload[1] == 0x0F  # _TAG_COMBINED_NUM_DICT
+    assert payload[wire._BODY] == 0x0F  # _TAG_COMBINED_NUM_DICT
     # A one-byte id gap, a one-byte count and the f64 per mailbox.
     assert len(payload) < 400 * 10 + 32
     got = wire.loads(payload)
@@ -419,7 +433,7 @@ def test_folded_inbox_with_single_message_mailboxes_stays_packed():
     # original keeps to the generic encoding — and its type.
     odd = {1: CombinedMessages((0.5,), 1), 2: [0.25]}
     payload = wire.dumps(odd)
-    assert payload[1] == 0x09  # _TAG_DICT
+    assert payload[wire._BODY] == 0x09  # _TAG_DICT
     got = wire.loads(payload)
     assert type(got[1]) is CombinedMessages and len(got[1]) == 1
     assert type(got[2]) is list and got == odd
@@ -438,7 +452,7 @@ def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
     # A listed patch crosses as its eight lists, type-exact.
     listed = patch(**literal)
     payload = wire.dumps(listed)
-    assert payload[1:3] == b"\x18\x04"  # _TAG_PATCH_COLUMNS, listed
+    assert payload[wire._BODY :][:2] == b"\x18\x04"  # _TAG_PATCH_COLUMNS, listed
     got = wire.loads(payload)
     assert_same(got, listed)
     assert not got.typed and got.ids == list(upserts)
@@ -457,7 +471,7 @@ def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
         # the very same Python objects.
         columns = patch(**literal, dtype="float64")
         payload = wire.dumps(columns)
-        assert payload[1:3] == b"\x18\x00"  # typed, scalar float64
+        assert payload[wire._BODY :][:2] == b"\x18\x00"  # typed, scalar float64
         assert len(payload) < len(wire.dumps(listed))
         got = wire.loads(payload)
         assert_same(got, columns)
@@ -484,145 +498,146 @@ def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
 _EMPTY = b"\x07\x00"  # an empty generic list
 
 MALFORMED = {
-    "str is not utf-8": bytes([CODEC_BINARY, 0x05, 2, 0xFF, 0xFE]),
-    "pickle does not unpickle": bytes([CODEC_BINARY, 0x16, 3]) + b"abc",
-    "dict key is unhashable": bytes([CODEC_BINARY, 0x09, 1, 0x07, 0, 0]),
+    "str is not utf-8": bytes([0x05, 2, 0xFF, 0xFE]),
+    "pickle does not unpickle": bytes([0x16, 3]) + b"abc",
+    "dict key is unhashable": bytes([0x09, 1, 0x07, 0, 0]),
     "nesting beyond the recursion limit": (
-        bytes([CODEC_BINARY]) + bytes([0x07, 1]) * 20_000
+        bytes([0x07, 1]) * 20_000
     ),
     # keys [1, 2] but one float: zip() used to answer {1: 0.0}
     "num dict columns disagree": (
-        b"\x01\x0d\x01\x02\x01\x02\x01" + bytes(8)
+        b"\x0d\x01\x02\x01\x02\x01" + bytes(8)
     ),
     "folded inbox columns disagree": (
-        b"\x01\x0f\x01\x02\x01\x02\x01\x01\x03\x02" + bytes(16)
+        b"\x0f\x01\x02\x01\x02\x01\x01\x03\x02" + bytes(16)
     ),
-    "int rows are ragged": b"\x01\x10\x02\x00\x01\x02\x01\x02\x01\x01\x05",
-    "int rows without columns": b"\x01\x10\x00\x00",
+    "int rows are ragged": b"\x10\x02\x00\x01\x02\x01\x02\x01\x01\x05",
+    "int rows without columns": b"\x10\x00\x00",
     # arity 2, bool mask 0b100: a bool column past the last one
     "int rows mark a bool past their arity": (
-        b"\x01\x10\x02\x04\x01\x01\x05\x01\x01\x06"
+        b"\x10\x02\x04\x01\x01\x05\x01\x01\x06"
     ),
     # [tag][container][column]: container 0 is a list, 1 a tuple, no more
-    "int sequence container unknown": b"\x01\x0b\x02\x01\x01\x05",
-    "float sequence container unknown": b"\x01\x0c\x02\x01" + bytes(8),
+    "int sequence container unknown": b"\x0b\x02\x01\x01\x05",
+    "float sequence container unknown": b"\x0c\x02\x01" + bytes(8),
     "outbox columns disagree": (
-        b"\x01\x11\x02\x01\x02\x00\x00\x01\x01\x05\x02" + bytes(16)
+        b"\x11\x02\x01\x02\x00\x00\x01\x01\x05\x02" + bytes(16)
     ),
     # PatchColumns: one id, degree 3, but a single neighbour
     "upsert degrees disagree with the neighbours": (
-        b"\x01\x18\x00\x01\x01\x05\x01\x01\x03\x01\x01\x09\x01\x01\x00"
+        b"\x18\x00\x01\x01\x05\x01\x01\x03\x01\x01\x09\x01\x01\x00"
         b"\x01\x00\x01\x00\x01\x00" + bytes(8)
     ),
     # ... two ids but one halted flag
     "patch columns disagree in length": (
-        b"\x01\x18\x00\x01\x02\x05\x06\x01\x02\x00\x00\x01\x00\x01\x01\x00"
+        b"\x18\x00\x01\x02\x05\x06\x01\x02\x00\x00\x01\x00\x01\x01\x00"
         b"\x01\x00\x01\x00\x01\x00" + bytes(16)
     ),
-    "patch columns with unknown flags": b"\x01\x18\x07",
+    "patch columns with unknown flags": b"\x18\x07",
     # The record-width field of both column tags: [tag][flags][width]...
     # One row (id 5) and, where it gets that far, a 16-byte buffer.
-    "message columns zero wide": b"\x01\x17\x04\x00\x01\x01\x05" + bytes(16),
-    "message columns one wide": b"\x01\x17\x04\x01\x01\x01\x05" + bytes(8),
+    "message columns zero wide": b"\x17\x04\x00\x01\x01\x05" + bytes(16),
+    "message columns one wide": b"\x17\x04\x01\x01\x01\x05" + bytes(8),
     "message columns wider than their buffer": (
-        b"\x01\x17\x04\x03\x01\x01\x05" + bytes(16)
+        b"\x17\x04\x03\x01\x01\x05" + bytes(16)
     ),
     "message columns width overflowing the frame": (
-        b"\x01\x17\x04\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x01\x05"
+        b"\x17\x04\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x01\x05"
         + bytes(16)
     ),
-    "message columns width truncated": b"\x01\x17\x04\x82",
+    "message columns width truncated": b"\x17\x04\x82",
     "message columns of int64 records": (
-        b"\x01\x17\x06\x02\x01\x01\x05" + bytes(16)
+        b"\x17\x06\x02\x01\x01\x05" + bytes(16)
     ),
-    "message columns with unknown flags": b"\x01\x17\x08",
+    "message columns with unknown flags": b"\x17\x08",
     "patch columns zero wide": (
-        b"\x01\x18\x02\x00\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
+        b"\x18\x02\x00\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
         b"\x01\x00\x01\x00\x01\x00" + bytes(16)
     ),
     "patch columns wider than their buffer": (
-        b"\x01\x18\x02\x03\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
+        b"\x18\x02\x03\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
         b"\x01\x00\x01\x00\x01\x00" + bytes(16)
     ),
     "patch columns width overflowing the frame": (
-        b"\x01\x18\x02\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x01\x05"
+        b"\x18\x02\xff\xff\xff\xff\xff\xff\xff\xff\x7f\x01\x01\x05"
         b"\x01\x01\x00\x01\x00\x01\x01\x00\x01\x00\x01\x00\x01\x00"
         + bytes(16)
     ),
-    "patch columns width truncated": b"\x01\x18\x02",
+    "patch columns width truncated": b"\x18\x02",
     # The listed regime: [tag][flags = 4][eight generic lists].
-    "patch columns flags mix listed and typed": b"\x01\x18\x05" + _EMPTY * 8,
-    "listed patch truncated": b"\x01\x18\x04" + _EMPTY * 7,
+    "patch columns flags mix listed and typed": b"\x18\x05" + _EMPTY * 8,
+    "listed patch truncated": b"\x18\x04" + _EMPTY * 7,
     "listed patch column is not a list": (
-        b"\x01\x18\x04" + _EMPTY * 7 + b"\x03\x00"
+        b"\x18\x04" + _EMPTY * 7 + b"\x03\x00"
     ),
     "listed patch column is a tuple": (
-        b"\x01\x18\x04" + b"\x08\x00" + _EMPTY * 7
+        b"\x18\x04" + b"\x08\x00" + _EMPTY * 7
     ),
     # ... one id, nothing else
     "listed patch columns disagree in length": (
-        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05" + _EMPTY * 7
+        b"\x18\x04" + b"\x0b\x00\x01\x01\x05" + _EMPTY * 7
     ),
     # ... one whole row, but its degree is a float
     "listed patch degrees are not ints": (
-        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05"
+        b"\x18\x04" + b"\x0b\x00\x01\x01\x05"
         + (b"\x0c\x00\x01" + bytes(8)) * 2 + _EMPTY + b"\x07\x01\x02"
         + _EMPTY * 3
     ),
     # ... degree 1 without a neighbour
     "listed patch degrees disagree with the neighbours": (
-        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05"
+        b"\x18\x04" + b"\x0b\x00\x01\x01\x05"
         + b"\x0c\x00\x01" + bytes(8) + b"\x0b\x00\x01\x01\x01" + _EMPTY
         + b"\x07\x01\x02" + _EMPTY * 3
     ),
     # Retired tags are never reassigned: each is an unknown tag, framed
     # as its last sender framed it.
-    "retired dict patch tag": b"\x01\x14" + b"\x09\x00" + _EMPTY * 2,
-    "retired bytes tag": b"\x01\x06\x03abc",
-    "retired set tag": b"\x01\x0a\x01\x03\x02",
-    "retired ndarray tag": b"\x01\x12\x03<f8\x01\x01\x08" + bytes(8),
+    "retired dict patch tag": b"\x14" + b"\x09\x00" + _EMPTY * 2,
+    "retired bytes tag": b"\x06\x03abc",
+    "retired set tag": b"\x0a\x01\x03\x02",
+    "retired ndarray tag": b"\x12\x03<f8\x01\x01\x08" + bytes(8),
 }
 
 
 def test_the_listed_cases_are_one_field_off_a_valid_frame():
     """... and the retired tag is reported as what it now is: unknown."""
-    got = wire.loads(
-        b"\x01\x18\x04" + b"\x0b\x00\x01\x01\x05"
+    got = wire.loads(sealed(
+        b"\x18\x04" + b"\x0b\x00\x01\x01\x05"
         + b"\x0c\x00\x01" + bytes(8) + b"\x0b\x00\x01\x01\x00" + _EMPTY
         + b"\x07\x01\x02" + _EMPTY * 3
-    )
+    ))
     assert got == patch({5: (0.0, (), False)}) and not got.typed
-    assert wire.loads(b"\x01\x18\x04" + _EMPTY * 8) == patch()
+    assert wire.loads(sealed(b"\x18\x04" + _EMPTY * 8)) == patch()
     with pytest.raises(WireError, match="unknown wire tag 0x14"):
-        wire.loads(MALFORMED["retired dict patch tag"])
+        wire.loads(sealed(MALFORMED["retired dict patch tag"]))
 
 
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")
 def test_the_malformed_width_cases_are_one_field_off_a_valid_frame():
     """The width cases above fail on the width, not on a typo elsewhere:
     the same frames with width 2 decode."""
-    columns = wire.loads(b"\x01\x17\x04\x02\x01\x01\x05" + bytes(16))
+    columns = wire.loads(sealed(b"\x17\x04\x02\x01\x01\x05" + bytes(16)))
     assert columns.payloads.shape == (1, 2) and columns.targets.tolist() == [5]
-    patch = wire.loads(
-        b"\x01\x18\x02\x02\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
+    patch = wire.loads(sealed(
+        b"\x18\x02\x02\x01\x01\x05\x01\x01\x00\x01\x00\x01\x01\x00"
         b"\x01\x00\x01\x00\x01\x00" + bytes(16)
-    )
+    ))
     assert patch.values.shape == (1, 2) and patch.ids.tolist() == [5]
 
 
-#: Width-1 frames as the commit before record columns wrote them: a scalar
-#: program's columns must cost exactly the bytes they always did.
+#: Width-1 frame bodies as the commit before record columns wrote them: a
+#: scalar program's columns must cost exactly the bytes they always did
+#: (the frame adds only the codec byte and the body's CRC32).
 SCALAR_FRAMES = {
     "folded inbox": (
-        "0117014104e0c508030105000000000000d03f000000000000f8bf"
+        "17014104e0c508030105000000000000d03f000000000000f8bf"
         "0000000000000840fca9f1d24d62503f010401030201"
     ),
     "int64 outbox": (
-        "0117024104f2c508fbfffd0700000000000000feffffffffffffff"
+        "17024104f2c508fbfffd0700000000000000feffffffffffffff"
         "00000000000100000000000000000000"
     ),
     "patch": (
-        "0118000102080201020200010207090102010001010101020802010203ff"
+        "18000102080201020200010207090102010001010101020802010203ff"
         "000000000000e03f0000000000000080"
     ),
 }
@@ -648,14 +663,15 @@ def test_scalar_column_frames_are_byte_identical_to_the_pinned_ones():
         ),
     }
     for name, record in frames.items():
-        assert wire.dumps(record).hex() == SCALAR_FRAMES[name], name
-        assert_same(wire.loads(bytes.fromhex(SCALAR_FRAMES[name])), record)
+        frame = sealed(bytes.fromhex(SCALAR_FRAMES[name]))
+        assert wire.dumps(record) == frame, name
+        assert_same(wire.loads(frame), record)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_payloads_raise_wire_error_only(name):
     with pytest.raises(WireError):
-        wire.loads(MALFORMED[name])
+        wire.loads(sealed(MALFORMED[name]))
 
 
 class _PickleSpy:
@@ -697,7 +713,7 @@ def _loads_or_wire_error(payload):
 @given(body=st.binary(max_size=256))
 @settings(max_examples=400, deadline=5000, derandomize=True)
 def test_fuzz_arbitrary_bytes(body):
-    _loads_or_wire_error(bytes([CODEC_BINARY]) + body)
+    _loads_or_wire_error(sealed(body))
 
 
 PATCH_CASES = {
@@ -820,13 +836,19 @@ def test_real_frames_decode(monkeypatch):
 @given(data=st.data())
 @settings(max_examples=600, deadline=5000, derandomize=True)
 def test_fuzz_mutated_and_truncated_real_frames(data):
-    frame = data.draw(st.sampled_from(REAL_FRAMES))
-    at = data.draw(st.integers(1, len(frame) - 1))
+    _fuzz_body(data, data.draw(st.sampled_from(REAL_FRAMES)))
+
+
+def _fuzz_body(data, frame):
+    """Truncate or overwrite one byte of ``frame``'s body, then reseal it:
+    the checksum would catch either, so the decoder gets the bytes."""
+    body = frame[wire._BODY:]
+    at = data.draw(st.integers(0, len(body) - 1))
     if data.draw(st.booleans()):
-        _loads_or_wire_error(frame[:at])  # truncation
+        _loads_or_wire_error(sealed(body[:at]))  # truncation
     else:
         byte = data.draw(st.integers(0, 255))
-        _loads_or_wire_error(frame[:at] + bytes([byte]) + frame[at + 1:])
+        _loads_or_wire_error(sealed(body[:at] + bytes([byte]) + body[at + 1:]))
 
 
 @pytest.mark.skipif(numpy is None, reason="numpy not installed")
@@ -867,14 +889,14 @@ def test_listed_patch_columns_roundtrip(name):
         for column, want in zip(vars(got).values(), vars(listed).values()):
             assert type(column) is list
             assert list(map(type, column)) == list(map(type, want))
-    frame = wire.dumps(listed)
-    for at in range(1, len(frame)):  # every truncation, only WireError
+    body = wire.dumps(listed)[wire._BODY:]
+    for at in range(len(body)):  # every truncation, only WireError
         with pytest.raises(WireError):
-            wire.loads(frame[:at])
+            wire.loads(sealed(body[:at]))
 
 
 def test_a_typed_patch_frame_needs_numpy_and_says_so(monkeypatch):
-    frame = bytes.fromhex(SCALAR_FRAMES["patch"])
+    frame = sealed(bytes.fromhex(SCALAR_FRAMES["patch"]))
     monkeypatch.setattr(wire, "_np", None)
     with pytest.raises(WireError, match="typed patch columns but numpy"):
         wire.loads(frame)
@@ -909,8 +931,9 @@ def test_patch_columns_reject_what_the_gate_excludes():
     first = patch({1: (0.5, (), False)}, placement_delta=[(1, 0)], dtype="float64")
     shared = first.placed_ids, first.placed_pids
     float64 = numpy.dtype("float64")
-    assert PatchColumns.pack({}, [], shared, float64).placed_ids is shared[0]
-    assert PatchColumns.pack({}, ["gone"], shared, float64).placed_ids == [1]
+    none = ([], [], [], [])
+    assert PatchColumns.pack(*none, [], shared, float64).placed_ids is shared[0]
+    assert PatchColumns.pack(*none, ["gone"], shared, float64).placed_ids == [1]
     with pytest.raises(ValueError, match="upsert columns"):  # int64 records
         PatchColumns(
             numpy.zeros(1, dtype=numpy.int64),
@@ -940,18 +963,39 @@ def test_fuzz_truncated_and_corrupted_patch_columns(data):
         frames.append(wire.dumps(patch(**PATCH_CASES[name])))
         if numpy is not None:
             frames.append(wire.dumps(_case_columns(name)))
-    frame = data.draw(st.sampled_from(frames))
-    at = data.draw(st.integers(1, len(frame) - 1))
-    if data.draw(st.booleans()):
-        _loads_or_wire_error(frame[:at])
-    else:
-        byte = data.draw(st.integers(0, 255))
-        _loads_or_wire_error(frame[:at] + bytes([byte]) + frame[at + 1:])
+    _fuzz_body(data, data.draw(st.sampled_from(frames)))
 
 
 # ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
+
+
+def test_single_bit_flips_never_decode():
+    """The flip census: 2 000 single-bit flips anywhere in each payload
+    (codec byte, checksum or body) all end in ``WireError``."""
+    rng = random.Random(0)
+    values = {
+        "float list": [rng.random() for _ in range(64)],
+        "int list": [rng.randrange(1 << 40) for _ in range(64)],
+        "int -> float": {rng.randrange(1 << 20): rng.random() for _ in range(64)},
+        "k = 8 decision context": DecisionContext(
+            12, tuple(rng.randrange(7000) for _ in range(8)), 0.5, 1 << 62, 12
+        ),
+    }
+    for name, value in values.items():
+        frame = bytearray(wire.dumps(value))
+        silent = 0
+        for _ in range(2000):
+            bit = rng.randrange(8 * len(frame))
+            frame[bit // 8] ^= 1 << bit % 8
+            try:
+                wire.loads(bytes(frame))
+                silent += 1
+            except WireError:
+                pass
+            frame[bit // 8] ^= 1 << bit % 8
+        assert silent == 0, name
 
 
 def test_unknown_codec_byte_is_rejected():
@@ -965,8 +1009,12 @@ def test_unknown_codec_byte_is_rejected():
 
 def test_truncated_binary_payload_is_a_wire_error():
     payload = wire.dumps({0: [0.5, 0.25], 1: [1.0]})
-    with pytest.raises(WireError, match="truncated"):
+    with pytest.raises(WireError, match="CRC32"):
         wire.loads(payload[: len(payload) - 3])
+    with pytest.raises(WireError, match="truncated"):
+        wire.loads(sealed(payload[wire._BODY : len(payload) - 3]))
+    with pytest.raises(WireError, match="CRC32"):  # a cut header too
+        wire.loads(payload[:3])
 
 
 def socket_pair():
