@@ -6,19 +6,16 @@ Two experiments:
 * **Paired clusters** (§5 methodology): every catalog scenario replays twice
   against the *identical* event stream — adaptive vs static hash — and the
   adaptive side must end with a cut ratio no worse than static's.
-* **Incremental metrics**: a 50k-vertex rolling-window churn run timed under
-  ``metrics="incremental"`` (deltas per event/move) vs ``metrics="recompute"``
-  (full cut/size/load recomputation every round, the pre-scenario behaviour
-  kept as the debug cross-check).  Timelines are asserted identical; the
-  speedup must clear ≥2× at full scale (the ISSUE acceptance bar).
+* **Incremental metrics**: a 50k-vertex rolling-window churn scenario
+  replayed plainly (deltas per event/move) vs with ``audit=True`` (the
+  graph check and a full cut/size/load recount after every round, the
+  per-round cost the incremental engine avoids).  Timelines are asserted
+  identical; the audited replay must take ≥2× as long at full scale.
 """
 
 import time
 
 from repro.analysis import format_table
-from repro.core import AdaptiveConfig, AdaptiveRunner, VertexBalance
-from repro.graph.stream import batch_by_time
-from repro.partitioning import HashPartitioner, balanced_capacities
 from repro.scenarios import (
     SCENARIOS,
     ChurnSpec,
@@ -102,60 +99,27 @@ def test_scenario_paired_clusters(run_once, capsys):
         ), row
 
 
-def _timed_churn(metrics):
-    """One rolling-window churn run; returns (churn_seconds, rounds, runner).
-
-    Graph build, initial partition, settle and stream generation stay
-    outside the timer: they are identical under both metrics modes, and the
-    claim under test is about the per-round cost of the churn loop.
-    """
-    scenario = ROLLING_SCENARIO
-    graph = scenario.build_graph()
-    caps = balanced_capacities(
-        graph.num_vertices, scenario.num_partitions, scenario.slack
-    )
-    state = HashPartitioner().partition(
-        graph, scenario.num_partitions, list(caps)
-    )
-    runner = AdaptiveRunner(
-        graph,
-        state,
-        AdaptiveConfig(
-            willingness=scenario.willingness,
-            quiet_window=scenario.quiet_window,
-            seed=scenario.seed,
-            balance=VertexBalance(slack=scenario.slack),
-            metrics=metrics,
-        ),
-    )
-    runner.run_until_convergence(max_iterations=scenario.settle_iterations)
-    stream = scenario.build_stream(graph)
-    rounds = 0
+def _timed_play(audit):
+    """One whole rolling-window replay; returns (seconds, result).  Build,
+    settle and stream generation are timed on both legs alike."""
     start = time.perf_counter()
-    for _, events in batch_by_time(stream, scenario.window):
-        runner.apply_events(events)
-        for _ in range(scenario.steps_per_round):
-            runner.step()
-        rounds += 1
-    elapsed = time.perf_counter() - start
-    return elapsed, rounds, runner
+    result = play_scenario(ROLLING_SCENARIO, audit=audit)
+    return time.perf_counter() - start, result
 
 
 def _speedup_experiment():
-    incremental_s, rounds, inc_runner = _timed_churn("incremental")
-    recompute_s, _, rec_runner = _timed_churn("recompute")
-    # The modes must be observationally identical — recompute only audits.
-    assert list(inc_runner.timeline) == list(rec_runner.timeline), (
-        "metrics modes diverged"
-    )
+    plain_s, plain = _timed_play(audit=False)
+    audited_s, audited = _timed_play(audit=True)
+    # Auditing only reads: the two replays must be observationally identical.
+    assert plain.digest() == audited.digest(), "audited replay diverged"
     return {
         "vertices": ROLLING_VERTICES,
-        "edges": inc_runner.graph.num_edges,
-        "rounds": rounds,
-        "incremental_s": incremental_s,
-        "recompute_s": recompute_s,
-        "speedup": recompute_s / incremental_s,
-        "final_cut_ratio": inc_runner.state.cut_ratio(),
+        "edges": plain.rounds[-1].num_edges,
+        "rounds": len(plain),
+        "plain_s": plain_s,
+        "audited_s": audited_s,
+        "speedup": audited_s / plain_s,
+        "final_cut_ratio": plain.final_cut_ratio(),
     }
 
 
@@ -166,15 +130,15 @@ def test_incremental_metrics_speedup(run_once, capsys):
         print()
         print(
             format_table(
-                ["|V|", "|E|", "rounds", "incremental s", "recompute s",
+                ["|V|", "|E|", "rounds", "plain s", "audited s",
                  "speedup"],
                 [[results["vertices"], results["edges"], results["rounds"],
-                  f"{results['incremental_s']:.3f}",
-                  f"{results['recompute_s']:.3f}",
+                  f"{results['plain_s']:.3f}",
+                  f"{results['audited_s']:.3f}",
                   f"{results['speedup']:.2f}"]],
                 title=(
-                    "Rolling-window churn: incremental metrics vs per-round "
-                    "full recompute (identical timelines)"
+                    "Rolling-window churn: incremental metrics vs an audit "
+                    "(full recount) every round (identical timelines)"
                 ),
             )
         )

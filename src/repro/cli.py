@@ -73,8 +73,10 @@ def build_parser():
     w.add_argument("--iterations-per-frame", type=int, default=10)
     w.add_argument("--seed", type=int, default=0)
 
+    # No prefix matching: the retired --metrics must not parse as --metrics-json.
     sc = sub.add_parser(
-        "scenario", help="replay a named dynamic scenario round by round"
+        "scenario", help="replay a named dynamic scenario round by round",
+        allow_abbrev=False,
     )
     sc.add_argument("name", nargs="?", help="catalog name (see --list)")
     sc.add_argument("--list", action="store_true", dest="list_scenarios",
@@ -98,9 +100,8 @@ def build_parser():
                     "between capacity resyncs (default 0 = strict BSP)")
     sc.add_argument("--static", action="store_true",
                     help="no adaptation: the paper's static-hash paired cluster")
-    sc.add_argument("--metrics", default="incremental",
-                    choices=["incremental", "recompute"],
-                    help="recompute = per-round full-recompute cross-check")
+    sc.add_argument("--audit", action="store_true",
+                    help="run every invariant check after each round")
     sc.add_argument("--seed", type=int, default=None,
                     help="override the scenario's seed")
     sc.add_argument("--max-rounds", type=int, default=None)
@@ -272,7 +273,7 @@ def _cmd_scenario(args, out):
         result = play_scenario(
             scenario,
             adaptive=not args.static,
-            metrics=args.metrics,
+            audit=args.audit,
             max_rounds=args.max_rounds,
             engine=args.engine,
             executor=executor,

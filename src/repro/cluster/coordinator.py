@@ -420,7 +420,7 @@ class Coordinator(PregelSystem):
         }
 
     # ------------------------------------------------------------------
-    # Debug / test support
+    # Invariant checks
     # ------------------------------------------------------------------
 
     def shard_consistency_check(self):
@@ -494,6 +494,11 @@ class Coordinator(PregelSystem):
                     f"partition {placement(vertex)}"
                 )
         return True
+
+    def audit(self):
+        """:meth:`PregelSystem.audit`, then :meth:`shard_consistency_check`."""
+        super().audit()
+        self.shard_consistency_check()
 
 
 def _by_shard(sids, num_workers):

@@ -402,7 +402,7 @@ def _encode_int_rows(rows: Any, out: bytearray) -> bool:
     arities = set(map(len, rows))
     if len(arities) != 1 or 0 in arities:
         return False
-    columns = list(zip(*rows))
+    columns = [[row[i] for row in rows] for i in range(len(rows[0]))]
     bools = 0
     for position, column in enumerate(columns):
         kinds = set(map(type, column))

@@ -16,9 +16,9 @@ most of its time re-summing unchanged loads.
   policies such as :class:`~repro.core.balance.EdgeBalance` — the touched
   endpoints/neighbours, O(deg) worst case;
 * :meth:`rebuild` is the O(|V|) from-scratch path, and :meth:`cross_check`
-  recomputes everything (loads, sizes, cut) and raises on drift — the debug
-  mode ``metrics="recompute"`` runs it every round, which is also the
-  baseline the scenario benchmark measures the incremental engine against.
+  recounts everything (loads, sizes, cut) and raises on drift without
+  touching the maintained values — each engine's ``audit()`` runs it, and
+  ``play_scenario(audit=True)`` does so after every round.
 
 Loads under the shipped policies are integer-valued floats (vertex counts or
 degrees), so delta maintenance is bit-exact; :meth:`cross_check` still
@@ -39,7 +39,7 @@ class IncrementalMetrics:
 
     Bound to a graph, a :class:`PartitionState` and a balance policy.  The
     owner must report every change through the hooks below; ``rebuild()``
-    resets from scratch when the owner cannot (initialisation, debug mode).
+    resets from scratch when the owner cannot (initialisation).
     """
 
     def __init__(self, graph, state, balance):
@@ -68,12 +68,15 @@ class IncrementalMetrics:
 
     def rebuild(self):
         """From-scratch O(|V|) recompute of the load vector."""
+        self._loads = self._recount()
+
+    def _recount(self):
         balance = self.balance
         graph = self.graph
         loads = [0.0] * self.state.num_partitions
         for v, pid in self.state.assignment_items():
             loads[pid] += balance.load_of(graph, v)
-        self._loads = loads
+        return loads
 
     @property
     def loads(self):
@@ -193,22 +196,19 @@ class IncrementalMetrics:
                     loads[current] += balance.load_of(graph, w)
 
     # ------------------------------------------------------------------
-    # Debug cross-check
+    # Cross-check
     # ------------------------------------------------------------------
 
     def cross_check(self):
-        """Recompute every maintained metric from scratch; raise on drift.
+        """Recount every maintained metric from scratch; raise on drift.
 
         Validates the partition state (sizes + cut count against a full
         recount) and compares the incremental load vector against a fresh
-        O(|V|) rebuild.  This is the whole body of ``metrics="recompute"``
-        mode — per-round full recomputation, kept as a debugging net and as
-        the benchmark baseline the incremental engine is measured against.
+        O(|V|) recount.  Read-only: a drifted vector is reported, never
+        repaired, so a caller that catches the error still sees it.
         """
         self.state.validate()
-        incremental = self._loads
-        self.rebuild()
-        for pid, (got, want) in enumerate(zip(incremental, self._loads)):
+        for pid, (got, want) in enumerate(zip(self._loads, self._recount())):
             if abs(got - want) > _REL_TOL * max(1.0, abs(got), abs(want)):
                 raise AssertionError(
                     f"load drift in partition {pid}: incremental {got!r}, "

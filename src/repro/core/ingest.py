@@ -52,8 +52,7 @@ pure, so batch placement commutes) and a degree-insensitive balance policy
 loop would abort mid-way (unknown event types, self-loop adds) — takes the
 per-event loop, which is also the oracle: the test tree clears
 ``_ingestor`` to pin the bulk path against it, alongside the golden
-timelines (bulk path and loop, both pinned) and the
-``metrics="recompute"`` cross-check.
+timelines (bulk path and loop, both pinned) and the engines' ``audit()``.
 """
 
 from itertools import compress as _compress

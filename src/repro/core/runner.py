@@ -14,8 +14,8 @@ which stepping resumes — the paper's "background algorithm" behaviour
 without the distributed machinery (that lives in :mod:`repro.pregel`).
 Cut, sizes and per-partition loads are maintained as deltas by
 :class:`~repro.core.incremental.IncrementalMetrics`, so long churn runs pay
-O(changes) per round, not O(|V|); ``metrics="recompute"`` re-derives
-everything from scratch each round as a debug cross-check.
+O(changes) per round, not O(|V|); :meth:`AdaptiveRunner.audit` recounts
+everything from scratch and raises on drift.
 
 An exact *active-set* optimisation keeps long converged phases cheap: the
 paper's greedy rule depends only on a vertex's neighbour locations, so a
@@ -68,13 +68,6 @@ class AdaptiveConfig:
     the convergence criterion (30); ``heuristic`` may be a name from
     :data:`repro.core.heuristic.HEURISTICS` or an instance; ``balance``
     is a :class:`~repro.core.balance.BalancePolicy`.
-
-    ``metrics`` selects the bookkeeping mode: ``"incremental"`` (default)
-    maintains loads/cut/sizes as deltas per admitted move and applied event;
-    ``"recompute"`` additionally recomputes everything from scratch every
-    round and raises on drift — the debug cross-check, and the baseline the
-    scenario benchmark measures the incremental engine against.  The two
-    modes produce bit-identical timelines (property-tested).
     """
 
     willingness: float = DEFAULT_WILLINGNESS
@@ -83,7 +76,6 @@ class AdaptiveConfig:
     heuristic: object = field(default_factory=GreedyMaxNeighbours)
     balance: object = field(default_factory=VertexBalance)
     placement: object = field(default_factory=HashPartitioner)
-    metrics: str = "incremental"
 
     def __post_init__(self):
         if not 0.0 <= self.willingness <= 1.0:
@@ -92,8 +84,6 @@ class AdaptiveConfig:
             self.heuristic = make_heuristic(self.heuristic)
         if not isinstance(self.heuristic, MigrationHeuristic):
             raise TypeError("heuristic must be a MigrationHeuristic or name")
-        if self.metrics not in ("incremental", "recompute"):
-            raise ValueError('metrics must be "incremental" or "recompute"')
 
 
 class AdaptiveRunner:
@@ -210,8 +200,6 @@ class AdaptiveRunner:
         )
         self.timeline.append(stats)
         self.detector.observe(stats.migrations)
-        if self.config.metrics == "recompute":
-            self.metrics.cross_check()
         return stats
 
     def _portable_round(self, candidates, remaining, quotas):
@@ -312,8 +300,7 @@ class AdaptiveRunner:
         active set and the convergence window resets.  Loads, sizes and the
         cut count are maintained as deltas per applied event (O(1) per event
         for degree-insensitive balance policies, O(deg) otherwise) — no full
-        recompute happens unless ``metrics="recompute"`` asks for the debug
-        cross-check.
+        recount happens unless :meth:`audit` is called.
 
         Where the batched path applies (see :mod:`repro.core.ingest`),
         runs of edge events are applied array-at-a-time with bit-identical
@@ -328,8 +315,6 @@ class AdaptiveRunner:
         if changed:
             self.detector.reset()
             self._refresh_capacities()
-            if self.config.metrics == "recompute":
-                self.metrics.cross_check()
         return changed
 
     # The ingest host contract (see repro.core.ingest); the runner keeps no
@@ -346,6 +331,12 @@ class AdaptiveRunner:
 
     def _edges_changed(self, us, vs, changed):
         """Ingest hook: one bulk edge run applied; ``changed`` flags it."""
+
+    def audit(self):
+        """Every invariant check, O(|V| + |E|): graph structure, then sizes,
+        cut and loads against a recount; a violation raises AssertionError."""
+        self.graph.validate()
+        self.metrics.cross_check()
 
 
 def run_to_convergence(graph, state, config=None, max_iterations=10000):

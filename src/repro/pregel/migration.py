@@ -183,7 +183,7 @@ class MigrationProtocol:
         ``apply(vertices, new_workers)`` call — the bulk placement flip."""
         announced = self._requested
         self._requested = []
-        vertices, olds, news = zip(*announced) if announced else ((),) * 3
+        vertices, olds, news = ([r[i] for r in announced] for i in range(3))
         apply(vertices, news)
         self._in_flight.update(zip(vertices, zip(olds, news)))
         if self._num_workers > 1:

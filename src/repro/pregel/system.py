@@ -75,7 +75,6 @@ class PregelConfig:
     seed: int = 0
     checkpoint_interval: int = 10
     quiet_window: int = 30
-    metrics: str = "incremental"
     snapshot_staleness: int = 0
 
     def __post_init__(self):
@@ -85,8 +84,6 @@ class PregelConfig:
             raise ValueError("willingness must be in [0, 1]")
         if isinstance(self.heuristic, str):
             self.heuristic = make_heuristic(self.heuristic)
-        if self.metrics not in ("incremental", "recompute"):
-            raise ValueError('metrics must be "incremental" or "recompute"')
         if not isinstance(self.snapshot_staleness, int) or (
             self.snapshot_staleness < 0
         ):
@@ -541,8 +538,6 @@ class PregelSystem:
             announced = self._announce_migrations()
         mutations = self._apply_pending_events()
         self._refresh_capacities()
-        if self.config.metrics == "recompute":
-            self.metrics.cross_check()  # per-superstep full-recompute audit
         if self._resync_next_superstep():
             # Relaxed synchrony: barriers whose snapshot will be reused skip
             # the metered capacity broadcast entirely (with staleness 0 this
@@ -596,6 +591,12 @@ class PregelSystem:
             if not self.config.continuous and all_halted and not self.router.has_pending():
                 break
         return reports
+
+    def audit(self):
+        """Every invariant check, O(|V| + |E|): graph structure, then sizes,
+        cut and loads against a recount; a violation raises AssertionError."""
+        self.graph.validate()
+        self.metrics.cross_check()
 
     @property
     def partitioning_converged(self):

@@ -17,9 +17,8 @@ first-class, regression-testable workloads:
 * :mod:`io` — user-defined scenario specs from JSON/TOML files;
 * :mod:`registry` — the named catalog (``repro scenario --list``).
 
-Timelines are bit-for-bit reproducible across decision paths and metrics
-modes;
-``tests/test_golden_timelines.py`` pins three of them as JSON fixtures.
+Timelines are bit-for-bit reproducible across decision paths, audited or
+not; ``tests/test_golden_timelines.py`` pins three of them as JSON fixtures.
 """
 
 from repro.scenarios.churn import CHURNS, make_churn

@@ -20,8 +20,8 @@ churn schedule:
   executors (the cluster golden suite pins it).
 
 Timelines are a pure function of ``(scenario, engine, adaptive[, program])``
-— decision path, metrics mode and executor provably do not matter (the
-golden suites pin the first two, the cross-executor suite the third).
+— decision path, auditing and executor provably do not matter (the golden
+suites pin the first two, the cross-executor suite the third).
 """
 
 from dataclasses import dataclass
@@ -194,7 +194,7 @@ def _batches(scenario, stream):
 def play_scenario(
     scenario,
     adaptive=True,
-    metrics="incremental",
+    audit=False,
     max_rounds=None,
     engine="adaptive",
     executor=None,
@@ -206,10 +206,10 @@ def play_scenario(
     """Run ``scenario`` end to end; returns a :class:`ScenarioResult`.
 
     ``adaptive=False`` replays the identical event sequence without any
-    migration activity (the static-hash paired cluster).  ``metrics``
-    forwards to the execution config — pass ``"recompute"`` to cross-check
-    every round against full recomputation.  ``max_rounds`` truncates long
-    streams (benchmarks use it; golden fixtures never do).
+    migration activity (the static-hash paired cluster).  ``audit=True``
+    runs the engine's ``audit()`` (every invariant check) after each round;
+    a violation raises its ``AssertionError``.  ``max_rounds`` truncates
+    long streams (benchmarks use it; golden fixtures never do).
 
     ``engine="pregel"`` replays the scenario through the sharded
     :class:`~repro.cluster.coordinator.Coordinator`; ``executor`` then
@@ -234,7 +234,7 @@ def play_scenario(
         raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if engine == "pregel":
         return _play_pregel(
-            scenario, adaptive, metrics, max_rounds, executor,
+            scenario, adaptive, audit, max_rounds, executor,
             program, staleness, trace, metrics_registry,
         )
     if trace is not None or metrics_registry is not None:
@@ -242,7 +242,7 @@ def play_scenario(
             "trace/metrics_registry require engine='pregel' (the adaptive "
             "round loop has no phase instrumentation)"
         )
-    return _play_adaptive(scenario, adaptive, metrics, max_rounds)
+    return _play_adaptive(scenario, adaptive, audit, max_rounds)
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +268,7 @@ def _adaptive_round_cost(scenario, step_stats):
     return _COST_MODEL.time_of(traffic)
 
 
-def _play_adaptive(scenario, adaptive, metrics, max_rounds):
+def _play_adaptive(scenario, adaptive, audit, max_rounds):
     graph = scenario.build_graph()
     capacities = balanced_capacities(
         max(1, graph.num_vertices), scenario.num_partitions, scenario.slack
@@ -283,7 +283,6 @@ def _play_adaptive(scenario, adaptive, metrics, max_rounds):
         # The scenario's slack must reach the balance policy: the runner
         # refreshes capacities from it, not from the initial vector above.
         balance=VertexBalance(slack=scenario.slack),
-        metrics=metrics,
     )
     runner = AdaptiveRunner(graph, state, config)
     if adaptive and scenario.settle_iterations:
@@ -313,6 +312,8 @@ def _play_adaptive(scenario, adaptive, metrics, max_rounds):
                 superstep_cost=_adaptive_round_cost(scenario, step_stats),
             )
         )
+        if audit:
+            runner.audit()
 
     index = 0
     for time, events in _batches(scenario, stream):
@@ -344,7 +345,7 @@ def _play_adaptive(scenario, adaptive, metrics, max_rounds):
 # ----------------------------------------------------------------------
 
 
-def _play_pregel(scenario, adaptive, metrics, max_rounds, executor,
+def _play_pregel(scenario, adaptive, audit, max_rounds, executor,
                  program, staleness=0, trace=None,
                  metrics_registry=None):
     from repro.apps.pagerank import PageRank
@@ -376,7 +377,6 @@ def _play_pregel(scenario, adaptive, metrics, max_rounds, executor,
         balance=VertexBalance(slack=scenario.slack),
         seed=scenario.seed,
         quiet_window=scenario.quiet_window,
-        metrics=metrics,
         snapshot_staleness=staleness,
     )
     # Context-managed: an exception anywhere mid-scenario (bad spec, a
@@ -425,6 +425,8 @@ def _play_pregel(scenario, adaptive, metrics, max_rounds, executor,
                     ),
                 )
             )
+            if audit:
+                system.audit()
 
         index = 0
         for time, events in _batches(scenario, stream):

@@ -88,12 +88,11 @@ def _report_digest(reports):
     ]
 
 
-def _churn_run(executor_name, metrics="incremental", check_each_step=False):
-    """A 14-superstep run with churn, migrations and one worker failure."""
+def _churn_run(executor_name, check_each_step=None):
+    """A 14-superstep run with churn, migrations and one worker failure;
+    ``check_each_step(system)`` runs after every superstep."""
     graph = mesh_3d(6)
-    config = PregelConfig(
-        num_workers=4, seed=3, quiet_window=5, metrics=metrics
-    )
+    config = PregelConfig(num_workers=4, seed=3, quiet_window=5)
     fault_plan = FaultPlan().add(9, 2)
     system = Coordinator(
         graph,
@@ -118,8 +117,8 @@ def _churn_run(executor_name, metrics="incremental", check_each_step=False):
             if step == 7:
                 system.inject_events([RemoveVertex(1001), AddEdge(1002, 5)])
             system.run_superstep()
-            if check_each_step:
-                system.shard_consistency_check()
+            if check_each_step is not None:
+                check_each_step(system)
         return (
             _report_digest(system.reports),
             dict(system.values),
@@ -148,20 +147,19 @@ class TestCrossExecutorDeterminism:
 
     @pytest.mark.parametrize("executor_name", EXECUTOR_NAMES)
     def test_shard_state_consistent_throughout(self, executor_name):
-        _churn_run(executor_name, check_each_step=True)
+        _churn_run(executor_name, Coordinator.shard_consistency_check)
 
     @pytest.mark.parametrize("executor_name", EXECUTOR_NAMES)
     def test_metrics_modes_identical_and_cross_checked(self, executor_name):
-        """Shard-merged incremental metrics == per-superstep recompute.
+        """Shard-merged incremental metrics == a full recount every step.
 
-        ``metrics="recompute"`` re-derives loads/sizes/cut from scratch at
-        every barrier and raises on drift, so a green recompute run *is*
-        the property; equality of the two timelines shows the audit is
+        ``audit()`` re-derives loads/sizes/cut from scratch after every
+        superstep and raises on drift, so a green audited run *is* the
+        property; equality of the two runs shows the audit is
         observationally free.
         """
-        incremental = _churn_run(executor_name, metrics="incremental")
-        recompute = _churn_run(executor_name, metrics="recompute")
-        assert incremental == recompute
+        audited = _churn_run(executor_name, Coordinator.audit)
+        assert _churn_run(executor_name) == audited
 
     def test_worker_count_does_not_change_results(self):
         graph = mesh_3d(5)

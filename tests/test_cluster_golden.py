@@ -108,12 +108,12 @@ def test_pregel_golden_fixture_is_nontrivial(name):
 
 @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
 def test_pregel_metrics_recompute_matches_golden(name):
-    """The per-barrier full-recompute audit replays the identical timeline."""
+    """Auditing after every round replays the identical timeline."""
     digest = play_scenario(
         get_scenario(name),
         engine="pregel",
         executor="inline",
-        metrics="recompute",
+        audit=True,
     ).superstep_digest()
     expected = json.loads(_fixture_path(name).read_text(encoding="utf-8"))
     assert digest == expected

@@ -75,9 +75,7 @@ def test_golden_fixture_is_nontrivial(name):
 
 @pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
 def test_metrics_modes_match_golden(name):
-    """The recompute cross-check mode replays the identical timeline."""
-    digest = play_scenario(
-        get_scenario(name), metrics="recompute"
-    ).digest()
+    """Auditing after every round replays the identical timeline."""
+    digest = play_scenario(get_scenario(name), audit=True).digest()
     expected = json.loads(_fixture_path(name).read_text(encoding="utf-8"))
     assert digest == expected

@@ -5,9 +5,9 @@ sizes) as deltas per admitted move and applied event.  These tests drive an
 :class:`AdaptiveRunner` through arbitrary interleavings of event batches and
 adaptive iterations — on both decision paths, under both the paper's vertex
 balance and the degree-sensitive edge balance — and assert the maintained
-values are *bit-identical* to from-scratch recomputation, and that the
-``metrics="recompute"`` audit mode (which re-derives and cross-checks every
-round) replays the exact same timeline.
+values are *bit-identical* to from-scratch recomputation, and that a run
+audited after every op (``AdaptiveRunner.audit()`` re-derives and
+cross-checks everything) replays the exact same timeline.
 """
 
 from hypothesis import given, settings
@@ -61,7 +61,7 @@ def _make_balance(name):
     return VertexBalance() if name == "vertex" else EdgeBalance()
 
 
-def _make_runner(path, edges, seed, balance_name, metrics):
+def _make_runner(path, edges, seed, balance_name):
     """A runner on the ``"sweep"`` path (vectorised decisions, bulk ingest
     where they apply) or the ``"portable"`` one (per-vertex decisions, the
     per-event ingest loop)."""
@@ -73,7 +73,6 @@ def _make_runner(path, edges, seed, balance_name, metrics):
         quiet_window=5,
         heuristic=PortableGreedy() if path == "portable" else GreedyMaxNeighbours(),
         balance=_make_balance(balance_name),
-        metrics=metrics,
     )
     runner = AdaptiveRunner(graph, state, config)
     if path == "portable":
@@ -81,12 +80,14 @@ def _make_runner(path, edges, seed, balance_name, metrics):
     return runner
 
 
-def _drive(runner, ops):
+def _drive(runner, ops, audit=False):
     for op in ops:
         if op == "step":
             runner.step()
         else:
             runner.apply_events(op)
+        if audit:
+            runner.audit()
 
 
 def _recomputed_loads(runner):
@@ -108,7 +109,7 @@ def _recomputed_loads(runner):
 def test_incremental_metrics_equal_full_recompute(
     edges, ops, seed, balance_name, path
 ):
-    runner = _make_runner(path, edges, seed, balance_name, "incremental")
+    runner = _make_runner(path, edges, seed, balance_name)
     _drive(runner, ops)
     # Cut and sizes: PartitionState's delta bookkeeping vs full recount.
     runner.state.validate()
@@ -130,13 +131,13 @@ def test_incremental_metrics_equal_full_recompute(
 def test_recompute_mode_replays_identical_timeline(
     edges, ops, seed, balance_name
 ):
-    incremental = _make_runner("sweep", edges, seed, balance_name, "incremental")
-    recompute = _make_runner("sweep", edges, seed, balance_name, "recompute")
-    _drive(incremental, ops)
-    _drive(recompute, ops)  # cross-checks itself after every round
-    assert list(incremental.timeline) == list(recompute.timeline)
-    assert incremental.loads == recompute.loads
-    assert incremental.state.cut_edges == recompute.state.cut_edges
+    plain = _make_runner("sweep", edges, seed, balance_name)
+    audited = _make_runner("sweep", edges, seed, balance_name)
+    _drive(plain, ops)
+    _drive(audited, ops, audit=True)
+    assert list(plain.timeline) == list(audited.timeline)
+    assert plain.loads == audited.loads
+    assert plain.state.cut_edges == audited.state.cut_edges
 
 
 @given(
@@ -147,8 +148,8 @@ def test_recompute_mode_replays_identical_timeline(
 @settings(max_examples=60, deadline=None)
 def test_backends_stay_identical_under_interleaving(edges, ops, seed):
     """The two decision-and-ingest paths replay one timeline."""
-    portable = _make_runner("portable", edges, seed, "vertex", "incremental")
-    swept = _make_runner("sweep", edges, seed, "vertex", "incremental")
+    portable = _make_runner("portable", edges, seed, "vertex")
+    swept = _make_runner("sweep", edges, seed, "vertex")
     _drive(portable, ops)
     _drive(swept, ops)
     assert list(portable.timeline) == list(swept.timeline)
