@@ -97,7 +97,7 @@ def _assert_identical(batch_runner, loop_runner):
     assert dict(batch_runner.state.assignment_items()) == dict(
         loop_runner.state.assignment_items()
     )
-    assert batch_runner._active == loop_runner._active
+    assert batch_runner.active_vertices == loop_runner.active_vertices
     batch_runner.state.validate()
 
 

@@ -12,14 +12,12 @@ the phases, the merge order and the oracle split.
 from collections import Counter
 from functools import partial
 from itertools import chain as _chain
-from itertools import compress as _compress
 from itertools import islice as _islice
 from time import perf_counter, time
 
 from repro.cluster.executor import make_executor
 from repro.cluster.shard import PatchColumns, Shard, ShardTask, store_dtype
 from repro.core.sweep import sort_vertices
-from repro.graph.events import AddVertex, RemoveVertex
 from repro.obs import Tracer
 from repro.pregel.messages import MessageColumns
 from repro.pregel.migration import arbitrate_columns
@@ -306,21 +304,16 @@ class Coordinator(PregelSystem):
         if self.config.adaptive:
             self._placement_log.append((vertex_id, new_worker))
 
-    def _apply_event(self, event):
-        pre_neighbours = ()
-        if isinstance(event, RemoveVertex) and event.vertex in self.graph:
-            pre_neighbours = list(self.graph.neighbors(event.vertex))
-        changed = super()._apply_event(event)
-        if changed:
-            if isinstance(event, (AddVertex, RemoveVertex)):
-                self._dirty.add(event.vertex)
-                self._dirty.update(pre_neighbours)
-                if self.config.adaptive and isinstance(event, RemoveVertex):
-                    self._placement_log.append((event.vertex, -1))
-            else:  # edge events: both endpoints' adjacency changed
-                self._dirty.add(event.u)
-                self._dirty.add(event.v)
-        return changed
+    def _activate(self, vertices):
+        # Ingest activates exactly the vertices whose adjacency an event
+        # changed, so their shards must relearn it.
+        vertices = list(vertices)
+        super()._activate(vertices)
+        self._dirty.update(vertices)
+
+    def _deactivate(self, vertex):
+        super()._deactivate(vertex)
+        self._dirty.add(vertex)
 
     def _vertices_placed(self, placements):
         super()._vertices_placed(placements)  # program-value init
@@ -328,12 +321,10 @@ class Coordinator(PregelSystem):
         if self.config.adaptive:
             self._placement_log.extend(placements)
 
-    def _edges_changed(self, us, vs, changed):
-        # The bulk edge kernel bypasses _apply_event, so the dirty marks
-        # for changed endpoints (their adjacency tuples) land here.
-        selectors = changed.tolist()
-        self._dirty.update(_compress(us, selectors))
-        self._dirty.update(_compress(vs, selectors))
+    def _vertex_removed(self, vertex):
+        super()._vertex_removed(vertex)
+        if self.config.adaptive:
+            self._placement_log.append((vertex, -1))
 
     def _maybe_fail_worker(self):
         worker = super()._maybe_fail_worker()
@@ -433,6 +424,12 @@ class Coordinator(PregelSystem):
         compares membership, values, halt flags, every resident's
         neighbour multiset and the placement mirror against the
         coordinator's.  Raises :class:`AssertionError` on drift.
+
+        The check is not free on the wire: the flushed patches cross as
+        ``apply`` frames instead of riding the next ``step``, and the
+        snapshots add ``snapshot`` frames.  So a checked run's
+        ``bytes_sent.apply`` / ``.step`` and frame counts differ from an
+        unchecked run's; its placement, timeline and digest do not.
         """
         if self._pending_patches:
             self.executor.apply(self._pending_patches)
@@ -496,7 +493,10 @@ class Coordinator(PregelSystem):
         return True
 
     def audit(self):
-        """:meth:`PregelSystem.audit`, then :meth:`shard_consistency_check`."""
+        """:meth:`PregelSystem.audit`, then :meth:`shard_consistency_check`
+        — which flushes pending patches and fetches snapshots, so an
+        audited run's wire counters (``bytes_sent.apply`` / ``.step``,
+        snapshot frames) differ from an unaudited run's, its digest not."""
         super().audit()
         self.shard_consistency_check()
 

@@ -11,6 +11,12 @@ future work, both implemented here:
 """
 
 import math
+from itertools import repeat
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
 
 __all__ = ["BalancePolicy", "EdgeBalance", "HotspotBalance", "VertexBalance"]
 
@@ -31,6 +37,13 @@ class BalancePolicy:
         """Load units this vertex contributes to its partition."""
         raise NotImplementedError
 
+    def load_column(self, graph, slots):
+        """:meth:`load_of` of the vertices at ``slots`` as a float64
+        column (numpy only); the shipped policies read no ids."""
+        ids = map(graph.slot_ids.__getitem__, slots.tolist())
+        loads = map(self.load_of, repeat(graph), ids)
+        return _np.fromiter(loads, _np.float64, count=len(slots))
+
     def capacities(self, graph, num_partitions):
         """Per-partition capacity vector for the current graph."""
         raise NotImplementedError
@@ -48,6 +61,9 @@ class VertexBalance(BalancePolicy):
 
     def load_of(self, graph, vertex):
         return 1.0
+
+    def load_column(self, graph, slots):
+        return _np.ones(len(slots))
 
     def capacities(self, graph, num_partitions):
         balanced = graph.num_vertices / num_partitions
@@ -73,6 +89,11 @@ class EdgeBalance(BalancePolicy):
 
     def load_of(self, graph, vertex):
         return float(max(graph.degree(vertex), 1))
+
+    def load_column(self, graph, slots):
+        """``max(degree, 1)`` from the CSR mirror's block lengths."""
+        lens = _np.frombuffer(graph.ensure_csr()[1], dtype=_np.int64)
+        return _np.maximum(lens[slots], 1).astype(_np.float64)
 
     def capacities(self, graph, num_partitions):
         isolated = getattr(graph, "num_isolated", None)
@@ -116,6 +137,9 @@ class HotspotBalance(BalancePolicy):
 
     def load_of(self, graph, vertex):
         return self.base.load_of(graph, vertex)
+
+    def load_column(self, graph, slots):
+        return self.base.load_column(graph, slots)
 
     def capacities(self, graph, num_partitions):
         caps = self.base.capacities(graph, num_partitions)

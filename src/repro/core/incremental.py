@@ -1,12 +1,9 @@
 """Incremental per-partition metrics maintained as deltas.
 
-:class:`~repro.partitioning.base.PartitionState` already keeps cut edges and
-partition sizes exact in O(deg v) per change.  What long churn runs still
-paid per round was the per-partition **load** vector (balance-policy units):
-both :class:`~repro.core.runner.AdaptiveRunner` and
-:class:`~repro.pregel.system.PregelSystem` rebuilt it O(|V|) after every
-event batch, so a rolling-window scenario with thousands of rounds spent
-most of its time re-summing unchanged loads.
+:class:`~repro.partitioning.base.PartitionState` keeps cut edges and
+partition sizes exact per change; the per-partition **load** vector
+(balance-policy units) needs the same, or every event batch would re-sum
+O(|V|) unchanged loads.
 
 :class:`IncrementalMetrics` owns that vector and maintains it as deltas:
 
@@ -15,7 +12,8 @@ most of its time re-summing unchanged loads.
   placed/removed vertex itself and — only for ``degree_sensitive`` balance
   policies such as :class:`~repro.core.balance.EdgeBalance` — the touched
   endpoints/neighbours, O(deg) worst case;
-* :meth:`rebuild` is the O(|V|) from-scratch path, and :meth:`cross_check`
+* :meth:`rebuild` is the O(|V|) from-scratch path (one ``bincount`` with
+  numpy), and :meth:`cross_check`
   recounts everything (loads, sizes, cut) and raises on drift without
   touching the maintained values — each engine's ``audit()`` runs it, and
   ``play_scenario(audit=True)`` does so after every round.
@@ -25,6 +23,11 @@ degrees), so delta maintenance is bit-exact; :meth:`cross_check` still
 compares with a relative tolerance to stay correct for user policies with
 genuinely fractional loads.
 """
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
 
 __all__ = ["IncrementalMetrics"]
 
@@ -71,12 +74,20 @@ class IncrementalMetrics:
         self._loads = self._recount()
 
     def _recount(self):
-        balance = self.balance
-        graph = self.graph
-        loads = [0.0] * self.state.num_partitions
-        for v, pid in self.state.assignment_items():
-            loads[pid] += balance.load_of(graph, v)
-        return loads
+        """Loads from scratch: one ``bincount`` of the partition column
+        weighted by the policy's load column (a per-vertex loop without
+        numpy).  Exact for integer-valued loads; fractional user loads may
+        sum in a different order than the loop's."""
+        k = self.state.num_partitions
+        if _np is None:
+            loads = [0.0] * k
+            for v, pid in self.state.assignment_items():
+                loads[pid] += self.balance.load_of(self.graph, v)
+            return loads
+        column = _np.frombuffer(self.state.partition_column(), dtype=_np.int64)
+        slots = _np.flatnonzero(column >= 0)
+        weights = self.balance.load_column(self.graph, slots)
+        return _np.bincount(column[slots], weights, minlength=k).tolist()
 
     @property
     def loads(self):

@@ -15,33 +15,20 @@ through this module:
   neighbour bookkeeping), and each run of edge events becomes one
   vectorised job over the graph's CSR mirror.
 
-**The host contract.**  A host exposes ``graph``, ``state``, ``metrics``
-(:class:`~repro.core.incremental.IncrementalMetrics`), ``config.placement``,
-its active set ``_active``, ``_ingestor`` (:func:`make_ingestor`'s answer),
-``_apply_event(event)`` — the per-event entry, ending in
-:func:`apply_event`, a method so the coordinator can wrap it with dirty
-marks — and three notifications: ``_vertices_placed(placements)`` (the
-Pregel hosts initialise program values), ``_vertex_removed(vertex)`` (its
-value, halt flag, in-flight migration and mail go with it) and
-``_edges_changed(us, vs, changed)`` after a bulk edge run.  The derived
-arrays need no notification: the id → slot table lives in the graph and
-the partition column in the state, each written by the methods that
-change it.
+**The host contract** (:class:`IngestHost`, table in
+``docs/architecture.md``).  A host exposes ``graph``, ``state``,
+``metrics`` (:class:`~repro.core.incremental.IncrementalMetrics`),
+``config.placement`` and ``_ingestor`` (:func:`make_ingestor`'s answer),
+and takes its hooks.  This module never touches a host's active
+set: it calls ``_activate`` / ``_deactivate``, so each host keeps the set
+the way its decision path reads it — a ``set`` of ids, or the runner's
+slot mask (:class:`~repro.core.sweep.ActiveSlots`).  The derived arrays
+need no hook: the id → slot table lives in the graph and the partition
+column in the state, each written by the methods that change it.
 
-The edge-run kernel:
-
-* endpoint ids map to slots through the graph's dense id → slot table (one
-  gather), new endpoints are interned and hash-placed in bulk;
-* events grouped by canonical pair replay as a *toggle chain*: an edge's
-  presence after any event equals that event's kind, so per-event change
-  flags reduce to ``kind != previous kind`` (seeded with one vectorised
-  CSR presence probe per unique pair) — no per-event graph queries;
-* only pairs whose presence actually *flips* across the run touch the
-  graph (one bulk ``add_edges`` / ``remove_edges`` pass, CSR dirty regions
-  marked once) and the cut (one vectorised delta from the endpoints'
-  entries in the state's partition column);
-* the endpoints of every changed event re-enter the active set, exactly
-  the vertices the per-event path would have re-activated one by one.
+The edge-run kernel (:meth:`BatchIngestor._apply_edge_run`) replays each
+pair's events as a toggle chain, so only pairs whose presence flips across
+the run touch the graph and the cut, in one vectorised pass each.
 
 **Equivalence is the contract**: assignment, metrics, active set and the
 RNG stream come out bit-identical to the per-event loop.  The ingestor
@@ -55,6 +42,8 @@ per-event loop, which is also the oracle: the test tree clears
 timelines (bulk path and loop, both pinned) and the engines' ``audit()``.
 """
 
+from functools import partial
+from itertools import chain as _chain
 from itertools import compress as _compress
 
 from repro.graph.events import (
@@ -64,6 +53,7 @@ from repro.graph.events import (
     RemoveEdge,
     RemoveVertex,
 )
+from repro.core.sweep import gather_explicit
 from repro.partitioning.hashing import HashPartitioner
 
 try:
@@ -71,7 +61,31 @@ try:
 except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
-__all__ = ["BatchIngestor", "apply_event", "apply_events", "make_ingestor"]
+__all__ = [
+    "BatchIngestor", "IngestHost", "apply_event", "apply_events", "make_ingestor"
+]
+
+
+class IngestHost:
+    """The hooks this module calls, with the defaults both engines share:
+    ``_active`` is a ``set`` or an :class:`~repro.core.sweep.ActiveSlots`,
+    and the notifications do nothing."""
+
+    def _activate(self, vertices):
+        """Live ids whose adjacency an event changed re-enter the set."""
+        self._active.update(vertices)
+
+    def _deactivate(self, vertex):
+        """``vertex`` leaves the active set — called *before* it leaves
+        the graph, while its slot is still interned."""
+        self._active.discard(vertex)
+
+    def _vertices_placed(self, placements):
+        """New vertices were interned and placed."""
+
+    def _vertex_removed(self, vertex):
+        """``vertex`` left the graph and the state."""
+
 
 
 def apply_events(host, events):
@@ -85,11 +99,7 @@ def apply_events(host, events):
         batch = EventBatch.from_events(events)
         if not batch.unsupported:
             return ingestor.apply(batch)
-    changed = 0
-    for event in events:
-        if host._apply_event(event):
-            changed += 1
-    return changed
+    return sum(map(partial(apply_event, host), events))
 
 
 def apply_event(host, event):
@@ -104,25 +114,24 @@ def apply_event(host, event):
     graph = host.graph
     state = host.state
     metrics = host.metrics
-    active = host._active
     if isinstance(event, AddVertex):
         if event.vertex in graph:
             return False
         graph.add_vertex(event.vertex)
         _place_new_vertices(host, [event.vertex])
-        active.add(event.vertex)
+        host._activate((event.vertex,))
         return True
     if isinstance(event, RemoveVertex):
         vertex = event.vertex
         if vertex not in graph:
             return False
         neighbours = list(graph.neighbors(vertex))
+        host._deactivate(vertex)  # while its slot is still interned
         snapshot = metrics.pre_remove_vertex(vertex)
         state.remove_vertex(vertex)
         graph.remove_vertex(vertex)
         metrics.post_remove_vertex(snapshot)
-        active.discard(vertex)
-        active.update(neighbours)
+        host._activate(neighbours)
         host._vertex_removed(vertex)
         return True
     if isinstance(event, AddEdge):
@@ -146,8 +155,7 @@ def apply_event(host, event):
     else:
         raise TypeError(f"unknown graph event {event!r}")
     metrics.post_edge(snapshot)
-    active.add(u)
-    active.add(v)
+    host._activate((u, v))
     return True
 
 
@@ -192,61 +200,15 @@ class BatchIngestor:
         return self._apply(batch)
 
     def _apply(self, batch):
-        apply_one = self.host._apply_event
+        apply_one = partial(apply_event, self.host)
         changed = 0
         for segment in batch.segments:
             if segment[0] == "loop":
-                for event in segment[1]:
-                    if apply_one(event):
-                        changed += 1
+                changed += sum(map(apply_one, segment[1]))
             else:
                 _, kinds, us, vs = segment
                 changed += self._apply_edge_run(kinds, us, vs)
         return changed
-
-    # ------------------------------------------------------------------
-    # id → slot resolution
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _as_int_array(ids):
-        """``ids`` as an int64 array, or None when they are not plain ints."""
-        try:
-            arr = _np.asarray(ids)
-        except (ValueError, TypeError, OverflowError):
-            return None
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            return None
-        return arr.astype(_np.int64, copy=False)
-
-    def _slots_of(self, ids):
-        """Slot array for a list of vertex ids (−1 for absent ids).
-
-        Int ids map through the graph's dense id table in one gather while
-        it lives — probed ids may not be interned yet, so out-of-table ids
-        resolve to −1 instead of faulting; anything else takes one dict
-        lookup per id.
-        """
-        graph = self.host.graph
-        table = graph.id_table()
-        arr = None if table is None else self._as_int_array(ids)
-        if arr is None:
-            index = graph.slot_index
-            return _np.fromiter(
-                (index.get(v, -1) for v in ids), _np.int64, count=len(ids)
-            )
-        lookup = _np.frombuffer(table, dtype=_np.int64)
-        if len(arr) and 0 <= int(arr.min()) and int(arr.max()) < len(lookup):
-            return lookup[arr]
-        inside = (arr >= 0) & (arr < len(lookup))
-        slots = _np.full(len(arr), -1, dtype=_np.int64)
-        slots[inside] = lookup[arr[inside]]
-        return slots
-
-    def _partitions_of(self, slots):
-        """Partition ids (−1 = unassigned) of a slot array, as a copy."""
-        column = self.host.state.partition_column()
-        return _np.frombuffer(column, dtype=_np.int64)[slots]
 
     def _intern_new_endpoints(self, kinds_arr, us, vs, su, sv):
         """Create + place endpoints that add events reference for the first
@@ -279,7 +241,7 @@ class BatchIngestor:
         # Placement before any edge lands: each new vertex is placed while
         # isolated, exactly when the per-event path would have placed it.
         _place_new_vertices(host, new_ids)
-        return self._slots_of(us), self._slots_of(vs)
+        return self.host.graph.slots_of(us), self.host.graph.slots_of(vs)
 
     # ------------------------------------------------------------------
     # The edge-run kernel
@@ -322,21 +284,9 @@ class BatchIngestor:
         swap = lens[hi] < lens[lo]
         probe = _np.where(swap, hi, lo)
         other = _np.where(swap, lo, hi)
-        deg = lens[probe]
-        total = int(deg.sum())
-        if not total:
-            return present
         indices = _np.frombuffer(indices_a, dtype=_np.int64)
-        cum = _np.zeros(m, dtype=_np.int64)
-        _np.cumsum(deg[:-1], out=cum[1:])
-        pos = (
-            _np.arange(total, dtype=_np.int64)
-            - _np.repeat(cum, deg)
-            + _np.repeat(starts[probe], deg)
-        )
-        row = _np.repeat(_np.arange(m, dtype=_np.int64), deg)
-        match = indices[pos] == other[row]
-        present[row[match]] = True
+        entries, row = gather_explicit(indices, starts[probe], lens[probe])
+        present[row[entries == other[row]]] = True
         return present
 
     def _apply_edge_run(self, kinds, us, vs):
@@ -359,8 +309,8 @@ class BatchIngestor:
         graph = host.graph
         n = len(kinds)
         kinds_arr = _np.fromiter(kinds, _np.bool_, count=n)
-        su = self._slots_of(us)
-        sv = self._slots_of(vs)
+        su = self.host.graph.slots_of(us)
+        sv = self.host.graph.slots_of(vs)
         if (kinds_arr & ((su < 0) | (sv < 0))).any():
             su, sv = self._intern_new_endpoints(kinds_arr, us, vs, su, sv)
         valid = (su >= 0) & (sv >= 0)
@@ -417,8 +367,9 @@ class BatchIngestor:
             slots_u = _np.concatenate(cut_su)
             slots_v = _np.concatenate(cut_sv)
             signs = _np.concatenate(cut_sign)
+            partitions_at = host.state.partitions_at
             host.metrics.apply_edge_flips(
-                self._partitions_of(slots_u), self._partitions_of(slots_v), signs
+                partitions_at(slots_u), partitions_at(slots_v), signs
             )
 
         total_changed = int(changed.sum())
@@ -426,18 +377,10 @@ class BatchIngestor:
             # Re-activate the endpoints of every changed event — exactly
             # the vertices the per-event path activates (edge runs never
             # remove vertices, so membership is the sequential result).
-            # When every vertex is already active — the ingest-a-backlog-
-            # before-stepping regime — the update cannot change membership
-            # and is skipped wholesale (the active set only ever holds live
-            # vertices, so length equality is set equality).
-            active = host._active
-            if len(active) != graph.num_vertices:
-                selectors = changed.tolist()
-                active.update(_compress(us, selectors))
-                active.update(_compress(vs, selectors))
-            # Host hook: the sharded coordinator marks changed endpoints
-            # dirty so shard adjacency mirrors stay current.
-            host._edges_changed(us, vs, changed)
+            selectors = changed.tolist()
+            host._activate(
+                _chain(_compress(us, selectors), _compress(vs, selectors))
+            )
         return total_changed
 
     def _apply_singles(self, us, vs, spos, s_kind):
@@ -466,15 +409,12 @@ class BatchIngestor:
         """Toggle-chain replay of pairs touched by several events."""
         graph = self.host.graph
         mstarts = starts[multis]
-        msizes = gsize[multis]
-        total = int(msizes.sum())
-        ends = _np.cumsum(msizes)
-        offs = _np.arange(total, dtype=_np.int64) - _np.repeat(
-            ends - msizes, msizes
+        midx, group = gather_explicit(  # the pairs' sorted positions
+            _np.arange(len(k_s), dtype=_np.int64), mstarts, gsize[multis]
         )
-        midx = _np.repeat(mstarts, msizes) + offs  # sorted positions
+        total = len(midx)
         mk = k_s[midx]
-        mfirst = offs == 0
+        mfirst = midx == mstarts[group]
         pair_lo = lo[order[mstarts]]
         pair_hi = hi[order[mstarts]]
         present0 = self._present0(pair_lo, pair_hi)

@@ -31,25 +31,28 @@ that pays: no migrations and no churn means no capacity movement, so quiet
 phases cost O(active) instead of a full sweep per round.
 
 With the paper's greedy heuristic (and numpy) the whole round runs as
-columns: :class:`~repro.core.sweep.CompactSweeper` decides over the
-graph's CSR mirror, :func:`~repro.utils.rng.shuffled_order` and
+columns over the graph's slots: the active set is an
+:class:`~repro.core.sweep.ActiveSlots` mask, its candidates come out as
+slots in canonical id order, :class:`~repro.core.sweep.CompactSweeper`
+decides over the CSR mirror, :func:`~repro.utils.rng.shuffled_order` and
 :func:`~repro.utils.rng.random_column` make the shuffle's and the coins'
-exact draws, :meth:`QuotaTable.admit` meters the lanes and the moves apply
-in one batch.  Timelines are bit-for-bit those of the per-vertex path,
-which the portable-vs-sweep equivalence suite pins.
+exact draws, :meth:`QuotaTable.admit` meters the lanes on the balance
+policy's ``load_column``, and the moves apply in one batch whose touched
+mask is the next active set — no id list, set or sort in between.
+Timelines are bit-for-bit those of the per-vertex path (a ``set`` of
+ids), which the portable-vs-sweep equivalence suite pins.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 
 from repro.core.balance import VertexBalance
 from repro.core.capacity import QuotaTable
 from repro.core.convergence import PAPER_QUIET_WINDOW, ConvergenceDetector
 from repro.core.heuristic import GreedyMaxNeighbours, MigrationHeuristic, make_heuristic
 from repro.core.incremental import IncrementalMetrics
-from repro.core.ingest import apply_event, apply_events, make_ingestor
+from repro.core.ingest import IngestHost, apply_events, make_ingestor
 from repro.core.metrics import IterationStats, Timeline
-from repro.core.sweep import generic_decisions, make_sweeper, sort_vertices
+from repro.core.sweep import ActiveSlots, generic_decisions, make_sweeper, sort_vertices
 from repro.partitioning.hashing import HashPartitioner
 from repro.utils import make_rng
 from repro.utils.rng import random_column, shuffled_order
@@ -86,8 +89,13 @@ class AdaptiveConfig:
             raise TypeError("heuristic must be a MigrationHeuristic or name")
 
 
-class AdaptiveRunner:
-    """Iterates the adaptive heuristic over a graph + partition state."""
+class AdaptiveRunner(IngestHost):
+    """Iterates the adaptive heuristic over a graph + partition state.
+
+    An :class:`~repro.core.ingest.IngestHost` with the default hooks: its
+    active set is a slot mask on the sweeper path and a ``set`` on the
+    portable one; :attr:`active_vertices` is the id view of either.
+    """
 
     def __init__(self, graph, state, config=None):
         self.graph = graph
@@ -104,10 +112,12 @@ class AdaptiveRunner:
             # Build the CSR mirror and the id table off the hot path.
             graph.ensure_csr()
             graph.id_table()
+            self._active = ActiveSlots(graph)
+        else:
+            self._active = set(graph.vertices())
         self.metrics = IncrementalMetrics(graph, state, self.config.balance)
         self._ingestor = make_ingestor(self)
         self._refresh_capacities()
-        self._active = set(graph.vertices())
 
     # ------------------------------------------------------------------
     # Balance bookkeeping
@@ -161,6 +171,11 @@ class AdaptiveRunner:
         """Number of vertices that will be evaluated next iteration."""
         return len(self._active)
 
+    @property
+    def active_vertices(self):
+        """The ids that will be evaluated next iteration, as a set."""
+        return set(self._active)
+
     # ------------------------------------------------------------------
     # One iteration
     # ------------------------------------------------------------------
@@ -172,14 +187,20 @@ class AdaptiveRunner:
         quotas = QuotaTable(remaining, state.num_partitions)
         # Sorted, the round's RNG pairing is a function of the active
         # *membership*, not of set iteration order.
-        candidates = (
-            list(self.graph.vertices())
-            if self._needs_full_sweep(remaining)
-            else sort_vertices(self._active)
-        )
+        full = self._needs_full_sweep(remaining)
         if self._sweeper is not None:
+            candidates = (
+                self.graph.slots_of(list(self.graph.vertices()))
+                if full
+                else self._active.ordered()
+            )
             wanted, blocked, migrations = self._sweep_round(candidates, quotas)
         else:
+            candidates = (
+                list(self.graph.vertices())
+                if full
+                else sort_vertices(self._active)
+            )
             wanted, blocked, migrations = self._portable_round(
                 candidates, remaining, quotas
             )
@@ -234,9 +255,10 @@ class AdaptiveRunner:
         return wanted, blocked, len(moves)
 
     def _sweep_round(self, candidates, quotas):
-        """:meth:`_portable_round` as columns, bit for bit: the same
-        shuffle and coin draws, quota lanes metered by
-        :meth:`QuotaTable.admit`, the moves applied in one batch."""
+        """:meth:`_portable_round` as columns over candidate slots, bit for
+        bit: the same shuffle and coin draws, quota lanes metered by
+        :meth:`QuotaTable.admit` on the policy's load column, the moves
+        applied in one batch, and the touched slots the next active set."""
         sweeper = self._sweeper
         rng = self._rng
         slots, cur, desired, movers = sweeper.decisions(
@@ -246,14 +268,15 @@ class AdaptiveRunner:
         unhappy = slots  # they stay active until their move lands
         willing = random_column(rng, len(slots)) < self.config.willingness
         slots, cur, desired = slots[willing], cur[willing], desired[willing]
-        load_of = self.config.balance.load_of
-        loads = list(map(load_of, repeat(self.graph), sweeper.ids(slots)))
+        loads = self.config.balance.load_column(self.graph, slots)
         admitted = quotas.admit(cur, desired, loads)
         slots, cur, desired = slots[admitted], cur[admitted], desired[admitted]
         self.metrics.on_moves(
-            cur.tolist(), desired.tolist(), compress(loads, admitted.tolist())
+            cur.tolist(), desired.tolist(), loads[admitted].tolist()
         )
-        self._active = sweeper.apply_moves(slots, cur, desired, unhappy)
+        self._active = ActiveSlots(
+            self.graph, sweeper.apply_moves(slots, cur, desired, unhappy)
+        )
         return len(movers), len(admitted) - len(slots), len(slots)
 
     # ------------------------------------------------------------------
@@ -316,21 +339,6 @@ class AdaptiveRunner:
             self.detector.reset()
             self._refresh_capacities()
         return changed
-
-    # The ingest host contract (see repro.core.ingest); the runner keeps no
-    # per-vertex state of its own, so the notifications are no-ops.
-
-    def _apply_event(self, event):
-        return apply_event(self, event)
-
-    def _vertices_placed(self, placements):
-        """Ingest hook: new vertices were interned and placed."""
-
-    def _vertex_removed(self, vertex):
-        """Ingest hook: ``vertex`` left the graph and the state."""
-
-    def _edges_changed(self, us, vs, changed):
-        """Ingest hook: one bulk edge run applied; ``changed`` flags it."""
 
     def audit(self):
         """Every invariant check, O(|V| + |E|): graph structure, then sizes,

@@ -16,27 +16,22 @@ the timelines bit for bit.  The sweeper engages only for the exact paper
 heuristic (:class:`~repro.core.heuristic.GreedyMaxNeighbours`) with numpy;
 everything else takes :func:`generic_decisions`, the portable path.
 
+:class:`ActiveSlots` keeps the adaptive runner's active set as a mask
+over the same slots, so a round goes mask → candidate slots → decisions
+→ moves without a single id list.
+
 :class:`LocalCsr` is the same idea scoped to one
-:class:`~repro.cluster.shard.Shard`: a local CSR of the shard's resident
-adjacency (append-only blocks with garbage compaction, so churn patches
-cost O(changed), not O(shard)), a slot-indexed mirror of the *global*
-placement (fed by the coordinator's broadcast placement deltas) and one
-vectorised greedy pass per decision round, including the keyed willingness
-draws.  It is bit-identical to the portable
-:func:`~repro.pregel.compute.decide_block` path by the same argument as
-above, and the equivalence suite pins it.  The same slots answer the
-batched vertex kernel's topology queries (:meth:`LocalCsr.gather`), so a
-shard interns every id exactly once — and when the shard's program
-batches, the same slots carry its value, halt-vote and row-order columns
-too: the ``LocalCsr`` is then the shard's *only* state (the array store
-of :mod:`repro.cluster.shard`), fed in bulk by ``admit_many`` /
-``evict_many`` / ``place_many`` and read by slot.
+:class:`~repro.cluster.shard.Shard`: its resident adjacency, a mirror of
+the global placement and, when the program batches, its whole state, all
+in local slots (bit-identical to the portable
+:func:`~repro.pregel.compute.decide_block`, which the equivalence suite
+pins).
 """
 
 from itertools import chain, islice
 
 from repro.core.heuristic import GreedyMaxNeighbours
-from repro.partitioning.base import id_column
+from repro.graph.graph import id_column
 from repro.utils.rng import WillingnessSource, vertex_key
 
 try:
@@ -45,8 +40,10 @@ except ImportError:  # pragma: no cover - numpy is optional
     _np = None
 
 __all__ = [
+    "ActiveSlots",
     "CompactSweeper",
     "LocalCsr",
+    "gather_explicit",
     "generic_decisions",
     "make_shard_index",
     "make_sweeper",
@@ -107,27 +104,6 @@ class CompactSweeper:
         self.graph = graph
         self.state = state
 
-    def _column(self):
-        return _np.frombuffer(self.state.partition_column(), dtype=_np.int64)
-
-    def _candidate_slots(self, candidates):
-        """Vectorised id → slot mapping for the candidate list.
-
-        While the graph keeps its dense id table (modest non-negative int
-        ids — what generators and edge lists produce) the whole candidate
-        array maps in one gather; otherwise one dict lookup per candidate.
-        Candidates are always live vertices, so no entry is −1.
-        """
-        table = self.graph.id_table()
-        if table is not None:
-            return _np.frombuffer(table, dtype=_np.int64)[
-                _np.asarray(candidates, dtype=_np.int64)
-            ]
-        index = self.graph.slot_index
-        return _np.fromiter(
-            (index[v] for v in candidates), dtype=_np.int64, count=len(candidates)
-        )
-
     def _gather_blocks(self, slots):
         """Gather the CSR neighbour blocks of ``slots``, concatenated.
 
@@ -141,11 +117,11 @@ class CompactSweeper:
         starts = _np.frombuffer(starts_a, dtype=_np.int64)
         lens = _np.frombuffer(lens_a, dtype=_np.int64)
         indices = _np.frombuffer(indices_a, dtype=_np.int64)
-        return _gather_explicit(indices, starts[slots], lens[slots])
+        return gather_explicit(indices, starts[slots], lens[slots])
 
-    def decisions(self, candidates, order=None):
-        """The greedy rule over ``candidates`` as columns ``(slots, cur,
-        desired, movers)``.
+    def decisions(self, slots, order=None):
+        """The greedy rule over the candidate ``slots`` as columns
+        ``(slots, cur, desired, movers)``.
 
         Candidates are taken in ``order`` when given (a permutation of
         their positions, e.g. :func:`~repro.utils.rng.shuffled_order`);
@@ -154,9 +130,8 @@ class CompactSweeper:
         positions of those that want to move — the only ones any
         consumer's sequential phase draws for or books.
         """
-        slots = self._candidate_slots(candidates)
         nbr, row = self._gather_blocks(slots)
-        assign = self._column()
+        assign = _np.frombuffer(self.state.partition_column(), dtype=_np.int64)
         cur = assign[slots]
         desired, movers = _greedy_movers(
             cur, nbr, row, assign, self.state.num_partitions
@@ -168,46 +143,76 @@ class CompactSweeper:
             movers = _np.flatnonzero(want[order])
         return slots, cur, desired, movers
 
-    def ids(self, slots):
-        """The vertex ids at ``slots``, as a list."""
-        return list(map(self.graph.slot_ids.__getitem__, slots.tolist()))
-
     def apply_moves(self, slots, old, new, unhappy):
-        """Apply a round's admitted moves (columns, by slot) in one batch.
+        """Apply a round's admitted moves (columns, by slot) in one batch:
+        one gather of the movers' CSR blocks feeds
+        :meth:`PartitionState.apply_bulk_moves
+        <repro.partitioning.base.PartitionState.apply_bulk_moves>` (the
+        admitted moves of a synchronous round commute).
 
-        Within a synchronous round the admitted moves commute: the final cut
-        count depends only on the final assignment, so instead of walking
-        each mover's adjacency per move (``PartitionState.move``), gather
-        every mover's neighbour block once from the CSR mirror and compute
-        the exact integer cut delta vectorised.  Mover–mover edges appear in
-        the gather twice (once per endpoint) with identical indicators, so
-        their contribution is halved.
-
-        Returns the next active set: the ids of the ``unhappy`` slots (the
-        round's would-be movers), the movers and the movers' neighbours.
+        Returns the next active set as a slot mask: the ``unhappy`` slots
+        (the round's would-be movers), the movers and the movers'
+        neighbours.
         """
-        if not len(slots):
-            return set(self.ids(unhappy))
-        nbr, row = self._gather_blocks(slots)
-        assign = self._column()
-        before_pid = assign[nbr]
-        valid = before_pid >= 0  # unassigned neighbours never count
-        cut_before = valid & (before_pid != old[row])
-        moved_to = _np.full(len(assign), -1, dtype=_np.int64)
-        moved_to[slots] = new
-        nbr_moved_to = moved_to[nbr]
-        nbr_moves = nbr_moved_to >= 0
-        after_pid = _np.where(nbr_moves, nbr_moved_to, before_pid)
-        cut_after = valid & (after_pid != new[row])
-        diff = cut_after.astype(_np.int64) - cut_before.astype(_np.int64)
-        double_sum = int(diff[nbr_moves].sum())  # even by symmetry
-        cut_delta = int(diff.sum()) - double_sum // 2
-        touched = moved_to >= 0
-        touched[nbr] = True
+        touched = _np.zeros(self.graph.num_slots, dtype=bool)
         touched[unhappy] = True
-        del assign  # the state writes the column next
-        self.state.apply_bulk_moves(self.ids(slots), slots, old, new, cut_delta)
-        return set(self.ids(_np.flatnonzero(touched)))
+        if not len(slots):
+            return touched
+        nbr, row = self._gather_blocks(slots)
+        touched[slots] = True
+        touched[nbr] = True
+        movers = list(map(self.graph.slot_ids.__getitem__, slots.tolist()))
+        self.state.apply_bulk_moves(movers, slots, old, new, nbr, row)
+        return touched
+
+
+class ActiveSlots:
+    """An active set kept as a bool mask over a graph's slots.
+
+    Takes ids like a ``set`` (:meth:`update`, :meth:`discard`; iterating
+    yields ids), so the ingest hooks treat it as one, and hands
+    :class:`CompactSweeper` its candidates as slots in canonical id order
+    (:meth:`ordered`) with no id list in between.  A removed vertex must
+    be discarded while its slot is still interned.
+    """
+
+    def __init__(self, graph, mask=None):
+        self.graph = graph
+        if mask is None:  # every live vertex
+            mask = _np.zeros(graph.num_slots, dtype=bool)
+            mask[list(graph.slot_index.values())] = True
+        self.mask = mask
+
+    def _fit(self):  # pad to every slot the graph has handed out
+        if len(self.mask) < self.graph.num_slots:
+            self.mask = _grown(self.mask, self.graph.num_slots, False)
+        return self.mask
+
+    def update(self, vertices):  # item by item: most calls carry 1–2 ids
+        mask = self._fit()
+        for slot in map(self.graph.slot_index.__getitem__, vertices):
+            mask[slot] = True
+
+    def discard(self, vertex):
+        self._fit()[self.graph.slot_index[vertex]] = False
+
+    def __len__(self):
+        return int(_np.count_nonzero(self.mask))
+
+    def __iter__(self):
+        ids = self.graph.slot_ids
+        return map(ids.__getitem__, _np.flatnonzero(self.mask).tolist())
+
+    def ordered(self):
+        """The active slots in canonical id order (:func:`sort_vertices`
+        of the ids): one pass over the dense id table while it lives."""
+        mask = self._fit()
+        table = self.graph.id_table()
+        if table is None:
+            return self.graph.slots_of(sort_vertices(self))
+        by_id = _np.frombuffer(table, dtype=_np.int64)
+        by_id = by_id[by_id >= 0]
+        return by_id[mask[by_id]]
 
 
 def record_shape(rows, width):
@@ -463,7 +468,7 @@ class LocalCsr:
             self._used = 0
             self._garbage = 0
             return
-        nbr, row = _gather_explicit(
+        nbr, row = gather_explicit(
             self._blocks, self._starts[live], self._lens[live]
         )
         del row
@@ -510,7 +515,7 @@ class LocalCsr:
     def adjacency(self, slots):
         """``(degrees, neighbour ids back to back)`` of resident ``slots``."""
         degrees = self._lens[slots]
-        entries, row = _gather_explicit(
+        entries, row = gather_explicit(
             self._blocks, self._starts[slots], degrees
         )
         del row
@@ -528,7 +533,7 @@ class LocalCsr:
             return []
         place = self._place
         cur = place[slots]
-        nbr, row = _gather_explicit(
+        nbr, row = gather_explicit(
             self._blocks, self._starts[slots], self._lens[slots]
         )
         desired, movers = _greedy_movers(
@@ -557,7 +562,7 @@ class LocalCsr:
         """
         n = len(rows)
         degrees = self._lens[rows]
-        entries, row = _gather_explicit(
+        entries, row = gather_explicit(
             self._blocks, self._starts[rows], degrees
         )
         del row
@@ -617,7 +622,7 @@ def _grown(old, size, fill):
     return grown
 
 
-def _gather_explicit(blocks, starts, lens):
+def gather_explicit(blocks, starts, lens):
     """Gather explicit ``(start, len)`` blocks, concatenated.
 
     Returns ``(entries, row)`` exactly like

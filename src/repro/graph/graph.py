@@ -48,8 +48,14 @@ makes in-place dirty-region patching possible at all.
 """
 
 from array import array
+from itertools import repeat
 
-__all__ = ["Graph"]
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy is optional
+    _np = None
+
+__all__ = ["Graph", "id_column"]
 
 # Extra per-slot capacity reserved at (re)build so later edge insertions
 # usually patch in place instead of relocating the block.
@@ -434,6 +440,25 @@ class Graph:
             self._build_id_table()
         return self._id_table
 
+    def slots_of(self, ids):
+        """Slots of ``ids`` (an int64 column or a sequence) as an int64
+        column, −1 for an id the graph does not hold; numpy only.  Exact
+        ints take one :meth:`id_table` gather, others a dict probe each."""
+        table = self.id_table()
+        column = ids if isinstance(ids, _np.ndarray) else id_column(ids)
+        if table is None or column is None:
+            keys = ids.tolist() if isinstance(ids, _np.ndarray) else ids
+            return _np.fromiter(
+                map(self._index.get, keys, repeat(-1)), _np.int64, len(keys)
+            )
+        lookup = _np.frombuffer(table, dtype=_np.int64)
+        if len(column) and 0 <= column.min() and column.max() < len(lookup):
+            return lookup[column]
+        slots = _np.full(len(column), -1, dtype=_np.int64)
+        inside = (column >= 0) & (column < len(lookup))
+        slots[inside] = lookup[column[inside]]
+        return slots
+
     def _build_id_table(self):
         index = self._index
         dense = all(type(v) is int and v >= 0 for v in index)
@@ -692,3 +717,14 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
+
+
+def id_column(ids):
+    """``ids`` as an int64 column, or None unless every id is an exact
+    ``int`` that fits (labels, bools and bigints stay Python objects)."""
+    if _np is None or set(map(type, ids)) - {int}:
+        return None
+    try:
+        return _np.fromiter(ids, _np.int64, len(ids))
+    except OverflowError:
+        return None

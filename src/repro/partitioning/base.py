@@ -23,7 +23,6 @@ __all__ = [
     "Partitioner",
     "StreamingPartitioner",
     "balanced_capacities",
-    "id_column",
 ]
 
 
@@ -42,17 +41,6 @@ def balanced_capacities(num_vertices, num_partitions, slack=1.10):
     # must cap at 110, not 111.
     capacity = max(1, math.ceil(balanced * slack - 1e-9))
     return [capacity for _ in range(num_partitions)]
-
-
-def id_column(ids):
-    """``ids`` as an int64 column, or None unless every id is an exact
-    ``int`` that fits (labels, bools and bigints stay Python objects)."""
-    if _np is None or set(map(type, ids)) - {int}:
-        return None
-    try:
-        return _np.array(ids, dtype=_np.int64)
-    except OverflowError:
-        return None
 
 
 class PartitionState:
@@ -113,24 +101,7 @@ class PartitionState:
             except IndexError:  # the graph grew since the last padding
                 self.partition_column()[slot] = pid
 
-    def _slots_of(self, ids):
-        """Slots of ``ids`` (an int64 column or a sequence), −1 = not in
-        the graph: one gather through the graph's id table while it lives
-        and the ids are exact ints, else one ``slot_index`` probe each."""
-        table = self.graph.id_table()
-        column = ids if isinstance(ids, _np.ndarray) else id_column(ids)
-        if table is None or column is None:
-            keys = ids.tolist() if isinstance(ids, _np.ndarray) else ids
-            return _np.fromiter(
-                map(self._slots.get, keys, repeat(-1)), _np.int64, len(keys)
-            )
-        lookup = _np.frombuffer(table, dtype=_np.int64)
-        slots = _np.full(len(column), -1, dtype=_np.int64)
-        inside = (column >= 0) & (column < len(lookup))
-        slots[inside] = lookup[column[inside]]
-        return slots
-
-    def _column_at(self, slots):
+    def partitions_at(self, slots):
         """Partition ids at ``slots`` (−1 at slot −1), as a copy."""
         column = _np.frombuffer(self.partition_column(), dtype=_np.int64)
         pids = _np.full(len(slots), -1, dtype=_np.int64)
@@ -142,7 +113,7 @@ class PartitionState:
         """:meth:`partition_of_or_none` over ``ids`` (an int64 column or a
         sequence) as an int64 column, −1 = absent or unassigned; numpy
         only.  Two gathers: id → slot, then slot → partition column."""
-        return self._column_at(self._slots_of(ids))
+        return self.partitions_at(self.graph.slots_of(ids))
 
     def __contains__(self, vertex):
         return vertex in self._assignment
@@ -242,61 +213,60 @@ class PartitionState:
         self._cut_edges += after - before
         self._store(vertex, new_pid)
 
-    def apply_bulk_moves(self, vertices, slots, old, new, cut_delta):
+    def apply_bulk_moves(self, vertices, slots, old, new, nbr, row):
         """Relocate ``vertices`` (at ``slots``) from ``old`` to ``new``
         partitions — int64 columns, every move a real change; numpy only.
 
-        The caller guarantees ``cut_delta`` equals the sum of the per-move
-        deltas :meth:`move` would have produced (the final cut count is a
-        function of the final assignment alone), which skips the per-move
-        ``O(deg v)`` adjacency walks.
+        ``nbr`` holds the movers' neighbour slots back to back and ``row``
+        the mover each entry belongs to.  The exact cut delta is one pass
+        over them and the partition column instead of a per-move
+        ``O(deg v)`` walk: the final cut is a function of the final
+        assignment alone, and a mover–mover edge appears once per endpoint
+        with equal indicators, so those entries count half.
         """
+        column = _np.frombuffer(self.partition_column(), dtype=_np.int64)
+        before = column[nbr]
+        moved_to = _np.full(len(column), -1, dtype=_np.int64)
+        moved_to[slots] = new
+        after = moved_to[nbr]
+        hit = after >= 0  # the neighbour moves too
+        after = _np.where(hit, after, before)
+        valid = before >= 0  # unassigned neighbours never count
+        diff = (valid & (after != new[row])).astype(_np.int64)
+        diff -= valid & (before != old[row])
+        self._cut_edges += int(diff.sum()) - int(diff[hit].sum()) // 2
         self._assignment.update(zip(vertices, new.tolist()))
         k = self.num_partitions
         shift = _np.bincount(new, minlength=k) - _np.bincount(old, minlength=k)
         for pid, delta in enumerate(shift.tolist()):
             self._sizes[pid] += delta
-        _np.frombuffer(self.partition_column(), dtype=_np.int64)[slots] = new
-        self._cut_edges += cut_delta
+        column[slots] = new
 
     def move_many(self, vertices, new):
         """:meth:`move` each of ``vertices`` to its entry of ``new`` in one
         bulk move (numpy only); returns their old partitions (int64).
 
-        The exact cut delta comes from the real movers' adjacency sets
-        through the id table and the partition column, never the CSR
-        mirror; a mover–mover edge appears once per endpoint with equal
-        indicators, so those entries count half.
+        The movers' neighbours come from their adjacency sets through the
+        id table, never the CSR mirror.
         """
         k = self.num_partitions
         new = _np.asarray(new, dtype=_np.int64)
         bad = (new < 0) | (new >= k)
         if bad.any():
             self._check_pid(int(new[bad.argmax()]))  # raises
-        slots = self._slots_of(vertices)
-        old = self._column_at(slots)
+        slots = self.graph.slots_of(vertices)
+        old = self.partitions_at(slots)
         if (old < 0).any():
             raise KeyError(vertices[int((old < 0).argmax())])
         real = old != new
         if not real.any():
             return old
         movers = list(compress(vertices, real.tolist()))
-        slots, src, dst = slots[real], old[real], new[real]
         blocks = list(map(self.graph.neighbors, movers))
         degrees = _np.fromiter(map(len, blocks), _np.int64, count=len(blocks))
-        nbr = self._slots_of(list(chain.from_iterable(blocks)))
+        nbr = self.graph.slots_of(list(chain.from_iterable(blocks)))
         row = _np.repeat(_np.arange(len(movers)), degrees)
-        before = self._column_at(nbr)
-        moved_to = _np.full(self.graph.num_slots, -1, dtype=_np.int64)
-        moved_to[slots] = dst
-        after = moved_to[nbr]
-        hit = after >= 0  # the neighbour moves too
-        after = _np.where(hit, after, before)
-        valid = before >= 0  # unassigned neighbours never count
-        diff = (valid & (after != dst[row])).astype(_np.int64)
-        diff -= valid & (before != src[row])
-        cut_delta = int(diff.sum()) - int(diff[hit].sum()) // 2
-        self.apply_bulk_moves(movers, slots, src, dst, cut_delta)
+        self.apply_bulk_moves(movers, slots[real], old[real], new[real], nbr, row)
         return old
 
     def assign_many(self, vertices, pids):

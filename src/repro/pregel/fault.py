@@ -6,7 +6,8 @@ superstep time while the system restores state.  We make that mechanism
 first-class and testable:
 
 * the system checkpoints all vertex values every ``checkpoint_interval``
-  barriers;
+  barriers while its plan still has a failure scheduled (a run that
+  cannot fail copies nothing);
 * a :class:`FaultPlan` kills a chosen worker at a chosen superstep: the
   values of every vertex hosted there roll back to the last checkpoint,
   all in-flight messages are dropped (the BSP barrier cannot complete), and
@@ -31,6 +32,10 @@ class FaultPlan:
         """Worker id scheduled to fail at ``superstep``, or None."""
         return self.failures.get(superstep)
 
+    def pending(self, superstep):
+        """True while a failure is scheduled at or after ``superstep``."""
+        return any(at >= superstep for at in self.failures)
+
     def add(self, superstep, worker_id):
         """Schedule ``worker_id`` to fail at ``superstep``; returns self."""
         self.failures[superstep] = worker_id
@@ -38,18 +43,22 @@ class FaultPlan:
 
 
 class Checkpointer:
-    """Periodic copy of vertex values (the recovery source)."""
+    """Periodic copy of vertex values (the recovery source), taken only
+    while ``plan`` (a :class:`FaultPlan`, if given) has a failure ahead."""
 
-    def __init__(self, interval=10):
+    def __init__(self, interval=10, plan=None):
         if interval < 1:
             raise ValueError("checkpoint interval must be >= 1")
         self.interval = interval
+        self.plan = plan
         self._snapshot = {}
         self._snapshot_superstep = None
 
     def maybe_checkpoint(self, superstep, values):
         """Snapshot at every ``interval``-th barrier; returns True if taken."""
-        if superstep % self.interval != 0:
+        if superstep % self.interval or not (
+            self.plan is None or self.plan.pending(superstep)
+        ):
             return False
         self._snapshot = dict(values)
         self._snapshot_superstep = superstep

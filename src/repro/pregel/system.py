@@ -23,7 +23,7 @@ from repro.core.heuristic import (
     make_heuristic,
 )
 from repro.core.incremental import IncrementalMetrics
-from repro.core.ingest import apply_event, apply_events, make_ingestor
+from repro.core.ingest import IngestHost, apply_events, make_ingestor
 from repro.core.sweep import make_sweeper, sort_vertices
 from repro.obs import NULL_TRACER, MetricsRegistry
 from repro.partitioning.hashing import HashPartitioner
@@ -138,7 +138,7 @@ class _PlacementView:
         return self._state.partitions_of(ids)
 
 
-class PregelSystem:
+class PregelSystem(IngestHost):
     """A simulated Pregel cluster running one vertex program continuously."""
 
     def __init__(self, graph, program, config=None, fault_plan=None,
@@ -185,8 +185,10 @@ class PregelSystem:
         self.aggregators.register("__migrations__", SumAggregator)
         self.migration = MigrationProtocol(self.network, k)
         self.capacity_protocol = CapacityProtocol(self.network, k)
-        self.checkpointer = Checkpointer(self.config.checkpoint_interval)
         self.fault_plan = fault_plan or FaultPlan()
+        self.checkpointer = Checkpointer(
+            self.config.checkpoint_interval, self.fault_plan
+        )
         self.detector = ConvergenceDetector(self.config.quiet_window)
         self.superstep = 0
         self.reports = []
@@ -246,10 +248,7 @@ class PregelSystem:
             self._refresh_capacities()
         return applied
 
-    # The ingest host contract (see repro.core.ingest).
-
-    def _apply_event(self, event):
-        return apply_event(self, event)
+    # IngestHost hooks (see repro.core.ingest).
 
     def _vertices_placed(self, placements):
         """Ingest hook: new vertices were interned and placed; give each
@@ -264,10 +263,6 @@ class PregelSystem:
         self.halted.discard(vertex)
         self.migration.cancel_vertex(vertex)
         self.router.drop_vertex(vertex)
-
-    def _edges_changed(self, us, vs, changed):
-        """Ingest hook: one bulk edge run applied; ``changed`` flags it
-        (nothing to do here — the sharded coordinator marks dirty shards)."""
 
     # ------------------------------------------------------------------
     # Superstep phases
@@ -389,7 +384,9 @@ class PregelSystem:
             source = WillingnessSource(context.lane)
             round_index = context.round_index
             s = context.willingness
-            _, cur, desired, movers = self._sweeper.decisions(candidates)
+            _, cur, desired, movers = self._sweeper.decisions(
+                self.graph.slots_of(candidates)
+            )
             return [
                 (v, current, wish, source.willing(round_index, v, s))
                 for v, current, wish in zip(
@@ -447,8 +444,7 @@ class PregelSystem:
         load = self.config.balance.load_of(self.graph, vertex_id)
         self.metrics.on_move(vertex_id, old, new_worker, load)
         self._active.add(vertex_id)
-        for w in self.graph.neighbors(vertex_id):
-            self._active.add(w)
+        self._active.update(self.graph.neighbors(vertex_id))
 
     def _announce_migrations(self):
         """Apply this superstep's migration announcements to the placement."""

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import subprocess
+from contextlib import contextmanager
 
 import pytest
 
@@ -60,19 +61,34 @@ def scalar_twin():
     return twin
 
 
+@contextmanager
+def _portable_paths():
+    import repro.core.runner
+    import repro.pregel.system
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (repro.core.runner, repro.pregel.system):
+            patch.setattr(module, "make_sweeper", lambda *args: None)
+            patch.setattr(module, "make_ingestor", lambda host: None)
+        yield
+
+
 @pytest.fixture
-def portable_paths(monkeypatch):
+def portable_paths():
     """Build every host from here on on the portable paths: per-vertex
     decisions read from the adjacency sets and the per-event ingest loop
     (what a numpy-free host runs), instead of the sweep and bulk ingest
     over the CSR mirror.  For runs whose hosts a test cannot reach, such
     as a whole ``play_scenario`` replay."""
-    import repro.core.runner
-    import repro.pregel.system
+    with _portable_paths():
+        yield
 
-    for module in (repro.core.runner, repro.pregel.system):
-        monkeypatch.setattr(module, "make_sweeper", lambda *args: None)
-        monkeypatch.setattr(module, "make_ingestor", lambda host: None)
+
+@pytest.fixture(scope="session")
+def on_portable_paths():
+    """:func:`portable_paths` as a context manager, for a test that builds
+    hosts on both paths (a hypothesis test builds them per example)."""
+    return _portable_paths
 
 
 @pytest.fixture

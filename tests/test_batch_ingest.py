@@ -74,7 +74,7 @@ def _assert_equivalent(batch, loop):
         loop.state.assignment_items()
     )
     assert batch.metrics.loads == loop.metrics.loads
-    assert batch._active == loop._active
+    assert batch.active_vertices == loop.active_vertices
     assert set(batch.graph.vertices()) == set(loop.graph.vertices())
     assert {v: set(batch.graph.neighbors(v)) for v in batch.graph.vertices()} == {
         v: set(loop.graph.neighbors(v)) for v in loop.graph.vertices()
@@ -368,7 +368,7 @@ class TestSweeperBulkHooks:
 
     def test_lookup_slots_flags_absent_ids(self):
         runner = self._runner()
-        slots = runner._ingestor._slots_of([0, 5, 4096, -3])
+        slots = runner.graph.slots_of([0, 5, 4096, -3])
         assert slots[0] == runner.graph.slot_of(0)
         assert slots[1] == runner.graph.slot_of(5)
         assert slots[2] == -1 and slots[3] == -1

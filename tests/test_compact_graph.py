@@ -273,13 +273,16 @@ def apply_state_op(graph, state, op, fresh_ids):
         oracle = state.copy()
         for v in movers:
             oracle.move(v, op[2])
+        blocks = [list(graph.neighbors(v)) for v in movers]
         state.apply_bulk_moves(
             movers,
             np.array([graph.slot_of(v) for v in movers], dtype=np.int64),
             np.array([state.partition_of(v) for v in movers], dtype=np.int64),
             np.full(len(movers), op[2], dtype=np.int64),
-            oracle.cut_edges - state.cut_edges,
+            np.array([graph.slot_of(w) for b in blocks for w in b], dtype=np.int64),
+            np.repeat(np.arange(len(movers)), [len(b) for b in blocks]),
         )
+        assert state.cut_edges == oracle.cut_edges
     elif kind == "assign_many":
         arrivals = [next(fresh_ids) for _ in op[1]]
         graph.add_vertices(arrivals)
@@ -554,7 +557,7 @@ class TestSweeperInternals:
             vertex = next(iter(state.assignment_items()))[0]
             state.move(vertex, (state.partition_of(vertex) + 1) % 4)
             runner.metrics.rebuild()  # loads follow the unreported move
-            runner._active.update(runner.graph.neighbors(vertex))
+            runner._activate(runner.graph.neighbors(vertex))
         for _ in range(10):
             assert portable.step() == swept.step()
         swept.state.validate()
@@ -564,7 +567,7 @@ class TestSweeperInternals:
         it: a live view would make the next resize raise BufferError."""
         g = mesh_3d(4)
         runner = _runner(g, seed=0)
-        pending = runner._sweeper.decisions(list(g.vertices()))
+        pending = runner._sweeper.decisions(g.slots_of(list(g.vertices())))
         next_id = g.num_vertices
         for round_index in range(6):
             runner.step()
@@ -683,7 +686,7 @@ class TestIdLookupDeltaMaintenance:
         g.add_edge(900, 0)
         runner.state.assign(900, 0)
         runner.metrics.rebuild()
-        runner._active.add(900)
+        runner._activate([900])
         runner.step()
         if g.id_table() is not None:
             assert g.id_table()[900] == g.slot_index[900]
@@ -701,7 +704,7 @@ class TestIdLookupDeltaMaintenance:
         runner.state.remove_vertex(victim)  # … and the graph never hears
         g.add_vertex(2000)
         runner.state.assign(2000, 0)
-        slots = runner._sweeper._candidate_slots([victim, 2000])
+        slots = g.slots_of([victim, 2000])
         assert slots[0] == g.slot_index[victim]  # not a stale -1
         assert slots[1] == g.slot_index[2000]
         g.validate()

@@ -622,7 +622,7 @@ class TestCapacityAwareActivation:
             if runner._needs_full_sweep(remaining):
                 candidates = set(graph.vertices())
             else:
-                candidates = set(runner._active)
+                candidates = runner.active_vertices
             for v in graph.vertices():
                 current = state.partition_of_or_none(v)
                 if current is None:

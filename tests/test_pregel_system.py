@@ -212,6 +212,27 @@ class TestFaultRecovery:
             if pid == 0:
                 assert system.values[v] == values_at_checkpoint[v]
 
+    def test_a_run_without_a_plan_takes_no_snapshot(self):
+        system = PregelSystem(
+            mesh_3d(3),
+            PageRank(),
+            PregelConfig(num_workers=2, seed=0, checkpoint_interval=2),
+        )
+        system.run(6)
+        assert system.checkpointer.last_checkpoint_superstep is None
+
+    def test_snapshots_stop_after_the_last_scheduled_failure(self):
+        system = PregelSystem(
+            mesh_3d(3),
+            PageRank(),
+            PregelConfig(num_workers=2, seed=0, checkpoint_interval=2),
+            fault_plan=FaultPlan().add(3, 0),
+        )
+        system.run(2)
+        assert system.checkpointer.last_checkpoint_superstep == 2
+        system.run(6)
+        assert system.checkpointer.last_checkpoint_superstep == 2
+
     def test_failure_drops_inflight_messages(self):
         graph = mesh_3d(4)
         plan = FaultPlan().add(2, 1)

@@ -561,10 +561,10 @@ def test_consistency_check_compares_adjacency_with_the_graph(monkeypatch):
     agree — only the adjacency comparison can see it."""
     from repro.graph.events import AddEdge
 
-    marked = Coordinator._edges_changed
+    marked = Coordinator._activate
 
-    def forgetful(self, us, vs, changed):
-        marked(self, us, vs, changed)
+    def forgetful(self, vertices):
+        marked(self, vertices)
         self._dirty.discard(5)
 
     config = PregelConfig(num_workers=2, seed=2, quiet_window=5)
@@ -573,7 +573,7 @@ def test_consistency_check_compares_adjacency_with_the_graph(monkeypatch):
         system.inject_events([AddEdge(2, 9)])
         system.run(2)
         system.shard_consistency_check()  # every mark made: clean
-        monkeypatch.setattr(Coordinator, "_edges_changed", forgetful)
+        monkeypatch.setattr(Coordinator, "_activate", forgetful)
         system.inject_events([AddEdge(5, 11)])
         system.run(2)
         assert 11 in graph.neighbors(5)
