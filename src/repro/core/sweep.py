@@ -183,15 +183,15 @@ class ActiveSlots:
             mask[list(graph.slot_index.values())] = True
         self.mask = mask
 
-    def _fit(self):  # pad to every slot the graph has handed out
-        if len(self.mask) < self.graph.num_slots:
-            self.mask = _grown(self.mask, self.graph.num_slots, False)
+    def _fit(self):  # cover every slot the graph has handed out
+        size = self.graph.num_slots
+        if len(self.mask) < size:  # doubling: amortised O(1) per new slot
+            self.mask = _grown(self.mask, max(size, 2 * len(self.mask)), False)
         return self.mask
 
-    def update(self, vertices):  # item by item: most calls carry 1–2 ids
-        mask = self._fit()
-        for slot in map(self.graph.slot_index.__getitem__, vertices):
-            mask[slot] = True
+    def update(self, vertices):  # one gather per call
+        slots = map(self.graph.slot_index.__getitem__, vertices)
+        self._fit()[_np.fromiter(slots, _np.int64)] = True
 
     def discard(self, vertex):
         self._fit()[self.graph.slot_index[vertex]] = False

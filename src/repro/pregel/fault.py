@@ -44,9 +44,9 @@ class FaultPlan:
 
 class Checkpointer:
     """Periodic copy of vertex values (the recovery source), taken only
-    while ``plan`` (a :class:`FaultPlan`, if given) has a failure ahead."""
+    while ``plan`` (a :class:`FaultPlan`) has a failure ahead."""
 
-    def __init__(self, interval=10, plan=None):
+    def __init__(self, interval, plan):
         if interval < 1:
             raise ValueError("checkpoint interval must be >= 1")
         self.interval = interval
@@ -56,9 +56,7 @@ class Checkpointer:
 
     def maybe_checkpoint(self, superstep, values):
         """Snapshot at every ``interval``-th barrier; returns True if taken."""
-        if superstep % self.interval or not (
-            self.plan is None or self.plan.pending(superstep)
-        ):
+        if superstep % self.interval or not self.plan.pending(superstep):
             return False
         self._snapshot = dict(values)
         self._snapshot_superstep = superstep

@@ -17,6 +17,7 @@ from repro.core import sweep
 from repro.core.balance import EdgeBalance, VertexBalance
 from repro.core.runner import AdaptiveConfig, AdaptiveRunner
 from repro.core.sweep import ActiveSlots, sort_vertices
+from repro.generators import forest_fire_expansion
 from repro.graph import AddEdge, AddVertex, Graph, RemoveEdge, RemoveVertex
 from repro.partitioning import HashPartitioner, balanced_capacities
 
@@ -103,3 +104,28 @@ def test_removed_vertex_leaves_the_mask_and_its_slot_is_reused():
     assert runner.graph.slot_of(9) == slot  # the hole is reused ...
     assert runner._active.mask[slot]        # ... and active again
     assert _candidate_ids(runner) == sort_vertices(runner.active_vertices)
+
+
+@needs_numpy
+def test_growth_stream_grows_the_mask_by_doubling(on_portable_paths):
+    # A forest fire adds one vertex per AddVertex; each takes a fresh slot
+    # and activates it, so the mask must grow amortised, not per vertex.
+    ring = [(i, (i + 1) % 50) for i in range(50)]
+    masked = _runner(ring, VertexBalance)
+    with on_portable_paths():
+        portable = _runner(ring, VertexBalance)
+    events, new_ids = forest_fire_expansion(masked.graph, 400, seed=3)
+    mask, copies = masked._active.mask, 0
+    for event in events:
+        masked.apply_events([event])
+        portable.apply_events([event])
+        copies += masked._active.mask is not mask
+        mask = masked._active.mask
+    assert copies <= 4  # 50 slots doubled up to 800
+    assert masked.active_vertices == portable.active_vertices
+    assert set(new_ids) <= masked.active_vertices
+    assert _candidate_ids(masked) == sort_vertices(portable._active)
+    for _ in range(3):
+        assert masked.step() == portable.step()
+    assert list(masked.timeline) == list(portable.timeline)
+    masked.audit()

@@ -263,13 +263,14 @@ class TestCapacityProtocol:
 
 class TestCheckpointer:
     def test_interval(self):
-        cp = Checkpointer(interval=5)
+        cp = Checkpointer(interval=5, plan=FaultPlan().add(6, 0))
         assert cp.maybe_checkpoint(5, {"v": 1}) is True
         assert cp.maybe_checkpoint(6, {"v": 2}) is False
+        assert cp.maybe_checkpoint(10, {"v": 3}) is False  # no failure ahead
         assert cp.last_checkpoint_superstep == 5
 
     def test_restore_known_and_new_vertices(self):
-        cp = Checkpointer(interval=1)
+        cp = Checkpointer(interval=1, plan=FaultPlan().add(1, 0))
         cp.maybe_checkpoint(1, {"old": 10})
         values = {"old": 99, "new": 5}
         restored = cp.restore_vertices(
@@ -280,7 +281,7 @@ class TestCheckpointer:
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            Checkpointer(interval=0)
+            Checkpointer(interval=0, plan=FaultPlan())
 
 
 class TestFaultPlan:
