@@ -12,7 +12,7 @@ count.
 This bench runs the identical 100k-vertex adaptation workload (a 3-D FEM
 mesh settling from a hash partitioning, a light vertex program so the
 decision phase is the signal) through both and compares the *measured
-serial decision wall-time* (``SuperstepReport.decision_seconds``).  The
+serial decision wall-time* (the ``phase.decide.seconds`` counter).  The
 central number comes from the single-process
 :class:`~repro.pregel.system.PregelSystem` — the only place central
 generation (``_generate_proposals``) still runs, and the oracle the
@@ -98,12 +98,13 @@ def _timed_run(decisions, heuristic):
         start = time.perf_counter()
         reports = system.run(SUPERSTEPS)
         elapsed = time.perf_counter() - start
+        phases = registry.phase_seconds()
         return {
             "decisions": decisions,
             "seconds": elapsed,
-            "decision_seconds": sum(r.decision_seconds for r in reports),
+            "decision_seconds": phases["decide"],
             "migrations": sum(r.migrations_announced for r in reports),
-            "phases": registry.phase_seconds(),
+            "phases": phases,
             "timeline": [
                 (
                     r.superstep,

@@ -13,7 +13,6 @@ from collections import Counter
 from functools import partial
 from itertools import chain as _chain
 from itertools import islice as _islice
-from time import perf_counter, time
 
 from repro.cluster.executor import make_executor
 from repro.cluster.shard import PatchColumns, Shard, ShardTask, store_dtype
@@ -135,7 +134,8 @@ class Coordinator(PregelSystem):
     def _compute_phase(self, inbox):
         """Fan the compute phase out over the shards and merge the deltas."""
         num_workers = self.config.num_workers
-        with self.tracer.span("inbox-split"):
+        tracer = self.tracer
+        with tracer.span("inbox-split"):
             shard_inbox = self._split_inbox(inbox, num_workers)
         agg_previous = {
             name: self.aggregators.previous(name)
@@ -153,25 +153,25 @@ class Coordinator(PregelSystem):
             # The coordinator's pre-arbitration decision work is just
             # this: slice the active set by resident shard (a full sweep
             # ships no ids at all — candidates=None means "all residents").
-            started = perf_counter()
-            if not self._decision_needs_full_sweep(decision_ctx):
-                # Canonical order: the slices cross the wire in ShardTask
-                # .candidates and feed per-shard decision sweeps.
-                active = sort_vertices(self._active)
-                if _np is None:  # one residency probe per shard and vertex
-                    shard = self._vertex_shard.get
-                    candidate_slices = [
-                        tuple(v for v in active if shard(v) == sid)
-                        for sid in range(num_workers)
-                    ]
-                else:
-                    candidate_slices = [
-                        tuple(map(active.__getitem__, rows.tolist()))
-                        for rows in _by_shard(
-                            self.state.partitions_of(active), num_workers
-                        )
-                    ]
-            self._decision_seconds += perf_counter() - started
+            with tracer.span(None, self._decide_counter):
+                if not self._decision_needs_full_sweep(decision_ctx):
+                    # Canonical order: the slices cross the wire in
+                    # ShardTask.candidates and feed per-shard decision
+                    # sweeps.
+                    active = sort_vertices(self._active)
+                    if _np is None:  # one residency probe per shard and vertex
+                        shard = self._vertex_shard.get
+                        candidate_slices = [
+                            tuple(v for v in active if shard(v) == sid)
+                            for sid in range(num_workers)
+                        ]
+                    else:
+                        candidate_slices = [
+                            tuple(map(active.__getitem__, rows.tolist()))
+                            for rows in _by_shard(
+                                self.state.partitions_of(active), num_workers
+                            )
+                        ]
         num_vertices = self.graph.num_vertices
         tasks = {
             sid: ShardTask(
@@ -195,45 +195,35 @@ class Coordinator(PregelSystem):
         computed = 0
         proposals = self._shard_proposals
         proposals.clear()
-        tracer = self.tracer
-        traced = tracer.enabled
-        if traced:  # one span over the whole delta fold
-            merge_wall = time()
-            merge_tick = perf_counter()
         # The coordinator's own sort, not the executor's dict order, fixes
         # the merge order — what keeps results identical across executors.
-        for sid, delta in sorted(deltas.items()):
-            computed += delta.computed
-            values = delta.values
-            self.values.update(
-                values if isinstance(values, dict) else values.items()
-            )
-            self.halted.difference_update(delta.halted_removed)
-            self.halted.update(delta.halted_added)
-            # One shard per worker: the shard id IS the source worker.
-            self.router.absorb(delta.outbox, sid)
-            for name, value in delta.aggregated:
-                self.aggregators.contribute(name, value)
-            proposals.extend(delta.proposals)
-            # One shard per worker: the shard's compute IS the worker's.
-            per_worker[sid] += delta.compute_units
-            self.network.count_compute(delta.compute_units)
-            if delta.batched_blocks:
-                # Which compute path ran, per trace/metrics dump — the
-                # scalar fallback leaves the counter untouched.
-                self._batched_counter.add(delta.batched_blocks)
-            if delta.demotion:  # an array store fell back to dicts
-                self._demotion_counter.add(1)
-                self._demotion_reasons.add(delta.demotion, 1)
-            if traced:
-                # Worker-side spans ride home in the delta; merging
-                # them here is what builds the one shared timeline.
+        with tracer.span("barrier-merge", superstep=self.superstep):
+            for sid, delta in sorted(deltas.items()):
+                computed += delta.computed
+                values = delta.values
+                self.values.update(
+                    values if isinstance(values, dict) else values.items()
+                )
+                self.halted.difference_update(delta.halted_removed)
+                self.halted.update(delta.halted_added)
+                # One shard per worker: the shard id IS the source worker.
+                self.router.absorb(delta.outbox, sid)
+                for name, value in delta.aggregated:
+                    self.aggregators.contribute(name, value)
+                proposals.extend(delta.proposals)
+                # One shard per worker: the shard's compute IS the worker's.
+                per_worker[sid] += delta.compute_units
+                self.network.count_compute(delta.compute_units)
+                if delta.batched_blocks:
+                    # Which compute path ran, per trace/metrics dump — the
+                    # scalar fallback leaves the counter untouched.
+                    self._batched_counter.add(delta.batched_blocks)
+                if delta.demotion:  # an array store fell back to dicts
+                    self._demotion_counter.add(1)
+                    self._demotion_reasons.add(delta.demotion, 1)
+                # Worker-side spans ride home in the delta; merging them
+                # here is what builds the one shared timeline.
                 tracer.absorb(delta.spans)
-        if traced:
-            tracer.record(
-                "barrier-merge", merge_wall, perf_counter() - merge_tick,
-                args={"superstep": self.superstep},
-            )
         return computed, per_worker
 
     def _split_inbox(self, inbox, num_workers):

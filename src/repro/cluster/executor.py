@@ -46,7 +46,6 @@ import socket
 import weakref
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, replace
-from time import perf_counter, time
 from typing import TYPE_CHECKING, Any
 
 from repro.cluster import wire
@@ -108,7 +107,7 @@ class Executor:
 
     #: The coordinator's tracer, installed by :meth:`bind_observability`;
     #: the class-level default is the shared disabled tracer, so every
-    #: instrumentation site can read ``self.tracer.enabled`` unconditionally.
+    #: instrumentation site can open a scope unconditionally.
     tracer = NULL_TRACER
 
     def bind_observability(
@@ -385,26 +384,20 @@ class SocketExecutor(Executor):
     def _send(self, worker: int, message: tuple[str, Any]) -> None:
         kind = message[0]
         self._pending_kind[worker] = kind
-        wall = time()
-        tick = perf_counter()
-        sent = self._transport_send(worker, message)
-        if self.tracer.enabled:
-            self.tracer.record(
-                "wire-send", wall, perf_counter() - tick, lane="wire",
-                args={"kind": kind, "worker": worker, "bytes": sent},
-            )
+        with self.tracer.span(
+            "wire-send", lane="wire", kind=kind, worker=worker
+        ) as frame:
+            sent = self._transport_send(worker, message)
+            frame.note(bytes=sent)
         self.bytes_sent.add(kind, sent)
 
     def _recv_message(self, worker: int) -> Any:
         kind = self._pending_kind.get(worker, "?")
-        wall = time()
-        tick = perf_counter()
-        message, received = self._transport_recv(worker)
-        if self.tracer.enabled:
-            self.tracer.record(
-                "wire-recv", wall, perf_counter() - tick, lane="wire",
-                args={"kind": kind, "worker": worker, "bytes": received},
-            )
+        with self.tracer.span(
+            "wire-recv", lane="wire", kind=kind, worker=worker
+        ) as frame:
+            message, received = self._transport_recv(worker)
+            frame.note(bytes=received)
         self.bytes_received.add(kind, received)
         return message
 

@@ -18,9 +18,8 @@ through this module:
 **The host contract** (:class:`IngestHost`, table in
 ``docs/architecture.md``).  A host exposes ``graph``, ``state``,
 ``metrics`` (:class:`~repro.core.incremental.IncrementalMetrics`),
-``config.placement`` and ``_ingestor`` (:func:`make_ingestor`'s answer),
-and takes its hooks.  This module never touches a host's active
-set: it calls ``_activate`` / ``_deactivate``, so each host keeps the set
+``tracer`` and ``_ingestor`` (:func:`make_ingestor`'s answer), and takes
+its hooks.  This module never touches a host's active set: it calls ``_activate`` / ``_deactivate``, so each host keeps the set
 the way its decision path reads it — a ``set`` of ids, or the runner's
 slot mask (:class:`~repro.core.sweep.ActiveSlots`).  The derived arrays
 need no hook: the id → slot table lives in the graph and the partition
@@ -31,12 +30,12 @@ pair's events as a toggle chain, so only pairs whose presence flips across
 the run touch the graph and the cut, in one vectorised pass each.
 
 **Equivalence is the contract**: assignment, metrics, active set and the
-RNG stream come out bit-identical to the per-event loop.  The ingestor
-exists only where that is provable — numpy present, exact
-:class:`~repro.partitioning.hashing.HashPartitioner` placement (per-vertex
-pure, so batch placement commutes) and a degree-insensitive balance policy
-(edge events then cannot move loads).  Everything else — and any batch the
-loop would abort mid-way (unknown event types, self-loop adds) — takes the
+RNG stream come out bit-identical to the per-event loop.  New vertices
+always take :class:`~repro.partitioning.hashing.HashPartitioner`
+placement (per-vertex pure, so batch placement commutes), and the
+ingestor exists only where equivalence is provable — numpy present and
+a degree-insensitive balance policy (edge events then cannot move
+loads).  Everything else — and any batch the loop would abort mid-way (unknown event types, self-loop adds) — takes the
 per-event loop, which is also the oracle: the test tree clears
 ``_ingestor`` to pin the bulk path against it, alongside the golden
 timelines (bulk path and loop, both pinned) and the engines' ``audit()``.
@@ -54,6 +53,7 @@ from repro.graph.events import (
     RemoveVertex,
 )
 from repro.core.sweep import gather_explicit
+from repro.obs import NULL_TRACER
 from repro.partitioning.hashing import HashPartitioner
 
 try:
@@ -65,11 +65,17 @@ __all__ = [
     "BatchIngestor", "IngestHost", "apply_event", "apply_events", "make_ingestor"
 ]
 
+# Where every new vertex lands (per-vertex pure, so batches commute).
+_HASH = HashPartitioner()
+
 
 class IngestHost:
     """The hooks this module calls, with the defaults both engines share:
     ``_active`` is a ``set`` or an :class:`~repro.core.sweep.ActiveSlots`,
-    and the notifications do nothing."""
+    the notifications do nothing, and a host without a tracer of its own
+    times nothing."""
+
+    tracer = NULL_TRACER
 
     def _activate(self, vertices):
         """Live ids whose adjacency an event changed re-enter the set."""
@@ -105,11 +111,10 @@ def apply_events(host, events):
 def apply_event(host, event):
     """Apply one event to graph, state, metrics and active set.
 
-    Returns True when the graph changed.  New vertices are placed by the
-    configured placement strategy while still isolated; a removed vertex
-    leaves the state *before* the graph drops its edges (the cut count
-    needs them); every touched endpoint and neighbour re-enters the
-    active set.
+    Returns True when the graph changed.  New vertices are hash-placed
+    while still isolated; a removed vertex leaves the state *before* the
+    graph drops its edges (the cut count needs them); every touched
+    endpoint and neighbour re-enters the active set.
     """
     graph = host.graph
     state = host.state
@@ -163,7 +168,7 @@ def _place_new_vertices(host, vertices):
     """Streaming placement of just-added (still isolated) vertices, with
     delta upkeep — one vertex from the per-event path, a run's worth of new
     endpoints from the bulk path."""
-    placements = host.config.placement.place_many(host.state, vertices)
+    placements = _HASH.place_many(host.state, vertices)
     host.metrics.on_vertices_placed(placements)
     host._vertices_placed(placements)
 
@@ -173,12 +178,8 @@ def make_ingestor(host):
 
     The gate mirrors :func:`~repro.core.sweep.make_sweeper`'s philosophy:
     engage only where equivalence with the per-event loop is structural.
-    Exact-type checks are deliberate — a placement or balance subclass
-    could override the behaviours the bulk path relies on.
     """
     if _np is None:
-        return None
-    if type(host.config.placement) is not HashPartitioner:
         return None
     if host.metrics.degree_sensitive:
         return None
@@ -193,21 +194,17 @@ class BatchIngestor:
 
     def apply(self, batch):
         """Apply every segment in order; returns the changed-event count."""
-        tracer = getattr(self.host, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            with tracer.span("ingest-batch", segments=len(batch.segments)):
-                return self._apply(batch)
-        return self._apply(batch)
-
-    def _apply(self, batch):
         apply_one = partial(apply_event, self.host)
         changed = 0
-        for segment in batch.segments:
-            if segment[0] == "loop":
-                changed += sum(map(apply_one, segment[1]))
-            else:
-                _, kinds, us, vs = segment
-                changed += self._apply_edge_run(kinds, us, vs)
+        with self.host.tracer.span(
+            "ingest-batch", segments=len(batch.segments)
+        ):
+            for segment in batch.segments:
+                if segment[0] == "loop":
+                    changed += sum(map(apply_one, segment[1]))
+                else:
+                    _, kinds, us, vs = segment
+                    changed += self._apply_edge_run(kinds, us, vs)
         return changed
 
     def _intern_new_endpoints(self, kinds_arr, us, vs, su, sv):

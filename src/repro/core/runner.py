@@ -53,7 +53,6 @@ from repro.core.incremental import IncrementalMetrics
 from repro.core.ingest import IngestHost, apply_events, make_ingestor
 from repro.core.metrics import IterationStats, Timeline
 from repro.core.sweep import ActiveSlots, generic_decisions, make_sweeper, sort_vertices
-from repro.partitioning.hashing import HashPartitioner
 from repro.utils import make_rng
 from repro.utils.rng import random_column, shuffled_order
 
@@ -78,7 +77,6 @@ class AdaptiveConfig:
     seed: int = 0
     heuristic: object = field(default_factory=GreedyMaxNeighbours)
     balance: object = field(default_factory=VertexBalance)
-    placement: object = field(default_factory=HashPartitioner)
 
     def __post_init__(self):
         if not 0.0 <= self.willingness <= 1.0:
@@ -317,8 +315,8 @@ class AdaptiveRunner(IngestHost):
     def apply_events(self, events):
         """Apply graph mutations and re-arm the algorithm around them.
 
-        New vertices are placed by the configured placement strategy (hash
-        by default, as in the paper's streaming system); removed vertices
+        New vertices are hash-placed, as in the paper's streaming system;
+        removed vertices
         leave their partition; every touched neighbourhood re-enters the
         active set and the convergence window resets.  Loads, sizes and the
         cut count are maintained as deltas per applied event (O(1) per event

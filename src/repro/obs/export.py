@@ -19,7 +19,7 @@ viewer opens at t≈0 regardless of when the run happened.
 
 import json
 
-from .trace import LANE, span_dict
+from .trace import LANE, lane_order, span_dict
 
 __all__ = ["chrome_trace_events", "write_chrome_trace", "write_jsonl", "write_trace"]
 
@@ -32,24 +32,9 @@ def write_jsonl(spans, path):
             fh.write("\n")
 
 
-def _lane_order(lanes):
-    """Stable display order: coordinator, shards by id, everything else."""
-
-    def key(lane):
-        if lane == "coordinator":
-            return (0, 0, lane)
-        if lane.startswith("shard-"):
-            suffix = lane[len("shard-"):]
-            if suffix.isdigit():
-                return (1, int(suffix), lane)
-        return (2, 0, lane)
-
-    return sorted(lanes, key=key)
-
-
 def chrome_trace_events(spans):
     """Spans as a Chrome trace-event list (metadata rows first)."""
-    lanes = _lane_order({span[LANE] for span in spans})
+    lanes = lane_order({span[LANE] for span in spans})
     tids = {lane: tid for tid, lane in enumerate(lanes)}
     events = [
         {

@@ -1,11 +1,11 @@
 """A registry of named counters, gauges and histograms.
 
-The repo grew its instruments ad hoc — `SuperstepReport.decision_seconds`,
-`SocketExecutor.bytes_sent` — each
-with its own lifecycle and none visible from the CLI.
-:class:`MetricsRegistry` is the single home: components create named
-instruments once and bump them in place; the registry renders one text
-snapshot (``--show-metrics``) or a JSON document (``--metrics-json``).
+:class:`MetricsRegistry` is the single home of a run's instruments:
+components create named instruments once and bump them in place; the
+registry renders one text snapshot (``--show-metrics``) or a JSON
+document (``--metrics-json``).  Phase timings reach it through the
+tracer's timing scope (:meth:`repro.obs.Tracer.span` with a counter),
+which feeds ``phase.<name>.seconds`` whether or not tracing is on.
 
 Naming is dotted and lowercase: ``phase.compute.seconds``,
 ``executor.bytes_sent.step``, ``ingest.events``.  The documented names

@@ -15,7 +15,7 @@ wants the authoritative vocabulary.
 
 __all__ = ["METRIC_NAMES", "METRIC_PREFIXES", "SPAN_NAMES"]
 
-#: Tracer span names (``Tracer.span(...)`` / ``Tracer.record(...)``).
+#: Tracer span names (``Tracer.span(...)``).
 SPAN_NAMES = frozenset(
     {
         "superstep",      # one full superstep (coordinator/system lane)

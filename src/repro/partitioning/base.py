@@ -426,7 +426,7 @@ class Partitioner:
     Subclasses implement :meth:`partition`, returning a fully-assigned
     :class:`PartitionState` over the given graph.  ``place`` (optional)
     supports streaming arrival of single vertices into an existing state —
-    the Pregel layer uses it to place vertices injected from a stream.
+    the streaming partitioners drive it one vertex at a time.
     """
 
     name = "abstract"
@@ -448,16 +448,6 @@ class Partitioner:
             )
         state.assign(vertex, pid)
         return pid
-
-    def place_many(self, state, vertices):
-        """Streaming placement of many new vertices, in order.
-
-        Returns the ``(vertex, pid)`` placements.  The default defers to
-        :meth:`place` one vertex at a time, preserving any order-dependent
-        behaviour (capacity spill-over) exactly; strategies whose placement
-        is a pure per-vertex function (hash) override with a bulk path.
-        """
-        return [(v, self.place(state, v)) for v in vertices]
 
 
 class StreamingPartitioner(Partitioner):

@@ -12,7 +12,6 @@ is pinned byte-identical to.
 
 from dataclasses import dataclass, field
 from functools import partial
-from time import perf_counter, time
 
 from repro.core.balance import VertexBalance
 from repro.core.capacity import QuotaTable
@@ -70,8 +69,6 @@ class PregelConfig:
     willingness: float = 0.5
     heuristic: object = field(default_factory=GreedyMaxNeighbours)
     balance: object = field(default_factory=VertexBalance)
-    initial_partitioner: object = field(default_factory=HashPartitioner)
-    placement: object = field(default_factory=HashPartitioner)
     seed: int = 0
     checkpoint_interval: int = 10
     quiet_window: int = 30
@@ -94,12 +91,8 @@ class PregelConfig:
 class SuperstepReport:
     """Everything observable about one completed superstep.
 
-    ``decision_seconds`` is the wall-clock the *coordinator* spent on the
-    decision phase this superstep (candidate selection, the single-process
-    system's central heuristic evaluation, quota arbitration).  It is
-    measurement, not semantics: never part of the golden digests, but the
-    number ``benchmarks/bench_decisions.py`` pins the decentralisation win
-    with.
+    Every field is deterministic; phase timings live in the run's
+    ``metrics_registry`` (``phase.<name>.seconds``).
     """
 
     superstep: int
@@ -114,7 +107,6 @@ class SuperstepReport:
     mutations_applied: int
     failed_worker: object = None
     per_worker_compute: list = field(default_factory=list)
-    decision_seconds: float = 0.0
 
 
 class _PlacementView:
@@ -146,12 +138,12 @@ class PregelSystem(IngestHost):
         self.graph = graph
         self.program = program
         self.config = config or PregelConfig()
-        # Observability: the tracer defaults to the shared no-op (spans cost
-        # one attribute check); the registry always exists — its phase
-        # counters are per-superstep, not per-vertex, so keeping them live
-        # costs a handful of perf_counter() calls per superstep.  Note
-        # ``metrics_registry``, not ``metrics``: that name already means
-        # the incremental partition metrics below.
+        # Observability: the tracer defaults to the shared no-op; the
+        # registry always exists — its phase counters are per-superstep, not
+        # per-vertex, so the scopes feeding them untraced cost a handful of
+        # clock reads per superstep.  Note ``metrics_registry``, not
+        # ``metrics``: that name already means the incremental partition
+        # metrics below.
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics_registry = (
             MetricsRegistry() if metrics_registry is None else metrics_registry
@@ -169,9 +161,7 @@ class PregelSystem(IngestHost):
         self._batched_counter = registry.counter("kernel.batched_blocks")
         k = self.config.num_workers
         capacities = self.config.balance.capacities(graph, k)
-        self.state = self.config.initial_partitioner.partition(
-            graph, k, list(capacities)
-        )
+        self.state = HashPartitioner().partition(graph, k, list(capacities))
         self.values = {
             v: program.initial_value(v, graph) for v in graph.vertices()
         }
@@ -199,7 +189,6 @@ class PregelSystem(IngestHost):
         self._last_decision_remaining = None  # capacity trigger (uses_capacity)
         self._decision_ctx = None
         self._snapshot_age = 0  # rounds the current decision snapshot served
-        self._decision_seconds = 0.0
         self._sweeper = make_sweeper(graph, self.state, self.config.heuristic)
         self._pending_events = []
         self._capacities = list(capacities)
@@ -402,26 +391,27 @@ class PregelSystem(IngestHost):
         context = self._decision_ctx
         if context is None:
             return 0, 0
-        started = perf_counter()
-        proposals = self._generate_proposals(context)
-        # Arbitration order is a keyed per-round permutation: deterministic
-        # and mode/executor-independent like the willingness draws (its own
-        # derived lane, so priority never correlates with the coin), but
-        # unbiased across rounds — a fixed canonical order would hand
-        # scarce quota lanes to the lowest ids every superstep.
-        with self.tracer.span(
-            "arbitrate", superstep=self.superstep, proposals=len(proposals)
-        ):
-            requested, blocked, kept_active = self._arbitrate(
-                proposals,
-                WillingnessSource(context.lane, "arbitration"),
-                context.round_index,
-                QuotaTable(context.remaining, self.config.num_workers),
-                partial(self.config.balance.load_of, self.graph),
-            )
+        tracer = self.tracer
+        with tracer.span(None, self._decide_counter):
+            proposals = self._generate_proposals(context)
+            # Arbitration order is a keyed per-round permutation:
+            # deterministic and mode/executor-independent like the
+            # willingness draws (its own derived lane, so priority never
+            # correlates with the coin), but unbiased across rounds — a
+            # fixed canonical order would hand scarce quota lanes to the
+            # lowest ids every superstep.
+            with tracer.span(
+                "arbitrate", superstep=self.superstep, proposals=len(proposals)
+            ):
+                requested, blocked, kept_active = self._arbitrate(
+                    proposals,
+                    WillingnessSource(context.lane, "arbitration"),
+                    context.round_index,
+                    QuotaTable(context.remaining, self.config.num_workers),
+                    partial(self.config.balance.load_of, self.graph),
+                )
         self._active = kept_active
         self._last_decision_remaining = context.remaining
-        self._decision_seconds += perf_counter() - started
         return requested, blocked
 
     def _arbitrate(self, proposals, order, round_index, quotas, load_of):
@@ -490,7 +480,6 @@ class PregelSystem(IngestHost):
     def _run_superstep(self):
         """The superstep body."""
         tracer = self.tracer
-        traced = tracer.enabled
         self.superstep += 1
         # Freeze the decision snapshot before compute: the sharded
         # coordinator ships it with the compute tasks, the single-process
@@ -500,19 +489,12 @@ class PregelSystem(IngestHost):
         self._decision_ctx = (
             self._decision_context() if self.config.adaptive else None
         )
-        self._decision_seconds = 0.0
         inbox = self.router.take_inbox()
-
-        phase_wall = time()
-        phase_tick = perf_counter()
-        computed, per_worker = self._compute_phase(inbox)
-        compute_elapsed = perf_counter() - phase_tick
-        self._compute_counter.add(compute_elapsed)
-        if traced:
-            tracer.record(
-                "compute", phase_wall, compute_elapsed,
-                args={"superstep": self.superstep, "computed": computed},
-            )
+        with tracer.span(
+            "compute", self._compute_counter, superstep=self.superstep
+        ) as phase:
+            computed, per_worker = self._compute_phase(inbox)
+            phase.note(computed=computed)
         # Hot-spot aware balancing (§6 future work): feed measured
         # per-worker compute back into the balance policy so hot workers
         # offer less capacity and shed vertices.
@@ -525,35 +507,30 @@ class PregelSystem(IngestHost):
             requested, blocked = 0, 0
 
         # ---- barrier (order matters; see module docstring) ----
-        phase_wall = time()
-        phase_tick = perf_counter()
-        self.migration.complete_barrier()
-        with tracer.span("deliver"):
-            self.router.deliver()  # classified against the old placement
-        with tracer.span("announce"):
-            announced = self._announce_migrations()
-        mutations = self._apply_pending_events()
-        self._refresh_capacities()
-        if self._resync_next_superstep():
-            # Relaxed synchrony: barriers whose snapshot will be reused skip
-            # the metered capacity broadcast entirely (with staleness 0 this
-            # publishes every barrier, exactly the strict protocol).
-            self.capacity_protocol.publish(self._remaining_capacities())
-        self.aggregators.barrier()
-        self.checkpointer.maybe_checkpoint(self.superstep, self.values)
-        failed_worker = self._maybe_fail_worker()
-        self._after_barrier()
-        traffic = self.network.barrier(self.superstep)
-        barrier_elapsed = perf_counter() - phase_tick
-        self._barrier_counter.add(barrier_elapsed)
-        if traced:
-            tracer.record(
-                "barrier", phase_wall, barrier_elapsed,
-                args={"superstep": self.superstep, "announced": len(announced)},
-            )
+        with tracer.span(
+            "barrier", self._barrier_counter, superstep=self.superstep
+        ) as phase:
+            self.migration.complete_barrier()
+            with tracer.span("deliver"):
+                self.router.deliver()  # classified against the old placement
+            with tracer.span("announce"):
+                announced = self._announce_migrations()
+            mutations = self._apply_pending_events()
+            self._refresh_capacities()
+            if self._resync_next_superstep():
+                # Relaxed synchrony: barriers whose snapshot will be reused
+                # skip the metered capacity broadcast entirely (with
+                # staleness 0 this publishes every barrier, exactly the
+                # strict protocol).
+                self.capacity_protocol.publish(self._remaining_capacities())
+            self.aggregators.barrier()
+            self.checkpointer.maybe_checkpoint(self.superstep, self.values)
+            failed_worker = self._maybe_fail_worker()
+            self._after_barrier()
+            traffic = self.network.barrier(self.superstep)
+            phase.note(announced=len(announced))
 
         self._supersteps_counter.add(1)
-        self._decide_counter.add(self._decision_seconds)
         self._migrations_counter.add(len(announced))
         self.detector.observe(len(announced))
         report = SuperstepReport(
@@ -569,7 +546,6 @@ class PregelSystem(IngestHost):
             mutations_applied=mutations,
             failed_worker=failed_worker,
             per_worker_compute=per_worker,
-            decision_seconds=self._decision_seconds,
         )
         self.reports.append(report)
         return report

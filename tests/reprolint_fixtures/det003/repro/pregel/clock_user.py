@@ -8,11 +8,11 @@ STARTED = time.time()  # line 7: DET003 (module level)
 
 
 class Meter:
-    """One allowlistable site and two violations."""
+    """Three methods, each reading a clock."""
 
     def observe(self):
-        """Allowlisted by the staleness test's custom config."""
-        return perf_counter()  # line 15: DET003 under the default config
+        """A bare stopwatch read, no scope."""
+        return perf_counter()  # line 15: DET003
 
     def stamp(self):
         """Two violations: datetime and time_ns."""

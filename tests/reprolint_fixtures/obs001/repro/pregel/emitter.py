@@ -7,5 +7,5 @@ def run(tracer, metrics, lane):
         metrics.counter("supersteps").add(1)  # registered: clean
         metrics.group("executor.bytes_sent")  # registered prefix: clean
         metrics.counter("executor.bytes_sent.worker")  # prefix ext: clean
-        tracer.record("mystery-span", 0.0, 1.0)  # line 10: OBS001
-        metrics.gauge(f"lane.{lane}.depth")  # dynamic: skipped
+        with tracer.span("mystery-span", lane="wire"):  # line 10: OBS001
+            metrics.gauge(f"lane.{lane}.depth")  # dynamic: skipped

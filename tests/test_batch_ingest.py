@@ -25,8 +25,6 @@ from repro.core.runner import AdaptiveConfig, AdaptiveRunner
 from repro.graph import AddEdge, AddVertex, Graph, RemoveEdge, RemoveVertex
 from repro.graph.events import EventBatch
 from repro.partitioning import HashPartitioner, balanced_capacities
-from repro.partitioning.base import Partitioner, PartitionState
-from repro.partitioning.random_partition import RandomPartitioner
 
 needs_numpy = pytest.mark.skipif(
     ingest._np is None, reason="batched ingestion needs numpy"
@@ -187,9 +185,6 @@ class TestIngestorGating:
     def test_degree_sensitive_balance_falls_back(self):
         assert self._runner(balance=EdgeBalance())._ingestor is None
 
-    def test_non_hash_placement_falls_back(self):
-        assert self._runner(placement=RandomPartitioner())._ingestor is None
-
 
 class TestEventBatch:
     def test_segments_split_on_vertex_events(self):
@@ -328,19 +323,6 @@ class TestBulkStateAndPlacement:
             HashPartitioner().place(twin, v)
         assert dict(state.assignment_items()) == dict(twin.assignment_items())
         assert placements == [(v, twin.partition_of(v)) for v in new]
-
-    def test_base_place_many_preserves_capacity_spillover_order(self):
-        graph = Graph(vertices=range(4))
-        state = PartitionState(graph, 2, capacities=[2, 100])
-        partitioner = Partitioner()  # base: hash place with spill-over
-        twin_graph = Graph(vertices=range(4))
-        twin = PartitionState(twin_graph, 2, capacities=[2, 100])
-        new = list(range(4))
-        placements = partitioner.place_many(state, new)
-        for v in new:
-            partitioner.place(twin, v)
-        assert dict(state.assignment_items()) == dict(twin.assignment_items())
-        assert [p for _, p in placements] == [twin.partition_of(v) for v in new]
 
 
 @needs_numpy

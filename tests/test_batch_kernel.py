@@ -26,11 +26,9 @@ situations where a vectorised rewrite classically drifts:
 * the oracle itself: ``PregelSystem`` never batches, and the sharded
   kernel run replays its reports.
 
-``decision_seconds`` is wall-clock and excluded from comparisons, the
-same as the golden digests do.
+Reports compare whole with ``==``: every field is deterministic.
 """
 
-import dataclasses
 import json
 import struct
 from functools import partial
@@ -111,9 +109,7 @@ def _run(host_cls, graph, program, supersteps=8, workers=4, events=None):
     """Replay ``supersteps`` supersteps; return (reports, values, blocks).
 
     Adaptive partitioning stays on so migrations re-slot vertices between
-    kernel blocks mid-run — the churn case.  Reports are normalised by
-    zeroing ``decision_seconds`` (wall-clock, not digest-pinned).
-    ``blocks`` is the ``kernel.batched_blocks`` counter — proof the fast
+    kernel blocks mid-run — the churn case.  ``blocks`` is the ``kernel.batched_blocks`` counter — proof the fast
     path actually engaged rather than silently declining everywhere.
     ``events`` are injected after the third superstep.
     """
@@ -125,9 +121,7 @@ def _run(host_cls, graph, program, supersteps=8, workers=4, events=None):
         for step in range(supersteps):
             if events and step == 3:
                 host.inject_events(events)
-            reports.append(dataclasses.replace(
-                host.run_superstep(), decision_seconds=0.0
-            ))
+            reports.append(host.run_superstep())
         values = dict(host.values)
     finally:
         close = getattr(host, "close", None)

@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.cluster import LocalWorkerPool, SocketExecutor
+from repro.core import ingest
 from repro.obs import (
     NULL_TRACER,
     Counter,
@@ -105,7 +106,8 @@ class TestTracer:
 
     def test_disabled_record_absorb_are_noops(self):
         tracer = Tracer(enabled=False)
-        tracer.record("x", 1.0, 0.5)
+        with tracer.span("x", lane="wire") as scope:
+            scope.note(bytes=4)
         tracer.absorb([("y", "shard-0", 1.0, 0.1, None)])
         assert tracer.spans == []
 
@@ -114,12 +116,18 @@ class TestTracer:
 
     def test_record_uses_default_lane_and_none_args(self):
         tracer = Tracer(lane="shard-2")
-        tracer.record("compute", 10.0, 0.25)
-        assert tracer.spans == [("compute", "shard-2", 10.0, 0.25, None)]
+        with tracer.span("compute"):
+            pass
+        with tracer.span("wire-send", lane="wire"):
+            pass
+        assert [(s[0], s[1], s[4]) for s in tracer.spans] == [
+            ("compute", "shard-2", None), ("wire-send", "wire", None),
+        ]
 
     def test_drain_returns_and_clears(self):
         tracer = Tracer(lane="shard-0")
-        tracer.record("compute", 1.0, 0.1)
+        with tracer.span("compute"):
+            pass
         spans = tracer.drain()
         assert len(spans) == 1
         assert tracer.spans == []
@@ -129,9 +137,30 @@ class TestTracer:
 
     def test_lanes_orders_coordinator_then_shards_then_rest(self):
         tracer = Tracer()
-        for lane in ("wire", "shard-10", "shard-2", "coordinator"):
-            tracer.record("x", 1.0, 0.0, lane=lane)
+        tracer.absorb([
+            ("x", lane, 1.0, 0.0, None)
+            for lane in ("wire", "shard-10", "shard-2", "coordinator")
+        ])
         assert tracer.lanes() == ["coordinator", "shard-2", "shard-10", "wire"]
+
+    def test_scope_feeds_its_counter_traced_or_not(self):
+        """The counter gets exactly the span's duration; untraced, or with
+        no name (counter-only), the counter is still fed (a float now) and
+        no span appears."""
+        tracer, counter = Tracer(), Counter("phase.compute.seconds")
+        with tracer.span("compute", counter, superstep=1) as scope:
+            scope.note(computed=5)
+        (span,) = tracer.spans
+        assert span[0] == "compute"
+        assert span[4] == {"superstep": 1, "computed": 5}
+        assert counter.value == span[3]
+        for scope_tracer, name in ((Tracer(enabled=False), "compute"),
+                                   (Tracer(), None)):
+            counter = Counter("phase.decide.seconds")
+            with scope_tracer.span(name, counter, superstep=1) as scope:
+                scope.note(computed=5)
+            assert isinstance(counter.value, float)
+            assert scope_tracer.spans == []
 
     def test_span_dict_drops_empty_args(self):
         assert span_dict(("a", "coordinator", 1.5, 0.25, None)) == {
@@ -318,7 +347,15 @@ def test_traced_run_replays_golden_timeline(executor):
     assert {"superstep", "compute", "barrier", "barrier-merge"} <= names
     counters = result.metrics_registry.snapshot()["counters"]
     assert counters["supersteps"] > 0
-    assert counters["phase.compute.seconds"] > 0
+    # One scope feeds both sinks: each phase counter is exactly the sum
+    # of the coordinator's spans of that phase.
+    for phase in ("compute", "barrier"):
+        durations = [
+            span[3] for span in tracer.spans
+            if span[0] == phase and span[1] == "coordinator"
+        ]
+        assert len(durations) == counters["supersteps"]
+        assert counters[f"phase.{phase}.seconds"] == sum(durations)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -350,21 +387,40 @@ def test_seeding_is_out_of_band_for_the_trace(executor):
 
 
 def test_untraced_run_keeps_null_tracer():
-    """The default path stays on the shared disabled tracer — no spans."""
+    """The default path stays on the shared disabled tracer — no spans —
+    and its scopes still time every phase into the registry."""
     result = play_scenario(
         get_scenario("mesh-growth"), engine="pregel", executor="inline",
         max_rounds=2,
     )
     assert result.tracer is NULL_TRACER
     assert result.tracer.spans == []
+    counters = result.metrics_registry.snapshot()["counters"]
+    for phase in ("compute", "decide", "barrier"):
+        assert counters[f"phase.{phase}.seconds"] > 0
 
 
 # ---------------------------------------------------------------------------
 # The merged multi-host timeline
 
+#: Every (lane kind, span name) a traced socket run of mesh-growth emits.
+#: The e2e ledger's per-layer breakdown reads spans by these keys.
+TRACED_PAIRS = {
+    ("coordinator", name) for name in (
+        "announce", "arbitrate", "barrier", "barrier-merge", "compute",
+        "deliver", "inbox-split", "ingest", "ingest-batch", "patch-build",
+        "superstep",
+    )
+} | {
+    ("shard", name) for name in ("apply-patch", "compute", "decide", "demote")
+} | {("wire", "wire-recv"), ("wire", "wire-send")}
+#: Without numpy there is no bulk ingest and no array store to demote.
+NUMPY_PAIRS = {("coordinator", "ingest-batch"), ("shard", "demote")}
+
 
 def test_socket_run_merges_worker_spans():
-    """One socket-run trace: worker compute spans beside coordinator spans."""
+    """One socket-run trace: worker compute spans beside coordinator spans,
+    and exactly the pinned (lane kind, span name) pairs."""
     tracer = Tracer()
     play_scenario(
         get_scenario("mesh-growth"),
@@ -373,21 +429,21 @@ def test_socket_run_merges_worker_spans():
         trace=tracer,
         max_rounds=3,
     )
+    expected = TRACED_PAIRS
+    if ingest._np is None:
+        expected = TRACED_PAIRS - NUMPY_PAIRS
+    assert {
+        ("shard" if lane.startswith("shard-") else lane, name)
+        for name, lane, *_ in tracer.spans
+    } == expected
     lanes = tracer.lanes()
     assert lanes[0] == "coordinator"
     shard_lanes = [lane for lane in lanes if lane.startswith("shard-")]
     assert len(shard_lanes) >= 2, f"no worker-side lanes in {lanes}"
-    assert "wire" in lanes
     # every shard lane carries worker-side compute spans (the coordinator
     # also records its aggregate compute window on its own lane)
     compute_lanes = {s[1] for s in tracer.spans if s[0] == "compute"}
     assert set(shard_lanes) <= compute_lanes
-    coordinator_names = {
-        s[0] for s in tracer.spans if s[1] == "coordinator"
-    }
-    assert {"superstep", "barrier", "barrier-merge"} <= coordinator_names
-    wire_names = {s[0] for s in tracer.spans if s[1] == "wire"}
-    assert wire_names == {"wire-send", "wire-recv"}
     # the merged timeline exports as one valid Chrome trace
     events = chrome_trace_events(tracer.spans)
     named = {

@@ -8,7 +8,6 @@ local twin of the CI gate: ``src/repro`` must lint clean, and a seeded
 violation must trip the gate.
 """
 
-import dataclasses
 import json
 import shutil
 import subprocess
@@ -91,26 +90,6 @@ class TestDet003:
             ("DET003", "clock_user.py", 19),
             ("DET003", "clock_user.py", 20),
         }
-
-    def test_allowlisted_site_is_clean_and_stale_entry_is_flagged(self):
-        config = dataclasses.replace(
-            DEFAULT_CONFIG,
-            wallclock_allowlist={
-                "repro/pregel/clock_user.py": frozenset(
-                    {"Meter.observe", "Meter.vanished"}
-                )
-            },
-        )
-        findings = lint("det003", config)
-        assert sites(findings, "DET003") == {
-            ("DET003", "clock_user.py", 7),
-            ("DET003", "clock_user.py", 19),
-            ("DET003", "clock_user.py", 20),
-            ("DET003", "clock_user.py", 1),  # the stale-entry finding
-        }
-        stale = [f for f in findings if "stale" in f.message]
-        assert len(stale) == 1
-        assert "Meter.vanished" in stale[0].message
 
 
 class TestWire001:

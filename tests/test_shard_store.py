@@ -26,7 +26,6 @@ on their host, on every executor), the adjacency self-check and the FEM
 cross-executor matrix.
 """
 
-import dataclasses
 import struct
 from functools import partial
 
@@ -734,10 +733,7 @@ def test_fem_is_identical_and_fully_batched_on_every_executor(
         with Coordinator(
             mesh_3d(4), program, config, executor=executor
         ) as system:
-            reports = [
-                dataclasses.replace(system.run_superstep(), decision_seconds=0.0)
-                for _ in range(supersteps)
-            ]
+            reports = [system.run_superstep() for _ in range(supersteps)]
             system.shard_consistency_check()
             counter = system.metrics_registry.counter
             assert counter("shard.store.demotions").value == 0

@@ -14,8 +14,8 @@ DET001     no iteration over unordered collections in determinism-
            critical modules without a canonical-order wrapper
 DET002     no unseeded ``random.*`` / ``numpy.random.*`` use outside
            ``repro/utils/rng.py``
-DET003     no wall-clock reads outside ``repro/obs`` except declared
-           measurement-only sites (cross-checked against the allowlist)
+DET003     no wall-clock reads outside ``repro/obs``: phases are timed
+           through its scope
 WIRE001    ``ShardTask``/``ShardDelta``/``DecisionContext`` are
            registered with the field-walking struct codec of
            ``cluster/wire.py`` (override keys

@@ -3,47 +3,14 @@
 Everything a checker needs to know about *this* repo that an AST cannot
 tell it lives here, checked in and reviewed like code: which packages are
 determinism-critical, which attributes are known to hold sets across
-module boundaries, which functions are allowed to read the wall clock
-(and why), where the wire structs and the observability name registry
-live.  Tests construct their own :class:`LintConfig` pointing at fixture
+module boundaries, where the wall clock may be read, where the wire
+structs and the observability name registry live.  Tests construct their own :class:`LintConfig` pointing at fixture
 trees; the CLI always uses :data:`DEFAULT_CONFIG`.
 """
 
 from dataclasses import dataclass, field
 
 __all__ = ["DEFAULT_CONFIG", "LintConfig"]
-
-
-#: Wall-clock sites allowed by DET003, keyed by module path suffix.  Every
-#: entry is measurement-only by documented contract — the values feed
-#: counters, tracer spans or ``SuperstepReport`` timing fields, never a
-#: digest, timeline value or wire payload:
-#:
-#: * ``PregelSystem._run_superstep`` / ``._partitioning_phase`` — phase
-#:   counters, tracer span stamps and ``SuperstepReport.decision_seconds``
-#:   (documented "measurement, not semantics" on the dataclass);
-#: * ``Coordinator._compute_phase`` — the decision-slicing stopwatch and
-#:   the ``barrier-merge`` span stamps;
-#: * ``SocketExecutor._send`` / ``._recv_message`` — the
-#:   ``wire-send``/``wire-recv`` span stamps.
-#:
-#: DET003 cross-checks this map against the tree: an entry whose function
-#: no longer reads the clock is reported as stale, so the allowlist can
-#: only shrink with the code.
-_WALLCLOCK_ALLOWLIST = {
-    "repro/pregel/system.py": frozenset(
-        {
-            "PregelSystem._run_superstep",
-            "PregelSystem._partitioning_phase",
-        }
-    ),
-    "repro/cluster/coordinator.py": frozenset(
-        {"Coordinator._compute_phase"}
-    ),
-    "repro/cluster/executor.py": frozenset(
-        {"SocketExecutor._send", "SocketExecutor._recv_message"}
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -61,13 +28,10 @@ class LintConfig:
     )
     #: The one module allowed to touch ``random`` directly (DET002).
     rng_module: str = "repro/utils/rng.py"
-    #: Paths where wall-clock reads are always fine (DET003): the
-    #: observability layer exists to measure wall-clock.
+    #: The only paths where wall-clock reads are fine (DET003): the
+    #: observability layer exists to measure wall-clock, and its timing
+    #: scope is how every other module times a phase.
     wallclock_exempt: tuple = ("repro/obs/",)
-    #: Declared measurement-only wall-clock sites (DET003); see above.
-    wallclock_allowlist: dict = field(
-        default_factory=lambda: dict(_WALLCLOCK_ALLOWLIST)
-    )
     #: Attributes known to hold sets across module boundaries (DET001's
     #: intra-module inference cannot see e.g. ``PregelSystem._active``
     #: from ``coordinator.py``).

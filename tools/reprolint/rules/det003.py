@@ -6,14 +6,11 @@ every executor.  A ``time.time()`` (or ``perf_counter``, ``datetime.now``,
 …) that flows into a digest, a timeline value or a wire payload breaks
 that silently — the run *looks* fine and diverges only under diff.
 
-Measurement is still legitimate: counters, tracer spans and
-``SuperstepReport`` timing fields are documented measurement-only.  So the
-rule allows wall-clock in two places: anywhere under ``repro/obs/`` (the
-observability layer exists to measure), and the functions explicitly
-declared in :data:`~tools.reprolint.config.LintConfig.wallclock_allowlist`
-with a written justification.  The allowlist is cross-checked in
-:meth:`WallClockRule.finalize`: an entry whose function no longer reads
-the clock is itself a finding, so the list can only shrink with the code.
+Measurement is still legitimate, and it has one home: the rule allows
+wall-clock reads only under ``repro/obs/``, whose timing scope
+(``tracer.span(name, counter)``) feeds phase counters and tracer spans.
+A determinism-critical module times a phase by opening that scope, never
+by reading the clock itself.
 """
 
 import ast
@@ -68,10 +65,7 @@ class WallClockRule(Rule):
     """Flag undeclared wall-clock reads in determinism-critical modules."""
 
     code = "DET003"
-    title = (
-        "wall-clock read outside repro/obs without a declared "
-        "measurement-only allowlist entry"
-    )
+    title = "wall-clock read outside repro/obs"
 
     def check_module(self, module, ctx):
         """Scan one det-critical module for clock calls."""
@@ -80,16 +74,9 @@ class WallClockRule(Rule):
             return
         if module.in_any(config.wallclock_exempt):
             return
-        allowed = frozenset()
-        allow_key = None
-        for suffix, qualnames in config.wallclock_allowlist.items():
-            if module.module_suffix_matches(suffix):
-                allowed, allow_key = qualnames, suffix
-                break
         modules, names = _clock_aliases(module.tree)
         if not modules and not names:
             return
-        hits = ctx.scratch.setdefault(self.code, set())
 
         def clock_source(call):
             """Rendered clock name when ``call`` reads one, else None."""
@@ -125,39 +112,14 @@ class WallClockRule(Rule):
             if isinstance(node, ast.Call):
                 source = clock_source(node)
                 if source is not None:
-                    qualname = ".".join(
-                        part for part in stack if part is not None
+                    qualname = ".".join(stack)
+                    where = f"in {qualname}" if qualname else "at module level"
+                    yield self.finding(
+                        module, node.lineno, node.col_offset,
+                        f"wall-clock read ({source}) {where}; time the "
+                        "phase with a repro.obs scope (tracer.span) instead",
                     )
-                    if qualname in allowed:
-                        hits.add((allow_key, qualname))
-                    else:
-                        where = (
-                            f"in {qualname}" if qualname else "at module level"
-                        )
-                        yield self.finding(
-                            module, node.lineno, node.col_offset,
-                            f"wall-clock read ({source}) {where}; timing "
-                            "belongs in repro/obs or a declared "
-                            "measurement-only allowlist entry "
-                            "(tools/reprolint/config.py)",
-                        )
             for child in ast.iter_child_nodes(node):
                 yield from visit(child, stack)
 
         yield from visit(module.tree, [])
-
-    def finalize(self, ctx):
-        """Report allowlist entries whose function no longer reads a clock."""
-        hits = ctx.scratch.get(self.code, set())
-        for suffix, qualnames in ctx.config.wallclock_allowlist.items():
-            module = ctx.find_module(suffix)
-            if module is None:
-                continue  # file not part of this run's path set
-            for qualname in sorted(qualnames):
-                if (suffix, qualname) not in hits:
-                    yield self.finding(
-                        module, 1, 0,
-                        f"stale wall-clock allowlist entry: {qualname} in "
-                        f"{suffix} no longer reads the clock; remove it "
-                        "from tools/reprolint/config.py",
-                    )

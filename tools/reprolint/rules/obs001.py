@@ -8,7 +8,7 @@ names breaks without a test failing.  The fix is a checked-in registry —
 ``METRIC_PREFIXES`` as frozensets of string literals — and this rule
 closes the loop in both directions:
 
-* every **literal** first argument to ``span(...)``/``record(...)`` must
+* every **literal** first argument to ``span(...)`` must
   be a registered span name, and to ``counter``/``gauge``/``histogram``
   a registered metric name (or extend a registered prefix, for the
   ``CounterGroup`` families); ``group(...)`` literals must be registered
@@ -26,7 +26,7 @@ from tools.reprolint.core import Rule
 
 __all__ = ["ObservabilityNamesRule"]
 
-_SPAN_METHODS = frozenset({"span", "record"})
+_SPAN_METHODS = frozenset({"span"})
 _METRIC_METHODS = frozenset({"counter", "gauge", "histogram"})
 _REGISTRY_SETS = ("SPAN_NAMES", "METRIC_NAMES", "METRIC_PREFIXES")
 
