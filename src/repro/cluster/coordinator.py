@@ -11,15 +11,14 @@ the phases, the merge order and the oracle split.
 
 from collections import Counter
 from functools import partial
-from itertools import chain as _chain
 from itertools import islice as _islice
 
 from repro.cluster.executor import make_executor
 from repro.cluster.shard import PatchColumns, Shard, ShardTask, store_dtype
-from repro.core.sweep import sort_vertices
+from repro.core.sweep import ActiveSlots, sort_vertices
 from repro.obs import Tracer
 from repro.pregel.messages import MessageColumns
-from repro.pregel.migration import arbitrate_columns
+from repro.pregel.migration import ProposalColumns, arbitrate_columns
 from repro.pregel.system import PregelSystem
 
 try:
@@ -48,7 +47,7 @@ class Coordinator(PregelSystem):
         self._vertex_shard = {}
         self._pending_patches = {}
         self._placement_log = []  # this barrier's (vertex, pid | -1) delta
-        self._shard_proposals = []
+        self._shard_proposals = ProposalColumns.pack()
         super().__init__(graph, program, config, fault_plan,
                          tracer=tracer, metrics_registry=metrics_registry)
         # Array stores that fell back to dicts (a perf cliff, never a
@@ -158,18 +157,20 @@ class Coordinator(PregelSystem):
                     # Canonical order: the slices cross the wire in
                     # ShardTask.candidates and feed per-shard decision
                     # sweeps.
-                    active = sort_vertices(self._active)
                     if _np is None:  # one residency probe per shard and vertex
+                        active = sort_vertices(self._active)
                         shard = self._vertex_shard.get
                         candidate_slices = [
                             tuple(v for v in active if shard(v) == sid)
                             for sid in range(num_workers)
                         ]
-                    else:
+                    else:  # the mask's slots, cut by their partition
+                        slots = self._active.ordered()
+                        ids = self.graph.slot_ids
                         candidate_slices = [
-                            tuple(map(active.__getitem__, rows.tolist()))
+                            tuple(map(ids.__getitem__, slots[rows].tolist()))
                             for rows in _by_shard(
-                                self.state.partitions_of(active), num_workers
+                                self.state.partitions_at(slots), num_workers
                             )
                         ]
         num_vertices = self.graph.num_vertices
@@ -193,8 +194,7 @@ class Coordinator(PregelSystem):
 
         per_worker = [0.0] * num_workers
         computed = 0
-        proposals = self._shard_proposals
-        proposals.clear()
+        proposals = []
         # The coordinator's own sort, not the executor's dict order, fixes
         # the merge order — what keeps results identical across executors.
         with tracer.span("barrier-merge", superstep=self.superstep):
@@ -210,7 +210,7 @@ class Coordinator(PregelSystem):
                 self.router.absorb(delta.outbox, sid)
                 for name, value in delta.aggregated:
                     self.aggregators.contribute(name, value)
-                proposals.extend(delta.proposals)
+                proposals.append(delta.proposals)
                 # One shard per worker: the shard's compute IS the worker's.
                 per_worker[sid] += delta.compute_units
                 self.network.count_compute(delta.compute_units)
@@ -224,6 +224,7 @@ class Coordinator(PregelSystem):
                 # Worker-side spans ride home in the delta; merging them
                 # here is what builds the one shared timeline.
                 tracer.absorb(delta.spans)
+            self._shard_proposals = ProposalColumns.concat(proposals)
         return computed, per_worker
 
     def _split_inbox(self, inbox, num_workers):
@@ -246,21 +247,29 @@ class Coordinator(PregelSystem):
                 shard_inbox[sid][vertex] = messages
         return shard_inbox
 
+    def _start_active(self):
+        """Every vertex, as a slot mask when numpy is there."""
+        if _np is None:
+            return super()._start_active()
+        return ActiveSlots(self.graph)
+
     def _generate_proposals(self, context):
-        """The proposals came back with the shards' compute deltas."""
-        proposals = self._shard_proposals
-        self._shard_proposals = []
-        return proposals
+        """The proposals came back with the shards' compute deltas, merged
+        in shard-id order into one :class:`ProposalColumns` record."""
+        return self._shard_proposals
 
     def _arbitrate(self, proposals, order, round_index, quotas, load_of):
-        """The base class's arbitration as columns (numpy present)."""
+        """The base class's arbitration as columns (numpy present); the
+        kept proposers come back as the next active set's slot mask."""
         if _np is None:
             return super()._arbitrate(
-                proposals, order, round_index, quotas, load_of
+                proposals.rows(), order, round_index, quotas, load_of
             )
-        return arbitrate_columns(
-            proposals, order, round_index, self.migration, quotas, load_of
+        requested, blocked, kept = arbitrate_columns(
+            proposals, order, round_index, self.migration, quotas, load_of,
+            self.graph.slots_of,
         )
+        return requested, blocked, ActiveSlots.of(self.graph, kept)
 
     # ------------------------------------------------------------------
     # Dirty tracking: every barrier mutation that shards must learn about
@@ -273,18 +282,16 @@ class Coordinator(PregelSystem):
 
     def _place_moves(self, movers, targets):
         """:meth:`_placement_update` over the barrier's whole batch: one
-        bulk move, loads folded in announced order, then the same active,
-        dirty and placement-log marks."""
+        bulk move, which marks the movers and their neighbours active from
+        the slot columns it gathers, loads folded in announced order, then
+        the same dirty and placement-log marks."""
         if not movers:
             return
-        graph = self.graph
-        old = self.state.move_many(movers, targets)
+        old = self.state.move_many(movers, targets, self._active.mark)
         self.metrics.on_moves(
             old.tolist(), targets,
-            map(partial(self.config.balance.load_of, graph), movers),
+            map(partial(self.config.balance.load_of, self.graph), movers),
         )
-        self._active.update(movers)
-        self._active.update(_chain.from_iterable(map(graph.neighbors, movers)))
         self._dirty.update(movers)
         self._placement_log.extend(zip(movers, targets))
 

@@ -39,6 +39,7 @@ from repro.pregel.messages import (
     is_payload_column,
     same_column,
 )
+from repro.pregel.migration import ProposalColumns
 
 try:
     import numpy as _np
@@ -233,10 +234,11 @@ class ShardDelta:
 
     ``compute_units`` is also the shard's worker compute load: one shard
     per worker, so the coordinator attributes it to ``shard_id`` directly.
-    ``proposals`` is the decision phase's output — ``(vertex, current,
-    desired, willing)`` for every candidate that wants to move, willingness
-    coin already flipped (it is vertex-local state in the paper) — ready
-    for the coordinator's quota arbitration.
+    ``proposals`` is the decision phase's output, a
+    :class:`~repro.pregel.migration.ProposalColumns` record — every
+    candidate that wants to move with its current and desired partition,
+    willingness coin already flipped (it is vertex-local state in the
+    paper) — ready for the coordinator's quota arbitration.
 
     ``spans`` carries the shard tracer's phase spans for this superstep
     (plus any apply-patch spans recorded since the last one) back to the
@@ -273,7 +275,7 @@ class ShardDelta:
     halted_removed: list
     aggregated: list       # (name, value) contributions in call order
     compute_units: float
-    proposals: list = field(default_factory=list)
+    proposals: ProposalColumns = field(default_factory=ProposalColumns.pack)
     spans: list = field(default_factory=list)
     batched_blocks: int = 0
     demotion: str = ""
@@ -563,7 +565,7 @@ class Shard:
             )
         return cached.aged(decision)
 
-    def _decision_phase(self, task: ShardTask) -> list:
+    def _decision_phase(self, task: ShardTask) -> ProposalColumns:
         """Evaluate the decision step for ``task``; returns the proposals.
 
         Candidate order is canonicalised locally (the coordinator ships
@@ -574,7 +576,7 @@ class Shard:
         """
         context = self._decision_snapshot(task)
         if context is None or self.placement is None:
-            return []
+            return ProposalColumns.pack()
         store, index = self.store, self.index
         if store is not None:  # ascending ids: sort_vertices over an int column
             if task.candidates is None:
@@ -584,13 +586,15 @@ class Shard:
                 slots = store.slots_of(
                     _np.sort(_np.asarray(task.candidates, dtype=_np.int64))
                 )
-            return store.decisions(context, slots)
+            return ProposalColumns.pack(*store.decisions(context, slots))
         candidates = sort_vertices(
             self.values if task.candidates is None else task.candidates
         )
         if index is not None:
-            return index.decisions(context, index.slots_of(candidates))
-        return decide_block(self, context, candidates)
+            return ProposalColumns.pack(
+                *index.decisions(context, index.slots_of(candidates))
+            )
+        return ProposalColumns.of_rows(decide_block(self, context, candidates))
 
     def run_superstep(self, task: ShardTask) -> ShardDelta:
         """Run the compute pass for ``task``; returns the :class:`ShardDelta`."""
@@ -618,7 +622,7 @@ class Shard:
                 computed = compute_block(
                     self, list(self.values), task.inbox, task.superstep
                 )
-        proposals = []
+        proposals = ProposalColumns.pack()
         if task.decision is not None:
             with tracer.span("decide", superstep=task.superstep):
                 proposals = self._decision_phase(task)

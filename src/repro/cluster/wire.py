@@ -15,16 +15,17 @@ can distinguish "worker went away" from garbage.
 **Codec.**  :func:`dumps` / :func:`loads` encode one protocol message in
 a tagged binary format that packs
 the hot structures — task inboxes, delta value maps and outboxes, patch
-columns — as homogeneous little-endian buffers, delta-encoding
+and proposal columns — as homogeneous little-endian buffers, delta-encoding
 vertex-id columns so ids on a million-vertex graph cost bytes
 proportional to their local gaps rather than their magnitude.  numpy is
 *not* required: every int column is the same bytes whether the stdlib
 :mod:`array` module or numpy packed it (numpy, when present, only does it
 without a per-element Python loop).  The message plane's
 :class:`~repro.pregel.messages.MessageColumns` and a *typed*
-:class:`~repro.cluster.shard.PatchColumns` have tags of their own that
-need numpy on both sides; a *listed* ``PatchColumns`` crosses under the
-same tag as its eight generic lists and needs nothing.  The three
+:class:`~repro.cluster.shard.PatchColumns` or
+:class:`~repro.pregel.migration.ProposalColumns` have tags of their own
+that need numpy on both sides; a *listed* record crosses under the same
+tag as its generic lists and needs nothing.  The three
 dataclass structs (``ShardTask``, ``ShardDelta`` and the round's
 :class:`~repro.core.heuristic.DecisionContext`) encode field by field off
 ``dataclasses.fields`` through one function and rebuild positionally, so
@@ -61,6 +62,7 @@ from typing import Any, cast
 from repro.cluster.shard import PatchColumns, ShardDelta, ShardTask
 from repro.core.heuristic import DecisionContext
 from repro.pregel.messages import CombinedMessages, MessageColumns
+from repro.pregel.migration import ProposalColumns
 
 try:  # numpy is optional everywhere in this repo
     import numpy as _np
@@ -151,7 +153,6 @@ _TAG_FLOAT_ARRAY = 0x0C    # homogeneous float sequence, f64-packed
 _TAG_NUM_DICT = 0x0D       # {int: float} — packed keys + packed values
 _TAG_COMBINED = 0x0E       # CombinedMessages, generic payload
 _TAG_COMBINED_NUM_DICT = 0x0F  # {int: [float] | CombinedMessages([float])}
-_TAG_INT_ROWS = 0x10       # [(int | bool, ...), ...] — one packed column each
 _TAG_OUTBOX = 0x11         # [((int, int), float), ...] — three columns
 _TAG_TASK = 0x13
 _TAG_DELTA = 0x15
@@ -159,8 +160,10 @@ _TAG_PICKLE = 0x16         # anything else
 _TAG_COLUMNS = 0x17        # MessageColumns: packed ids/counts + raw payloads
 _TAG_PATCH_COLUMNS = 0x18  # PatchColumns: packed columns, or eight lists
 _TAG_CONTEXT = 0x19        # DecisionContext
-# Retired, never to be reassigned: 0x06 (bytes), 0x0A (set), 0x12
-# (ndarray), 0x14 (the dict patch).  They decode as an unknown tag.
+_TAG_PROPOSALS = 0x1A      # ProposalColumns: packed columns, or four lists
+# Retired, never to be reassigned: 0x06 (bytes), 0x0A (set), 0x10 (int
+# rows), 0x12 (ndarray), 0x14 (the dict patch).  They decode as an
+# unknown tag.
 
 
 def _int_typecodes() -> dict[int, str]:
@@ -388,45 +391,6 @@ def _encode_dict(obj: dict[Any, Any], out: bytearray) -> None:
         _encode(value, out)
 
 
-def _encode_int_rows(rows: Any, out: bytearray) -> bool:
-    """Column packing for ``[(int | bool, ...), ...]``; False when the
-    shape differs.
-
-    Every row must be a tuple of one arity and every column exactly
-    ``int`` or exactly ``bool`` — placement deltas ``(vertex, pid)`` and
-    migration proposals ``(vertex, current, desired, willing)``.  Layout:
-    ``[arity][bool-column bit mask][one int column per position]``.
-    """
-    if type(rows) is not list or set(map(type, rows)) != {tuple}:
-        return False
-    arities = set(map(len, rows))
-    if len(arities) != 1 or 0 in arities:
-        return False
-    columns = [[row[i] for row in rows] for i in range(len(rows[0]))]
-    bools = 0
-    for position, column in enumerate(columns):
-        kinds = set(map(type, column))
-        if kinds == {bool}:
-            bools |= 1 << position
-        elif kinds != {int}:
-            return False
-    mark = len(out)
-    out.append(_TAG_INT_ROWS)
-    _write_uint(out, len(columns))
-    _write_uint(out, bools)
-    for column in columns:
-        if not _pack_ints(column, out):
-            del out[mark:]
-            return False
-    return True
-
-
-def _encode_rows(rows: Any, out: bytearray) -> None:
-    """Int rows where the shape allows, the generic encoding otherwise."""
-    if not _encode_int_rows(rows, out):
-        _encode(rows, out)
-
-
 def _encode_outbox(entries: Any, out: bytearray) -> None:
     """Three-column packing for ``[((worker, target), payload), ...]``
     (a columnar outbox has its own tag)."""
@@ -558,6 +522,26 @@ def _encode_patch_columns(obj: PatchColumns, out: bytearray) -> None:
     out += values.astype("<i8" if integral else "<f8", copy=False).tobytes()
 
 
+def _encode_proposals(obj: ProposalColumns, out: bytearray) -> None:
+    """``[flags = 0][ids, current, desired int columns][willing bytes]``,
+    or ``[flags = 4][the four columns, each a generic list]``.
+
+    Typed int columns are width-selected and delta-encoded like every int
+    column; ``willing`` is one byte per row, 0 or 1.  Listed columns
+    cross in field order as what they are.
+    """
+    out.append(_TAG_PROPOSALS)
+    if not obj.typed:
+        out.append(4)
+        for column in (obj.ids, obj.current, obj.desired, obj.willing):
+            _encode_list(column, out)
+        return
+    out.append(0)
+    for column in (obj.ids, obj.current, obj.desired):
+        _pack_int_column(column, out)
+    out += obj.willing.tobytes()
+
+
 #: The dataclass structs: ``[tag][every field, in declaration order]``,
 #: decoded positionally — a field cannot be dropped on either side.
 _STRUCTS: dict[type, int] = {
@@ -567,7 +551,7 @@ _STRUCTS: dict[type, int] = {
 }
 _STRUCT_OF_TAG = {tag: kind for kind, tag in _STRUCTS.items()}
 #: Struct fields with a packed shape of their own (by field name).
-_FIELD_ENCODERS = {"outbox": _encode_outbox, "proposals": _encode_rows}
+_FIELD_ENCODERS = {"outbox": _encode_outbox}
 
 
 def _encode_struct(obj: Any, out: bytearray) -> None:
@@ -588,6 +572,7 @@ _ENCODERS: dict[type, Callable[[Any, bytearray], None]] = {
     CombinedMessages: _encode_combined,
     MessageColumns: _encode_columns,
     PatchColumns: _encode_patch_columns,
+    ProposalColumns: _encode_proposals,
     **dict.fromkeys(_STRUCTS, _encode_struct),
 }
 
@@ -789,19 +774,6 @@ def _decode(reader: _Reader) -> Any:
             else CombinedMessages((payload,), count)
             for key, count, payload in zip(keys, counts, payloads)
         }
-    if tag == _TAG_INT_ROWS:
-        arity = reader.uint()
-        bools = reader.uint()
-        if not arity:
-            raise WireError("int rows without columns")
-        if bools >> arity:
-            raise WireError("int rows mark a bool column past their arity")
-        columns: list[Any] = [_read_int_array(reader) for _ in range(arity)]
-        _same_length(*columns)
-        for position in range(arity):
-            if bools >> position & 1:
-                columns[position] = map(bool, columns[position])
-        return list(zip(*columns))
     if tag == _TAG_OUTBOX:
         reader.uint()  # count (redundant with the columns)
         workers = _read_int_array(reader)
@@ -857,12 +829,38 @@ def _decode(reader: _Reader) -> Any:
             )
         except ValueError as exc:  # columns disagree (or are not lists)
             raise WireError(str(exc)) from None
+    if tag == _TAG_PROPOSALS:
+        return _decode_proposals(reader)
     kind = _STRUCT_OF_TAG.get(tag)
     if kind is not None:
         return kind(*[_decode(reader) for _ in fields(kind)])
     if tag == _TAG_PICKLE:
         return pickle.loads(bytes(reader.take(reader.uint())))
     raise WireError(f"unknown wire tag {tag:#x}")
+
+
+def _decode_proposals(reader: _Reader) -> ProposalColumns:
+    flags = reader.byte()
+    if flags not in (0, 4):
+        raise WireError(f"bad proposal-columns flags {flags:#x}")
+    if not flags and _np is None:
+        raise WireError(
+            "frame contains typed proposal columns but numpy is not installed"
+        )
+    try:
+        if flags:
+            return ProposalColumns(*[_decode(reader) for _ in range(4)])
+        ids, current, desired = (_read_int_column(reader) for _ in range(3))
+        raw = _np.frombuffer(reader.take(len(ids)), dtype=_np.uint8)
+        if (raw > 1).any():
+            raise WireError("proposal willingness bytes must be 0 or 1")
+        return ProposalColumns(
+            ids=ids, current=current, desired=desired, willing=raw.astype(bool)
+        )
+    except WireError:
+        raise
+    except ValueError as exc:  # columns disagree (or are not lists)
+        raise WireError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

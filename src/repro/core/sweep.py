@@ -170,10 +170,11 @@ class ActiveSlots:
     """An active set kept as a bool mask over a graph's slots.
 
     Takes ids like a ``set`` (:meth:`update`, :meth:`discard`; iterating
-    yields ids), so the ingest hooks treat it as one, and hands
-    :class:`CompactSweeper` its candidates as slots in canonical id order
-    (:meth:`ordered`) with no id list in between.  A removed vertex must
-    be discarded while its slot is still interned.
+    yields ids), so the ingest hooks treat it as one, takes slot columns
+    as they are (:meth:`mark`, :meth:`of`), and hands its candidates out
+    as slots in canonical id order (:meth:`ordered`) with no id list in
+    between.  A removed vertex must be discarded while its slot is still
+    interned.
     """
 
     def __init__(self, graph, mask=None):
@@ -189,9 +190,20 @@ class ActiveSlots:
             self.mask = _grown(self.mask, max(size, 2 * len(self.mask)), False)
         return self.mask
 
+    @classmethod
+    def of(cls, graph, slots):
+        """Exactly the slot column ``slots`` active."""
+        active = cls(graph, _np.zeros(graph.num_slots, dtype=bool))
+        active.mark(slots)
+        return active
+
     def update(self, vertices):  # one gather per call
         slots = map(self.graph.slot_index.__getitem__, vertices)
-        self._fit()[_np.fromiter(slots, _np.int64)] = True
+        self.mark(_np.fromiter(slots, _np.int64))
+
+    def mark(self, slots):
+        """Activate a column of interned slots."""
+        self._fit()[slots] = True
 
     def discard(self, vertex):
         self._fit()[self.graph.slot_index[vertex]] = False
@@ -524,13 +536,11 @@ class LocalCsr:
     def decisions(self, context, slots):
         """Vectorised :func:`~repro.pregel.compute.decide_block`.
 
-        Returns the same ``[(vertex, current, desired, willing), ...]``
-        proposal list (movers only, in the order of the candidate
-        ``slots``) the portable path produces, bit for bit: same greedy
-        rule, same tie-breaks, same keyed willingness draws.
+        Returns its proposals — movers only, in the order of the candidate
+        ``slots`` — as the columns ``(ids, current, desired, willing)``,
+        bit for bit: same greedy rule, same tie-breaks, same keyed
+        willingness draws.
         """
-        if not len(slots):
-            return []
         place = self._place
         cur = place[slots]
         nbr, row = gather_explicit(
@@ -539,17 +549,13 @@ class LocalCsr:
         desired, movers = _greedy_movers(
             cur, nbr, row, place, context.num_partitions
         )
-        if not len(movers):
-            return []
         moving = slots[movers]
         source = WillingnessSource(context.lane)
         draws = source.draw_keys(context.round_index, self._keys[moving])
-        return list(zip(
-            self.ids[moving].tolist(),
-            cur[movers].tolist(),
-            desired[movers].tolist(),
-            (draws < context.willingness).tolist(),
-        ))
+        return (
+            self.ids[moving], cur[movers], desired[movers],
+            draws < context.willingness,
+        )
 
     def gather(self, rows):
         """``(degrees, indptr, targets, block_slots)`` for row ``slots``.

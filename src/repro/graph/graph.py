@@ -460,15 +460,30 @@ class Graph:
         return slots
 
     def _build_id_table(self):
+        """Fill the table from the intern index (one numpy pass when numpy
+        is there, a loop otherwise), or retire it for good."""
         index = self._index
-        dense = all(type(v) is int and v >= 0 for v in index)
-        top = max(index, default=0) if dense else 0
-        if not dense or top >= 4 * len(index) + 1024:
+        n = len(index)
+        if _np is not None:  # None for labels, bools and bigints
+            ids = id_column(list(index))
+            dense = ids is not None and (not n or int(ids.min()) >= 0)
+            top = int(ids.max()) if dense and n else 0
+        else:
+            ids = None
+            dense = all(type(v) is int and v >= 0 for v in index)
+            top = max(index, default=0) if dense else 0
+        if not dense or top >= 4 * n + 1024:
             self._id_table_retired = True
             return
-        table = array("q", (-1,)) * (top + 1)
-        for v, slot in index.items():
-            table[v] = slot
+        if ids is None:
+            table = array("q", (-1,)) * (top + 1)
+            for v, slot in index.items():
+                table[v] = slot
+        else:
+            column = _np.full(top + 1, -1, dtype=_np.int64)
+            column[ids] = _np.fromiter(index.values(), _np.int64, count=n)
+            table = array("q")
+            table.frombytes(column.tobytes())
         self._id_table = table
 
     def _table_intern(self, v, slot):

@@ -242,12 +242,14 @@ class PartitionState:
             self._sizes[pid] += delta
         column[slots] = new
 
-    def move_many(self, vertices, new):
+    def move_many(self, vertices, new, mark=None):
         """:meth:`move` each of ``vertices`` to its entry of ``new`` in one
         bulk move (numpy only); returns their old partitions (int64).
 
         The movers' neighbours come from their adjacency sets through the
-        id table, never the CSR mirror.
+        id table, never the CSR mirror.  ``mark``, when given, is called
+        with the slot columns this gathers: every one of ``vertices``,
+        then the neighbours of those whose partition changed.
         """
         k = self.num_partitions
         new = _np.asarray(new, dtype=_np.int64)
@@ -258,6 +260,8 @@ class PartitionState:
         old = self.partitions_at(slots)
         if (old < 0).any():
             raise KeyError(vertices[int((old < 0).argmax())])
+        if mark is not None:
+            mark(slots)
         real = old != new
         if not real.any():
             return old
@@ -265,6 +269,8 @@ class PartitionState:
         blocks = list(map(self.graph.neighbors, movers))
         degrees = _np.fromiter(map(len, blocks), _np.int64, count=len(blocks))
         nbr = self.graph.slots_of(list(chain.from_iterable(blocks)))
+        if mark is not None:
+            mark(nbr)
         row = _np.repeat(_np.arange(len(movers)), degrees)
         self.apply_bulk_moves(movers, slots[real], old[real], new[real], nbr, row)
         return old

@@ -6,10 +6,13 @@ serialised decision step.  The barrier order and the column path are in
 ``docs/architecture.md`` ("The barrier as columns").
 """
 
-from itertools import compress
-from operator import eq, itemgetter
+from dataclasses import dataclass, fields
+from itertools import chain, compress
+from operator import eq
+from typing import Any
 
 from repro.core.sweep import id_column, sort_vertices
+from repro.pregel.messages import same_column
 
 try:
     import numpy as _np
@@ -18,10 +21,131 @@ except ImportError:  # pragma: no cover - numpy is optional
 
 __all__ = [
     "MigrationProtocol",
+    "ProposalColumns",
     "arbitrate_columns",
     "arbitrate_proposals",
     "sort_proposals",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class ProposalColumns:
+    """One round's migration proposals as four parallel columns.
+
+    The one record from a shard's decision pass to the coordinator's
+    arbitration: ``ids`` (every candidate that wants to move, in candidate
+    order), their ``current`` and ``desired`` partitions and the
+    ``willing`` coin each already flipped.  Like
+    :class:`~repro.cluster.shard.PatchColumns` it is held in one of two
+    regimes, read off the data by :meth:`pack`: **typed** — int64 columns
+    and a bool column, when every id is an exact ``int`` in int64 — or
+    **listed**, the same columns as Python lists (labels, bigints, and
+    everything a numpy-free install builds).  Lengths and regimes are
+    checked on construction; equality is bit-exact per column.
+    """
+
+    ids: Any
+    current: Any
+    desired: Any
+    willing: Any
+
+    def __post_init__(self):
+        columns = [getattr(self, spec.name) for spec in fields(self)]
+        if len({type(column) is list for column in columns}) > 1:
+            raise ValueError("proposal columns must be all lists or all arrays")
+        if self.typed:
+            want = [] if _np is None else [_np.int64] * 3 + [bool]
+            if [getattr(c, "dtype", None) for c in columns] != want or (
+                {getattr(c, "ndim", 0) for c in columns} != {1}
+            ):
+                raise ValueError(
+                    "typed proposals are 1-d int64 ids and pids and bool coins"
+                )
+        elif set(map(type, chain(self.current, self.desired))) - {int} or (
+            set(map(type, self.willing)) - {bool}
+        ):
+            raise ValueError("listed proposal pids must be ints, coins bools")
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("proposal columns disagree in length")
+
+    def __eq__(self, other):
+        if not isinstance(other, ProposalColumns):
+            return NotImplemented
+        return all(
+            same_column(getattr(self, spec.name), getattr(other, spec.name))
+            for spec in fields(self)
+        )
+
+    def __len__(self):
+        return len(self.ids)
+
+    @property
+    def typed(self):
+        """True in the typed (numpy) regime, False in the listed one."""
+        return not isinstance(self.ids, list)
+
+    @classmethod
+    def pack(cls, ids=(), current=(), desired=(), willing=()):
+        """The record for parallel columns (sequences or ndarrays): typed
+        when numpy is present and every id is an exact int64 ``int``,
+        listed otherwise."""
+        if _np is not None:
+            column = ids
+            if not isinstance(ids, _np.ndarray) or ids.dtype != _np.int64:
+                column = id_column(_listed(ids))
+            if column is not None:
+                return cls(
+                    column, _np.asarray(current, dtype=_np.int64),
+                    _np.asarray(desired, dtype=_np.int64),
+                    _np.asarray(willing, dtype=bool),
+                )
+        return cls(*map(_listed, (ids, current, desired, willing)))
+
+    @classmethod
+    def of_rows(cls, rows):
+        """:meth:`pack` over ``(vertex, current, desired, willing)`` rows
+        (what :func:`~repro.pregel.compute.decide_block` returns)."""
+        return cls.pack(*map(list, zip(*rows))) if rows else cls.pack()
+
+    @classmethod
+    def concat(cls, records):
+        """The records back to back, in order: typed when every non-empty
+        one is, listed otherwise."""
+        parts = [record for record in records if len(record)]
+        if len(parts) < 2:
+            return parts[0] if parts else cls.pack()
+        names = [spec.name for spec in fields(cls)]
+        if all(record.typed for record in parts):
+            return cls(*(
+                _np.concatenate([getattr(record, name) for record in parts])
+                for name in names
+            ))
+        listed = [record.listed() for record in parts]
+        return cls(*(
+            list(chain.from_iterable(getattr(r, name) for r in listed))
+            for name in names
+        ))
+
+    def listed(self):
+        """The same record in the listed regime."""
+        if not self.typed:
+            return self
+        return ProposalColumns(*(
+            getattr(self, spec.name).tolist() for spec in fields(self)
+        ))
+
+    def rows(self):
+        """``(vertex, current, desired, willing)`` tuples, in order — what
+        the row oracle (:func:`arbitrate_proposals`) takes."""
+        record = self.listed()
+        return list(
+            zip(record.ids, record.current, record.desired, record.willing)
+        )
+
+
+def _listed(column):
+    """A column as a Python list (an ndarray through ``tolist``)."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
 def sort_proposals(proposals, priority=None):
@@ -77,29 +201,37 @@ def arbitrate_proposals(proposals, protocol, quotas, load_of):
     return requested, blocked, kept_active
 
 
-def arbitrate_columns(proposals, order, round_index, protocol, quotas, load_of):
+def arbitrate_columns(proposals, order, round_index, protocol, quotas, load_of,
+                      slots_of):
     """:func:`arbitrate_proposals` over ``sort_proposals(proposals,
-    priority=draw)`` as columns (numpy only), with the same result.
+    priority=draw)`` for a :class:`ProposalColumns` record (numpy only),
+    with the same result — except that the kept proposers come back as
+    their ``slots_of(ids)`` slot column, not as an id set.
 
-    Rows rank by keyed draw (``draw_keys`` over int64 ids, ``draw_map``
-    for labels); only tied draws need the canonical id order, through a
-    ``lexsort``.  One mask drops in-flight vertices, ``QuotaTable.admit``
-    meters the willing movers and the admitted are filed in rank order.
+    Rows rank by keyed draw (``draw_keys`` over a typed record's ids,
+    ``draw_map`` for a listed one); only tied draws need the canonical id
+    order, through a ``lexsort``.  One mask drops in-flight vertices,
+    ``QuotaTable.admit`` meters the willing movers and the admitted are
+    filed in rank order.
     """
-    if not proposals:
-        return 0, 0, set()
     n = len(proposals)
-    vertices = list(map(itemgetter(0), proposals))
-    current, desired, willing = (
-        _np.fromiter(map(itemgetter(i), proposals), dtype, count=n)
-        for i, dtype in ((1, _np.int64), (2, _np.int64), (3, bool))
-    )
-    ids = id_column(vertices)
-    if ids is None:
+    if not n:
+        return 0, 0, _np.empty(0, dtype=_np.int64)
+    if proposals.typed:
+        ids = proposals.ids
+        vertices = ids.tolist()
+        draws = order.draw_keys(round_index, ids.view(_np.uint64))
+        current, desired = proposals.current, proposals.desired
+        willing = proposals.willing
+    else:
+        ids, vertices = None, proposals.ids
         draw = order.draw_map(round_index, vertices)
         draws = _np.fromiter(map(draw.__getitem__, vertices), float, count=n)
-    else:
-        draws = order.draw_keys(round_index, ids.view(_np.uint64))
+        current, desired = (
+            _np.array(column, dtype=_np.int64)
+            for column in (proposals.current, proposals.desired)
+        )
+        willing = _np.array(proposals.willing, dtype=bool)
     rank = _np.argsort(draws)
     ranked = draws[rank]
     if (ranked[1:] == ranked[:-1]).any():
@@ -109,7 +241,10 @@ def arbitrate_columns(proposals, order, round_index, protocol, quotas, load_of):
             key = _np.fromiter(map(at.__getitem__, vertices), _np.int64, n)
         rank = _np.lexsort((key, draws))
     kept = ~protocol.migrating(vertices)
-    kept_active = set(compress(vertices, kept.tolist()))
+    kept_slots = slots_of(
+        ids[kept] if ids is not None
+        else list(compress(vertices, kept.tolist()))
+    )
     rank = rank[kept[rank] & willing[rank]]
     movers = (
         list(map(vertices.__getitem__, rank.tolist())) if ids is None
@@ -123,7 +258,7 @@ def arbitrate_columns(proposals, order, round_index, protocol, quotas, load_of):
         dst[admitted].tolist(),
     )
     blocked = len(movers) - int(_np.count_nonzero(admitted))
-    return int(_np.count_nonzero(kept)), blocked, kept_active
+    return int(_np.count_nonzero(kept)), blocked, kept_slots
 
 
 class MigrationProtocol:

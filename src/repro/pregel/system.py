@@ -193,7 +193,7 @@ class PregelSystem(IngestHost):
         self._pending_events = []
         self._capacities = list(capacities)
         self.metrics = IncrementalMetrics(graph, self.state, self.config.balance)
-        self._active = set(graph.vertices())
+        self._active = self._start_active()
         self._ingestor = make_ingestor(self)
         # Superstep 0 has no published capacities yet (the paper's protocol
         # needs one barrier to propagate them), so publish the initial view.
@@ -282,6 +282,10 @@ class PregelSystem(IngestHost):
     # The decision phase: vertex-local proposals, central arbitration
     # ------------------------------------------------------------------
 
+    def _start_active(self):
+        """The first round's active set: every vertex, as an id set."""
+        return set(self.graph.vertices())
+
     @property
     def heuristic(self):
         """The decision-host contract of :func:`decide_block`."""
@@ -362,7 +366,8 @@ class PregelSystem(IngestHost):
         Returns ``(vertex, current, desired, willing)`` proposals for every
         candidate that wants to move, in canonical candidate order.  The
         sharded coordinator overrides this to hand back the proposals its
-        shards returned with their compute deltas.
+        shards returned with their compute deltas, as one
+        :class:`~repro.pregel.migration.ProposalColumns` record.
         """
         candidates = sort_vertices(
             self.graph.vertices()

@@ -30,12 +30,14 @@ from repro.cluster import (
 )
 from repro.core.balance import EdgeBalance, VertexBalance
 from repro.core.capacity import QuotaTable
+from repro.core.sweep import ActiveSlots
 from repro.generators import mesh_3d
 from repro.graph import Graph
 from repro.graph.events import AddEdge, AddVertex, RemoveEdge, RemoveVertex
 from repro.partitioning.base import PartitionState
 from repro.pregel.migration import (
     MigrationProtocol,
+    ProposalColumns,
     arbitrate_columns,
     arbitrate_proposals,
     sort_proposals,
@@ -139,11 +141,13 @@ def _arbitrate(columns, k, proposals, in_flight, remaining, loads, round_index,
         protocol._in_flight[v] = (0, 1)
     quotas = QuotaTable(remaining, k)
     order = _CoarseOrder() if coarse else WillingnessSource(7, "arbitration")
-    if columns:
-        result = arbitrate_columns(
-            list(proposals), order, round_index, protocol, quotas,
-            loads.__getitem__,
+    if columns:  # the kept proposers come back as slots: compare ids
+        graph = Graph(vertices=[p[0] for p in proposals])
+        requested, blocked, kept = arbitrate_columns(
+            ProposalColumns.of_rows(proposals), order, round_index, protocol,
+            quotas, loads.__getitem__, graph.slots_of,
         )
+        result = requested, blocked, set(map(graph.id_of, kept.tolist()))
     else:
         ranked = sort_proposals(
             proposals, priority=lambda v: order.draw(round_index, v)
@@ -199,7 +203,9 @@ def _announce_pair(labels, balance, requests_of, unassign=()):
         for v in unassign:
             system.state.remove_vertex(v)
         system.metrics.rebuild()
-        system._active = set()
+        system._active = (
+            ActiveSlots.of(graph, []) if not systems else set()
+        )  # the bulk announce marks a mask, the per-vertex loop a set
         system._dirty.clear()
         rows = requests_of(system)
         if rows:
@@ -219,7 +225,7 @@ def _observable(system):
         state.cut_edges,
         list(state.partition_column()),
         system.metrics.loads,
-        system._active,
+        set(system._active),
         system._dirty,
         system._placement_log,
         system.migration._in_flight,
@@ -373,6 +379,9 @@ def _churned(program, labels, system_cls, **kwargs):
             RemoveVertex(name(62)), AddEdge(name(901), name(7))],
         5: [RemoveEdge(name(0), name(1)), RemoveVertex(name(901)),
             AddEdge(name(900), name(30))],
+        # A removal and a fresh vertex in one barrier: the newcomer takes
+        # the removed vertex's recycled slot.
+        7: [RemoveVertex(name(40)), AddEdge(name(902), name(41))],
     }
     return system, batches
 
@@ -402,13 +411,13 @@ def test_coordinator_equals_the_oracle_under_binding_quotas(
                 system.inject_events(batches.get(step, []))
                 system.run_superstep()
             clustered.shard_consistency_check()
+            assert set(clustered._active) == serial._active, step
         assert _digest(clustered) == _digest(serial)
         assert any(r.migrations_blocked for r in serial.reports)
         assert dict(clustered.state.assignment_items()) == dict(
             serial.state.assignment_items()
         )
         assert clustered.values == serial.values
-        assert clustered._active == serial._active
         clustered.metrics.cross_check()
 
 

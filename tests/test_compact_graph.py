@@ -711,6 +711,38 @@ class TestIdLookupDeltaMaintenance:
         runner.state.validate()
 
 
+    #: One id set per regime the table build must tell apart: the two
+    #: int kinds that keep it and the three that retire it.
+    ID_KINDS = {
+        "dense ints": list(range(40, 0, -1)) + [300],
+        "sparse ints": [0, 5, 10_000_000],
+        "bool ids": [2, 3, True],
+        "negative ids": [0, 1, -4],
+        "labels": ["a", "b", 0],
+    }
+
+    @needs_numpy
+    @pytest.mark.parametrize("kind", sorted(ID_KINDS))
+    def test_numpy_table_fill_equals_the_loop(self, kind, monkeypatch):
+        """The one-pass fill builds the loop's table (or retires it) from
+        the same intern index, holes and recycled slots included."""
+        import repro.graph.graph as graph_module
+
+        def built(numpy_off):
+            ids = self.ID_KINDS[kind]
+            graph = Graph(edges=list(zip(ids, ids[1:])))
+            graph.remove_vertex(ids[1])
+            graph.add_vertex(ids[1])  # back, in a recycled slot
+            with monkeypatch.context() as patch:
+                if numpy_off:
+                    patch.setattr(graph_module, "_np", None)
+                table = graph.id_table()
+            return None if table is None else table.tolist()
+
+        assert built(numpy_off=False) == built(numpy_off=True)
+        assert (built(numpy_off=False) is None) == (kind != "dense ints")
+
+
 # ----------------------------------------------------------------------
 # Bulk set-up: constructor / add_edges / ring_lattice against the
 # per-edge oracle.

@@ -39,6 +39,7 @@ from repro.partitioning.base import balanced_capacities
 from repro.partitioning.hashing import HashPartitioner
 from repro.pregel.compute import decide_block
 from repro.pregel.fault import FaultPlan
+from repro.pregel.migration import ProposalColumns
 from repro.pregel.system import PregelConfig, PregelSystem
 from repro.scenarios import get_scenario, play_scenario
 from repro.utils.rng import WillingnessSource, vertex_key
@@ -273,7 +274,9 @@ def _place(index, placement):
 
 
 def _decisions(index, context, candidates):
-    return index.decisions(context, index.slots_of(candidates))
+    """The index's proposal columns as decide_block's rows."""
+    columns = index.decisions(context, index.slots_of(candidates))
+    return ProposalColumns.pack(*columns).rows()
 
 
 @pytest.mark.skipif(numpy is None, reason="needs numpy")

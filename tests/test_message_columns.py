@@ -263,6 +263,7 @@ def test_record_encodes_noncontiguous_and_readonly_inputs():
 @needs_numpy
 def test_task_and_delta_frames_carry_records():
     from repro.cluster.shard import ShardDelta, ShardTask
+    from repro.pregel.migration import ProposalColumns
 
     inbox = MessageColumns(
         np.array([2, 5, 9], dtype=np.int64), np.array([0.5, 1.5, 2.5]),
@@ -275,14 +276,14 @@ def test_task_and_delta_frames_carry_records():
         outbox=MessageColumns(inbox.targets[::-1].copy(), inbox.payloads),
         halted_added=[], halted_removed=[], aggregated=[],
         compute_units=4.0,
-        proposals=[(2, 1, 0, True), (9, 1, 3, False)],
+        proposals=ProposalColumns.of_rows([(2, 1, 0, True), (9, 1, 3, False)]),
     )
     for message in (("step", {1: (task, None)}), ("ok", {1: delta})):
         got = wire.loads(wire.dumps(message))
         assert (got == message) is True
     proposals = wire.loads(wire.dumps(delta)).proposals
-    assert proposals == delta.proposals
-    assert [type(x) for x in proposals[0]] == [int, int, int, bool]
+    assert proposals == delta.proposals and proposals.typed
+    assert [type(x) for x in proposals.rows()[0]] == [int, int, int, bool]
 
 
 @needs_numpy

@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 from repro.cluster import wire
 from repro.cluster.shard import PatchColumns, ShardDelta, ShardTask
 from repro.core.heuristic import DecisionContext
+from repro.pregel.migration import ProposalColumns
 from repro.cluster.wire import (
     CODEC_BINARY,
     CombinedMessages,
@@ -279,7 +280,7 @@ def test_protocol_records_roundtrip():
         halted_removed=[],
         aggregated={"pagerank_sum": 0.4},
         compute_units=77,
-        proposals=[(5, 0, 1)],
+        proposals=ProposalColumns.of_rows([(5, 0, 1, True)]),
     )
     # The round's snapshot: int (k = 8), all-float and mixed int/float
     # capacity vectors, lanes past int64.
@@ -478,11 +479,13 @@ def test_patch_upserts_and_int_rows_are_packed_and_type_exact():
         assert got.typed and got.listed() == listed
     # Proposals: (vertex, current, desired, willing) with the bool intact.
     proposals = [(vid, vid % 8, (vid + 1) % 8, vid % 3 == 0) for vid in upserts]
-    delta = ShardDelta(0, 0, {}, [], [], [], [], 0.0, proposals=proposals)
-    got = wire.loads(wire.dumps(delta))
-    assert got.proposals == proposals
-    assert {type(x) for row in got.proposals for x in row[:3]} == {int}
-    assert {type(row[3]) for row in got.proposals} == {bool}
+    record = ProposalColumns.of_rows(proposals)
+    delta = ShardDelta(0, 0, {}, [], [], [], [], 0.0, proposals=record)
+    got = wire.loads(wire.dumps(delta)).proposals
+    assert got == record and got.typed == (numpy is not None)
+    assert got.rows() == proposals
+    assert {type(x) for row in got.rows() for x in row[:3]} == {int}
+    assert {type(row[3]) for row in got.rows()} == {bool}
     assert len(wire.dumps(delta)) < len(proposals) * 6
     # A removal rides the placement columns as pid −1, in both regimes.
     mixed = patch(placement_delta=[(5, 1), (7, None)])
@@ -511,6 +514,7 @@ MALFORMED = {
     "folded inbox columns disagree": (
         b"\x0f\x01\x02\x01\x02\x01\x01\x03\x02" + bytes(16)
     ),
+    # Tag 0x10 (int rows) is retired: these are its last sender's frames.
     "int rows are ragged": b"\x10\x02\x00\x01\x02\x01\x02\x01\x01\x05",
     "int rows without columns": b"\x10\x00\x00",
     # arity 2, bool mask 0b100: a bool column past the last one
@@ -589,6 +593,21 @@ MALFORMED = {
         + b"\x0c\x00\x01" + bytes(8) + b"\x0b\x00\x01\x01\x01" + _EMPTY
         + b"\x07\x01\x02" + _EMPTY * 3
     ),
+    # ProposalColumns: [tag][flags][ids][current][desired][willing bytes],
+    # one row (id 5, 0 -> 1) where it gets that far.
+    "proposal column truncated": b"\x1a\x00\x01\x02\x05",
+    "proposal columns disagree in length": (
+        b"\x1a\x00\x01\x02\x05\x06\x01\x01\x00\x01\x01\x01\x01\x00"
+    ),
+    "proposal willingness byte is not 0 or 1": (
+        b"\x1a\x00\x01\x01\x05\x01\x01\x00\x01\x01\x01\x02"
+    ),
+    "proposal columns with unknown flags": b"\x1a\x05",
+    # ... listed: four generic lists, a float where a pid belongs
+    "listed proposal pid is a float": (
+        b"\x1a\x04" + b"\x0b\x00\x01\x01\x05" + b"\x0c\x00\x01" + bytes(8)
+        + b"\x0b\x00\x01\x01\x01" + b"\x07\x01\x01"
+    ),
     # Retired tags are never reassigned: each is an unknown tag, framed
     # as its last sender framed it.
     "retired dict patch tag": b"\x14" + b"\x09\x00" + _EMPTY * 2,
@@ -622,6 +641,57 @@ def test_the_malformed_width_cases_are_one_field_off_a_valid_frame():
         b"\x01\x00\x01\x00\x01\x00" + bytes(16)
     ))
     assert patch.values.shape == (1, 2) and patch.ids.tolist() == [5]
+
+
+def test_the_malformed_proposal_cases_are_one_field_off_a_valid_frame():
+    """Each proposal case fails on the field it names: with that field
+    mended, the same frame decodes."""
+    listed = wire.loads(sealed(
+        b"\x1a\x04" + b"\x0b\x00\x01\x01\x05" + b"\x0b\x00\x01\x01\x00"
+        + b"\x0b\x00\x01\x01\x01" + b"\x07\x01\x01"
+    ))
+    assert listed == ProposalColumns([5], [0], [1], [True])
+    if numpy is None:
+        return
+    for willing in (0, 1):
+        got = wire.loads(sealed(
+            b"\x1a\x00\x01\x01\x05\x01\x01\x00\x01\x01\x01"
+            + bytes([willing])
+        ))
+        assert got.rows() == [(5, 0, 1, bool(willing))] and got.typed
+    got = wire.loads(sealed(
+        b"\x1a\x00\x01\x02\x05\x06\x01\x02\x00\x00\x01\x02\x01\x01"
+        b"\x01\x00"
+    ))
+    assert got.rows() == [(5, 0, 1, True), (6, 0, 1, False)]
+
+
+def test_proposal_records_roundtrip():
+    """Typed, listed and empty records cross under their own tag, never
+    pickled, and come back in their regime with exact types."""
+    rows = [(7, 0, 3, True), (9, 2, 1, False), (12, 1, 0, False)]
+    records = {
+        "typed": ProposalColumns.of_rows(rows),
+        "listed": ProposalColumns.of_rows(
+            [("a", 0, 3, True), (2**70, 2, 1, False), (4, 1, 0, True)]
+        ),
+        "empty": ProposalColumns.pack(),
+    }
+    assert records["typed"].typed == records["empty"].typed == (
+        numpy is not None
+    )
+    assert not records["listed"].typed
+    for name, record in records.items():
+        frame = wire.dumps(record)
+        assert frame[wire._BODY] == wire._TAG_PROPOSALS, name
+        for path in PATHS:
+            got = roundtrip(record, path)
+            assert_same(got, record)
+            assert got.typed == record.typed, name
+            assert [tuple(map(type, row)) for row in got.rows()] == [
+                tuple(map(type, row)) for row in record.rows()
+            ], name
+    assert records["typed"].rows() == rows
 
 
 #: Width-1 frame bodies as the commit before record columns wrote them: a
@@ -806,7 +876,9 @@ def _real_frames():
         )
     delta = ShardDelta(
         1, 40, values, outbox, ids[:3], [], [("agg", 0.5)], 41.0,
-        proposals=[(vid, 1, 2, vid % 2 == 0) for vid in ids[:10]],
+        proposals=ProposalColumns.of_rows(
+            [(vid, 1, 2, vid % 2 == 0) for vid in ids[:10]]
+        ),
         spans=[("compute", "shard-1", 1.5, 0.25, {"superstep": 3})],
     )
     deltas = {1: delta}
@@ -981,6 +1053,14 @@ def test_single_bit_flips_never_decode():
         "int -> float": {rng.randrange(1 << 20): rng.random() for _ in range(64)},
         "k = 8 decision context": DecisionContext(
             12, tuple(rng.randrange(7000) for _ in range(8)), 0.5, 1 << 62, 12
+        ),
+        "delta with proposals": ShardDelta(
+            3, 64, {}, [], [], [], [], 64.0,
+            proposals=ProposalColumns.of_rows([
+                (rng.randrange(1 << 20), 1, rng.randrange(2, 8),
+                 rng.random() < 0.5)
+                for _ in range(64)
+            ]),
         ),
     }
     for name, value in values.items():

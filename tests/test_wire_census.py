@@ -80,8 +80,10 @@ def test_the_census_saw_the_whole_protocol(census):
     assert {"init", "step", "step-reply", "apply"} <= set(census)
     # The spy works: the init frame's program and shards are pickled ...
     assert census["init"][wire._TAG_PICKLE] > 0
-    # ... and decision rounds really crossed.
+    # ... and decision rounds really crossed, their proposals coming
+    # home as one record per shard.
     assert census["step"][wire._TAG_CONTEXT] > 0
+    assert census["step-reply"][wire._TAG_PROPOSALS] > 0
 
 
 def test_only_the_init_frame_is_pickled(census):

@@ -58,6 +58,7 @@ class LintConfig:
     wire_records: tuple = (
         ("pregel/messages.py", "MessageColumns"),
         ("cluster/shard.py", "PatchColumns"),
+        ("pregel/migration.py", "ProposalColumns"),
     )
     #: Capability flags and the methods an honest claimant must implement
     #: (CAP001).

@@ -10,8 +10,9 @@
   on encode / not passed on decode" cannot happen *by construction* —
   provided the struct is registered;
 * the **column records** (``MessageColumns`` in ``pregel/messages.py``,
-  ``PatchColumns`` in ``cluster/shard.py``) keep hand-written column
-  codecs, which agree with the class only by discipline.
+  ``PatchColumns`` in ``cluster/shard.py``, ``ProposalColumns`` in
+  ``pregel/migration.py``) keep hand-written column codecs, which agree
+  with the class only by discipline.
 
 WIRE001 makes both a check, cross-module and purely static:
 
